@@ -11,17 +11,22 @@ A decoder model is anything with:
     logprob_lattice(H, labels) -> (T, U+1, K)         # for exhaustive search
     num_labels -> int
 
-State handles are never mutated, so beam branches can share them. The
-frame-index convention mirrors the lattice module: blanks read frame t,
-labels read frame min(t, T-1), and a hypothesis is complete once it has
-consumed all T frames, after which it may still extend by labels.
+State handles are never mutated, so beam branches can share them. A
+state depends only on its label prefix, so `alsd_beam` keeps one state per
+prefix per utterance and steps the prediction network lazily: a label
+extension is scored from its parent's state, and its own state is made
+only if it survives pruning. The frame-index convention mirrors the
+lattice module: blanks read frame t, labels read frame min(t, T-1), and a
+hypothesis is complete once it has consumed all T frames, after which it
+may still extend by labels.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -40,7 +45,11 @@ class Hypothesis:
     `score` is the pruning/ranking total: the transducer log-probability
     plus, when fusion is active, the weighted LM terms and length reward
     accumulated per emitted symbol. `alignment_length` counts consumed
-    alignment symbols (blanks + labels)."""
+    alignment symbols (blanks + labels).
+
+    In `alsd_beam`, `pred_state` is None until the hypothesis survives
+    pruning and is about to be extended; a returned hypothesis, or the
+    `best_partial` of a `DecodeError`, may therefore carry None."""
 
     labels: tuple[int, ...]
     t_progress: int
@@ -168,9 +177,16 @@ def alsd_beam(
     hypotheses (all T frames consumed) are set aside with their language
     model end-of-sequence increments applied, and may keep growing by
     trailing labels up to the expansion cap.
+
+    Every extension is scored from its parent's prediction state; only the
+    hypotheses that survive pruning get a state of their own, shared by
+    label prefix. Without fusion, the search stops as soon as no live
+    hypothesis can enter the n-best list.
     """
     if beam_width < 1:
         raise ContractViolation("beam_width must be >= 1")
+    if n_best < 1:
+        raise ContractViolation("n_best must be >= 1")
     if merge not in ("logsumexp", "max"):
         raise ContractViolation(f"unknown merge mode {merge!r}")
     H = model.encode_features(features, aux)
@@ -180,13 +196,14 @@ def alsd_beam(
     if expansion_cap < T:
         raise ContractViolation("expansion_cap must be at least T")
 
+    states = {(): model.init_decode_state()}
     live = [
         Hypothesis(
             labels=(),
             t_progress=0,
             score=0.0,
             transducer=0.0,
-            pred_state=model.init_decode_state(),
+            pred_state=states[()],
             fusion_state=fusion.init_state() if fusion is not None else None,
         )
     ]
@@ -201,6 +218,8 @@ def alsd_beam(
             )
         expansions: dict[tuple[int, ...], Hypothesis] = {}
         for hyp in live:
+            if hyp.pred_state is None:
+                hyp = replace(hyp, pred_state=_prefix_state(model, states, hyp.labels))
             frame = min(hyp.t_progress, T - 1)
             logp = model.joint_log_probs(H[frame], hyp.pred_state)
             if hyp.t_progress < T:
@@ -235,7 +254,6 @@ def alsd_beam(
                         source_lm=src,
                         external_lm=ext,
                         score=_fused_score(trans, src, ext, len(hyp.labels) + 1, fusion),
-                        pred_state=model.extend_decode_state(hyp.pred_state, label),
                         fusion_state=fstate,
                     ),
                     merge,
@@ -247,6 +265,20 @@ def alsd_beam(
         live = sorted(expansions.values(), key=_rank_key)[:beam_width]
         if not live:
             break
+        # Exact early stop. Once every live hypothesis is complete, all share
+        # one t and one label count with distinct labels, so no later merge
+        # can add mass, and each extension adds a log-probability <= 0: no
+        # descendant can beat live[0]. Later completions have more labels
+        # than any held now, so they never replace one. Strict `<` keeps
+        # the (-score, labels) tie-break exact. LM increments may be
+        # positive, so the stop needs fusion off.
+        if (
+            fusion is None
+            and len(completed) >= n_best
+            and all(hyp.t_progress == T for hyp in live)
+            and live[0].score < _nth_best(completed, n_best).score
+        ):
+            break
 
     if not completed:
         best_partial = live[0] if live else None
@@ -256,6 +288,19 @@ def alsd_beam(
         )
     ranked = sorted(completed.values(), key=_rank_key)
     return NBestList(ranked[:n_best])
+
+
+def _nth_best(completed: dict, n: int) -> Hypothesis:
+    return heapq.nsmallest(n, completed.values(), key=_rank_key)[-1]
+
+
+def _prefix_state(model, states: dict, labels: tuple[int, ...]):
+    """The prediction state of a label prefix, made from its parent
+    prefix's state on first use. The parent is always present: it was live,
+    and so was given its state, one step earlier."""
+    if labels not in states:
+        states[labels] = model.extend_decode_state(states[labels[:-1]], labels[-1])
+    return states[labels]
 
 
 def _finalize(hyp: Hypothesis, fusion) -> Hypothesis:

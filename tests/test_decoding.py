@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from transducer_workbench.errors import (
     DecodeError,
     SearchBudgetExceeded,
 )
+from transducer_workbench.fusion import FusionScorer, FusionWeights
 from transducer_workbench.model import ModelConfig, init_model
 from transducer_workbench.networks import EncoderConfig, PredictionConfig
 from transducer_workbench.numerics import RandomStream, log_softmax, log_sum_exp
@@ -189,6 +191,139 @@ class TestALSD:
             alsd_beam(model, np.zeros(3), beam_width=2, expansion_cap=2)
         with pytest.raises(ContractViolation):
             alsd_beam(model, np.zeros(3), beam_width=2, merge="viterbi")
+        with pytest.raises(ContractViolation):
+            alsd_beam(model, np.zeros(3), beam_width=2, n_best=0)
+
+
+class _Handle:
+    """Opaque prediction-state handle: the wrapped state, the label prefix it
+    stands for, and a serial number (0 for the initial state)."""
+
+    def __init__(self, inner, prefix, serial):
+        self.inner = inner
+        self.prefix = prefix
+        self.serial = serial
+
+
+class CountingModel:
+    """Decoder-model wrapper that records which prefixes get a prediction
+    state and which states the joint network reads."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.made: list[tuple[int, ...]] = []
+        self.read: set[int] = set()
+        self.joint_calls = 0
+
+    @property
+    def num_labels(self):
+        return self._inner.num_labels
+
+    def encode_features(self, features, aux=None):
+        return self._inner.encode_features(features, aux)
+
+    def init_decode_state(self):
+        return _Handle(self._inner.init_decode_state(), (), 0)
+
+    def extend_decode_state(self, state, label):
+        self.made.append(state.prefix + (label,))
+        inner = self._inner.extend_decode_state(state.inner, label)
+        return _Handle(inner, state.prefix + (label,), len(self.made))
+
+    def joint_log_probs(self, h_vec, state):
+        self.read.add(state.serial)
+        self.joint_calls += 1
+        return self._inner.joint_log_probs(h_vec, state.inner)
+
+    def logprob_lattice(self, H, labels):
+        return self._inner.logprob_lattice(H, labels)
+
+
+def _counted_alsd(model, features, **kwargs):
+    counting = CountingModel(model)
+    try:
+        nbest = alsd_beam(counting, features, **kwargs)
+    except DecodeError:
+        nbest = None
+    return counting, nbest
+
+
+class TestLazyPredictionStates:
+    CASES = [
+        pytest.param(lambda: random_fixed_model(5, 6, 4, RandomStream(47)), np.zeros(5),
+                     id="fixed"),
+        pytest.param(lambda: tiny_real_model(seed=5, num_labels=3),
+                     RandomStream(53).normal(size=(4, 3)), id="real"),
+    ]
+
+    @pytest.mark.parametrize("make_model,features", CASES)
+    @pytest.mark.parametrize("beam_width", [1, 2, 4])
+    @pytest.mark.parametrize("merge", ["logsumexp", "max"])
+    def test_every_state_read_and_made_once(self, make_model, features, beam_width, merge):
+        counting, _ = _counted_alsd(make_model(), features, beam_width=beam_width,
+                                    n_best=2, merge=merge)
+        assert counting.made
+        assert counting.read >= set(range(1, len(counting.made) + 1))
+        assert len(set(counting.made)) == len(counting.made)
+
+    @pytest.mark.parametrize("make_model,features", CASES)
+    @pytest.mark.parametrize("beam_width", [1, 2, 4])
+    def test_extensions_per_step_within_beam(self, make_model, features, beam_width):
+        # A cap of c runs steps 1..c (fewer if the search stops early), so
+        # the growth in states made from cap c-1 to cap c is the number
+        # made in step c.
+        model = make_model()
+        T = model.encode_features(features).shape[0]
+        made = [len(_counted_alsd(model, features, beam_width=beam_width,
+                                  expansion_cap=cap)[0].made)
+                for cap in range(T, 3 * T + 1)]
+        assert made[0] <= beam_width * T
+        for before, after in itertools.pairwise(made):
+            assert 0 <= after - before <= beam_width
+
+
+class TestEarlyStop:
+    def test_blank_dominant_stops_early_with_exact_nbest(self):
+        rng = RandomStream(59)
+        T, max_u, n_best = 3, 6, 3
+        logits = rng.normal(0, 0.5, size=(T, max_u + 1, 3))
+        logits[:, :, 0] += 5.0
+        model = FixedLatticeModel(log_softmax(logits))
+        exact = exhaustive_decode(model, np.zeros(T), max_symbols=max_u)
+        stopped, nbest = _counted_alsd(model, np.zeros(T), beam_width=4, n_best=n_best)
+        # An n-best list longer than any reachable completed set disables
+        # the stop, so this run covers the whole expansion cap.
+        full, full_nbest = _counted_alsd(model, np.zeros(T), beam_width=4, n_best=10**6)
+        assert stopped.joint_calls < full.joint_calls
+        assert [(h.labels, h.score) for h in nbest] == [
+            (h.labels, h.score) for h in full_nbest.hypotheses[:n_best]
+        ]
+        assert [h.labels for h in nbest] == [s.labels for s in exact[:n_best]]
+        for hyp, ref in zip(nbest, exact):
+            assert hyp.score == pytest.approx(ref.log_prob, abs=1e-10)
+
+    @pytest.mark.parametrize("merge", ["logsumexp", "max"])
+    @pytest.mark.parametrize("rho", [None, 1.0])
+    def test_nbest_prefix_of_unstopped_search(self, merge, rho):
+        # An n-best list longer than any reachable completed set disables
+        # the stop. Log-sum-exp merges of incomplete hypotheses can raise a
+        # score, and a length reward makes extensions gain score, so a stop
+        # that ignored either would cut off better hypotheses.
+        fusion = None if rho is None else FusionScorer(FusionWeights(0.0, 0.0, rho))
+        for trial in range(300):
+            rng = RandomStream(trial)
+            T = int(rng.integers(1, 6))
+            model = random_fixed_model(T, 2 * T + 1, int(rng.integers(2, 5)), rng)
+            kwargs = dict(beam_width=int(rng.integers(1, 8)), merge=merge, fusion=fusion)
+            n_best = int(rng.integers(1, 5))
+            try:
+                full = alsd_beam(model, np.zeros(T), n_best=10**6, **kwargs)
+            except DecodeError:
+                continue
+            nbest = alsd_beam(model, np.zeros(T), n_best=n_best, **kwargs)
+            assert [(h.labels, h.score) for h in nbest] == [
+                (h.labels, h.score) for h in full.hypotheses[:n_best]
+            ]
 
 
 class TestExhaustive:
