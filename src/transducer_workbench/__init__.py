@@ -31,9 +31,11 @@ from .fusion import (
     CombinationWeights,
     FusionScorer,
     FusionWeights,
+    combination_score,
     combine_rescore,
     density_ratio_score,
     shallow_fusion_score,
+    top1_wer,
     tune_weights,
 )
 from .joint import JointParams, count_parameters, joint_backward, joint_forward

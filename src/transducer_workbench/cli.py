@@ -27,7 +27,6 @@ from .data import Alphabet, read_transcripts
 from .errors import ConfigError, ContractViolation, IngestError, WorkbenchError
 from .experiment import (
     _cached_from_nbest_file,
-    _wer_with_weights,
     attach_lm_components,
     decode_dataset,
     default_config,
@@ -43,7 +42,7 @@ from .experiment import (
     ExperimentReport,
     config_fingerprint,
 )
-from .fusion import FusionWeights, write_nbest
+from .fusion import FusionWeights, top1_wer, write_nbest
 from .model import load_char_lm, load_checkpoint
 from .numerics import RandomStream
 
@@ -224,7 +223,7 @@ def _dispatch(args) -> int:
             weights = FusionWeights(w.get("mu", 0.0), w.get("lam", 0.0), w.get("rho", 0.0))
         else:
             weights = FusionWeights(0.0, 0.0, 0.0)
-        wer = _wer_with_weights(cached, weights)
+        wer = top1_wer(cached, weights)
         print(f"{args.split} WER {100 * wer:.2f}% ({args.nbest})")
         return 0
 

@@ -51,8 +51,8 @@ from .fusion import (
     CombinationWeights,
     FusionWeights,
     combine_rescore,
-    density_ratio_score,
     read_nbest,
+    top1_wer,
     tune_weights,
     write_nbest,
 )
@@ -694,33 +694,6 @@ def _cached_from_nbest_file(path, alphabet, references) -> list[CachedNBest]:
     return cached
 
 
-def _wer_with_weights(cached: list[CachedNBest], weights) -> float:
-    errors = 0
-    words = 0
-    for nbest in cached:
-        scores = []
-        for hyp in nbest.hypotheses:
-            if isinstance(weights, CombinationWeights):
-                s = (
-                    weights.alpha * hyp.transducer_a
-                    + weights.beta * (hyp.transducer_b if hyp.transducer_b is not None else 0.0)
-                    - weights.mu * hyp.source_lm
-                    + weights.lam * hyp.external_lm
-                    + weights.rho * hyp.length
-                )
-            else:
-                s = density_ratio_score(
-                    (hyp.transducer_a, hyp.source_lm, hyp.external_lm, hyp.length), weights
-                )
-            scores.append(s)
-        order = sorted(zip(scores, (h.words for h in nbest.hypotheses)),
-                       key=lambda t: (-t[0], t[1]))
-        _, s, d, i = compute_wer(list(nbest.reference), list(order[0][1]))
-        errors += s + d + i
-        words += len(nbest.reference)
-    return errors / max(1, words)
-
-
 def _weights_dict(w) -> dict:
     if isinstance(w, CombinationWeights):
         return {"alpha": w.alpha, "beta": w.beta, "mu": w.mu, "lam": w.lam, "rho": w.rho}
@@ -729,6 +702,9 @@ def _weights_dict(w) -> dict:
 
 def stage_fusion_conditions(config, run_dir, models, datasets, alphabet,
                             source_lm, external_lm, report: ExperimentReport):
+    """Tune and score every configured condition from the n-best files.
+    The LM components come from those files, which `stage_decode` filled;
+    `source_lm` and `external_lm` are not read again."""
     f = config["fusion"]
     refs = {
         split: {u.utt_id: u.labels for u in datasets[split]} for split in ("dev", "test")
@@ -757,8 +733,8 @@ def stage_fusion_conditions(config, run_dir, models, datasets, alphabet,
                     rho_grid=f["rho_grid"],
                 ).weights
             entry[mode] = {
-                "dev_wer": _wer_with_weights(dev_cached, weights),
-                "test_wer": _wer_with_weights(test_cached, weights),
+                "dev_wer": top1_wer(dev_cached, weights),
+                "test_wer": top1_wer(test_cached, weights),
                 "weights": _weights_dict(weights),
             }
             with open(run_dir / f"weights_{condition}_{mode}.json", "w") as fh:
@@ -767,7 +743,7 @@ def stage_fusion_conditions(config, run_dir, models, datasets, alphabet,
 
     if "combination" in conditions and len(models) >= 2:
         report.conditions["combination"] = stage_combination(
-            config, run_dir, models, datasets, alphabet, source_lm, external_lm, refs
+            config, run_dir, models, datasets, alphabet, refs
         )
 
 
@@ -812,8 +788,9 @@ def read_combination_file(path, alphabet) -> dict[str, list[CachedHypothesis]]:
     return out
 
 
-def stage_combination(config, run_dir, models, datasets, alphabet,
-                      source_lm, external_lm, refs) -> dict:
+def stage_combination(config, run_dir, models, datasets, alphabet, refs) -> dict:
+    """Cross-score the union of the first two modes' n-best lists; the LM
+    columns of `combination_{split}.tsv` are the n-best files' own."""
     f = config["fusion"]
     mode_a, mode_b = list(models)[:2]
     zero = CombinationWeights(1.0, 0.0, 0.0, 0.0, 0.0)
@@ -832,8 +809,6 @@ def stage_combination(config, run_dir, models, datasets, alphabet,
                 zero,
                 models[mode_a],
                 models[mode_b],
-                source_lm,
-                external_lm,
                 aux=utt.aux,
             )
             hyps = []
@@ -872,8 +847,8 @@ def stage_combination(config, run_dir, models, datasets, alphabet,
     name = f"{mode_a}+{mode_b}"
     return {
         name: {
-            "dev_wer": _wer_with_weights(cached["dev"], tuned),
-            "test_wer": _wer_with_weights(cached["test"], tuned),
+            "dev_wer": top1_wer(cached["dev"], tuned),
+            "test_wer": top1_wer(cached["test"], tuned),
             "weights": _weights_dict(tuned),
         }
     }
@@ -940,8 +915,8 @@ def stage_ablations(config, run_dir, rng, datasets, alphabet, source_lm, externa
             dev_cached, mu_grid=f["mu_grid"], lam_grid=f["lam_grid"], rho_grid=f["rho_grid"]
         ).weights
         report.ablations[ablation] = {
-            "no_lm_test_wer": _wer_with_weights(test_cached, FusionWeights(0, 0, 0)),
-            "density_ratio_test_wer": _wer_with_weights(test_cached, tuned),
+            "no_lm_test_wer": top1_wer(test_cached, FusionWeights(0, 0, 0)),
+            "density_ratio_test_wer": top1_wer(test_cached, tuned),
             "weights": _weights_dict(tuned),
         }
 
@@ -1065,7 +1040,7 @@ def verify_report(run_dir) -> list[str]:
                     )
                     w = entry["weights"]
                     weights = FusionWeights(w["mu"], w["lam"], w["rho"])
-                recomputed = _wer_with_weights(cached, weights)
+                recomputed = top1_wer(cached, weights)
                 if abs(recomputed - reported) > 1e-12:
                     problems.append(
                         f"{condition}/{name}/{split}: reported {reported}, "

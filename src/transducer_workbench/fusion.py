@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import scoring
 from .errors import ContractViolation
 from .networks import (
     CharLMParams,
@@ -57,9 +58,20 @@ class CombinationWeights:
 
 
 def density_ratio_score(components, w: FusionWeights) -> float:
-    """components = (log p(y|x), log p_src(y), log p_ext(y), |y|)."""
+    """components = (log p(y|x), log p_src(y), log p_ext(y), |y|).
+
+    Elementwise on numpy arrays too: with weight fields of shape (cells, 1)
+    and components of shape (hyps,) it scores a whole grid at once, with
+    the same operations in the same order as the scalar call."""
     trans, src, ext, length = components
     return trans - w.mu * src + w.lam * ext + w.rho * length
+
+
+def combination_score(components, w: CombinationWeights) -> float:
+    """components = (log p(y|x; A), log p(y|x; B), log p_src(y), log p_ext(y),
+    |y|); elementwise on numpy arrays like `density_ratio_score`."""
+    trans_a, trans_b, src, ext, length = components
+    return w.alpha * trans_a + w.beta * trans_b - w.mu * src + w.lam * ext + w.rho * length
 
 
 def shallow_fusion_score(components, lam: float, rho: float) -> float:
@@ -168,30 +180,39 @@ def combine_rescore(
     weights: CombinationWeights,
     model_a,
     model_b,
-    source_lm: CharLMParams | None = None,
-    external_lm: CharLMParams | None = None,
+    *,
     aux=None,
     max_label_length: int | None = None,
 ):
     """Log-linear rescoring of the union of two n-best lists.
 
     Every unique label sequence in the union is cross-scored by both
-    transducers (exact lattice marginals) and the shared LMs. Hypotheses
-    longer than the length cap are excluded with a logged warning (they
-    would exceed the decoders' own expansion budget).
+    transducers (exact lattice marginals). The LM components are not
+    recomputed: they are the `source_lm`/`external_lm` fields of the n-best
+    entries (`Hypothesis` or `NBestRecord`), which the decoding stage fills
+    with full-sequence `lm_score` values. Both lists must carry the same LM
+    scores for a shared label sequence; entries whose LM components were
+    never filled contribute 0.0. Hypotheses longer than the length cap are
+    excluded with a logged warning (they would exceed the decoders' own
+    expansion budget).
+
+    Raises ContractViolation when the two lists disagree on the LM scores of
+    a label sequence, since they were then scored by different LMs.
     """
     H_a = model_a.encode_features(features, aux)
     H_b = model_b.encode_features(features, aux)
     if max_label_length is None:
         max_label_length = 2 * max(H_a.shape[0], H_b.shape[0])
-    union = []
-    seen = set()
+    union: dict[tuple[int, ...], tuple[float, float]] = {}
     for hyp in itertools.chain(nbest_a, nbest_b):
-        if hyp.labels not in seen:
-            seen.add(hyp.labels)
-            union.append(hyp.labels)
+        lm = (hyp.source_lm, hyp.external_lm)
+        if union.setdefault(hyp.labels, lm) != lm:
+            raise ContractViolation(
+                f"combine_rescore: LM scores {union[hyp.labels]} and {lm} for labels "
+                f"{hyp.labels}; the n-best lists were scored by different LMs"
+            )
     out = []
-    for labels in union:
+    for labels, (src, ext) in union.items():
         if len(labels) > max_label_length:
             logger.warning(
                 "combine_rescore: dropping hypothesis of length %d (cap %d)",
@@ -201,15 +222,7 @@ def combine_rescore(
             continue
         trans_a = -model_a.lattice_nll(H_a, list(labels))
         trans_b = -model_b.lattice_nll(H_b, list(labels))
-        src = lm_score(labels, source_lm)[0] if source_lm is not None else 0.0
-        ext = lm_score(labels, external_lm)[0] if external_lm is not None else 0.0
-        total = (
-            weights.alpha * trans_a
-            + weights.beta * trans_b
-            - weights.mu * src
-            + weights.lam * ext
-            + weights.rho * len(labels)
-        )
+        total = combination_score((trans_a, trans_b, src, ext, len(labels)), weights)
         out.append(
             ScoredCandidate(
                 labels=labels,
@@ -258,14 +271,57 @@ DEFAULT_LAM_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 DEFAULT_RHO_GRID = tuple(round(0.1 * i, 1) for i in range(6))
 
 
-def _pick_best(cell_scores, nbest: CachedNBest):
-    best = None
-    best_key = None
-    for hyp, score in zip(nbest.hypotheses, cell_scores):
-        key = (-score, hyp.words)
-        if best is None or key < best_key:
-            best, best_key = hyp, key
-    return best
+def _grid_columns(cells):
+    """The weight objects `cells`, all of one type, as one weights object
+    whose fields are (cells, 1) columns."""
+    kind = type(cells[0])
+    names = [f.name for f in fields(kind)]
+    return kind(*(np.array([getattr(w, n) for w in cells], dtype=np.float64)[:, None]
+                  for n in names))
+
+
+def _utterance_scores(hypotheses, grid) -> np.ndarray:
+    """Fused score of every hypothesis under every cell of `grid` (from
+    `_grid_columns`), shape (cells, hypotheses). The one scoring path of
+    tuning, reporting and verification. Combination weights need
+    transducer_b on every hypothesis."""
+    trans_a = np.array([h.transducer_a for h in hypotheses], dtype=np.float64)
+    src = np.array([h.source_lm for h in hypotheses], dtype=np.float64)
+    ext = np.array([h.external_lm for h in hypotheses], dtype=np.float64)
+    length = np.array([h.length for h in hypotheses], dtype=np.float64)
+    if isinstance(grid, CombinationWeights):
+        if any(h.transducer_b is None for h in hypotheses):
+            raise ContractViolation("combination scoring needs transducer_b components")
+        trans_b = np.array([h.transducer_b for h in hypotheses], dtype=np.float64)
+        return combination_score((trans_a, trans_b, src, ext, length), grid)
+    return density_ratio_score((trans_a, src, ext, length), grid)
+
+
+def _grid_errors(nbests: list[CachedNBest], cells) -> np.ndarray:
+    """Corpus edit count of the top-1 hypotheses under each cell, shape
+    (cells,). Top-1 is the first hypothesis under (-score, words): the
+    hypotheses are sorted by words once, and `np.argmax` returns the first
+    maximum. Each chosen hypothesis's edit count is computed once."""
+    grid = _grid_columns(cells)
+    errors = np.zeros(len(cells), dtype=np.int64)
+    for nbest in nbests:
+        if not nbest.hypotheses:
+            raise ContractViolation(f"{nbest.utt_id}: n-best list is empty")
+        hyps = sorted(nbest.hypotheses, key=lambda h: h.words)
+        top1 = np.argmax(_utterance_scores(hyps, grid), axis=1)
+        edits = np.zeros(len(hyps), dtype=np.int64)
+        for i in np.unique(top1):
+            _, subs, dels, ins = scoring.compute_wer(list(nbest.reference), list(hyps[i].words))
+            edits[i] = subs + dels + ins
+        errors += edits[top1]
+    return errors
+
+
+def top1_wer(nbests: list[CachedNBest], weights: FusionWeights | CombinationWeights) -> float:
+    """Corpus WER of each utterance's top-1 hypothesis under `weights`, by
+    the same scoring and tie-break as `tune_weights`."""
+    errors = int(_grid_errors(nbests, [weights])[0])
+    return errors / max(1, sum(len(nbest.reference) for nbest in nbests))
 
 
 def tune_weights(
@@ -277,46 +333,20 @@ def tune_weights(
 ) -> TuneResult:
     """Exhaustive grid search minimizing corpus WER on cached components.
 
-    Ties break toward smaller total |weights|, then lexicographically, so
-    results are deterministic. When `alpha_beta_grid` is given, the search
-    runs over CombinationWeights (hypotheses must carry transducer_b).
+    All cells of one utterance are scored together, with the arithmetic of
+    `density_ratio_score` / `combination_score`, so every score equals the
+    scalar formula's bit for bit. Each utterance's top-1 hypothesis is the
+    first under (-score, words), and the edit count of a hypothesis is
+    computed at most once per call, as it does not depend on the weights.
+    Cells tie-break toward smaller total |weights|, then lexicographically,
+    so results are deterministic. When `alpha_beta_grid` is given, the
+    search runs over CombinationWeights (hypotheses must carry
+    transducer_b).
     """
-    from .scoring import compute_wer  # local import: scoring also uses fusion types
-
     if not mu_grid or not lam_grid or not rho_grid:
         raise ContractViolation("tuning grid must be non-empty")
     if alpha_beta_grid is not None and not alpha_beta_grid:
         raise ContractViolation("tuning grid must be non-empty")
-
-    def corpus_wer(weight_obj) -> float:
-        errors = 0
-        ref_words = 0
-        for nbest in dev_nbests:
-            scores = []
-            for hyp in nbest.hypotheses:
-                if isinstance(weight_obj, CombinationWeights):
-                    if hyp.transducer_b is None:
-                        raise ContractViolation(
-                            "combination tuning needs transducer_b components"
-                        )
-                    s = (
-                        weight_obj.alpha * hyp.transducer_a
-                        + weight_obj.beta * hyp.transducer_b
-                        - weight_obj.mu * hyp.source_lm
-                        + weight_obj.lam * hyp.external_lm
-                        + weight_obj.rho * hyp.length
-                    )
-                else:
-                    s = density_ratio_score(
-                        (hyp.transducer_a, hyp.source_lm, hyp.external_lm, hyp.length),
-                        weight_obj,
-                    )
-                scores.append(s)
-            best = _pick_best(scores, nbest)
-            _, subs, dels, ins = compute_wer(list(nbest.reference), list(best.words))
-            errors += subs + dels + ins
-            ref_words += len(nbest.reference)
-        return errors / max(1, ref_words)
 
     candidates = []
     if alpha_beta_grid is None:
@@ -331,10 +361,12 @@ def tune_weights(
                     for rho in rho_grid:
                         candidates.append(CombinationWeights(alpha, beta, mu, lam, rho))
 
+    ref_words = max(1, sum(len(nbest.reference) for nbest in dev_nbests))
+    errors = _grid_errors(dev_nbests, candidates)
     best = None
     best_key = None
-    for w in candidates:
-        wer = corpus_wer(w)
+    for w, cell_errors in zip(candidates, errors.tolist()):
+        wer = cell_errors / ref_words
         if isinstance(w, CombinationWeights):
             magnitude = abs(w.alpha) + abs(w.beta) + abs(w.mu) + abs(w.lam) + abs(w.rho)
             tiebreak = (w.alpha, w.beta, w.mu, w.lam, w.rho)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from transducer_workbench.cli import main as cli_main
+from transducer_workbench.data import Alphabet
 from transducer_workbench.errors import ConfigError
 from transducer_workbench.experiment import (
     build_recipe,
@@ -14,6 +15,8 @@ from transducer_workbench.experiment import (
     verify_report,
     write_config,
 )
+from transducer_workbench.model import load_char_lm
+from transducer_workbench.networks import lm_score
 
 
 def tiny_config(**overrides):
@@ -118,6 +121,26 @@ class TestRunExperiment:
         assert (tmp_path / "run" / "report.json").exists()
         assert (tmp_path / "run" / "nbest_additive_test.tsv").exists()
         assert verify_report(tmp_path / "run") == []
+
+    def test_combination_lm_columns_are_full_sequence_scores(self, tmp_path):
+        cfg = tiny_config(experiment={"conditions": ("combination",)})
+        run_dir = tmp_path / "run"
+        report = run_experiment(cfg, run_dir)
+        assert report.failure_stage is None
+        num_labels = cfg["task"]["num_labels"]
+        alphabet = Alphabet(num_labels, separator=num_labels - 1)
+        source_lm, _ = load_char_lm(run_dir / "lm_source.npz")
+        external_lm, _ = load_char_lm(run_dir / "lm_external.npz")
+        rows = 0
+        for split in ("dev", "test"):
+            with open(run_dir / f"combination_{split}.tsv", encoding="utf-8") as f:
+                for line in f:
+                    _, text, _, _, _, src, ext = line.rstrip("\n").split("\t")
+                    labels = alphabet.to_labels(text)
+                    assert float(src) == lm_score(labels, source_lm)[0]
+                    assert float(ext) == lm_score(labels, external_lm)[0]
+                    rows += 1
+        assert rows > 0
 
     def test_seed_determinism(self, tmp_path):
         cfg = tiny_config()

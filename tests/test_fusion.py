@@ -5,6 +5,7 @@ from helpers import random_fixed_model
 from transducer_workbench.data import Alphabet
 from transducer_workbench.decoding import alsd_beam, exhaustive_decode
 from transducer_workbench.errors import ContractViolation
+from transducer_workbench.experiment import attach_lm_components
 from transducer_workbench.fusion import (
     CachedHypothesis,
     CachedNBest,
@@ -16,6 +17,7 @@ from transducer_workbench.fusion import (
     read_nbest,
     rescore_nbest,
     shallow_fusion_score,
+    top1_wer,
     tune_weights,
     write_nbest,
 )
@@ -43,6 +45,13 @@ def tiny_model(seed, mode="additive", num_labels=2):
 
 def tiny_lm(seed, num_labels=2):
     return init_char_lm_params(num_labels, CharLMConfig(layers=1, cells=5, embed_dim=4), RandomStream(seed))
+
+
+def lm_scored(hyps, source_lm, external_lm):
+    """Hypotheses with full-sequence LM components filled, as the decoding
+    stage stores them in its n-best files."""
+    [(_, scored)] = attach_lm_components([("utt", hyps)], source_lm, external_lm)
+    return scored
 
 
 class TestScoreArithmetic:
@@ -155,7 +164,7 @@ class TestCombineRescore:
         nbest = alsd_beam(model_a, features, beam_width=32, n_best=4, expansion_cap=5)
         w = CombinationWeights(alpha=1.0, beta=0.0, mu=0.5, lam=0.7, rho=0.2)
         combined = combine_rescore(
-            features, nbest, [], w, model_a, model_b, src, ext
+            features, lm_scored(nbest, src, ext), [], w, model_a, model_b
         )
         single = rescore_nbest(nbest, FusionWeights(0.5, 0.7, 0.2), src, ext)
         assert [c.labels for c in combined] == [c.labels for c in single]
@@ -170,7 +179,8 @@ class TestCombineRescore:
         features = rng.normal(size=(3, 3))
         nbest = alsd_beam(model, features, beam_width=32, n_best=4, expansion_cap=5)
         w_comb = CombinationWeights(0.5, 0.5, 0.5, 0.7, 0.2)
-        combined = combine_rescore(features, nbest, nbest, w_comb, model, model, src, ext)
+        scored = lm_scored(nbest, src, ext)
+        combined = combine_rescore(features, scored, scored, w_comb, model, model)
         single = rescore_nbest(nbest, FusionWeights(0.5, 0.7, 0.2), src, ext)
         by_labels = {c.labels: c for c in combined}
         for s in single:
@@ -219,7 +229,8 @@ class TestCombineRescore:
         features = rng.normal(size=(3, 3))
         nbest = alsd_beam(model_a, features, beam_width=16, n_best=4, expansion_cap=5)
         w = CombinationWeights(0.3, 0.7, 0.2, 0.5, 0.1)
-        for c in combine_rescore(features, nbest, [], w, model_a, model_b, src, ext):
+        scored = lm_scored(nbest, src, ext)
+        for c in combine_rescore(features, scored, [], w, model_a, model_b):
             total = (
                 w.alpha * c.transducer_a
                 + w.beta * c.transducer_b
@@ -228,6 +239,45 @@ class TestCombineRescore:
                 + w.rho * len(c.labels)
             )
             assert c.score == total
+
+    def test_lm_components_come_from_the_lists(self):
+        model_a = tiny_model(40)
+        model_b = tiny_model(41, mode="multiplicative")
+        src = tiny_lm(42)
+        ext = tiny_lm(43)
+        features = RandomStream(44).normal(size=(3, 3))
+        nb_a = lm_scored(
+            alsd_beam(model_a, features, beam_width=16, n_best=4, expansion_cap=5), src, ext
+        )
+        nb_b = lm_scored(
+            alsd_beam(model_b, features, beam_width=16, n_best=4, expansion_cap=5), src, ext
+        )
+        w = CombinationWeights(0.5, 0.5, 0.5, 0.7, 0.2)
+        combined = combine_rescore(features, nb_a, nb_b, w, model_a, model_b)
+        assert combined
+        for c in combined:
+            assert c.source_lm == lm_score(c.labels, src)[0]
+            assert c.external_lm == lm_score(c.labels, ext)[0]
+
+    def test_disagreeing_lm_scores_rejected(self):
+        # The same label sequence scored by two different source LMs.
+        model = tiny_model(45)
+        ext = tiny_lm(46)
+        features = RandomStream(47).normal(size=(3, 3))
+        nbest = alsd_beam(model, features, beam_width=16, n_best=4, expansion_cap=5)
+        nb_a = lm_scored(nbest, tiny_lm(48), ext)
+        nb_b = lm_scored(nbest, tiny_lm(49), ext)
+        w = CombinationWeights(0.5, 0.5, 0.5, 0.7, 0.2)
+        with pytest.raises(ContractViolation, match="different LMs"):
+            combine_rescore(features, nb_a, nb_b, w, model, model)
+
+    def test_lm_models_are_not_parameters(self):
+        model = tiny_model(50)
+        features = RandomStream(51).normal(size=(3, 3))
+        nbest = alsd_beam(model, features, beam_width=16, n_best=4, expansion_cap=5)
+        w = CombinationWeights(0.5, 0.5, 0.0, 0.0, 0.0)
+        with pytest.raises(TypeError):
+            combine_rescore(features, nbest, [], w, model, model, tiny_lm(52), tiny_lm(53))
 
 
 class TestTuning:
@@ -299,6 +349,29 @@ class TestTuning:
         )
         assert result.wer == 0.0
         assert result.weights.beta > 0.0
+
+    def test_missing_transducer_b_rejected(self):
+        # Tuning, reporting and verification share one scoring path, and none
+        # of them scores a missing second-model component as zero.
+        cached = [
+            CachedNBest(
+                "u",
+                ("ab",),
+                [
+                    CachedHypothesis(("ab",), -2.0, -1.0, -1.0, 2, transducer_b=-0.5),
+                    CachedHypothesis(("ax",), -1.0, -1.0, -1.0, 2),
+                ],
+            )
+        ]
+        with pytest.raises(ContractViolation, match="transducer_b"):
+            top1_wer(cached, CombinationWeights(0.5, 0.5, 0.0, 0.0, 0.0))
+        with pytest.raises(ContractViolation, match="transducer_b"):
+            tune_weights(cached, alpha_beta_grid=((0.5, 0.5),))
+        assert top1_wer(cached, FusionWeights(0.0, 0.0, 0.0)) == 1.0
+
+    def test_empty_nbest_rejected(self):
+        with pytest.raises(ContractViolation, match="empty"):
+            top1_wer([CachedNBest("u", ("a",), [])], FusionWeights())
 
 
 class TestNBestIO:
