@@ -34,7 +34,6 @@ from .fusion import (
     combination_score,
     combine_rescore,
     density_ratio_score,
-    shallow_fusion_score,
     top1_wer,
     tune_weights,
 )

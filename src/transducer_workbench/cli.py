@@ -26,10 +26,10 @@ from pathlib import Path
 from .data import Alphabet, read_transcripts
 from .errors import ConfigError, ContractViolation, IngestError, WorkbenchError
 from .experiment import (
-    _cached_from_nbest_file,
     attach_lm_components,
     decode_dataset,
     default_config,
+    load_report,
     load_run_data,
     parse_config,
     render_report,
@@ -39,10 +39,11 @@ from .experiment import (
     stage_train_lms,
     stage_train_mode,
     verify_report,
+    weights_from_dict,
     ExperimentReport,
     config_fingerprint,
 )
-from .fusion import FusionWeights, top1_wer, write_nbest
+from .fusion import FusionWeights, cached_nbests, read_nbest, top1_wer, write_nbest
 from .model import load_char_lm, load_checkpoint
 from .numerics import RandomStream
 
@@ -139,21 +140,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "report":
-        from .experiment import load_report
-
-        data = load_report(run_dir)
-        report = ExperimentReport(
-            config_fingerprint=data["config_fingerprint"],
-            seed=data["seed"],
-            modes=data["modes"],
-            epochs=data["epochs"],
-            conditions=data["conditions"],
-            sweep=data["sweep"],
-            ablations=data["ablations"],
-            failure_stage=data["failure_stage"],
-            failure_message=data["failure_message"],
-        )
-        text = render_report(report)
+        text = render_report(ExperimentReport(**load_report(run_dir)))
         (run_dir / "report.txt").write_text(text, encoding="utf-8")
         print(text, end="")
         return 0
@@ -183,9 +170,11 @@ def _dispatch(args) -> int:
         records = decode_dataset(model, datasets[args.split], config)
         try:
             source_lm, external_lm = _lms(run_dir)
-            records = attach_lm_components(records, source_lm, external_lm)
         except FileNotFoundError:
-            pass  # LM components stay zero; rescoring can refill them
+            # No LMs trained yet: the LM columns are written as 0.0, and
+            # only decoding again once the LMs exist fills them.
+            source_lm = external_lm = None
+        records = attach_lm_components(records, source_lm, external_lm)
         out = run_dir / f"nbest_{mode}_{args.split}.tsv"
         write_nbest(out, records, alphabet)
         print(f"wrote {out}")
@@ -217,10 +206,9 @@ def _dispatch(args) -> int:
 
     if args.command == "score":
         refs = read_transcripts(run_dir / f"transcripts_{args.split}.tsv", alphabet)
-        cached = _cached_from_nbest_file(args.nbest, alphabet, refs)
+        cached = cached_nbests(read_nbest(args.nbest, alphabet), alphabet, refs)
         if args.weights is not None:
-            w = json.loads(args.weights.read_text())
-            weights = FusionWeights(w.get("mu", 0.0), w.get("lam", 0.0), w.get("rho", 0.0))
+            weights = weights_from_dict(json.loads(args.weights.read_text()))
         else:
             weights = FusionWeights(0.0, 0.0, 0.0)
         wer = top1_wer(cached, weights)

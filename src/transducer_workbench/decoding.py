@@ -32,6 +32,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ContractViolation, DecodeError, SearchBudgetExceeded
+from .fusion import density_ratio_score
 from .lattice import BLANK_ID, rnnt_forward
 from .numerics import log_add
 
@@ -133,8 +134,7 @@ def _rank_key(hyp: Hypothesis):
 def _fused_score(hyp_trans, src, ext, n_labels, fusion) -> float:
     if fusion is None:
         return hyp_trans
-    w = fusion.weights
-    return hyp_trans - w.mu * src + w.lam * ext + w.rho * n_labels
+    return density_ratio_score((hyp_trans, src, ext, n_labels), fusion.weights)
 
 
 def _merge(pool: dict, hyp: Hypothesis, merge: str, fusion) -> None:

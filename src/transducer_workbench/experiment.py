@@ -14,6 +14,8 @@ Artifacts per run directory:
     lm_source.npz / lm_external.npz
     nbest_{mode}_{split}.tsv       decoder output with LM components filled
     combination_{split}.tsv        cross-scored union of the modes' n-bests
+                                   (one format with the n-best files, see
+                                   `fusion.write_nbest`)
     weights_{condition}[_{mode}].json
     report.json / report.txt
 """
@@ -21,10 +23,11 @@ Artifacts per run directory:
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,12 +47,12 @@ from .data import (
     write_transcripts,
 )
 from .decoding import DecodeError, Hypothesis, alsd_beam, greedy_decode
-from .errors import ConfigError, WorkbenchError
+from .errors import ConfigError, ContractViolation, WorkbenchError
 from .fusion import (
-    CachedHypothesis,
-    CachedNBest,
     CombinationWeights,
     FusionWeights,
+    NBestRecord,
+    cached_nbests,
     combine_rescore,
     read_nbest,
     top1_wer,
@@ -443,17 +446,7 @@ class ExperimentReport:
     failure_message: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "config_fingerprint": self.config_fingerprint,
-            "seed": self.seed,
-            "modes": list(self.modes),
-            "epochs": self.epochs,
-            "conditions": self.conditions,
-            "sweep": self.sweep,
-            "ablations": self.ablations,
-            "failure_stage": self.failure_stage,
-            "failure_message": self.failure_message,
-        }
+        return asdict(self)
 
 
 def render_report(report: ExperimentReport) -> str:
@@ -633,29 +626,22 @@ def decode_dataset(model, dataset: Dataset, config: dict) -> list:
 
 
 def attach_lm_components(records, source_lm, external_lm):
-    """Fill per-hypothesis source/external LM scores (full-sequence)."""
+    """The n-best file rows of decoder records: each hypothesis with its
+    alignment length, transducer score and full-sequence LM scores. An LM
+    given as None scores 0.0."""
     out = []
     cache: dict[tuple, tuple] = {}
     for utt_id, hyps in records:
-        enriched = []
+        rows = []
         for hyp in hyps:
             if hyp.labels not in cache:
-                cache[hyp.labels] = (
-                    lm_score(hyp.labels, source_lm)[0],
-                    lm_score(hyp.labels, external_lm)[0],
+                cache[hyp.labels] = tuple(
+                    lm_score(hyp.labels, lm)[0] if lm is not None else 0.0
+                    for lm in (source_lm, external_lm)
                 )
             src, ext = cache[hyp.labels]
-            enriched.append(
-                Hypothesis(
-                    labels=hyp.labels,
-                    t_progress=hyp.t_progress,
-                    score=hyp.score,
-                    transducer=hyp.transducer,
-                    source_lm=src,
-                    external_lm=ext,
-                )
-            )
-        out.append((utt_id, enriched))
+            rows.append(NBestRecord(hyp.labels, hyp.alignment_length, hyp.transducer, src, ext))
+        out.append((utt_id, rows))
     return out
 
 
@@ -667,60 +653,42 @@ def stage_decode(config, run_dir, models, datasets, alphabet, source_lm, externa
             write_nbest(run_dir / f"nbest_{mode}_{split}.tsv", records, alphabet)
 
 
-def _cached_from_nbest_file(path, alphabet, references) -> list[CachedNBest]:
-    by_utt = read_nbest(path, alphabet)
-    cached = []
-    for utt_id in sorted(references):
-        hyps = [
-            CachedHypothesis(
-                words=tuple(alphabet.words(rec.labels)),
-                transducer_a=rec.transducer,
-                source_lm=rec.source_lm,
-                external_lm=rec.external_lm,
-                length=len(rec.labels),
-            )
-            for rec in by_utt.get(utt_id, [])
-        ]
-        if not hyps:
-            hyps = [CachedHypothesis(words=(), transducer_a=0.0, source_lm=0.0,
-                                     external_lm=0.0, length=0)]
-        cached.append(
-            CachedNBest(
-                utt_id=utt_id,
-                reference=tuple(alphabet.words(references[utt_id])),
-                hypotheses=hyps,
-            )
-        )
-    return cached
-
-
 def _weights_dict(w) -> dict:
-    if isinstance(w, CombinationWeights):
-        return {"alpha": w.alpha, "beta": w.beta, "mu": w.mu, "lam": w.lam, "rho": w.rho}
-    return {"mu": w.mu, "lam": w.lam, "rho": w.rho}
+    return asdict(w)
+
+
+def weights_from_dict(d: dict) -> FusionWeights | CombinationWeights:
+    """The inverse of `_weights_dict`: CombinationWeights when `d` has
+    alpha, FusionWeights otherwise. A missing key raises ContractViolation."""
+    kind = CombinationWeights if "alpha" in d else FusionWeights
+    missing = [f.name for f in fields(kind) if f.name not in d]
+    if missing:
+        raise ContractViolation(f"weights {d} lack {', '.join(missing)}")
+    return kind(**{f.name: d[f.name] for f in fields(kind)})
 
 
 def stage_fusion_conditions(config, run_dir, models, datasets, alphabet,
                             source_lm, external_lm, report: ExperimentReport):
-    """Tune and score every configured condition from the n-best files.
-    The LM components come from those files, which `stage_decode` filled;
-    `source_lm` and `external_lm` are not read again."""
+    """Tune and score every configured condition from the n-best files,
+    each read once and shared by all conditions. The LM components come
+    from those files, which `stage_decode` filled; `source_lm` and
+    `external_lm` are not read again."""
     f = config["fusion"]
     refs = {
         split: {u.utt_id: u.labels for u in datasets[split]} for split in ("dev", "test")
     }
+    rows = {
+        (mode, split): read_nbest(run_dir / f"nbest_{mode}_{split}.tsv", alphabet)
+        for mode in models for split in ("dev", "test")
+    }
+    cached = {key: cached_nbests(r, alphabet, refs[key[1]]) for key, r in rows.items()}
     conditions = config["experiment"]["conditions"]
     for condition in conditions:
         if condition == "combination":
             continue
         entry = {}
         for mode in models:
-            dev_cached = _cached_from_nbest_file(
-                run_dir / f"nbest_{mode}_dev.tsv", alphabet, refs["dev"]
-            )
-            test_cached = _cached_from_nbest_file(
-                run_dir / f"nbest_{mode}_test.tsv", alphabet, refs["test"]
-            )
+            dev_cached, test_cached = cached[mode, "dev"], cached[mode, "test"]
             if condition == "no_lm":
                 weights = FusionWeights(0.0, 0.0, 0.0)
             elif condition == "shallow":
@@ -743,67 +711,24 @@ def stage_fusion_conditions(config, run_dir, models, datasets, alphabet,
 
     if "combination" in conditions and len(models) >= 2:
         report.conditions["combination"] = stage_combination(
-            config, run_dir, models, datasets, alphabet, refs
+            config, run_dir, models, datasets, alphabet, refs, rows
         )
 
 
-def _write_combination_file(path, rows):
-    with open(path, "w", encoding="utf-8") as f:
-        for utt_id, text, cand in rows:
-            f.write(
-                "\t".join(
-                    [
-                        utt_id,
-                        text,
-                        str(len(cand.labels)),
-                        f"{cand.transducer_a:.17g}",
-                        f"{cand.transducer_b:.17g}",
-                        f"{cand.source_lm:.17g}",
-                        f"{cand.external_lm:.17g}",
-                    ]
-                )
-                + "\n"
-            )
-
-
-def read_combination_file(path, alphabet) -> dict[str, list[CachedHypothesis]]:
-    out: dict[str, list[CachedHypothesis]] = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            utt_id, text, _length, ta, tb, src, ext = line.split("\t")
-            labels = alphabet.to_labels(text)
-            out.setdefault(utt_id, []).append(
-                CachedHypothesis(
-                    words=tuple(alphabet.words(labels)),
-                    transducer_a=float(ta),
-                    source_lm=float(src),
-                    external_lm=float(ext),
-                    length=len(labels),
-                    transducer_b=float(tb),
-                )
-            )
-    return out
-
-
-def stage_combination(config, run_dir, models, datasets, alphabet, refs) -> dict:
-    """Cross-score the union of the first two modes' n-best lists; the LM
-    columns of `combination_{split}.tsv` are the n-best files' own."""
+def stage_combination(config, run_dir, models, datasets, alphabet, refs, rows) -> dict:
+    """Cross-score the union of the first two modes' n-best lists, given as
+    `rows[mode, split]` (`read_nbest` output). The LM columns of
+    `combination_{split}.tsv` are the n-best files' own."""
     f = config["fusion"]
     mode_a, mode_b = list(models)[:2]
     zero = CombinationWeights(1.0, 0.0, 0.0, 0.0, 0.0)
     cached = {}
     for split in ("dev", "test"):
-        nb_a = read_nbest(run_dir / f"nbest_{mode_a}_{split}.tsv", alphabet)
-        nb_b = read_nbest(run_dir / f"nbest_{mode_b}_{split}.tsv", alphabet)
-        rows = []
-        split_cached = []
+        nb_a, nb_b = rows[mode_a, split], rows[mode_b, split]
+        unions = {}
         for utt in sorted(datasets[split], key=lambda u: u.utt_id):
-            features = utt.frames.astype(np.float64)
-            union = combine_rescore(
-                features,
+            unions[utt.utt_id] = combine_rescore(
+                utt.frames.astype(np.float64),
                 nb_a.get(utt.utt_id, []),
                 nb_b.get(utt.utt_id, []),
                 zero,
@@ -811,28 +736,8 @@ def stage_combination(config, run_dir, models, datasets, alphabet, refs) -> dict
                 models[mode_b],
                 aux=utt.aux,
             )
-            hyps = []
-            for cand in union:
-                rows.append((utt.utt_id, alphabet.to_text(cand.labels), cand))
-                hyps.append(
-                    CachedHypothesis(
-                        words=tuple(alphabet.words(cand.labels)),
-                        transducer_a=cand.transducer_a,
-                        source_lm=cand.source_lm,
-                        external_lm=cand.external_lm,
-                        length=len(cand.labels),
-                        transducer_b=cand.transducer_b,
-                    )
-                )
-            split_cached.append(
-                CachedNBest(
-                    utt_id=utt.utt_id,
-                    reference=tuple(alphabet.words(refs[split][utt.utt_id])),
-                    hypotheses=hyps,
-                )
-            )
-        _write_combination_file(run_dir / f"combination_{split}.tsv", rows)
-        cached[split] = split_cached
+        write_nbest(run_dir / f"combination_{split}.tsv", unions.items(), alphabet)
+        cached[split] = cached_nbests(unions, alphabet, refs[split])
     alpha = f["combination_alpha"]
     beta = f["combination_beta"]
     tuned = tune_weights(
@@ -896,8 +801,6 @@ def _greedy_wer(model, dataset, alphabet) -> float:
 def stage_ablations(config, run_dir, rng, datasets, alphabet, source_lm, external_lm,
                     report: ExperimentReport):
     mode = config["model"]["modes"][0]
-    refs = {u.utt_id: u.labels for u in datasets["test"]}
-    dev_refs = {u.utt_id: u.labels for u in datasets["dev"]}
     f = config["fusion"]
     for ablation in config["experiment"]["ablations"]:
         tag = f"ablation_{ablation}"
@@ -905,18 +808,19 @@ def stage_ablations(config, run_dir, rng, datasets, alphabet, source_lm, externa
             config, run_dir, rng.child(hash_tag(tag)), datasets, alphabet, mode,
             ablation=ablation, tag=tag,
         )
+        cached = {}
         for split in ("dev", "test"):
             records = decode_dataset(model, datasets[split], config)
             records = attach_lm_components(records, source_lm, external_lm)
             write_nbest(run_dir / f"nbest_{tag}_{split}.tsv", records, alphabet)
-        dev_cached = _cached_from_nbest_file(run_dir / f"nbest_{tag}_dev.tsv", alphabet, dev_refs)
-        test_cached = _cached_from_nbest_file(run_dir / f"nbest_{tag}_test.tsv", alphabet, refs)
+            refs = {u.utt_id: u.labels for u in datasets[split]}
+            cached[split] = cached_nbests(dict(records), alphabet, refs)
         tuned = tune_weights(
-            dev_cached, mu_grid=f["mu_grid"], lam_grid=f["lam_grid"], rho_grid=f["rho_grid"]
+            cached["dev"], mu_grid=f["mu_grid"], lam_grid=f["lam_grid"], rho_grid=f["rho_grid"]
         ).weights
         report.ablations[ablation] = {
-            "no_lm_test_wer": top1_wer(test_cached, FusionWeights(0, 0, 0)),
-            "density_ratio_test_wer": top1_wer(test_cached, tuned),
+            "no_lm_test_wer": top1_wer(cached["test"], FusionWeights(0, 0, 0)),
+            "density_ratio_test_wer": top1_wer(cached["test"], tuned),
             "weights": _weights_dict(tuned),
         }
 
@@ -998,8 +902,9 @@ def load_report(run_dir) -> dict:
 
 
 def verify_report(run_dir) -> list[str]:
-    """Recompute every reported WER from the stored n-best, weight, and
-    reference files; returns a list of discrepancies (empty = verified)."""
+    """Recompute every reported condition and ablation WER from the stored
+    n-best, combination, weight and reference files, reading each file
+    once; returns a list of discrepancies (empty = verified)."""
     run_dir = Path(run_dir)
     report = load_report(run_dir)
     config = parse_config(run_dir / "config.ini")
@@ -1010,40 +915,28 @@ def verify_report(run_dir) -> list[str]:
         split: read_transcripts(run_dir / f"transcripts_{split}.tsv", alphabet)
         for split in ("dev", "test")
     }
-    problems = []
+
+    @functools.cache
+    def load(stem, split):
+        rows = read_nbest(run_dir / f"{stem}_{split}.tsv", alphabet)
+        return cached_nbests(rows, alphabet, refs[split])
+
+    checks = []  # (label, reported WER, stem, split, weights)
     for condition, entries in report["conditions"].items():
         for name, entry in entries.items():
+            stem = "combination" if condition == "combination" else f"nbest_{name}"
             for split in ("dev", "test"):
-                reported = entry[f"{split}_wer"]
-                if condition == "combination":
-                    by_utt = read_combination_file(
-                        run_dir / f"combination_{split}.tsv", alphabet
-                    )
-                    cached = [
-                        CachedNBest(
-                            utt_id=utt_id,
-                            reference=tuple(alphabet.words(refs[split][utt_id])),
-                            hypotheses=by_utt.get(
-                                utt_id,
-                                [CachedHypothesis((), 0.0, 0.0, 0.0, 0, 0.0)],
-                            ),
-                        )
-                        for utt_id in sorted(refs[split])
-                    ]
-                    w = entry["weights"]
-                    weights = CombinationWeights(
-                        w["alpha"], w["beta"], w["mu"], w["lam"], w["rho"]
-                    )
-                else:
-                    cached = _cached_from_nbest_file(
-                        run_dir / f"nbest_{name}_{split}.tsv", alphabet, refs[split]
-                    )
-                    w = entry["weights"]
-                    weights = FusionWeights(w["mu"], w["lam"], w["rho"])
-                recomputed = top1_wer(cached, weights)
-                if abs(recomputed - reported) > 1e-12:
-                    problems.append(
-                        f"{condition}/{name}/{split}: reported {reported}, "
-                        f"recomputed {recomputed}"
-                    )
+                checks.append((f"{condition}/{name}/{split}", entry[f"{split}_wer"], stem,
+                               split, weights_from_dict(entry["weights"])))
+    for name, entry in report["ablations"].items():
+        stem = f"nbest_ablation_{name}"
+        checks.append((f"ablations/{name}/no_lm_test", entry["no_lm_test_wer"], stem, "test",
+                       FusionWeights(0.0, 0.0, 0.0)))
+        checks.append((f"ablations/{name}/density_ratio_test", entry["density_ratio_test_wer"],
+                       stem, "test", weights_from_dict(entry["weights"])))
+    problems = []
+    for label, reported, stem, split, weights in checks:
+        recomputed = top1_wer(load(stem, split), weights)
+        if abs(recomputed - reported) > 1e-12:
+            problems.append(f"{label}: reported {reported}, recomputed {recomputed}")
     return problems

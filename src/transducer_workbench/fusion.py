@@ -2,14 +2,18 @@
 
 Scoring forms (all over complete label sequences y):
 
-- shallow fusion:      log p(y|x) + lam*log p_ext(y) + rho*|y|
 - density ratio:       log p(y|x) - mu*log p_src(y) + lam*log p_ext(y) + rho*|y|
+                       (shallow fusion is the case mu = 0)
 - combination:         alpha*log p(y|x; A) + beta*log p(y|x; B)
                        - mu*log p_src(y) + lam*log p_ext(y) + rho*|y|
 
 |y| counts emitted labels (sentence markers excluded). During beam search
 the same objective is applied per emitted symbol through FusionScorer; the
 completed-hypothesis scores agree with full-sequence rescoring.
+
+The n-best artifact format (decoder and combination files), its one reader
+and writer, and the loader that turns its rows into tuning input also live
+here.
 """
 
 from __future__ import annotations
@@ -52,10 +56,6 @@ class CombinationWeights:
     lam: float = 0.0
     rho: float = 0.0
 
-    @property
-    def fusion(self) -> FusionWeights:
-        return FusionWeights(self.mu, self.lam, self.rho)
-
 
 def density_ratio_score(components, w: FusionWeights) -> float:
     """components = (log p(y|x), log p_src(y), log p_ext(y), |y|).
@@ -72,12 +72,6 @@ def combination_score(components, w: CombinationWeights) -> float:
     |y|); elementwise on numpy arrays like `density_ratio_score`."""
     trans_a, trans_b, src, ext, length = components
     return w.alpha * trans_a + w.beta * trans_b - w.mu * src + w.lam * ext + w.rho * length
-
-
-def shallow_fusion_score(components, lam: float, rho: float) -> float:
-    """components = (log p(y|x), log p_ext(y), |y|); density ratio with mu=0."""
-    trans, ext, length = components
-    return density_ratio_score((trans, 0.0, ext, length), FusionWeights(0.0, lam, rho))
 
 
 class FusionScorer:
@@ -260,6 +254,29 @@ class CachedNBest:
     hypotheses: list[CachedHypothesis]
 
 
+def cached_nbests(rows_by_utt, alphabet, references) -> list[CachedNBest]:
+    """Tuning input from n-best rows: `rows_by_utt` maps utterance id to
+    `read_nbest` records or cross-scored candidates, `references` maps
+    utterance id to reference labels. One CachedNBest per reference, in id
+    order; an utterance without rows gets one empty hypothesis with zero
+    components, which scores as deleting every reference word."""
+    cached = []
+    for utt_id in sorted(references):
+        hyps = [
+            CachedHypothesis(
+                words=tuple(alphabet.words(row.labels)),
+                transducer_a=row.transducer_a,
+                source_lm=row.source_lm,
+                external_lm=row.external_lm,
+                length=len(row.labels),
+                transducer_b=row.transducer_b,
+            )
+            for row in rows_by_utt.get(utt_id, [])
+        ] or [CachedHypothesis((), 0.0, 0.0, 0.0, 0, transducer_b=0.0)]
+        cached.append(CachedNBest(utt_id, tuple(alphabet.words(references[utt_id])), hyps))
+    return cached
+
+
 @dataclass(frozen=True)
 class TuneResult:
     weights: FusionWeights | CombinationWeights
@@ -380,58 +397,72 @@ def tune_weights(
 
 
 # ---------------------------------------------------------------------------
-# N-best serialization (tab separated), consumed by rescoring and verify
-
-
-def write_nbest(path, records, alphabet):
-    """records: iterable of (utt_id, hypotheses); one line per hypothesis:
-    utt_id, label text, alignment length, transducer, source LM, external LM.
-    """
-    with open(path, "w", encoding="utf-8") as f:
-        for utt_id, hyps in records:
-            for hyp in hyps:
-                f.write(
-                    "\t".join(
-                        [
-                            utt_id,
-                            alphabet.to_text(hyp.labels),
-                            str(hyp.alignment_length),
-                            f"{hyp.transducer:.17g}",
-                            f"{hyp.source_lm:.17g}",
-                            f"{hyp.external_lm:.17g}",
-                        ]
-                    )
-                    + "\n"
-                )
+# N-best artifacts: one tab-separated format for decoder n-best files
+# (`nbest_*.tsv`) and cross-scored combination files (`combination_*.tsv`).
+# A row is
+#
+#     utt_id, label text, length, transducer_a, [transducer_b,] source LM, external LM
+#
+# `length` is the alignment length in decoder files and the label count in
+# combination files; only combination files carry the transducer_b column.
+# Floats are written with 17 significant digits, so they read back exactly.
 
 
 @dataclass(frozen=True)
 class NBestRecord:
+    """One row of an n-best file."""
+
     labels: tuple[int, ...]
-    alignment_length: int
-    transducer: float
+    length: int
+    transducer_a: float
     source_lm: float
     external_lm: float
+    transducer_b: float | None = None
+
+
+def write_nbest(path, records, alphabet):
+    """records: iterable of (utt_id, rows), one line per row. A row is any
+    object with the fields of `NBestRecord` (a `ScoredCandidate` qualifies);
+    the transducer_b column is written when the row carries one."""
+    with open(path, "w", encoding="utf-8") as f:
+        for utt_id, rows in records:
+            for row in rows:
+                scores = (row.transducer_a, row.transducer_b, row.source_lm, row.external_lm)
+                cols = [utt_id, alphabet.to_text(row.labels), str(row.length)]
+                cols += [f"{x:.17g}" for x in scores if x is not None]
+                f.write("\t".join(cols) + "\n")
 
 
 def read_nbest(path, alphabet) -> dict[str, list[NBestRecord]]:
+    """Rows by utterance id, in file order. Every line must have 6 fields
+    (decoder file) or every line 7 (combination file), with numbers where
+    the format has them; anything else raises ContractViolation, since the
+    files may come from outside the program."""
     out: dict[str, list[NBestRecord]] = {}
+    width = None
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
-            if len(parts) != 6:
-                raise ContractViolation(f"n-best line {lineno}: expected 6 fields")
-            utt_id, text, align_len, trans, src, ext = parts
-            out.setdefault(utt_id, []).append(
-                NBestRecord(
+            if len(parts) not in (6, 7) or width not in (None, len(parts)):
+                expected = width or "6 or 7"
+                raise ContractViolation(
+                    f"n-best line {lineno}: {len(parts)} fields, expected {expected}"
+                )
+            width = len(parts)
+            utt_id, text, length, trans_a, *trans_b, src, ext = parts
+            try:
+                record = NBestRecord(
                     labels=alphabet.to_labels(text),
-                    alignment_length=int(align_len),
-                    transducer=float(trans),
+                    length=int(length),
+                    transducer_a=float(trans_a),
                     source_lm=float(src),
                     external_lm=float(ext),
+                    transducer_b=float(trans_b[0]) if trans_b else None,
                 )
-            )
+            except ValueError as exc:
+                raise ContractViolation(f"n-best line {lineno}: {exc}") from exc
+            out.setdefault(utt_id, []).append(record)
     return out

@@ -1,21 +1,37 @@
+import collections
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from transducer_workbench import experiment
 from transducer_workbench.cli import main as cli_main
-from transducer_workbench.data import Alphabet
-from transducer_workbench.errors import ConfigError
+from transducer_workbench.data import Alphabet, read_transcripts
+from transducer_workbench.errors import ConfigError, ContractViolation
 from transducer_workbench.experiment import (
+    ExperimentReport,
     build_recipe,
     config_fingerprint,
     default_config,
+    load_report,
+    load_run_data,
     parse_config,
     run_experiment,
+    stage_fusion_conditions,
     verify_report,
+    weights_from_dict,
     write_config,
 )
-from transducer_workbench.model import load_char_lm
+from transducer_workbench.fusion import (
+    CombinationWeights,
+    FusionWeights,
+    cached_nbests,
+    read_nbest,
+    top1_wer,
+)
+from transducer_workbench.model import load_char_lm, load_checkpoint
 from transducer_workbench.networks import lm_score
 
 
@@ -254,3 +270,135 @@ class TestCLI:
         saved = parse_config(run / "config.ini") if (run / "config.ini").exists() else None
         # generate does not write config.ini; the seed override is live only.
         assert saved is None or saved["experiment"]["seed"] == 7
+
+
+ABLATION = "no_sequence_noise"
+
+
+@pytest.fixture(scope="module")
+def ablation_run(tmp_path_factory):
+    """A finished tiny run: both modes, every condition, one ablation.
+    Tests that change it work on a copy (`run_copy`)."""
+    run_dir = tmp_path_factory.mktemp("ablation") / "run"
+    report = run_experiment(tiny_config(experiment={"ablations": (ABLATION,)}), run_dir)
+    assert report.failure_stage is None
+    return run_dir
+
+
+@pytest.fixture
+def run_copy(ablation_run, tmp_path):
+    return Path(shutil.copytree(ablation_run, tmp_path / "run"))
+
+
+def count_reads(monkeypatch):
+    """Counts `read_nbest` calls by file name, under the module-level name
+    that the experiment stages call."""
+    counts = collections.Counter()
+    original = experiment.read_nbest
+
+    def counting(path, alphabet):
+        counts[Path(path).name] += 1
+        return original(path, alphabet)
+
+    monkeypatch.setattr(experiment, "read_nbest", counting)
+    return counts
+
+
+def nbest_names(*stems):
+    return {f"{stem}_{split}.tsv": 1 for stem in stems for split in ("dev", "test")}
+
+
+class TestVerify:
+    def test_ablation_run_verifies_clean(self, ablation_run):
+        report = load_report(ablation_run)
+        assert set(report["ablations"]) == {ABLATION}
+        assert verify_report(ablation_run) == []
+
+    def test_each_file_read_once_per_stage(self, run_copy, monkeypatch):
+        config = parse_config(run_copy / "config.ini")
+        alphabet, datasets = load_run_data(config, run_copy)
+        models = {
+            mode: load_checkpoint(run_copy / f"model_{mode}.npz")[0]
+            for mode in config["model"]["modes"]
+        }
+        report = ExperimentReport(config_fingerprint(config), 0, list(models))
+        counts = count_reads(monkeypatch)
+        stage_fusion_conditions(config, run_copy, models, datasets, alphabet, None, None, report)
+        assert counts == nbest_names("nbest_additive", "nbest_multiplicative")
+        assert report.conditions == load_report(run_copy)["conditions"]
+
+        counts.clear()
+        assert verify_report(run_copy) == []
+        assert counts == {
+            **nbest_names("nbest_additive", "nbest_multiplicative", "combination"),
+            f"nbest_ablation_{ABLATION}_test.tsv": 1,
+        }
+
+    @pytest.mark.parametrize("section", ["conditions", "ablations"])
+    def test_tampered_report_wer_caught(self, run_copy, section):
+        report = load_report(run_copy)
+        if section == "conditions":
+            entry = report["conditions"]["density_ratio"]["additive"]
+            key, label = "test_wer", "density_ratio/additive/test"
+        else:
+            entry = report["ablations"][ABLATION]
+            key, label = "density_ratio_test_wer", f"ablations/{ABLATION}/density_ratio_test"
+        entry[key] += 0.01
+        (run_copy / "report.json").write_text(json.dumps(report, indent=2))
+        problems = verify_report(run_copy)
+        assert [p.split(":")[0] for p in problems] == [label]
+
+    def test_tampered_combination_float_caught(self, run_copy):
+        # Raise transducer_a on the first row of combination_test.tsv whose
+        # promotion to top-1 moves the test WER; one float changes.
+        config = parse_config(run_copy / "config.ini")
+        alphabet, _ = load_run_data(config, run_copy)
+        refs = read_transcripts(run_copy / "transcripts_test.tsv", alphabet)
+        [entry] = load_report(run_copy)["conditions"]["combination"].values()
+        weights = weights_from_dict(entry["weights"])
+        path = run_copy / "combination_test.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        for i, line in enumerate(lines):
+            cols = line.split("\t")
+            cols[3] = "1000"
+            path.write_text("".join(lines[:i] + ["\t".join(cols)] + lines[i + 1:]))
+            rows = read_nbest(path, alphabet)
+            if top1_wer(cached_nbests(rows, alphabet, refs), weights) != entry["test_wer"]:
+                break
+        else:
+            pytest.fail("no row of combination_test.tsv moves the test WER")
+        problems = verify_report(run_copy)
+        assert [p.split(":")[0] for p in problems] == ["combination/additive+multiplicative/test"]
+
+    def test_cli_score_combination_file(self, ablation_run, capsys):
+        [entry] = load_report(ablation_run)["conditions"]["combination"].values()
+        base = ["--config", str(ablation_run / "config.ini"), "--run-dir", str(ablation_run)]
+        assert cli_main(base + [
+            "score", "--nbest", str(ablation_run / "combination_test.tsv"),
+            "--weights", str(ablation_run / "weights_combination.json"),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"test WER {100 * entry['test_wer']:.2f}% ")
+
+    def test_cli_report_rebuilds_same_text(self, run_copy, capsys):
+        before = (run_copy / "report.txt").read_bytes()
+        (run_copy / "report.txt").unlink()
+        base = ["--config", str(run_copy / "config.ini"), "--run-dir", str(run_copy)]
+        assert cli_main(base + ["report"]) == 0
+        assert (run_copy / "report.txt").read_bytes() == before
+        assert capsys.readouterr().out.encode() == before
+
+
+class TestWeightsFromDict:
+    def test_kinds(self):
+        assert weights_from_dict({"mu": 0.1, "lam": 0.2, "rho": 0.3}) == FusionWeights(0.1, 0.2, 0.3)
+        assert weights_from_dict(
+            {"alpha": 0.5, "beta": 0.4, "mu": 0.1, "lam": 0.2, "rho": 0.3}
+        ) == CombinationWeights(0.5, 0.4, 0.1, 0.2, 0.3)
+
+    @pytest.mark.parametrize(
+        "d", [{"mu": 0.1, "lam": 0.2}, {"alpha": 0.5, "mu": 0.1, "lam": 0.2, "rho": 0.3}]
+    )
+    def test_missing_key_rejected(self, d):
+        with pytest.raises(ContractViolation, match="lack"):
+            weights_from_dict(d)

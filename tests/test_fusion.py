@@ -12,11 +12,12 @@ from transducer_workbench.fusion import (
     CombinationWeights,
     FusionScorer,
     FusionWeights,
+    NBestRecord,
+    ScoredCandidate,
     density_ratio_score,
     combine_rescore,
     read_nbest,
     rescore_nbest,
-    shallow_fusion_score,
     top1_wer,
     tune_weights,
     write_nbest,
@@ -58,7 +59,7 @@ class TestScoreArithmetic:
     def test_zero_weights_reduce_to_transducer(self):
         w = FusionWeights(0.0, 0.0, 0.0)
         assert density_ratio_score((-1.7, -9.0, -4.0, 5), w) == -1.7
-        assert shallow_fusion_score((-1.7, -4.0, 5), 0.0, 0.0) == -1.7
+        assert density_ratio_score((-1.7, 0.0, -4.0, 5), FusionWeights(0.0, 0.0, 0.0)) == -1.7
 
     def test_worked_density_ratio_example(self):
         w = FusionWeights(mu=0.5, lam=0.7, rho=0.2)
@@ -66,7 +67,8 @@ class TestScoreArithmetic:
         assert score == pytest.approx(-0.45, abs=1e-12)
 
     def test_worked_shallow_example(self):
-        assert shallow_fusion_score((-2.0, -1.0, 2), 0.5, 0.1) == pytest.approx(-2.3, abs=1e-12)
+        shallow = FusionWeights(mu=0.0, lam=0.5, rho=0.1)
+        assert density_ratio_score((-2.0, 0.0, -1.0, 2), shallow) == pytest.approx(-2.3, abs=1e-12)
 
     def test_shallow_equals_density_ratio_mu0(self):
         rng = RandomStream(1)
@@ -74,7 +76,7 @@ class TestScoreArithmetic:
             trans, src, ext = rng.normal(size=3)
             length = int(rng.integers(0, 9))
             lam, rho = rng.uniform(0, 1, size=2)
-            a = shallow_fusion_score((trans, ext, length), lam, rho)
+            a = density_ratio_score((trans, 0.0, ext, length), FusionWeights(0.0, lam, rho))
             b = density_ratio_score((trans, src, ext, length), FusionWeights(0.0, lam, rho))
             assert a == b
 
@@ -385,13 +387,85 @@ class TestNBestIO:
             features = rng.normal(size=(3, 3))
             nbest = alsd_beam(model, features, beam_width=16, n_best=4, expansion_cap=5)
             records.append((f"utt-{i}", list(nbest)))
-        write_nbest(path, records, alphabet)
+        src, ext = tiny_lm(33, 3), tiny_lm(34, 3)
+        write_nbest(path, attach_lm_components(records, src, ext), alphabet)
         back = read_nbest(path, alphabet)
         assert set(back) == {"utt-0", "utt-1", "utt-2"}
         for utt_id, hyps in records:
+            assert len(back[utt_id]) == len(hyps)
             for orig, loaded in zip(hyps, back[utt_id]):
                 assert loaded.labels == orig.labels
-                assert loaded.alignment_length == orig.alignment_length
-                assert loaded.transducer == orig.transducer
-                assert loaded.source_lm == orig.source_lm
-                assert loaded.external_lm == orig.external_lm
+                assert loaded.length == orig.alignment_length
+                assert loaded.transducer_a == orig.transducer
+                assert loaded.transducer_b is None
+                assert loaded.source_lm == lm_score(orig.labels, src)[0]
+                assert loaded.external_lm == lm_score(orig.labels, ext)[0]
+
+    @staticmethod
+    def _records(rng, combination):
+        """Rows with full-precision floats, among them values whose shortest
+        repr needs all 17 significant digits."""
+        alphabet = Alphabet(4, separator=3)
+        special = [0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0, 5e-324, -1.7976931348623157e308, -0.0]
+        records = []
+        for i in range(4):
+            rows = []
+            for _ in range(int(rng.integers(1, 5))):
+                values = [float(v) for v in rng.normal(scale=10.0, size=4)]
+                values[int(rng.integers(0, 4))] = special[int(rng.integers(0, len(special)))]
+                labels = tuple(int(x) for x in rng.integers(0, 4, size=int(rng.integers(0, 6))))
+                rows.append(
+                    NBestRecord(
+                        labels=labels,
+                        length=len(labels) + int(rng.integers(0, 9)),
+                        transducer_a=values[0],
+                        source_lm=values[1],
+                        external_lm=values[2],
+                        transducer_b=values[3] if combination else None,
+                    )
+                )
+            records.append((f"u{i}", rows))
+        return alphabet, records
+
+    @pytest.mark.parametrize("combination", [False, True])
+    def test_roundtrip_exact_floats(self, tmp_path, combination):
+        alphabet, records = self._records(RandomStream(35 + combination), combination)
+        path = tmp_path / "rows.tsv"
+        write_nbest(path, records, alphabet)
+        fields = {len(line.split("\t")) for line in path.read_text().splitlines()}
+        assert fields == {7 if combination else 6}
+        back = read_nbest(path, alphabet)
+        assert list(back.items()) == records  # dataclass ==, so every float by ==
+        again = tmp_path / "again.tsv"
+        write_nbest(again, back.items(), alphabet)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_scored_candidates_write_label_count(self, tmp_path):
+        # Combination files take cross-scored candidates as rows: the third
+        # column is the label count, and both transducer columns are kept.
+        alphabet = Alphabet(3, separator=2)
+        cand = ScoredCandidate((0, 2, 1), -4.5, -1.25, -2.5, -3.0, -0.75)
+        path = tmp_path / "combination.tsv"
+        write_nbest(path, [("u", [cand])], alphabet)
+        assert path.read_text() == "u\ta b\t3\t-1.25\t-2.5\t-3\t-0.75\n"
+        [row] = read_nbest(path, alphabet)["u"]
+        assert row == NBestRecord((0, 2, 1), 3, -1.25, -3.0, -0.75, transducer_b=-2.5)
+
+    @pytest.mark.parametrize("fields", [5, 8])
+    def test_wrong_field_count_rejected(self, tmp_path, fields):
+        path = tmp_path / "bad.tsv"
+        path.write_text("\t".join(["u", "a"] + ["1"] * (fields - 2)) + "\n")
+        with pytest.raises(ContractViolation, match=f"line 1: {fields} fields"):
+            read_nbest(path, Alphabet(3, separator=2))
+
+    def test_non_numeric_field_rejected(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("u\ta\t1\t-1\tnot-a-number\t-3\n")
+        with pytest.raises(ContractViolation, match="line 1: could not convert"):
+            read_nbest(path, Alphabet(3, separator=2))
+
+    def test_mixed_widths_rejected(self, tmp_path):
+        path = tmp_path / "mixed.tsv"
+        path.write_text("u\ta\t1\t-1\t-2\t-3\nu\tb\t1\t-1\t-1.5\t-2\t-3\n")
+        with pytest.raises(ContractViolation, match="line 2: 7 fields, expected 6"):
+            read_nbest(path, Alphabet(3, separator=2))

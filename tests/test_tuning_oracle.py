@@ -133,7 +133,7 @@ class TestTuneWeightsAgainstPerCellLoop:
            st.lists(combination_cells, min_size=1, max_size=4))
     def test_grid_scores_equal_scalar_scores(self, groups, cells):
         hyps = [h for group in groups for h in group]
-        for grid_cells in (cells, [w.fusion for w in cells]):
+        for grid_cells in (cells, [FusionWeights(w.mu, w.lam, w.rho) for w in cells]):
             scores = fusion._utterance_scores(hyps, fusion._grid_columns(grid_cells))
             assert scores.shape == (len(grid_cells), len(hyps))
             for c, w in enumerate(grid_cells):
