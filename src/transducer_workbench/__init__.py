@@ -54,7 +54,7 @@ from .networks import (
     PredictionConfig,
     encode,
     lm_score,
-    lstm_step,
+    lstm_forward,
     predict_embed,
     sample_dropconnect_mask,
     stack_and_skip,

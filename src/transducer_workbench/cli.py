@@ -23,7 +23,7 @@ import json
 import sys
 from pathlib import Path
 
-from .data import Alphabet, read_transcripts
+from .data import read_transcripts
 from .errors import ConfigError, ContractViolation, IngestError, WorkbenchError
 from .experiment import (
     attach_lm_components,
@@ -36,7 +36,6 @@ from .experiment import (
     run_experiment,
     stage_fusion_conditions,
     stage_generate,
-    stage_train_lms,
     stage_train_mode,
     verify_report,
     weights_from_dict,
@@ -140,7 +139,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "report":
-        text = render_report(ExperimentReport(**load_report(run_dir)))
+        text = render_report(ExperimentReport.from_dict(load_report(run_dir)))
         (run_dir / "report.txt").write_text(text, encoding="utf-8")
         print(text, end="")
         return 0

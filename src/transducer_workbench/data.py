@@ -10,7 +10,7 @@ symbol marks word boundaries and is rendered as a space in text files.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -62,7 +62,6 @@ from .fusion import (
 from .model import (
     ModelConfig,
     init_model,
-    load_char_lm,
     load_checkpoint,
     load_encoder_init,
     save_char_lm,
@@ -447,6 +446,17 @@ class ExperimentReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data) -> "ExperimentReport":
+        """Inverse of to_dict; ContractViolation unless `data` holds exactly
+        the report's fields."""
+        names = {f.name for f in fields(cls)}
+        keys = set(data) if isinstance(data, dict) else set()
+        if not isinstance(data, dict) or keys != names:
+            raise ContractViolation(f"malformed report: missing fields {sorted(names - keys)}, "
+                                    f"unknown fields {sorted(keys - names)}")
+        return cls(**data)
 
 
 def render_report(report: ExperimentReport) -> str:
@@ -902,9 +912,10 @@ def load_report(run_dir) -> dict:
 
 
 def verify_report(run_dir) -> list[str]:
-    """Recompute every reported condition and ablation WER from the stored
-    n-best, combination, weight and reference files, reading each file
-    once; returns a list of discrepancies (empty = verified)."""
+    """Recompute every reported condition, ablation and sweep WER from the
+    stored n-best, combination, weight, checkpoint and reference files,
+    reading each file once; returns a list of discrepancies (empty =
+    verified)."""
     run_dir = Path(run_dir)
     report = load_report(run_dir)
     config = parse_config(run_dir / "config.ini")
@@ -921,22 +932,37 @@ def verify_report(run_dir) -> list[str]:
         rows = read_nbest(run_dir / f"{stem}_{split}.tsv", alphabet)
         return cached_nbests(rows, alphabet, refs[split])
 
-    checks = []  # (label, reported WER, stem, split, weights)
+    @functools.cache
+    def utterances(split):
+        dataset = read_features(run_dir / f"features_{split}.bin")
+        for utt in dataset:
+            utt.labels = refs[split][utt.utt_id]
+        return dataset
+
+    problems = []
+
+    def check(label, reported, recomputed):
+        if abs(recomputed - reported) > 1e-12:
+            problems.append(f"{label}: reported {reported}, recomputed {recomputed}")
+
     for condition, entries in report["conditions"].items():
         for name, entry in entries.items():
             stem = "combination" if condition == "combination" else f"nbest_{name}"
+            weights = weights_from_dict(entry["weights"])
             for split in ("dev", "test"):
-                checks.append((f"{condition}/{name}/{split}", entry[f"{split}_wer"], stem,
-                               split, weights_from_dict(entry["weights"])))
+                check(f"{condition}/{name}/{split}", entry[f"{split}_wer"],
+                      top1_wer(load(stem, split), weights))
     for name, entry in report["ablations"].items():
-        stem = f"nbest_ablation_{name}"
-        checks.append((f"ablations/{name}/no_lm_test", entry["no_lm_test_wer"], stem, "test",
-                       FusionWeights(0.0, 0.0, 0.0)))
-        checks.append((f"ablations/{name}/density_ratio_test", entry["density_ratio_test_wer"],
-                       stem, "test", weights_from_dict(entry["weights"])))
-    problems = []
-    for label, reported, stem, split, weights in checks:
-        recomputed = top1_wer(load(stem, split), weights)
-        if abs(recomputed - reported) > 1e-12:
-            problems.append(f"{label}: reported {reported}, recomputed {recomputed}")
+        rows = load(f"nbest_ablation_{name}", "test")
+        check(f"ablations/{name}/no_lm_test", entry["no_lm_test_wer"],
+              top1_wer(rows, FusionWeights(0.0, 0.0, 0.0)))
+        check(f"ablations/{name}/density_ratio_test", entry["density_ratio_test_wer"],
+              top1_wer(rows, weights_from_dict(entry["weights"])))
+    for row in report["sweep"]:
+        optimizer, schedule = row["optimizer"], row["schedule"]
+        model, _ = load_checkpoint(run_dir / f"model_sweep_{optimizer}_{schedule}.npz")
+        for split in ("dev", "test"):
+            if row[f"{split}_wer"] is not None:  # None: no epoch was trained
+                check(f"sweep/{optimizer}/{schedule}/{split}", row[f"{split}_wer"],
+                      _greedy_wer(model, utterances(split), alphabet))
     return problems

@@ -28,7 +28,6 @@ from . import scoring
 from .errors import ContractViolation
 from .networks import (
     CharLMParams,
-    LMState,
     lm_end_increment,
     lm_init_state,
     lm_score,

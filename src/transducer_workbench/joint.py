@@ -13,7 +13,7 @@ terms plus the second-order product. There is no bias after W_out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -17,14 +17,14 @@ from .errors import ContractViolation, DimensionError, TrainingDiverged
 from .joint import (
     ADDITIVE,
     JointParams,
-    count_parameters,
     init_joint_params,
     joint_backward_lattice,
     joint_forward,
     joint_forward_lattice,
 )
-from .lattice import LatticeResult, rnnt_backward, rnnt_forward
+from .lattice import rnnt_backward, rnnt_forward
 from .networks import (
+    CharLMConfig,
     EncoderConfig,
     EncoderParams,
     PredictionConfig,
@@ -33,6 +33,7 @@ from .networks import (
     advance_prediction_state,
     encode,
     encode_backward,
+    init_char_lm_params,
     init_encoder_params,
     init_prediction_params,
     init_prediction_state,
@@ -106,19 +107,6 @@ class TransducerModel:
     def num_parameters(self) -> int:
         return sum(a.size for a in self.arrays().values())
 
-    def load_arrays(self, arrays: dict[str, np.ndarray], prefix: str = ""):
-        """Copy matching tensors in place; shapes must agree."""
-        own = self.arrays()
-        for name, arr in arrays.items():
-            key = prefix + name
-            if key not in own:
-                raise ContractViolation(f"unknown parameter {key}")
-            if own[key].shape != arr.shape:
-                raise DimensionError(
-                    f"{key}: checkpoint shape {arr.shape} != model shape {own[key].shape}"
-                )
-            own[key][:] = arr
-
     # -- training path ---------------------------------------------------
 
     def loss_and_grads(self, features, labels, aux=None, masks: DropConnectMasks | None = None):
@@ -135,15 +123,14 @@ class TransducerModel:
         nll, alpha = rnnt_forward(logprob, labels)
         if not np.isfinite(nll):
             raise TrainingDiverged(f"non-finite loss {nll}")
-        beta, grad = rnnt_backward(logprob, labels, alpha)
-        result = LatticeResult(nll=nll, alpha=alpha, beta=beta, grad=grad)
-        joint_grads, d_H, d_G = joint_backward_lattice(result.grad, joint_cache, self.joint)
+        _, grad = rnnt_backward(logprob, labels, alpha)
+        joint_grads, d_H, d_G = joint_backward_lattice(grad, joint_cache, self.joint)
         enc_grads, _ = encode_backward(d_H, self.config.encoder, self.encoder, enc_cache)
         pred_grads = predict_backward(d_G, labels, pred_cache, self.prediction)
         grads = {f"joint.{k}": v for k, v in joint_grads.items()}
         grads.update({f"encoder.{k}": v for k, v in enc_grads.items()})
         grads.update({f"prediction.{k}": v for k, v in pred_grads.items()})
-        return result.nll, grads
+        return nll, grads
 
     def loss(self, features, labels, aux=None) -> float:
         H, _ = encode(features, self.config.encoder, self.encoder, None, aux)
@@ -215,27 +202,52 @@ def sample_model_masks(model: TransducerModel, rate: float, rng: RandomStream) -
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: named tensors plus a JSON config fingerprint in one .npz file.
+# Checkpoints: named tensors plus a JSON meta record in one .npz file. The
+# transducer and the character LMs share the writer, the reader and the one
+# copy-in step, which refuses unknown, missing and mis-shaped tensors.
 
 
-def save_checkpoint(path, model: TransducerModel, extra_meta: dict | None = None):
-    meta = {"config": model.config.to_dict()}
-    if extra_meta:
-        meta.update(extra_meta)
-    payload = {k: v for k, v in model.arrays().items()}
+def _write_container(path, arrays: dict[str, np.ndarray], meta: dict):
+    payload = dict(arrays)
     payload["__meta__"] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
     )
     np.savez(path, **payload)
 
 
-def load_checkpoint(path) -> tuple[TransducerModel, dict]:
+def _read_container(path) -> tuple[dict[str, np.ndarray], dict]:
     with np.load(path) as data:
+        if "__meta__" not in data.files:
+            raise ContractViolation(f"{path}: no meta record")
         meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
         arrays = {k: data[k] for k in data.files if k != "__meta__"}
-    config = ModelConfig.from_dict(meta["config"])
-    model = init_model(config, RandomStream(0))
-    model.load_arrays(arrays)
+    return arrays, meta
+
+
+def _copy_in(own: dict[str, np.ndarray], arrays: dict[str, np.ndarray], path):
+    """Copy `arrays` into the tensors of `own` in place, after checking that
+    the names match one to one and every shape agrees."""
+    for problem, names in (("unknown", set(arrays) - set(own)), ("missing", set(own) - set(arrays))):
+        if names:
+            raise ContractViolation(f"{path}: {problem} parameters {sorted(names)}")
+    for name, arr in own.items():
+        if arrays[name].shape != arr.shape:
+            raise DimensionError(
+                f"{path}: {name} has shape {arrays[name].shape}, expected {arr.shape}"
+            )
+    for name, arr in own.items():
+        arr[:] = arrays[name]
+
+
+def save_checkpoint(path, model: TransducerModel, extra_meta: dict | None = None):
+    meta = {"config": model.config.to_dict(), **(extra_meta or {})}
+    _write_container(path, model.arrays(), meta)
+
+
+def load_checkpoint(path) -> tuple[TransducerModel, dict]:
+    arrays, meta = _read_container(path)
+    model = init_model(ModelConfig.from_dict(meta["config"]), RandomStream(0))
+    _copy_in(model.arrays(), arrays, path)
     return model, meta
 
 
@@ -243,40 +255,18 @@ def load_encoder_init(model: TransducerModel, path):
     """Encoder-initialization hook: copy only encoder tensors from a
     checkpoint (stands in for initializing from a separately trained
     encoder)."""
-    with np.load(path) as data:
-        arrays = {
-            k: data[k] for k in data.files if k.startswith("encoder.")
-        }
-    if not arrays:
-        raise ContractViolation(f"no encoder tensors found in {path}")
-    model.load_arrays(arrays)
+    arrays, _ = _read_container(path)
+    own = {k: v for k, v in model.arrays().items() if k.startswith("encoder.")}
+    _copy_in(own, {k: v for k, v in arrays.items() if k.startswith("encoder.")}, path)
 
 
 def save_char_lm(path, lm, config, extra_meta: dict | None = None):
-    """Same container as model checkpoints: named tensors + JSON meta."""
-    from .networks import CharLMConfig  # noqa: F401  (documented round-trip type)
-
-    meta = {"lm_config": vars(config).copy(), "num_labels": lm.num_labels}
-    if extra_meta:
-        meta.update(extra_meta)
-    payload = dict(lm.arrays())
-    payload["__meta__"] = np.frombuffer(
-        json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
-    )
-    np.savez(path, **payload)
+    meta = {"lm_config": vars(config).copy(), "num_labels": lm.num_labels, **(extra_meta or {})}
+    _write_container(path, lm.arrays(), meta)
 
 
 def load_char_lm(path):
-    from .networks import CharLMConfig, init_char_lm_params
-
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
-        arrays = {k: data[k] for k in data.files if k != "__meta__"}
-    config = CharLMConfig(**meta["lm_config"])
-    lm = init_char_lm_params(meta["num_labels"], config, RandomStream(0))
-    own = lm.arrays()
-    for name, arr in arrays.items():
-        if name not in own:
-            raise ContractViolation(f"unknown LM parameter {name}")
-        own[name][:] = arr
+    arrays, meta = _read_container(path)
+    lm = init_char_lm_params(meta["num_labels"], CharLMConfig(**meta["lm_config"]), RandomStream(0))
+    _copy_in(lm.arrays(), arrays, path)
     return lm, meta

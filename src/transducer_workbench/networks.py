@@ -1,6 +1,12 @@
 """LSTM building blocks: encoder stacks, the prediction network, and the
 character-level language models used for fusion.
 
+`lstm_forward` is the one LSTM recursion (a decoder step is a one-row call)
+and `lstm_backward` its BPTT. The prediction network (one layer) and both
+character LMs (N layers) are one label network, embedding + LSTM layers, with
+one forward `_label_forward` and one backward `_label_backward`; the LMs add
+only their output head.
+
 Each forward pass has a closed-form backward implemented alongside it; every
 backward in this module is checked against central finite differences in the
 test suite. The hidden-to-hidden matrix of each LSTM is the DropConnect
@@ -10,12 +16,12 @@ matrix * mask for the whole pass, and gradients are chained through the mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation, DimensionError
-from .numerics import NEG_INF, RandomStream, log_softmax, log_softmax_backward
+from .numerics import RandomStream, log_softmax, log_softmax_backward
 
 
 def _sigmoid(x):
@@ -72,37 +78,6 @@ def zero_state(hidden: int) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(hidden), np.zeros(hidden)
 
 
-def lstm_step(x, state, params: LSTMParams, hh_mask=None):
-    """One gated recursion step; returns ((h, c), output).
-
-    The output is the new hidden vector. hh_mask, when present, replaces the
-    hidden-to-hidden matrix by W_h * mask for this step.
-    """
-    (state_out, out), _ = lstm_step_cached(x, state, params, hh_mask)
-    return state_out, out
-
-
-def lstm_step_cached(x, state, params: LSTMParams, hh_mask=None):
-    h_prev, c_prev = state
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.input_dim,):
-        raise DimensionError(f"LSTM expects input dim {params.input_dim}, got {x.shape}")
-    if hh_mask is not None and hh_mask.shape != params.W_h.shape:
-        raise DimensionError("hh_mask shape must match the hidden-to-hidden matrix")
-    W_h_eff = params.W_h if hh_mask is None else params.W_h * hh_mask
-    z = params.W_x @ x + W_h_eff @ h_prev + params.b
-    H = params.hidden
-    i = _sigmoid(z[:H])
-    f = _sigmoid(z[H : 2 * H])
-    g = np.tanh(z[2 * H : 3 * H])
-    o = _sigmoid(z[3 * H :])
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    cache = (x, h_prev, c_prev, i, f, g, o, tc)
-    return ((h, c), h), cache
-
-
 @dataclass
 class LSTMSeqCache:
     steps: list
@@ -111,19 +86,32 @@ class LSTMSeqCache:
 
 
 def lstm_forward(xs: np.ndarray, params: LSTMParams, hh_mask=None, state=None):
-    """Run a whole sequence; returns (outputs (T, H), final state, cache)."""
-    T = xs.shape[0]
-    if state is None:
-        state = zero_state(params.hidden)
-    outs = np.zeros((T, params.hidden))
-    steps = []
+    """Run the rows of xs (T, D) from `state` (zeros when None); returns
+    (outputs (T, H), final (h, c), cache). hh_mask, when present, replaces
+    the hidden-to-hidden matrix by W_h * mask for the whole call."""
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != params.input_dim:
+        raise DimensionError(f"LSTM expects rows of dim {params.input_dim}, got {xs.shape}")
+    if hh_mask is not None and hh_mask.shape != params.W_h.shape:
+        raise DimensionError("hh_mask shape must match the hidden-to-hidden matrix")
     W_h_eff = params.W_h if hh_mask is None else params.W_h * hh_mask
-    for t in range(T):
-        ((h, c), out), cache = lstm_step_cached(xs[t], state, params, hh_mask)
-        state = (h, c)
-        outs[t] = out
-        steps.append(cache)
-    return outs, state, LSTMSeqCache(steps, W_h_eff, hh_mask)
+    h_prev, c_prev = zero_state(params.hidden) if state is None else state
+    H = params.hidden
+    outs = np.zeros((xs.shape[0], H))
+    steps = []
+    for t, x in enumerate(xs):
+        z = params.W_x @ x + W_h_eff @ h_prev + params.b
+        i = _sigmoid(z[:H])
+        f = _sigmoid(z[H : 2 * H])
+        g = np.tanh(z[2 * H : 3 * H])
+        o = _sigmoid(z[3 * H :])
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        outs[t] = h
+        steps.append((x, h_prev, c_prev, i, f, g, o, tc))
+        h_prev, c_prev = h, c
+    return outs, (h_prev, c_prev), LSTMSeqCache(steps, W_h_eff, hh_mask)
 
 
 def lstm_backward(d_outs: np.ndarray, cache: LSTMSeqCache, params: LSTMParams):
@@ -356,7 +344,32 @@ def encode_backward(
 
 
 # ---------------------------------------------------------------------------
-# Prediction network
+# Label network (embedding + LSTM layers) and the prediction network
+
+
+def _label_forward(symbols, embedding, layers, states=None, hh_masks=None):
+    """Embed `symbols` and run them through `layers`, each from its entry of
+    `states` (zero states when None) under its entry of `hh_masks`. Returns
+    (top-layer outputs (n, H), per-layer final (h, c) tuple, per-layer caches)."""
+    xs = embedding[np.asarray(symbols, dtype=int)]
+    final_states, caches = [], []
+    for i, layer in enumerate(layers):
+        mask = hh_masks[i] if hh_masks is not None else None
+        xs, state, cache = lstm_forward(xs, layer, mask, states[i] if states is not None else None)
+        final_states.append(state)
+        caches.append(cache)
+    return xs, tuple(final_states), caches
+
+
+def _label_backward(d_xs, symbols, caches, embedding, layers):
+    """Backward through _label_forward from the top-layer output gradients.
+    Returns (embedding gradient, per-layer LSTM gradient dicts)."""
+    layer_grads = [None] * len(layers)
+    for i in reversed(range(len(layers))):
+        d_xs, layer_grads[i], _, _ = lstm_backward(d_xs, caches[i], layers[i])
+    g_embedding = np.zeros_like(embedding)
+    np.add.at(g_embedding, np.asarray(symbols, dtype=int), d_xs)
+    return g_embedding, layer_grads
 
 
 @dataclass
@@ -400,33 +413,19 @@ def predict_embed(prefix, params: PredictionParams, hh_mask=None):
     for lab in prefix:
         if not 0 <= lab < params.vocab:
             raise ContractViolation(f"label {lab} outside vocabulary of {params.vocab}")
-    U = len(prefix)
-    P = params.lstm.hidden
-    G = np.zeros((U + 1, P))
-    if U == 0:
-        return G, None
-    xs = params.embedding[np.asarray(prefix, dtype=int)]
-    outs, _, cache = lstm_forward(xs, params.lstm, hh_mask)
+    outs, _, caches = _label_forward(prefix, params.embedding, [params.lstm], hh_masks=[hh_mask])
+    G = np.zeros((len(prefix) + 1, params.lstm.hidden))
     G[1:] = outs
-    return G, cache
+    return G, caches
 
 
 def predict_backward(d_G: np.ndarray, prefix, cache, params: PredictionParams):
     """Backward through predict_embed; row 0 of d_G is ignored (g0 is
     constant zero). Returns a grads dict matching params.arrays()."""
-    grads = {
-        "embedding": np.zeros_like(params.embedding),
-        "lstm.W_x": np.zeros_like(params.lstm.W_x),
-        "lstm.W_h": np.zeros_like(params.lstm.W_h),
-        "lstm.b": np.zeros_like(params.lstm.b),
-    }
-    if len(prefix) == 0:
-        return grads
-    d_xs, lstm_grads, _, _ = lstm_backward(d_G[1:], cache, params.lstm)
-    for name, arr in lstm_grads.items():
-        grads[f"lstm.{name}"] = arr
-    np.add.at(grads["embedding"], np.asarray(prefix, dtype=int), d_xs)
-    return grads
+    g_embedding, (lstm_grads,) = _label_backward(
+        d_G[1:], prefix, cache, params.embedding, [params.lstm]
+    )
+    return {"embedding": g_embedding, **{f"lstm.{k}": v for k, v in lstm_grads.items()}}
 
 
 @dataclass(frozen=True)
@@ -447,14 +446,14 @@ def init_prediction_state(params: PredictionParams) -> PredictionState:
 
 
 def advance_prediction_state(
-    state: PredictionState, label: int, params: PredictionParams, hh_mask=None
+    state: PredictionState, label: int, params: PredictionParams
 ) -> PredictionState:
     if not 0 <= label < params.vocab:
         raise ContractViolation(f"label {label} outside vocabulary of {params.vocab}")
-    (h, c), out = lstm_step(
-        params.embedding[label], (state.h, state.c), params.lstm, hh_mask
+    _, ((h, c),), _ = _label_forward(
+        [label], params.embedding, [params.lstm], [(state.h, state.c)]
     )
-    return PredictionState(h=h, c=c, g=out)
+    return PredictionState(h=h, c=c, g=h)
 
 
 # ---------------------------------------------------------------------------
@@ -518,15 +517,10 @@ def init_char_lm_params(num_labels: int, config: CharLMConfig, rng: RandomStream
     )
 
 
-def _lm_forward_states(inputs, params: CharLMParams, masks=None):
-    xs = params.embedding[np.asarray(inputs, dtype=int)]
-    caches = []
-    for i, layer in enumerate(params.layers):
-        mask = masks[i] if masks is not None else None
-        xs, _, cache = lstm_forward(xs, layer, mask)
-        caches.append(cache)
-    logits = xs @ params.W_out.T + params.b_out
-    return xs, log_softmax(logits), caches
+def _lm_forward(inputs, params: CharLMParams):
+    """The label network over a whole input sequence, then the output head."""
+    hs, _, caches = _label_forward(inputs, params.embedding, params.layers)
+    return hs, log_softmax(hs @ params.W_out.T + params.b_out), caches
 
 
 def lm_score(sequence, params: CharLMParams):
@@ -537,32 +531,27 @@ def lm_score(sequence, params: CharLMParams):
             raise ContractViolation(f"symbol {lab} outside LM vocabulary")
     inputs = [params.bos] + list(sequence)
     targets = list(sequence) + [params.eos]
-    _, logprobs, _ = _lm_forward_states(inputs, params)
+    _, logprobs, _ = _lm_forward(inputs, params)
     increments = logprobs[np.arange(len(targets)), targets]
     return float(increments.sum()), increments
 
 
-def lm_loss_and_grads(sequence, params: CharLMParams, masks=None):
+def lm_loss_and_grads(sequence, params: CharLMParams):
     """NLL of one sequence and gradients for every LM parameter."""
     inputs = [params.bos] + list(sequence)
     targets = np.asarray(list(sequence) + [params.eos], dtype=int)
-    hs, logprobs, caches = _lm_forward_states(inputs, params, masks)
+    hs, logprobs, caches = _lm_forward(inputs, params)
     nll = -float(logprobs[np.arange(len(targets)), targets].sum())
     d_lp = np.zeros_like(logprobs)
     d_lp[np.arange(len(targets)), targets] = -1.0
     d_logits = log_softmax_backward(d_lp, logprobs)
-    grads = {
-        "W_out": d_logits.T @ hs,
-        "b_out": d_logits.sum(axis=0),
-    }
-    d_x = d_logits @ params.W_out
-    for i in range(len(params.layers) - 1, -1, -1):
-        d_x, layer_grads, _, _ = lstm_backward(d_x, caches[i], params.layers[i])
-        for name, arr in layer_grads.items():
-            grads[f"layers.{i}.{name}"] = arr
-    g_embed = np.zeros_like(params.embedding)
-    np.add.at(g_embed, np.asarray(inputs, dtype=int), d_x)
-    grads["embedding"] = g_embed
+    grads = {"W_out": d_logits.T @ hs, "b_out": d_logits.sum(axis=0)}
+    g_embedding, layer_grads = _label_backward(
+        d_logits @ params.W_out, inputs, caches, params.embedding, params.layers
+    )
+    for i in reversed(range(len(layer_grads))):
+        grads.update((f"layers.{i}.{name}", arr) for name, arr in layer_grads[i].items())
+    grads["embedding"] = g_embedding
     return nll, grads
 
 
@@ -575,18 +564,15 @@ class LMState:
     logprobs: np.ndarray
 
 
+def _lm_step(symbol: int, states, params: CharLMParams) -> LMState:
+    """One label-network step from `states` (zeros when None), then the
+    output head on its single output vector."""
+    hs, states, _ = _label_forward([symbol], params.embedding, params.layers, states)
+    return LMState(states=states, logprobs=log_softmax(params.W_out @ hs[0] + params.b_out))
+
+
 def lm_init_state(params: CharLMParams) -> LMState:
-    return _lm_advance_symbol(params.bos, tuple(zero_state(l.hidden) for l in params.layers), params)
-
-
-def _lm_advance_symbol(symbol, states, params):
-    x = params.embedding[symbol]
-    new_states = []
-    for layer, state in zip(params.layers, states):
-        (h, c), x = lstm_step(x, state, layer)
-        new_states.append((h, c))
-    logprobs = log_softmax(params.W_out @ x + params.b_out)
-    return LMState(states=tuple(new_states), logprobs=logprobs)
+    return _lm_step(params.bos, None, params)
 
 
 def lm_score_next(state: LMState, symbol: int, params: CharLMParams):
@@ -594,7 +580,7 @@ def lm_score_next(state: LMState, symbol: int, params: CharLMParams):
     if not 0 <= symbol < params.num_labels:
         raise ContractViolation(f"symbol {symbol} outside LM vocabulary")
     inc = float(state.logprobs[symbol])
-    return inc, _lm_advance_symbol(symbol, state.states, params)
+    return inc, _lm_step(symbol, state.states, params)
 
 
 def lm_end_increment(state: LMState, params: CharLMParams) -> float:

@@ -9,7 +9,6 @@ by (epoch, batch, utterance), and gradients accumulate in a fixed order.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 

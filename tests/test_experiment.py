@@ -389,6 +389,47 @@ class TestVerify:
         assert capsys.readouterr().out.encode() == before
 
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda report: report.pop("modes"), "modes"),
+        (lambda report: report.update(bogus=1), "bogus"),
+    ], ids=["missing", "unknown"])
+    def test_cli_report_malformed_json(self, run_copy, capsys, edit, field):
+        report = load_report(run_copy)
+        edit(report)
+        (run_copy / "report.json").write_text(json.dumps(report, indent=2))
+        base = ["--config", str(run_copy / "config.ini"), "--run-dir", str(run_copy)]
+        assert cli_main(base + ["report"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed report") and field in err
+
+
+@pytest.fixture(scope="module")
+def sweep_run(tmp_path_factory):
+    """A finished tiny run with the optimizer x schedule sweep on."""
+    run_dir = tmp_path_factory.mktemp("sweep") / "run"
+    cfg = tiny_config(experiment={"sweep": True, "sweep_epochs": 1, "conditions": ("no_lm",)})
+    cfg["model"]["modes"] = ("additive",)
+    report = run_experiment(cfg, run_dir)
+    assert report.failure_stage is None and len(report.sweep) == 4
+    return run_dir
+
+
+class TestVerifySweep:
+    def test_sweep_run_verifies_clean(self, sweep_run):
+        assert verify_report(sweep_run) == []
+
+    @pytest.mark.parametrize("split", ["dev", "test"])
+    def test_tampered_sweep_wer_caught(self, sweep_run, tmp_path, split):
+        run = Path(shutil.copytree(sweep_run, tmp_path / "run"))
+        report = load_report(run)
+        row = report["sweep"][0]
+        row[f"{split}_wer"] += 0.01
+        (run / "report.json").write_text(json.dumps(report, indent=2))
+        problems = verify_report(run)
+        label = f"sweep/{row['optimizer']}/{row['schedule']}/{split}"
+        assert [p.split(":")[0] for p in problems] == [label]
+
+
 class TestWeightsFromDict:
     def test_kinds(self):
         assert weights_from_dict({"mu": 0.1, "lam": 0.2, "rho": 0.3}) == FusionWeights(0.1, 0.2, 0.3)

@@ -1,0 +1,54 @@
+"""Source hygiene: every name a module imports is used in that module.
+
+The package's `__init__.py` re-exports its imports, and `from __future__`
+imports are directives, so both are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "transducer_workbench"
+MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _used_names(tree):
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for annotation in annotations:
+            # A quoted annotation names its types inside a string.
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                used |= _used_names(ast.parse(annotation.value, mode="eval"))
+    return used
+
+
+def test_modules_found():
+    assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used_names(tree)
+    unused = [f"{name} (line {line})" for name, line in _imported_names(tree) if name not in used]
+    assert unused == [], f"{path.name} imports names it never uses: {unused}"

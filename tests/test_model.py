@@ -1,17 +1,25 @@
 import numpy as np
 import pytest
 
+from transducer_workbench.errors import ContractViolation, DimensionError
 from transducer_workbench.joint import ADDITIVE, MULTIPLICATIVE
 from transducer_workbench.model import (
     DropConnectMasks,
     ModelConfig,
     init_model,
+    load_char_lm,
     load_checkpoint,
     load_encoder_init,
     sample_model_masks,
+    save_char_lm,
     save_checkpoint,
 )
-from transducer_workbench.networks import EncoderConfig, PredictionConfig
+from transducer_workbench.networks import (
+    CharLMConfig,
+    EncoderConfig,
+    PredictionConfig,
+    init_char_lm_params,
+)
 from transducer_workbench.numerics import (
     RandomStream,
     finite_difference_gradient,
@@ -139,7 +147,89 @@ class TestCheckpoint:
                 np.testing.assert_array_equal(arr, target.arrays()[name])
         np.testing.assert_array_equal(target.arrays()["prediction.embedding"], before)
 
+    def test_encoder_init_ignores_other_tensors(self, tmp_path):
+        donor = init_model(tiny_config(), RandomStream(15))
+        path = tmp_path / "donor.npz"
+        save_checkpoint(path, donor)
+        _edit_container(path, lambda a: a.pop("joint.W_out"))
+        target = init_model(tiny_config(), RandomStream(16))
+        load_encoder_init(target, path)
+        for name, arr in donor.arrays().items():
+            if name.startswith("encoder."):
+                np.testing.assert_array_equal(arr, target.arrays()[name])
+
+    def test_encoder_init_refuses_unknown_and_misshaped(self, tmp_path):
+        path = tmp_path / "donor.npz"
+        save_checkpoint(path, init_model(tiny_config(), RandomStream(15)))
+        target = init_model(tiny_config(), RandomStream(16))
+        before = {k: v.copy() for k, v in target.arrays().items()}
+        _edit_container(path, lambda a: a.update({"encoder.layers.9.fwd.b": np.zeros(16)}))
+        with pytest.raises(ContractViolation, match="unknown"):
+            load_encoder_init(target, path)
+        _edit_container(path, lambda a: a.pop("encoder.layers.9.fwd.b"))
+        _edit_container(path, lambda a: a.update({"encoder.layers.0.fwd.b": np.zeros(15)}))
+        with pytest.raises(DimensionError, match="encoder.layers.0.fwd.b"):
+            load_encoder_init(target, path)
+        for name, arr in target.arrays().items():
+            np.testing.assert_array_equal(arr, before[name])
+
+    def test_rewrite_is_byte_identical(self, tmp_path):
+        model = init_model(tiny_config(), RandomStream(13))
+        save_checkpoint(tmp_path / "a.npz", model, {"epoch": 1})
+        loaded, meta = load_checkpoint(tmp_path / "a.npz")
+        save_checkpoint(tmp_path / "b.npz", loaded, {"epoch": meta["epoch"]})
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    @pytest.mark.parametrize("edit, error, match", [
+        (lambda a: a.pop("joint.W_out"), ContractViolation, "missing.*joint.W_out"),
+        (lambda a: a.update({"joint.extra": np.zeros(2)}), ContractViolation, "unknown.*joint.extra"),
+        (lambda a: a.update({"joint.W_out": np.zeros((1, 5))}), DimensionError, "joint.W_out"),
+    ], ids=["missing", "unknown", "misshaped"])
+    def test_refuses_incomplete_checkpoint(self, tmp_path, edit, error, match):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, init_model(tiny_config(), RandomStream(13)))
+        _edit_container(path, edit)
+        with pytest.raises(error, match=match):
+            load_checkpoint(path)
+
     def test_config_roundtrip(self):
         config = tiny_config(MULTIPLICATIVE, bidirectional=False)
         back = ModelConfig.from_dict(config.to_dict())
         assert back == config
+
+
+def _edit_container(path, edit):
+    """Rewrite a saved .npz after applying `edit` to its name -> array dict."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    edit(arrays)
+    np.savez(path, **arrays)
+
+
+class TestCharLMCheckpoint:
+    def _lm(self):
+        config = CharLMConfig(layers=2, cells=6, embed_dim=4)
+        return init_char_lm_params(8, config, RandomStream(30)), config
+
+    def test_roundtrip_bitwise(self, tmp_path):
+        lm, config = self._lm()
+        save_char_lm(tmp_path / "a.npz", lm, config, {"role": "source"})
+        loaded, meta = load_char_lm(tmp_path / "a.npz")
+        assert meta["role"] == "source"
+        for name, arr in lm.arrays().items():
+            np.testing.assert_array_equal(arr, loaded.arrays()[name])
+        save_char_lm(tmp_path / "b.npz", loaded, config, {"role": "source"})
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    @pytest.mark.parametrize("edit, error, match", [
+        (lambda a: a.pop("layers.1.W_h"), ContractViolation, "missing.*layers.1.W_h"),
+        (lambda a: a.update({"layers.2.b": np.zeros(24)}), ContractViolation, "unknown.*layers.2.b"),
+        (lambda a: a.update({"W_out": np.zeros((1, 6))}), DimensionError, "W_out"),
+    ], ids=["missing", "unknown", "misshaped"])
+    def test_refuses_incomplete_checkpoint(self, tmp_path, edit, error, match):
+        lm, config = self._lm()
+        path = tmp_path / "lm.npz"
+        save_char_lm(path, lm, config)
+        _edit_container(path, edit)
+        with pytest.raises(error, match=match):
+            load_char_lm(path)

@@ -24,7 +24,6 @@ from transducer_workbench.networks import (
     lm_score_next,
     lstm_backward,
     lstm_forward,
-    lstm_step,
     predict_backward,
     predict_embed,
     PredictionConfig,
@@ -42,10 +41,16 @@ from transducer_workbench.numerics import (
 )
 
 
+def one_row_step(x, state, params, hh_mask=None):
+    """One decoder step as a one-row lstm_forward call: ((h, c), output)."""
+    outs, state, _ = lstm_forward(x[None, :], params, hh_mask, state)
+    return state, outs[0]
+
+
 class TestLSTMStep:
     def test_all_zero_weights(self):
         params = LSTMParams(np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8))
-        (h, c), out = lstm_step(np.ones(3), zero_state(2), params)
+        (h, c), out = one_row_step(np.ones(3), zero_state(2), params)
         np.testing.assert_array_equal(c, np.zeros(2))
         np.testing.assert_array_equal(out, np.zeros(2))
 
@@ -54,17 +59,45 @@ class TestLSTMStep:
         params = init_lstm_params(3, 4, rng)
         x = rng.normal(size=3)
         state = (rng.normal(size=4), rng.normal(size=4))
-        _, out_plain = lstm_step(x, state, params)
-        _, out_masked = lstm_step(x, state, params, hh_mask=np.ones((16, 4)))
+        _, out_plain = one_row_step(x, state, params)
+        _, out_masked = one_row_step(x, state, params, hh_mask=np.ones((16, 4)))
         np.testing.assert_array_equal(out_plain, out_masked)
 
     def test_shape_mismatch(self):
         rng = RandomStream(2)
         params = init_lstm_params(3, 4, rng)
         with pytest.raises(DimensionError):
-            lstm_step(np.zeros(5), zero_state(4), params)
+            one_row_step(np.zeros(5), zero_state(4), params)
         with pytest.raises(DimensionError):
-            lstm_step(np.zeros(3), zero_state(4), params, hh_mask=np.ones((2, 2)))
+            one_row_step(np.zeros(3), zero_state(4), params, hh_mask=np.ones((2, 2)))
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_shape_mismatch_any_row_count(self, rows):
+        params = init_lstm_params(3, 4, RandomStream(2))
+        with pytest.raises(DimensionError):
+            lstm_forward(np.zeros((rows, 5)), params)
+        with pytest.raises(DimensionError):
+            lstm_forward(np.zeros((rows, 3)), params, hh_mask=np.ones((2, 2)))
+        with pytest.raises(DimensionError):
+            lstm_forward(np.zeros(3), params)
+
+    @pytest.mark.parametrize("use_mask", [False, True])
+    def test_sequence_equals_chained_one_row_calls(self, use_mask):
+        rng = RandomStream(4)
+        params = init_lstm_params(3, 4, rng)
+        mask = (
+            sample_dropconnect_mask(params.W_h.shape, 0.25, rng.child(9))
+            if use_mask
+            else None
+        )
+        xs = rng.normal(size=(6, 3))
+        start = (rng.normal(size=4), rng.normal(size=4))
+        outs, (h_seq, c_seq), _ = lstm_forward(xs, params, mask, start)
+        state = start
+        for t in range(xs.shape[0]):
+            row_out, state, _ = lstm_forward(xs[t : t + 1], params, mask, state)
+            assert (row_out[0] == outs[t]).all()
+        assert (state[0] == h_seq).all() and (state[1] == c_seq).all()
 
     @pytest.mark.parametrize("use_mask", [False, True])
     def test_backward_finite_differences(self, use_mask):
