@@ -907,8 +907,15 @@ def _write_report(run_dir: Path, report: ExperimentReport):
 
 
 def load_report(run_dir) -> dict:
+    """The parsed `report.json`. ContractViolation ("malformed report")
+    unless it is JSON holding exactly the fields of an ExperimentReport."""
     with open(Path(run_dir) / "report.json", encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            data = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ContractViolation(f"malformed report: {exc}") from exc
+    ExperimentReport.from_dict(data)
+    return data
 
 
 def verify_report(run_dir) -> list[str]:

@@ -13,6 +13,13 @@ Conventions (shared with the decoder):
 
 `brute_force_nll` enumerates alignments directly and is the independent
 oracle for `rnnt_forward`; both implement the same convention.
+
+Prefix tries: lattice row u and alpha column u of a sequence depend only on
+its first u labels. `prefix_trie_forward` therefore scores a whole set of
+sequences on their prefix trie (`build_prefix_trie`), one lattice column and
+one alpha column per distinct prefix. Given the same lattice columns it
+reproduces `rnnt_forward`'s alpha bit for bit, since every entry comes from
+the same operands through the same `+` and `np.logaddexp`.
 """
 
 from __future__ import annotations
@@ -92,6 +99,83 @@ def rnnt_forward(lattice: np.ndarray, y) -> tuple[float, np.ndarray]:
             )
     nll = -alpha[T, U]
     return float(nll), alpha
+
+
+def build_prefix_trie(sequences) -> tuple[list[int], list[int], list[int]]:
+    """Prefix trie of label sequences, nodes in depth order.
+
+    Node 0 is the empty prefix; node n > 0 extends the prefix of node
+    `parents[n]` (< n) by label `labels[n]`, and no node is deeper than a
+    later one. Returns (parents, labels, ends), where `ends[i]` is the node
+    of `sequences[i]`; the root's parent and label are -1.
+    """
+    parents, labels = [-1], [-1]
+    ends = [0] * len(sequences)
+    children: dict[tuple[int, int], int] = {}
+    for depth in range(max(map(len, sequences), default=0)):
+        for i, seq in enumerate(sequences):
+            if depth < len(seq):
+                key = (ends[i], seq[depth])
+                node = children.get(key)
+                if node is None:
+                    node = children[key] = len(parents)
+                    parents.append(ends[i])
+                    labels.append(seq[depth])
+                ends[i] = node
+    return parents, labels, ends
+
+
+def prefix_trie_forward(columns: np.ndarray, parents, labels) -> np.ndarray:
+    """Forward columns of every node of a prefix trie (`build_prefix_trie`).
+
+    `columns` is (T, N, K). For node n at depth u, columns[:, n] is row u of
+    the lattice of any sequence whose first u labels are node n's prefix.
+    Returns alpha (T+1, N), where alpha[:, n] is column u of
+    `rnnt_forward`'s alpha for such a sequence, bit for bit, and
+    -alpha[T, n] is the NLL of the sequence ending at n. The loop runs
+    depth x T times; each step covers every node of one depth.
+    """
+    columns = np.asarray(columns, dtype=np.float64)
+    if columns.ndim != 3:
+        raise DimensionError(f"columns must be T x N x K, got shape {columns.shape}")
+    T, N, K = columns.shape
+    if T < 1:
+        raise DimensionError("lattice needs T >= 1")
+    parents = np.asarray(parents, dtype=int)
+    labels = np.asarray(labels, dtype=int)
+    if N < 1 or parents.shape != (N,) or labels.shape != (N,):
+        raise DimensionError(f"{N} columns need one parent and one label per node")
+    if parents[0] != -1 or np.any(parents[1:] < 0) or np.any(parents[1:] >= np.arange(1, N)):
+        raise ContractViolation("node 0 must be the root and every parent must precede its child")
+    if np.any(labels[1:] < 0) or np.any(labels[1:] >= K - 1):
+        raise DimensionError(f"label ids out of range for {K - 1} labels")
+    depth = [0] * N
+    for n in range(1, N):
+        depth[n] = depth[parents[n]] + 1
+    if any(a > b for a, b in zip(depth, depth[1:])):
+        raise ContractViolation("trie nodes must come in depth order")
+
+    blank = columns[:, :, BLANK_ID]  # (T, N)
+    # label[row, n]: step prob of node n's label, read on its parent's row.
+    label = np.zeros((T, N))
+    label[:, 1:] = columns[:, parents[1:], labels[1:] + 1]
+    rows = np.minimum(np.arange(T + 1), T - 1)
+
+    alpha = np.full((T + 1, N), NEG_INF)
+    alpha[0, 0] = 0.0
+    for t in range(1, T + 1):
+        alpha[t, 0] = alpha[t - 1, 0] + blank[t - 1, 0]
+    starts = np.flatnonzero(np.diff(depth)) + 1
+    for lo, hi in zip(starts, [*starts[1:], N]):
+        # Label moves into these nodes, for every t at once: their parents'
+        # columns are complete.
+        via_label = alpha[:, parents[lo:hi]] + label[rows, lo:hi]
+        alpha[0, lo:hi] = via_label[0]
+        for t in range(1, T + 1):
+            alpha[t, lo:hi] = np.logaddexp(
+                alpha[t - 1, lo:hi] + blank[t - 1, lo:hi], via_label[t]
+            )
+    return alpha
 
 
 def rnnt_backward(lattice: np.ndarray, y, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

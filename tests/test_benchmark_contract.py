@@ -1,0 +1,76 @@
+"""The benchmark's tracer (`benchmark/tracing.py`) must still see every layer.
+
+The tracer wraps module attributes under the names the program's callers
+use, and records a target it cannot find instead of failing. A rename in
+`src/` would therefore silently blind the per-layer metrics; these tests
+turn such a rename into a failure of the fast test suite.
+"""
+
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+from transducer_workbench import experiment, fusion, lattice, model, networks, scoring, training
+from transducer_workbench.model import TransducerModel
+
+TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+PATCHED_MODULES = (experiment, fusion, model, networks, scoring, training)
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _attributes():
+    return {(m.__name__, name): value for m in PATCHED_MODULES for name, value in vars(m).items()}
+
+
+def test_every_wrap_target_exists(tracing):
+    tracer = tracing.install(tracing.Tracer())
+    try:
+        assert tracer.missing == []
+    finally:
+        tracer.close()
+
+
+def test_close_restores_every_patched_attribute(tracing):
+    before = _attributes()
+    tracer = tracing.install(tracing.Tracer())
+    try:
+        during = _attributes()
+    finally:
+        tracer.close()
+    patched = {key for key, value in during.items() if value is not before.get(key)}
+    assert ("transducer_workbench.fusion", "lm_score") in patched
+    assert ("transducer_workbench.model", "joint_forward_lattice") in patched
+    after = _attributes()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+
+
+def test_decoder_proxy_methods_exist(tracing):
+    proxied = [
+        name for name, value in vars(tracing.TracedDecoderModel).items()
+        if inspect.isfunction(value) and not name.startswith("_")
+    ]
+    assert proxied
+    for name in proxied:
+        assert callable(getattr(TransducerModel, name, None)), name
+
+
+@pytest.mark.parametrize("function, parameters", [
+    (fusion.combine_rescore, ("nbest_a", "nbest_b")),
+    (fusion.tune_weights, ("mu_grid", "lam_grid", "rho_grid", "alpha_beta_grid")),
+    (lattice.rnnt_forward, ("lattice",)),
+    (scoring.compute_wer, ("reference", "hypothesis")),
+    (training.batch_loss_and_grads, ("items",)),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_traced_notes_read_existing_parameters(function, parameters):
+    # The tracer's span notes read these arguments by name.
+    assert set(parameters) <= set(inspect.signature(function).parameters)

@@ -402,6 +402,15 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed report") and field in err
 
+    @pytest.mark.parametrize("command", ["report", "verify"])
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"seed": 1}'],
+                             ids=["not-json", "not-object", "missing-fields"])
+    def test_cli_unreadable_report(self, run_copy, capsys, command, text):
+        (run_copy / "report.json").write_text(text)
+        base = ["--config", str(run_copy / "config.ini"), "--run-dir", str(run_copy)]
+        assert cli_main(base + [command]) == 1
+        assert capsys.readouterr().err.startswith("error: malformed report: ")
+
 
 @pytest.fixture(scope="module")
 def sweep_run(tmp_path_factory):

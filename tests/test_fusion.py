@@ -22,7 +22,8 @@ from transducer_workbench.fusion import (
     tune_weights,
     write_nbest,
 )
-from transducer_workbench.model import ModelConfig, init_model
+from transducer_workbench import model as model_module
+from transducer_workbench.model import ModelConfig, TransducerModel, init_model
 from transducer_workbench.networks import (
     CharLMConfig,
     EncoderConfig,
@@ -46,6 +47,16 @@ def tiny_model(seed, mode="additive", num_labels=2):
 
 def tiny_lm(seed, num_labels=2):
     return init_char_lm_params(num_labels, CharLMConfig(layers=1, cells=5, embed_dim=4), RandomStream(seed))
+
+
+def counting(original, sink):
+    """`original`, appending the arguments of every call to `sink`."""
+
+    def wrapper(*args):
+        sink.append(args)
+        return original(*args)
+
+    return wrapper
 
 
 def lm_scored(hyps, source_lm, external_lm):
@@ -280,6 +291,40 @@ class TestCombineRescore:
         w = CombinationWeights(0.5, 0.5, 0.0, 0.0, 0.0)
         with pytest.raises(TypeError):
             combine_rescore(features, nbest, [], w, model, model, tiny_lm(52), tiny_lm(53))
+
+    def test_one_prediction_step_per_prefix_and_one_joint_call(self, monkeypatch):
+        model_a = tiny_model(54)
+        model_b = tiny_model(55, mode="multiplicative")
+        features = RandomStream(56).normal(size=(4, 3))
+        nb_a = alsd_beam(model_a, features, beam_width=16, n_best=8, expansion_cap=6)
+        nb_b = alsd_beam(model_b, features, beam_width=16, n_best=8, expansion_cap=6)
+        calls = {"advance_prediction_state": [], "joint_forward_lattice": []}
+        for name, sink in calls.items():
+            monkeypatch.setattr(model_module, name, counting(getattr(model_module, name), sink))
+        lattice_nll_calls = []
+        monkeypatch.setattr(TransducerModel, "lattice_nll",
+                            counting(TransducerModel.lattice_nll, lattice_nll_calls))
+        w = CombinationWeights(0.5, 0.5, 0.0, 0.0, 0.0)
+        combined = combine_rescore(features, nb_a, nb_b, w, model_a, model_b)
+
+        union = {h.labels for h in nb_a} | {h.labels for h in nb_b}
+        assert {c.labels for c in combined} == union
+        prefixes = {labels[:u] for labels in union for u in range(1, len(labels) + 1)}
+        assert len(prefixes) < sum(len(labels) for labels in union)  # prefixes are shared
+        assert lattice_nll_calls == []
+        steps, joints = calls["advance_prediction_state"], calls["joint_forward_lattice"]
+        for model in (model_a, model_b):
+            assert sum(args[2] is model.prediction for args in steps) == len(prefixes)
+            assert sum(args[2] is model.joint for args in joints) == 1
+        assert len(steps) == 2 * len(prefixes) and len(joints) == 2
+
+    def test_out_of_vocabulary_label_rejected(self):
+        model = tiny_model(57)
+        features = RandomStream(58).normal(size=(3, 3))
+        bad = [NBestRecord(labels=(0, 2), length=2, transducer_a=0.0, source_lm=0.0, external_lm=0.0)]
+        w = CombinationWeights(0.5, 0.5, 0.0, 0.0, 0.0)
+        with pytest.raises(ContractViolation, match="outside vocabulary"):
+            combine_rescore(features, bad, [], w, model, model)
 
 
 class TestTuning:

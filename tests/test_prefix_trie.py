@@ -1,0 +1,177 @@
+"""Scoring a set of label sequences on their prefix trie.
+
+`prefix_trie_forward` must reproduce `rnnt_forward`'s alpha bit for bit
+when given the same lattice columns. `TransducerModel.prefix_trie_nlls`
+must agree with the per-sequence oracles: `lattice_nll` within
+1e-12 * max(1, |nll|) (its joint matmuls run over a different number of
+rows) and `brute_force_nll` by alignment enumeration.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from transducer_workbench.errors import ContractViolation, DimensionError
+from transducer_workbench.joint import ADDITIVE, MULTIPLICATIVE
+from transducer_workbench.lattice import (
+    ENUMERATION_CAP,
+    brute_force_nll,
+    build_prefix_trie,
+    prefix_trie_forward,
+    random_logprob_lattice,
+    rnnt_forward,
+)
+from transducer_workbench.model import ModelConfig, init_model
+from transducer_workbench.networks import EncoderConfig, PredictionConfig
+from transducer_workbench.numerics import RandomStream, log_softmax
+
+property_settings = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+NUM_LABELS = 3
+JOINTS = [(ADDITIVE, False), (MULTIPLICATIVE, False), (MULTIPLICATIVE, True)]
+JOINT_IDS = ["additive", "multiplicative", "multiplicative-branch-biases"]
+
+label_seqs = st.lists(st.integers(0, NUM_LABELS - 1), max_size=6).map(tuple)
+unions = st.lists(label_seqs, min_size=1, max_size=8, unique=True)
+
+
+def path_nodes(parents, node):
+    """Nodes from the root down to `node`."""
+    path = [node]
+    while parents[path[-1]] >= 0:
+        path.append(parents[path[-1]])
+    return path[::-1]
+
+
+def trie_model(seed, mode, branch_biases):
+    config = ModelConfig(
+        num_labels=NUM_LABELS,
+        encoder=EncoderConfig(layers=1, cells=4, stacking=1, skip=1, input_dim=3),
+        prediction=PredictionConfig(cells=4, embed_dim=3),
+        joint_dim=5,
+        joint_mode=mode,
+        joint_branch_biases=branch_biases,
+    )
+    model = init_model(config, RandomStream(seed))
+    # Biases start at zero; random ones make every term of the joint count.
+    rng = RandomStream(seed + 1)
+    model.joint.b[:] = rng.normal(size=model.joint.b.shape)
+    if branch_biases:
+        model.joint.b_enc[:] = rng.normal(size=model.joint.b_enc.shape)
+        model.joint.b_pred[:] = rng.normal(size=model.joint.b_pred.shape)
+    return model
+
+
+def encoder_output(model, seed, T):
+    return model.encode_features(RandomStream(seed + 2).normal(size=(T, 3)))
+
+
+def assert_agrees_with_lattice_nll(model, H, sequences):
+    nlls = model.prefix_trie_nlls(H, sequences)
+    assert nlls.shape == (len(sequences),)
+    for seq, nll in zip(sequences, nlls):
+        oracle = model.lattice_nll(H, list(seq))
+        assert abs(nll - oracle) <= 1e-12 * max(1.0, abs(oracle)), (seq, nll, oracle)
+    return nlls
+
+
+class TestBuildPrefixTrie:
+    def test_nodes_in_depth_order(self):
+        parents, labels, ends = build_prefix_trie([(1, 2), (1,), (), (1, 0), (2,)])
+        assert parents == [-1, 0, 0, 1, 1]
+        assert labels == [-1, 1, 2, 2, 0]
+        assert ends == [3, 1, 0, 4, 2]
+
+    def test_no_sequences(self):
+        assert build_prefix_trie([]) == ([-1], [-1], [])
+
+    @property_settings
+    @given(unions)
+    def test_one_node_per_distinct_prefix(self, sequences):
+        parents, labels, ends = build_prefix_trie(sequences)
+        prefixes = {seq[:u] for seq in sequences for u in range(len(seq) + 1)}
+        assert len(parents) == len(prefixes)
+        for seq, end in zip(sequences, ends):
+            assert tuple(labels[n] for n in path_nodes(parents, end)[1:]) == seq
+
+
+class TestPrefixTrieForward:
+    @property_settings
+    @given(st.integers(1, 6), st.lists(st.integers(0, 3), max_size=6), st.integers(0, 2**16))
+    def test_chain_equals_rnnt_forward_bitwise(self, T, y, seed):
+        lattice = random_logprob_lattice(T, len(y), 5, np.random.default_rng(seed))
+        parents = [-1] + list(range(len(y)))
+        alpha = prefix_trie_forward(lattice, parents, [-1, *y])
+        nll, oracle = rnnt_forward(lattice, y)
+        assert np.array_equal(alpha, oracle)
+        assert -alpha[T, -1] == nll
+
+    @property_settings
+    @given(st.integers(1, 6), unions, st.integers(0, 2**16))
+    def test_paths_equal_rnnt_forward_bitwise(self, T, sequences, seed):
+        parents, labels, ends = build_prefix_trie(sequences)
+        rng = np.random.default_rng(seed)
+        columns = log_softmax(rng.normal(size=(T, len(parents), NUM_LABELS + 1)))
+        alpha = prefix_trie_forward(columns, parents, labels)
+        for seq, end in zip(sequences, ends):
+            path = path_nodes(parents, end)
+            nll, oracle = rnnt_forward(columns[:, path, :], list(seq))
+            assert np.array_equal(alpha[:, path], oracle)
+            assert -alpha[T, end] == nll
+
+    def test_rejects_malformed_tries(self):
+        columns = log_softmax(np.zeros((2, 3, 3)))
+        with pytest.raises(ContractViolation, match="root"):
+            prefix_trie_forward(columns, [0, 0, 1], [-1, 0, 1])
+        with pytest.raises(ContractViolation, match="precede"):
+            prefix_trie_forward(columns, [-1, 2, 0], [-1, 0, 1])
+        with pytest.raises(ContractViolation, match="depth order"):
+            prefix_trie_forward(log_softmax(np.zeros((2, 4, 3))), [-1, 0, 1, 0], [-1, 0, 1, 1])
+        with pytest.raises(DimensionError, match="out of range"):
+            prefix_trie_forward(columns, [-1, 0, 1], [-1, 0, 2])
+        with pytest.raises(DimensionError, match="one parent"):
+            prefix_trie_forward(columns, [-1, 0], [-1, 0])
+        with pytest.raises(DimensionError, match="T >= 1"):
+            prefix_trie_forward(np.zeros((0, 1, 3)), [-1], [-1])
+
+
+class TestPrefixTrieNlls:
+    @pytest.mark.parametrize("mode, branch_biases", JOINTS, ids=JOINT_IDS)
+    @property_settings
+    @given(st.integers(1, 6), unions, st.integers(0, 2**16))
+    def test_agrees_with_lattice_nll(self, mode, branch_biases, T, sequences, seed):
+        model = trie_model(seed, mode, branch_biases)
+        assert_agrees_with_lattice_nll(model, encoder_output(model, seed, T), sequences)
+
+    @pytest.mark.parametrize("mode, branch_biases", JOINTS, ids=JOINT_IDS)
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 5), st.lists(label_seqs.map(lambda s: s[:5]), min_size=1, max_size=4,
+                                        unique=True), st.integers(0, 2**16))
+    def test_agrees_with_enumeration(self, mode, branch_biases, T, sequences, seed):
+        model = trie_model(seed, mode, branch_biases)
+        H = encoder_output(model, seed, T)
+        for seq, nll in zip(sequences, model.prefix_trie_nlls(H, sequences)):
+            assert T + len(seq) <= ENUMERATION_CAP
+            oracle = brute_force_nll(model.logprob_lattice(H, list(seq)), list(seq))
+            assert abs(nll - oracle) <= 1e-10
+
+    @pytest.mark.parametrize("mode, branch_biases", JOINTS, ids=JOINT_IDS)
+    @pytest.mark.parametrize("T, sequences", [
+        (3, [()]),
+        (3, [(0, 1, 2)]),
+        (4, [(0, 1), (0, 1, 1, 2), (0,), ()]),
+        (1, [(2, 2, 0), (2,), (1,), ()]),
+    ], ids=["empty", "one-hypothesis", "prefixes", "T=1"])
+    def test_edge_cases(self, mode, branch_biases, T, sequences):
+        model = trie_model(7, mode, branch_biases)
+        assert_agrees_with_lattice_nll(model, encoder_output(model, 7, T), sequences)
+
+    def test_no_sequences(self):
+        model = trie_model(8, ADDITIVE, False)
+        assert model.prefix_trie_nlls(encoder_output(model, 8, 3), []).shape == (0,)
+
+    def test_out_of_vocabulary_label_rejected(self):
+        model = trie_model(9, ADDITIVE, False)
+        with pytest.raises(ContractViolation, match="outside vocabulary"):
+            model.prefix_trie_nlls(encoder_output(model, 9, 3), [(0, NUM_LABELS)])
