@@ -2,7 +2,13 @@
 character-level language models used for fusion.
 
 `lstm_forward` is the one LSTM recursion (a decoder step is a one-row call)
-and `lstm_backward` its BPTT. The prediction network (one layer) and both
+and `lstm_backward` its BPTT. The forward takes one tanh per step over the
+stacked gate pre-activations (sigmoid(x) = (1 + tanh(x / 2)) / 2) and keeps
+the per-row product W_x @ x + W_h @ h + b, so a T-row call equals T chained
+one-row calls bit for bit. It caches arrays over all steps; the backward
+forms the gate-local derivatives of every step at once, runs only the
+d_h/d_c recursion step by step, and builds each weight gradient as one
+product over the whole sequence. The prediction network (one layer) and both
 character LMs (N layers) are one label network, embedding + LSTM layers, with
 one forward `_label_forward` and one backward `_label_backward`; the LMs add
 only their output head.
@@ -16,21 +22,13 @@ matrix * mask for the whole pass, and gradients are chained through the mask.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation, DimensionError
 from .numerics import RandomStream, log_softmax, log_softmax_backward
-
-
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +76,33 @@ def zero_state(hidden: int) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(hidden), np.zeros(hidden)
 
 
+@functools.cache
+def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (scale, offset) over the stacked (i, f, g, o)
+    pre-activation: 0.5 and 0.5 on the sigmoid gates, 1 and 0 on the cell
+    candidate g, so that tanh(z * scale) * scale + offset is sigmoid on
+    i/f/o and tanh on g. Cached per width: decoder steps are one-row calls."""
+    scale = np.full(4 * hidden, 0.5)
+    scale[2 * hidden : 3 * hidden] = 1.0
+    offset = np.full(4 * hidden, 0.5)
+    offset[2 * hidden : 3 * hidden] = 0.0
+    scale.flags.writeable = False
+    offset.flags.writeable = False
+    return scale, offset
+
+
 @dataclass
 class LSTMSeqCache:
-    steps: list
+    """What lstm_backward needs from one lstm_forward call, as arrays over
+    the T steps: the inputs xs (T, D), hidden and cell states hs and cs
+    (T+1, H) with the start state in row 0, the gate activations (T, 4H) in
+    (i, f, g, o) order, and tanh of each new cell state tcs (T, H)."""
+
+    xs: np.ndarray
+    hs: np.ndarray
+    cs: np.ndarray
+    gates: np.ndarray
+    tcs: np.ndarray
     W_h_eff: np.ndarray
     hh_mask: np.ndarray | None
 
@@ -88,68 +110,87 @@ class LSTMSeqCache:
 def lstm_forward(xs: np.ndarray, params: LSTMParams, hh_mask=None, state=None):
     """Run the rows of xs (T, D) from `state` (zeros when None); returns
     (outputs (T, H), final (h, c), cache). hh_mask, when present, replaces
-    the hidden-to-hidden matrix by W_h * mask for the whole call."""
+    the hidden-to-hidden matrix by W_h * mask for the whole call.
+
+    The gates take one tanh per step over the stacked 4H pre-activation,
+    using sigmoid(x) = (1 + tanh(x / 2)) / 2; the halving is exact, and tanh
+    saturates to +-1 without overflow. The pre-activation is a per-row
+    product W_x @ x + W_h @ h + b on purpose: one (T, D) @ (D, 4H) product
+    for the whole input would round differently from one-row products, and
+    a T-row call must equal T chained one-row calls (decoder steps) bit for
+    bit.
+    """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != params.input_dim:
         raise DimensionError(f"LSTM expects rows of dim {params.input_dim}, got {xs.shape}")
     if hh_mask is not None and hh_mask.shape != params.W_h.shape:
         raise DimensionError("hh_mask shape must match the hidden-to-hidden matrix")
     W_h_eff = params.W_h if hh_mask is None else params.W_h * hh_mask
-    h_prev, c_prev = zero_state(params.hidden) if state is None else state
-    H = params.hidden
-    outs = np.zeros((xs.shape[0], H))
-    steps = []
-    for t, x in enumerate(xs):
-        z = params.W_x @ x + W_h_eff @ h_prev + params.b
-        i = _sigmoid(z[:H])
-        f = _sigmoid(z[H : 2 * H])
-        g = np.tanh(z[2 * H : 3 * H])
-        o = _sigmoid(z[3 * H :])
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        outs[t] = h
-        steps.append((x, h_prev, c_prev, i, f, g, o, tc))
-        h_prev, c_prev = h, c
-    return outs, (h_prev, c_prev), LSTMSeqCache(steps, W_h_eff, hh_mask)
+    T, H = xs.shape[0], params.hidden
+    scale, offset = _gate_affine(H)
+    hs = np.empty((T + 1, H))
+    cs = np.empty((T + 1, H))
+    gates = np.empty((T, 4 * H))
+    tcs = np.empty((T, H))
+    hs[0], cs[0] = (0.0, 0.0) if state is None else state
+    for t in range(T):
+        z = params.W_x @ xs[t] + W_h_eff @ hs[t] + params.b
+        act = gates[t]
+        np.tanh(z * scale, out=act)
+        act *= scale
+        act += offset
+        c = cs[t + 1]
+        np.multiply(act[H : 2 * H], cs[t], out=c)
+        c += act[:H] * act[2 * H : 3 * H]
+        np.tanh(c, out=tcs[t])
+        np.multiply(act[3 * H :], tcs[t], out=hs[t + 1])
+    cache = LSTMSeqCache(xs, hs, cs, gates, tcs, W_h_eff, hh_mask)
+    return hs[1:], (hs[T], cs[T]), cache
 
 
 def lstm_backward(d_outs: np.ndarray, cache: LSTMSeqCache, params: LSTMParams):
-    """BPTT through lstm_forward. Returns (d_xs, grads, d_h0, d_c0)."""
-    T = d_outs.shape[0]
-    H = params.hidden
-    d_xs = np.zeros((T, params.input_dim))
-    gW_x = np.zeros_like(params.W_x)
-    gW_h_eff = np.zeros_like(params.W_h)
-    gb = np.zeros_like(params.b)
+    """BPTT through lstm_forward. Returns (d_xs, grads, d_h0, d_c0).
+
+    The gate-local derivatives of all T steps are formed before the loop,
+    which then carries only d_h and d_c and writes the pre-activation
+    gradient dZ (T, 4H); every weight gradient is one product over dZ."""
+    T, H = cache.tcs.shape
+    i, f, g, o = cache.gates.reshape(T, 4, H).swapaxes(0, 1)
+    tc = cache.tcs
+    # dZ[t] = (d_c, d_c, d_c, d_h) * local[t], and d_c takes d_h * o * tanh'(c).
+    local = np.empty((T, 4, H))
+    local[:, 0] = g * i * (1.0 - i)
+    local[:, 1] = cache.cs[:-1] * f * (1.0 - f)
+    local[:, 2] = i * (1.0 - g * g)
+    local[:, 3] = tc * o * (1.0 - o)
+    o_dtanh = o * (1.0 - tc * tc)
+    dZ = np.empty((T, 4 * H))
+    dZ_gates = dZ.reshape(T, 4, H)
     d_h_next = np.zeros(H)
     d_c_next = np.zeros(H)
+    W_h_eff = cache.W_h_eff
     for t in range(T - 1, -1, -1):
-        x, h_prev, c_prev, i, f, g, o, tc = cache.steps[t]
         d_h = d_outs[t] + d_h_next
-        d_o = d_h * tc
-        d_c = d_h * o * (1.0 - tc**2) + d_c_next
-        d_c_next = d_c * f
-        d_z = np.concatenate(
-            [
-                d_c * g * i * (1.0 - i),
-                d_c * c_prev * f * (1.0 - f),
-                d_c * i * (1.0 - g**2),
-                d_o * o * (1.0 - o),
-            ]
-        )
-        gW_x += np.outer(d_z, x)
-        gW_h_eff += np.outer(d_z, h_prev)
-        gb += d_z
-        d_xs[t] = params.W_x.T @ d_z
-        d_h_next = cache.W_h_eff.T @ d_z
-    gW_h = gW_h_eff if cache.hh_mask is None else gW_h_eff * cache.hh_mask
-    grads = {"W_x": gW_x, "W_h": gW_h, "b": gb}
-    return d_xs, grads, d_h_next, d_c_next
+        d_c = d_h * o_dtanh[t] + d_c_next
+        np.multiply(local[t, :3], d_c, out=dZ_gates[t, :3])
+        np.multiply(local[t, 3], d_h, out=dZ_gates[t, 3])
+        d_c_next = d_c * f[t]
+        d_h_next = dZ[t] @ W_h_eff
+    gW_h = dZ.T @ cache.hs[:-1]
+    if cache.hh_mask is not None:
+        gW_h *= cache.hh_mask
+    grads = {"W_x": dZ.T @ cache.xs, "W_h": gW_h, "b": dZ.sum(axis=0)}
+    return dZ @ params.W_x, grads, d_h_next, d_c_next
 
 
 # ---------------------------------------------------------------------------
 # Frame stacking and auxiliary-vector append
+
+
+def _stack_sources(T: int, stacking: int, skip: int) -> np.ndarray:
+    """Source frame of each (output position, stacked slot): (T_out, stacking)."""
+    starts = np.arange(0, T, skip)[:, None]
+    return np.minimum(starts + np.arange(stacking), T - 1)
 
 
 def stack_and_skip(features: np.ndarray, stacking: int = 2, skip: int = 2) -> np.ndarray:
@@ -160,23 +201,16 @@ def stack_and_skip(features: np.ndarray, stacking: int = 2, skip: int = 2) -> np
     T, D = features.shape
     if stacking == 1 and skip == 1:
         return features.copy()
-    T_out = (T + skip - 1) // skip
-    out = np.zeros((T_out, stacking * D))
-    for j in range(T_out):
-        for r in range(stacking):
-            src = min(j * skip + r, T - 1)
-            out[j, r * D : (r + 1) * D] = features[src]
-    return out
+    src = _stack_sources(T, stacking, skip)
+    return features[src].reshape(src.shape[0], stacking * D)
 
 
 def stack_and_skip_backward(d_out: np.ndarray, T: int, D: int, stacking: int = 2, skip: int = 2):
     if stacking == 1 and skip == 1:
         return d_out.copy()
     d_features = np.zeros((T, D))
-    for j in range(d_out.shape[0]):
-        for r in range(stacking):
-            src = min(j * skip + r, T - 1)
-            d_features[src] += d_out[j, r * D : (r + 1) * D]
+    # add.at accumulates in index order: output position, then stacked slot.
+    np.add.at(d_features, _stack_sources(T, stacking, skip).ravel(), d_out.reshape(-1, D))
     return d_features
 
 
@@ -336,9 +370,9 @@ def encode_backward(
             d_x, gf, _, _ = lstm_backward(d_x, fcache, layer.fwd)
         for name, arr in gf.items():
             grads[f"layers.{i}.fwd.{name}"] = arr
-    d_stacked = d_x
+    # Rows past stacked_T belong to the zero lookahead frames, not to features.
     d_features = stack_and_skip_backward(
-        d_stacked, cache.raw_T, cache.raw_D, config.stacking, config.skip
+        d_x[: cache.stacked_T], cache.raw_T, cache.raw_D, config.stacking, config.skip
     )
     return grads, d_features
 

@@ -223,30 +223,42 @@ class TrainResult:
     metrics: list[EpochRecord]
 
 
-def batch_loss_and_grads(model: TransducerModel, items, masks=None):
-    """Mean NLL over (features, labels, aux) triples and the mean gradient,
-    accumulated in the given order."""
-    total_nll = 0.0
+def _mean_gradients(per_item_grads, n: int) -> dict[str, np.ndarray]:
+    """Sum the gradient dicts in the order given, then divide by n. Callers
+    pass a generator, so one item's gradients are alive at a time."""
     acc: dict[str, np.ndarray] = {}
-    for features, labels, aux in items:
-        try:
-            nll, grads = model.loss_and_grads(features, labels, aux=aux, masks=masks)
-        except ContractViolation as exc:
-            # NaNs inside the forward pass trip the numeric contracts;
-            # from the trainer's view that is a divergence.
-            raise TrainingDiverged(f"loss computation failed: {exc}") from exc
-        if not np.isfinite(nll):
-            raise TrainingDiverged(f"non-finite loss {nll}")
-        total_nll += nll
+    for grads in per_item_grads:
         for name, g in grads.items():
             if name in acc:
                 acc[name] += g
             else:
                 acc[name] = g.copy()
-    n = len(items)
     for g in acc.values():
         g /= n
-    return total_nll / n, acc
+    return acc
+
+
+def batch_loss_and_grads(model: TransducerModel, items, masks=None):
+    """Mean NLL over (features, labels, aux) triples and the mean gradient,
+    accumulated in the given order."""
+    total_nll = 0.0
+
+    def utterance_grads():
+        nonlocal total_nll
+        for features, labels, aux in items:
+            try:
+                nll, grads = model.loss_and_grads(features, labels, aux=aux, masks=masks)
+            except ContractViolation as exc:
+                # NaNs inside the forward pass trip the numeric contracts;
+                # from the trainer's view that is a divergence.
+                raise TrainingDiverged(f"loss computation failed: {exc}") from exc
+            if not np.isfinite(nll):
+                raise TrainingDiverged(f"non-finite loss {nll}")
+            total_nll += nll
+            yield grads
+
+    acc = _mean_gradients(utterance_grads(), len(items))
+    return total_nll / len(items), acc
 
 
 def dev_wer(model: TransducerModel, dev: Dataset, alphabet, max_symbols=None) -> float:
@@ -386,27 +398,25 @@ def train_char_lm(
     state = init_optimizer(params, optimizer)
     history = []
     n = len(sequences)
+
+    def sequence_grads(batch):
+        nonlocal total_nll, total_symbols
+        for idx in batch:
+            seq = sequences[int(idx)]
+            nll, grads = lm_loss_and_grads(seq, lm_params)
+            if not np.isfinite(nll):
+                raise TrainingDiverged(f"non-finite LM loss on sequence {int(idx)}")
+            total_nll += nll
+            total_symbols += len(seq) + 1
+            yield grads
+
     for epoch in range(epochs):
         order = rng.child(1, epoch).permutation(n)
         total_nll = 0.0
         total_symbols = 0
         for b_start in range(0, n, batch_size):
             batch = order[b_start : b_start + batch_size]
-            acc: dict[str, np.ndarray] = {}
-            for idx in batch:
-                seq = sequences[int(idx)]
-                nll, grads = lm_loss_and_grads(seq, lm_params)
-                if not np.isfinite(nll):
-                    raise TrainingDiverged(f"non-finite LM loss on sequence {int(idx)}")
-                total_nll += nll
-                total_symbols += len(seq) + 1
-                for name, g in grads.items():
-                    if name in acc:
-                        acc[name] += g
-                    else:
-                        acc[name] = g.copy()
-            for g in acc.values():
-                g /= len(batch)
+            acc = _mean_gradients(sequence_grads(batch), len(batch))
             clip_gradients(acc, optimizer.clip_norm)
             optimizer_step(params, acc, state, lr)
         history.append(total_nll / max(1, total_symbols))
