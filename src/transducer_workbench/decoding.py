@@ -19,15 +19,17 @@ only if it survives pruning. The frame-index convention mirrors the
 lattice module: blanks read frame t, labels read frame min(t, T-1), and a
 hypothesis is complete once it has consumed all T frames, after which it
 may still extend by labels.
+
+The search holds its beam as parallel arrays and scores, merges and prunes
+all candidates of a step as one (beam, K+1) array; it builds `Hypothesis`
+objects only for what it returns (see `alsd_beam`).
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,11 +48,7 @@ class Hypothesis:
     `score` is the pruning/ranking total: the transducer log-probability
     plus, when fusion is active, the weighted LM terms and length reward
     accumulated per emitted symbol. `alignment_length` counts consumed
-    alignment symbols (blanks + labels).
-
-    In `alsd_beam`, `pred_state` is None until the hypothesis survives
-    pruning and is about to be extended; a returned hypothesis, or the
-    `best_partial` of a `DecodeError`, may therefore carry None."""
+    alignment symbols (blanks + labels)."""
 
     labels: tuple[int, ...]
     t_progress: int
@@ -58,8 +56,6 @@ class Hypothesis:
     transducer: float
     source_lm: float = 0.0
     external_lm: float = 0.0
-    pred_state: Any = None
-    fusion_state: Any = None
 
     @property
     def alignment_length(self) -> int:
@@ -127,36 +123,6 @@ def greedy_decode(model, features, max_symbols: int | None = None, aux=None) -> 
     return GreedyResult(tuple(labels))
 
 
-def _rank_key(hyp: Hypothesis):
-    return (-hyp.score, hyp.labels)
-
-
-def _fused_score(hyp_trans, src, ext, n_labels, fusion) -> float:
-    if fusion is None:
-        return hyp_trans
-    return density_ratio_score((hyp_trans, src, ext, n_labels), fusion.weights)
-
-
-def _merge(pool: dict, hyp: Hypothesis, merge: str, fusion) -> None:
-    old = pool.get(hyp.labels)
-    if old is None:
-        pool[hyp.labels] = hyp
-        return
-    if merge == "max":
-        if hyp.transducer <= old.transducer:
-            return
-        trans = hyp.transducer
-    else:
-        trans = log_add(old.transducer, hyp.transducer)
-    # Same labels means identical LM components and states; only the
-    # transducer mass differs between the merged paths.
-    pool[hyp.labels] = replace(
-        old,
-        transducer=trans,
-        score=_fused_score(trans, old.source_lm, old.external_lm, len(old.labels), fusion),
-    )
-
-
 def alsd_beam(
     model,
     features,
@@ -178,6 +144,20 @@ def alsd_beam(
     model end-of-sequence increments applied, and may keep growing by
     trailing labels up to the expansion cap.
 
+    The beam is held as parallel arrays (labels, t, transducer and LM
+    components). Each step stacks the B joint rows into a (B, K+1) array
+    and scores every candidate at once as transducer[:, None] + log-probs.
+    Live label sequences are distinct, so a candidate's label sequence L
+    can arise at most twice in one step: as the blank extension of live L
+    and as the label extension of live L[:-1] by L[-1]. Those pairs are
+    merged in place; log_add and max are symmetric, so the result does not
+    depend on their order. The beam is the `beam_width` best candidates by
+    (-score, labels): `np.partition` finds the beam_width-th score, and
+    only the candidates at or above it are sorted, so ties stay exact.
+    Only the `n_best` best completed hypotheses are kept, which is exact
+    both for the result and for the early stop below. `Hypothesis` objects
+    are built only for the result and for `DecodeError.best_partial`.
+
     Every extension is scored from its parent's prediction state; only the
     hypotheses that survive pruning get a state of their own, shared by
     label prefix. Without fusion, the search stops as soon as no live
@@ -196,102 +176,146 @@ def alsd_beam(
     if expansion_cap < T:
         raise ContractViolation("expansion_cap must be at least T")
 
+    K = model.num_labels + 1
+    is_blank = np.arange(K) == BLANK_ID
     states = {(): model.init_decode_state()}
-    live = [
-        Hypothesis(
-            labels=(),
-            t_progress=0,
-            score=0.0,
-            transducer=0.0,
-            pred_state=states[()],
-            fusion_state=fusion.init_state() if fusion is not None else None,
-        )
-    ]
-    completed: dict[tuple[int, ...], Hypothesis] = {}
-    num_labels = model.num_labels
+    # The beam, ranked by (-score, labels); src, ext and fstates change only
+    # under fusion.
+    labels: list[tuple[int, ...]] = [()]
+    t = np.zeros(1, dtype=np.int64)
+    trans = np.zeros(1)
+    src = np.zeros(1)
+    ext = np.zeros(1)
+    beam_scores = [0.0]
+    fstates = [fusion.init_state()] if fusion is not None else None
+    completed: list[tuple] = []  # the n_best best (-score, labels, trans, src, ext), ranked
 
     for step in range(1, expansion_cap + 1):
-        if debug_invariants and live:
-            lengths = {hyp.alignment_length for hyp in live}
-            assert len(lengths) == 1 and lengths == {step - 1}, (
+        B = len(labels)
+        ts = t.tolist()
+        if debug_invariants:
+            lengths = {ti + len(li) for ti, li in zip(ts, labels)}
+            assert lengths == {step - 1}, (
                 f"alignment lengths diverged at step {step}: {sorted(lengths)}"
             )
-        expansions: dict[tuple[int, ...], Hypothesis] = {}
-        for hyp in live:
-            if hyp.pred_state is None:
-                hyp = replace(hyp, pred_state=_prefix_state(model, states, hyp.labels))
-            frame = min(hyp.t_progress, T - 1)
-            logp = model.joint_log_probs(H[frame], hyp.pred_state)
-            if hyp.t_progress < T:
-                trans = hyp.transducer + float(logp[BLANK_ID])
-                _merge(
-                    expansions,
-                    replace(
-                        hyp,
-                        t_progress=hyp.t_progress + 1,
-                        transducer=trans,
-                        score=_fused_score(
-                            trans, hyp.source_lm, hyp.external_lm, len(hyp.labels), fusion
-                        ),
-                    ),
-                    merge,
-                    fusion,
+        logp = np.empty((B, K))
+        for i, prefix in enumerate(labels):
+            state = _prefix_state(model, states, prefix)
+            logp[i] = model.joint_log_probs(H[min(ts[i], T - 1)], state)
+        cand = trans[:, None] + logp
+        cand_t = t[:, None] + is_blank
+        valid = cand_t <= T  # a complete hypothesis has no blank extension
+        index = {prefix: i for i, prefix in enumerate(labels)}
+        for i, prefix in enumerate(labels):
+            j = index.get(prefix[:-1]) if prefix and ts[i] < T else None
+            if j is not None:
+                k = prefix[-1] + 1
+                a, b = cand[i, BLANK_ID], cand[j, k]
+                cand[i, BLANK_ID] = max(a, b) if merge == "max" else log_add(a, b)
+                valid[j, k] = False
+
+        def labels_of(c):
+            i, k = divmod(c, K)
+            return labels[i] if k == BLANK_ID else labels[i] + (k - 1,)
+
+        if fusion is None:
+            score = cand
+        else:
+            src_c, ext_c, next_fstates = _lm_extensions(fusion, fstates, src, ext, K)
+            n_labels = np.array([len(prefix) for prefix in labels])[:, None] + ~is_blank
+            score = density_ratio_score((cand, src_c, ext_c, n_labels), fusion.weights)
+
+            def fstate_of(c):
+                return fstates[c // K] if c % K == BLANK_ID else next_fstates[c]
+
+        done = np.flatnonzero(valid & (cand_t == T))
+        if len(done):
+            if fusion is None:
+                final = score.ravel()[done]
+                f_src = f_ext = np.zeros(len(done))
+            else:
+                ends = np.array([fusion.end_increments(fstate_of(c)) for c in done.tolist()])
+                f_src = src_c.ravel()[done] + ends[:, 0]
+                f_ext = ext_c.ravel()[done] + ends[:, 1]
+                final = density_ratio_score(
+                    (cand.ravel()[done], f_src, f_ext, n_labels.ravel()[done]), fusion.weights
                 )
-            for k in range(1, num_labels + 1):
-                label = k - 1
-                trans = hyp.transducer + float(logp[k])
-                src, ext, fstate = hyp.source_lm, hyp.external_lm, hyp.fusion_state
-                if fusion is not None:
-                    src_inc, ext_inc, fstate = fusion.extend(hyp.fusion_state, label)
-                    src += src_inc
-                    ext += ext_inc
-                _merge(
-                    expansions,
-                    Hypothesis(
-                        labels=hyp.labels + (label,),
-                        t_progress=hyp.t_progress,
-                        transducer=trans,
-                        source_lm=src,
-                        external_lm=ext,
-                        score=_fused_score(trans, src, ext, len(hyp.labels) + 1, fusion),
-                        fusion_state=fstate,
-                    ),
-                    merge,
-                    fusion,
-                )
-        for hyp in expansions.values():
-            if hyp.t_progress == T:
-                completed[hyp.labels] = _finalize(hyp, fusion)
-        live = sorted(expansions.values(), key=_rank_key)[:beam_width]
-        if not live:
+            floor = -completed[-1][0] if len(completed) == n_best else -np.inf
+            kept = _best(final, n_best, lambda e: labels_of(int(done[e])), floor)
+            completed = sorted(completed + [
+                (-float(final[e]), key, float(cand.flat[done[e]]), float(f_src[e]), float(f_ext[e]))
+                for e, key in kept
+            ])[:n_best]
+
+        flat = np.flatnonzero(valid)
+        best = _best(score.ravel()[flat], beam_width, lambda e: labels_of(int(flat[e])))
+        if not best:
+            labels = []
             break
+        chosen = flat[[e for e, _ in best]]
+        labels = [key for _, key in best]
+        t = cand_t.ravel()[chosen]
+        trans = cand.ravel()[chosen]
+        beam_scores = score.ravel()[chosen].tolist()
+        if fusion is not None:
+            src = src_c.ravel()[chosen]
+            ext = ext_c.ravel()[chosen]
+            fstates = [fstate_of(c) for c in chosen.tolist()]
         # Exact early stop. Once every live hypothesis is complete, all share
         # one t and one label count with distinct labels, so no later merge
         # can add mass, and each extension adds a log-probability <= 0: no
-        # descendant can beat live[0]. Later completions have more labels
-        # than any held now, so they never replace one. Strict `<` keeps
-        # the (-score, labels) tie-break exact. LM increments may be
+        # descendant can beat the best live one. Later completions have more
+        # labels than any held now, so they never replace one. Strict `<`
+        # keeps the (-score, labels) tie-break exact. LM increments may be
         # positive, so the stop needs fusion off.
         if (
             fusion is None
-            and len(completed) >= n_best
-            and all(hyp.t_progress == T for hyp in live)
-            and live[0].score < _nth_best(completed, n_best).score
+            and len(completed) == n_best
+            and (t == T).all()
+            and beam_scores[0] < -completed[-1][0]
         ):
             break
 
     if not completed:
-        best_partial = live[0] if live else None
+        best_partial = None
+        if labels:
+            best_partial = Hypothesis(labels[0], int(t[0]), beam_scores[0], float(trans[0]),
+                                      float(src[0]), float(ext[0]))
         raise DecodeError(
             f"no completed hypothesis within expansion cap {expansion_cap}",
             best_partial=best_partial,
         )
-    ranked = sorted(completed.values(), key=_rank_key)
-    return NBestList(ranked[:n_best])
+    return NBestList([
+        Hypothesis(key, T, -neg_score, c_trans, c_src, c_ext)
+        for neg_score, key, c_trans, c_src, c_ext in completed
+    ])
 
 
-def _nth_best(completed: dict, n: int) -> Hypothesis:
-    return heapq.nsmallest(n, completed.values(), key=_rank_key)[-1]
+def _best(scores: np.ndarray, n: int, labels_of, floor: float = -np.inf) -> list:
+    """The n best entries of `scores` at or above `floor`, by (-score,
+    labels), as (index, labels) pairs in rank order. `np.partition` finds
+    the n-th best score, and only the entries at or above it are sorted."""
+    pick = scores >= floor
+    if len(scores) > n:
+        kth = np.partition(scores, len(scores) - n)[len(scores) - n]
+        pick &= scores >= kth
+    idx = np.flatnonzero(pick).tolist()
+    ranked = sorted(zip((-scores[idx]).tolist(), map(labels_of, idx), idx))
+    return [(e, key) for _, key, e in ranked[:n]]
+
+
+def _lm_extensions(fusion, fstates, src, ext, K):
+    """The LM components of every candidate, shape (B, K), and the LM
+    states of the label extensions by flat candidate index."""
+    src_c = np.repeat(src[:, None], K, axis=1)
+    ext_c = np.repeat(ext[:, None], K, axis=1)
+    next_fstates = {}
+    for i, fstate in enumerate(fstates):
+        for k in range(1, K):
+            src_inc, ext_inc, next_fstates[i * K + k] = fusion.extend(fstate, k - 1)
+            src_c[i, k] = src[i] + src_inc
+            ext_c[i, k] = ext[i] + ext_inc
+    return src_c, ext_c, next_fstates
 
 
 def _prefix_state(model, states: dict, labels: tuple[int, ...]):
@@ -301,22 +325,6 @@ def _prefix_state(model, states: dict, labels: tuple[int, ...]):
     if labels not in states:
         states[labels] = model.extend_decode_state(states[labels[:-1]], labels[-1])
     return states[labels]
-
-
-def _finalize(hyp: Hypothesis, fusion) -> Hypothesis:
-    """Apply LM end-of-sequence increments so completed-hypothesis scores
-    equal full-sequence rescoring."""
-    if fusion is None:
-        return hyp
-    src_end, ext_end = fusion.end_increments(hyp.fusion_state)
-    src = hyp.source_lm + src_end
-    ext = hyp.external_lm + ext_end
-    return replace(
-        hyp,
-        source_lm=src,
-        external_lm=ext,
-        score=_fused_score(hyp.transducer, src, ext, len(hyp.labels), fusion),
-    )
 
 
 @dataclass(frozen=True)

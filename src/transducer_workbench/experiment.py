@@ -10,7 +10,8 @@ Artifacts per run directory:
     transcripts_{split}.tsv        references per split
     external_text.tsv              extra LM training text
     model_{mode}.npz               transducer checkpoints
-    metrics_{mode}.jsonl           one record per training epoch
+    metrics_{mode}.jsonl           one record per training epoch, with
+                                   gradient-norm telemetry
     lm_source.npz / lm_external.npz
     nbest_{mode}_{split}.tsv       decoder output with LM components filled
     combination_{split}.tsv        cross-scored union of the modes' n-bests
@@ -638,16 +639,20 @@ def decode_dataset(model, dataset: Dataset, config: dict) -> list:
 def attach_lm_components(records, source_lm, external_lm):
     """The n-best file rows of decoder records: each hypothesis with its
     alignment length, transducer score and full-sequence LM scores. An LM
-    given as None scores 0.0."""
+    given as None scores 0.0. Each distinct label sequence is scored once
+    per LM, and each LM keeps one prefix-state dict for the call, so a
+    prefix shared by many hypotheses runs through the label network once.
+    Scoring happens inside the one pass over `records`."""
     out = []
     cache: dict[tuple, tuple] = {}
+    lms = [(lm, {}) for lm in (source_lm, external_lm)]
     for utt_id, hyps in records:
         rows = []
         for hyp in hyps:
             if hyp.labels not in cache:
                 cache[hyp.labels] = tuple(
-                    lm_score(hyp.labels, lm)[0] if lm is not None else 0.0
-                    for lm in (source_lm, external_lm)
+                    lm_score(hyp.labels, lm, prefixes)[0] if lm is not None else 0.0
+                    for lm, prefixes in lms
                 )
             src, ext = cache[hyp.labels]
             rows.append(NBestRecord(hyp.labels, hyp.alignment_length, hyp.transducer, src, ext))
@@ -864,7 +869,7 @@ def run_experiment(config: dict, run_dir) -> ExperimentReport:
                 config, run_dir, rng.child(200 + i), datasets, alphabet, mode
             )
             models[mode] = model
-            report.epochs[mode] = [r.to_dict() for r in result.metrics]
+            report.epochs[mode] = [r.report_dict() for r in result.metrics]
 
         stage = "train_lms"
         source_lm, external_lm = stage_train_lms(

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import itertools
 import logging
+import os
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -435,14 +437,27 @@ class NBestRecord:
 def write_nbest(path, records, alphabet):
     """records: iterable of (utt_id, rows), one line per row. A row is any
     object with the fields of `NBestRecord` (a `ScoredCandidate` qualifies);
-    the transducer_b column is written when the row carries one."""
-    with open(path, "w", encoding="utf-8") as f:
-        for utt_id, rows in records:
-            for row in rows:
-                scores = (row.transducer_a, row.transducer_b, row.source_lm, row.external_lm)
-                cols = [utt_id, alphabet.to_text(row.labels), str(row.length)]
-                cols += [f"{x:.17g}" for x in scores if x is not None]
-                f.write("\t".join(cols) + "\n")
+    the transducer_b column is written when the row carries one.
+
+    The rows go to a temporary file in the same directory, which replaces
+    `path` only once every row is written: `read_nbest` accepts a file cut
+    at a line boundary, so a killed or failed write must never leave one
+    at `path`. On an error the temporary file is removed and `path` keeps
+    its previous content."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            for utt_id, rows in records:
+                for row in rows:
+                    scores = (row.transducer_a, row.transducer_b, row.source_lm, row.external_lm)
+                    cols = [utt_id, alphabet.to_text(row.labels), str(row.length)]
+                    cols += [f"{x:.17g}" for x in scores if x is not None]
+                    f.write("\t".join(cols) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_nbest(path, alphabet) -> dict[str, list[NBestRecord]]:

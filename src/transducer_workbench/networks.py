@@ -557,16 +557,41 @@ def _lm_forward(inputs, params: CharLMParams):
     return hs, log_softmax(hs @ params.W_out.T + params.b_out), caches
 
 
-def lm_score(sequence, params: CharLMParams):
+def lm_score(sequence, params: CharLMParams, prefixes: dict | None = None):
     """Total log-probability of a label sequence including the end marker,
-    plus the per-symbol increments (length |sequence|+1)."""
+    plus the per-symbol increments (length |sequence|+1).
+
+    `prefixes` maps a label prefix to the per-layer LSTM state after it and
+    the top-layer row that predicts its next symbol; the empty prefix
+    stands for the begin marker. The label network runs only the suffix
+    after the longest prefix found there, as one call from that prefix's
+    state, and every prefix it passes is added. A T-row call equals T
+    chained one-row calls bit for bit, so the result does not depend on
+    what the dict holds. A caller that scores many sequences of one LM
+    passes one dict to all of them; without one, a fresh dict is used."""
     for lab in sequence:
         if not 0 <= lab < params.num_labels:
             raise ContractViolation(f"symbol {lab} outside LM vocabulary")
-    inputs = [params.bos] + list(sequence)
-    targets = list(sequence) + [params.eos]
-    _, logprobs, _ = _lm_forward(inputs, params)
-    increments = logprobs[np.arange(len(targets)), targets]
+    if prefixes is None:
+        prefixes = {}
+    sequence = tuple(sequence)
+    n = len(sequence)
+    start = n
+    while start >= 0 and sequence[:start] not in prefixes:
+        start -= 1
+    if start < n:
+        if start < 0:
+            inputs, states = (params.bos, *sequence), None
+        else:
+            inputs, states = sequence[start:], prefixes[sequence[:start]][0]
+        rows, _, caches = _label_forward(inputs, params.embedding, params.layers, states)
+        first = n + 1 - len(inputs)
+        for j in range(len(inputs)):
+            layer_states = tuple((cache.hs[j + 1], cache.cs[j + 1]) for cache in caches)
+            prefixes[sequence[: first + j]] = (layer_states, rows[j])
+    rows = np.stack([prefixes[sequence[:u]][1] for u in range(n + 1)])
+    logprobs = log_softmax(rows @ params.W_out.T + params.b_out)
+    increments = logprobs[np.arange(n + 1), sequence + (params.eos,)]
     return float(increments.sum()), increments
 
 

@@ -10,7 +10,7 @@ by (epoch, batch, utterance), and gradients accumulate in a fixed order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -201,20 +201,30 @@ class TrainingRecipe:
 
 @dataclass
 class EpochRecord:
+    """One epoch's figures. The gradient telemetry is the mean and max of
+    the steps' pre-clip global gradient norms and the fraction of steps
+    whose gradients were clipped."""
+
     epoch: int
     lr: float
     train_nll: float
     train_nll_per_label: float
     dev_wer: float | None
+    grad_norm_mean: float
+    grad_norm_max: float
+    clip_rate: float
 
     def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "lr": self.lr,
-            "train_nll": self.train_nll,
-            "train_nll_per_label": self.train_nll_per_label,
-            "dev_wer": self.dev_wer,
-        }
+        """Every field: one line of metrics_{mode}.jsonl."""
+        return asdict(self)
+
+    def report_dict(self) -> dict:
+        """The fields report.json carries. The gradient telemetry stays in
+        metrics_{mode}.jsonl, as `verify` cannot recompute it."""
+        return {k: v for k, v in self.to_dict().items() if k not in _TELEMETRY_FIELDS}
+
+
+_TELEMETRY_FIELDS = ("grad_norm_mean", "grad_norm_max", "clip_rate")
 
 
 @dataclass
@@ -307,6 +317,8 @@ def train(
         epoch_nll = 0.0
         epoch_labels = 0
         epoch_utts = 0
+        grad_norms = []
+        clipped = 0
         for b_start in range(0, n, recipe.batch_size):
             batch_idx = order[b_start : b_start + recipe.batch_size]
             lr = lr_at(recipe.schedule, global_step / steps_per_epoch)
@@ -335,7 +347,9 @@ def train(
                     f"utterances {[utterances[int(i)].utt_id for i in batch_idx]}: {exc}",
                     last_good_checkpoint=last_good,
                 ) from exc
-            clip_gradients(grads, recipe.optimizer.clip_norm)
+            clip_norm = recipe.optimizer.clip_norm
+            grad_norms.append(clip_gradients(grads, clip_norm))
+            clipped += grad_norms[-1] > clip_norm > 0
             try:
                 optimizer_step(params, grads, opt_state, lr)
             except TrainingDiverged as exc:
@@ -354,6 +368,9 @@ def train(
                 if dev_set is not None and alphabet is not None
                 else None
             ),
+            grad_norm_mean=sum(grad_norms) / len(grad_norms),
+            grad_norm_max=max(grad_norms),
+            clip_rate=clipped / len(grad_norms),
         )
         metrics.append(record)
         last_good = {k: v.copy() for k, v in params.items()}

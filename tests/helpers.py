@@ -1,11 +1,18 @@
 """Shared test fixtures: a history-independent lattice-backed model and an
-independent path-mass oracle for it, and loop references for the vectorised
-network kernels (frame stacking, the LSTM forward and its BPTT)."""
+independent path-mass oracle for it, loop references for the vectorised
+network kernels (frame stacking, the LSTM forward and its BPTT), and the
+object-per-candidate ALSD loop that the array beam of `alsd_beam` replaced."""
+
+import heapq
+from dataclasses import dataclass, replace
+from typing import Any
 
 import numpy as np
 
+from transducer_workbench.errors import ContractViolation, DecodeError
+from transducer_workbench.fusion import density_ratio_score
 from transducer_workbench.lattice import BLANK_ID
-from transducer_workbench.numerics import NEG_INF, log_softmax, log_sum_exp
+from transducer_workbench.numerics import NEG_INF, log_add, log_softmax, log_sum_exp
 
 
 class FixedLatticeModel:
@@ -175,3 +182,187 @@ def lstm_backward_reference(d_outs, steps, params, hh_mask=None):
     if hh_mask is not None:
         gW_h = gW_h * hh_mask
     return d_xs, {"W_x": gW_x, "W_h": gW_h, "b": gb}, d_h_next, d_c_next
+
+
+# ---------------------------------------------------------------------------
+# ALSD with one frozen object per candidate: the reference for the array beam
+
+
+@dataclass(frozen=True)
+class ReferenceHypothesis:
+    labels: tuple[int, ...]
+    t_progress: int
+    score: float
+    transducer: float
+    source_lm: float = 0.0
+    external_lm: float = 0.0
+    pred_state: Any = None
+    fusion_state: Any = None
+
+    @property
+    def alignment_length(self) -> int:
+        return self.t_progress + len(self.labels)
+
+
+def _rank_key(hyp):
+    return (-hyp.score, hyp.labels)
+
+
+def _fused_score(hyp_trans, src, ext, n_labels, fusion) -> float:
+    if fusion is None:
+        return hyp_trans
+    return density_ratio_score((hyp_trans, src, ext, n_labels), fusion.weights)
+
+
+def _merge(pool: dict, hyp, merge: str, fusion) -> None:
+    old = pool.get(hyp.labels)
+    if old is None:
+        pool[hyp.labels] = hyp
+        return
+    if merge == "max":
+        if hyp.transducer <= old.transducer:
+            return
+        trans = hyp.transducer
+    else:
+        trans = log_add(old.transducer, hyp.transducer)
+    pool[hyp.labels] = replace(
+        old,
+        transducer=trans,
+        score=_fused_score(trans, old.source_lm, old.external_lm, len(old.labels), fusion),
+    )
+
+
+def _prefix_state(model, states: dict, labels):
+    if labels not in states:
+        states[labels] = model.extend_decode_state(states[labels[:-1]], labels[-1])
+    return states[labels]
+
+
+def _finalize(hyp, fusion):
+    if fusion is None:
+        return hyp
+    src_end, ext_end = fusion.end_increments(hyp.fusion_state)
+    src = hyp.source_lm + src_end
+    ext = hyp.external_lm + ext_end
+    return replace(
+        hyp,
+        source_lm=src,
+        external_lm=ext,
+        score=_fused_score(hyp.transducer, src, ext, len(hyp.labels), fusion),
+    )
+
+
+def _nth_best(completed: dict, n: int):
+    return heapq.nsmallest(n, completed.values(), key=_rank_key)[-1]
+
+
+def alsd_beam_reference(
+    model,
+    features,
+    beam_width: int,
+    n_best: int = 1,
+    expansion_cap: int | None = None,
+    fusion=None,
+    merge: str = "logsumexp",
+    debug_invariants: bool = False,
+    aux=None,
+) -> list:
+    """ALSD as one frozen hypothesis per candidate, merged through a dict
+    and ranked by sorting the whole pool each step. Returns the ranked
+    n-best list; raises DecodeError with the best live hypothesis."""
+    if beam_width < 1:
+        raise ContractViolation("beam_width must be >= 1")
+    if n_best < 1:
+        raise ContractViolation("n_best must be >= 1")
+    if merge not in ("logsumexp", "max"):
+        raise ContractViolation(f"unknown merge mode {merge!r}")
+    H = model.encode_features(features, aux)
+    T = H.shape[0]
+    if expansion_cap is None:
+        expansion_cap = 3 * T
+    if expansion_cap < T:
+        raise ContractViolation("expansion_cap must be at least T")
+
+    states = {(): model.init_decode_state()}
+    live = [
+        ReferenceHypothesis(
+            labels=(),
+            t_progress=0,
+            score=0.0,
+            transducer=0.0,
+            pred_state=states[()],
+            fusion_state=fusion.init_state() if fusion is not None else None,
+        )
+    ]
+    completed: dict = {}
+    num_labels = model.num_labels
+
+    for step in range(1, expansion_cap + 1):
+        if debug_invariants and live:
+            lengths = {hyp.alignment_length for hyp in live}
+            assert len(lengths) == 1 and lengths == {step - 1}
+        expansions: dict = {}
+        for hyp in live:
+            if hyp.pred_state is None:
+                hyp = replace(hyp, pred_state=_prefix_state(model, states, hyp.labels))
+            frame = min(hyp.t_progress, T - 1)
+            logp = model.joint_log_probs(H[frame], hyp.pred_state)
+            if hyp.t_progress < T:
+                trans = hyp.transducer + float(logp[BLANK_ID])
+                _merge(
+                    expansions,
+                    replace(
+                        hyp,
+                        t_progress=hyp.t_progress + 1,
+                        transducer=trans,
+                        score=_fused_score(
+                            trans, hyp.source_lm, hyp.external_lm, len(hyp.labels), fusion
+                        ),
+                    ),
+                    merge,
+                    fusion,
+                )
+            for k in range(1, num_labels + 1):
+                label = k - 1
+                trans = hyp.transducer + float(logp[k])
+                src, ext, fstate = hyp.source_lm, hyp.external_lm, hyp.fusion_state
+                if fusion is not None:
+                    src_inc, ext_inc, fstate = fusion.extend(hyp.fusion_state, label)
+                    src += src_inc
+                    ext += ext_inc
+                _merge(
+                    expansions,
+                    ReferenceHypothesis(
+                        labels=hyp.labels + (label,),
+                        t_progress=hyp.t_progress,
+                        transducer=trans,
+                        source_lm=src,
+                        external_lm=ext,
+                        score=_fused_score(trans, src, ext, len(hyp.labels) + 1, fusion),
+                        fusion_state=fstate,
+                    ),
+                    merge,
+                    fusion,
+                )
+        for hyp in expansions.values():
+            if hyp.t_progress == T:
+                completed[hyp.labels] = _finalize(hyp, fusion)
+        live = sorted(expansions.values(), key=_rank_key)[:beam_width]
+        if not live:
+            break
+        if (
+            fusion is None
+            and len(completed) >= n_best
+            and all(hyp.t_progress == T for hyp in live)
+            and live[0].score < _nth_best(completed, n_best).score
+        ):
+            break
+
+    if not completed:
+        best_partial = live[0] if live else None
+        raise DecodeError(
+            f"no completed hypothesis within expansion cap {expansion_cap}",
+            best_partial=best_partial,
+        )
+    ranked = sorted(completed.values(), key=_rank_key)
+    return ranked[:n_best]

@@ -13,7 +13,10 @@ from pathlib import Path
 import pytest
 
 from transducer_workbench import experiment, fusion, lattice, model, networks, scoring, training
+from transducer_workbench.decoding import Hypothesis
 from transducer_workbench.model import TransducerModel
+from transducer_workbench.networks import CharLMConfig, init_char_lm_params
+from transducer_workbench.numerics import RandomStream
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 PATCHED_MODULES = (experiment, fusion, model, networks, scoring, training)
@@ -74,3 +77,38 @@ def test_decoder_proxy_methods_exist(tracing):
 def test_traced_notes_read_existing_parameters(function, parameters):
     # The tracer's span notes read these arguments by name.
     assert set(parameters) <= set(inspect.signature(function).parameters)
+
+
+class _CountedRecords(list):
+    """Decoder records that count how often they are iterated, like the
+    benchmark's per-utterance LM latency hook, which times each loop body."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_attach_lm_components_scores_inside_one_pass(monkeypatch):
+    # The decode workload's latency of an utterance includes its LM scoring
+    # only if scoring happens inside the single pass over the records.
+    lms = [init_char_lm_params(3, CharLMConfig(layers=1, cells=4, embed_dim=2), RandomStream(s))
+           for s in (1, 2)]
+    seqs = [(), (0,), (0, 1), (0, 1, 2), (2,), (0, 1)]
+    records = _CountedRecords(
+        (f"u{i}", [Hypothesis(seqs[j], 3, -1.0, -1.0) for j in (i, (i + 1) % len(seqs))])
+        for i in range(len(seqs))
+    )
+    calls = []
+    original = experiment.lm_score
+
+    def counted(sequence, params, *args):
+        calls.append((tuple(sequence), id(params)))
+        return original(sequence, params, *args)
+
+    monkeypatch.setattr(experiment, "lm_score", counted)
+    rows = experiment.attach_lm_components(records, *lms)
+    assert records.iterations == 1
+    assert sorted(calls) == sorted({(seq, id(lm)) for seq in seqs for lm in lms})
+    assert [utt_id for utt_id, _ in rows] == [utt_id for utt_id, _ in records]

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     FixedLatticeModel,
+    alsd_beam_reference,
     blank_dominant_model,
     random_fixed_model,
     total_mass_over_lengths,
@@ -25,17 +28,22 @@ from transducer_workbench.errors import (
 )
 from transducer_workbench.fusion import FusionScorer, FusionWeights
 from transducer_workbench.model import ModelConfig, init_model
-from transducer_workbench.networks import EncoderConfig, PredictionConfig
-from transducer_workbench.numerics import RandomStream, log_softmax, log_sum_exp
+from transducer_workbench.networks import (
+    CharLMConfig,
+    EncoderConfig,
+    PredictionConfig,
+    init_char_lm_params,
+)
+from transducer_workbench.numerics import NEG_INF, RandomStream, log_softmax, log_sum_exp
 
 
-def tiny_real_model(seed=1, num_labels=2):
+def tiny_real_model(seed=1, num_labels=2, joint_mode="multiplicative"):
     config = ModelConfig(
         num_labels=num_labels,
         encoder=EncoderConfig(layers=1, cells=4, stacking=1, skip=1, input_dim=3),
         prediction=PredictionConfig(cells=4, embed_dim=3),
         joint_dim=5,
-        joint_mode="multiplicative",
+        joint_mode=joint_mode,
     )
     return init_model(config, RandomStream(seed))
 
@@ -193,6 +201,81 @@ class TestALSD:
             alsd_beam(model, np.zeros(3), beam_width=2, merge="viterbi")
         with pytest.raises(ContractViolation):
             alsd_beam(model, np.zeros(3), beam_width=2, n_best=0)
+
+
+def _alsd_outcome(search, model, features, **kwargs):
+    """Every score field of a search's n-best list, or of the best partial
+    hypothesis it raised."""
+    try:
+        hyps, raised = list(search(model, features, **kwargs)), False
+    except DecodeError as exc:
+        hyps, raised = [exc.best_partial], True
+    return raised, [
+        (h.labels, h.t_progress, h.transducer, h.score, h.source_lm, h.external_lm)
+        for h in hyps
+    ]
+
+
+class TestArrayBeamOracle:
+    """The array beam of `alsd_beam` against the object-per-candidate loop
+    it replaced (`helpers.alsd_beam_reference`): every returned field, and
+    the best partial hypothesis of a failed search, must be equal."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(["fixed", "sparse", "ties", "additive", "multiplicative"]),
+        seed=st.integers(0, 10**6),
+        T=st.integers(1, 5),
+        num_labels=st.integers(1, 4),
+        beam_width=st.integers(1, 8),
+        n_best=st.integers(1, 40),
+        merge=st.sampled_from(["logsumexp", "max"]),
+        fusion=st.sampled_from([None, "reward", "lms"]),
+        cap_extra=st.integers(0, 10),
+    )
+    def test_matches_object_per_candidate_reference(
+        self, kind, seed, T, num_labels, beam_width, n_best, merge, fusion, cap_extra
+    ):
+        rng = RandomStream(seed)
+        shape = (T, 2 * T + 1, num_labels + 1)
+        features = np.zeros(T)
+        if kind == "ties":  # two logit values: many equal scores
+            model = FixedLatticeModel(log_softmax(rng.integers(0, 2, size=shape).astype(float)))
+        elif kind in ("fixed", "sparse"):
+            model = random_fixed_model(*shape, rng)
+            if kind == "sparse":  # unreachable labels score -inf
+                mask = rng.random(shape) < 0.3
+                mask[..., 0] = False
+                model.lattice[mask] = NEG_INF
+        else:
+            model = tiny_real_model(seed=seed, num_labels=num_labels, joint_mode=kind)
+            features = rng.normal(size=(T, 3))
+        scorer = None
+        if fusion == "reward":
+            scorer = FusionScorer(FusionWeights(0.0, 0.0, 0.7))
+        elif fusion == "lms":
+            lm_config = CharLMConfig(layers=1, cells=3, embed_dim=2)
+            scorer = FusionScorer(
+                FusionWeights(0.3, 0.5, 0.4),
+                init_char_lm_params(num_labels, lm_config, rng.child(1)),
+                init_char_lm_params(num_labels, lm_config, rng.child(2)),
+            )
+        kwargs = dict(beam_width=beam_width, n_best=n_best, merge=merge, fusion=scorer,
+                      expansion_cap=T + cap_extra, debug_invariants=True)
+        assert _alsd_outcome(alsd_beam, model, features, **kwargs) == _alsd_outcome(
+            alsd_beam_reference, model, features, **kwargs
+        )
+
+    def test_tight_caps_raise_in_both(self):
+        # Labels dominate, so a narrow beam never consumes every frame.
+        logits = np.zeros((3, 10, 3))
+        logits[:, :, 1:] = 8.0
+        model = FixedLatticeModel(log_softmax(logits))
+        for cap in range(3, 9):
+            kwargs = dict(beam_width=2, n_best=3, expansion_cap=cap)
+            outcome = _alsd_outcome(alsd_beam, model, np.zeros(3), **kwargs)
+            assert outcome[0]
+            assert outcome == _alsd_outcome(alsd_beam_reference, model, np.zeros(3), **kwargs)
 
 
 class _Handle:

@@ -485,6 +485,22 @@ class TestNBestIO:
         write_nbest(again, back.items(), alphabet)
         assert again.read_bytes() == path.read_bytes()
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        alphabet, records = self._records(RandomStream(36), combination=False)
+        path = tmp_path / "nbest.tsv"
+        write_nbest(path, records, alphabet)
+        before = path.read_bytes()
+
+        def failing():
+            yield records[0]
+            yield records[1]
+            raise RuntimeError("decoder crashed")
+
+        with pytest.raises(RuntimeError, match="decoder crashed"):
+            write_nbest(path, failing(), alphabet)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["nbest.tsv"]
+
     def test_scored_candidates_write_label_count(self, tmp_path):
         # Combination files take cross-scored candidates as rows: the third
         # column is the label count, and both transducer columns are kept.

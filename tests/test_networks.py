@@ -10,6 +10,7 @@ from helpers import (
     stack_and_skip_loop,
 )
 
+from transducer_workbench import networks
 from transducer_workbench.errors import ContractViolation, DimensionError
 from transducer_workbench.networks import (
     CharLMConfig,
@@ -460,6 +461,64 @@ class TestCharLM:
         params = self._params()
         with pytest.raises(ContractViolation):
             lm_score([7], params)
+
+    @staticmethod
+    def _shared_prefix_sequences(rng, num_labels, count=40):
+        """Sequences that grow from earlier ones, so many share prefixes,
+        in random order, with repeats and the empty sequence."""
+        seqs = [()]
+        for _ in range(count):
+            base = seqs[int(rng.integers(0, len(seqs)))]
+            tail = rng.integers(0, num_labels, size=int(rng.integers(0, 4)))
+            seqs.append(base[: int(rng.integers(0, len(base) + 1))] + tuple(int(x) for x in tail))
+        return [seqs[i] for i in rng.permutation(len(seqs))]
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_prefix_dict_is_bitwise_the_full_sequence_score(self, layers):
+        params = self._params(num_labels=4, layers=layers)
+        rng = RandomStream(22 + layers)
+        prefixes = {}
+        for seq in self._shared_prefix_sequences(rng, 4):
+            total, incs = lm_score(seq, params, prefixes)
+            fresh_total, fresh_incs = lm_score(seq, params)
+            # The full-sequence computation, as one label-network call.
+            _, logprobs, _ = networks._lm_forward([params.bos, *seq], params)
+            reference = logprobs[np.arange(len(seq) + 1), list(seq) + [params.eos]]
+            assert total == fresh_total == float(reference.sum())
+            np.testing.assert_array_equal(incs, fresh_incs)
+            np.testing.assert_array_equal(incs, reference)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_one_lstm_row_per_distinct_prefix(self, layers, monkeypatch):
+        params = self._params(num_labels=3, layers=layers)
+        seqs = self._shared_prefix_sequences(RandomStream(24), 3)
+        rows = []
+        original = networks.lstm_forward
+
+        def counted(xs, layer, *args):
+            if layer is params.layers[0]:
+                rows.append(len(xs))
+            return original(xs, layer, *args)
+
+        monkeypatch.setattr(networks, "lstm_forward", counted)
+        prefixes = {}
+        for seq in seqs:
+            lm_score(seq, params, prefixes)
+        distinct = {seq[:u] for seq in seqs for u in range(1, len(seq) + 1)}
+        assert sum(rows) == len(distinct) + 1  # the begin marker's row
+        assert set(prefixes) == distinct | {()}
+
+    def test_out_of_vocabulary_leaves_the_dict_unchanged(self):
+        params = self._params()
+        prefixes = {}
+        with pytest.raises(ContractViolation):
+            lm_score([0, 7], params, prefixes)
+        assert prefixes == {}
+        lm_score([0, 1], params, prefixes)
+        held = dict(prefixes)
+        with pytest.raises(ContractViolation):
+            lm_score([0, 1, 2, 7], params, prefixes)
+        assert prefixes.keys() == held.keys()
 
     def test_loss_grads_finite_differences(self):
         params = self._params(num_labels=3)

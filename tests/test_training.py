@@ -322,6 +322,50 @@ class TestTrainLoop:
             assert np.isfinite(arr).all()
 
 
+class TestGradientTelemetry:
+    def _train(self, clip_norm, epochs=2, batch_size=4):
+        task = small_task()
+        recipe = plain_recipe(
+            epochs=epochs,
+            batch_size=batch_size,
+            optimizer=OptimizerConfig(kind=ADAMW, clip_norm=clip_norm),
+        )
+        return train(small_model(task), task.train, recipe, RandomStream(9)).metrics
+
+    def test_clip_rate_bounds(self):
+        for record in self._train(clip_norm=1e9):
+            assert record.clip_rate == 0.0
+            assert 0.0 < record.grad_norm_mean <= record.grad_norm_max
+        for record in self._train(clip_norm=1e-9):
+            assert record.clip_rate == 1.0
+
+    def test_max_is_the_pre_clip_global_norm(self):
+        # One step per epoch over the whole unshuffled training set, so the
+        # first epoch's norm is that of the initial model's batch gradient.
+        task = small_task()
+        recipe = plain_recipe(
+            epochs=1,
+            batch_size=len(task.train),
+            shuffle=False,
+            optimizer=OptimizerConfig(kind=ADAMW, clip_norm=1e-9),
+        )
+        items = [(utt.frames.astype(np.float64), utt.labels, utt.aux) for utt in task.train]
+        _, grads = batch_loss_and_grads(small_model(task), items)
+        expected = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        [record] = train(small_model(task), task.train, recipe, RandomStream(9)).metrics
+        assert record.grad_norm_max == expected
+        assert record.grad_norm_mean == expected
+        assert record.clip_rate == 1.0
+
+    def test_telemetry_stays_out_of_the_report_fields(self):
+        [record] = self._train(clip_norm=1.0, epochs=1)
+        full = record.to_dict()
+        assert {"grad_norm_mean", "grad_norm_max", "clip_rate"} <= set(full)
+        assert record.report_dict() == {
+            k: full[k] for k in ("epoch", "lr", "train_nll", "train_nll_per_label", "dev_wer")
+        }
+
+
 class TestCharLMTraining:
     def test_lm_learns_skewed_distribution(self):
         rng = RandomStream(8)
