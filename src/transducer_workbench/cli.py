@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 
-from .data import read_transcripts
+from .data import atomic_write, read_transcripts
 from .errors import ConfigError, ContractViolation, IngestError, WorkbenchError
 from .experiment import (
     attach_lm_components,
@@ -55,6 +56,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, help="experiment config file (.ini)")
     parser.add_argument("--run-dir", type=Path, default=Path("run"), help="artifact directory")
     parser.add_argument("--seed", type=int, help="override [experiment] seed")
+    parser.add_argument(
+        "--log-level",
+        default="WARNING",
+        choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"),
+        help="least severe workbench log message to emit, e.g. ERROR hides the greedy-fallback "
+        "and length-cap warnings (default: WARNING)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("generate", help="synthesize dataset files")
@@ -140,7 +148,8 @@ def _dispatch(args) -> int:
 
     if args.command == "report":
         text = render_report(ExperimentReport.from_dict(load_report(run_dir)))
-        (run_dir / "report.txt").write_text(text, encoding="utf-8")
+        with atomic_write(run_dir / "report.txt") as f:
+            f.write(text)
         print(text, end="")
         return 0
 
@@ -234,6 +243,7 @@ def _print_config(config: dict):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    logging.getLogger(__package__).setLevel(args.log_level)
     try:
         return _dispatch(args)
     except (ConfigError, IngestError, ContractViolation, FileNotFoundError) as exc:

@@ -1,5 +1,6 @@
 """Datasets for the workbench: the synthetic transduction task, the binary
-feature container, and transcript files.
+feature container, and transcript files; and `atomic_write`, the one
+crash-safe way the workbench writes a text artifact.
 
 Features are stored as 32-bit floats (both on disk and in memory) so that
 write -> read round-trips are bitwise; the model promotes to 64-bit at its
@@ -9,8 +10,11 @@ symbol marks word boundaries and is rendered as a space in text files.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -342,6 +346,26 @@ def read_features(path) -> Dataset:
         if f.read(1):
             raise IngestError(f"trailing bytes after byte {r.offset}")
     return Dataset(utts, dim, aux_dim)
+
+
+@contextlib.contextmanager
+def atomic_write(path):
+    """Open `path` for writing text, through a temporary file in the same
+    directory that replaces `path` only when the block ends without an
+    error. A killed or failed write therefore never leaves a cut file at
+    `path`, which a reader or `verify` would trust: on an error the
+    temporary file is removed and `path` keeps its previous content. The
+    temporary file is opened like the target, so permissions follow the
+    umask."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_transcripts(path, dataset: Dataset, alphabet: Alphabet):

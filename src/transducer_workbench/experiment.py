@@ -40,6 +40,7 @@ from .data import (
     SyntheticTaskConfig,
     Utterance,
     append_deltas,
+    atomic_write,
     generate_synthetic_task,
     read_features,
     read_transcripts,
@@ -564,7 +565,7 @@ def stage_train_mode(config, run_dir, rng, datasets, alphabet, mode, ablation=No
         alphabet=alphabet,
     )
     save_checkpoint(run_dir / f"model_{tag}.npz", model, {"mode": mode, "tag": tag})
-    with open(run_dir / f"metrics_{tag}.jsonl", "w", encoding="utf-8") as f:
+    with atomic_write(run_dir / f"metrics_{tag}.jsonl") as f:
         for record in result.metrics:
             f.write(json.dumps(record.to_dict()) + "\n")
     return model, result
@@ -720,7 +721,7 @@ def stage_fusion_conditions(config, run_dir, models, datasets, alphabet,
                 "test_wer": top1_wer(test_cached, weights),
                 "weights": _weights_dict(weights),
             }
-            with open(run_dir / f"weights_{condition}_{mode}.json", "w") as fh:
+            with atomic_write(run_dir / f"weights_{condition}_{mode}.json") as fh:
                 json.dump(_weights_dict(weights), fh)
         report.conditions[condition] = entry
 
@@ -762,7 +763,7 @@ def stage_combination(config, run_dir, models, datasets, alphabet, refs, rows) -
         rho_grid=f["rho_grid"],
         alpha_beta_grid=((alpha, beta),),
     ).weights
-    with open(run_dir / "weights_combination.json", "w") as fh:
+    with atomic_write(run_dir / "weights_combination.json") as fh:
         json.dump(_weights_dict(tuned), fh)
     name = f"{mode_a}+{mode_b}"
     return {
@@ -905,9 +906,9 @@ def run_experiment(config: dict, run_dir) -> ExperimentReport:
 
 
 def _write_report(run_dir: Path, report: ExperimentReport):
-    with open(run_dir / "report.json", "w", encoding="utf-8") as f:
+    with atomic_write(run_dir / "report.json") as f:
         json.dump(report.to_dict(), f, indent=2)
-    with open(run_dir / "report.txt", "w", encoding="utf-8") as f:
+    with atomic_write(run_dir / "report.txt") as f:
         f.write(render_report(report))
 
 

@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import itertools
 import logging
-import os
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
 from . import scoring
+from .data import atomic_write
 from .errors import ContractViolation
 from .networks import (
     CharLMParams,
@@ -188,10 +187,11 @@ def combine_rescore(
 
     Every unique label sequence in the union is cross-scored by both
     transducers with exact lattice marginals, each model scoring the whole
-    union in one `prefix_trie_nlls` call: one prediction step, one joint
-    column and one alpha column per distinct label prefix. The scores agree
-    with the per-sequence oracle `lattice_nll` within 1e-12 * max(1, |nll|);
-    only the joint matmuls' row counts differ. The LM components are not
+    union in one `prefix_trie_nlls` call: one prediction-LSTM block step
+    per trie depth (a row per distinct label prefix), one joint column and
+    one alpha column per prefix. The scores agree with the per-sequence
+    oracle `lattice_nll` within 1e-12 * max(1, |nll|); only the joint
+    matmuls' row counts differ. The LM components are not
     recomputed: they are the `source_lm`/`external_lm` fields of the n-best
     entries (`Hypothesis` or `NBestRecord`), which the decoding stage fills
     with full-sequence `lm_score` values. Both lists must carry the same LM
@@ -439,25 +439,16 @@ def write_nbest(path, records, alphabet):
     object with the fields of `NBestRecord` (a `ScoredCandidate` qualifies);
     the transducer_b column is written when the row carries one.
 
-    The rows go to a temporary file in the same directory, which replaces
-    `path` only once every row is written: `read_nbest` accepts a file cut
-    at a line boundary, so a killed or failed write must never leave one
-    at `path`. On an error the temporary file is removed and `path` keeps
-    its previous content."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            for utt_id, rows in records:
-                for row in rows:
-                    scores = (row.transducer_a, row.transducer_b, row.source_lm, row.external_lm)
-                    cols = [utt_id, alphabet.to_text(row.labels), str(row.length)]
-                    cols += [f"{x:.17g}" for x in scores if x is not None]
-                    f.write("\t".join(cols) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    The file is written with `atomic_write`: `read_nbest` accepts a file
+    cut at a line boundary, so a killed or failed write must never leave
+    one at `path`."""
+    with atomic_write(path) as f:
+        for utt_id, rows in records:
+            for row in rows:
+                scores = (row.transducer_a, row.transducer_b, row.source_lm, row.external_lm)
+                cols = [utt_id, alphabet.to_text(row.labels), str(row.length)]
+                cols += [f"{x:.17g}" for x in scores if x is not None]
+                f.write("\t".join(cols) + "\n")
 
 
 def read_nbest(path, alphabet) -> dict[str, list[NBestRecord]]:

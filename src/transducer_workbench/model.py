@@ -30,6 +30,7 @@ from .networks import (
     PredictionConfig,
     PredictionParams,
     PredictionState,
+    _label_forward,
     advance_prediction_state,
     encode,
     encode_backward,
@@ -142,20 +143,37 @@ class TransducerModel:
 
     def prefix_trie_nlls(self, H, sequences) -> np.ndarray:
         """NLL of each label sequence in `sequences`, all scored together on
-        their prefix trie: one prediction step per distinct non-empty
-        prefix (from its parent's state), one joint call over every trie
-        node, and one alpha column per node.
+        their prefix trie: one prediction-LSTM call per trie depth, stepping
+        every node of that depth as one row block from its parent's state,
+        one joint call over every trie node, and one alpha column per node.
 
         Agrees with `lattice_nll` per sequence within 1e-12 * max(1, |nll|).
         The prediction rows and the alpha recursion are bitwise those of
-        `lattice_nll`; only the joint matmuls run over a different number
-        of rows, which may change the BLAS kernel and so the last bits.
+        `lattice_nll` (a block step equals one-row steps bit for bit); only
+        the joint matmuls run over a different number of rows, which may
+        change the BLAS kernel and so the last bits.
         """
         parents, labels, ends = build_prefix_trie(sequences)
-        states = [self.init_decode_state()]
-        for parent, label in zip(parents[1:], labels[1:]):
-            states.append(advance_prediction_state(states[parent], label, self.prediction))
-        columns, _ = joint_forward_lattice(H, np.stack([s.g for s in states]), self.joint)
+        vocab = self.prediction.vocab
+        for label in labels[1:]:
+            if not 0 <= label < vocab:
+                raise ContractViolation(f"label {label} outside vocabulary of {vocab}")
+        # Row n holds node n's prediction state; the root's is the zero state.
+        hs = np.zeros((len(parents), self.prediction.lstm.hidden))
+        cs = np.zeros_like(hs)
+        # Nodes come in depth order, so the depth after the one starting at
+        # node s starts at the first node whose parent is s or later.
+        reach = np.maximum.accumulate(parents)
+        start = 1
+        while start < len(parents):
+            nodes = slice(start, int(np.searchsorted(reach, start)))
+            up = parents[nodes]
+            _, ((hs[nodes], cs[nodes]),), _ = _label_forward(
+                [labels[nodes]], self.prediction.embedding, [self.prediction.lstm],
+                [(hs[up], cs[up])],
+            )
+            start = nodes.stop
+        columns, _ = joint_forward_lattice(H, hs, self.joint)
         alpha = prefix_trie_forward(columns, parents, labels)
         return -alpha[-1, ends]
 

@@ -1,17 +1,22 @@
 """LSTM building blocks: encoder stacks, the prediction network, and the
 character-level language models used for fusion.
 
-`lstm_forward` is the one LSTM recursion (a decoder step is a one-row call)
-and `lstm_backward` its BPTT. The forward takes one tanh per step over the
-stacked gate pre-activations (sigmoid(x) = (1 + tanh(x / 2)) / 2) and keeps
-the per-row product W_x @ x + W_h @ h + b, so a T-row call equals T chained
-one-row calls bit for bit. It caches arrays over all steps; the backward
-forms the gate-local derivatives of every step at once, runs only the
-d_h/d_c recursion step by step, and builds each weight gradient as one
-product over the whole sequence. The prediction network (one layer) and both
-character LMs (N layers) are one label network, embedding + LSTM layers, with
-one forward `_label_forward` and one backward `_label_backward`; the LMs add
-only their output head.
+`lstm_forward` is the one LSTM recursion (a decoder step is a one-row call,
+a prefix-trie depth a one-step call over a block of rows) and
+`lstm_backward` its BPTT. The forward takes one tanh per step over the
+stacked gate pre-activations (sigmoid(x) = (1 + tanh(x / 2)) / 2). Its
+products are stacked per-row products, np.matmul(W, X[..., None])[..., 0],
+which equal one W @ x per row bit for bit: the input projection of all steps
+is one such product before the recursion, and the recurrent product covers
+every row of a block at once. So a T-row call equals T chained one-row calls
+and a B-row block equals B separate calls, bit for bit. It caches arrays
+over all steps; the backward forms the gate-local derivatives of every step
+at once, runs only the d_h/d_c recursion step by step, and builds each
+weight gradient as one product over the whole sequence. Block calls are
+inference-only. The prediction network (one layer) and both character LMs
+(N layers) are one label network, embedding + LSTM layers, with one forward
+`_label_forward` and one backward `_label_backward`; the LMs add only their
+output head.
 
 Each forward pass has a closed-form backward implemented alongside it; every
 backward in this module is checked against central finite differences in the
@@ -96,7 +101,8 @@ class LSTMSeqCache:
     """What lstm_backward needs from one lstm_forward call, as arrays over
     the T steps: the inputs xs (T, D), hidden and cell states hs and cs
     (T+1, H) with the start state in row 0, the gate activations (T, 4H) in
-    (i, f, g, o) order, and tanh of each new cell state tcs (T, H)."""
+    (i, f, g, o) order, and tanh of each new cell state tcs (T, H). A block
+    call adds its row axis after the step axis: xs (T, B, D) and so on."""
 
     xs: np.ndarray
     hs: np.ndarray
@@ -109,41 +115,50 @@ class LSTMSeqCache:
 
 def lstm_forward(xs: np.ndarray, params: LSTMParams, hh_mask=None, state=None):
     """Run the rows of xs (T, D) from `state` (zeros when None); returns
-    (outputs (T, H), final (h, c), cache). hh_mask, when present, replaces
-    the hidden-to-hidden matrix by W_h * mask for the whole call.
+    (outputs (T, H), final (h, c), cache). xs may also be a block (T, B, D)
+    of B independent rows stepped together, with `state` as (B, H) pairs;
+    outputs and states then carry the B axis. hh_mask, when present,
+    replaces the hidden-to-hidden matrix by W_h * mask for the whole call.
 
     The gates take one tanh per step over the stacked 4H pre-activation,
     using sigmoid(x) = (1 + tanh(x / 2)) / 2; the halving is exact, and tanh
-    saturates to +-1 without overflow. The pre-activation is a per-row
-    product W_x @ x + W_h @ h + b on purpose: one (T, D) @ (D, 4H) product
-    for the whole input would round differently from one-row products, and
-    a T-row call must equal T chained one-row calls (decoder steps) bit for
-    bit.
+    saturates to +-1 without overflow. The pre-activation adds, in this
+    order, the input projection W_x @ x (formed for every step and row
+    before the recursion), the recurrent product W_h @ h and b. Both
+    products are stacked per-row products, np.matmul(W, X[..., None])[..., 0]:
+    numpy runs each row as its own matrix-vector product, so they equal one
+    W @ x per row bit for bit, where a (rows, D) @ (D, 4H) GEMM would round
+    differently (`tests/test_networks.py` pins the property). So a T-row
+    call equals T chained one-row calls (decoder steps) and a block equals
+    B separate calls, bit for bit.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != params.input_dim:
+    if xs.ndim not in (2, 3) or xs.shape[-1] != params.input_dim:
         raise DimensionError(f"LSTM expects rows of dim {params.input_dim}, got {xs.shape}")
     if hh_mask is not None and hh_mask.shape != params.W_h.shape:
         raise DimensionError("hh_mask shape must match the hidden-to-hidden matrix")
     W_h_eff = params.W_h if hh_mask is None else params.W_h * hh_mask
-    T, H = xs.shape[0], params.hidden
+    T, rows, H = xs.shape[0], xs.shape[1:-1], params.hidden
     scale, offset = _gate_affine(H)
-    hs = np.empty((T + 1, H))
-    cs = np.empty((T + 1, H))
-    gates = np.empty((T, 4 * H))
-    tcs = np.empty((T, H))
+    xw = np.matmul(params.W_x, xs[..., None])[..., 0]
+    hs = np.empty((T + 1, *rows, H))
+    cs = np.empty((T + 1, *rows, H))
+    gates = np.empty((T, *rows, 4 * H))
+    tcs = np.empty((T, *rows, H))
     hs[0], cs[0] = (0.0, 0.0) if state is None else state
     for t in range(T):
-        z = params.W_x @ xs[t] + W_h_eff @ hs[t] + params.b
+        z = xw[t] + np.matmul(W_h_eff, hs[t][..., None])[..., 0]
+        z += params.b
+        z *= scale
         act = gates[t]
-        np.tanh(z * scale, out=act)
+        np.tanh(z, out=act)
         act *= scale
         act += offset
         c = cs[t + 1]
-        np.multiply(act[H : 2 * H], cs[t], out=c)
-        c += act[:H] * act[2 * H : 3 * H]
+        np.multiply(act[..., H : 2 * H], cs[t], out=c)
+        c += act[..., :H] * act[..., 2 * H : 3 * H]
         np.tanh(c, out=tcs[t])
-        np.multiply(act[3 * H :], tcs[t], out=hs[t + 1])
+        np.multiply(act[..., 3 * H :], tcs[t], out=hs[t + 1])
     cache = LSTMSeqCache(xs, hs, cs, gates, tcs, W_h_eff, hh_mask)
     return hs[1:], (hs[T], cs[T]), cache
 
@@ -153,7 +168,10 @@ def lstm_backward(d_outs: np.ndarray, cache: LSTMSeqCache, params: LSTMParams):
 
     The gate-local derivatives of all T steps are formed before the loop,
     which then carries only d_h and d_c and writes the pre-activation
-    gradient dZ (T, 4H); every weight gradient is one product over dZ."""
+    gradient dZ (T, 4H); every weight gradient is one product over dZ.
+    Block calls are inference-only: their caches raise DimensionError."""
+    if cache.xs.ndim != 2:
+        raise DimensionError(f"lstm_backward takes (T, D) caches, got inputs {cache.xs.shape}")
     T, H = cache.tcs.shape
     i, f, g, o = cache.gates.reshape(T, 4, H).swapaxes(0, 1)
     tc = cache.tcs
@@ -384,8 +402,10 @@ def encode_backward(
 def _label_forward(symbols, embedding, layers, states=None, hh_masks=None):
     """Embed `symbols` and run them through `layers`, each from its entry of
     `states` (zero states when None) under its entry of `hh_masks`. Returns
-    (top-layer outputs (n, H), per-layer final (h, c) tuple, per-layer caches)."""
-    xs = embedding[np.asarray(symbols, dtype=int)]
+    (top-layer outputs (n, H), per-layer final (h, c) tuple, per-layer caches).
+    Symbols of shape (n, B) run B label rows as one block (`lstm_forward`).
+    Labels index the embedding unchecked: callers check the vocabulary."""
+    xs = embedding.take(symbols, axis=0)
     final_states, caches = [], []
     for i, layer in enumerate(layers):
         mask = hh_masks[i] if hh_masks is not None else None

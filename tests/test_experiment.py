@@ -1,5 +1,6 @@
 import collections
 import json
+import logging
 import shutil
 from pathlib import Path
 
@@ -410,6 +411,69 @@ class TestVerify:
         base = ["--config", str(run_copy / "config.ini"), "--run-dir", str(run_copy)]
         assert cli_main(base + [command]) == 1
         assert capsys.readouterr().err.startswith("error: malformed report: ")
+
+
+def failing_json_dump(obj, fp, **kwargs):
+    """A json.dump that dies partway through its output."""
+    fp.write(json.dumps(obj, **kwargs)[:10])
+    raise RuntimeError("killed mid-write")
+
+
+class TestCrashSafeArtifacts:
+    """A write that fails partway leaves the previous artifact byte-identical
+    and no temporary file behind."""
+
+    @staticmethod
+    def snapshot(run_dir):
+        return {p.name: p.read_bytes() for p in run_dir.iterdir() if p.is_file()}
+
+    def test_report(self, run_copy, monkeypatch):
+        before = self.snapshot(run_copy)
+        report = ExperimentReport.from_dict(load_report(run_copy))
+        report.seed += 1
+        monkeypatch.setattr(json, "dump", failing_json_dump)
+        with pytest.raises(RuntimeError, match="killed mid-write"):
+            experiment._write_report(run_copy, report)
+        assert self.snapshot(run_copy) == before
+
+    def test_report_text(self, run_copy, monkeypatch):
+        before = self.snapshot(run_copy)
+        # A lone surrogate cannot be encoded, so the write itself fails.
+        monkeypatch.setattr("transducer_workbench.cli.render_report",
+                            lambda report: "WER\n\ud800")
+        base = ["--config", str(run_copy / "config.ini"), "--run-dir", str(run_copy)]
+        with pytest.raises(UnicodeEncodeError):
+            cli_main(base + ["report"])
+        assert self.snapshot(run_copy) == before
+
+    @pytest.mark.parametrize("condition", ["shallow", "combination"])
+    def test_weights(self, run_copy, monkeypatch, condition):
+        before = self.snapshot(run_copy)
+        monkeypatch.setattr(json, "dump", failing_json_dump)
+        base = ["--config", str(run_copy / "config.ini"), "--run-dir", str(run_copy)]
+        with pytest.raises(RuntimeError, match="killed mid-write"):
+            cli_main(base + ["rescore", "--condition", condition])
+        # combination_*.tsv is rewritten whole before the weights fail.
+        assert self.snapshot(run_copy) == before
+
+
+class TestLogLevel:
+    @pytest.fixture(autouse=True)
+    def restore_level(self):
+        yield
+        logging.getLogger("transducer_workbench").setLevel(logging.NOTSET)
+
+    @pytest.mark.parametrize("flag, shown", [([], True), (["--log-level", "ERROR"], False)],
+                             ids=["default", "error"])
+    def test_length_cap_warning(self, run_copy, monkeypatch, caplog, flag, shown):
+        combine = experiment.combine_rescore
+        monkeypatch.setattr(experiment, "combine_rescore",
+                            lambda *args, **kwargs: combine(*args, **kwargs, max_label_length=1))
+        base = ["--config", str(run_copy / "config.ini"), "--run-dir", str(run_copy)]
+        with caplog.at_level(logging.WARNING):
+            assert cli_main(flag + base + ["rescore", "--condition", "combination"]) == 0
+        dropped = [r for r in caplog.records if "dropping hypothesis" in r.getMessage()]
+        assert bool(dropped) == shown
 
 
 @pytest.fixture(scope="module")

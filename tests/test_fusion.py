@@ -292,13 +292,13 @@ class TestCombineRescore:
         with pytest.raises(TypeError):
             combine_rescore(features, nbest, [], w, model, model, tiny_lm(52), tiny_lm(53))
 
-    def test_one_prediction_step_per_prefix_and_one_joint_call(self, monkeypatch):
+    def test_one_block_step_per_trie_depth_and_one_joint_call(self, monkeypatch):
         model_a = tiny_model(54)
         model_b = tiny_model(55, mode="multiplicative")
         features = RandomStream(56).normal(size=(4, 3))
         nb_a = alsd_beam(model_a, features, beam_width=16, n_best=8, expansion_cap=6)
         nb_b = alsd_beam(model_b, features, beam_width=16, n_best=8, expansion_cap=6)
-        calls = {"advance_prediction_state": [], "joint_forward_lattice": []}
+        calls = {"advance_prediction_state": [], "_label_forward": [], "joint_forward_lattice": []}
         for name, sink in calls.items():
             monkeypatch.setattr(model_module, name, counting(getattr(model_module, name), sink))
         lattice_nll_calls = []
@@ -311,12 +311,21 @@ class TestCombineRescore:
         assert {c.labels for c in combined} == union
         prefixes = {labels[:u] for labels in union for u in range(1, len(labels) + 1)}
         assert len(prefixes) < sum(len(labels) for labels in union)  # prefixes are shared
-        assert lattice_nll_calls == []
-        steps, joints = calls["advance_prediction_state"], calls["joint_forward_lattice"]
+        depth = max(map(len, union))
+        assert depth < len(prefixes)  # a depth holds several prefixes
+        assert lattice_nll_calls == [] and calls["advance_prediction_state"] == []
+        blocks, joints = calls["_label_forward"], calls["joint_forward_lattice"]
         for model in (model_a, model_b):
-            assert sum(args[2] is model.prediction for args in steps) == len(prefixes)
+            own = [args for args in blocks if args[1] is model.prediction.embedding]
+            assert len(own) == depth
+            # One step (symbols (1, n_d)) over the n_d prefixes of depth d.
+            shapes = [np.shape(args[0]) for args in own]
+            assert shapes == [
+                (1, sum(len(p) == d for p in prefixes)) for d in range(1, depth + 1)
+            ]
+            assert sum(n for _, n in shapes) == len(prefixes)
             assert sum(args[2] is model.joint for args in joints) == 1
-        assert len(steps) == 2 * len(prefixes) and len(joints) == 2
+        assert len(blocks) == 2 * depth and len(joints) == 2
 
     def test_out_of_vocabulary_label_rejected(self):
         model = tiny_model(57)

@@ -204,6 +204,86 @@ class TestLSTMKernelOracle:
         np.testing.assert_array_equal(c, ref_c)
 
 
+class TestStackedRowProducts:
+    """The numpy/BLAS property the LSTM kernel relies on: one stacked
+    product np.matmul(W, X[..., None])[..., 0] equals a W @ x per row bit
+    for bit (a (rows, D) @ (D, M) GEMM would not). Shapes are the
+    workbench's: 4H x D gate weights (prediction H = 48, encoder and LM
+    H = 64) and the joint's 16 x E projections."""
+
+    SHAPES = [(4 * H, D) for H in (48, 64) for D in (16, 20, 48, 64, 128)]
+    SHAPES += [(16, 128), (16, 48)]
+
+    @staticmethod
+    def views(rng, T, D):
+        wide = rng.normal(size=(T, 2 * D))
+        yield "contiguous", rng.normal(size=(T, D))
+        yield "reversed", rng.normal(size=(T, D))[::-1]  # backward encoder direction
+        yield "first-columns", wide[:, :D]
+        yield "last-columns", wide[:, D:]
+
+    @staticmethod
+    def stacked(W, X):
+        return np.matmul(W, X[..., None])[..., 0]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_equals_one_row_products_bitwise(self, shape):
+        rng = RandomStream(41)
+        W = rng.normal(size=shape)
+        for T in (1, 2, 7, 60):
+            for name, X in self.views(rng, T, shape[1]):
+                assert np.array_equal(self.stacked(W, X), np.stack([W @ x for x in X])), (name, T)
+            block = rng.normal(size=(T, 5, shape[1]))
+            expected = np.array([[W @ x for x in rows] for rows in block])
+            assert np.array_equal(self.stacked(W, block), expected), T
+            assert np.array_equal(self.stacked(W, block[:, ::-1]), expected[:, ::-1]), T
+        x = rng.normal(size=shape[1])
+        assert np.array_equal(self.stacked(W, x), W @ x)
+
+
+class TestLSTMBlockRows:
+    """A (T, B, D) call steps B independent rows together; it must equal B
+    separate (T, D) calls bit for bit."""
+
+    @pytest.mark.parametrize("use_mask", [False, True])
+    @pytest.mark.parametrize("start", ["zero", "random"])
+    @pytest.mark.parametrize("dims", [(3, 4, 6, 5), (16, 48, 4, 9), (20, 64, 1, 3)])
+    def test_block_equals_separate_calls(self, use_mask, start, dims):
+        D, H, T, B = dims
+        rng = RandomStream(43)
+        params = init_lstm_params(D, H, rng)
+        params.b[:] = rng.normal(size=4 * H)
+        mask = (
+            sample_dropconnect_mask(params.W_h.shape, 0.25, rng.child(9))
+            if use_mask
+            else None
+        )
+        xs = 2.0 * rng.normal(size=(T, B, D))
+        state = (rng.normal(size=(B, H)), rng.normal(size=(B, H))) if start == "random" else None
+        outs, (h, c), cache = lstm_forward(xs, params, mask, state)
+        assert outs.shape == (T, B, H) and h.shape == c.shape == (B, H)
+        for b in range(B):
+            row_state = None if state is None else (state[0][b], state[1][b])
+            row_outs, (row_h, row_c), row_cache = lstm_forward(xs[:, b], params, mask, row_state)
+            assert np.array_equal(outs[:, b], row_outs), b
+            assert np.array_equal(h[b], row_h) and np.array_equal(c[b], row_c), b
+            assert np.array_equal(cache.gates[:, b], row_cache.gates), b
+
+    def test_block_rejects_wrong_input_dim(self):
+        params = init_lstm_params(3, 4, RandomStream(44))
+        with pytest.raises(DimensionError):
+            lstm_forward(np.zeros((2, 5, 4)), params)
+        with pytest.raises(DimensionError):
+            lstm_forward(np.zeros((2, 5, 3, 3)), params)
+
+    def test_backward_refuses_block_cache(self):
+        rng = RandomStream(45)
+        params = init_lstm_params(3, 4, rng)
+        _, _, cache = lstm_forward(rng.normal(size=(2, 5, 3)), params)
+        with pytest.raises(DimensionError, match=r"\(T, D\) caches"):
+            lstm_backward(np.ones((2, 5, 4)), cache, params)
+
+
 class TestStackAndSkip:
     def test_paper_shape(self):
         out = stack_and_skip(np.zeros((10, 120)))

@@ -4,15 +4,20 @@
 when given the same lattice columns. `TransducerModel.prefix_trie_nlls`
 must agree with the per-sequence oracles: `lattice_nll` within
 1e-12 * max(1, |nll|) (its joint matmuls run over a different number of
-rows) and `brute_force_nll` by alignment enumeration.
+rows) and `brute_force_nll` by alignment enumeration. The prediction rows it
+hands the joint, stepped one trie depth per block, are bitwise those of
+`predict_embed`.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from transducer_workbench.errors import ContractViolation, DimensionError
+from transducer_workbench import model as model_module
 from transducer_workbench.joint import ADDITIVE, MULTIPLICATIVE
 from transducer_workbench.lattice import (
     ENUMERATION_CAP,
@@ -23,7 +28,7 @@ from transducer_workbench.lattice import (
     rnnt_forward,
 )
 from transducer_workbench.model import ModelConfig, init_model
-from transducer_workbench.networks import EncoderConfig, PredictionConfig
+from transducer_workbench.networks import EncoderConfig, PredictionConfig, predict_embed
 from transducer_workbench.numerics import RandomStream, log_softmax
 
 property_settings = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -143,6 +148,31 @@ class TestPrefixTrieNlls:
     def test_agrees_with_lattice_nll(self, mode, branch_biases, T, sequences, seed):
         model = trie_model(seed, mode, branch_biases)
         assert_agrees_with_lattice_nll(model, encoder_output(model, seed, T), sequences)
+
+    @pytest.mark.parametrize("mode, branch_biases", JOINTS, ids=JOINT_IDS)
+    @property_settings
+    @given(st.integers(1, 6), unions, st.integers(0, 2**16))
+    @example(1, [(), (2,), (2, 0), (2, 0, 1), (1,)], 5)  # T = 1, empty, nested prefixes
+    @example(3, [()], 6)
+    def test_prediction_rows_equal_predict_embed_bitwise(
+        self, mode, branch_biases, T, sequences, seed
+    ):
+        model = trie_model(seed, mode, branch_biases)
+        H = encoder_output(model, seed, T)
+        captured, joint = [], model_module.joint_forward_lattice
+
+        def capture(H, G, params):
+            captured.append(G.copy())
+            return joint(H, G, params)
+
+        with mock.patch.object(model_module, "joint_forward_lattice", capture):
+            model.prefix_trie_nlls(H, sequences)
+        [G] = captured
+        parents, _, ends = build_prefix_trie(sequences)
+        assert G.shape == (len(parents), model.prediction.lstm.hidden)
+        for seq, end in zip(sequences, ends):
+            rows, _ = predict_embed(seq, model.prediction)
+            assert np.array_equal(G[path_nodes(parents, end)], rows), seq
 
     @pytest.mark.parametrize("mode, branch_biases", JOINTS, ids=JOINT_IDS)
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
