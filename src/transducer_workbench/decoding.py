@@ -5,23 +5,27 @@ and an exhaustive-search oracle for tiny instances.
 A decoder model is anything with:
 
     encode_features(features, aux=None) -> H          # per-frame vectors
-    init_decode_state() -> state                      # prefix state handle
-    extend_decode_state(state, label) -> state        # immutable extension
-    joint_log_probs(h_vec, state) -> (K,) log-probs   # blank at index 0
+    init_decode_state() -> state                      # the empty prefix, one row
+    extend_decode_state(state, prefixes) -> state     # rows of `prefixes`, in order
+    joint_log_probs(H_rows, state) -> (B, K) log-probs  # blank at index 0
     logprob_lattice(H, labels) -> (T, U+1, K)         # for exhaustive search
     num_labels -> int
 
-State handles are never mutated, so beam branches can share them. A
-state depends only on its label prefix, so `alsd_beam` keeps one state per
-prefix per utterance and steps the prediction network lazily: a label
-extension is scored from its parent's state, and its own state is made
-only if it survives pruning. The frame-index convention mirrors the
-lattice module: blanks read frame t, labels read frame min(t, T-1), and a
-hypothesis is complete once it has consumed all T frames, after which it
-may still extend by labels.
+A state is a block of label-prefix rows. `extend_decode_state` takes label
+tuples, each either already known to the state's utterance or one label
+longer than a known prefix, and returns their rows in order; row i of
+`joint_log_probs` reads H_rows[i] and prefix i. State handles are never
+mutated, so they can be shared. A state depends only on its label prefix,
+so `alsd_beam` steps the prediction network lazily: a label extension is
+scored from its parent's row, and gets a row of its own only if it survives
+pruning. Each step makes one extend call for the whole beam and one joint
+call over it; `greedy_decode` uses one-row blocks. The frame-index
+convention mirrors the lattice module: blanks read frame t, labels read
+frame min(t, T-1), and a hypothesis is complete once it has consumed all T
+frames, after which it may still extend by labels.
 
 The search holds its beam as parallel arrays and scores, merges and prunes
-all candidates of a step as one (beam, K+1) array; it builds `Hypothesis`
+all candidates of a step as one (beam, K) array; it builds `Hypothesis`
 objects only for what it returns (see `alsd_beam`).
 """
 
@@ -111,13 +115,13 @@ def greedy_decode(model, features, max_symbols: int | None = None, aux=None) -> 
     labels: list[int] = []
     t = 0
     while t < T:
-        logp = model.joint_log_probs(H[t], state)
+        logp = model.joint_log_probs(H[t : t + 1], state)[0]
         k = int(np.argmax(logp))
         if k == BLANK_ID:
             t += 1
             continue
         labels.append(k - 1)
-        state = model.extend_decode_state(state, k - 1)
+        state = model.extend_decode_state(state, [tuple(labels)])
         if len(labels) >= max_symbols:
             return GreedyResult(tuple(labels), truncated=True)
     return GreedyResult(tuple(labels))
@@ -145,8 +149,9 @@ def alsd_beam(
     trailing labels up to the expansion cap.
 
     The beam is held as parallel arrays (labels, t, transducer and LM
-    components). Each step stacks the B joint rows into a (B, K+1) array
-    and scores every candidate at once as transducer[:, None] + log-probs.
+    components). Each step's joint call returns the beam's (B, K) block of
+    log-probabilities, and every candidate is scored at once as
+    transducer[:, None] + log-probs.
     Live label sequences are distinct, so a candidate's label sequence L
     can arise at most twice in one step: as the blank extension of live L
     and as the label extension of live L[:-1] by L[-1]. Those pairs are
@@ -158,10 +163,12 @@ def alsd_beam(
     both for the result and for the early stop below. `Hypothesis` objects
     are built only for the result and for `DecodeError.best_partial`.
 
-    Every extension is scored from its parent's prediction state; only the
-    hypotheses that survive pruning get a state of their own, shared by
-    label prefix. Without fusion, the search stops as soon as no live
-    hypothesis can enter the n-best list.
+    Each step scores the whole beam with one `extend_decode_state` call,
+    which gives a prediction row to the prefixes new to the beam, and one
+    `joint_log_probs` call over the beam's rows. Every extension is scored
+    from its parent's row; only the hypotheses that survive pruning get a
+    row of their own, shared by label prefix. Without fusion, the search
+    stops as soon as no live hypothesis can enter the n-best list.
     """
     if beam_width < 1:
         raise ContractViolation("beam_width must be >= 1")
@@ -178,7 +185,7 @@ def alsd_beam(
 
     K = model.num_labels + 1
     is_blank = np.arange(K) == BLANK_ID
-    states = {(): model.init_decode_state()}
+    state = model.init_decode_state()
     # The beam, ranked by (-score, labels); src, ext and fstates change only
     # under fusion.
     labels: list[tuple[int, ...]] = [()]
@@ -191,17 +198,14 @@ def alsd_beam(
     completed: list[tuple] = []  # the n_best best (-score, labels, trans, src, ext), ranked
 
     for step in range(1, expansion_cap + 1):
-        B = len(labels)
         ts = t.tolist()
         if debug_invariants:
             lengths = {ti + len(li) for ti, li in zip(ts, labels)}
             assert lengths == {step - 1}, (
                 f"alignment lengths diverged at step {step}: {sorted(lengths)}"
             )
-        logp = np.empty((B, K))
-        for i, prefix in enumerate(labels):
-            state = _prefix_state(model, states, prefix)
-            logp[i] = model.joint_log_probs(H[min(ts[i], T - 1)], state)
+        state = model.extend_decode_state(state, labels)
+        logp = model.joint_log_probs(H[np.minimum(t, T - 1)], state)
         cand = trans[:, None] + logp
         cand_t = t[:, None] + is_blank
         valid = cand_t <= T  # a complete hypothesis has no blank extension
@@ -316,15 +320,6 @@ def _lm_extensions(fusion, fstates, src, ext, K):
             src_c[i, k] = src[i] + src_inc
             ext_c[i, k] = ext[i] + ext_inc
     return src_c, ext_c, next_fstates
-
-
-def _prefix_state(model, states: dict, labels: tuple[int, ...]):
-    """The prediction state of a label prefix, made from its parent
-    prefix's state on first use. The parent is always present: it was live,
-    and so was given its state, one step earlier."""
-    if labels not in states:
-        states[labels] = model.extend_decode_state(states[labels[:-1]], labels[-1])
-    return states[labels]
 
 
 @dataclass(frozen=True)

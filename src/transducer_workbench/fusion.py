@@ -32,6 +32,7 @@ import numpy as np
 from . import scoring
 from .data import atomic_write
 from .errors import ContractViolation
+from .lattice import build_prefix_trie
 from .networks import (
     CharLMParams,
     lm_end_increment,
@@ -186,19 +187,19 @@ def combine_rescore(
     """Log-linear rescoring of the union of two n-best lists.
 
     Every unique label sequence in the union is cross-scored by both
-    transducers with exact lattice marginals, each model scoring the whole
-    union in one `prefix_trie_nlls` call: one prediction-LSTM block step
-    per trie depth (a row per distinct label prefix), one joint column and
-    one alpha column per prefix. The scores agree with the per-sequence
-    oracle `lattice_nll` within 1e-12 * max(1, |nll|); only the joint
-    matmuls' row counts differ. The LM components are not
-    recomputed: they are the `source_lm`/`external_lm` fields of the n-best
-    entries (`Hypothesis` or `NBestRecord`), which the decoding stage fills
-    with full-sequence `lm_score` values. Both lists must carry the same LM
-    scores for a shared label sequence; entries whose LM components were
-    never filled contribute 0.0. Hypotheses longer than the length cap are
-    excluded with a logged warning (they would exceed the decoders' own
-    expansion budget).
+    transducers with exact lattice marginals. The union's prefix trie is
+    built once, and each model scores it in one `prefix_trie_nlls` call:
+    one prediction-LSTM block step per trie depth (a row per distinct label
+    prefix), one joint column and one alpha column per prefix. The scores
+    agree with the per-sequence oracle `lattice_nll` within
+    1e-12 * max(1, |nll|); only the joint matmuls' row counts differ. The
+    LM components are not recomputed: they are the `source_lm`/`external_lm`
+    fields of the n-best entries (`Hypothesis` or `NBestRecord`), which the
+    decoding stage fills with full-sequence `lm_score` values. Both lists
+    must carry the same LM scores for a shared label sequence; entries whose
+    LM components were never filled contribute 0.0. Hypotheses longer than
+    the length cap are excluded with a logged warning (they would exceed the
+    decoders' own expansion budget).
 
     Raises ContractViolation when the two lists disagree on the LM scores of
     a label sequence, since they were then scored by different LMs.
@@ -225,8 +226,9 @@ def combine_rescore(
             )
             continue
         kept.append(labels)
-    scores_a = (-model_a.prefix_trie_nlls(H_a, kept)).tolist()
-    scores_b = (-model_b.prefix_trie_nlls(H_b, kept)).tolist()
+    trie = build_prefix_trie(kept)
+    scores_a = (-model_a.prefix_trie_nlls(H_a, trie)).tolist()
+    scores_b = (-model_b.prefix_trie_nlls(H_b, trie)).tolist()
     out = []
     for labels, trans_a, trans_b in zip(kept, scores_a, scores_b):
         src, ext = union[labels]

@@ -1,5 +1,7 @@
 """Joint network: fuses one encoder vector and one prediction vector into a
-log-probability distribution over the augmented vocabulary.
+log-probability distribution over the augmented vocabulary. `joint_forward`
+also takes a block of (encoder, prediction) row pairs, as a decoder's beam
+step does, and `joint_forward_lattice` every (t, u) pair of a lattice.
 
 Two integration modes share every parameter shape:
 
@@ -123,23 +125,37 @@ def _pre_activation(params: JointParams, h_tilde, g_tilde):
 
 
 def joint_forward(h: np.ndarray, g: np.ndarray, params: JointParams) -> np.ndarray:
-    """Log-probability vector over the augmented vocabulary for one node."""
+    """Log-probabilities over the augmented vocabulary: (K,) for one node,
+    or (B, K) for a block of B nodes, where row i reads h[i] and g[i]."""
     logprob, _ = joint_forward_cached(h, g, params)
     return logprob
 
 
+def _stacked(W: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """W @ x for every row x of X as one stacked per-row product, which
+    equals one W @ x per row bit for bit (see `networks.lstm_forward`)."""
+    return np.matmul(W, X[..., None])[..., 0]
+
+
 def joint_forward_cached(h: np.ndarray, g: np.ndarray, params: JointParams):
+    """`joint_forward` plus its cache. h is (E,) or (B, E) and g (P,) or
+    (B, P), with the same leading shape. A block row equals the 1-D call on
+    its pair bit for bit: every product is a stacked per-row product, the
+    pre-activation is elementwise and log_softmax runs along the last axis.
+    Block calls are inference-only: `joint_backward` takes 1-D caches."""
     h = np.asarray(h, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     E, P, _, _ = params.dims
-    if h.shape != (E,):
-        raise DimensionError(f"W_enc expects an encoder vector of dim {E}, got {h.shape}")
-    if g.shape != (P,):
-        raise DimensionError(f"W_pred expects a prediction vector of dim {P}, got {g.shape}")
-    h_tilde = params.W_enc @ h
-    g_tilde = params.W_pred @ g
+    if h.ndim not in (1, 2) or h.shape[-1] != E:
+        raise DimensionError(f"W_enc expects encoder rows of dim {E}, got {h.shape}")
+    if g.shape[:-1] != h.shape[:-1] or g.shape[-1:] != (P,):
+        raise DimensionError(
+            f"W_pred expects prediction rows of dim {P} matching {h.shape[:-1]}, got {g.shape}"
+        )
+    h_tilde = _stacked(params.W_enc, h)
+    g_tilde = _stacked(params.W_pred, g)
     act = np.tanh(_pre_activation(params, h_tilde, g_tilde))
-    logprob = log_softmax(params.W_out @ act)
+    logprob = log_softmax(_stacked(params.W_out, act))
     return logprob, JointCache(h, g, h_tilde, g_tilde, act, logprob)
 
 
@@ -153,6 +169,8 @@ def joint_backward(grad_logprob: np.ndarray, cache: JointCache | None, params: J
     """
     if cache is None:
         raise ContractViolation("joint_backward needs the cache from joint_forward_cached")
+    if cache.h.ndim != 1:
+        raise DimensionError(f"joint_backward takes one-node caches, got h {cache.h.shape}")
     d_logits = log_softmax_backward(grad_logprob, cache.logprob)
     d_act = params.W_out.T @ d_logits
     d_pre = (1.0 - cache.act**2) * d_act

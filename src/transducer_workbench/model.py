@@ -22,22 +22,19 @@ from .joint import (
     joint_forward,
     joint_forward_lattice,
 )
-from .lattice import build_prefix_trie, prefix_trie_forward, rnnt_backward, rnnt_forward
+from .lattice import prefix_trie_forward, rnnt_backward, rnnt_forward
 from .networks import (
     CharLMConfig,
     EncoderConfig,
     EncoderParams,
     PredictionConfig,
     PredictionParams,
-    PredictionState,
     _label_forward,
-    advance_prediction_state,
     encode,
     encode_backward,
     init_char_lm_params,
     init_encoder_params,
     init_prediction_params,
-    init_prediction_state,
     predict_backward,
     predict_embed,
     sample_dropconnect_mask,
@@ -141,11 +138,13 @@ class TransducerModel:
         nll, _ = rnnt_forward(self.logprob_lattice(H, labels), labels)
         return nll
 
-    def prefix_trie_nlls(self, H, sequences) -> np.ndarray:
-        """NLL of each label sequence in `sequences`, all scored together on
-        their prefix trie: one prediction-LSTM call per trie depth, stepping
-        every node of that depth as one row block from its parent's state,
-        one joint call over every trie node, and one alpha column per node.
+    def prefix_trie_nlls(self, H, trie) -> np.ndarray:
+        """NLL of each label sequence of a prefix trie, `trie` being the
+        (parents, labels, ends) of `build_prefix_trie(sequences)`, all scored
+        together: one prediction-LSTM call per trie depth, stepping every
+        node of that depth as one row block from its parent's state, one
+        joint call over every trie node, and one alpha column per node.
+        Returns the NLLs in the order of `sequences`.
 
         Agrees with `lattice_nll` per sequence within 1e-12 * max(1, |nll|).
         The prediction rows and the alpha recursion are bitwise those of
@@ -153,11 +152,8 @@ class TransducerModel:
         the joint matmuls run over a different number of rows, which may
         change the BLAS kernel and so the last bits.
         """
-        parents, labels, ends = build_prefix_trie(sequences)
-        vocab = self.prediction.vocab
-        for label in labels[1:]:
-            if not 0 <= label < vocab:
-                raise ContractViolation(f"label {label} outside vocabulary of {vocab}")
+        parents, labels, ends = trie
+        self._check_vocab(labels[1:])
         # Row n holds node n's prediction state; the root's is the zero state.
         hs = np.zeros((len(parents), self.prediction.lstm.hidden))
         cs = np.zeros_like(hs)
@@ -168,14 +164,27 @@ class TransducerModel:
         while start < len(parents):
             nodes = slice(start, int(np.searchsorted(reach, start)))
             up = parents[nodes]
-            _, ((hs[nodes], cs[nodes]),), _ = _label_forward(
-                [labels[nodes]], self.prediction.embedding, [self.prediction.lstm],
-                [(hs[up], cs[up])],
-            )
+            hs[nodes], cs[nodes] = self._step_rows(labels[nodes], hs[up], cs[up])
             start = nodes.stop
         columns, _ = joint_forward_lattice(H, hs, self.joint)
         alpha = prefix_trie_forward(columns, parents, labels)
         return -alpha[-1, ends]
+
+    def _check_vocab(self, labels):
+        """Labels index the embedding with `take`, which would wrap a
+        negative one: check them all before any is stepped."""
+        vocab = self.prediction.vocab
+        for label in labels:
+            if not 0 <= label < vocab:
+                raise ContractViolation(f"label {label} outside vocabulary of {vocab}")
+
+    def _step_rows(self, labels, h, c):
+        """The prediction (h, c) rows after stepping each row of (h, c) by
+        its label, all as one block: one LSTM step with symbols (1, n)."""
+        _, ((h, c),), _ = _label_forward(
+            [labels], self.prediction.embedding, [self.prediction.lstm], [(h, c)]
+        )
+        return h, c
 
     # -- decoding interface ----------------------------------------------
 
@@ -183,14 +192,33 @@ class TransducerModel:
         H, _ = encode(features, self.config.encoder, self.encoder, None, aux)
         return H
 
-    def init_decode_state(self) -> PredictionState:
-        return init_prediction_state(self.prediction)
+    def init_decode_state(self) -> DecodeState:
+        """The empty prefix as one row of a new utterance's prefix table."""
+        return DecodeState(_PrefixTable(self.prediction.lstm.hidden), np.zeros(1, dtype=np.intp))
 
-    def extend_decode_state(self, state: PredictionState, label: int) -> PredictionState:
-        return advance_prediction_state(state, label, self.prediction)
+    def extend_decode_state(self, state: DecodeState, prefixes) -> DecodeState:
+        """The rows of `prefixes` (label tuples), in order, in the table of
+        `state`. Every prefix not seen before is stepped from its parent's
+        row, all of them as one block; the parent must have a row already.
+        An out-of-vocabulary label raises ContractViolation before any row
+        is added."""
+        table = state.table
+        new = [p for p in dict.fromkeys(prefixes) if p not in table.index]
+        if new:
+            labels = [p[-1] for p in new]
+            self._check_vocab(labels)
+            try:
+                up = [table.index[p[:-1]] for p in new]
+            except KeyError as missing:
+                raise ContractViolation(f"parent prefix {missing} has no row") from None
+            table.append(new, *self._step_rows(labels, table.h[up], table.c[up]))
+        index = table.index
+        return DecodeState(table, np.array([index[p] for p in prefixes], dtype=np.intp))
 
-    def joint_log_probs(self, h_vec: np.ndarray, state: PredictionState) -> np.ndarray:
-        return joint_forward(h_vec, state.g, self.joint)
+    def joint_log_probs(self, H_rows: np.ndarray, state: DecodeState) -> np.ndarray:
+        """(B, K) log-probabilities: row i joins H_rows[i] with prefix i of
+        `state`."""
+        return joint_forward(H_rows, state.table.h[state.rows], self.joint)
 
     def logprob_lattice(self, H: np.ndarray, labels) -> np.ndarray:
         """The (T, U+1, K) log-probability lattice for a given label sequence."""
@@ -201,6 +229,31 @@ class TransducerModel:
     @property
     def num_labels(self) -> int:
         return self.config.num_labels
+
+
+class _PrefixTable:
+    """Append-only prediction (h, c) rows of one utterance's label prefixes,
+    keyed by prefix in `index`. Row 0 is the empty prefix's zero state. Rows
+    are never rewritten, so every handle into the table stays valid."""
+
+    def __init__(self, hidden: int):
+        self.index = {(): 0}
+        self.h = np.zeros((1, hidden))
+        self.c = np.zeros((1, hidden))
+
+    def append(self, prefixes, h, c):
+        self.index.update(zip(prefixes, range(len(self.h), len(self.h) + len(prefixes))))
+        self.h = np.concatenate([self.h, h])
+        self.c = np.concatenate([self.c, c])
+
+
+@dataclass(frozen=True)
+class DecodeState:
+    """A decoder handle: row indices into one utterance's prefix table, one
+    row per label prefix of a beam step. Handles are never mutated."""
+
+    table: _PrefixTable
+    rows: np.ndarray
 
 
 def init_model(config: ModelConfig, rng: RandomStream) -> TransducerModel:

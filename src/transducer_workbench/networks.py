@@ -1,8 +1,8 @@
 """LSTM building blocks: encoder stacks, the prediction network, and the
 character-level language models used for fusion.
 
-`lstm_forward` is the one LSTM recursion (a decoder step is a one-row call,
-a prefix-trie depth a one-step call over a block of rows) and
+`lstm_forward` is the one LSTM recursion (a decoder beam step and a
+prefix-trie depth are each a one-step call over a block of rows) and
 `lstm_backward` its BPTT. The forward takes one tanh per step over the
 stacked gate pre-activations (sigmoid(x) = (1 + tanh(x / 2)) / 2). Its
 products are stacked per-row products, np.matmul(W, X[..., None])[..., 0],
@@ -86,7 +86,7 @@ def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (scale, offset) over the stacked (i, f, g, o)
     pre-activation: 0.5 and 0.5 on the sigmoid gates, 1 and 0 on the cell
     candidate g, so that tanh(z * scale) * scale + offset is sigmoid on
-    i/f/o and tanh on g. Cached per width: decoder steps are one-row calls."""
+    i/f/o and tanh on g. Cached per width: decoder steps are one-step calls."""
     scale = np.full(4 * hidden, 0.5)
     scale[2 * hidden : 3 * hidden] = 1.0
     offset = np.full(4 * hidden, 0.5)
@@ -129,8 +129,8 @@ def lstm_forward(xs: np.ndarray, params: LSTMParams, hh_mask=None, state=None):
     numpy runs each row as its own matrix-vector product, so they equal one
     W @ x per row bit for bit, where a (rows, D) @ (D, 4H) GEMM would round
     differently (`tests/test_networks.py` pins the property). So a T-row
-    call equals T chained one-row calls (decoder steps) and a block equals
-    B separate calls, bit for bit.
+    call equals T chained one-row calls and a block equals B separate
+    calls, bit for bit.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim not in (2, 3) or xs.shape[-1] != params.input_dim:
@@ -480,34 +480,6 @@ def predict_backward(d_G: np.ndarray, prefix, cache, params: PredictionParams):
         d_G[1:], prefix, cache, params.embedding, [params.lstm]
     )
     return {"embedding": g_embedding, **{f"lstm.{k}": v for k, v in lstm_grads.items()}}
-
-
-@dataclass(frozen=True)
-class PredictionState:
-    """Immutable snapshot of the prediction network at one prefix length.
-
-    `g` is the lattice-row embedding for the current prefix; extending never
-    mutates the parent state, so beam branches can share snapshots."""
-
-    h: np.ndarray
-    c: np.ndarray
-    g: np.ndarray
-
-
-def init_prediction_state(params: PredictionParams) -> PredictionState:
-    H = params.lstm.hidden
-    return PredictionState(h=np.zeros(H), c=np.zeros(H), g=np.zeros(H))
-
-
-def advance_prediction_state(
-    state: PredictionState, label: int, params: PredictionParams
-) -> PredictionState:
-    if not 0 <= label < params.vocab:
-        raise ContractViolation(f"label {label} outside vocabulary of {params.vocab}")
-    _, ((h, c),), _ = _label_forward(
-        [label], params.embedding, [params.lstm], [(state.h, state.c)]
-    )
-    return PredictionState(h=h, c=c, g=h)
 
 
 # ---------------------------------------------------------------------------

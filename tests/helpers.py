@@ -18,11 +18,12 @@ from transducer_workbench.numerics import NEG_INF, log_add, log_softmax, log_sum
 class FixedLatticeModel:
     """Decoder model whose joint depends only on (t, u).
 
-    Backed by a (T, Umax+1, K) log-probability array; the prediction state
-    is just the emitted-label count, clamped to the last stored row. Because
-    the output distribution ignores label identity, exact path-mass dynamic
-    programming over the (t, u) grid is valid for this model, which makes it
-    the reference against which search results can be audited.
+    Backed by a (T, Umax+1, K) log-probability array; a decoder state is
+    just the emitted-label count of each of its prefix rows, clamped to the
+    last stored row when read. Because the output distribution ignores
+    label identity, exact path-mass dynamic programming over the (t, u)
+    grid is valid for this model, which makes it the reference against
+    which search results can be audited.
     """
 
     def __init__(self, logprob: np.ndarray):
@@ -37,13 +38,13 @@ class FixedLatticeModel:
         return np.arange(self.T)
 
     def init_decode_state(self):
-        return 0
+        return np.zeros(1, dtype=int)
 
-    def extend_decode_state(self, state, label):
-        return state + 1
+    def extend_decode_state(self, state, prefixes):
+        return np.array([len(prefix) for prefix in prefixes], dtype=int)
 
-    def joint_log_probs(self, h_vec, state):
-        return self.lattice[int(h_vec), min(int(state), self.u_rows - 1)]
+    def joint_log_probs(self, H_rows, state):
+        return self.lattice[np.asarray(H_rows, dtype=int), np.minimum(state, self.u_rows - 1)]
 
     def logprob_lattice(self, H, labels):
         U = len(labels)
@@ -233,8 +234,9 @@ def _merge(pool: dict, hyp, merge: str, fusion) -> None:
 
 
 def _prefix_state(model, states: dict, labels):
+    """The one-row decoder state of a label prefix, made from its parent's."""
     if labels not in states:
-        states[labels] = model.extend_decode_state(states[labels[:-1]], labels[-1])
+        states[labels] = model.extend_decode_state(states[labels[:-1]], [labels])
     return states[labels]
 
 
@@ -268,8 +270,9 @@ def alsd_beam_reference(
     aux=None,
 ) -> list:
     """ALSD as one frozen hypothesis per candidate, merged through a dict
-    and ranked by sorting the whole pool each step. Returns the ranked
-    n-best list; raises DecodeError with the best live hypothesis."""
+    and ranked by sorting the whole pool each step; each hypothesis reads
+    the decoder through one-row blocks. Returns the ranked n-best list;
+    raises DecodeError with the best live hypothesis."""
     if beam_width < 1:
         raise ContractViolation("beam_width must be >= 1")
     if n_best < 1:
@@ -306,7 +309,7 @@ def alsd_beam_reference(
             if hyp.pred_state is None:
                 hyp = replace(hyp, pred_state=_prefix_state(model, states, hyp.labels))
             frame = min(hyp.t_progress, T - 1)
-            logp = model.joint_log_probs(H[frame], hyp.pred_state)
+            logp = model.joint_log_probs(H[[frame]], hyp.pred_state)[0]
             if hyp.t_progress < T:
                 trans = hyp.transducer + float(logp[BLANK_ID])
                 _merge(

@@ -279,24 +279,26 @@ class TestArrayBeamOracle:
 
 
 class _Handle:
-    """Opaque prediction-state handle: the wrapped state, the label prefix it
-    stands for, and a serial number (0 for the initial state)."""
+    """Opaque decoder-state handle: the wrapped state and the label prefix
+    of each of its rows."""
 
-    def __init__(self, inner, prefix, serial):
+    def __init__(self, inner, prefixes):
         self.inner = inner
-        self.prefix = prefix
-        self.serial = serial
+        self.prefixes = prefixes
 
 
 class CountingModel:
-    """Decoder-model wrapper that records which prefixes get a prediction
-    state and which states the joint network reads."""
+    """Decoder-model wrapper that records the block calls, the prefixes
+    given a prediction row (in the order of their first request), and the
+    prefixes whose rows the joint network reads."""
 
     def __init__(self, inner):
         self._inner = inner
         self.made: list[tuple[int, ...]] = []
-        self.read: set[int] = set()
+        self.read: set[tuple[int, ...]] = set()
+        self.extend_calls = 0
         self.joint_calls = 0
+        self.last_state = None
 
     @property
     def num_labels(self):
@@ -306,17 +308,20 @@ class CountingModel:
         return self._inner.encode_features(features, aux)
 
     def init_decode_state(self):
-        return _Handle(self._inner.init_decode_state(), (), 0)
+        return _Handle(self._inner.init_decode_state(), [()])
 
-    def extend_decode_state(self, state, label):
-        self.made.append(state.prefix + (label,))
-        inner = self._inner.extend_decode_state(state.inner, label)
-        return _Handle(inner, state.prefix + (label,), len(self.made))
+    def extend_decode_state(self, state, prefixes):
+        self.extend_calls += 1
+        known = {(), *self.made}
+        self.made += [prefix for prefix in dict.fromkeys(prefixes) if prefix not in known]
+        self.last_state = self._inner.extend_decode_state(state.inner, prefixes)
+        return _Handle(self.last_state, list(prefixes))
 
-    def joint_log_probs(self, h_vec, state):
-        self.read.add(state.serial)
+    def joint_log_probs(self, H_rows, state):
+        assert len(H_rows) == len(state.prefixes)
+        self.read.update(state.prefixes)
         self.joint_calls += 1
-        return self._inner.joint_log_probs(h_vec, state.inner)
+        return self._inner.joint_log_probs(H_rows, state.inner)
 
     def logprob_lattice(self, H, labels):
         return self._inner.logprob_lattice(H, labels)
@@ -346,8 +351,12 @@ class TestLazyPredictionStates:
         counting, _ = _counted_alsd(make_model(), features, beam_width=beam_width,
                                     n_best=2, merge=merge)
         assert counting.made
-        assert counting.read >= set(range(1, len(counting.made) + 1))
-        assert len(set(counting.made)) == len(counting.made)
+        assert counting.read >= set(counting.made)
+        # One extend and one joint call per step, each over the whole beam.
+        assert counting.extend_calls == counting.joint_calls
+        table = getattr(counting.last_state, "table", None)
+        if table is not None:  # the real model: one row per prefix per utterance
+            assert list(table.index) == [(), *counting.made]
 
     @pytest.mark.parametrize("make_model,features", CASES)
     @pytest.mark.parametrize("beam_width", [1, 2, 4])

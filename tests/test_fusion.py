@@ -22,6 +22,7 @@ from transducer_workbench.fusion import (
     tune_weights,
     write_nbest,
 )
+from transducer_workbench import fusion as fusion_module
 from transducer_workbench import model as model_module
 from transducer_workbench.model import ModelConfig, TransducerModel, init_model
 from transducer_workbench.networks import (
@@ -298,7 +299,7 @@ class TestCombineRescore:
         features = RandomStream(56).normal(size=(4, 3))
         nb_a = alsd_beam(model_a, features, beam_width=16, n_best=8, expansion_cap=6)
         nb_b = alsd_beam(model_b, features, beam_width=16, n_best=8, expansion_cap=6)
-        calls = {"advance_prediction_state": [], "_label_forward": [], "joint_forward_lattice": []}
+        calls = {"_label_forward": [], "joint_forward_lattice": []}
         for name, sink in calls.items():
             monkeypatch.setattr(model_module, name, counting(getattr(model_module, name), sink))
         lattice_nll_calls = []
@@ -313,7 +314,7 @@ class TestCombineRescore:
         assert len(prefixes) < sum(len(labels) for labels in union)  # prefixes are shared
         depth = max(map(len, union))
         assert depth < len(prefixes)  # a depth holds several prefixes
-        assert lattice_nll_calls == [] and calls["advance_prediction_state"] == []
+        assert lattice_nll_calls == []
         blocks, joints = calls["_label_forward"], calls["joint_forward_lattice"]
         for model in (model_a, model_b):
             own = [args for args in blocks if args[1] is model.prediction.embedding]
@@ -326,6 +327,21 @@ class TestCombineRescore:
             assert sum(n for _, n in shapes) == len(prefixes)
             assert sum(args[2] is model.joint for args in joints) == 1
         assert len(blocks) == 2 * depth and len(joints) == 2
+
+    def test_one_prefix_trie_per_utterance(self, monkeypatch):
+        model_a = tiny_model(54)
+        model_b = tiny_model(55, mode="multiplicative")
+        features = RandomStream(56).normal(size=(4, 3))
+        nb_a = alsd_beam(model_a, features, beam_width=16, n_best=8, expansion_cap=6)
+        nb_b = alsd_beam(model_b, features, beam_width=16, n_best=8, expansion_cap=6)
+        tries = []
+        monkeypatch.setattr(fusion_module, "build_prefix_trie",
+                            counting(fusion_module.build_prefix_trie, tries))
+        w = CombinationWeights(0.5, 0.5, 0.0, 0.0, 0.0)
+        combined = combine_rescore(features, nb_a, nb_b, w, model_a, model_b)
+        # Both models score the one trie of the union.
+        assert len(tries) == 1
+        assert sorted(tries[0][0]) == sorted(c.labels for c in combined)
 
     def test_out_of_vocabulary_label_rejected(self):
         model = tiny_model(57)

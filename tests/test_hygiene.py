@@ -1,7 +1,9 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene: every name a module imports is used in that module, and
+every module-level `_private` function or class is referenced somewhere in
+the package.
 
 The package's `__init__.py` re-exports its imports, and `from __future__`
-imports are directives, so both are exempt.
+imports are directives, so both are exempt from the import check.
 """
 
 import ast
@@ -52,3 +54,36 @@ def test_no_unused_imports(path):
     used = _used_names(tree)
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree) if name not in used]
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if (
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+            and not node.name.startswith("__")
+        ):
+            yield node.name, node.lineno
+
+
+def _referenced_names(tree):
+    """Names read as variables, attributes or imports, annotations included."""
+    names = _used_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCE.glob("*.py")}
+    referenced = set().union(*map(_referenced_names, trees.values()))
+    unreferenced = [
+        f"{module}: {name} (line {line})"
+        for module, tree in sorted(trees.items())
+        for name, line in _private_definitions(tree)
+        if name not in referenced
+    ]
+    assert unreferenced == [], f"private definitions nothing references: {unreferenced}"

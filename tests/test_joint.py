@@ -75,6 +75,16 @@ class TestForward:
             joint_forward(np.zeros(7), np.zeros(4), params)
         with pytest.raises(DimensionError, match="W_pred"):
             joint_forward(np.zeros(5), np.zeros(9), params)
+        with pytest.raises(DimensionError, match="W_pred"):
+            joint_forward(np.zeros((2, 5)), np.zeros((3, 4)), params)
+
+    def test_backward_refuses_block_cache(self):
+        rng = RandomStream(6)
+        params = make_params(ADDITIVE, rng)
+        logprob, cache = joint_forward_cached(rng.normal(size=(2, 5)), rng.normal(size=(2, 4)), params)
+        assert logprob.shape == (2, 3)
+        with pytest.raises(DimensionError, match="one-node"):
+            joint_backward(np.ones_like(logprob), cache, params)
 
 
 class TestBackward:

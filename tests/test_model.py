@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transducer_workbench.errors import ContractViolation, DimensionError
-from transducer_workbench.joint import ADDITIVE, MULTIPLICATIVE
+from transducer_workbench.joint import ADDITIVE, MULTIPLICATIVE, joint_forward
 from transducer_workbench.model import (
     DropConnectMasks,
     ModelConfig,
@@ -19,6 +21,7 @@ from transducer_workbench.networks import (
     EncoderConfig,
     PredictionConfig,
     init_char_lm_params,
+    predict_embed,
 )
 from transducer_workbench.numerics import (
     RandomStream,
@@ -120,6 +123,91 @@ class TestLossAndGrads:
             rng.normal(size=(6, 3)), [0], aux=np.array([0.3, -0.7])
         )
         assert np.isfinite(nll)
+
+
+def decoder_model(seed, mode=ADDITIVE, branch_biases=False):
+    config = tiny_config(mode)
+    config.joint_branch_biases = branch_biases
+    model = init_model(config, RandomStream(seed))
+    # Biases start at zero; random ones make every term of the joint count.
+    rng = RandomStream(seed + 1)
+    model.joint.b[:] = rng.normal(size=model.joint.b.shape)
+    if branch_biases:
+        model.joint.b_enc[:] = rng.normal(size=model.joint.b_enc.shape)
+        model.joint.b_pred[:] = rng.normal(size=model.joint.b_pred.shape)
+    return model
+
+
+def with_rows(model, prefixes):
+    """A state over `prefixes`, their ancestors given rows depth by depth."""
+    state = model.init_decode_state()
+    for u in range(1, max(map(len, prefixes), default=0) + 1):
+        state = model.extend_decode_state(state, sorted({p[:u] for p in prefixes if len(p) >= u}))
+    return model.extend_decode_state(state, prefixes)
+
+
+class TestDecodeState:
+    """The decoder protocol: a state is a block of label-prefix rows in an
+    append-only per-utterance table, and the joint scores a block."""
+
+    JOINTS = [(ADDITIVE, False), (MULTIPLICATIVE, False), (MULTIPLICATIVE, True)]
+
+    @pytest.mark.parametrize("mode, branch_biases", JOINTS,
+                             ids=["additive", "multiplicative", "multiplicative-branch-biases"])
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(st.integers(0, 2), max_size=5).map(tuple), min_size=1, max_size=8),
+           st.integers(0, 2**16))
+    def test_block_joint_equals_one_node_calls_bitwise(self, mode, branch_biases, prefixes, seed):
+        model = decoder_model(seed, mode, branch_biases)
+        state = with_rows(model, prefixes)
+        E = model.config.encoder.output_dim
+        H_rows = RandomStream(seed + 2).normal(size=(len(prefixes), E))
+        block = model.joint_log_probs(H_rows, state)
+        assert block.shape == (len(prefixes), model.config.vocab_size)
+        for h, prefix, row in zip(H_rows, prefixes, block):
+            G, _ = predict_embed(list(prefix), model.prediction)
+            assert np.array_equal(row, joint_forward(h, G[-1], model.joint)), prefix
+
+    def test_one_row_per_prefix_and_handles_stay_valid(self):
+        model = decoder_model(3)
+        first = model.extend_decode_state(model.init_decode_state(), [(0,), (1,), (0,)])
+        assert first.rows.tolist() == [1, 2, 1]
+        seen = first.table.h[first.rows].copy()
+        chain = [(0,) * u for u in range(1, 200)]
+        state = first
+        for prefix in chain:  # the table grows by one row a step
+            state = model.extend_decode_state(state, [prefix, (1,)])
+        assert state.table is first.table and len(first.table.index) == 201
+        assert np.array_equal(first.table.h[first.rows], seen)
+        again = model.extend_decode_state(state, [(1,), (0,)])
+        assert again.rows.tolist() == [2, 1] and len(first.table.index) == 201
+
+    def test_out_of_vocabulary_prefix_adds_no_row(self):
+        model = decoder_model(4)
+        state = model.extend_decode_state(model.init_decode_state(), [(0,)])
+        for bad in (-1, model.num_labels):
+            # take() would wrap -1 to the last embedding row.
+            with pytest.raises(ContractViolation, match="outside vocabulary"):
+                model.extend_decode_state(state, [(1,), (0, bad)])
+            assert list(state.table.index) == [(), (0,)]
+        ok = model.extend_decode_state(state, [(1,), (0, 2)])
+        assert list(ok.table.index) == [(), (0,), (1,), (0, 2)]
+
+    def test_prefix_without_parent_row_rejected(self):
+        model = decoder_model(5)
+        state = model.init_decode_state()
+        with pytest.raises(ContractViolation, match="no row"):
+            model.extend_decode_state(state, [(0, 1)])
+        assert list(state.table.index) == [()]
+
+    def test_mis_shaped_H_rows_rejected(self):
+        model = decoder_model(6)
+        state = model.extend_decode_state(model.init_decode_state(), [(), (2,)])
+        E = model.config.encoder.output_dim
+        for shape in [(3, E), (1, E), (2, E + 1), (E,), (2, 1, E)]:
+            with pytest.raises(DimensionError):
+                model.joint_log_probs(np.zeros(shape), state)
+        assert model.joint_log_probs(np.zeros((2, E)), state).shape == (2, 4)
 
 
 class TestCheckpoint:

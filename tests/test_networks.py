@@ -12,11 +12,11 @@ from helpers import (
 
 from transducer_workbench import networks
 from transducer_workbench.errors import ContractViolation, DimensionError
+from transducer_workbench.model import ModelConfig, init_model
 from transducer_workbench.networks import (
     CharLMConfig,
     EncoderConfig,
     LSTMParams,
-    advance_prediction_state,
     append_aux,
     encode,
     encode_backward,
@@ -24,7 +24,6 @@ from transducer_workbench.networks import (
     init_encoder_params,
     init_lstm_params,
     init_prediction_params,
-    init_prediction_state,
     lm_end_increment,
     lm_init_state,
     lm_loss_and_grads,
@@ -209,10 +208,11 @@ class TestStackedRowProducts:
     product np.matmul(W, X[..., None])[..., 0] equals a W @ x per row bit
     for bit (a (rows, D) @ (D, M) GEMM would not). Shapes are the
     workbench's: 4H x D gate weights (prediction H = 48, encoder and LM
-    H = 64) and the joint's 16 x E projections."""
+    H = 64) and the joint's J x E, J x P and K x J products (J = 16, E = 128
+    bidirectional or 64, P = 48, K = 9)."""
 
     SHAPES = [(4 * H, D) for H in (48, 64) for D in (16, 20, 48, 64, 128)]
-    SHAPES += [(16, 128), (16, 48)]
+    SHAPES += [(16, 128), (16, 64), (16, 48), (9, 16)]
 
     @staticmethod
     def views(rng, T, D):
@@ -460,22 +460,44 @@ class TestPrediction:
         G, _ = predict_embed([], params)
         np.testing.assert_array_equal(G, np.zeros((1, 6)))
 
+    @staticmethod
+    def decoder_model(seed):
+        config = ModelConfig(
+            num_labels=4,
+            encoder=EncoderConfig(layers=1, cells=2, stacking=1, skip=1, input_dim=3),
+            prediction=PredictionConfig(cells=6, embed_dim=3),
+        )
+        return init_model(config, RandomStream(seed))
+
+    @staticmethod
+    def rows(state):
+        return state.table.h[state.rows]
+
     def test_incremental_matches_recompute_bitwise(self):
-        params = init_prediction_params(4, PredictionConfig(cells=6, embed_dim=3), RandomStream(16))
-        prefix = [2, 0, 3, 1]
-        G, _ = predict_embed(prefix, params)
-        state = init_prediction_state(params)
-        np.testing.assert_array_equal(state.g, G[0])
-        for u, lab in enumerate(prefix):
-            state = advance_prediction_state(state, lab, params)
-            np.testing.assert_array_equal(state.g, G[u + 1])
+        # The decoder's prefix-table rows, made one prefix per call and as a
+        # block of siblings, are predict_embed's rows bit for bit.
+        model = self.decoder_model(16)
+        prefix = (2, 0, 3, 1)
+        G, _ = predict_embed(list(prefix), model.prediction)
+        state = model.init_decode_state()
+        np.testing.assert_array_equal(self.rows(state), G[:1])
+        for u in range(1, len(prefix) + 1):
+            state = model.extend_decode_state(state, [prefix[:u]])
+            np.testing.assert_array_equal(self.rows(state), G[u : u + 1])
+        every = [prefix[:u] for u in range(len(prefix) + 1)]
+        np.testing.assert_array_equal(self.rows(model.extend_decode_state(state, every)), G)
+        siblings = [prefix[:2] + (k,) for k in range(4)]
+        block = self.rows(model.extend_decode_state(state, siblings))
+        for row, sibling in zip(block, siblings):
+            np.testing.assert_array_equal(row, predict_embed(list(sibling), model.prediction)[0][-1])
 
     def test_out_of_vocabulary(self):
-        params = init_prediction_params(4, PredictionConfig(cells=6, embed_dim=3), RandomStream(17))
+        model = self.decoder_model(17)
         with pytest.raises(ContractViolation):
-            predict_embed([4], params)
-        with pytest.raises(ContractViolation):
-            advance_prediction_state(init_prediction_state(params), -1, params)
+            predict_embed([4], model.prediction)
+        for label in (-1, 4):
+            with pytest.raises(ContractViolation, match="outside vocabulary"):
+                model.extend_decode_state(model.init_decode_state(), [(label,)])
 
     def test_backward_finite_differences(self):
         params = init_prediction_params(3, PredictionConfig(cells=4, embed_dim=3), RandomStream(18))

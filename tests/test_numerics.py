@@ -76,6 +76,21 @@ class TestSoftmax:
         np.testing.assert_allclose(np.exp(log_softmax(z)), softmax(z), atol=1e-12)
 
 
+    @pytest.mark.parametrize("K", [2, 9, 17, 40])
+    def test_log_softmax_block_equals_row_calls_bitwise(self, K):
+        # A decoder's beam step normalises a (B, K) block in one call.
+        rng = RandomStream(K)
+        block = rng.normal(0, 3, size=(7, K))
+        block[1, 0] = NEG_INF
+        block[2, : K // 2] = NEG_INF
+        block[3] *= 1e3
+        block[4, -1] = 800.0
+        block[5] = 1e300 * np.sign(block[5])
+        out = log_softmax(block)
+        assert np.isfinite(out[0]).all() and np.isneginf(out[1, 0])
+        assert np.array_equal(out, np.stack([log_softmax(row) for row in block]))
+
+
 class TestFiniteDifference:
     def test_quadratic(self):
         g = finite_difference_gradient(lambda x: float(x[0] ** 2), np.array([3.0]), eps=1e-3)

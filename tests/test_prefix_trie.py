@@ -73,7 +73,7 @@ def encoder_output(model, seed, T):
 
 
 def assert_agrees_with_lattice_nll(model, H, sequences):
-    nlls = model.prefix_trie_nlls(H, sequences)
+    nlls = model.prefix_trie_nlls(H, build_prefix_trie(sequences))
     assert nlls.shape == (len(sequences),)
     for seq, nll in zip(sequences, nlls):
         oracle = model.lattice_nll(H, list(seq))
@@ -165,10 +165,11 @@ class TestPrefixTrieNlls:
             captured.append(G.copy())
             return joint(H, G, params)
 
+        trie = build_prefix_trie(sequences)
         with mock.patch.object(model_module, "joint_forward_lattice", capture):
-            model.prefix_trie_nlls(H, sequences)
+            model.prefix_trie_nlls(H, trie)
         [G] = captured
-        parents, _, ends = build_prefix_trie(sequences)
+        parents, _, ends = trie
         assert G.shape == (len(parents), model.prediction.lstm.hidden)
         for seq, end in zip(sequences, ends):
             rows, _ = predict_embed(seq, model.prediction)
@@ -181,7 +182,8 @@ class TestPrefixTrieNlls:
     def test_agrees_with_enumeration(self, mode, branch_biases, T, sequences, seed):
         model = trie_model(seed, mode, branch_biases)
         H = encoder_output(model, seed, T)
-        for seq, nll in zip(sequences, model.prefix_trie_nlls(H, sequences)):
+        nlls = model.prefix_trie_nlls(H, build_prefix_trie(sequences))
+        for seq, nll in zip(sequences, nlls):
             assert T + len(seq) <= ENUMERATION_CAP
             oracle = brute_force_nll(model.logprob_lattice(H, list(seq)), list(seq))
             assert abs(nll - oracle) <= 1e-10
@@ -199,9 +201,11 @@ class TestPrefixTrieNlls:
 
     def test_no_sequences(self):
         model = trie_model(8, ADDITIVE, False)
-        assert model.prefix_trie_nlls(encoder_output(model, 8, 3), []).shape == (0,)
+        H = encoder_output(model, 8, 3)
+        assert model.prefix_trie_nlls(H, build_prefix_trie([])).shape == (0,)
 
     def test_out_of_vocabulary_label_rejected(self):
         model = trie_model(9, ADDITIVE, False)
+        H = encoder_output(model, 9, 3)
         with pytest.raises(ContractViolation, match="outside vocabulary"):
-            model.prefix_trie_nlls(encoder_output(model, 9, 3), [(0, NUM_LABELS)])
+            model.prefix_trie_nlls(H, build_prefix_trie([(0, NUM_LABELS)]))
