@@ -40,6 +40,7 @@ import numpy as np
 from .errors import ContractViolation, DecodeError, SearchBudgetExceeded
 from .fusion import density_ratio_score
 from .lattice import BLANK_ID, rnnt_forward
+from .networks import lm_next_logprobs
 from .numerics import log_add
 
 EXHAUSTIVE_BUDGET = 500_000
@@ -169,6 +170,11 @@ def alsd_beam(
     from its parent's row; only the hypotheses that survive pruning get a
     row of their own, shared by label prefix. Without fusion, the search
     stops as soon as no live hypothesis can enter the n-best list.
+
+    Under fusion, an LM state is a function of the label prefix too: each
+    LM reads the beam's next-symbol rows from one prefix dict per call
+    (`lm_next_logprobs`). A label extension adds its label's column, and a
+    completed hypothesis the end-of-sequence column of its own prefix.
     """
     if beam_width < 1:
         raise ContractViolation("beam_width must be >= 1")
@@ -186,15 +192,17 @@ def alsd_beam(
     K = model.num_labels + 1
     is_blank = np.arange(K) == BLANK_ID
     state = model.init_decode_state()
-    # The beam, ranked by (-score, labels); src, ext and fstates change only
-    # under fusion.
+    if fusion is not None:
+        lms = [(lm, {}) for lm in (fusion.source_lm, fusion.external_lm)]
+        if any(lm is not None and lm.num_labels < model.num_labels for lm, _ in lms):
+            raise ContractViolation("a fusion LM lacks some of the decoder's labels")
+    # The beam, ranked by (-score, labels); src and ext change only under fusion.
     labels: list[tuple[int, ...]] = [()]
     t = np.zeros(1, dtype=np.int64)
     trans = np.zeros(1)
     src = np.zeros(1)
     ext = np.zeros(1)
     beam_scores = [0.0]
-    fstates = [fusion.init_state()] if fusion is not None else None
     completed: list[tuple] = []  # the n_best best (-score, labels, trans, src, ext), ranked
 
     for step in range(1, expansion_cap + 1):
@@ -225,12 +233,11 @@ def alsd_beam(
         if fusion is None:
             score = cand
         else:
-            src_c, ext_c, next_fstates = _lm_extensions(fusion, fstates, src, ext, K)
+            (src_inc, _), (ext_inc, _) = _lm_columns(lms, labels, K)
+            src_c = src[:, None] + src_inc
+            ext_c = ext[:, None] + ext_inc
             n_labels = np.array([len(prefix) for prefix in labels])[:, None] + ~is_blank
             score = density_ratio_score((cand, src_c, ext_c, n_labels), fusion.weights)
-
-            def fstate_of(c):
-                return fstates[c // K] if c % K == BLANK_ID else next_fstates[c]
 
         done = np.flatnonzero(valid & (cand_t == T))
         if len(done):
@@ -238,9 +245,10 @@ def alsd_beam(
                 final = score.ravel()[done]
                 f_src = f_ext = np.zeros(len(done))
             else:
-                ends = np.array([fusion.end_increments(fstate_of(c)) for c in done.tolist()])
-                f_src = src_c.ravel()[done] + ends[:, 0]
-                f_ext = ext_c.ravel()[done] + ends[:, 1]
+                done_labels = [labels_of(c) for c in done.tolist()]
+                (_, src_end), (_, ext_end) = _lm_columns(lms, done_labels, K)
+                f_src = src_c.ravel()[done] + src_end
+                f_ext = ext_c.ravel()[done] + ext_end
                 final = density_ratio_score(
                     (cand.ravel()[done], f_src, f_ext, n_labels.ravel()[done]), fusion.weights
                 )
@@ -264,7 +272,6 @@ def alsd_beam(
         if fusion is not None:
             src = src_c.ravel()[chosen]
             ext = ext_c.ravel()[chosen]
-            fstates = [fstate_of(c) for c in chosen.tolist()]
         # Exact early stop. Once every live hypothesis is complete, all share
         # one t and one label count with distinct labels, so no later merge
         # can add mass, and each extension adds a log-probability <= 0: no
@@ -308,18 +315,17 @@ def _best(scores: np.ndarray, n: int, labels_of, floor: float = -np.inf) -> list
     return [(e, key) for _, key, e in ranked[:n]]
 
 
-def _lm_extensions(fusion, fstates, src, ext, K):
-    """The LM components of every candidate, shape (B, K), and the LM
-    states of the label extensions by flat candidate index."""
-    src_c = np.repeat(src[:, None], K, axis=1)
-    ext_c = np.repeat(ext[:, None], K, axis=1)
-    next_fstates = {}
-    for i, fstate in enumerate(fstates):
-        for k in range(1, K):
-            src_inc, ext_inc, next_fstates[i * K + k] = fusion.extend(fstate, k - 1)
-            src_c[i, k] = src[i] + src_inc
-            ext_c[i, k] = ext[i] + ext_inc
-    return src_c, ext_c, next_fstates
+def _lm_columns(lms, prefixes, K):
+    """For each (LM or None, prefix dict) pair of `lms`: the LM's
+    next-symbol log-probabilities after each of `prefixes`, as label
+    increments (n, K) with 0 in the blank column, and the end-of-sequence
+    column (n,). An absent LM gives zeros."""
+    for lm, cache in lms:
+        inc, end = np.zeros((len(prefixes), K)), np.zeros(len(prefixes))
+        if lm is not None:
+            logprobs = lm_next_logprobs(prefixes, lm, cache)
+            inc[:, 1:], end = logprobs[:, : K - 1], logprobs[:, lm.eos]
+        yield inc, end
 
 
 @dataclass(frozen=True)

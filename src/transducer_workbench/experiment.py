@@ -41,6 +41,7 @@ from .data import (
     Utterance,
     append_deltas,
     atomic_write,
+    attach_transcripts,
     generate_synthetic_task,
     read_features,
     read_transcripts,
@@ -535,9 +536,7 @@ def load_run_data(config: dict, run_dir: Path):
     datasets = {}
     for split in ("train", "dev", "test"):
         ds = read_features(run_dir / f"features_{split}.bin")
-        transcripts = read_transcripts(run_dir / f"transcripts_{split}.tsv", alphabet)
-        for utt in ds:
-            utt.labels = transcripts[utt.utt_id]
+        attach_transcripts(ds, read_transcripts(run_dir / f"transcripts_{split}.tsv", alphabet))
         datasets[split] = ds
     return alphabet, datasets
 
@@ -948,8 +947,7 @@ def verify_report(run_dir) -> list[str]:
     @functools.cache
     def utterances(split):
         dataset = read_features(run_dir / f"features_{split}.bin")
-        for utt in dataset:
-            utt.labels = refs[split][utt.utt_id]
+        attach_transcripts(dataset, refs[split])
         return dataset
 
     problems = []

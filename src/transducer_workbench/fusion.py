@@ -8,8 +8,9 @@ Scoring forms (all over complete label sequences y):
                        - mu*log p_src(y) + lam*log p_ext(y) + rho*|y|
 
 |y| counts emitted labels (sentence markers excluded). During beam search
-the same objective is applied per emitted symbol through FusionScorer; the
-completed-hypothesis scores agree with full-sequence rescoring.
+the same objective is applied per emitted symbol through FusionScorer, from
+the label-prefix-keyed LM rows that `lm_score` keeps; the completed-hypothesis
+scores agree with full-sequence rescoring.
 
 Combination cross-scores each utterance's n-best union on a prefix trie of
 its label sequences (`TransducerModel.prefix_trie_nlls`), so a prefix that
@@ -33,13 +34,7 @@ from . import scoring
 from .data import atomic_write
 from .errors import ContractViolation
 from .lattice import build_prefix_trie
-from .networks import (
-    CharLMParams,
-    lm_end_increment,
-    lm_init_state,
-    lm_score,
-    lm_score_next,
-)
+from .networks import CharLMParams, lm_score
 
 logger = logging.getLogger(__name__)
 
@@ -81,12 +76,10 @@ def combination_score(components, w: CombinationWeights) -> float:
 
 
 class FusionScorer:
-    """Incremental LM scoring used inside beam search (shallow integration).
-
-    Tracks one state per language model per hypothesis; `extend` returns the
-    per-symbol (source, external) log-probability increments and
-    `end_increments` the end-of-sequence terms applied when a hypothesis
-    completes. LMs may be omitted when their weight is zero.
+    """Weights and LMs of fusion inside beam search (`alsd_beam`), which
+    reads each LM's rows by label prefix from a dict in `lm_score`'s format
+    (`networks.lm_next_logprobs`). LMs may be omitted when their weight is
+    zero.
     """
 
     def __init__(
@@ -102,27 +95,6 @@ class FusionScorer:
         self.weights = weights
         self.source_lm = source_lm
         self.external_lm = external_lm
-
-    def init_state(self):
-        return (
-            lm_init_state(self.source_lm) if self.source_lm is not None else None,
-            lm_init_state(self.external_lm) if self.external_lm is not None else None,
-        )
-
-    def extend(self, state, label: int):
-        src_state, ext_state = state
-        src_inc = ext_inc = 0.0
-        if src_state is not None:
-            src_inc, src_state = lm_score_next(src_state, label, self.source_lm)
-        if ext_state is not None:
-            ext_inc, ext_state = lm_score_next(ext_state, label, self.external_lm)
-        return src_inc, ext_inc, (src_state, ext_state)
-
-    def end_increments(self, state):
-        src_state, ext_state = state
-        src_end = lm_end_increment(src_state, self.source_lm) if src_state is not None else 0.0
-        ext_end = lm_end_increment(ext_state, self.external_lm) if ext_state is not None else 0.0
-        return src_end, ext_end
 
 
 # ---------------------------------------------------------------------------

@@ -219,14 +219,7 @@ def joint_forward_lattice(H: np.ndarray, G: np.ndarray, params: JointParams):
         raise DimensionError(f"W_pred expects prediction rows of dim {P}, got {G.shape}")
     h_tilde = H @ params.W_enc.T  # (T, J)
     g_tilde = G @ params.W_pred.T  # (U+1, J)
-    if params.mode == ADDITIVE:
-        pre = h_tilde[:, None, :] + g_tilde[None, :, :] + params.b
-    elif params.b_enc is not None:
-        pre = (h_tilde + params.b_enc)[:, None, :] * (g_tilde + params.b_pred)[None, :, :]
-        pre = pre + params.b
-    else:
-        pre = h_tilde[:, None, :] * g_tilde[None, :, :] + params.b
-    act = np.tanh(pre)
+    act = np.tanh(_pre_activation(params, h_tilde[:, None, :], g_tilde[None, :, :]))
     logprob = log_softmax(act @ params.W_out.T)
     return logprob, JointLatticeCache(H, G, h_tilde, g_tilde, act, logprob)
 

@@ -16,7 +16,9 @@ weight gradient as one product over the whole sequence. Block calls are
 inference-only. The prediction network (one layer) and both character LMs
 (N layers) are one label network, embedding + LSTM layers, with one forward
 `_label_forward` and one backward `_label_backward`; the LMs add only their
-output head.
+output head. `lm_score` and `lm_next_logprobs` key LM rows by label prefix in
+one dict format; the stepwise API (`lm_init_state`, `lm_score_next`,
+`lm_end_increment`) is only their oracle, which the package does not call.
 
 Each forward pass has a closed-form backward implemented alongside it; every
 backward in this module is checked against central finite differences in the
@@ -549,6 +551,26 @@ def _lm_forward(inputs, params: CharLMParams):
     return hs, log_softmax(hs @ params.W_out.T + params.b_out), caches
 
 
+def _lm_fill(sequence: tuple, params: CharLMParams, prefixes: dict) -> None:
+    """Add every prefix of `sequence` (itself included) to `prefixes`: the
+    label network runs only the suffix after the longest prefix found
+    there, as one call from that prefix's state."""
+    n = start = len(sequence)
+    while start >= 0 and sequence[:start] not in prefixes:
+        start -= 1
+    if start == n:
+        return
+    if start < 0:
+        inputs, states = (params.bos, *sequence), None
+    else:
+        inputs, states = sequence[start:], prefixes[sequence[:start]][0]
+    rows, _, caches = _label_forward(inputs, params.embedding, params.layers, states)
+    first = n + 1 - len(inputs)
+    for j in range(len(inputs)):
+        layer_states = tuple((cache.hs[j + 1], cache.cs[j + 1]) for cache in caches)
+        prefixes[sequence[: first + j]] = (layer_states, rows[j])
+
+
 def lm_score(sequence, params: CharLMParams, prefixes: dict | None = None):
     """Total log-probability of a label sequence including the end marker,
     plus the per-symbol increments (length |sequence|+1).
@@ -568,23 +590,22 @@ def lm_score(sequence, params: CharLMParams, prefixes: dict | None = None):
         prefixes = {}
     sequence = tuple(sequence)
     n = len(sequence)
-    start = n
-    while start >= 0 and sequence[:start] not in prefixes:
-        start -= 1
-    if start < n:
-        if start < 0:
-            inputs, states = (params.bos, *sequence), None
-        else:
-            inputs, states = sequence[start:], prefixes[sequence[:start]][0]
-        rows, _, caches = _label_forward(inputs, params.embedding, params.layers, states)
-        first = n + 1 - len(inputs)
-        for j in range(len(inputs)):
-            layer_states = tuple((cache.hs[j + 1], cache.cs[j + 1]) for cache in caches)
-            prefixes[sequence[: first + j]] = (layer_states, rows[j])
+    _lm_fill(sequence, params, prefixes)
     rows = np.stack([prefixes[sequence[:u]][1] for u in range(n + 1)])
     logprobs = log_softmax(rows @ params.W_out.T + params.b_out)
     increments = logprobs[np.arange(n + 1), sequence + (params.eos,)]
     return float(increments.sum()), increments
+
+
+def lm_next_logprobs(sequences, params: CharLMParams, prefixes: dict) -> np.ndarray:
+    """Next-symbol log-probabilities (n, V) after each label tuple of
+    `sequences`, from the `lm_score` prefix dict `prefixes` (filled where
+    missing; labels unchecked). The head is a stacked per-row product, so
+    row i equals the stepwise `LMState.logprobs` bit for bit."""
+    for sequence in sequences:
+        _lm_fill(sequence, params, prefixes)
+    R = np.stack([prefixes[sequence][1] for sequence in sequences])
+    return log_softmax(np.matmul(params.W_out, R[..., None])[..., 0] + params.b_out)
 
 
 def lm_loss_and_grads(sequence, params: CharLMParams):

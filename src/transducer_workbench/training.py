@@ -29,7 +29,7 @@ from .decoding import greedy_decode
 from .errors import ContractViolation, TrainingDiverged
 from .model import TransducerModel, sample_model_masks
 from .numerics import RandomStream
-from .scoring import compute_wer
+from .scoring import corpus_wer
 
 CONST_DECAY = "const_decay"
 ONE_CYCLE = "one_cycle"
@@ -272,16 +272,14 @@ def batch_loss_and_grads(model: TransducerModel, items, masks=None):
 
 
 def dev_wer(model: TransducerModel, dev: Dataset, alphabet, max_symbols=None) -> float:
-    errors = 0
-    words = 0
-    for utt in dev:
-        result = greedy_decode(
-            model, utt.frames.astype(np.float64), max_symbols=max_symbols, aux=utt.aux
-        )
-        _, s, d, i = compute_wer(alphabet.words(utt.labels), alphabet.words(result.labels))
-        errors += s + d + i
-        words += len(alphabet.words(utt.labels))
-    return errors / max(1, words)
+    """Corpus WER of greedy decoding over `dev`."""
+
+    def word_pair(utt):
+        features = utt.frames.astype(np.float64)
+        result = greedy_decode(model, features, max_symbols=max_symbols, aux=utt.aux)
+        return alphabet.words(utt.labels), alphabet.words(result.labels)
+
+    return corpus_wer(map(word_pair, dev))
 
 
 def train(

@@ -1,7 +1,9 @@
 """Shared test fixtures: a history-independent lattice-backed model and an
 independent path-mass oracle for it, loop references for the vectorised
 network kernels (frame stacking, the LSTM forward and its BPTT), and the
-object-per-candidate ALSD loop that the array beam of `alsd_beam` replaced."""
+object-per-candidate ALSD loop that the array beam of `alsd_beam` replaced,
+with its LM terms from the stepwise LM oracle (`lm_init_state`,
+`lm_score_next`, `lm_end_increment`)."""
 
 import heapq
 from dataclasses import dataclass, replace
@@ -12,6 +14,7 @@ import numpy as np
 from transducer_workbench.errors import ContractViolation, DecodeError
 from transducer_workbench.fusion import density_ratio_score
 from transducer_workbench.lattice import BLANK_ID
+from transducer_workbench.networks import lm_end_increment, lm_init_state, lm_score_next
 from transducer_workbench.numerics import NEG_INF, log_add, log_softmax, log_sum_exp
 
 
@@ -240,10 +243,31 @@ def _prefix_state(model, states: dict, labels):
     return states[labels]
 
 
+def _fusion_lms(fusion):
+    return (fusion.source_lm, fusion.external_lm)
+
+
+def _fusion_init(fusion):
+    """One stepwise LM state per LM of `fusion`; None for an absent LM."""
+    return tuple(None if lm is None else lm_init_state(lm) for lm in _fusion_lms(fusion))
+
+
+def _fusion_extend(fusion, fusion_state, label):
+    """The (source, external) increments of `label` and the advanced states."""
+    incs, states = [0.0, 0.0], list(fusion_state)
+    for i, lm in enumerate(_fusion_lms(fusion)):
+        if states[i] is not None:
+            incs[i], states[i] = lm_score_next(states[i], label, lm)
+    return incs[0], incs[1], tuple(states)
+
+
 def _finalize(hyp, fusion):
     if fusion is None:
         return hyp
-    src_end, ext_end = fusion.end_increments(hyp.fusion_state)
+    src_end, ext_end = (
+        0.0 if state is None else lm_end_increment(state, lm)
+        for lm, state in zip(_fusion_lms(fusion), hyp.fusion_state)
+    )
     src = hyp.source_lm + src_end
     ext = hyp.external_lm + ext_end
     return replace(
@@ -294,7 +318,7 @@ def alsd_beam_reference(
             score=0.0,
             transducer=0.0,
             pred_state=states[()],
-            fusion_state=fusion.init_state() if fusion is not None else None,
+            fusion_state=_fusion_init(fusion) if fusion is not None else None,
         )
     ]
     completed: dict = {}
@@ -330,7 +354,7 @@ def alsd_beam_reference(
                 trans = hyp.transducer + float(logp[k])
                 src, ext, fstate = hyp.source_lm, hyp.external_lm, hyp.fusion_state
                 if fusion is not None:
-                    src_inc, ext_inc, fstate = fusion.extend(hyp.fusion_state, label)
+                    src_inc, ext_inc, fstate = _fusion_extend(fusion, hyp.fusion_state, label)
                     src += src_inc
                     ext += ext_inc
                 _merge(

@@ -1,13 +1,17 @@
-"""The benchmark's tracer (`benchmark/tracing.py`) must still see every layer.
+"""The benchmark's tracer (`benchmark/tracing.py`) must still see every layer,
+and the benchmark's modules must still import.
 
 The tracer wraps module attributes under the names the program's callers
 use, and records a target it cannot find instead of failing. A rename in
 `src/` would therefore silently blind the per-layer metrics; these tests
-turn such a rename into a failure of the fast test suite.
+turn such a rename into a failure of the fast test suite. Likewise, a
+deleted name that `benchmark/checks.py` or `benchmark/workloads.py`
+imports would crash every benchmark run at start-up.
 """
 
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +32,23 @@ def tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("name", ["checks", "workloads"])
+def test_benchmark_module_imports(name, monkeypatch):
+    # The workloads import `checks` and `tracing` as top-level modules from
+    # the benchmark directory, as `benchmark/run.py` does.
+    bench = TRACING.parent
+    monkeypatch.syspath_prepend(str(bench))
+    fresh = [key for key in ("checks", "tracing") if key not in sys.modules]
+    try:
+        spec = importlib.util.spec_from_file_location(f"benchmark_{name}", bench / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+        spec.loader.exec_module(module)
+    finally:
+        for key in fresh:
+            sys.modules.pop(key, None)
 
 
 def _attributes():

@@ -13,6 +13,7 @@ from helpers import (
     random_fixed_model,
     total_mass_over_lengths,
 )
+from transducer_workbench import decoding, networks
 from transducer_workbench.decoding import (
     GreedyResult,
     NBestList,
@@ -219,7 +220,10 @@ def _alsd_outcome(search, model, features, **kwargs):
 class TestArrayBeamOracle:
     """The array beam of `alsd_beam` against the object-per-candidate loop
     it replaced (`helpers.alsd_beam_reference`): every returned field, and
-    the best partial hypothesis of a failed search, must be equal."""
+    the best partial hypothesis of a failed search, must be equal. The
+    reference scores its LM terms with the stepwise LM oracle, one
+    `lm_score_next` per candidate; the "lms" case draws 1- and 2-layer
+    LMs."""
 
     @settings(max_examples=250, deadline=None, derandomize=True, database=None)
     @given(
@@ -231,10 +235,11 @@ class TestArrayBeamOracle:
         n_best=st.integers(1, 40),
         merge=st.sampled_from(["logsumexp", "max"]),
         fusion=st.sampled_from([None, "reward", "lms"]),
+        lm_layers=st.integers(1, 2),
         cap_extra=st.integers(0, 10),
     )
     def test_matches_object_per_candidate_reference(
-        self, kind, seed, T, num_labels, beam_width, n_best, merge, fusion, cap_extra
+        self, kind, seed, T, num_labels, beam_width, n_best, merge, fusion, lm_layers, cap_extra
     ):
         rng = RandomStream(seed)
         shape = (T, 2 * T + 1, num_labels + 1)
@@ -254,7 +259,7 @@ class TestArrayBeamOracle:
         if fusion == "reward":
             scorer = FusionScorer(FusionWeights(0.0, 0.0, 0.7))
         elif fusion == "lms":
-            lm_config = CharLMConfig(layers=1, cells=3, embed_dim=2)
+            lm_config = CharLMConfig(layers=lm_layers, cells=3, embed_dim=2)
             scorer = FusionScorer(
                 FusionWeights(0.3, 0.5, 0.4),
                 init_char_lm_params(num_labels, lm_config, rng.child(1)),
@@ -276,6 +281,76 @@ class TestArrayBeamOracle:
             outcome = _alsd_outcome(alsd_beam, model, np.zeros(3), **kwargs)
             assert outcome[0]
             assert outcome == _alsd_outcome(alsd_beam_reference, model, np.zeros(3), **kwargs)
+
+
+def _char_lms(num_labels, layers, rng):
+    config = CharLMConfig(layers=layers, cells=4, embed_dim=3)
+    return tuple(init_char_lm_params(num_labels, config, rng.child(i)) for i in (1, 2))
+
+
+class TestFusedLMState:
+    """In-search fusion keys each LM's state by label prefix: one prefix
+    dict per LM per `alsd_beam` call, in `lm_score`'s format."""
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("merge", ["logsumexp", "max"])
+    def test_zero_weights_return_the_unfused_nbest_bitwise(self, layers, merge):
+        for seed in range(25):
+            rng = RandomStream(seed)
+            num_labels, T = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            model = tiny_real_model(seed, num_labels, ("additive", "multiplicative")[seed % 2])
+            features = rng.normal(size=(T, 3))
+            fusion = FusionScorer(FusionWeights(), *_char_lms(num_labels, layers, rng))
+            kwargs = dict(beam_width=int(rng.integers(1, 8)), n_best=int(rng.integers(1, 30)),
+                          merge=merge)
+            # The LM fields are filled only under fusion; every other field matches.
+            plain = _alsd_outcome(alsd_beam, model, features, **kwargs)
+            fused = _alsd_outcome(alsd_beam, model, features, fusion=fusion, **kwargs)
+            assert plain[0] == fused[0]
+            assert [h[:4] for h in plain[1]] == [h[:4] for h in fused[1]]
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_one_cache_entry_per_scored_prefix_and_no_stepwise_calls(self, layers, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("fused search called the stepwise LM oracle")
+
+        for name in ("_lm_step", "lm_init_state", "lm_score_next", "lm_end_increment"):
+            monkeypatch.setattr(networks, name, refuse)
+        rng = RandomStream(31 + layers)
+        lms = _char_lms(3, layers, rng)
+        scored = {}  # id of a prefix dict -> (LM, the dict, the prefixes read from it)
+        read = decoding.lm_next_logprobs
+
+        def recording(sequences, lm, prefixes):
+            scored.setdefault(id(prefixes), (lm, prefixes, set()))[2].update(sequences)
+            return read(sequences, lm, prefixes)
+
+        rows = {id(lm.embedding): 0 for lm in lms}
+        label_forward = networks._label_forward
+
+        def counted(symbols, embedding, *args):
+            if id(embedding) in rows:
+                rows[id(embedding)] += np.asarray(symbols).size
+            return label_forward(symbols, embedding, *args)
+
+        monkeypatch.setattr(decoding, "lm_next_logprobs", recording)
+        monkeypatch.setattr(networks, "_label_forward", counted)
+        fusion = FusionScorer(FusionWeights(0.3, 0.5, 0.4), *lms)
+        model = tiny_real_model(7, 3, "additive")
+        nbest = alsd_beam(model, rng.normal(size=(4, 3)), beam_width=4, n_best=8, fusion=fusion)
+        assert len(nbest) == 8
+        assert sorted(id(lm) for lm, _, _ in scored.values()) == sorted(map(id, lms))
+        for lm, prefixes, sequences in scored.values():
+            distinct = {seq[:u] for seq in sequences for u in range(len(seq) + 1)}
+            assert set(prefixes) == distinct
+            assert rows[id(lm.embedding)] == len(distinct)  # each entry computed once
+
+    def test_lm_without_every_decoder_label_refused(self):
+        model = tiny_real_model(3, num_labels=3)
+        small = init_char_lm_params(2, CharLMConfig(layers=1, cells=3, embed_dim=2), RandomStream(4))
+        fusion = FusionScorer(FusionWeights(0.0, 0.5, 0.0), external_lm=small)
+        with pytest.raises(ContractViolation):
+            alsd_beam(model, np.zeros((2, 3)), beam_width=2, fusion=fusion)
 
 
 class _Handle:

@@ -253,6 +253,17 @@ class TestCLI:
         for k, v in saved.items():
             np.testing.assert_array_equal(v, after[k])
 
+    def test_missing_transcript_is_an_error_line(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        base = ["--config", str(self._write_config(tmp_path)), "--run-dir", str(run)]
+        assert cli_main(base + ["generate"]) == 0
+        transcripts = run / "transcripts_dev.tsv"
+        lines = transcripts.read_text(encoding="utf-8").splitlines(keepends=True)
+        transcripts.write_text("".join(lines[1:]), encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(base + ["train", "--mode", "additive"]) == 1
+        assert capsys.readouterr().err.startswith("error: no transcript for utterance dev-0000")
+
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[task]\nbogus = 1\n")
@@ -501,6 +512,16 @@ class TestVerifySweep:
         problems = verify_report(run)
         label = f"sweep/{row['optimizer']}/{row['schedule']}/{split}"
         assert [p.split(":")[0] for p in problems] == [label]
+
+
+    def test_missing_transcript_is_an_error_line(self, sweep_run, tmp_path, capsys):
+        run = Path(shutil.copytree(sweep_run, tmp_path / "run"))
+        transcripts = run / "transcripts_test.tsv"
+        lines = transcripts.read_text(encoding="utf-8").splitlines(keepends=True)
+        transcripts.write_text("".join(lines[1:]), encoding="utf-8")
+        base = ["--config", str(run / "config.ini"), "--run-dir", str(run)]
+        assert cli_main(base + ["verify"]) == 1
+        assert capsys.readouterr().err.startswith("error: no transcript for utterance test-0000")
 
 
 class TestWeightsFromDict:

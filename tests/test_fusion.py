@@ -30,6 +30,7 @@ from transducer_workbench.networks import (
     EncoderConfig,
     PredictionConfig,
     init_char_lm_params,
+    lm_next_logprobs,
     lm_score,
 )
 from transducer_workbench.numerics import RandomStream
@@ -121,17 +122,13 @@ class TestFusionScorer:
     def test_incremental_matches_full_scores(self):
         src = tiny_lm(3)
         ext = tiny_lm(4)
-        scorer = FusionScorer(FusionWeights(0.5, 0.7, 0.2), src, ext)
+        # In-search fusion reads each LM's next-symbol rows by label prefix:
+        # each prefix's label column, then the end column of the whole sequence.
         labels = (0, 1, 1, 0)
-        state = scorer.init_state()
-        src_total = ext_total = 0.0
-        for lab in labels:
-            src_inc, ext_inc, state = scorer.extend(state, lab)
-            src_total += src_inc
-            ext_total += ext_inc
-        src_end, ext_end = scorer.end_increments(state)
-        assert src_total + src_end == pytest.approx(lm_score(labels, src)[0], abs=1e-12)
-        assert ext_total + ext_end == pytest.approx(lm_score(labels, ext)[0], abs=1e-12)
+        for lm in (src, ext):
+            rows = lm_next_logprobs([labels[:u] for u in range(len(labels) + 1)], lm, {})
+            total = rows[np.arange(len(labels) + 1), labels + (lm.eos,)].sum()
+            assert total == pytest.approx(lm_score(labels, lm)[0], abs=1e-12)
 
     def test_search_fusion_agrees_with_rescoring(self):
         # Completed-hypothesis scores from fused search must equal

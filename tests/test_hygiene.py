@@ -87,3 +87,19 @@ def test_no_unreferenced_private_definitions():
         if name not in referenced
     ]
     assert unreferenced == [], f"private definitions nothing references: {unreferenced}"
+
+
+STEPWISE_LM_ORACLE = {"LMState", "_lm_step", "lm_init_state", "lm_score_next", "lm_end_increment"}
+
+
+def test_stepwise_lm_oracle_has_no_package_caller():
+    """The stepwise LM API stays in `networks` only as the oracle of the
+    prefix-dict path (`lm_score`, `lm_next_logprobs`): outside its own
+    definitions, nothing in the package reads it."""
+    readers = []
+    for path in SOURCE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nodes = [n for n in tree.body if getattr(n, "name", None) not in STEPWISE_LM_ORACLE]
+        names = set().union(*map(_referenced_names, nodes))
+        readers += [f"{path.name}: {name}" for name in sorted(STEPWISE_LM_ORACLE & names)]
+    assert readers == []

@@ -27,6 +27,7 @@ from transducer_workbench.networks import (
     lm_end_increment,
     lm_init_state,
     lm_loss_and_grads,
+    lm_next_logprobs,
     lm_score,
     lm_score_next,
     lstm_backward,
@@ -209,10 +210,11 @@ class TestStackedRowProducts:
     for bit (a (rows, D) @ (D, M) GEMM would not). Shapes are the
     workbench's: 4H x D gate weights (prediction H = 48, encoder and LM
     H = 64) and the joint's J x E, J x P and K x J products (J = 16, E = 128
-    bidirectional or 64, P = 48, K = 9)."""
+    bidirectional or 64, P = 48, K = 9), and the character LMs' V x H output
+    heads (V = 10, H = 64 or 16)."""
 
     SHAPES = [(4 * H, D) for H in (48, 64) for D in (16, 20, 48, 64, 128)]
-    SHAPES += [(16, 128), (16, 64), (16, 48), (9, 16)]
+    SHAPES += [(16, 128), (16, 64), (16, 48), (9, 16), (10, 64), (10, 16)]
 
     @staticmethod
     def views(rng, T, D):
@@ -609,6 +611,39 @@ class TestCharLM:
         distinct = {seq[:u] for seq in seqs for u in range(1, len(seq) + 1)}
         assert sum(rows) == len(distinct) + 1  # the begin marker's row
         assert set(prefixes) == distinct | {()}
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_next_logprobs_equal_the_stepwise_oracle_bitwise(self, layers, monkeypatch):
+        # Every prefix of 60 random sequences, read through one shared dict
+        # (suffix runs from cached prefixes) and one fresh dict per sequence.
+        config = CharLMConfig(layers=layers, cells=64, embed_dim=16)
+        params = init_char_lm_params(8, config, RandomStream(25 + layers))
+        rng = RandomStream(27)
+        rows = []
+        original = networks.lstm_forward
+
+        def counted(xs, layer, *args):
+            if layer is params.layers[0]:
+                rows.append(xs.size // xs.shape[-1])
+            return original(xs, layer, *args)
+
+        shared, fresh_rows = {}, 0
+        for _ in range(60):
+            seq = tuple(int(x) for x in rng.integers(0, 8, size=int(rng.integers(0, 12))))
+            state = lm_init_state(params)
+            expected = [state.logprobs]
+            for lab in seq:
+                _, state = lm_score_next(state, lab, params)
+                expected.append(state.logprobs)
+            prefixes = [seq[:u] for u in range(len(seq) + 1)]
+            monkeypatch.setattr(networks, "lstm_forward", counted)
+            np.testing.assert_array_equal(
+                lm_next_logprobs(prefixes, params, shared), np.stack(expected)
+            )
+            np.testing.assert_array_equal(lm_next_logprobs([seq], params, {})[0], expected[-1])
+            monkeypatch.undo()
+            fresh_rows += len(seq) + 1
+        assert sum(rows) == len(shared) + fresh_rows  # no row computed twice
 
     def test_out_of_vocabulary_leaves_the_dict_unchanged(self):
         params = self._params()
