@@ -27,9 +27,10 @@ from pathlib import Path
 from .data import atomic_write, read_transcripts
 from .errors import ConfigError, ContractViolation, IngestError, WorkbenchError
 from .experiment import (
-    attach_lm_components,
-    decode_dataset,
+    CONDITIONS,
+    decode_to_nbest,
     default_config,
+    format_config,
     load_report,
     load_run_data,
     parse_config,
@@ -43,7 +44,7 @@ from .experiment import (
     ExperimentReport,
     config_fingerprint,
 )
-from .fusion import FusionWeights, cached_nbests, read_nbest, top1_wer, write_nbest
+from .fusion import FusionWeights, cached_nbests, read_nbest, top1_wer
 from .model import load_char_lm, load_checkpoint
 from .numerics import RandomStream
 
@@ -78,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rescore.add_argument(
         "--condition",
         default="density_ratio",
-        choices=("no_lm", "shallow", "density_ratio", "combination"),
+        choices=CONDITIONS,
     )
 
     p_score = sub.add_parser("score", help="score an n-best file (top-1 by stored weights)")
@@ -110,24 +111,20 @@ def _mode(args, config) -> str:
     return mode
 
 
-def _lms(run_dir):
-    source, _ = load_char_lm(run_dir / "lm_source.npz")
-    external, _ = load_char_lm(run_dir / "lm_external.npz")
-    return source, external
-
-
 def _dispatch(args) -> int:
     config = _load_config(args)
     run_dir = args.run_dir
-    run_dir.mkdir(parents=True, exist_ok=True)
     seed = config["experiment"]["seed"]
     rng = RandomStream(seed)
 
     if args.command == "default-config":
-        _print_config(config)
+        print(format_config(config), end="")
         return 0
 
+    # Only `generate` and `run` may start a run directory; every other
+    # command reads files that must already be in it.
     if args.command == "generate":
+        run_dir.mkdir(parents=True, exist_ok=True)
         stage_generate(config, run_dir, rng.child(100))
         print(f"wrote dataset under {run_dir} (config {config_fingerprint(config)})")
         return 0
@@ -175,16 +172,15 @@ def _dispatch(args) -> int:
     if args.command == "decode":
         mode = _mode(args, config)
         model, _ = load_checkpoint(run_dir / f"model_{mode}.npz")
-        records = decode_dataset(model, datasets[args.split], config)
         try:
-            source_lm, external_lm = _lms(run_dir)
+            source_lm, _ = load_char_lm(run_dir / "lm_source.npz")
+            external_lm, _ = load_char_lm(run_dir / "lm_external.npz")
         except FileNotFoundError:
             # No LMs trained yet: the LM columns are written as 0.0, and
             # only decoding again once the LMs exist fills them.
             source_lm = external_lm = None
-        records = attach_lm_components(records, source_lm, external_lm)
         out = run_dir / f"nbest_{mode}_{args.split}.tsv"
-        write_nbest(out, records, alphabet)
+        decode_to_nbest(out, model, datasets[args.split], config, alphabet, source_lm, external_lm)
         print(f"wrote {out}")
         return 0
 
@@ -194,7 +190,6 @@ def _dispatch(args) -> int:
         models = {}
         for mode in config["model"]["modes"]:
             models[mode], _ = load_checkpoint(run_dir / f"model_{mode}.npz")
-        source_lm, external_lm = _lms(run_dir)
         report = ExperimentReport(
             config_fingerprint=config_fingerprint(config), seed=seed,
             modes=list(models),
@@ -202,9 +197,8 @@ def _dispatch(args) -> int:
         sub_config = dict(config)
         sub_config["experiment"] = dict(config["experiment"])
         sub_config["experiment"]["conditions"] = (args.condition,)
-        stage_fusion_conditions(
-            sub_config, run_dir, models, datasets, alphabet, source_lm, external_lm, report
-        )
+        # The LM columns come from the n-best files; the LMs are not read.
+        stage_fusion_conditions(sub_config, run_dir, models, datasets, alphabet, None, None, report)
         for name, entry in report.conditions[args.condition].items():
             print(
                 f"{args.condition} [{name}]: dev WER {100 * entry['dev_wer']:.2f}%, "
@@ -218,27 +212,12 @@ def _dispatch(args) -> int:
         if args.weights is not None:
             weights = weights_from_dict(json.loads(args.weights.read_text()))
         else:
-            weights = FusionWeights(0.0, 0.0, 0.0)
+            weights = FusionWeights()
         wer = top1_wer(cached, weights)
         print(f"{args.split} WER {100 * wer:.2f}% ({args.nbest})")
         return 0
 
     raise ConfigError(f"unknown command {args.command}")
-
-
-def _print_config(config: dict):
-    import configparser
-    import io
-
-    parser = configparser.ConfigParser()
-    for section, keys in config.items():
-        parser[section] = {
-            k: ",".join(str(x) for x in v) if isinstance(v, (tuple, list)) else str(v)
-            for k, v in keys.items()
-        }
-    buf = io.StringIO()
-    parser.write(buf)
-    print(buf.getvalue(), end="")
 
 
 def main(argv=None) -> int:

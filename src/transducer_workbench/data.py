@@ -368,10 +368,17 @@ def atomic_write(path):
         raise
 
 
-def write_transcripts(path, dataset: Dataset, alphabet: Alphabet):
-    with open(path, "w", encoding="utf-8") as f:
-        for utt in dataset.utterances:
-            f.write(f"{utt.utt_id}\t{alphabet.to_text(utt.labels)}\n")
+def write_transcripts(path, transcripts, alphabet: Alphabet):
+    """One `utt_id<TAB>text` line per utterance, through `atomic_write`.
+    `transcripts` is a Dataset, or a mapping from utterance id to labels
+    like the one `read_transcripts` returns."""
+    if isinstance(transcripts, Dataset):
+        pairs = [(utt.utt_id, utt.labels) for utt in transcripts.utterances]
+    else:
+        pairs = transcripts.items()
+    with atomic_write(path) as f:
+        for utt_id, labels in pairs:
+            f.write(f"{utt_id}\t{alphabet.to_text(labels)}\n")
 
 
 def read_transcripts(path, alphabet: Alphabet) -> dict[str, tuple[int, ...]]:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import configparser
 import functools
 import hashlib
+import io
 import json
 import logging
 from dataclasses import asdict, dataclass, field, fields
@@ -52,6 +53,9 @@ from .data import (
 from .decoding import DecodeError, Hypothesis, alsd_beam, greedy_decode
 from .errors import ConfigError, ContractViolation, WorkbenchError
 from .fusion import (
+    DEFAULT_LAM_GRID,
+    DEFAULT_MU_GRID,
+    DEFAULT_RHO_GRID,
     CombinationWeights,
     FusionWeights,
     NBestRecord,
@@ -89,6 +93,9 @@ _FLOAT = "float"
 _STR = "str"
 _FLOATS = "float_list"
 _STRS = "str_list"
+
+# The scoring conditions, in report order.
+CONDITIONS = ("no_lm", "shallow", "density_ratio", "combination")
 
 # One entry per recognized key: (type, default). Unknown sections or keys in
 # a config file are errors (typo safety in ablation sweeps).
@@ -180,15 +187,15 @@ CONFIG_SCHEMA = {
     "fusion": {
         # Grids bracket the production-recipe values (0.5, 0.7, 0.2). A
         # single shared source LM serves both transducers in combination.
-        "mu_grid": (_FLOATS, tuple(round(0.1 * i, 1) for i in range(11))),
-        "lam_grid": (_FLOATS, tuple(round(0.1 * i, 1) for i in range(11))),
-        "rho_grid": (_FLOATS, tuple(round(0.1 * i, 1) for i in range(6))),
+        "mu_grid": (_FLOATS, DEFAULT_MU_GRID),
+        "lam_grid": (_FLOATS, DEFAULT_LAM_GRID),
+        "rho_grid": (_FLOATS, DEFAULT_RHO_GRID),
         "combination_alpha": (_FLOAT, 0.5),
         "combination_beta": (_FLOAT, 0.5),
     },
     "experiment": {
         "seed": (_INT, 0),
-        "conditions": (_STRS, ("no_lm", "shallow", "density_ratio", "combination")),
+        "conditions": (_STRS, CONDITIONS),
         "sweep": (_BOOL, False),
         "sweep_epochs": (_INT, 0),  # 0 = same as training epochs
         "ablations": (_STRS, ()),
@@ -258,7 +265,7 @@ def _validate(config: dict):
         if mode not in ("additive", "multiplicative"):
             raise ConfigError(f"unknown joint mode {mode!r}")
     for cond in config["experiment"]["conditions"]:
-        if cond not in ("no_lm", "shallow", "density_ratio", "combination"):
+        if cond not in CONDITIONS:
             raise ConfigError(f"unknown decode condition {cond!r}")
     for ablation in config["experiment"]["ablations"]:
         if ablation not in ABLATION_KEYS:
@@ -269,17 +276,22 @@ def _validate(config: dict):
         raise ConfigError("combination condition needs two joint modes")
 
 
-def write_config(path, config: dict):
+def format_config(config: dict) -> str:
+    """The config file text of `config`, which `parse_config` reads back."""
     parser = configparser.ConfigParser()
     for section, keys in config.items():
-        parser[section] = {}
-        for key, value in keys.items():
-            if isinstance(value, (tuple, list)):
-                parser[section][key] = ",".join(str(v) for v in value)
-            else:
-                parser[section][key] = str(value)
-    with open(path, "w", encoding="utf-8") as f:
-        parser.write(f)
+        parser[section] = {
+            key: ",".join(str(v) for v in value) if isinstance(value, (tuple, list)) else str(value)
+            for key, value in keys.items()
+        }
+    buf = io.StringIO()
+    parser.write(buf)
+    return buf.getvalue()
+
+
+def write_config(path, config: dict):
+    with atomic_write(path) as f:
+        f.write(format_config(config))
 
 
 def config_fingerprint(config: dict) -> str:
@@ -523,9 +535,8 @@ def stage_generate(config: dict, run_dir: Path, rng: RandomStream):
         write_transcripts(run_dir / f"transcripts_{split}.tsv", ds, task.alphabet)
     factor = config["task"]["external_text_factor"]
     extra = sample_text_corpus(task, max(0, (factor - 1)) * len(task.train), rng.child(2))
-    with open(run_dir / "external_text.tsv", "w", encoding="utf-8") as f:
-        for i, seq in enumerate(extra):
-            f.write(f"ext-{i:05d}\t{task.alphabet.to_text(seq)}\n")
+    write_transcripts(run_dir / "external_text.tsv",
+                      {f"ext-{i:05d}": seq for i, seq in enumerate(extra)}, task.alphabet)
     return task, datasets
 
 
@@ -660,21 +671,27 @@ def attach_lm_components(records, source_lm, external_lm):
     return out
 
 
+def decode_to_nbest(path, model, dataset: Dataset, config: dict, alphabet, source_lm,
+                    external_lm) -> list:
+    """Decode `dataset` (`decode_dataset`), fill the LM columns
+    (`attach_lm_components`) and write the n-best file at `path`; returns
+    the file's (utt_id, rows) records."""
+    records = attach_lm_components(decode_dataset(model, dataset, config), source_lm, external_lm)
+    write_nbest(path, records, alphabet)
+    return records
+
+
 def stage_decode(config, run_dir, models, datasets, alphabet, source_lm, external_lm):
     for mode, model in models.items():
         for split in ("dev", "test"):
-            records = decode_dataset(model, datasets[split], config)
-            records = attach_lm_components(records, source_lm, external_lm)
-            write_nbest(run_dir / f"nbest_{mode}_{split}.tsv", records, alphabet)
-
-
-def _weights_dict(w) -> dict:
-    return asdict(w)
+            decode_to_nbest(run_dir / f"nbest_{mode}_{split}.tsv", model, datasets[split],
+                            config, alphabet, source_lm, external_lm)
 
 
 def weights_from_dict(d: dict) -> FusionWeights | CombinationWeights:
-    """The inverse of `_weights_dict`: CombinationWeights when `d` has
-    alpha, FusionWeights otherwise. A missing key raises ContractViolation."""
+    """The inverse of `dataclasses.asdict` on weights: CombinationWeights
+    when `d` has alpha, FusionWeights otherwise. A missing key raises
+    ContractViolation."""
     kind = CombinationWeights if "alpha" in d else FusionWeights
     missing = [f.name for f in fields(kind) if f.name not in d]
     if missing:
@@ -682,13 +699,40 @@ def weights_from_dict(d: dict) -> FusionWeights | CombinationWeights:
     return kind(**{f.name: d[f.name] for f in fields(kind)})
 
 
+def condition_grid(config: dict, condition: str) -> dict:
+    """The `tune_weights` grid of `condition`: no_lm is the one zero cell,
+    shallow fixes mu at 0, density_ratio searches the configured grids, and
+    combination adds the configured (alpha, beta) pair."""
+    if condition == "no_lm":
+        return {"mu_grid": (0.0,), "lam_grid": (0.0,), "rho_grid": (0.0,)}
+    f = config["fusion"]
+    grid = {
+        "mu_grid": (0.0,) if condition == "shallow" else f["mu_grid"],
+        "lam_grid": f["lam_grid"],
+        "rho_grid": f["rho_grid"],
+    }
+    if condition == "combination":
+        grid["alpha_beta_grid"] = ((f["combination_alpha"], f["combination_beta"]),)
+    return grid
+
+
+def condition_entry(run_dir, tag: str, dev, test, grid: dict) -> dict:
+    """Tune on the `dev` CachedNBests over `grid`, write the weights to
+    `weights_{tag}.json` and return the report entry. The dev WER is the
+    tuned cell's, which equals `top1_wer(dev, weights)` bit for bit."""
+    tuned = tune_weights(dev, **grid)
+    weights = asdict(tuned.weights)
+    with atomic_write(run_dir / f"weights_{tag}.json") as fh:
+        json.dump(weights, fh)
+    return {"dev_wer": tuned.wer, "test_wer": top1_wer(test, tuned.weights), "weights": weights}
+
+
 def stage_fusion_conditions(config, run_dir, models, datasets, alphabet,
                             source_lm, external_lm, report: ExperimentReport):
     """Tune and score every configured condition from the n-best files,
-    each read once and shared by all conditions. The LM components come
-    from those files, which `stage_decode` filled; `source_lm` and
-    `external_lm` are not read again."""
-    f = config["fusion"]
+    each read once and shared by all conditions; combination comes last.
+    The LM components come from those files, which `stage_decode` filled;
+    `source_lm` and `external_lm` are not read."""
     refs = {
         split: {u.utt_id: u.labels for u in datasets[split]} for split in ("dev", "test")
     }
@@ -697,44 +741,27 @@ def stage_fusion_conditions(config, run_dir, models, datasets, alphabet,
         for mode in models for split in ("dev", "test")
     }
     cached = {key: cached_nbests(r, alphabet, refs[key[1]]) for key, r in rows.items()}
-    conditions = config["experiment"]["conditions"]
-    for condition in conditions:
-        if condition == "combination":
+    for condition in sorted(config["experiment"]["conditions"], key=lambda c: c == "combination"):
+        if condition != "combination":
+            scored = {mode: (f"{condition}_{mode}", cached[mode, "dev"], cached[mode, "test"])
+                      for mode in models}
+        elif len(models) >= 2:
+            union = stage_combination(run_dir, models, datasets, alphabet, refs, rows)
+            scored = {"+".join(list(models)[:2]): ("combination", union["dev"], union["test"])}
+        else:
             continue
-        entry = {}
-        for mode in models:
-            dev_cached, test_cached = cached[mode, "dev"], cached[mode, "test"]
-            if condition == "no_lm":
-                weights = FusionWeights(0.0, 0.0, 0.0)
-            elif condition == "shallow":
-                weights = tune_weights(
-                    dev_cached, mu_grid=(0.0,), lam_grid=f["lam_grid"], rho_grid=f["rho_grid"]
-                ).weights
-            else:  # density_ratio
-                weights = tune_weights(
-                    dev_cached, mu_grid=f["mu_grid"], lam_grid=f["lam_grid"],
-                    rho_grid=f["rho_grid"],
-                ).weights
-            entry[mode] = {
-                "dev_wer": top1_wer(dev_cached, weights),
-                "test_wer": top1_wer(test_cached, weights),
-                "weights": _weights_dict(weights),
-            }
-            with atomic_write(run_dir / f"weights_{condition}_{mode}.json") as fh:
-                json.dump(_weights_dict(weights), fh)
-        report.conditions[condition] = entry
-
-    if "combination" in conditions and len(models) >= 2:
-        report.conditions["combination"] = stage_combination(
-            config, run_dir, models, datasets, alphabet, refs, rows
-        )
+        grid = condition_grid(config, condition)
+        report.conditions[condition] = {
+            name: condition_entry(run_dir, tag, dev, test, grid)
+            for name, (tag, dev, test) in scored.items()
+        }
 
 
-def stage_combination(config, run_dir, models, datasets, alphabet, refs, rows) -> dict:
+def stage_combination(run_dir, models, datasets, alphabet, refs, rows) -> dict:
     """Cross-score the union of the first two modes' n-best lists, given as
-    `rows[mode, split]` (`read_nbest` output). The LM columns of
-    `combination_{split}.tsv` are the n-best files' own."""
-    f = config["fusion"]
+    `rows[mode, split]` (`read_nbest` output), write `combination_{split}.tsv`
+    and return its CachedNBests by split. The LM columns are the n-best
+    files' own."""
     mode_a, mode_b = list(models)[:2]
     zero = CombinationWeights(1.0, 0.0, 0.0, 0.0, 0.0)
     cached = {}
@@ -753,25 +780,7 @@ def stage_combination(config, run_dir, models, datasets, alphabet, refs, rows) -
             )
         write_nbest(run_dir / f"combination_{split}.tsv", unions.items(), alphabet)
         cached[split] = cached_nbests(unions, alphabet, refs[split])
-    alpha = f["combination_alpha"]
-    beta = f["combination_beta"]
-    tuned = tune_weights(
-        cached["dev"],
-        mu_grid=f["mu_grid"],
-        lam_grid=f["lam_grid"],
-        rho_grid=f["rho_grid"],
-        alpha_beta_grid=((alpha, beta),),
-    ).weights
-    with atomic_write(run_dir / "weights_combination.json") as fh:
-        json.dump(_weights_dict(tuned), fh)
-    name = f"{mode_a}+{mode_b}"
-    return {
-        name: {
-            "dev_wer": top1_wer(cached["dev"], tuned),
-            "test_wer": top1_wer(cached["test"], tuned),
-            "weights": _weights_dict(tuned),
-        }
-    }
+    return cached
 
 
 def stage_sweep(config, run_dir, rng, datasets, alphabet, report: ExperimentReport):
@@ -816,7 +825,6 @@ def _greedy_wer(model, dataset, alphabet) -> float:
 def stage_ablations(config, run_dir, rng, datasets, alphabet, source_lm, external_lm,
                     report: ExperimentReport):
     mode = config["model"]["modes"][0]
-    f = config["fusion"]
     for ablation in config["experiment"]["ablations"]:
         tag = f"ablation_{ablation}"
         model, _ = stage_train_mode(
@@ -825,18 +833,15 @@ def stage_ablations(config, run_dir, rng, datasets, alphabet, source_lm, externa
         )
         cached = {}
         for split in ("dev", "test"):
-            records = decode_dataset(model, datasets[split], config)
-            records = attach_lm_components(records, source_lm, external_lm)
-            write_nbest(run_dir / f"nbest_{tag}_{split}.tsv", records, alphabet)
+            records = decode_to_nbest(run_dir / f"nbest_{tag}_{split}.tsv", model,
+                                      datasets[split], config, alphabet, source_lm, external_lm)
             refs = {u.utt_id: u.labels for u in datasets[split]}
             cached[split] = cached_nbests(dict(records), alphabet, refs)
-        tuned = tune_weights(
-            cached["dev"], mu_grid=f["mu_grid"], lam_grid=f["lam_grid"], rho_grid=f["rho_grid"]
-        ).weights
+        tuned = tune_weights(cached["dev"], **condition_grid(config, "density_ratio")).weights
         report.ablations[ablation] = {
-            "no_lm_test_wer": top1_wer(cached["test"], FusionWeights(0, 0, 0)),
+            "no_lm_test_wer": top1_wer(cached["test"], FusionWeights()),
             "density_ratio_test_wer": top1_wer(cached["test"], tuned),
-            "weights": _weights_dict(tuned),
+            "weights": asdict(tuned),
         }
 
 
@@ -966,7 +971,7 @@ def verify_report(run_dir) -> list[str]:
     for name, entry in report["ablations"].items():
         rows = load(f"nbest_ablation_{name}", "test")
         check(f"ablations/{name}/no_lm_test", entry["no_lm_test_wer"],
-              top1_wer(rows, FusionWeights(0.0, 0.0, 0.0)))
+              top1_wer(rows, FusionWeights()))
         check(f"ablations/{name}/density_ratio_test", entry["density_ratio_test_wer"],
               top1_wer(rows, weights_from_dict(entry["weights"])))
     for row in report["sweep"]:

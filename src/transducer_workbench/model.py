@@ -102,9 +102,6 @@ class TransducerModel:
             out[f"joint.{name}"] = arr
         return out
 
-    def num_parameters(self) -> int:
-        return sum(a.size for a in self.arrays().values())
-
     # -- training path ---------------------------------------------------
 
     def loss_and_grads(self, features, labels, aux=None, masks: DropConnectMasks | None = None):

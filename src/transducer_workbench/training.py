@@ -196,7 +196,6 @@ class TrainingRecipe:
     specaugment: SpecAugmentConfig | None = None
     replicas: tuple = ()  # (tag, factor) pairs expanded before training
     shuffle: bool = True
-    dev_max_symbols: int | None = None
 
 
 @dataclass
@@ -271,12 +270,12 @@ def batch_loss_and_grads(model: TransducerModel, items, masks=None):
     return total_nll / len(items), acc
 
 
-def dev_wer(model: TransducerModel, dev: Dataset, alphabet, max_symbols=None) -> float:
+def dev_wer(model: TransducerModel, dev: Dataset, alphabet) -> float:
     """Corpus WER of greedy decoding over `dev`."""
 
     def word_pair(utt):
         features = utt.frames.astype(np.float64)
-        result = greedy_decode(model, features, max_symbols=max_symbols, aux=utt.aux)
+        result = greedy_decode(model, features, aux=utt.aux)
         return alphabet.words(utt.labels), alphabet.words(result.labels)
 
     return corpus_wer(map(word_pair, dev))
@@ -362,7 +361,7 @@ def train(
             train_nll=epoch_nll / max(1, epoch_utts),
             train_nll_per_label=epoch_nll / max(1, epoch_labels),
             dev_wer=(
-                dev_wer(model, dev_set, alphabet, recipe.dev_max_symbols)
+                dev_wer(model, dev_set, alphabet)
                 if dev_set is not None and alphabet is not None
                 else None
             ),

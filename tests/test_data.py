@@ -212,6 +212,10 @@ class TestTranscripts:
         back = read_transcripts(path, alphabet)
         for utt in utts:
             assert back[utt.utt_id] == utt.labels
+        # The mapping form writes the same file.
+        again = tmp_path / "again.tsv"
+        write_transcripts(again, back, alphabet)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_attach(self, tmp_path):
         alphabet = Alphabet(3)

@@ -9,13 +9,16 @@ import pytest
 
 from transducer_workbench import experiment
 from transducer_workbench.cli import main as cli_main
-from transducer_workbench.data import Alphabet, read_transcripts
+from transducer_workbench.data import Alphabet, read_transcripts, write_transcripts
 from transducer_workbench.errors import ConfigError, ContractViolation
 from transducer_workbench.experiment import (
     ExperimentReport,
+    CONDITIONS,
     build_recipe,
+    condition_grid,
     config_fingerprint,
     default_config,
+    format_config,
     load_report,
     load_run_data,
     parse_config,
@@ -121,6 +124,22 @@ class TestRecipeBuilder:
         assert build_recipe(cfg, "no_specaugment").specaugment is None
         assert build_recipe(cfg, "no_dropconnect").dropconnect_rate == 0.0
         assert build_recipe(cfg, "no_speed_tempo").replicas == ()
+
+
+class TestConditionGrid:
+    def test_grids(self):
+        cfg = tiny_config()
+        f = cfg["fusion"]
+        zero = (0.0,)
+        assert condition_grid(cfg, "no_lm") == {"mu_grid": zero, "lam_grid": zero, "rho_grid": zero}
+        assert condition_grid(cfg, "shallow") == {
+            "mu_grid": zero, "lam_grid": f["lam_grid"], "rho_grid": f["rho_grid"]}
+        assert condition_grid(cfg, "density_ratio") == {
+            "mu_grid": f["mu_grid"], "lam_grid": f["lam_grid"], "rho_grid": f["rho_grid"]}
+        assert condition_grid(cfg, "combination") == {
+            **condition_grid(cfg, "density_ratio"),
+            "alpha_beta_grid": ((f["combination_alpha"], f["combination_beta"]),),
+        }
 
 
 class TestRunExperiment:
@@ -269,10 +288,20 @@ class TestCLI:
         bad.write_text("[task]\nbogus = 1\n")
         assert cli_main(["--config", str(bad), "--run-dir", str(tmp_path / "r"), "run"]) == 1
 
-    def test_default_config_prints(self, capsys):
+    def test_default_config_prints(self, tmp_path, capsys):
         assert cli_main(["default-config"]) == 0
         out = capsys.readouterr().out
         assert "[task]" in out and "num_labels" in out
+        write_config(tmp_path / "config.ini", default_config())
+        assert out == (tmp_path / "config.ini").read_text(encoding="utf-8")
+        assert out == format_config(default_config())
+
+    @pytest.mark.parametrize("command", [["default-config"], ["verify"]])
+    def test_read_only_commands_make_no_run_dir(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        cli_main(command)
+        cli_main(["--run-dir", str(tmp_path / "elsewhere")] + command)
+        assert list(tmp_path.iterdir()) == []
 
     def test_seed_override(self, tmp_path):
         config = self._write_config(tmp_path)
@@ -325,6 +354,30 @@ class TestVerify:
         report = load_report(ablation_run)
         assert set(report["ablations"]) == {ABLATION}
         assert verify_report(ablation_run) == []
+
+    def test_dev_wer_is_top1_wer_exactly(self, ablation_run):
+        report = load_report(ablation_run)
+        assert list(report["conditions"]) == list(CONDITIONS)
+        for entry in report["conditions"]["no_lm"].values():
+            assert weights_from_dict(entry["weights"]) == FusionWeights()
+        config = parse_config(ablation_run / "config.ini")
+        alphabet, _ = load_run_data(config, ablation_run)
+        refs = read_transcripts(ablation_run / "transcripts_dev.tsv", alphabet)
+        for condition, entries in report["conditions"].items():
+            for name, entry in entries.items():
+                stem = "combination" if condition == "combination" else f"nbest_{name}"
+                dev = cached_nbests(read_nbest(ablation_run / f"{stem}_dev.tsv", alphabet),
+                                    alphabet, refs)
+                assert entry["dev_wer"] == top1_wer(dev, weights_from_dict(entry["weights"]))
+
+    @pytest.mark.parametrize("condition", CONDITIONS)
+    def test_cli_rescore_reads_no_lm(self, run_copy, capsys, condition):
+        for name in ("lm_source.npz", "lm_external.npz"):
+            (run_copy / name).unlink()
+        base = ["--config", str(run_copy / "config.ini"), "--run-dir", str(run_copy)]
+        assert cli_main(base + ["rescore", "--condition", condition]) == 0
+        assert capsys.readouterr().out.startswith(f"{condition} [")
+        assert verify_report(run_copy) == []
 
     def test_each_file_read_once_per_stage(self, run_copy, monkeypatch):
         config = parse_config(run_copy / "config.ini")
@@ -456,6 +509,34 @@ class TestCrashSafeArtifacts:
         with pytest.raises(UnicodeEncodeError):
             cli_main(base + ["report"])
         assert self.snapshot(run_copy) == before
+
+    def test_config(self, run_copy):
+        before = self.snapshot(run_copy)
+        config = parse_config(run_copy / "config.ini")
+        # A lone surrogate cannot be encoded, so the write itself fails.
+        config["model"]["encoder_init"] = "\ud800"
+        with pytest.raises(UnicodeEncodeError):
+            write_config(run_copy / "config.ini", config)
+        assert self.snapshot(run_copy) == before
+
+    @pytest.mark.parametrize("name", ["transcripts_dev.tsv", "external_text.tsv"])
+    def test_transcripts(self, run_copy, name):
+        before = self.snapshot(run_copy)
+        config = parse_config(run_copy / "config.ini")
+        alphabet, _ = load_run_data(config, run_copy)
+        transcripts = read_transcripts(run_copy / name, alphabet)
+        written = []
+
+        class DyingAlphabet:
+            def to_text(self, labels):
+                if written:
+                    raise RuntimeError("killed mid-write")
+                written.append(labels)
+                return alphabet.to_text(labels)
+
+        with pytest.raises(RuntimeError, match="killed mid-write"):
+            write_transcripts(run_copy / name, transcripts, DyingAlphabet())
+        assert written and self.snapshot(run_copy) == before
 
     @pytest.mark.parametrize("condition", ["shallow", "combination"])
     def test_weights(self, run_copy, monkeypatch, condition):
