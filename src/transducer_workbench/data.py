@@ -283,8 +283,10 @@ def append_deltas(frames: np.ndarray) -> np.ndarray:
 
 def write_features(path, dataset: Dataset):
     """Self-describing container: magic, version, D, aux dim, utterance
-    count, then per utterance (id, speaker, T, T*D float32, aux float32)."""
-    with open(path, "wb") as f:
+    count, then per utterance (id, speaker, T, T*D float32, aux float32).
+    Written through `atomic_write`, so a non-finite utterance leaves `path`
+    as it was."""
+    with atomic_write(path, binary=True) as f:
         f.write(_MAGIC)
         f.write(struct.pack("<III", _VERSION, dataset.dim, dataset.aux_dim))
         f.write(struct.pack("<I", len(dataset.utterances)))
@@ -349,18 +351,18 @@ def read_features(path) -> Dataset:
 
 
 @contextlib.contextmanager
-def atomic_write(path):
-    """Open `path` for writing text, through a temporary file in the same
-    directory that replaces `path` only when the block ends without an
-    error. A killed or failed write therefore never leaves a cut file at
-    `path`, which a reader or `verify` would trust: on an error the
-    temporary file is removed and `path` keeps its previous content. The
-    temporary file is opened like the target, so permissions follow the
-    umask."""
+def atomic_write(path, binary: bool = False):
+    """Open `path` for writing text (bytes when `binary`), through a
+    temporary file in the same directory that replaces `path` only when the
+    block ends without an error. A killed or failed write therefore never
+    leaves a cut file at `path`, which a reader or `verify` would trust: on
+    an error the temporary file is removed and `path` keeps its previous
+    content. The temporary file is opened like the target, so permissions
+    follow the umask."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as f:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as f:
             yield f
         os.replace(tmp, path)
     except BaseException:

@@ -12,8 +12,8 @@ A decoder model is anything with:
     num_labels -> int
 
 A state is a block of label-prefix rows. `extend_decode_state` takes label
-tuples, each either already known to the state's utterance or one label
-longer than a known prefix, and returns their rows in order; row i of
+tuples and returns their rows in order, adding the ones its utterance lacks
+(`TransducerModel` keeps them in a `networks.PrefixStates` table); row i of
 `joint_log_probs` reads H_rows[i] and prefix i. State handles are never
 mutated, so they can be shared. A state depends only on its label prefix,
 so `alsd_beam` steps the prediction network lazily: a label extension is
@@ -40,7 +40,7 @@ import numpy as np
 from .errors import ContractViolation, DecodeError, SearchBudgetExceeded
 from .fusion import density_ratio_score
 from .lattice import BLANK_ID, rnnt_forward
-from .networks import lm_next_logprobs
+from .networks import PrefixStates, lm_next_logprobs
 from .numerics import log_add
 
 EXHAUSTIVE_BUDGET = 500_000
@@ -172,9 +172,10 @@ def alsd_beam(
     stops as soon as no live hypothesis can enter the n-best list.
 
     Under fusion, an LM state is a function of the label prefix too: each
-    LM reads the beam's next-symbol rows from one prefix dict per call
-    (`lm_next_logprobs`). A label extension adds its label's column, and a
-    completed hypothesis the end-of-sequence column of its own prefix.
+    LM keeps one `PrefixStates` table per call, read once a step
+    (`lm_next_logprobs`) for the beam and the completed candidates together.
+    A label extension adds its label's column, and a completed hypothesis
+    the end-of-sequence column of its own prefix.
     """
     if beam_width < 1:
         raise ContractViolation("beam_width must be >= 1")
@@ -193,9 +194,10 @@ def alsd_beam(
     is_blank = np.arange(K) == BLANK_ID
     state = model.init_decode_state()
     if fusion is not None:
-        lms = [(lm, {}) for lm in (fusion.source_lm, fusion.external_lm)]
-        if any(lm is not None and lm.num_labels < model.num_labels for lm, _ in lms):
+        lms = [fusion.source_lm, fusion.external_lm]
+        if any(lm is not None and lm.num_labels < model.num_labels for lm in lms):
             raise ContractViolation("a fusion LM lacks some of the decoder's labels")
+        tables = [None if lm is None else PrefixStates(lm) for lm in lms]
     # The beam, ranked by (-score, labels); src and ext change only under fusion.
     labels: list[tuple[int, ...]] = [()]
     t = np.zeros(1, dtype=np.int64)
@@ -230,25 +232,26 @@ def alsd_beam(
             i, k = divmod(c, K)
             return labels[i] if k == BLANK_ID else labels[i] + (k - 1,)
 
+        done = np.flatnonzero(valid & (cand_t == T))
         if fusion is None:
             score = cand
         else:
-            (src_inc, _), (ext_inc, _) = _lm_columns(lms, labels, K)
-            src_c = src[:, None] + src_inc
-            ext_c = ext[:, None] + ext_inc
+            B = len(labels)  # the beam's rows, then the completed candidates'
+            (src_inc, src_end), (ext_inc, ext_end) = _lm_columns(
+                tables, labels + [labels_of(c) for c in done.tolist()], K
+            )
+            src_c = src[:, None] + src_inc[:B]
+            ext_c = ext[:, None] + ext_inc[:B]
             n_labels = np.array([len(prefix) for prefix in labels])[:, None] + ~is_blank
             score = density_ratio_score((cand, src_c, ext_c, n_labels), fusion.weights)
 
-        done = np.flatnonzero(valid & (cand_t == T))
         if len(done):
             if fusion is None:
                 final = score.ravel()[done]
                 f_src = f_ext = np.zeros(len(done))
             else:
-                done_labels = [labels_of(c) for c in done.tolist()]
-                (_, src_end), (_, ext_end) = _lm_columns(lms, done_labels, K)
-                f_src = src_c.ravel()[done] + src_end
-                f_ext = ext_c.ravel()[done] + ext_end
+                f_src = src_c.ravel()[done] + src_end[B:]
+                f_ext = ext_c.ravel()[done] + ext_end[B:]
                 final = density_ratio_score(
                     (cand.ravel()[done], f_src, f_ext, n_labels.ravel()[done]), fusion.weights
                 )
@@ -315,16 +318,16 @@ def _best(scores: np.ndarray, n: int, labels_of, floor: float = -np.inf) -> list
     return [(e, key) for _, key, e in ranked[:n]]
 
 
-def _lm_columns(lms, prefixes, K):
-    """For each (LM or None, prefix dict) pair of `lms`: the LM's
-    next-symbol log-probabilities after each of `prefixes`, as label
-    increments (n, K) with 0 in the blank column, and the end-of-sequence
-    column (n,). An absent LM gives zeros."""
-    for lm, cache in lms:
+def _lm_columns(tables, prefixes, K):
+    """For each LM table (or None) of `tables`: the LM's next-symbol
+    log-probabilities after each of `prefixes`, as label increments (n, K)
+    with 0 in the blank column, and the end-of-sequence column (n,). An
+    absent LM gives zeros."""
+    for table in tables:
         inc, end = np.zeros((len(prefixes), K)), np.zeros(len(prefixes))
-        if lm is not None:
-            logprobs = lm_next_logprobs(prefixes, lm, cache)
-            inc[:, 1:], end = logprobs[:, : K - 1], logprobs[:, lm.eos]
+        if table is not None:
+            logprobs = lm_next_logprobs(prefixes, table)
+            inc[:, 1:], end = logprobs[:, : K - 1], logprobs[:, table.params.eos]
         yield inc, end
 
 

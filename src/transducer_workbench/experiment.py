@@ -74,7 +74,7 @@ from .model import (
     save_char_lm,
     save_checkpoint,
 )
-from .networks import CharLMConfig, EncoderConfig, PredictionConfig, lm_score
+from .networks import CharLMConfig, EncoderConfig, PredictionConfig, PrefixStates, lm_score
 from .numerics import RandomStream
 from .scoring import compute_wer
 from .training import (
@@ -651,19 +651,23 @@ def attach_lm_components(records, source_lm, external_lm):
     """The n-best file rows of decoder records: each hypothesis with its
     alignment length, transducer score and full-sequence LM scores. An LM
     given as None scores 0.0. Each distinct label sequence is scored once
-    per LM, and each LM keeps one prefix-state dict for the call, so a
+    per LM, and each LM keeps one `PrefixStates` table for the call, so a
     prefix shared by many hypotheses runs through the label network once.
-    Scoring happens inside the one pass over `records`."""
+    Scoring happens inside the one pass over `records`: each utterance's
+    sequences fill the tables (a block step per depth), then are scored."""
     out = []
     cache: dict[tuple, tuple] = {}
-    lms = [(lm, {}) for lm in (source_lm, external_lm)]
+    lms = [(lm, None if lm is None else PrefixStates(lm)) for lm in (source_lm, external_lm)]
     for utt_id, hyps in records:
+        for lm, table in lms:
+            if lm is not None:
+                table.rows(dict.fromkeys(hyp.labels for hyp in hyps))
         rows = []
         for hyp in hyps:
             if hyp.labels not in cache:
                 cache[hyp.labels] = tuple(
-                    lm_score(hyp.labels, lm, prefixes)[0] if lm is not None else 0.0
-                    for lm, prefixes in lms
+                    lm_score(hyp.labels, lm, table)[0] if lm is not None else 0.0
+                    for lm, table in lms
                 )
             src, ext = cache[hyp.labels]
             rows.append(NBestRecord(hyp.labels, hyp.alignment_length, hyp.transducer, src, ext))

@@ -9,13 +9,14 @@ Scoring forms (all over complete label sequences y):
 
 |y| counts emitted labels (sentence markers excluded). During beam search
 the same objective is applied per emitted symbol through FusionScorer, from
-the label-prefix-keyed LM rows that `lm_score` keeps; the completed-hypothesis
-scores agree with full-sequence rescoring.
+each LM's `networks.PrefixStates` table, the one `lm_score` reads; the
+completed-hypothesis scores agree with full-sequence rescoring.
 
-Combination cross-scores each utterance's n-best union on a prefix trie of
-its label sequences (`TransducerModel.prefix_trie_nlls`), so a prefix that
-many hypotheses share is scored once per model. The result agrees with
-`lattice_nll`, the per-sequence oracle, within 1e-12 * max(1, |nll|).
+Combination cross-scores each utterance's n-best union on the prefix trie of
+its label sequences (`TransducerModel.prefix_trie_nlls`, one fresh table per
+model), so a prefix that many hypotheses share is scored once per model. The
+result agrees with `lattice_nll`, the per-sequence oracle, within
+1e-12 * max(1, |nll|).
 
 The n-best artifact format (decoder and combination files), its one reader
 and writer, and the loader that turns its rows into tuning input also live
@@ -33,7 +34,6 @@ import numpy as np
 from . import scoring
 from .data import atomic_write
 from .errors import ContractViolation
-from .lattice import build_prefix_trie
 from .networks import CharLMParams, lm_score
 
 logger = logging.getLogger(__name__)
@@ -77,7 +77,7 @@ def combination_score(components, w: CombinationWeights) -> float:
 
 class FusionScorer:
     """Weights and LMs of fusion inside beam search (`alsd_beam`), which
-    reads each LM's rows by label prefix from a dict in `lm_score`'s format
+    reads each LM's rows by label prefix from a `PrefixStates` table
     (`networks.lm_next_logprobs`). LMs may be omitted when their weight is
     zero.
     """
@@ -159,8 +159,8 @@ def combine_rescore(
     """Log-linear rescoring of the union of two n-best lists.
 
     Every unique label sequence in the union is cross-scored by both
-    transducers with exact lattice marginals. The union's prefix trie is
-    built once, and each model scores it in one `prefix_trie_nlls` call:
+    transducers with exact lattice marginals. Each model scores the union
+    in one `prefix_trie_nlls` call, on the prefix trie of a fresh table:
     one prediction-LSTM block step per trie depth (a row per distinct label
     prefix), one joint column and one alpha column per prefix. The scores
     agree with the per-sequence oracle `lattice_nll` within
@@ -198,9 +198,8 @@ def combine_rescore(
             )
             continue
         kept.append(labels)
-    trie = build_prefix_trie(kept)
-    scores_a = (-model_a.prefix_trie_nlls(H_a, trie)).tolist()
-    scores_b = (-model_b.prefix_trie_nlls(H_b, trie)).tolist()
+    scores_a = (-model_a.prefix_trie_nlls(H_a, kept)).tolist()
+    scores_b = (-model_b.prefix_trie_nlls(H_b, kept)).tolist()
     out = []
     for labels, trans_a, trans_b in zip(kept, scores_a, scores_b):
         src, ext = union[labels]

@@ -16,10 +16,11 @@ oracle for `rnnt_forward`; both implement the same convention.
 
 Prefix tries: lattice row u and alpha column u of a sequence depend only on
 its first u labels. `prefix_trie_forward` therefore scores a whole set of
-sequences on their prefix trie (`build_prefix_trie`), one lattice column and
-one alpha column per distinct prefix. Given the same lattice columns it
-reproduces `rnnt_forward`'s alpha bit for bit, since every entry comes from
-the same operands through the same `+` and `np.logaddexp`.
+sequences on their prefix trie (the rows of a fresh `networks.PrefixStates`
+table, nodes in depth order), one lattice column and one alpha column per
+distinct prefix. Given the same lattice columns it reproduces
+`rnnt_forward`'s alpha bit for bit, since every entry comes from the same
+operands through the same `+` and `np.logaddexp`.
 """
 
 from __future__ import annotations
@@ -101,32 +102,11 @@ def rnnt_forward(lattice: np.ndarray, y) -> tuple[float, np.ndarray]:
     return float(nll), alpha
 
 
-def build_prefix_trie(sequences) -> tuple[list[int], list[int], list[int]]:
-    """Prefix trie of label sequences, nodes in depth order.
-
-    Node 0 is the empty prefix; node n > 0 extends the prefix of node
-    `parents[n]` (< n) by label `labels[n]`, and no node is deeper than a
-    later one. Returns (parents, labels, ends), where `ends[i]` is the node
-    of `sequences[i]`; the root's parent and label are -1.
-    """
-    parents, labels = [-1], [-1]
-    ends = [0] * len(sequences)
-    children: dict[tuple[int, int], int] = {}
-    for depth in range(max(map(len, sequences), default=0)):
-        for i, seq in enumerate(sequences):
-            if depth < len(seq):
-                key = (ends[i], seq[depth])
-                node = children.get(key)
-                if node is None:
-                    node = children[key] = len(parents)
-                    parents.append(ends[i])
-                    labels.append(seq[depth])
-                ends[i] = node
-    return parents, labels, ends
-
-
 def prefix_trie_forward(columns: np.ndarray, parents, labels) -> np.ndarray:
-    """Forward columns of every node of a prefix trie (`build_prefix_trie`).
+    """Forward columns of every node of a prefix trie: node 0 is the empty
+    prefix, node n > 0 extends node `parents[n]` (< n) by label `labels[n]`,
+    and no node is deeper than a later one (the root's parent and label are
+    -1).
 
     `columns` is (T, N, K). For node n at depth u, columns[:, n] is row u of
     the lattice of any sequence whose first u labels are node n's prefix.

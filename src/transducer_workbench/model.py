@@ -1,6 +1,10 @@
 """Full transducer model: encoder + prediction network + joint network,
 with end-to-end loss gradients and checkpoint serialization.
 
+Label prefixes reach the prediction network through `PrefixStates`: a
+decoder state is a table plus row indices, and `prefix_trie_nlls` scores a
+set of sequences on the prefix trie of a fresh table.
+
 Parameter tensors live in a flat name -> array mapping ("encoder.layers.0.
 fwd.W_x", "prediction.embedding", "joint.W_out", ...) used by the optimizer,
 the checkpoint format, and the encoder-initialization hook.
@@ -13,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import atomic_write
 from .errors import ContractViolation, DimensionError, TrainingDiverged
 from .joint import (
     ADDITIVE,
@@ -29,7 +34,7 @@ from .networks import (
     EncoderParams,
     PredictionConfig,
     PredictionParams,
-    _label_forward,
+    PrefixStates,
     encode,
     encode_backward,
     init_char_lm_params,
@@ -135,13 +140,12 @@ class TransducerModel:
         nll, _ = rnnt_forward(self.logprob_lattice(H, labels), labels)
         return nll
 
-    def prefix_trie_nlls(self, H, trie) -> np.ndarray:
-        """NLL of each label sequence of a prefix trie, `trie` being the
-        (parents, labels, ends) of `build_prefix_trie(sequences)`, all scored
-        together: one prediction-LSTM call per trie depth, stepping every
-        node of that depth as one row block from its parent's state, one
-        joint call over every trie node, and one alpha column per node.
-        Returns the NLLs in the order of `sequences`.
+    def prefix_trie_nlls(self, H, sequences) -> np.ndarray:
+        """NLL of each label sequence of `sequences`, all scored together on
+        their prefix trie: the rows of a fresh `PrefixStates` table, one
+        prediction-LSTM block step per trie depth, one joint call over every
+        trie node, and one alpha column per node. Returns the NLLs in the
+        order of `sequences`.
 
         Agrees with `lattice_nll` per sequence within 1e-12 * max(1, |nll|).
         The prediction rows and the alpha recursion are bitwise those of
@@ -149,39 +153,11 @@ class TransducerModel:
         the joint matmuls run over a different number of rows, which may
         change the BLAS kernel and so the last bits.
         """
-        parents, labels, ends = trie
-        self._check_vocab(labels[1:])
-        # Row n holds node n's prediction state; the root's is the zero state.
-        hs = np.zeros((len(parents), self.prediction.lstm.hidden))
-        cs = np.zeros_like(hs)
-        # Nodes come in depth order, so the depth after the one starting at
-        # node s starts at the first node whose parent is s or later.
-        reach = np.maximum.accumulate(parents)
-        start = 1
-        while start < len(parents):
-            nodes = slice(start, int(np.searchsorted(reach, start)))
-            up = parents[nodes]
-            hs[nodes], cs[nodes] = self._step_rows(labels[nodes], hs[up], cs[up])
-            start = nodes.stop
-        columns, _ = joint_forward_lattice(H, hs, self.joint)
-        alpha = prefix_trie_forward(columns, parents, labels)
+        table = PrefixStates(self.prediction)
+        ends = table.rows(sequences)
+        columns, _ = joint_forward_lattice(H, table.outputs, self.joint)
+        alpha = prefix_trie_forward(columns, table.parents, table.labels)
         return -alpha[-1, ends]
-
-    def _check_vocab(self, labels):
-        """Labels index the embedding with `take`, which would wrap a
-        negative one: check them all before any is stepped."""
-        vocab = self.prediction.vocab
-        for label in labels:
-            if not 0 <= label < vocab:
-                raise ContractViolation(f"label {label} outside vocabulary of {vocab}")
-
-    def _step_rows(self, labels, h, c):
-        """The prediction (h, c) rows after stepping each row of (h, c) by
-        its label, all as one block: one LSTM step with symbols (1, n)."""
-        _, ((h, c),), _ = _label_forward(
-            [labels], self.prediction.embedding, [self.prediction.lstm], [(h, c)]
-        )
-        return h, c
 
     # -- decoding interface ----------------------------------------------
 
@@ -190,32 +166,18 @@ class TransducerModel:
         return H
 
     def init_decode_state(self) -> DecodeState:
-        """The empty prefix as one row of a new utterance's prefix table."""
-        return DecodeState(_PrefixTable(self.prediction.lstm.hidden), np.zeros(1, dtype=np.intp))
+        """The empty prefix as row 0 of a new utterance's prefix table."""
+        return DecodeState(PrefixStates(self.prediction), np.zeros(1, dtype=np.intp))
 
     def extend_decode_state(self, state: DecodeState, prefixes) -> DecodeState:
         """The rows of `prefixes` (label tuples), in order, in the table of
-        `state`. Every prefix not seen before is stepped from its parent's
-        row, all of them as one block; the parent must have a row already.
-        An out-of-vocabulary label raises ContractViolation before any row
-        is added."""
-        table = state.table
-        new = [p for p in dict.fromkeys(prefixes) if p not in table.index]
-        if new:
-            labels = [p[-1] for p in new]
-            self._check_vocab(labels)
-            try:
-                up = [table.index[p[:-1]] for p in new]
-            except KeyError as missing:
-                raise ContractViolation(f"parent prefix {missing} has no row") from None
-            table.append(new, *self._step_rows(labels, table.h[up], table.c[up]))
-        index = table.index
-        return DecodeState(table, np.array([index[p] for p in prefixes], dtype=np.intp))
+        `state`; prefixes new to the table get rows (`PrefixStates.rows`)."""
+        return DecodeState(state.table, state.table.rows(prefixes))
 
     def joint_log_probs(self, H_rows: np.ndarray, state: DecodeState) -> np.ndarray:
         """(B, K) log-probabilities: row i joins H_rows[i] with prefix i of
         `state`."""
-        return joint_forward(H_rows, state.table.h[state.rows], self.joint)
+        return joint_forward(H_rows, state.table.outputs[state.rows], self.joint)
 
     def logprob_lattice(self, H: np.ndarray, labels) -> np.ndarray:
         """The (T, U+1, K) log-probability lattice for a given label sequence."""
@@ -228,28 +190,12 @@ class TransducerModel:
         return self.config.num_labels
 
 
-class _PrefixTable:
-    """Append-only prediction (h, c) rows of one utterance's label prefixes,
-    keyed by prefix in `index`. Row 0 is the empty prefix's zero state. Rows
-    are never rewritten, so every handle into the table stays valid."""
-
-    def __init__(self, hidden: int):
-        self.index = {(): 0}
-        self.h = np.zeros((1, hidden))
-        self.c = np.zeros((1, hidden))
-
-    def append(self, prefixes, h, c):
-        self.index.update(zip(prefixes, range(len(self.h), len(self.h) + len(prefixes))))
-        self.h = np.concatenate([self.h, h])
-        self.c = np.concatenate([self.c, c])
-
-
 @dataclass(frozen=True)
 class DecodeState:
     """A decoder handle: row indices into one utterance's prefix table, one
     row per label prefix of a beam step. Handles are never mutated."""
 
-    table: _PrefixTable
+    table: PrefixStates
     rows: np.ndarray
 
 
@@ -295,11 +241,15 @@ def sample_model_masks(model: TransducerModel, rate: float, rng: RandomStream) -
 
 
 def _write_container(path, arrays: dict[str, np.ndarray], meta: dict):
+    """Through `atomic_write`, so a failed write leaves `path` as it was. A
+    path without the `.npz` suffix gets it, as with `np.savez(path)`."""
     payload = dict(arrays)
     payload["__meta__"] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
     )
-    np.savez(path, **payload)
+    path = str(path)
+    with atomic_write(path if path.endswith(".npz") else f"{path}.npz", binary=True) as f:
+        np.savez(f, **payload)
 
 
 def _read_container(path) -> tuple[dict[str, np.ndarray], dict]:

@@ -16,9 +16,12 @@ weight gradient as one product over the whole sequence. Block calls are
 inference-only. The prediction network (one layer) and both character LMs
 (N layers) are one label network, embedding + LSTM layers, with one forward
 `_label_forward` and one backward `_label_backward`; the LMs add only their
-output head. `lm_score` and `lm_next_logprobs` key LM rows by label prefix in
-one dict format; the stepwise API (`lm_init_state`, `lm_score_next`,
-`lm_end_increment`) is only their oracle, which the package does not call.
+output head. `PrefixStates` holds the label-network states of a growing set
+of label prefixes, keyed by prefix, and steps each depth of new prefixes as
+one block: the decoder's prediction rows, trie cross-scoring and both LM
+readers (`lm_score`, `lm_next_logprobs`) step prefixes only through it. The
+stepwise LM API (`lm_init_state`, `lm_score_next`, `lm_end_increment`) is
+only their oracle, which the package does not call.
 
 Each forward pass has a closed-form backward implemented alongside it; every
 backward in this module is checked against central finite differences in the
@@ -551,60 +554,34 @@ def _lm_forward(inputs, params: CharLMParams):
     return hs, log_softmax(hs @ params.W_out.T + params.b_out), caches
 
 
-def _lm_fill(sequence: tuple, params: CharLMParams, prefixes: dict) -> None:
-    """Add every prefix of `sequence` (itself included) to `prefixes`: the
-    label network runs only the suffix after the longest prefix found
-    there, as one call from that prefix's state."""
-    n = start = len(sequence)
-    while start >= 0 and sequence[:start] not in prefixes:
-        start -= 1
-    if start == n:
-        return
-    if start < 0:
-        inputs, states = (params.bos, *sequence), None
-    else:
-        inputs, states = sequence[start:], prefixes[sequence[:start]][0]
-    rows, _, caches = _label_forward(inputs, params.embedding, params.layers, states)
-    first = n + 1 - len(inputs)
-    for j in range(len(inputs)):
-        layer_states = tuple((cache.hs[j + 1], cache.cs[j + 1]) for cache in caches)
-        prefixes[sequence[: first + j]] = (layer_states, rows[j])
-
-
-def lm_score(sequence, params: CharLMParams, prefixes: dict | None = None):
+def lm_score(sequence, params: CharLMParams, table: PrefixStates | None = None):
     """Total log-probability of a label sequence including the end marker,
     plus the per-symbol increments (length |sequence|+1).
 
-    `prefixes` maps a label prefix to the per-layer LSTM state after it and
-    the top-layer row that predicts its next symbol; the empty prefix
-    stands for the begin marker. The label network runs only the suffix
-    after the longest prefix found there, as one call from that prefix's
-    state, and every prefix it passes is added. A T-row call equals T
-    chained one-row calls bit for bit, so the result does not depend on
-    what the dict holds. A caller that scores many sequences of one LM
-    passes one dict to all of them; without one, a fresh dict is used."""
-    for lab in sequence:
-        if not 0 <= lab < params.num_labels:
-            raise ContractViolation(f"symbol {lab} outside LM vocabulary")
-    if prefixes is None:
-        prefixes = {}
+    The rows that predict each symbol come from `table`, the LM's
+    `PrefixStates`, which steps only the prefixes it lacks. A block step
+    equals one-row steps bit for bit, so the result does not depend on what
+    the table holds. A caller that scores many sequences of one LM passes
+    one table to all of them; without one, a fresh table is used."""
+    if table is None:
+        table = PrefixStates(params)
+    elif table.params is not params:
+        raise ContractViolation("lm_score: the prefix table belongs to another LM")
     sequence = tuple(sequence)
     n = len(sequence)
-    _lm_fill(sequence, params, prefixes)
-    rows = np.stack([prefixes[sequence[:u]][1] for u in range(n + 1)])
-    logprobs = log_softmax(rows @ params.W_out.T + params.b_out)
+    rows = table.rows([sequence[:u] for u in range(n + 1)])
+    logprobs = log_softmax(table.outputs[rows] @ params.W_out.T + params.b_out)
     increments = logprobs[np.arange(n + 1), sequence + (params.eos,)]
     return float(increments.sum()), increments
 
 
-def lm_next_logprobs(sequences, params: CharLMParams, prefixes: dict) -> np.ndarray:
+def lm_next_logprobs(sequences, table: PrefixStates) -> np.ndarray:
     """Next-symbol log-probabilities (n, V) after each label tuple of
-    `sequences`, from the `lm_score` prefix dict `prefixes` (filled where
-    missing; labels unchecked). The head is a stacked per-row product, so
-    row i equals the stepwise `LMState.logprobs` bit for bit."""
-    for sequence in sequences:
-        _lm_fill(sequence, params, prefixes)
-    R = np.stack([prefixes[sequence][1] for sequence in sequences])
+    `sequences`, from the LM table `table` (filled where missing). The head
+    is a stacked per-row product, so row i equals the stepwise
+    `LMState.logprobs` bit for bit."""
+    params, rows = table.params, table.rows(sequences)
+    R = table.outputs[rows]  # read after `rows`, which may grow the storage
     return log_softmax(np.matmul(params.W_out, R[..., None])[..., 0] + params.b_out)
 
 
@@ -658,6 +635,84 @@ def lm_score_next(state: LMState, symbol: int, params: CharLMParams):
 def lm_end_increment(state: LMState, params: CharLMParams) -> float:
     """log p(end-of-sequence | history)."""
     return float(state.logprobs[params.eos])
+
+
+# ---------------------------------------------------------------------------
+# Label-prefix states
+
+
+class PrefixStates:
+    """Label-network states of a growing set of label prefixes: per layer,
+    the LSTM (h, c) row of each prefix, keyed by prefix in `index`, with
+    each row's parent row in `parents` and last label in `labels`. Row 0,
+    the empty prefix (parent and label -1), is the zero state for the
+    prediction network and the state after the begin marker for an LM.
+    Rows are never rewritten; storage grows by doubling. New prefixes are
+    stepped from their parents' rows, one `_label_forward` block per depth
+    below the nearest ancestor with a row, in first-seen order, so on a
+    fresh table `rows(sequences)` lays out their prefix trie in depth order.
+    A block step equals one-row steps bit for bit, so no row depends on when
+    or with what it was added."""
+
+    def __init__(self, params: PredictionParams | CharLMParams):
+        self.params = params
+        lm = isinstance(params, CharLMParams)
+        self._layers = params.layers if lm else [params.lstm]
+        self._vocab = params.num_labels if lm else params.vocab
+        self.index = {(): 0}
+        self.parents = [-1]
+        self.labels = [-1]
+        self._states = [np.zeros((2, 1, layer.hidden)) for layer in self._layers]  # (h, c) rows
+        if lm:
+            self._step([0], [params.bos], 0)
+
+    @property
+    def outputs(self) -> np.ndarray:
+        """The top-layer h of every row (n, H): the prediction network's
+        output, or the LM row that predicts the next symbol."""
+        return self._states[-1][0, : len(self.parents)]
+
+    def rows(self, prefixes) -> np.ndarray:
+        """The row of each label tuple of `prefixes`, in order, adding every
+        missing prefix and ancestor. A new label out of the vocabulary raises
+        ContractViolation before any row is added."""
+        index = self.index
+        new: dict[tuple, int] = {}  # new prefix -> depth below its nearest ancestor with a row
+        for prefix in prefixes:
+            u, head = len(prefix), prefix
+            while head not in index and head not in new:
+                u -= 1
+                head = prefix[:u]
+            depth = new.get(head, 0)
+            for d in range(u + 1, len(prefix) + 1):
+                depth += 1
+                new[prefix[:d]] = depth
+        blocks: dict[int, list] = {}  # depth -> prefixes; a depth comes after its parent's
+        for prefix, depth in new.items():
+            if not 0 <= prefix[-1] < self._vocab:
+                raise ContractViolation(f"label {prefix[-1]} outside vocabulary of {self._vocab}")
+            blocks.setdefault(depth, []).append(prefix)
+        size, capacity = len(self.parents), self._states[0].shape[1]
+        if size + len(new) > capacity:
+            for i, s in enumerate(self._states):
+                self._states[i] = np.empty((2, max(size + len(new), 2 * capacity), s.shape[2]))
+                self._states[i][:, :size] = s[:, :size]
+        for block in blocks.values():
+            start = len(self.parents)
+            up, labels = [index[prefix[:-1]] for prefix in block], [prefix[-1] for prefix in block]
+            self._step(up, labels, start)
+            index.update(zip(block, range(start, start + len(block))))
+            self.parents += up
+            self.labels += labels
+        return np.array([index[prefix] for prefix in prefixes], dtype=np.intp)
+
+    def _step(self, up, labels, start):
+        """Step rows `up` by `labels` as one block into the rows from `start`."""
+        states = [(s[0, up], s[1, up]) for s in self._states]
+        _, final, _ = _label_forward([labels], self.params.embedding, self._layers, states)
+        for s, (h, c) in zip(self._states, final):
+            s[0, start : start + len(labels)] = h
+            s[1, start : start + len(labels)] = c
 
 
 # ---------------------------------------------------------------------------

@@ -289,8 +289,9 @@ def _char_lms(num_labels, layers, rng):
 
 
 class TestFusedLMState:
-    """In-search fusion keys each LM's state by label prefix: one prefix
-    dict per LM per `alsd_beam` call, in `lm_score`'s format."""
+    """In-search fusion keys each LM's state by label prefix: one
+    `PrefixStates` table per LM per `alsd_beam` call, the table `lm_score`
+    reads."""
 
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("merge", ["logsumexp", "max"])
@@ -318,12 +319,12 @@ class TestFusedLMState:
             monkeypatch.setattr(networks, name, refuse)
         rng = RandomStream(31 + layers)
         lms = _char_lms(3, layers, rng)
-        scored = {}  # id of a prefix dict -> (LM, the dict, the prefixes read from it)
+        scored = {}  # id of a table -> (LM, the table, the prefixes read from it)
         read = decoding.lm_next_logprobs
 
-        def recording(sequences, lm, prefixes):
-            scored.setdefault(id(prefixes), (lm, prefixes, set()))[2].update(sequences)
-            return read(sequences, lm, prefixes)
+        def recording(sequences, table):
+            scored.setdefault(id(table), (table.params, table, set()))[2].update(sequences)
+            return read(sequences, table)
 
         rows = {id(lm.embedding): 0 for lm in lms}
         label_forward = networks._label_forward
@@ -340,10 +341,47 @@ class TestFusedLMState:
         nbest = alsd_beam(model, rng.normal(size=(4, 3)), beam_width=4, n_best=8, fusion=fusion)
         assert len(nbest) == 8
         assert sorted(id(lm) for lm, _, _ in scored.values()) == sorted(map(id, lms))
-        for lm, prefixes, sequences in scored.values():
+        for lm, table, sequences in scored.values():
             distinct = {seq[:u] for seq in sequences for u in range(len(seq) + 1)}
-            assert set(prefixes) == distinct
+            assert set(table.index) == distinct
             assert rows[id(lm.embedding)] == len(distinct)  # each entry computed once
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_one_table_read_and_one_block_per_depth_each_step(self, layers, monkeypatch):
+        # Each step reads each LM's table once, for the beam and the
+        # completed candidates together. Its new prefixes extend rows made
+        # in earlier steps or in this one, so each LM steps them in at most
+        # two blocks, and in no more blocks than they have distinct depths.
+        rng = RandomStream(41 + layers)
+        lms = _char_lms(3, layers, rng)
+        reads, blocks = [], []
+        read, label_forward = decoding.lm_next_logprobs, networks._label_forward
+
+        def recording(sequences, table):
+            known = set(table.index)
+            new = {seq[:u] for seq in sequences for u in range(len(seq) + 1)} - known
+            blocks.clear()
+            result = read(sequences, table)
+            reads.append((table.params, new, list(blocks)))
+            return result
+
+        def counted(symbols, embedding, *args):
+            blocks.append((embedding, np.asarray(symbols).size))
+            return label_forward(symbols, embedding, *args)
+
+        monkeypatch.setattr(decoding, "lm_next_logprobs", recording)
+        monkeypatch.setattr(networks, "_label_forward", counted)
+        fusion = FusionScorer(FusionWeights(0.3, 0.5, 0.4), *lms)
+        counting, nbest = _counted_alsd(tiny_real_model(9, 3, "additive"), rng.normal(size=(5, 3)),
+                                        beam_width=4, n_best=8, fusion=fusion)
+        assert nbest is not None and len(nbest) == 8
+        assert len(reads) == 2 * counting.joint_calls  # one read per LM per step
+        assert [id(params) for params, _, _ in reads] == [*map(id, lms)] * counting.joint_calls
+        assert max(len(new) for _, new, _ in reads) > 2
+        for params, new, steps in reads:
+            assert all(embedding is params.embedding for embedding, _ in steps)
+            assert sum(rows for _, rows in steps) == len(new)  # each new prefix once
+            assert len(steps) <= min(2, len({len(prefix) for prefix in new}))
 
     def test_lm_without_every_decoder_label_refused(self):
         model = tiny_real_model(3, num_labels=3)

@@ -1,4 +1,5 @@
 import collections
+import io
 import json
 import logging
 import shutil
@@ -9,8 +10,14 @@ import pytest
 
 from transducer_workbench import experiment
 from transducer_workbench.cli import main as cli_main
-from transducer_workbench.data import Alphabet, read_transcripts, write_transcripts
-from transducer_workbench.errors import ConfigError, ContractViolation
+from transducer_workbench.data import (
+    Alphabet,
+    read_features,
+    read_transcripts,
+    write_features,
+    write_transcripts,
+)
+from transducer_workbench.errors import ConfigError, ContractViolation, IngestError
 from transducer_workbench.experiment import (
     ExperimentReport,
     CONDITIONS,
@@ -35,8 +42,8 @@ from transducer_workbench.fusion import (
     read_nbest,
     top1_wer,
 )
-from transducer_workbench.model import load_char_lm, load_checkpoint
-from transducer_workbench.networks import lm_score
+from transducer_workbench.model import load_char_lm, load_checkpoint, save_char_lm, save_checkpoint
+from transducer_workbench.networks import CharLMConfig, lm_score
 
 
 def tiny_config(**overrides):
@@ -537,6 +544,38 @@ class TestCrashSafeArtifacts:
         with pytest.raises(RuntimeError, match="killed mid-write"):
             write_transcripts(run_copy / name, transcripts, DyingAlphabet())
         assert written and self.snapshot(run_copy) == before
+
+    def test_features(self, run_copy):
+        before = self.snapshot(run_copy)
+        dataset = read_features(run_copy / "features_dev.bin")
+        dataset.utterances[-1].frames[0, 0] = np.nan
+        # The header and the first utterances are written before the check fails.
+        with pytest.raises(IngestError, match="non-finite"):
+            write_features(run_copy / "features_dev.bin", dataset)
+        assert self.snapshot(run_copy) == before
+
+    @pytest.mark.parametrize("name", ["model_additive.npz", "lm_source.npz"])
+    def test_checkpoint(self, run_copy, monkeypatch, name):
+        before = self.snapshot(run_copy)
+        savez = np.savez
+
+        def dying_savez(file, **arrays):
+            # Write the real container's first half, then die.
+            buffer = io.BytesIO()
+            savez(buffer, **arrays)
+            file.write(buffer.getvalue()[: len(buffer.getvalue()) // 2])
+            raise RuntimeError("killed mid-write")
+
+        monkeypatch.setattr(np, "savez", dying_savez)
+        with pytest.raises(RuntimeError, match="killed mid-write"):
+            if name.startswith("model"):
+                model, meta = load_checkpoint(run_copy / name)
+                save_checkpoint(run_copy / name, model, meta)
+            else:
+                lm, meta = load_char_lm(run_copy / name)
+                config = CharLMConfig(**meta["lm_config"])
+                save_char_lm(run_copy / name, lm, config, meta)
+        assert self.snapshot(run_copy) == before
 
     @pytest.mark.parametrize("condition", ["shallow", "combination"])
     def test_weights(self, run_copy, monkeypatch, condition):

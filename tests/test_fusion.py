@@ -22,13 +22,14 @@ from transducer_workbench.fusion import (
     tune_weights,
     write_nbest,
 )
-from transducer_workbench import fusion as fusion_module
 from transducer_workbench import model as model_module
+from transducer_workbench import networks
 from transducer_workbench.model import ModelConfig, TransducerModel, init_model
 from transducer_workbench.networks import (
     CharLMConfig,
     EncoderConfig,
     PredictionConfig,
+    PrefixStates,
     init_char_lm_params,
     lm_next_logprobs,
     lm_score,
@@ -126,7 +127,7 @@ class TestFusionScorer:
         # each prefix's label column, then the end column of the whole sequence.
         labels = (0, 1, 1, 0)
         for lm in (src, ext):
-            rows = lm_next_logprobs([labels[:u] for u in range(len(labels) + 1)], lm, {})
+            rows = lm_next_logprobs([labels[:u] for u in range(len(labels) + 1)], PrefixStates(lm))
             total = rows[np.arange(len(labels) + 1), labels + (lm.eos,)].sum()
             assert total == pytest.approx(lm_score(labels, lm)[0], abs=1e-12)
 
@@ -297,8 +298,8 @@ class TestCombineRescore:
         nb_a = alsd_beam(model_a, features, beam_width=16, n_best=8, expansion_cap=6)
         nb_b = alsd_beam(model_b, features, beam_width=16, n_best=8, expansion_cap=6)
         calls = {"_label_forward": [], "joint_forward_lattice": []}
-        for name, sink in calls.items():
-            monkeypatch.setattr(model_module, name, counting(getattr(model_module, name), sink))
+        for module, (name, sink) in zip((networks, model_module), calls.items()):
+            monkeypatch.setattr(module, name, counting(getattr(module, name), sink))
         lattice_nll_calls = []
         monkeypatch.setattr(TransducerModel, "lattice_nll",
                             counting(TransducerModel.lattice_nll, lattice_nll_calls))
@@ -325,20 +326,42 @@ class TestCombineRescore:
             assert sum(args[2] is model.joint for args in joints) == 1
         assert len(blocks) == 2 * depth and len(joints) == 2
 
-    def test_one_prefix_trie_per_utterance(self, monkeypatch):
+    def test_one_prefix_table_per_model_per_utterance(self, monkeypatch):
         model_a = tiny_model(54)
         model_b = tiny_model(55, mode="multiplicative")
         features = RandomStream(56).normal(size=(4, 3))
         nb_a = alsd_beam(model_a, features, beam_width=16, n_best=8, expansion_cap=6)
         nb_b = alsd_beam(model_b, features, beam_width=16, n_best=8, expansion_cap=6)
-        tries = []
-        monkeypatch.setattr(fusion_module, "build_prefix_trie",
-                            counting(fusion_module.build_prefix_trie, tries))
+        tables, filled = [], []
+
+        class Recorded(PrefixStates):
+            def __init__(self, params):
+                super().__init__(params)
+                tables.append(self)
+
+            def rows(self, prefixes):
+                filled.append((self, list(prefixes)))
+                return super().rows(prefixes)
+
+        blocks = []
+        monkeypatch.setattr(model_module, "PrefixStates", Recorded)
+        monkeypatch.setattr(networks, "_label_forward",
+                            counting(networks._label_forward, blocks))
         w = CombinationWeights(0.5, 0.5, 0.0, 0.0, 0.0)
         combined = combine_rescore(features, nb_a, nb_b, w, model_a, model_b)
-        # Both models score the one trie of the union.
-        assert len(tries) == 1
-        assert sorted(tries[0][0]) == sorted(c.labels for c in combined)
+        # Each model fills its own table once, with every sequence of the
+        # union, one block step per depth.
+        union = sorted(c.labels for c in combined)
+        assert [id(t.params) for t in tables] == [id(model_a.prediction), id(model_b.prediction)]
+        assert [(t, sorted(seqs)) for t, seqs in filled] == [(t, union) for t in tables]
+        prefixes = {labels[:u] for labels in union for u in range(len(labels) + 1)}
+        depth = max(map(len, union))
+        for table in tables:
+            assert set(table.index) == prefixes
+            own = [args for args in blocks if args[1] is table.params.embedding]
+            assert [np.shape(args[0]) for args in own] == [
+                (1, sum(len(p) == d for p in prefixes)) for d in range(1, depth + 1)
+            ]
 
     def test_out_of_vocabulary_label_rejected(self):
         model = tiny_model(57)

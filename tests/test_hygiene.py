@@ -94,8 +94,9 @@ STEPWISE_LM_ORACLE = {"LMState", "_lm_step", "lm_init_state", "lm_score_next", "
 
 def test_stepwise_lm_oracle_has_no_package_caller():
     """The stepwise LM API stays in `networks` only as the oracle of the
-    prefix-dict path (`lm_score`, `lm_next_logprobs`): outside its own
-    definitions, nothing in the package reads it."""
+    prefix-table path (`lm_score` and `lm_next_logprobs` reading a
+    `PrefixStates` table): outside its own definitions, nothing in the
+    package reads it."""
     readers = []
     for path in SOURCE.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -103,3 +104,41 @@ def test_stepwise_lm_oracle_has_no_package_caller():
         names = set().union(*map(_referenced_names, nodes))
         readers += [f"{path.name}: {name}" for name in sorted(STEPWISE_LM_ORACLE & names)]
     assert readers == []
+
+
+LABEL_FORWARD_CALLERS = {
+    "networks.py: PrefixStates._step",
+    "networks.py: predict_embed",
+    "networks.py: _lm_forward",
+    "networks.py: _lm_step",
+}
+
+
+def _label_forward_readers(tree, scope=()):
+    """The enclosing definition of every reference to `_label_forward`
+    (a name, an attribute or an import), outside its own definition."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name != "_label_forward":
+                yield from _label_forward_readers(node, (*scope, node.name))
+            continue
+        named = (
+            (isinstance(node, ast.Name) and node.id == "_label_forward")
+            or (isinstance(node, ast.Attribute) and node.attr == "_label_forward")
+            or (isinstance(node, ast.alias) and node.name == "_label_forward")
+        )
+        if named:
+            yield ".".join(scope) or "<module>"
+        yield from _label_forward_readers(node, scope)
+
+
+def test_label_network_forward_has_one_prefix_state_caller():
+    """Label prefixes are stepped only through the `PrefixStates` table: the
+    label-network forward is called by its block step, by the sequence
+    forwards `predict_embed` and `_lm_forward`, and by the stepwise LM
+    oracle, and by nothing else in the package."""
+    readers = set()
+    for path in SOURCE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        readers |= {f"{path.name}: {where}" for where in _label_forward_readers(tree)}
+    assert readers == LABEL_FORWARD_CALLERS

@@ -172,13 +172,13 @@ class TestDecodeState:
         model = decoder_model(3)
         first = model.extend_decode_state(model.init_decode_state(), [(0,), (1,), (0,)])
         assert first.rows.tolist() == [1, 2, 1]
-        seen = first.table.h[first.rows].copy()
+        seen = first.table.outputs[first.rows].copy()
         chain = [(0,) * u for u in range(1, 200)]
         state = first
         for prefix in chain:  # the table grows by one row a step
             state = model.extend_decode_state(state, [prefix, (1,)])
         assert state.table is first.table and len(first.table.index) == 201
-        assert np.array_equal(first.table.h[first.rows], seen)
+        assert np.array_equal(first.table.outputs[first.rows], seen)
         again = model.extend_decode_state(state, [(1,), (0,)])
         assert again.rows.tolist() == [2, 1] and len(first.table.index) == 201
 
@@ -193,12 +193,22 @@ class TestDecodeState:
         ok = model.extend_decode_state(state, [(1,), (0, 2)])
         assert list(ok.table.index) == [(), (0,), (1,), (0, 2)]
 
-    def test_prefix_without_parent_row_rejected(self):
+    def test_missing_ancestors_get_rows(self):
+        # A prefix's missing ancestors get rows too. New prefixes are stepped
+        # by their depth below the nearest ancestor with a row, one block
+        # per depth in first-seen order: (1, 0) extends the known (1,), so
+        # it steps with (0,) and (2,). Every row is predict_embed's.
         model = decoder_model(5)
-        state = model.init_decode_state()
-        with pytest.raises(ContractViolation, match="no row"):
-            model.extend_decode_state(state, [(0, 1)])
-        assert list(state.table.index) == [()]
+        state = model.extend_decode_state(model.init_decode_state(), [(1,)])
+        state = model.extend_decode_state(state, [(0, 1, 2), (2,), (1, 0, 0), (0, 1)])
+        table = state.table
+        assert list(table.index) == [(), (1,), (0,), (2,), (1, 0), (0, 1), (1, 0, 0), (0, 1, 2)]
+        assert table.parents == [-1, 0, 0, 0, 1, 2, 4, 5]
+        assert table.labels == [-1, 1, 0, 2, 0, 1, 0, 2]
+        assert state.rows.tolist() == [7, 3, 6, 5]
+        for prefix, row in table.index.items():
+            G, _ = predict_embed(list(prefix), model.prediction)
+            assert np.array_equal(table.outputs[row], G[-1]), prefix
 
     def test_mis_shaped_H_rows_rejected(self):
         model = decoder_model(6)
@@ -222,6 +232,18 @@ class TestCheckpoint:
         rng = RandomStream(14)
         features = rng.normal(size=(5, 3))
         assert model.loss(features, [1]) == loaded.loss(features, [1])
+
+    def test_path_without_npz_suffix_gets_it(self, tmp_path):
+        # As np.savez(path) does; the file is written through a handle, which
+        # np.savez would not suffix itself.
+        model = init_model(tiny_config(), RandomStream(13))
+        save_checkpoint(tmp_path / "model", model)
+        save_checkpoint(tmp_path / "again.npz", model)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["again.npz", "model.npz"]
+        assert (tmp_path / "model.npz").read_bytes() == (tmp_path / "again.npz").read_bytes()
+        loaded, _ = load_checkpoint(tmp_path / "model.npz")
+        for name, arr in model.arrays().items():
+            np.testing.assert_array_equal(arr, loaded.arrays()[name])
 
     def test_encoder_init_hook(self, tmp_path):
         donor = init_model(tiny_config(), RandomStream(15))

@@ -1,8 +1,11 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import (
     lstm_backward_reference,
     lstm_forward_reference,
@@ -17,6 +20,7 @@ from transducer_workbench.networks import (
     CharLMConfig,
     EncoderConfig,
     LSTMParams,
+    PrefixStates,
     append_aux,
     encode,
     encode_backward,
@@ -473,7 +477,7 @@ class TestPrediction:
 
     @staticmethod
     def rows(state):
-        return state.table.h[state.rows]
+        return state.table.outputs[state.rows]
 
     def test_incremental_matches_recompute_bitwise(self):
         # The decoder's prefix-table rows, made one prefix per call and as a
@@ -522,6 +526,87 @@ class TestPrediction:
         grads = predict_backward(w.copy(), prefix, cache, params)
         for name in template:
             assert relative_error(grads[name], numeric[name]) <= 1e-4, name
+
+
+class TestPrefixStates:
+    """One table of label-prefix states serves the decoder, trie
+    cross-scoring and both LM paths. However prefixes arrive (in any order,
+    split across calls, with or without their ancestors), every row must be
+    bitwise the row of a one-call computation of its prefix."""
+
+    sequence_sets = st.lists(st.lists(st.integers(0, 3), max_size=8).map(tuple), max_size=20)
+    table_settings = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+    @staticmethod
+    def _fill(table, sequences, seed):
+        """`sequences` in a random order, split into up to four calls."""
+        rng = RandomStream(seed)
+        order = [sequences[i] for i in rng.permutation(len(sequences))]
+        cuts = sorted(int(c) for c in rng.integers(0, len(order) + 1, size=3))
+        for lo, hi in itertools.pairwise([0, *cuts, len(order)]):
+            table.rows(order[lo:hi])
+
+    @table_settings
+    @given(sequence_sets, st.integers(0, 2**16))
+    def test_prediction_rows_equal_predict_embed(self, sequences, seed):
+        params = init_prediction_params(4, PredictionConfig(cells=5, embed_dim=3), RandomStream(seed))
+        table = PrefixStates(params)
+        self._fill(table, sequences, seed)
+        prefixes = sorted({seq[:u] for seq in sequences for u in range(len(seq) + 1)} | {()})
+        assert sorted(table.index) == prefixes
+        rows = table.rows(prefixes)
+        assert len(table.parents) == len(table.labels) == len(prefixes)  # nothing new
+        for prefix, row in zip(prefixes, rows):
+            parent, label = (table.index[prefix[:-1]], prefix[-1]) if prefix else (-1, -1)
+            assert (table.parents[row], table.labels[row]) == (parent, label)
+            G, _ = predict_embed(list(prefix), params)
+            assert np.array_equal(table.outputs[row], G[-1]), prefix
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @table_settings
+    @given(sequence_sets, st.integers(0, 2**16))
+    def test_lm_scores_equal_the_stepwise_oracle(self, layers, sequences, seed):
+        # The next-symbol rows are bitwise the stepwise oracle's. lm_score's
+        # head is one GEMM per sequence, bitwise that of a fresh table and of
+        # the one-call `_lm_forward`; a GEMM may round differently from the
+        # oracle's one-row products, so the oracle bounds it within 1e-12.
+        config = CharLMConfig(layers=layers, cells=5, embed_dim=3)
+        params = init_char_lm_params(4, config, RandomStream(seed))
+        table = PrefixStates(params)
+        self._fill(table, sequences, seed)
+        made = len(table.parents)
+        for seq in sequences:
+            state = lm_init_state(params)
+            expected, oracle = [state.logprobs], []
+            for label in seq:
+                inc, state = lm_score_next(state, label, params)
+                expected.append(state.logprobs)
+                oracle.append(inc)
+            oracle.append(lm_end_increment(state, params))
+            prefixes = [seq[:u] for u in range(len(seq) + 1)]
+            np.testing.assert_array_equal(lm_next_logprobs(prefixes, table), np.stack(expected))
+            total, increments = lm_score(seq, params, table)
+            fresh_total, fresh_increments = lm_score(seq, params)
+            _, logprobs, _ = networks._lm_forward([params.bos, *seq], params)
+            reference = logprobs[np.arange(len(seq) + 1), list(seq) + [params.eos]]
+            assert total == fresh_total == float(reference.sum())
+            np.testing.assert_array_equal(increments, fresh_increments)
+            np.testing.assert_array_equal(increments, reference)
+            np.testing.assert_allclose(increments, oracle, rtol=0, atol=1e-12)
+        assert len(table.parents) == made  # scoring filled prefixes adds no row
+
+    def test_out_of_vocabulary_label_adds_no_row(self):
+        params = init_prediction_params(4, PredictionConfig(cells=5, embed_dim=3), RandomStream(1))
+        table = PrefixStates(params)
+        table.rows([(0, 1)])
+        held = table.outputs.copy()
+        for bad in (-1, 4):
+            # take() would wrap -1 to the last embedding row.
+            with pytest.raises(ContractViolation, match="outside vocabulary"):
+                table.rows([(2,), (0, 1, 2, bad)])
+            assert list(table.index) == [(), (0,), (0, 1)]
+            assert table.parents == [-1, 0, 1] and table.labels == [-1, 0, 1]
+            np.testing.assert_array_equal(table.outputs, held)
 
 
 class TestCharLM:
@@ -578,12 +663,12 @@ class TestCharLM:
         return [seqs[i] for i in rng.permutation(len(seqs))]
 
     @pytest.mark.parametrize("layers", [1, 2])
-    def test_prefix_dict_is_bitwise_the_full_sequence_score(self, layers):
+    def test_prefix_table_is_bitwise_the_full_sequence_score(self, layers):
         params = self._params(num_labels=4, layers=layers)
         rng = RandomStream(22 + layers)
-        prefixes = {}
+        table = PrefixStates(params)
         for seq in self._shared_prefix_sequences(rng, 4):
-            total, incs = lm_score(seq, params, prefixes)
+            total, incs = lm_score(seq, params, table)
             fresh_total, fresh_incs = lm_score(seq, params)
             # The full-sequence computation, as one label-network call.
             _, logprobs, _ = networks._lm_forward([params.bos, *seq], params)
@@ -601,21 +686,22 @@ class TestCharLM:
 
         def counted(xs, layer, *args):
             if layer is params.layers[0]:
-                rows.append(len(xs))
+                rows.append(xs.size // xs.shape[-1])
             return original(xs, layer, *args)
 
         monkeypatch.setattr(networks, "lstm_forward", counted)
-        prefixes = {}
+        table = PrefixStates(params)
         for seq in seqs:
-            lm_score(seq, params, prefixes)
+            lm_score(seq, params, table)
         distinct = {seq[:u] for seq in seqs for u in range(1, len(seq) + 1)}
         assert sum(rows) == len(distinct) + 1  # the begin marker's row
-        assert set(prefixes) == distinct | {()}
+        assert set(table.index) == distinct | {()}
 
     @pytest.mark.parametrize("layers", [1, 2])
     def test_next_logprobs_equal_the_stepwise_oracle_bitwise(self, layers, monkeypatch):
-        # Every prefix of 60 random sequences, read through one shared dict
-        # (suffix runs from cached prefixes) and one fresh dict per sequence.
+        # Every prefix of 60 random sequences, read through one shared table
+        # (new prefixes step from rows already there) and one fresh table per
+        # sequence.
         config = CharLMConfig(layers=layers, cells=64, embed_dim=16)
         params = init_char_lm_params(8, config, RandomStream(25 + layers))
         rng = RandomStream(27)
@@ -627,7 +713,7 @@ class TestCharLM:
                 rows.append(xs.size // xs.shape[-1])
             return original(xs, layer, *args)
 
-        shared, fresh_rows = {}, 0
+        shared, fresh_rows = PrefixStates(params), 0
         for _ in range(60):
             seq = tuple(int(x) for x in rng.integers(0, 8, size=int(rng.integers(0, 12))))
             state = lm_init_state(params)
@@ -637,25 +723,34 @@ class TestCharLM:
                 expected.append(state.logprobs)
             prefixes = [seq[:u] for u in range(len(seq) + 1)]
             monkeypatch.setattr(networks, "lstm_forward", counted)
+            np.testing.assert_array_equal(lm_next_logprobs(prefixes, shared), np.stack(expected))
             np.testing.assert_array_equal(
-                lm_next_logprobs(prefixes, params, shared), np.stack(expected)
+                lm_next_logprobs([seq], PrefixStates(params))[0], expected[-1]
             )
-            np.testing.assert_array_equal(lm_next_logprobs([seq], params, {})[0], expected[-1])
             monkeypatch.undo()
             fresh_rows += len(seq) + 1
-        assert sum(rows) == len(shared) + fresh_rows  # no row computed twice
+        # No row computed twice; the shared root was made before counting.
+        assert sum(rows) == len(shared.index) - 1 + fresh_rows
 
-    def test_out_of_vocabulary_leaves_the_dict_unchanged(self):
+    def test_out_of_vocabulary_leaves_the_table_unchanged(self):
         params = self._params()
-        prefixes = {}
-        with pytest.raises(ContractViolation):
-            lm_score([0, 7], params, prefixes)
-        assert prefixes == {}
-        lm_score([0, 1], params, prefixes)
-        held = dict(prefixes)
-        with pytest.raises(ContractViolation):
-            lm_score([0, 1, 2, 7], params, prefixes)
-        assert prefixes.keys() == held.keys()
+        table = PrefixStates(params)
+        root = table.outputs.copy()
+        for bad in (7, -1):
+            with pytest.raises(ContractViolation, match="outside vocabulary"):
+                lm_score([0, bad], params, table)
+            assert list(table.index) == [()] and table.parents == [-1]
+        lm_score([0, 1], params, table)
+        held = (dict(table.index), list(table.parents), list(table.labels), table.outputs.copy())
+        with pytest.raises(ContractViolation, match="outside vocabulary"):
+            lm_score([0, 1, 2, 7], params, table)
+        assert table.index == held[0] and table.parents == held[1] and table.labels == held[2]
+        np.testing.assert_array_equal(table.outputs, held[3])
+        np.testing.assert_array_equal(table.outputs[:1], root)
+
+    def test_table_of_another_lm_refused(self):
+        with pytest.raises(ContractViolation, match="another LM"):
+            lm_score([0], self._params(), PrefixStates(self._params()))
 
     def test_loss_grads_finite_differences(self):
         params = self._params(num_labels=3)

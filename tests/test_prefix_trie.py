@@ -1,5 +1,7 @@
 """Scoring a set of label sequences on their prefix trie.
 
+The prefix trie of a set of sequences is the rows of a fresh
+`PrefixStates` table, nodes in depth order and first-seen within a depth.
 `prefix_trie_forward` must reproduce `rnnt_forward`'s alpha bit for bit
 when given the same lattice columns. `TransducerModel.prefix_trie_nlls`
 must agree with the per-sequence oracles: `lattice_nll` within
@@ -22,13 +24,18 @@ from transducer_workbench.joint import ADDITIVE, MULTIPLICATIVE
 from transducer_workbench.lattice import (
     ENUMERATION_CAP,
     brute_force_nll,
-    build_prefix_trie,
     prefix_trie_forward,
     random_logprob_lattice,
     rnnt_forward,
 )
 from transducer_workbench.model import ModelConfig, init_model
-from transducer_workbench.networks import EncoderConfig, PredictionConfig, predict_embed
+from transducer_workbench.networks import (
+    EncoderConfig,
+    PredictionConfig,
+    PrefixStates,
+    init_prediction_params,
+    predict_embed,
+)
 from transducer_workbench.numerics import RandomStream, log_softmax
 
 property_settings = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -39,6 +46,17 @@ JOINT_IDS = ["additive", "multiplicative", "multiplicative-branch-biases"]
 
 label_seqs = st.lists(st.integers(0, NUM_LABELS - 1), max_size=6).map(tuple)
 unions = st.lists(label_seqs, min_size=1, max_size=8, unique=True)
+
+
+def build_prefix_trie(sequences, params=None):
+    """(parents, labels, ends) of the prefix trie of `sequences`, read from
+    a fresh table of `params` (any prediction network over NUM_LABELS)."""
+    if params is None:
+        params = init_prediction_params(NUM_LABELS, PredictionConfig(cells=2, embed_dim=2),
+                                        RandomStream(0))
+    table = PrefixStates(params)
+    ends = table.rows(sequences)
+    return table.parents, table.labels, ends.tolist()
 
 
 def path_nodes(parents, node):
@@ -73,7 +91,7 @@ def encoder_output(model, seed, T):
 
 
 def assert_agrees_with_lattice_nll(model, H, sequences):
-    nlls = model.prefix_trie_nlls(H, build_prefix_trie(sequences))
+    nlls = model.prefix_trie_nlls(H, sequences)
     assert nlls.shape == (len(sequences),)
     for seq, nll in zip(sequences, nlls):
         oracle = model.lattice_nll(H, list(seq))
@@ -82,6 +100,10 @@ def assert_agrees_with_lattice_nll(model, H, sequences):
 
 
 class TestBuildPrefixTrie:
+    """A fresh table filled with `sequences` in one call: node n > 0 extends
+    node `parents[n]` (< n) by `labels[n]`, depth by depth, in the order the
+    sequences first reach each prefix."""
+
     def test_nodes_in_depth_order(self):
         parents, labels, ends = build_prefix_trie([(1, 2), (1,), (), (1, 0), (2,)])
         assert parents == [-1, 0, 0, 1, 1]
@@ -165,11 +187,10 @@ class TestPrefixTrieNlls:
             captured.append(G.copy())
             return joint(H, G, params)
 
-        trie = build_prefix_trie(sequences)
         with mock.patch.object(model_module, "joint_forward_lattice", capture):
-            model.prefix_trie_nlls(H, trie)
+            model.prefix_trie_nlls(H, sequences)
         [G] = captured
-        parents, _, ends = trie
+        parents, _, ends = build_prefix_trie(sequences, model.prediction)
         assert G.shape == (len(parents), model.prediction.lstm.hidden)
         for seq, end in zip(sequences, ends):
             rows, _ = predict_embed(seq, model.prediction)
@@ -182,7 +203,7 @@ class TestPrefixTrieNlls:
     def test_agrees_with_enumeration(self, mode, branch_biases, T, sequences, seed):
         model = trie_model(seed, mode, branch_biases)
         H = encoder_output(model, seed, T)
-        nlls = model.prefix_trie_nlls(H, build_prefix_trie(sequences))
+        nlls = model.prefix_trie_nlls(H, sequences)
         for seq, nll in zip(sequences, nlls):
             assert T + len(seq) <= ENUMERATION_CAP
             oracle = brute_force_nll(model.logprob_lattice(H, list(seq)), list(seq))
@@ -202,10 +223,10 @@ class TestPrefixTrieNlls:
     def test_no_sequences(self):
         model = trie_model(8, ADDITIVE, False)
         H = encoder_output(model, 8, 3)
-        assert model.prefix_trie_nlls(H, build_prefix_trie([])).shape == (0,)
+        assert model.prefix_trie_nlls(H, []).shape == (0,)
 
     def test_out_of_vocabulary_label_rejected(self):
         model = trie_model(9, ADDITIVE, False)
         H = encoder_output(model, 9, 3)
         with pytest.raises(ContractViolation, match="outside vocabulary"):
-            model.prefix_trie_nlls(H, build_prefix_trie([(0, NUM_LABELS)]))
+            model.prefix_trie_nlls(H, [(0, NUM_LABELS)])
