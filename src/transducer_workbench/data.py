@@ -25,9 +25,17 @@ _MAGIC = b"TWBF"
 _VERSION = 1
 
 
+_NO_MAPPING = 0xFF  # translate-table entry of a byte that maps to nothing
+
+
 @dataclass(frozen=True)
 class Alphabet:
-    """Maps label ids in Y to characters; the separator renders as a space."""
+    """Maps label ids in Y to characters; the separator renders as a space.
+
+    Both directions are `bytes.translate` tables over 256 entries, built
+    once: label -> character byte, and character byte -> label. Entries
+    outside the alphabet hold _NO_MAPPING, which no label or character
+    byte equals, so one search for it finds the first bad input."""
 
     size: int
     separator: int | None = None
@@ -37,34 +45,41 @@ class Alphabet:
             raise ContractViolation("alphabet size must be in 1..26")
         if self.separator is not None and not 0 <= self.separator < self.size:
             raise ContractViolation("separator id outside the alphabet")
-
-    def char(self, label: int) -> str:
-        if not 0 <= label < self.size:
-            raise ContractViolation(f"label {label} outside alphabet of {self.size}")
-        if label == self.separator:
-            return " "
-        return chr(ord("a") + label)
+        chars = bytes(
+            ord(" ") if label == self.separator else ord("a") + label for label in range(self.size)
+        )
+        to_chars, to_labels = bytearray([_NO_MAPPING]) * 256, bytearray([_NO_MAPPING]) * 256
+        to_chars[: self.size] = chars
+        for label, char in enumerate(chars):
+            to_labels[char] = label
+        object.__setattr__(self, "_to_chars", bytes(to_chars))
+        object.__setattr__(self, "_to_labels", bytes(to_labels))
 
     def to_text(self, labels) -> str:
-        return "".join(self.char(lab) for lab in labels)
+        labels = tuple(labels)
+        try:
+            text = bytes(labels).translate(self._to_chars)
+        except ValueError:  # a label outside 0..255
+            text = bytes([_NO_MAPPING])
+        if _NO_MAPPING in text:
+            bad = next(label for label in labels if not 0 <= label < self.size)
+            raise ContractViolation(f"label {bad} outside alphabet of {self.size}")
+        return text.decode("ascii")
 
     def to_labels(self, text: str) -> tuple[int, ...]:
-        out = []
-        for ch in text:
-            if ch == " ":
-                if self.separator is None:
-                    raise ContractViolation("text contains a space but no separator is set")
-                out.append(self.separator)
-            else:
-                lab = ord(ch) - ord("a")
-                if not 0 <= lab < self.size or lab == self.separator:
-                    raise ContractViolation(f"character {ch!r} outside the alphabet")
-                out.append(lab)
-        return tuple(out)
+        # "replace" encodes each non-ASCII character as one byte, so byte
+        # positions are character positions.
+        labels = text.encode("ascii", "replace").translate(self._to_labels)
+        bad = labels.find(_NO_MAPPING)
+        if bad >= 0:
+            if text[bad] == " ":
+                raise ContractViolation("text contains a space but no separator is set")
+            raise ContractViolation(f"character {text[bad]!r} outside the alphabet")
+        return tuple(labels)
 
     def words(self, labels) -> list[str]:
         """Whitespace-style word split on the separator symbol."""
-        return [w for w in self.to_text(labels).split(" ") if w]
+        return self.to_text(labels).split()
 
 
 @dataclass
@@ -393,7 +408,10 @@ def read_transcripts(path, alphabet: Alphabet) -> dict[str, tuple[int, ...]]:
             if "\t" not in line:
                 raise IngestError(f"line {lineno}: missing TAB separator")
             utt_id, text = line.split("\t", 1)
-            out[utt_id] = alphabet.to_labels(text)
+            try:
+                out[utt_id] = alphabet.to_labels(text)
+            except ContractViolation as exc:
+                raise IngestError(f"line {lineno}: {exc}") from exc
     return out
 
 

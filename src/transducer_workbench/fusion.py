@@ -9,8 +9,8 @@ Scoring forms (all over complete label sequences y):
 
 |y| counts emitted labels (sentence markers excluded). During beam search
 the same objective is applied per emitted symbol through FusionScorer, from
-each LM's `networks.PrefixStates` table, the one `lm_score` reads; the
-completed-hypothesis scores agree with full-sequence rescoring.
+each LM's `networks.PrefixStates` table, whose columns `lm_score` reads
+too: a completed hypothesis's LM components equal `lm_score` bit for bit.
 
 Combination cross-scores each utterance's n-best union on the prefix trie of
 its label sequences (`TransducerModel.prefix_trie_nlls`, one fresh table per
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -426,9 +427,11 @@ def write_nbest(path, records, alphabet):
 
 def read_nbest(path, alphabet) -> dict[str, list[NBestRecord]]:
     """Rows by utterance id, in file order. Every line must have 6 fields
-    (decoder file) or every line 7 (combination file), with numbers where
-    the format has them; anything else raises ContractViolation, since the
-    files may come from outside the program."""
+    (decoder file) or every line 7 (combination file), with text in the
+    alphabet and numbers where the format has them. A score may be -inf (a
+    log-probability of zero) but not NaN or +inf, which would win every
+    argmax in tuning. Anything else raises ContractViolation naming the
+    line, since the files may come from outside the program."""
     out: dict[str, list[NBestRecord]] = {}
     width = None
     with open(path, encoding="utf-8") as f:
@@ -453,7 +456,11 @@ def read_nbest(path, alphabet) -> dict[str, list[NBestRecord]]:
                     external_lm=float(ext),
                     transducer_b=float(trans_b[0]) if trans_b else None,
                 )
-            except ValueError as exc:
+            except (ValueError, ContractViolation) as exc:
                 raise ContractViolation(f"n-best line {lineno}: {exc}") from exc
+            for score in (record.transducer_a, record.transducer_b, record.source_lm,
+                          record.external_lm):
+                if score is not None and not score < math.inf:
+                    raise ContractViolation(f"n-best line {lineno}: score {score} is NaN or +inf")
             out.setdefault(utt_id, []).append(record)
     return out

@@ -19,9 +19,12 @@ inference-only. The prediction network (one layer) and both character LMs
 output head. `PrefixStates` holds the label-network states of a growing set
 of label prefixes, keyed by prefix, and steps each depth of new prefixes as
 one block: the decoder's prediction rows, trie cross-scoring and both LM
-readers (`lm_score`, `lm_next_logprobs`) step prefixes only through it. The
-stepwise LM API (`lm_init_state`, `lm_score_next`, `lm_end_increment`) is
-only their oracle, which the package does not call.
+readers (`lm_score`, `lm_next_logprobs`) step prefixes only through it. An
+LM table also keeps each row's next-symbol log-probabilities and
+cumulative prefix score as columns, filled once per row by the one LM
+scoring head, a stacked per-row product, so both readers equal the
+stepwise LM API (`lm_init_state`, `lm_score_next`, `lm_end_increment`) bit
+for bit. That API is only their oracle, which the package does not call.
 
 Each forward pass has a closed-form backward implemented alongside it; every
 backward in this module is checked against central finite differences in the
@@ -558,31 +561,38 @@ def lm_score(sequence, params: CharLMParams, table: PrefixStates | None = None):
     """Total log-probability of a label sequence including the end marker,
     plus the per-symbol increments (length |sequence|+1).
 
-    The rows that predict each symbol come from `table`, the LM's
-    `PrefixStates`, which steps only the prefixes it lacks. A block step
-    equals one-row steps bit for bit, so the result does not depend on what
-    the table holds. A caller that scores many sequences of one LM passes
-    one table to all of them; without one, a fresh table is used."""
+    Both come from the columns of `table`, the LM's `PrefixStates`, which
+    steps only the prefixes it lacks and runs the head once per row. The
+    total is the sequence row's cumulative prefix score plus its
+    end-of-sequence log-probability, summed left to right as the stepwise
+    oracle sums, so it equals the oracle bit for bit whatever the table
+    holds. A caller that scores many sequences of one LM passes one table
+    to all of them; without one, a fresh table is used."""
     if table is None:
         table = PrefixStates(params)
     elif table.params is not params:
         raise ContractViolation("lm_score: the prefix table belongs to another LM")
     sequence = tuple(sequence)
-    n = len(sequence)
-    rows = table.rows([sequence[:u] for u in range(n + 1)])
-    logprobs = log_softmax(table.outputs[rows] @ params.W_out.T + params.b_out)
-    increments = logprobs[np.arange(n + 1), sequence + (params.eos,)]
-    return float(increments.sum()), increments
+    row = table.index.get(sequence)
+    if row is None:
+        row = int(table.rows([sequence])[0])
+    logprobs, scores = table.columns()
+    # Flat indices of the increments, from the end marker's up the prefix chain.
+    V, parents, r, u = logprobs.shape[1], table.parents, row, len(sequence)
+    flat = [r * V + params.eos]
+    while r:
+        r, u = parents[r], u - 1
+        flat.append(r * V + sequence[u])
+    increments = logprobs.ravel().take(flat[::-1])
+    return float(scores[row] + increments[-1]), increments
 
 
 def lm_next_logprobs(sequences, table: PrefixStates) -> np.ndarray:
     """Next-symbol log-probabilities (n, V) after each label tuple of
-    `sequences`, from the LM table `table` (filled where missing). The head
-    is a stacked per-row product, so row i equals the stepwise
-    `LMState.logprobs` bit for bit."""
-    params, rows = table.params, table.rows(sequences)
-    R = table.outputs[rows]  # read after `rows`, which may grow the storage
-    return log_softmax(np.matmul(params.W_out, R[..., None])[..., 0] + params.b_out)
+    `sequences`: rows of the LM table's logprobs column (filled where
+    missing), bitwise the stepwise `LMState.logprobs`."""
+    rows = table.rows(sequences)
+    return table.columns()[0][rows]
 
 
 def lm_loss_and_grads(sequence, params: CharLMParams):
@@ -652,7 +662,11 @@ class PrefixStates:
     below the nearest ancestor with a row, in first-seen order, so on a
     fresh table `rows(sequences)` lays out their prefix trie in depth order.
     A block step equals one-row steps bit for bit, so no row depends on when
-    or with what it was added."""
+    or with what it was added.
+
+    An LM table has two columns more, each row's next-symbol
+    log-probabilities and cumulative prefix score (`columns`), computed for
+    the rows added since the last read as one block."""
 
     def __init__(self, params: PredictionParams | CharLMParams):
         self.params = params
@@ -665,12 +679,42 @@ class PrefixStates:
         self._states = [np.zeros((2, 1, layer.hidden)) for layer in self._layers]  # (h, c) rows
         if lm:
             self._step([0], [params.bos], 0)
+            self._logprobs = np.empty((1, params.vocab))
+            self._scores = [0.0]  # the root's
+            self._filled = 0  # rows whose columns are filled
 
     @property
     def outputs(self) -> np.ndarray:
         """The top-layer h of every row (n, H): the prediction network's
         output, or the LM row that predicts the next symbol."""
         return self._states[-1][0, : len(self.parents)]
+
+    def columns(self) -> tuple[np.ndarray, list[float]]:
+        """LM tables: (logprobs, scores) of every row. logprobs (n, V) holds
+        the next-symbol log-probabilities, log_softmax(W_out @ h + b_out); the
+        head is a stacked per-row product, so each row equals the stepwise
+        `LMState.logprobs` of its prefix bit for bit. scores[r] is the
+        cumulative log-probability of row r's prefix: its parent's score
+        plus the parent's log-probability of its label, 0.0 at the root,
+        summed left to right as the stepwise oracle sums. The rows added
+        since the last call are filled as one block; the logprobs storage
+        grows with the states'."""
+        n, done = len(self.parents), self._filled
+        if n > done:
+            if self._logprobs.shape[0] < n:
+                grown = np.empty((self._states[0].shape[1], self._logprobs.shape[1]))
+                grown[:done] = self._logprobs[:done]
+                self._logprobs = grown
+            W_out, b_out = self.params.W_out, self.params.b_out
+            R = self.outputs[done:n]
+            self._logprobs[done:n] = log_softmax(np.matmul(W_out, R[..., None])[..., 0] + b_out)
+            start = len(self._scores)
+            up = self.parents[start:n]
+            increments = self._logprobs[up, self.labels[start:n]].tolist()
+            for parent, increment in zip(up, increments):
+                self._scores.append(self._scores[parent] + increment)
+            self._filled = n
+        return self._logprobs[:n], self._scores
 
     def rows(self, prefixes) -> np.ndarray:
         """The row of each label tuple of `prefixes`, in order, adding every

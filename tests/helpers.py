@@ -3,7 +3,8 @@ independent path-mass oracle for it, loop references for the vectorised
 network kernels (frame stacking, the LSTM forward and its BPTT), and the
 object-per-candidate ALSD loop that the array beam of `alsd_beam` replaced,
 with its LM terms from the stepwise LM oracle (`lm_init_state`,
-`lm_score_next`, `lm_end_increment`)."""
+`lm_score_next`, `lm_end_increment`), and that oracle's score of a whole
+label sequence."""
 
 import heapq
 from dataclasses import dataclass, replace
@@ -276,6 +277,21 @@ def _finalize(hyp, fusion):
         external_lm=ext,
         score=_fused_score(hyp.transducer, src, ext, len(hyp.labels), fusion),
     )
+
+
+def stepwise_lm_score(labels, lm):
+    """The stepwise LM oracle's score of a label sequence: (total, the
+    per-symbol increments with the end marker's last, the next-symbol rows
+    after each prefix). The total is summed left to right."""
+    state = lm_init_state(lm)
+    total, increments, rows = 0.0, [], [state.logprobs]
+    for label in labels:
+        inc, state = lm_score_next(state, label, lm)
+        total += inc
+        increments.append(inc)
+        rows.append(state.logprobs)
+    increments.append(lm_end_increment(state, lm))
+    return total + increments[-1], increments, rows
 
 
 def _nth_best(completed: dict, n: int):

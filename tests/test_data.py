@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transducer_workbench.data import (
     Alphabet,
@@ -19,7 +21,77 @@ from transducer_workbench.errors import ContractViolation, IngestError
 from transducer_workbench.numerics import RandomStream
 
 
+class PerCharacterAlphabet:
+    """The per-character text conversion that the translate tables of
+    `Alphabet` replaced, kept as their reference."""
+
+    def __init__(self, size, separator=None):
+        self.size, self.separator = size, separator
+
+    def char(self, label: int) -> str:
+        if not 0 <= label < self.size:
+            raise ContractViolation(f"label {label} outside alphabet of {self.size}")
+        if label == self.separator:
+            return " "
+        return chr(ord("a") + label)
+
+    def to_text(self, labels) -> str:
+        return "".join(self.char(lab) for lab in labels)
+
+    def to_labels(self, text: str) -> tuple[int, ...]:
+        out = []
+        for ch in text:
+            if ch == " ":
+                if self.separator is None:
+                    raise ContractViolation("text contains a space but no separator is set")
+                out.append(self.separator)
+            else:
+                lab = ord(ch) - ord("a")
+                if not 0 <= lab < self.size or lab == self.separator:
+                    raise ContractViolation(f"character {ch!r} outside the alphabet")
+                out.append(lab)
+        return tuple(out)
+
+    def words(self, labels) -> list[str]:
+        return [w for w in self.to_text(labels).split(" ") if w]
+
+
+def _outcome(method, *args):
+    """A conversion's result, or the message of the ContractViolation it raised."""
+    try:
+        return method(*args)
+    except ContractViolation as exc:
+        return ("raised", str(exc))
+
+
+@st.composite
+def alphabets(draw):
+    size = draw(st.integers(1, 26))
+    return size, draw(st.none() | st.integers(0, size - 1))
+
+
 class TestAlphabet:
+    conversion_settings = settings(max_examples=400, deadline=None, derandomize=True,
+                                   database=None)
+
+    @conversion_settings
+    @given(alphabets(), st.lists(st.integers(-3, 30) | st.integers(-(2**70), 2**70), max_size=12))
+    def test_labels_to_text_equal_the_per_character_reference(self, spec, labels):
+        # In-range labels mostly, with negative ones, ones at or above the
+        # size, and ones past a byte.
+        new, old = Alphabet(*spec), PerCharacterAlphabet(*spec)
+        assert _outcome(new.to_text, labels) == _outcome(old.to_text, labels)
+        assert _outcome(new.words, labels) == _outcome(old.words, labels)
+
+    @conversion_settings
+    @given(alphabets(), st.text(st.sampled_from("abcdefghijklmnopqrstuvwxyz  ?`{\x00\x7fé€"),
+                                max_size=12) | st.text(max_size=6))
+    def test_text_to_labels_equals_the_per_character_reference(self, spec, text):
+        # The separator's own letter, spaces with and without a separator,
+        # and ASCII and non-ASCII characters outside the alphabet.
+        new, old = Alphabet(*spec), PerCharacterAlphabet(*spec)
+        assert _outcome(new.to_labels, text) == _outcome(old.to_labels, text)
+
     def test_render_and_parse(self):
         a = Alphabet(4, separator=3)
         labels = (0, 1, 3, 2, 2)
@@ -230,4 +302,10 @@ class TestTranscripts:
         path = tmp_path / "bad.tsv"
         path.write_text("no-tab-here\n")
         with pytest.raises(IngestError, match="TAB"):
+            read_transcripts(path, Alphabet(3))
+
+    def test_character_outside_the_alphabet_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("a\tab\n\nb\tah\n")
+        with pytest.raises(IngestError, match="line 3: character 'h' outside the alphabet"):
             read_transcripts(path, Alphabet(3))

@@ -11,6 +11,7 @@ from helpers import (
     alsd_beam_reference,
     blank_dominant_model,
     random_fixed_model,
+    stepwise_lm_score,
     total_mass_over_lengths,
 )
 from transducer_workbench import decoding, networks
@@ -34,6 +35,7 @@ from transducer_workbench.networks import (
     EncoderConfig,
     PredictionConfig,
     init_char_lm_params,
+    lm_score,
 )
 from transducer_workbench.numerics import NEG_INF, RandomStream, log_softmax, log_sum_exp
 
@@ -389,6 +391,31 @@ class TestFusedLMState:
         fusion = FusionScorer(FusionWeights(0.0, 0.5, 0.0), external_lm=small)
         with pytest.raises(ContractViolation):
             alsd_beam(model, np.zeros((2, 3)), beam_width=2, fusion=fusion)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_fused_lm_components_equal_lm_score(layers):
+    # Fused search adds each hypothesis's LM increments left to right, as
+    # `lm_score` and the stepwise oracle sum them, so its LM components
+    # equal both bit for bit.
+    checked = 0
+    for seed in range(20):
+        rng = RandomStream(60 + seed)
+        num_labels, T = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        lms = _char_lms(num_labels, layers, rng)
+        model = tiny_real_model(seed, num_labels, ("additive", "multiplicative")[seed % 2])
+        try:
+            nbest = alsd_beam(model, rng.normal(size=(T, 3)), beam_width=int(rng.integers(1, 8)),
+                              n_best=int(rng.integers(1, 30)),
+                              fusion=FusionScorer(FusionWeights(0.3, 0.5, 0.4), *lms))
+        except DecodeError:
+            continue
+        for hyp in nbest:
+            for component, lm in zip((hyp.source_lm, hyp.external_lm), lms):
+                assert component == lm_score(hyp.labels, lm)[0]
+                assert component == stepwise_lm_score(hyp.labels, lm)[0]
+            checked += 1
+    assert checked > 100
 
 
 class _Handle:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -128,8 +130,10 @@ class TestFusionScorer:
         labels = (0, 1, 1, 0)
         for lm in (src, ext):
             rows = lm_next_logprobs([labels[:u] for u in range(len(labels) + 1)], PrefixStates(lm))
-            total = rows[np.arange(len(labels) + 1), labels + (lm.eos,)].sum()
-            assert total == pytest.approx(lm_score(labels, lm)[0], abs=1e-12)
+            total = 0.0
+            for increment in rows[np.arange(len(labels) + 1), labels + (lm.eos,)].tolist():
+                total += increment
+            assert total == lm_score(labels, lm)[0]
 
     def test_search_fusion_agrees_with_rescoring(self):
         # Completed-hypothesis scores from fused search must equal
@@ -575,3 +579,27 @@ class TestNBestIO:
         path.write_text("u\ta\t1\t-1\t-2\t-3\nu\tb\t1\t-1\t-1.5\t-2\t-3\n")
         with pytest.raises(ContractViolation, match="line 2: 7 fields, expected 6"):
             read_nbest(path, Alphabet(3, separator=2))
+
+    def test_character_outside_the_alphabet_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("u\ta\t1\t-1\t-2\t-3\nu\th\t1\t-1\t-2\t-3\n")
+        with pytest.raises(ContractViolation, match="line 2: character 'h' outside the alphabet"):
+            read_nbest(path, Alphabet(3, separator=2))
+
+    @pytest.mark.parametrize("column", [3, 4, 5, 6])
+    @pytest.mark.parametrize("value", ["nan", "+inf", "inf", "NaN", "Infinity"])
+    def test_nan_and_positive_infinite_scores_rejected(self, tmp_path, column, value):
+        # Each score column of a combination file, on the second line.
+        fields = ["u", "a", "1", "-1", "-1.5", "-2", "-3"]
+        fields[column] = value
+        path = tmp_path / "bad.tsv"
+        path.write_text("u\tb\t1\t-1\t-1.5\t-2\t-3\n" + "\t".join(fields) + "\n")
+        with pytest.raises(ContractViolation, match="line 2: score .* is NaN or \\+inf"):
+            read_nbest(path, Alphabet(3, separator=2))
+
+    def test_negative_infinite_scores_kept(self, tmp_path):
+        # -inf is the log-probability of an impossible event, so it stays legal.
+        path = tmp_path / "nbest.tsv"
+        path.write_text("u\ta\t1\t-inf\t-inf\t-inf\n")
+        [row] = read_nbest(path, Alphabet(3, separator=2))["u"]
+        assert row == NBestRecord((0,), 1, -math.inf, -math.inf, -math.inf)

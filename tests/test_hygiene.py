@@ -114,22 +114,31 @@ LABEL_FORWARD_CALLERS = {
 }
 
 
-def _label_forward_readers(tree, scope=()):
-    """The enclosing definition of every reference to `_label_forward`
-    (a name, an attribute or an import), outside its own definition."""
+def _readers(tree, name, scope=()):
+    """The enclosing definition of every reference to `name` (a name, an
+    attribute or an import), outside a definition of that name."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if node.name != "_label_forward":
-                yield from _label_forward_readers(node, (*scope, node.name))
+            if node.name != name:
+                yield from _readers(node, name, (*scope, node.name))
             continue
         named = (
-            (isinstance(node, ast.Name) and node.id == "_label_forward")
-            or (isinstance(node, ast.Attribute) and node.attr == "_label_forward")
-            or (isinstance(node, ast.alias) and node.name == "_label_forward")
+            (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.alias) and node.name == name)
         )
         if named:
             yield ".".join(scope) or "<module>"
-        yield from _label_forward_readers(node, scope)
+        yield from _readers(node, name, scope)
+
+
+def _package_readers(name, skip=()):
+    readers = set()
+    for path in SOURCE.glob("*.py"):
+        if path.name not in skip:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            readers |= {f"{path.name}: {where}" for where in _readers(tree, name)}
+    return readers
 
 
 def test_label_network_forward_has_one_prefix_state_caller():
@@ -137,8 +146,23 @@ def test_label_network_forward_has_one_prefix_state_caller():
     label-network forward is called by its block step, by the sequence
     forwards `predict_embed` and `_lm_forward`, and by the stepwise LM
     oracle, and by nothing else in the package."""
-    readers = set()
-    for path in SOURCE.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        readers |= {f"{path.name}: {where}" for where in _label_forward_readers(tree)}
-    assert readers == LABEL_FORWARD_CALLERS
+    assert _package_readers("_label_forward") == LABEL_FORWARD_CALLERS
+
+
+LM_HEAD_READERS = {
+    "networks.py: CharLMParams",  # the field
+    "networks.py: CharLMParams.arrays",  # checkpoints and the optimizer
+    "networks.py: PrefixStates.columns",  # scoring
+    "networks.py: _lm_forward",  # training, forward
+    "networks.py: lm_loss_and_grads",  # training, backward
+    "networks.py: _lm_step",  # the stepwise oracle
+}
+
+
+def test_lm_head_has_one_scoring_reader():
+    """An LM's output head `W_out` scores label prefixes in one place, the
+    column fill of its `PrefixStates` table, which `lm_score` and
+    `lm_next_logprobs` read. Apart from its declaration and parameter
+    container, training and the stepwise oracle are its only other
+    readers. joint.py's `W_out` is the joint network's own."""
+    assert _package_readers("W_out", skip={"joint.py"}) == LM_HEAD_READERS

@@ -11,6 +11,7 @@ from helpers import (
     lstm_forward_reference,
     stack_and_skip_backward_loop,
     stack_and_skip_loop,
+    stepwise_lm_score,
 )
 
 from transducer_workbench import networks
@@ -566,34 +567,77 @@ class TestPrefixStates:
     @table_settings
     @given(sequence_sets, st.integers(0, 2**16))
     def test_lm_scores_equal_the_stepwise_oracle(self, layers, sequences, seed):
-        # The next-symbol rows are bitwise the stepwise oracle's. lm_score's
-        # head is one GEMM per sequence, bitwise that of a fresh table and of
-        # the one-call `_lm_forward`; a GEMM may round differently from the
-        # oracle's one-row products, so the oracle bounds it within 1e-12.
+        # lm_score reads the table's columns: its increments are the oracle's
+        # next-symbol rows and its total the oracle's left-to-right sum, bit
+        # for bit, on a shared and on a fresh table. The one-call
+        # `_lm_forward` runs its head as one GEMM, which may round
+        # differently from one-row products, so it is bounded within 1e-12.
         config = CharLMConfig(layers=layers, cells=5, embed_dim=3)
         params = init_char_lm_params(4, config, RandomStream(seed))
         table = PrefixStates(params)
         self._fill(table, sequences, seed)
         made = len(table.parents)
         for seq in sequences:
-            state = lm_init_state(params)
-            expected, oracle = [state.logprobs], []
-            for label in seq:
-                inc, state = lm_score_next(state, label, params)
-                expected.append(state.logprobs)
-                oracle.append(inc)
-            oracle.append(lm_end_increment(state, params))
+            oracle_total, oracle, expected = stepwise_lm_score(seq, params)
             prefixes = [seq[:u] for u in range(len(seq) + 1)]
             np.testing.assert_array_equal(lm_next_logprobs(prefixes, table), np.stack(expected))
             total, increments = lm_score(seq, params, table)
             fresh_total, fresh_increments = lm_score(seq, params)
+            assert total == fresh_total == oracle_total
+            np.testing.assert_array_equal(increments, oracle)
+            np.testing.assert_array_equal(fresh_increments, oracle)
             _, logprobs, _ = networks._lm_forward([params.bos, *seq], params)
             reference = logprobs[np.arange(len(seq) + 1), list(seq) + [params.eos]]
-            assert total == fresh_total == float(reference.sum())
-            np.testing.assert_array_equal(increments, fresh_increments)
-            np.testing.assert_array_equal(increments, reference)
-            np.testing.assert_allclose(increments, oracle, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(increments, reference, rtol=0, atol=1e-12)
         assert len(table.parents) == made  # scoring filled prefixes adds no row
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @table_settings
+    @given(sequence_sets, st.integers(0, 2**16))
+    def test_lm_columns_filled_over_calls_equal_a_fresh_tables(self, layers, sequences, seed):
+        # Reads between fills compute the columns in several blocks while the
+        # storage grows; every prefix's columns must equal those of a table
+        # filled in one call and read once.
+        config = CharLMConfig(layers=layers, cells=5, embed_dim=3)
+        params = init_char_lm_params(4, config, RandomStream(seed))
+        table, rng = PrefixStates(params), RandomStream(seed + 1)
+        for seq in [sequences[i] for i in rng.permutation(len(sequences))]:
+            table.rows([seq])
+            if rng.random() < 0.5:
+                lm_score(seq, params, table)
+        fresh = PrefixStates(params)
+        fresh.rows(sequences)
+        assert set(table.index) == set(fresh.index)
+        (logprobs, scores), (fresh_logprobs, fresh_scores) = table.columns(), fresh.columns()
+        assert len(logprobs) == len(scores) == len(table.parents)
+        for prefix, row in table.index.items():
+            other = fresh.index[prefix]
+            np.testing.assert_array_equal(logprobs[row], fresh_logprobs[other])
+            assert scores[row] == fresh_scores[other]
+            assert scores[row] + logprobs[row, params.eos] == stepwise_lm_score(prefix, params)[0]
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_no_row_head_computed_twice(self, layers, monkeypatch):
+        # Every head row goes through the one log_softmax of the column fill;
+        # rows read again, by either reader, are never recomputed.
+        params = init_char_lm_params(4, CharLMConfig(layers=layers, cells=5, embed_dim=3),
+                                     RandomStream(9))
+        heads = []
+        original = networks.log_softmax
+
+        def counted(logits):
+            heads.append(logits.shape[0])
+            return original(logits)
+
+        monkeypatch.setattr(networks, "log_softmax", counted)
+        table, rng = PrefixStates(params), RandomStream(10)
+        for _ in range(30):
+            seqs = [tuple(int(x) for x in rng.integers(0, 4, size=int(rng.integers(0, 6))))
+                    for _ in range(int(rng.integers(1, 4)))]
+            lm_next_logprobs(seqs, table)
+            for seq in seqs:
+                lm_score(seq, params, table)
+        assert len(heads) > 1 and sum(heads) == len(table.parents)
 
     def test_out_of_vocabulary_label_adds_no_row(self):
         params = init_prediction_params(4, PredictionConfig(cells=5, embed_dim=3), RandomStream(1))
@@ -628,7 +672,7 @@ class TestCharLM:
         params = self._params()
         total, incs = lm_score([], params)
         state = lm_init_state(params)
-        assert total == pytest.approx(lm_end_increment(state, params), abs=1e-12)
+        assert total == lm_end_increment(state, params)
         assert len(incs) == 1
 
     def test_incremental_matches_batch(self):
@@ -641,10 +685,10 @@ class TestCharLM:
             inc_sum = 0.0
             for i, lab in enumerate(seq):
                 inc, state = lm_score_next(state, lab, params)
-                assert inc == pytest.approx(incs[i], abs=1e-12)
+                assert inc == incs[i]
                 inc_sum += inc
             inc_sum += lm_end_increment(state, params)
-            assert inc_sum == pytest.approx(total, abs=1e-12)
+            assert inc_sum == total
 
     def test_out_of_vocabulary(self):
         params = self._params()
@@ -670,12 +714,15 @@ class TestCharLM:
         for seq in self._shared_prefix_sequences(rng, 4):
             total, incs = lm_score(seq, params, table)
             fresh_total, fresh_incs = lm_score(seq, params)
-            # The full-sequence computation, as one label-network call.
+            oracle_total, oracle, _ = stepwise_lm_score(seq, params)
+            assert total == fresh_total == oracle_total
+            np.testing.assert_array_equal(incs, fresh_incs)
+            np.testing.assert_array_equal(incs, oracle)
+            # The full-sequence computation, as one label-network call whose
+            # head is one GEMM.
             _, logprobs, _ = networks._lm_forward([params.bos, *seq], params)
             reference = logprobs[np.arange(len(seq) + 1), list(seq) + [params.eos]]
-            assert total == fresh_total == float(reference.sum())
-            np.testing.assert_array_equal(incs, fresh_incs)
-            np.testing.assert_array_equal(incs, reference)
+            np.testing.assert_allclose(incs, reference, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("layers", [1, 2])
     def test_one_lstm_row_per_distinct_prefix(self, layers, monkeypatch):
