@@ -332,6 +332,14 @@ class _Reader:
             )
         return buf
 
+    def read_text(self, n, what) -> str:
+        start = self.offset
+        raw = self.read(n, what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{what} at byte {start + exc.start} is not UTF-8") from exc
+
 
 def read_features(path) -> Dataset:
     """Ingest a feature container, validating header, shapes and finiteness."""
@@ -346,9 +354,9 @@ def read_features(path) -> Dataset:
         utts = []
         for _ in range(count):
             (id_len,) = struct.unpack("<H", r.read(2, "id length"))
-            utt_id = r.read(id_len, "utterance id").decode("utf-8")
+            utt_id = r.read_text(id_len, "utterance id")
             (spk_len,) = struct.unpack("<H", r.read(2, "speaker length"))
-            speaker = r.read(spk_len, "speaker id").decode("utf-8")
+            speaker = r.read_text(spk_len, "speaker id")
             (T,) = struct.unpack("<I", r.read(4, f"frame count of {utt_id}"))
             raw = r.read(4 * T * dim, f"frames of {utt_id}")
             frames = np.frombuffer(raw, dtype="<f4").reshape(T, dim).copy()
@@ -400,19 +408,37 @@ def write_transcripts(path, transcripts, alphabet: Alphabet):
 
 def read_transcripts(path, alphabet: Alphabet) -> dict[str, tuple[int, ...]]:
     out = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise IngestError(f"line {lineno}: missing TAB separator")
-            utt_id, text = line.split("\t", 1)
-            try:
-                out[utt_id] = alphabet.to_labels(text)
-            except ContractViolation as exc:
-                raise IngestError(f"line {lineno}: {exc}") from exc
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                if "\t" not in line:
+                    raise IngestError(f"line {lineno}: missing TAB separator")
+                utt_id, text = line.split("\t", 1)
+                try:
+                    out[utt_id] = alphabet.to_labels(text)
+                except ContractViolation as exc:
+                    raise IngestError(f"line {lineno}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IngestError(not_utf8(path)) from exc
     return out
+
+
+def not_utf8(path) -> str:
+    """'line N: byte 0x.. is not UTF-8' for the first byte of the text file
+    at `path` that does not decode, its line counted as reading the file in
+    text mode counts lines. Text-mode reading decodes the file in blocks,
+    so the UnicodeDecodeError it raises does not tell the line."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return f"line {lineno}: byte {data[exc.start]:#04x} is not UTF-8"
+    return f"{path} changed while it was read"
 
 
 def attach_transcripts(dataset: Dataset, transcripts: dict[str, tuple[int, ...]]):

@@ -763,11 +763,11 @@ def stage_fusion_conditions(config, run_dir, models, datasets, alphabet,
 
 def stage_combination(run_dir, models, datasets, alphabet, refs, rows) -> dict:
     """Cross-score the union of the first two modes' n-best lists, given as
-    `rows[mode, split]` (`read_nbest` output), write `combination_{split}.tsv`
-    and return its CachedNBests by split. The LM columns are the n-best
+    `rows[mode, split]` (`read_nbest` output), write the `combine_rescore`
+    rows, ranked by the first mode's score, to `combination_{split}.tsv`
+    and return their CachedNBests by split. The LM columns are the n-best
     files' own."""
     mode_a, mode_b = list(models)[:2]
-    zero = CombinationWeights(1.0, 0.0, 0.0, 0.0, 0.0)
     cached = {}
     for split in ("dev", "test"):
         nb_a, nb_b = rows[mode_a, split], rows[mode_b, split]
@@ -777,7 +777,6 @@ def stage_combination(run_dir, models, datasets, alphabet, refs, rows) -> dict:
                 utt.frames.astype(np.float64),
                 nb_a.get(utt.utt_id, []),
                 nb_b.get(utt.utt_id, []),
-                zero,
                 models[mode_a],
                 models[mode_b],
                 aux=utt.aux,

@@ -18,9 +18,10 @@ model), so a prefix that many hypotheses share is scored once per model. The
 result agrees with `lattice_nll`, the per-sequence oracle, within
 1e-12 * max(1, |nll|).
 
-The n-best artifact format (decoder and combination files), its one reader
-and writer, and the loader that turns its rows into tuning input also live
-here.
+After the search, every n-best row is an `NBestRecord`: the rows of decoder
+and combination files, cross-scored and rescored rows, and the rows that
+weight tuning scores. Its one reader and writer, and the loader that turns
+rows into tuning input, also live here.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import scoring
-from .data import atomic_write
+from .data import atomic_write, not_utf8
 from .errors import ContractViolation
 from .networks import CharLMParams, lm_score
 
@@ -102,85 +103,54 @@ class FusionScorer:
 # Rescoring
 
 
-@dataclass(frozen=True)
-class ScoredCandidate:
-    """One label sequence with every retained score component; the total is
-    always reconstructible as the weighted sum of the components."""
-
-    labels: tuple[int, ...]
-    score: float
-    transducer_a: float
-    transducer_b: float | None
-    source_lm: float
-    external_lm: float
-
-    @property
-    def length(self) -> int:
-        return len(self.labels)
-
-
 def rescore_nbest(
     hypotheses,
     weights: FusionWeights,
     source_lm: CharLMParams | None = None,
     external_lm: CharLMParams | None = None,
-):
+) -> list[NBestRecord]:
     """Density-ratio rescoring of decoder hypotheses with full-sequence LM
-    scores. Returns ScoredCandidates ranked by fused score."""
-    out = []
+    scores. Returns their rows, `length` the label count, ranked by
+    (-fused score, labels)."""
+    rows = []
     for hyp in hypotheses:
         src = lm_score(hyp.labels, source_lm)[0] if source_lm is not None else 0.0
         ext = lm_score(hyp.labels, external_lm)[0] if external_lm is not None else 0.0
-        total = density_ratio_score((hyp.transducer, src, ext, len(hyp.labels)), weights)
-        out.append(
-            ScoredCandidate(
-                labels=hyp.labels,
-                score=total,
-                transducer_a=hyp.transducer,
-                transducer_b=None,
-                source_lm=src,
-                external_lm=ext,
-            )
-        )
-    out.sort(key=lambda c: (-c.score, c.labels))
-    return out
+        rows.append(NBestRecord(hyp.labels, len(hyp.labels), hyp.transducer, src, ext))
+    rows.sort(key=lambda r: (-density_ratio_score(
+        (r.transducer_a, r.source_lm, r.external_lm, r.length), weights), r.labels))
+    return rows
 
 
 def combine_rescore(
-    features,
-    nbest_a,
-    nbest_b,
-    weights: CombinationWeights,
-    model_a,
-    model_b,
-    *,
-    aux=None,
-    max_label_length: int | None = None,
-):
-    """Log-linear rescoring of the union of two n-best lists.
+    features, nbest_a, nbest_b, model_a, model_b, *, aux=None
+) -> list[NBestRecord]:
+    """Cross-score the union of two n-best lists: one row per unique label
+    sequence, `length` its label count, with both transducers' scores,
+    ranked by (-transducer_a, labels).
 
-    Every unique label sequence in the union is cross-scored by both
-    transducers with exact lattice marginals. Each model scores the union
-    in one `prefix_trie_nlls` call, on the prefix trie of a fresh table:
-    one prediction-LSTM block step per trie depth (a row per distinct label
-    prefix), one joint column and one alpha column per prefix. The scores
-    agree with the per-sequence oracle `lattice_nll` within
-    1e-12 * max(1, |nll|); only the joint matmuls' row counts differ. The
-    LM components are not recomputed: they are the `source_lm`/`external_lm`
-    fields of the n-best entries (`Hypothesis` or `NBestRecord`), which the
-    decoding stage fills with full-sequence `lm_score` values. Both lists
-    must carry the same LM scores for a shared label sequence; entries whose
-    LM components were never filled contribute 0.0. Hypotheses longer than
-    the length cap are excluded with a logged warning (they would exceed the
-    decoders' own expansion budget).
+    Every sequence is scored by both transducers with exact lattice
+    marginals. Each model scores the union in one `prefix_trie_nlls` call,
+    on the prefix trie of a fresh table: one prediction-LSTM block step per
+    trie depth (a row per distinct label prefix), one joint column and one
+    alpha column per prefix. The scores agree with the per-sequence oracle
+    `lattice_nll` within 1e-12 * max(1, |nll|); only the joint matmuls' row
+    counts differ. The LM components are not recomputed: they are the
+    `source_lm`/`external_lm` fields of the n-best entries (`Hypothesis` or
+    `NBestRecord`), which the decoding stage fills with full-sequence
+    `lm_score` values. Both lists must carry the same LM scores for a shared
+    label sequence; entries whose LM components were never filled
+    contribute 0.0. A sequence longer than 2 * max(T_a, T_b) labels, over
+    the longer encoder output, is excluded with a logged warning: ALSD
+    emits at most that many, so only an n-best file from outside the
+    program can hold one.
 
     Raises ContractViolation when the two lists disagree on the LM scores of
     a label sequence, since they were then scored by different LMs.
     """
     H_a = model_a.encode_features(features, aux)
     H_b = model_b.encode_features(features, aux)
-    if max_label_length is None:
-        max_label_length = 2 * max(H_a.shape[0], H_b.shape[0])
+    cap = 2 * max(H_a.shape[0], H_b.shape[0])
     union: dict[tuple[int, ...], tuple[float, float]] = {}
     for hyp in itertools.chain(nbest_a, nbest_b):
         lm = (hyp.source_lm, hyp.external_lm)
@@ -191,32 +161,20 @@ def combine_rescore(
             )
     kept = []
     for labels in union:
-        if len(labels) > max_label_length:
+        if len(labels) > cap:
             logger.warning(
-                "combine_rescore: dropping hypothesis of length %d (cap %d)",
-                len(labels),
-                max_label_length,
+                "combine_rescore: dropping hypothesis of length %d (cap %d)", len(labels), cap
             )
             continue
         kept.append(labels)
     scores_a = (-model_a.prefix_trie_nlls(H_a, kept)).tolist()
     scores_b = (-model_b.prefix_trie_nlls(H_b, kept)).tolist()
-    out = []
-    for labels, trans_a, trans_b in zip(kept, scores_a, scores_b):
-        src, ext = union[labels]
-        total = combination_score((trans_a, trans_b, src, ext, len(labels)), weights)
-        out.append(
-            ScoredCandidate(
-                labels=labels,
-                score=total,
-                transducer_a=trans_a,
-                transducer_b=trans_b,
-                source_lm=src,
-                external_lm=ext,
-            )
-        )
-    out.sort(key=lambda c: (-c.score, c.labels))
-    return out
+    rows = [
+        NBestRecord(labels, len(labels), trans_a, *union[labels], transducer_b=trans_b)
+        for labels, trans_a, trans_b in zip(kept, scores_a, scores_b)
+    ]
+    rows.sort(key=lambda r: (-r.transducer_a, r.labels))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -224,44 +182,34 @@ def combine_rescore(
 
 
 @dataclass
-class CachedHypothesis:
-    """Score components cached so tuning never re-runs a model."""
-
-    words: tuple[str, ...]
-    transducer_a: float
-    source_lm: float
-    external_lm: float
-    length: int
-    transducer_b: float | None = None
-
-
-@dataclass
 class CachedNBest:
+    """One utterance's tuning input: its n-best rows and the words of each,
+    so tuning never re-runs a model or renders labels again. The rows are
+    sorted once, stably, by their words, so the first maximum of a score
+    column is the top-1 under (-score, words)."""
+
     utt_id: str
     reference: tuple[str, ...]
-    hypotheses: list[CachedHypothesis]
+    rows: list[NBestRecord]
+    words: list[tuple[str, ...]]
+
+    def __post_init__(self):
+        ranked = sorted(zip(self.words, self.rows, strict=True), key=lambda pair: pair[0])
+        self.words = [words for words, _ in ranked]
+        self.rows = [row for _, row in ranked]
 
 
 def cached_nbests(rows_by_utt, alphabet, references) -> list[CachedNBest]:
     """Tuning input from n-best rows: `rows_by_utt` maps utterance id to
-    `read_nbest` records or cross-scored candidates, `references` maps
-    utterance id to reference labels. One CachedNBest per reference, in id
-    order; an utterance without rows gets one empty hypothesis with zero
-    components, which scores as deleting every reference word."""
+    `NBestRecord` rows, `references` maps utterance id to reference labels.
+    One CachedNBest per reference, in id order; an utterance without rows
+    gets one empty row with zero components, which scores as deleting
+    every reference word."""
     cached = []
     for utt_id in sorted(references):
-        hyps = [
-            CachedHypothesis(
-                words=tuple(alphabet.words(row.labels)),
-                transducer_a=row.transducer_a,
-                source_lm=row.source_lm,
-                external_lm=row.external_lm,
-                length=len(row.labels),
-                transducer_b=row.transducer_b,
-            )
-            for row in rows_by_utt.get(utt_id, [])
-        ] or [CachedHypothesis((), 0.0, 0.0, 0.0, 0, transducer_b=0.0)]
-        cached.append(CachedNBest(utt_id, tuple(alphabet.words(references[utt_id])), hyps))
+        rows = rows_by_utt.get(utt_id) or [NBestRecord((), 0, 0.0, 0.0, 0.0, transducer_b=0.0)]
+        words = [tuple(alphabet.words(row.labels)) for row in rows]
+        cached.append(CachedNBest(utt_id, tuple(alphabet.words(references[utt_id])), rows, words))
     return cached
 
 
@@ -285,38 +233,38 @@ def _grid_columns(cells):
                   for n in names))
 
 
-def _utterance_scores(hypotheses, grid) -> np.ndarray:
-    """Fused score of every hypothesis under every cell of `grid` (from
-    `_grid_columns`), shape (cells, hypotheses). The one scoring path of
-    tuning, reporting and verification. Combination weights need
-    transducer_b on every hypothesis."""
-    trans_a = np.array([h.transducer_a for h in hypotheses], dtype=np.float64)
-    src = np.array([h.source_lm for h in hypotheses], dtype=np.float64)
-    ext = np.array([h.external_lm for h in hypotheses], dtype=np.float64)
-    length = np.array([h.length for h in hypotheses], dtype=np.float64)
+def _utterance_scores(rows, grid) -> np.ndarray:
+    """Fused score of every row under every cell of `grid` (from
+    `_grid_columns`), shape (cells, rows). The one scoring path of tuning,
+    reporting and verification. |y| is the label count: a decoder row's
+    `length` is its alignment length. Combination weights need transducer_b
+    on every row."""
+    trans_a = np.array([r.transducer_a for r in rows], dtype=np.float64)
+    src = np.array([r.source_lm for r in rows], dtype=np.float64)
+    ext = np.array([r.external_lm for r in rows], dtype=np.float64)
+    length = np.array([len(r.labels) for r in rows], dtype=np.float64)
     if isinstance(grid, CombinationWeights):
-        if any(h.transducer_b is None for h in hypotheses):
+        if any(r.transducer_b is None for r in rows):
             raise ContractViolation("combination scoring needs transducer_b components")
-        trans_b = np.array([h.transducer_b for h in hypotheses], dtype=np.float64)
+        trans_b = np.array([r.transducer_b for r in rows], dtype=np.float64)
         return combination_score((trans_a, trans_b, src, ext, length), grid)
     return density_ratio_score((trans_a, src, ext, length), grid)
 
 
 def _grid_errors(nbests: list[CachedNBest], cells) -> np.ndarray:
-    """Corpus edit count of the top-1 hypotheses under each cell, shape
-    (cells,). Top-1 is the first hypothesis under (-score, words): the
-    hypotheses are sorted by words once, and `np.argmax` returns the first
-    maximum. Each chosen hypothesis's edit count is computed once."""
+    """Corpus edit count of the top-1 rows under each cell, shape (cells,).
+    Top-1 is the first row under (-score, words): a CachedNBest's rows are
+    sorted by words, and `np.argmax` returns the first maximum. Each chosen
+    row's edit count is computed once."""
     grid = _grid_columns(cells)
     errors = np.zeros(len(cells), dtype=np.int64)
     for nbest in nbests:
-        if not nbest.hypotheses:
+        if not nbest.rows:
             raise ContractViolation(f"{nbest.utt_id}: n-best list is empty")
-        hyps = sorted(nbest.hypotheses, key=lambda h: h.words)
-        top1 = np.argmax(_utterance_scores(hyps, grid), axis=1)
-        edits = np.zeros(len(hyps), dtype=np.int64)
+        top1 = np.argmax(_utterance_scores(nbest.rows, grid), axis=1)
+        edits = np.zeros(len(nbest.rows), dtype=np.int64)
         for i in np.unique(top1):
-            _, subs, dels, ins = scoring.compute_wer(list(nbest.reference), list(hyps[i].words))
+            _, subs, dels, ins = scoring.compute_wer(list(nbest.reference), list(nbest.words[i]))
             edits[i] = subs + dels + ins
         errors += edits[top1]
     return errors
@@ -340,48 +288,30 @@ def tune_weights(
 
     All cells of one utterance are scored together, with the arithmetic of
     `density_ratio_score` / `combination_score`, so every score equals the
-    scalar formula's bit for bit. Each utterance's top-1 hypothesis is the
-    first under (-score, words), and the edit count of a hypothesis is
-    computed at most once per call, as it does not depend on the weights.
-    Cells tie-break toward smaller total |weights|, then lexicographically,
-    so results are deterministic. When `alpha_beta_grid` is given, the
-    search runs over CombinationWeights (hypotheses must carry
-    transducer_b).
+    scalar formula's bit for bit. Each utterance's top-1 row is the first
+    under (-score, words), and the edit count of a row is computed at most
+    once per call, as it does not depend on the weights.
+    Cells tie-break toward smaller total |weights|, then lexicographically
+    on the weights' field tuple, so results are deterministic. When
+    `alpha_beta_grid` is given, the search runs over CombinationWeights
+    (rows must carry transducer_b).
     """
     if not mu_grid or not lam_grid or not rho_grid:
         raise ContractViolation("tuning grid must be non-empty")
-    if alpha_beta_grid is not None and not alpha_beta_grid:
-        raise ContractViolation("tuning grid must be non-empty")
-
-    candidates = []
     if alpha_beta_grid is None:
-        for mu in mu_grid:
-            for lam in lam_grid:
-                for rho in rho_grid:
-                    candidates.append(FusionWeights(mu, lam, rho))
+        kind, pairs = FusionWeights, [()]
+    elif alpha_beta_grid:
+        kind, pairs = CombinationWeights, [(alpha, beta) for alpha, beta in alpha_beta_grid]
     else:
-        for alpha, beta in alpha_beta_grid:
-            for mu in mu_grid:
-                for lam in lam_grid:
-                    for rho in rho_grid:
-                        candidates.append(CombinationWeights(alpha, beta, mu, lam, rho))
-
+        raise ContractViolation("tuning grid must be non-empty")
+    # Each cell's field tuple, as `astuple` gives it, in grid order.
+    values = [(*pair, *rest) for pair, *rest in
+              itertools.product(pairs, mu_grid, lam_grid, rho_grid)]
+    errors = _grid_errors(dev_nbests, [kind(*v) for v in values])
     ref_words = max(1, sum(len(nbest.reference) for nbest in dev_nbests))
-    errors = _grid_errors(dev_nbests, candidates)
-    best = None
-    best_key = None
-    for w, cell_errors in zip(candidates, errors.tolist()):
-        wer = cell_errors / ref_words
-        if isinstance(w, CombinationWeights):
-            magnitude = abs(w.alpha) + abs(w.beta) + abs(w.mu) + abs(w.lam) + abs(w.rho)
-            tiebreak = (w.alpha, w.beta, w.mu, w.lam, w.rho)
-        else:
-            magnitude = abs(w.mu) + abs(w.lam) + abs(w.rho)
-            tiebreak = (w.mu, w.lam, w.rho)
-        key = (wer, magnitude, tiebreak)
-        if best is None or key < best_key:
-            best, best_key = TuneResult(w, wer), key
-    return best
+    wer, _, best = min((cell_errors / ref_words, sum(map(abs, v)), v)
+                       for cell_errors, v in zip(errors.tolist(), values))
+    return TuneResult(kind(*best), wer)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +328,10 @@ def tune_weights(
 
 @dataclass(frozen=True)
 class NBestRecord:
-    """One row of an n-best file."""
+    """One n-best row: a line of an n-best file, a cross-scored or rescored
+    hypothesis, and tuning input. `length` is the alignment length in rows
+    from the decoder and the label count elsewhere; the fused scores take
+    |y| from `labels`."""
 
     labels: tuple[int, ...]
     length: int
@@ -409,9 +342,8 @@ class NBestRecord:
 
 
 def write_nbest(path, records, alphabet):
-    """records: iterable of (utt_id, rows), one line per row. A row is any
-    object with the fields of `NBestRecord` (a `ScoredCandidate` qualifies);
-    the transducer_b column is written when the row carries one.
+    """records: iterable of (utt_id, rows), one line per `NBestRecord`
+    row; the transducer_b column is written when the row carries one.
 
     The file is written with `atomic_write`: `read_nbest` accepts a file
     cut at a line boundary, so a killed or failed write must never leave
@@ -430,37 +362,43 @@ def read_nbest(path, alphabet) -> dict[str, list[NBestRecord]]:
     (decoder file) or every line 7 (combination file), with text in the
     alphabet and numbers where the format has them. A score may be -inf (a
     log-probability of zero) but not NaN or +inf, which would win every
-    argmax in tuning. Anything else raises ContractViolation naming the
-    line, since the files may come from outside the program."""
+    argmax in tuning. Anything else, a byte that is not UTF-8 too, raises
+    ContractViolation naming the line, since the files may come from
+    outside the program."""
     out: dict[str, list[NBestRecord]] = {}
     width = None
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (6, 7) or width not in (None, len(parts)):
-                expected = width or "6 or 7"
-                raise ContractViolation(
-                    f"n-best line {lineno}: {len(parts)} fields, expected {expected}"
-                )
-            width = len(parts)
-            utt_id, text, length, trans_a, *trans_b, src, ext = parts
-            try:
-                record = NBestRecord(
-                    labels=alphabet.to_labels(text),
-                    length=int(length),
-                    transducer_a=float(trans_a),
-                    source_lm=float(src),
-                    external_lm=float(ext),
-                    transducer_b=float(trans_b[0]) if trans_b else None,
-                )
-            except (ValueError, ContractViolation) as exc:
-                raise ContractViolation(f"n-best line {lineno}: {exc}") from exc
-            for score in (record.transducer_a, record.transducer_b, record.source_lm,
-                          record.external_lm):
-                if score is not None and not score < math.inf:
-                    raise ContractViolation(f"n-best line {lineno}: score {score} is NaN or +inf")
-            out.setdefault(utt_id, []).append(record)
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split("\t")
+                if len(parts) not in (6, 7) or width not in (None, len(parts)):
+                    expected = width or "6 or 7"
+                    raise ContractViolation(
+                        f"n-best line {lineno}: {len(parts)} fields, expected {expected}"
+                    )
+                width = len(parts)
+                utt_id, text, length, trans_a, *trans_b, src, ext = parts
+                try:
+                    record = NBestRecord(
+                        labels=alphabet.to_labels(text),
+                        length=int(length),
+                        transducer_a=float(trans_a),
+                        source_lm=float(src),
+                        external_lm=float(ext),
+                        transducer_b=float(trans_b[0]) if trans_b else None,
+                    )
+                except (ValueError, ContractViolation) as exc:
+                    raise ContractViolation(f"n-best line {lineno}: {exc}") from exc
+                for score in (record.transducer_a, record.transducer_b, record.source_lm,
+                              record.external_lm):
+                    if score is not None and not score < math.inf:
+                        raise ContractViolation(
+                            f"n-best line {lineno}: score {score} is NaN or +inf"
+                        )
+                out.setdefault(utt_id, []).append(record)
+    except UnicodeDecodeError as exc:
+        raise ContractViolation(f"n-best {not_utf8(path)}") from exc
     return out

@@ -250,6 +250,16 @@ class TestContainer:
         with pytest.raises(IngestError, match="trailing"):
             read_features(path)
 
+    @pytest.mark.parametrize("field, text", [("utterance id", b"utt-2"), ("speaker id", b"spk1")])
+    def test_id_outside_utf8_names_the_offset(self, tmp_path, field, text):
+        path = tmp_path / "feats.bin"
+        write_features(path, self._dataset())
+        data = path.read_bytes()
+        offset = data.index(text) + 2
+        path.write_bytes(data[:offset] + b"\xff" + data[offset + 1:])
+        with pytest.raises(IngestError, match=f"^{field} at byte {offset} is not UTF-8$"):
+            read_features(path)
+
     def test_nonfinite_rejected_on_write(self, tmp_path):
         ds = self._dataset()
         ds.utterances[1].frames[0, 0] = np.inf
@@ -308,4 +318,12 @@ class TestTranscripts:
         path = tmp_path / "bad.tsv"
         path.write_text("a\tab\n\nb\tah\n")
         with pytest.raises(IngestError, match="line 3: character 'h' outside the alphabet"):
+            read_transcripts(path, Alphabet(3))
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_byte_outside_utf8_names_the_line(self, tmp_path, newline):
+        # Lines are counted as text-mode reading counts them.
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(newline.join([b"a\tab", b"", b"b\ta\xe9b", b""]))
+        with pytest.raises(IngestError, match="^line 3: byte 0xe9 is not UTF-8$"):
             read_transcripts(path, Alphabet(3))

@@ -452,6 +452,13 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.startswith(f"test WER {100 * entry['test_wer']:.2f}% ")
 
+    def test_cli_score_refuses_a_byte_outside_utf8(self, ablation_run, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"u\t\xff\t1\t-1\t-2\t-3\n")
+        base = ["--config", str(ablation_run / "config.ini"), "--run-dir", str(ablation_run)]
+        assert cli_main(base + ["score", "--nbest", str(bad)]) == 1
+        assert capsys.readouterr().err == "error: n-best line 1: byte 0xff is not UTF-8\n"
+
     def test_cli_report_rebuilds_same_text(self, run_copy, capsys):
         before = (run_copy / "report.txt").read_bytes()
         (run_copy / "report.txt").unlink()
@@ -596,15 +603,19 @@ class TestLogLevel:
 
     @pytest.mark.parametrize("flag, shown", [([], True), (["--log-level", "ERROR"], False)],
                              ids=["default", "error"])
-    def test_length_cap_warning(self, run_copy, monkeypatch, caplog, flag, shown):
-        combine = experiment.combine_rescore
-        monkeypatch.setattr(experiment, "combine_rescore",
-                            lambda *args, **kwargs: combine(*args, **kwargs, max_label_length=1))
+    def test_length_cap_warning(self, run_copy, caplog, flag, shown):
+        # A row from outside the program, longer than any ALSD emits.
+        alphabet, _ = load_run_data(parse_config(run_copy / "config.ini"), run_copy)
+        path = run_copy / "nbest_additive_dev.tsv"
+        utt_id = path.read_text(encoding="utf-8").split("\t", 1)[0]
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(f"{utt_id}\t{alphabet.to_text((0,) * 500)}\t500\t-1\t-2\t-3\n")
         base = ["--config", str(run_copy / "config.ini"), "--run-dir", str(run_copy)]
         with caplog.at_level(logging.WARNING):
             assert cli_main(flag + base + ["rescore", "--condition", "combination"]) == 0
-        dropped = [r for r in caplog.records if "dropping hypothesis" in r.getMessage()]
-        assert bool(dropped) == shown
+        dropped = [r.getMessage() for r in caplog.records if "dropping hypothesis" in r.getMessage()]
+        assert len(dropped) == shown
+        assert all("dropping hypothesis of length 500 " in message for message in dropped)
 
 
 @pytest.fixture(scope="module")

@@ -1,21 +1,25 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_fixed_model
 from transducer_workbench.data import Alphabet
 from transducer_workbench.decoding import alsd_beam, exhaustive_decode
 from transducer_workbench.errors import ContractViolation
 from transducer_workbench.experiment import attach_lm_components
+from transducer_workbench import fusion
 from transducer_workbench.fusion import (
-    CachedHypothesis,
     CachedNBest,
     CombinationWeights,
     FusionScorer,
     FusionWeights,
     NBestRecord,
-    ScoredCandidate,
+    combination_score,
     density_ratio_score,
     combine_rescore,
     read_nbest,
@@ -69,6 +73,22 @@ def lm_scored(hyps, source_lm, external_lm):
     stage stores them in its n-best files."""
     [(_, scored)] = attach_lm_components([("utt", hyps)], source_lm, external_lm)
     return scored
+
+
+def fused(row, w):
+    """The fused score of an n-best row under `w`, from its components."""
+    if isinstance(w, CombinationWeights):
+        return combination_score((row.transducer_a, row.transducer_b, row.source_lm,
+                                  row.external_lm, len(row.labels)), w)
+    return density_ratio_score((row.transducer_a, row.source_lm, row.external_lm,
+                                len(row.labels)), w)
+
+
+def cached(utt_id, reference, *hyps):
+    """A CachedNBest from (words, transducer_a, source_lm, external_lm,
+    label count[, transducer_b]) tuples."""
+    rows = [NBestRecord((0,) * n, n, a, src, ext, *b) for _, a, src, ext, n, *b in hyps]
+    return CachedNBest(utt_id, reference, rows, [hyp[0] for hyp in hyps])
 
 
 class TestScoreArithmetic:
@@ -148,7 +168,7 @@ class TestFusionScorer:
         nbest = alsd_beam(
             model, features, beam_width=64, n_best=5, expansion_cap=5, fusion=scorer
         )
-        rescored = {c.labels: c.score for c in rescore_nbest(nbest, weights, src, ext)}
+        rescored = {r.labels: fused(r, weights) for r in rescore_nbest(nbest, weights, src, ext)}
         for hyp in nbest:
             assert hyp.score == pytest.approx(rescored[hyp.labels], abs=1e-10)
 
@@ -179,13 +199,13 @@ class TestCombineRescore:
         features = rng.normal(size=(3, 3))
         nbest = alsd_beam(model_a, features, beam_width=32, n_best=4, expansion_cap=5)
         w = CombinationWeights(alpha=1.0, beta=0.0, mu=0.5, lam=0.7, rho=0.2)
-        combined = combine_rescore(
-            features, lm_scored(nbest, src, ext), [], w, model_a, model_b
-        )
-        single = rescore_nbest(nbest, FusionWeights(0.5, 0.7, 0.2), src, ext)
+        combined = combine_rescore(features, lm_scored(nbest, src, ext), [], model_a, model_b)
+        combined.sort(key=lambda c: (-fused(c, w), c.labels))
+        w_single = FusionWeights(0.5, 0.7, 0.2)
+        single = rescore_nbest(nbest, w_single, src, ext)
         assert [c.labels for c in combined] == [c.labels for c in single]
         for c, s in zip(combined, single):
-            assert c.score == pytest.approx(s.score, abs=1e-10)
+            assert fused(c, w) == pytest.approx(fused(s, w_single), abs=1e-10)
 
     def test_identical_models_halves_agree(self):
         model = tiny_model(16)
@@ -196,11 +216,13 @@ class TestCombineRescore:
         nbest = alsd_beam(model, features, beam_width=32, n_best=4, expansion_cap=5)
         w_comb = CombinationWeights(0.5, 0.5, 0.5, 0.7, 0.2)
         scored = lm_scored(nbest, src, ext)
-        combined = combine_rescore(features, scored, scored, w_comb, model, model)
-        single = rescore_nbest(nbest, FusionWeights(0.5, 0.7, 0.2), src, ext)
+        combined = combine_rescore(features, scored, scored, model, model)
+        w_single = FusionWeights(0.5, 0.7, 0.2)
+        single = rescore_nbest(nbest, w_single, src, ext)
         by_labels = {c.labels: c for c in combined}
         for s in single:
-            assert by_labels[s.labels].score == pytest.approx(s.score, abs=1e-10)
+            assert fused(by_labels[s.labels], w_comb) == pytest.approx(fused(s, w_single),
+                                                                      abs=1e-10)
 
     def test_union_deduplicates_and_cross_scores(self):
         model_a = tiny_model(20)
@@ -210,31 +232,55 @@ class TestCombineRescore:
         nb_a = alsd_beam(model_a, features, beam_width=32, n_best=4, expansion_cap=5)
         nb_b = alsd_beam(model_b, features, beam_width=32, n_best=4, expansion_cap=5)
         w = CombinationWeights(0.5, 0.5, 0.0, 0.0, 0.0)
-        combined = combine_rescore(features, nb_a, nb_b, w, model_a, model_b)
+        combined = combine_rescore(features, nb_a, nb_b, model_a, model_b)
         labels = [c.labels for c in combined]
         assert len(set(labels)) == len(labels)
         assert set(labels) == {h.labels for h in nb_a} | {h.labels for h in nb_b}
         for c in combined:
             assert c.transducer_b is not None
-            assert c.score == pytest.approx(
+            assert c.length == len(c.labels)
+            assert fused(c, w) == pytest.approx(
                 0.5 * c.transducer_a + 0.5 * c.transducer_b, abs=1e-12
             )
 
     def test_length_cap_excludes_with_warning(self, caplog):
+        # The cap is 2 * max(T_a, T_b) labels; three frames give T = 3. Only
+        # a row from outside the program can be longer, as ALSD stops there.
         model_a = tiny_model(23)
         model_b = tiny_model(24)
         rng = RandomStream(25)
         features = rng.normal(size=(3, 3))
         nbest = alsd_beam(model_a, features, beam_width=32, n_best=4, expansion_cap=5)
-        w = CombinationWeights(0.5, 0.5, 0.0, 0.0, 0.0)
+        at_cap = NBestRecord((1, 0) * 3, 6, -9.0, 0.0, 0.0)
+        over_cap = NBestRecord((0, 1) * 3 + (0,), 7, -9.0, 0.0, 0.0)
         with caplog.at_level("WARNING"):
-            combined = combine_rescore(
-                features, nbest, [], w, model_a, model_b, max_label_length=0
-            )
-        kept = [c for c in combined]
-        assert all(len(c.labels) == 0 for c in kept)
-        if any(len(h.labels) > 0 for h in nbest):
-            assert any("dropping hypothesis" in r.message for r in caplog.records)
+            combined = combine_rescore(features, list(nbest) + [at_cap, over_cap], [],
+                                       model_a, model_b)
+        assert {c.labels for c in combined} == {h.labels for h in nbest} | {at_cap.labels}
+        dropped = [r.getMessage() for r in caplog.records if "dropping hypothesis" in r.message]
+        assert dropped == ["combine_rescore: dropping hypothesis of length 7 (cap 6)"]
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_rows_ranked_by_first_model_score_then_labels(self, monkeypatch, tied):
+        # The order the zero weights CombinationWeights(1, 0, 0, 0, 0) give
+        # to finite scores; with every transducer_a tied, label order alone.
+        model_a = tiny_model(59)
+        model_b = tiny_model(60, mode="multiplicative")
+        features = RandomStream(61).normal(size=(4, 3))
+        nb_a = alsd_beam(model_a, features, beam_width=16, n_best=8, expansion_cap=6)
+        nb_b = alsd_beam(model_b, features, beam_width=16, n_best=8, expansion_cap=6)
+        if tied:
+            monkeypatch.setattr(model_a, "prefix_trie_nlls",
+                                lambda H, sequences: np.full(len(sequences), 2.5))
+        combined = combine_rescore(features, nb_a, nb_b, model_a, model_b)
+        union = {h.labels for h in nb_a} | {h.labels for h in nb_b}
+        assert len(combined) == len(union) > 2
+        keys = [(-c.transducer_a, c.labels) for c in combined]
+        assert keys == sorted(keys)
+        zero = CombinationWeights(1.0, 0.0, 0.0, 0.0, 0.0)
+        assert combined == sorted(combined, key=lambda c: (-fused(c, zero), c.labels))
+        if tied:
+            assert [c.labels for c in combined] == sorted(union)
 
     def test_score_decomposition_exact(self):
         model_a = tiny_model(26)
@@ -246,7 +292,10 @@ class TestCombineRescore:
         nbest = alsd_beam(model_a, features, beam_width=16, n_best=4, expansion_cap=5)
         w = CombinationWeights(0.3, 0.7, 0.2, 0.5, 0.1)
         scored = lm_scored(nbest, src, ext)
-        for c in combine_rescore(features, scored, [], w, model_a, model_b):
+        combined = combine_rescore(features, scored, [], model_a, model_b)
+        # The one scoring path of tuning, reporting and verification.
+        scores = fusion._utterance_scores(combined, fusion._grid_columns([w]))[0].tolist()
+        for c, score in zip(combined, scores):
             total = (
                 w.alpha * c.transducer_a
                 + w.beta * c.transducer_b
@@ -254,7 +303,7 @@ class TestCombineRescore:
                 + w.lam * c.external_lm
                 + w.rho * len(c.labels)
             )
-            assert c.score == total
+            assert score == total
 
     def test_lm_components_come_from_the_lists(self):
         model_a = tiny_model(40)
@@ -268,8 +317,7 @@ class TestCombineRescore:
         nb_b = lm_scored(
             alsd_beam(model_b, features, beam_width=16, n_best=4, expansion_cap=5), src, ext
         )
-        w = CombinationWeights(0.5, 0.5, 0.5, 0.7, 0.2)
-        combined = combine_rescore(features, nb_a, nb_b, w, model_a, model_b)
+        combined = combine_rescore(features, nb_a, nb_b, model_a, model_b)
         assert combined
         for c in combined:
             assert c.source_lm == lm_score(c.labels, src)[0]
@@ -283,17 +331,19 @@ class TestCombineRescore:
         nbest = alsd_beam(model, features, beam_width=16, n_best=4, expansion_cap=5)
         nb_a = lm_scored(nbest, tiny_lm(48), ext)
         nb_b = lm_scored(nbest, tiny_lm(49), ext)
-        w = CombinationWeights(0.5, 0.5, 0.5, 0.7, 0.2)
         with pytest.raises(ContractViolation, match="different LMs"):
-            combine_rescore(features, nb_a, nb_b, w, model, model)
+            combine_rescore(features, nb_a, nb_b, model, model)
 
     def test_lm_models_are_not_parameters(self):
         model = tiny_model(50)
         features = RandomStream(51).normal(size=(3, 3))
         nbest = alsd_beam(model, features, beam_width=16, n_best=4, expansion_cap=5)
-        w = CombinationWeights(0.5, 0.5, 0.0, 0.0, 0.0)
         with pytest.raises(TypeError):
-            combine_rescore(features, nbest, [], w, model, model, tiny_lm(52), tiny_lm(53))
+            combine_rescore(features, nbest, [], model, model, tiny_lm(52), tiny_lm(53))
+        # Nor are weights: the rows carry every component, and only tuning
+        # weighs them.
+        with pytest.raises(TypeError):
+            combine_rescore(features, nbest, [], CombinationWeights(), model, model)
 
     def test_one_block_step_per_trie_depth_and_one_joint_call(self, monkeypatch):
         model_a = tiny_model(54)
@@ -307,8 +357,7 @@ class TestCombineRescore:
         lattice_nll_calls = []
         monkeypatch.setattr(TransducerModel, "lattice_nll",
                             counting(TransducerModel.lattice_nll, lattice_nll_calls))
-        w = CombinationWeights(0.5, 0.5, 0.0, 0.0, 0.0)
-        combined = combine_rescore(features, nb_a, nb_b, w, model_a, model_b)
+        combined = combine_rescore(features, nb_a, nb_b, model_a, model_b)
 
         union = {h.labels for h in nb_a} | {h.labels for h in nb_b}
         assert {c.labels for c in combined} == union
@@ -351,8 +400,7 @@ class TestCombineRescore:
         monkeypatch.setattr(model_module, "PrefixStates", Recorded)
         monkeypatch.setattr(networks, "_label_forward",
                             counting(networks._label_forward, blocks))
-        w = CombinationWeights(0.5, 0.5, 0.0, 0.0, 0.0)
-        combined = combine_rescore(features, nb_a, nb_b, w, model_a, model_b)
+        combined = combine_rescore(features, nb_a, nb_b, model_a, model_b)
         # Each model fills its own table once, with every sequence of the
         # union, one block step per depth.
         union = sorted(c.labels for c in combined)
@@ -371,31 +419,16 @@ class TestCombineRescore:
         model = tiny_model(57)
         features = RandomStream(58).normal(size=(3, 3))
         bad = [NBestRecord(labels=(0, 2), length=2, transducer_a=0.0, source_lm=0.0, external_lm=0.0)]
-        w = CombinationWeights(0.5, 0.5, 0.0, 0.0, 0.0)
         with pytest.raises(ContractViolation, match="outside vocabulary"):
-            combine_rescore(features, bad, [], w, model, model)
+            combine_rescore(features, bad, [], model, model)
 
 
 class TestTuning:
     def _cached(self):
         # Two utterances; hypothesis quality depends on the external LM.
         return [
-            CachedNBest(
-                utt_id="u1",
-                reference=("ab",),
-                hypotheses=[
-                    CachedHypothesis(("ab",), -1.0, -2.0, -1.0, 2),
-                    CachedHypothesis(("ax",), -0.9, -1.0, -5.0, 2),
-                ],
-            ),
-            CachedNBest(
-                utt_id="u2",
-                reference=("ba",),
-                hypotheses=[
-                    CachedHypothesis(("ba",), -1.2, -2.0, -1.0, 2),
-                    CachedHypothesis(("bx",), -1.0, -1.0, -6.0, 2),
-                ],
-            ),
+            cached("u1", ("ab",), (("ab",), -1.0, -2.0, -1.0, 2), (("ax",), -0.9, -1.0, -5.0, 2)),
+            cached("u2", ("ba",), (("ba",), -1.2, -2.0, -1.0, 2), (("bx",), -1.0, -1.0, -6.0, 2)),
         ]
 
     def test_zero_grid_returns_zero(self):
@@ -408,17 +441,14 @@ class TestTuning:
         assert result.weights.lam > 0.0
 
     def test_oracle_cell_is_optimal(self):
-        cached = self._cached()
-        full = tune_weights(cached)
+        nbests = self._cached()
+        full = tune_weights(nbests)
         for lam in (0.0, 0.3, 0.9):
-            sub = tune_weights(cached, lam_grid=(lam,))
+            sub = tune_weights(nbests, lam_grid=(lam,))
             assert full.wer <= sub.wer
 
     def test_ties_prefer_smaller_weights(self):
-        cached = [
-            CachedNBest("u", ("a",), [CachedHypothesis(("a",), -1.0, -1.0, -1.0, 1)])
-        ]
-        result = tune_weights(cached)
+        result = tune_weights([cached("u", ("a",), (("a",), -1.0, -1.0, -1.0, 1))])
         assert result.weights == FusionWeights(0.0, 0.0, 0.0)
 
     def test_empty_grid_rejected(self):
@@ -426,18 +456,12 @@ class TestTuning:
             tune_weights(self._cached(), mu_grid=())
 
     def test_combination_tuning(self):
-        cached = [
-            CachedNBest(
-                "u",
-                ("ab",),
-                [
-                    CachedHypothesis(("ab",), -2.0, -1.0, -1.0, 2, transducer_b=-0.5),
-                    CachedHypothesis(("ax",), -1.0, -1.0, -1.0, 2, transducer_b=-3.0),
-                ],
-            )
+        nbests = [
+            cached("u", ("ab",), (("ab",), -2.0, -1.0, -1.0, 2, -0.5),
+                   (("ax",), -1.0, -1.0, -1.0, 2, -3.0))
         ]
         result = tune_weights(
-            cached,
+            nbests,
             mu_grid=(0.0,),
             lam_grid=(0.0,),
             rho_grid=(0.0,),
@@ -449,25 +473,19 @@ class TestTuning:
     def test_missing_transducer_b_rejected(self):
         # Tuning, reporting and verification share one scoring path, and none
         # of them scores a missing second-model component as zero.
-        cached = [
-            CachedNBest(
-                "u",
-                ("ab",),
-                [
-                    CachedHypothesis(("ab",), -2.0, -1.0, -1.0, 2, transducer_b=-0.5),
-                    CachedHypothesis(("ax",), -1.0, -1.0, -1.0, 2),
-                ],
-            )
+        nbests = [
+            cached("u", ("ab",), (("ab",), -2.0, -1.0, -1.0, 2, -0.5),
+                   (("ax",), -1.0, -1.0, -1.0, 2))
         ]
         with pytest.raises(ContractViolation, match="transducer_b"):
-            top1_wer(cached, CombinationWeights(0.5, 0.5, 0.0, 0.0, 0.0))
+            top1_wer(nbests, CombinationWeights(0.5, 0.5, 0.0, 0.0, 0.0))
         with pytest.raises(ContractViolation, match="transducer_b"):
-            tune_weights(cached, alpha_beta_grid=((0.5, 0.5),))
-        assert top1_wer(cached, FusionWeights(0.0, 0.0, 0.0)) == 1.0
+            tune_weights(nbests, alpha_beta_grid=((0.5, 0.5),))
+        assert top1_wer(nbests, FusionWeights(0.0, 0.0, 0.0)) == 1.0
 
     def test_empty_nbest_rejected(self):
         with pytest.raises(ContractViolation, match="empty"):
-            top1_wer([CachedNBest("u", ("a",), [])], FusionWeights())
+            top1_wer([CachedNBest("u", ("a",), [], [])], FusionWeights())
 
 
 class TestNBestIO:
@@ -550,16 +568,16 @@ class TestNBestIO:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["nbest.tsv"]
 
-    def test_scored_candidates_write_label_count(self, tmp_path):
-        # Combination files take cross-scored candidates as rows: the third
-        # column is the label count, and both transducer columns are kept.
+    def test_combination_row_line(self, tmp_path):
+        # A cross-scored row (`combine_rescore` sets `length` to the label
+        # count) keeps both transducer columns, transducer_b after
+        # transducer_a.
         alphabet = Alphabet(3, separator=2)
-        cand = ScoredCandidate((0, 2, 1), -4.5, -1.25, -2.5, -3.0, -0.75)
+        row = NBestRecord((0, 2, 1), 3, -1.25, -3.0, -0.75, transducer_b=-2.5)
         path = tmp_path / "combination.tsv"
-        write_nbest(path, [("u", [cand])], alphabet)
+        write_nbest(path, [("u", [row])], alphabet)
         assert path.read_text() == "u\ta b\t3\t-1.25\t-2.5\t-3\t-0.75\n"
-        [row] = read_nbest(path, alphabet)["u"]
-        assert row == NBestRecord((0, 2, 1), 3, -1.25, -3.0, -0.75, transducer_b=-2.5)
+        assert read_nbest(path, alphabet)["u"] == [row]
 
     @pytest.mark.parametrize("fields", [5, 8])
     def test_wrong_field_count_rejected(self, tmp_path, fields):
@@ -603,3 +621,46 @@ class TestNBestIO:
         path.write_text("u\ta\t1\t-inf\t-inf\t-inf\n")
         [row] = read_nbest(path, Alphabet(3, separator=2))["u"]
         assert row == NBestRecord((0,), 1, -math.inf, -math.inf, -math.inf)
+
+    def test_byte_outside_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"u\ta\t1\t-1\t-2\t-3\nu\ta\xffb\t1\t-1\t-2\t-3\n")
+        with pytest.raises(ContractViolation, match="n-best line 2: byte 0xff is not UTF-8"):
+            read_nbest(path, Alphabet(3, separator=2))
+
+
+# Scores as the format allows them: any float but NaN and +inf.
+scores = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(-math.inf))
+
+
+@st.composite
+def nbest_records(draw):
+    """(utt_id, rows) records of one width, every utterance with a row."""
+    width_b = draw(st.booleans())
+    row = st.builds(
+        NBestRecord,
+        labels=st.lists(st.integers(0, 3), max_size=6).map(tuple),
+        length=st.integers(0, 2**40),
+        transducer_a=scores,
+        source_lm=scores,
+        external_lm=scores,
+        transducer_b=scores if width_b else st.none(),
+    )
+    utt_ids = draw(st.lists(st.text("uv0-_", min_size=1, max_size=4), unique=True, max_size=4))
+    return [(utt_id, draw(st.lists(row, min_size=1, max_size=4))) for utt_id in utt_ids]
+
+
+class TestNBestRoundTrip:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(nbest_records())
+    def test_rows_round_trip_exactly(self, records):
+        alphabet = Alphabet(4, separator=3)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rows.tsv"
+            write_nbest(path, records, alphabet)
+            back = read_nbest(path, alphabet)
+            assert list(back.items()) == records  # dataclass ==, so every float by ==
+            # The bytes again, so -0.0 stays -0.0 as well.
+            again = Path(tmp) / "again.tsv"
+            write_nbest(again, back.items(), alphabet)
+            assert again.read_bytes() == path.read_bytes()

@@ -1,9 +1,11 @@
 """Property test: the vectorised weight tuning against a per-cell loop.
 
 The oracle below scores every grid cell separately with scalar arithmetic,
-picks each utterance's top-1 hypothesis under (-score, words), and counts
-its edits with `compute_wer`, as tuning did before it was vectorised. The
+picks each utterance's top-1 row under (-score, words), and counts its
+edits with `compute_wer`, as tuning did before it was vectorised. The
 vectorised search must return the same weights and the same WER, exactly.
+|y| is the label count, which differs from a row's `length` field here,
+as it does for decoder rows (their alignment length).
 """
 
 from hypothesis import given, settings
@@ -11,10 +13,10 @@ from hypothesis import strategies as st
 
 from transducer_workbench import fusion
 from transducer_workbench.fusion import (
-    CachedHypothesis,
     CachedNBest,
     CombinationWeights,
     FusionWeights,
+    NBestRecord,
     TuneResult,
     top1_wer,
     tune_weights,
@@ -22,16 +24,17 @@ from transducer_workbench.fusion import (
 from transducer_workbench.scoring import compute_wer
 
 
-def oracle_score(hyp, w) -> float:
+def oracle_score(row, w) -> float:
+    length = len(row.labels)
     if isinstance(w, CombinationWeights):
         return (
-            w.alpha * hyp.transducer_a
-            + w.beta * hyp.transducer_b
-            - w.mu * hyp.source_lm
-            + w.lam * hyp.external_lm
-            + w.rho * hyp.length
+            w.alpha * row.transducer_a
+            + w.beta * row.transducer_b
+            - w.mu * row.source_lm
+            + w.lam * row.external_lm
+            + w.rho * length
         )
-    return hyp.transducer_a - w.mu * hyp.source_lm + w.lam * hyp.external_lm + w.rho * hyp.length
+    return row.transducer_a - w.mu * row.source_lm + w.lam * row.external_lm + w.rho * length
 
 
 def oracle_cell_wer(nbests, w) -> float:
@@ -39,11 +42,11 @@ def oracle_cell_wer(nbests, w) -> float:
     ref_words = 0
     for nbest in nbests:
         best, best_key = None, None
-        for hyp in nbest.hypotheses:
-            key = (-oracle_score(hyp, w), hyp.words)
+        for words, row in zip(nbest.words, nbest.rows):
+            key = (-oracle_score(row, w), words)
             if best is None or key < best_key:
-                best, best_key = hyp, key
-        _, subs, dels, ins = compute_wer(list(nbest.reference), list(best.words))
+                best, best_key = words, key
+        _, subs, dels, ins = compute_wer(list(nbest.reference), list(best))
         errors += subs + dels + ins
         ref_words += len(nbest.reference)
     return errors / max(1, ref_words)
@@ -93,28 +96,29 @@ words = st.lists(st.sampled_from(("a", "b", "ab")), max_size=3).map(tuple)
 
 @st.composite
 def hypotheses(draw, combination):
-    hyp = CachedHypothesis(
-        words=draw(words),
+    """(words, row) pairs; the row's `length` field is not its label count."""
+    row = NBestRecord(
+        labels=(0,) * draw(st.integers(0, 4)),
+        length=draw(st.integers(5, 9)),
         transducer_a=draw(components),
         source_lm=draw(components),
         external_lm=draw(components),
-        length=draw(st.integers(0, 4)),
         transducer_b=draw(components) if combination else None,
     )
     if draw(st.booleans()):
         # The same components under other words: a forced exact tie.
-        return [hyp, CachedHypothesis(draw(words), hyp.transducer_a, hyp.source_lm,
-                                      hyp.external_lm, hyp.length, hyp.transducer_b)]
-    return [hyp]
+        return [(draw(words), row), (draw(words), row)]
+    return [(draw(words), row)]
 
 
 @st.composite
 def nbest_lists(draw, combination):
     out = []
     for i in range(draw(st.integers(0, 4))):
-        hyps = [h for group in draw(st.lists(hypotheses(combination), min_size=1, max_size=4))
-                for h in group]
-        out.append(CachedNBest(f"u{i}", draw(words), hyps))
+        pairs = [h for group in draw(st.lists(hypotheses(combination), min_size=1, max_size=4))
+                 for h in group]
+        out.append(CachedNBest(f"u{i}", draw(words), [row for _, row in pairs],
+                               [hyp_words for hyp_words, _ in pairs]))
     return out
 
 
@@ -132,12 +136,12 @@ class TestTuneWeightsAgainstPerCellLoop:
     @given(st.lists(hypotheses(True), min_size=1, max_size=4),
            st.lists(combination_cells, min_size=1, max_size=4))
     def test_grid_scores_equal_scalar_scores(self, groups, cells):
-        hyps = [h for group in groups for h in group]
+        rows = [row for group in groups for _, row in group]
         for grid_cells in (cells, [FusionWeights(w.mu, w.lam, w.rho) for w in cells]):
-            scores = fusion._utterance_scores(hyps, fusion._grid_columns(grid_cells))
-            assert scores.shape == (len(grid_cells), len(hyps))
+            scores = fusion._utterance_scores(rows, fusion._grid_columns(grid_cells))
+            assert scores.shape == (len(grid_cells), len(rows))
             for c, w in enumerate(grid_cells):
-                assert scores[c].tolist() == [oracle_score(h, w) for h in hyps]
+                assert scores[c].tolist() == [oracle_score(row, w) for row in rows]
 
     @property_settings
     @given(nbest_lists(False), grids, grids, grids)
