@@ -26,11 +26,12 @@ from .data import (
     read_features,
     write_features,
 )
-from .decoding import Hypothesis, NBestList, alsd_beam, exhaustive_decode, greedy_decode
+from .decoding import alsd_beam, exhaustive_decode, greedy_decode
 from .fusion import (
     CombinationWeights,
     FusionScorer,
     FusionWeights,
+    NBestRecord,
     combination_score,
     combine_rescore,
     density_ratio_score,

@@ -25,8 +25,9 @@ frame min(t, T-1), and a hypothesis is complete once it has consumed all T
 frames, after which it may still extend by labels.
 
 The search holds its beam as parallel arrays and scores, merges and prunes
-all candidates of a step as one (beam, K) array; it builds `Hypothesis`
-objects only for what it returns (see `alsd_beam`).
+all candidates of a step as one (beam, K) array. It returns
+`fusion.NBestRecord` rows, the one row type of the n-best files, tuning and
+combination; so does the exhaustive oracle.
 """
 
 from __future__ import annotations
@@ -38,63 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DecodeError, SearchBudgetExceeded
-from .fusion import density_ratio_score
+from .fusion import NBestRecord, density_ratio_score
 from .lattice import BLANK_ID, rnnt_forward
 from .networks import PrefixStates, lm_next_logprobs
 from .numerics import log_add
 
 EXHAUSTIVE_BUDGET = 500_000
-
-
-@dataclass(frozen=True)
-class Hypothesis:
-    """A partial or completed transduction with per-source score components.
-
-    `score` is the pruning/ranking total: the transducer log-probability
-    plus, when fusion is active, the weighted LM terms and length reward
-    accumulated per emitted symbol. `alignment_length` counts consumed
-    alignment symbols (blanks + labels)."""
-
-    labels: tuple[int, ...]
-    t_progress: int
-    score: float
-    transducer: float
-    source_lm: float = 0.0
-    external_lm: float = 0.0
-
-    @property
-    def alignment_length(self) -> int:
-        return self.t_progress + len(self.labels)
-
-
-@dataclass
-class NBestList:
-    """Ranked unique-label hypotheses with retained score components."""
-
-    hypotheses: list[Hypothesis]
-
-    def __post_init__(self):
-        seen = set()
-        for a, b in itertools.pairwise(self.hypotheses):
-            if a.score < b.score:
-                raise ContractViolation("n-best list must be sorted by score")
-        for hyp in self.hypotheses:
-            if hyp.labels in seen:
-                raise ContractViolation("duplicate label sequence in n-best list")
-            seen.add(hyp.labels)
-
-    def __len__(self):
-        return len(self.hypotheses)
-
-    def __iter__(self):
-        return iter(self.hypotheses)
-
-    def __getitem__(self, i):
-        return self.hypotheses[i]
-
-    @property
-    def best(self) -> Hypothesis:
-        return self.hypotheses[0]
 
 
 @dataclass
@@ -138,7 +88,7 @@ def alsd_beam(
     merge: str = "logsumexp",
     debug_invariants: bool = False,
     aux=None,
-) -> NBestList:
+) -> list[NBestRecord]:
     """Alignment-length synchronous beam search.
 
     Iteration i extends every live hypothesis by exactly one alignment
@@ -161,8 +111,7 @@ def alsd_beam(
     (-score, labels): `np.partition` finds the beam_width-th score, and
     only the candidates at or above it are sorted, so ties stay exact.
     Only the `n_best` best completed hypotheses are kept, which is exact
-    both for the result and for the early stop below. `Hypothesis` objects
-    are built only for the result and for `DecodeError.best_partial`.
+    both for the result and for the early stop below.
 
     Each step scores the whole beam with one `extend_decode_state` call,
     which gives a prediction row to the prefixes new to the beam, and one
@@ -176,6 +125,15 @@ def alsd_beam(
     (`lm_next_logprobs`) for the beam and the completed candidates together.
     A label extension adds its label's column, and a completed hypothesis
     the end-of-sequence column of its own prefix.
+
+    Returns the n-best rows, ranked by (-fused score, labels), one per label
+    sequence: `length` is the alignment length T + |labels|, `transducer_a`
+    the transducer score, and `source_lm`/`external_lm` the LM components
+    (0.0 without fusion). The fused score is `density_ratio_score` of those
+    fields with |y| = len(labels), bit for bit as the search ranked them;
+    without fusion it is `transducer_a`. A search that completes nothing
+    raises DecodeError with the best live hypothesis as a row of length
+    t + |labels|.
     """
     if beam_width < 1:
         raise ContractViolation("beam_width must be >= 1")
@@ -204,7 +162,6 @@ def alsd_beam(
     trans = np.zeros(1)
     src = np.zeros(1)
     ext = np.zeros(1)
-    beam_scores = [0.0]
     completed: list[tuple] = []  # the n_best best (-score, labels, trans, src, ext), ranked
 
     for step in range(1, expansion_cap + 1):
@@ -271,7 +228,6 @@ def alsd_beam(
         labels = [key for _, key in best]
         t = cand_t.ravel()[chosen]
         trans = cand.ravel()[chosen]
-        beam_scores = score.ravel()[chosen].tolist()
         if fusion is not None:
             src = src_c.ravel()[chosen]
             ext = ext_c.ravel()[chosen]
@@ -286,23 +242,21 @@ def alsd_beam(
             fusion is None
             and len(completed) == n_best
             and (t == T).all()
-            and beam_scores[0] < -completed[-1][0]
+            and score.flat[chosen[0]] < -completed[-1][0]
         ):
             break
 
     if not completed:
         best_partial = None
         if labels:
-            best_partial = Hypothesis(labels[0], int(t[0]), beam_scores[0], float(trans[0]),
-                                      float(src[0]), float(ext[0]))
+            best_partial = NBestRecord(labels[0], int(t[0]) + len(labels[0]), float(trans[0]),
+                                       float(src[0]), float(ext[0]))
         raise DecodeError(
             f"no completed hypothesis within expansion cap {expansion_cap}",
             best_partial=best_partial,
         )
-    return NBestList([
-        Hypothesis(key, T, -neg_score, c_trans, c_src, c_ext)
-        for neg_score, key, c_trans, c_src, c_ext in completed
-    ])
+    return [NBestRecord(key, T + len(key), c_trans, c_src, c_ext)
+            for _, key, c_trans, c_src, c_ext in completed]
 
 
 def _best(scores: np.ndarray, n: int, labels_of, floor: float = -np.inf) -> list:
@@ -331,12 +285,6 @@ def _lm_columns(tables, prefixes, K):
         yield inc, end
 
 
-@dataclass(frozen=True)
-class ScoredSequence:
-    labels: tuple[int, ...]
-    log_prob: float
-
-
 def exhaustive_search_cost(T: int, num_labels: int, max_symbols: int) -> int:
     """Candidate-weighted path count: sum over u of |Y|^u * C(T+u, u)."""
     return sum(
@@ -346,8 +294,11 @@ def exhaustive_search_cost(T: int, num_labels: int, max_symbols: int) -> int:
 
 def exhaustive_decode(
     model, features, max_symbols: int, budget: int = EXHAUSTIVE_BUDGET, aux=None
-) -> list[ScoredSequence]:
-    """Exact p(y|x) for every label sequence up to max_symbols, ranked.
+) -> list[NBestRecord]:
+    """Exact p(y|x) for every label sequence up to max_symbols, ranked by
+    (-log p(y|x), labels): one row per sequence, with `transducer_a` the
+    exact log p(y|x), `length` the alignment length T + |labels| and zero
+    LM components.
 
     Scores each candidate through the lattice forward pass, so the ranking
     marginalizes over alignments exactly. Refuses when the implied work
@@ -365,6 +316,6 @@ def exhaustive_decode(
         for labels in itertools.product(range(model.num_labels), repeat=U):
             lattice = model.logprob_lattice(H, list(labels))
             nll, _ = rnnt_forward(lattice, list(labels))
-            out.append(ScoredSequence(labels=labels, log_prob=-nll))
-    out.sort(key=lambda s: (-s.log_prob, s.labels))
+            out.append(NBestRecord(labels, T + U, -nll, 0.0, 0.0))
+    out.sort(key=lambda row: (-row.transducer_a, row.labels))
     return out

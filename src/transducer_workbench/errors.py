@@ -28,7 +28,9 @@ class OracleFailure(WorkbenchError):
 class DecodeError(WorkbenchError):
     """Beam search failed to complete any hypothesis within its cap.
 
-    Carries the best partial hypothesis seen, for diagnostics.
+    Carries the best live hypothesis, for diagnostics, as an n-best row
+    (`fusion.NBestRecord`) whose `length` is its alignment length
+    t + |labels|.
     """
 
     def __init__(self, message, best_partial=None):

@@ -50,7 +50,7 @@ from .data import (
     write_features,
     write_transcripts,
 )
-from .decoding import DecodeError, Hypothesis, alsd_beam, greedy_decode
+from .decoding import DecodeError, alsd_beam, greedy_decode
 from .errors import ConfigError, ContractViolation, WorkbenchError
 from .fusion import (
     DEFAULT_LAM_GRID,
@@ -610,8 +610,9 @@ def stage_train_lms(config, run_dir, rng, datasets, alphabet):
 
 
 def decode_dataset(model, dataset: Dataset, config: dict) -> list:
-    """ALSD n-best per utterance; falls back to the greedy path when the
-    beam cannot complete. Returns (utt_id, hypotheses) pairs ordered by id."""
+    """ALSD n-best rows per utterance; falls back to the greedy path, as one
+    row scored by its exact marginal, when the beam cannot complete. Returns
+    (utt_id, rows) pairs ordered by id, with zero LM components."""
     d = config["decoding"]
     skip = config["model"]["skip"]
     records = []
@@ -620,7 +621,7 @@ def decode_dataset(model, dataset: Dataset, config: dict) -> list:
         t_stacked = (utt.num_frames + skip - 1) // skip
         cap = d["expansion_factor"] * max(1, t_stacked)
         try:
-            nbest = alsd_beam(
+            rows = alsd_beam(
                 model,
                 features,
                 beam_width=d["beam_width"],
@@ -629,48 +630,40 @@ def decode_dataset(model, dataset: Dataset, config: dict) -> list:
                 merge=d["merge"],
                 aux=utt.aux,
             )
-            hyps = list(nbest)
         except DecodeError:
             logger.warning("beam failed on %s; falling back to greedy", utt.utt_id)
-            greedy = greedy_decode(model, features, aux=utt.aux)
+            labels = greedy_decode(model, features, aux=utt.aux).labels
             H = model.encode_features(features, utt.aux)
-            trans = -model.lattice_nll(H, list(greedy.labels))
-            hyps = [
-                Hypothesis(
-                    labels=greedy.labels,
-                    t_progress=H.shape[0],
-                    score=trans,
-                    transducer=trans,
-                )
-            ]
-        records.append((utt.utt_id, hyps))
+            rows = [NBestRecord(labels, H.shape[0] + len(labels),
+                                -model.lattice_nll(H, list(labels)), 0.0, 0.0)]
+        records.append((utt.utt_id, rows))
     return records
 
 
 def attach_lm_components(records, source_lm, external_lm):
-    """The n-best file rows of decoder records: each hypothesis with its
-    alignment length, transducer score and full-sequence LM scores. An LM
-    given as None scores 0.0. Each distinct label sequence is scored once
-    per LM, and each LM keeps one `PrefixStates` table for the call, so a
-    prefix shared by many hypotheses runs through the label network once.
+    """The n-best file rows of decoder records: each row with its LM
+    components replaced by full-sequence LM scores. An LM given as None
+    scores 0.0. Each distinct label sequence is scored once per LM, and
+    each LM keeps one `PrefixStates` table for the call, so a prefix
+    shared by many hypotheses runs through the label network once.
     Scoring happens inside the one pass over `records`: each utterance's
     sequences fill the tables (a block step per depth), then are scored."""
     out = []
     cache: dict[tuple, tuple] = {}
     lms = [(lm, None if lm is None else PrefixStates(lm)) for lm in (source_lm, external_lm)]
-    for utt_id, hyps in records:
+    for utt_id, decoded in records:
         for lm, table in lms:
             if lm is not None:
-                table.rows(dict.fromkeys(hyp.labels for hyp in hyps))
+                table.rows(dict.fromkeys(row.labels for row in decoded))
         rows = []
-        for hyp in hyps:
-            if hyp.labels not in cache:
-                cache[hyp.labels] = tuple(
-                    lm_score(hyp.labels, lm, table)[0] if lm is not None else 0.0
+        for row in decoded:
+            if row.labels not in cache:
+                cache[row.labels] = tuple(
+                    lm_score(row.labels, lm, table)[0] if lm is not None else 0.0
                     for lm, table in lms
                 )
-            src, ext = cache[hyp.labels]
-            rows.append(NBestRecord(hyp.labels, hyp.alignment_length, hyp.transducer, src, ext))
+            src, ext = cache[row.labels]
+            rows.append(NBestRecord(row.labels, row.length, row.transducer_a, src, ext))
         out.append((utt_id, rows))
     return out
 
@@ -961,7 +954,9 @@ def verify_report(run_dir) -> list[str]:
     problems = []
 
     def check(label, reported, recomputed):
-        if abs(recomputed - reported) > 1e-12:
+        # NaN fails `<=`, so a non-finite or non-numeric WER is a mismatch.
+        numeric = isinstance(reported, (int, float)) and not isinstance(reported, bool)
+        if not (numeric and abs(recomputed - reported) <= 1e-12):
             problems.append(f"{label}: reported {reported}, recomputed {recomputed}")
 
     for condition, entries in report["conditions"].items():

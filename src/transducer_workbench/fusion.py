@@ -18,10 +18,11 @@ model), so a prefix that many hypotheses share is scored once per model. The
 result agrees with `lattice_nll`, the per-sequence oracle, within
 1e-12 * max(1, |nll|).
 
-After the search, every n-best row is an `NBestRecord`: the rows of decoder
-and combination files, cross-scored and rescored rows, and the rows that
-weight tuning scores. Its one reader and writer, and the loader that turns
-rows into tuning input, also live here.
+From the search on, every n-best row is an `NBestRecord`: what `alsd_beam`
+and the exhaustive oracle return, the rows of decoder and combination
+files, cross-scored and rescored rows, and the rows that weight tuning
+scores. Its one reader and writer, and the loader that turns rows into
+tuning input, also live here.
 """
 
 from __future__ import annotations
@@ -60,21 +61,34 @@ class CombinationWeights:
     rho: float = 0.0
 
 
+def _weighted(weight, score):
+    """weight * score, where a zero weight drops the term: a -inf score (a
+    log-probability of zero) would otherwise give 0 * -inf = NaN, which
+    wins every argmax. Finite scores take the plain product."""
+    if not np.isinf(score).any():
+        return weight * score
+    with np.errstate(invalid="ignore"):
+        return np.where(weight == 0, 0.0, weight * score)[()]
+
+
 def density_ratio_score(components, w: FusionWeights) -> float:
     """components = (log p(y|x), log p_src(y), log p_ext(y), |y|).
 
     Elementwise on numpy arrays too: with weight fields of shape (cells, 1)
     and components of shape (hyps,) it scores a whole grid at once, with
-    the same operations in the same order as the scalar call."""
+    the same operations in the same order as the scalar call. A term whose
+    weight is zero adds nothing, whatever its score."""
     trans, src, ext, length = components
-    return trans - w.mu * src + w.lam * ext + w.rho * length
+    return trans - _weighted(w.mu, src) + _weighted(w.lam, ext) + _weighted(w.rho, length)
 
 
 def combination_score(components, w: CombinationWeights) -> float:
     """components = (log p(y|x; A), log p(y|x; B), log p_src(y), log p_ext(y),
-    |y|); elementwise on numpy arrays like `density_ratio_score`."""
+    |y|); elementwise on numpy arrays like `density_ratio_score`, and a term
+    whose weight is zero adds nothing."""
     trans_a, trans_b, src, ext, length = components
-    return w.alpha * trans_a + w.beta * trans_b - w.mu * src + w.lam * ext + w.rho * length
+    return (_weighted(w.alpha, trans_a) + _weighted(w.beta, trans_b) - _weighted(w.mu, src)
+            + _weighted(w.lam, ext) + _weighted(w.rho, length))
 
 
 class FusionScorer:
@@ -109,16 +123,16 @@ def rescore_nbest(
     source_lm: CharLMParams | None = None,
     external_lm: CharLMParams | None = None,
 ) -> list[NBestRecord]:
-    """Density-ratio rescoring of decoder hypotheses with full-sequence LM
-    scores. Returns their rows, `length` the label count, ranked by
-    (-fused score, labels)."""
+    """Density-ratio rescoring of decoder rows with full-sequence LM scores.
+    Returns the rows with their LM components replaced, ranked by (-fused
+    score, labels)."""
     rows = []
-    for hyp in hypotheses:
-        src = lm_score(hyp.labels, source_lm)[0] if source_lm is not None else 0.0
-        ext = lm_score(hyp.labels, external_lm)[0] if external_lm is not None else 0.0
-        rows.append(NBestRecord(hyp.labels, len(hyp.labels), hyp.transducer, src, ext))
+    for row in hypotheses:
+        src = lm_score(row.labels, source_lm)[0] if source_lm is not None else 0.0
+        ext = lm_score(row.labels, external_lm)[0] if external_lm is not None else 0.0
+        rows.append(NBestRecord(row.labels, row.length, row.transducer_a, src, ext))
     rows.sort(key=lambda r: (-density_ratio_score(
-        (r.transducer_a, r.source_lm, r.external_lm, r.length), weights), r.labels))
+        (r.transducer_a, r.source_lm, r.external_lm, len(r.labels)), weights), r.labels))
     return rows
 
 
@@ -136,11 +150,10 @@ def combine_rescore(
     alpha column per prefix. The scores agree with the per-sequence oracle
     `lattice_nll` within 1e-12 * max(1, |nll|); only the joint matmuls' row
     counts differ. The LM components are not recomputed: they are the
-    `source_lm`/`external_lm` fields of the n-best entries (`Hypothesis` or
-    `NBestRecord`), which the decoding stage fills with full-sequence
-    `lm_score` values. Both lists must carry the same LM scores for a shared
-    label sequence; entries whose LM components were never filled
-    contribute 0.0. A sequence longer than 2 * max(T_a, T_b) labels, over
+    `source_lm`/`external_lm` fields of the n-best rows, which the decoding
+    stage fills with full-sequence `lm_score` values. Both lists must carry
+    the same LM scores for a shared label sequence; rows straight from an
+    unfused search carry 0.0. A sequence longer than 2 * max(T_a, T_b) labels, over
     the longer encoder output, is excluded with a logged warning: ALSD
     emits at most that many, so only an n-best file from outside the
     program can hold one.
@@ -152,12 +165,12 @@ def combine_rescore(
     H_b = model_b.encode_features(features, aux)
     cap = 2 * max(H_a.shape[0], H_b.shape[0])
     union: dict[tuple[int, ...], tuple[float, float]] = {}
-    for hyp in itertools.chain(nbest_a, nbest_b):
-        lm = (hyp.source_lm, hyp.external_lm)
-        if union.setdefault(hyp.labels, lm) != lm:
+    for row in itertools.chain(nbest_a, nbest_b):
+        lm = (row.source_lm, row.external_lm)
+        if union.setdefault(row.labels, lm) != lm:
             raise ContractViolation(
-                f"combine_rescore: LM scores {union[hyp.labels]} and {lm} for labels "
-                f"{hyp.labels}; the n-best lists were scored by different LMs"
+                f"combine_rescore: LM scores {union[row.labels]} and {lm} for labels "
+                f"{row.labels}; the n-best lists were scored by different LMs"
             )
     kept = []
     for labels in union:
@@ -328,10 +341,11 @@ def tune_weights(
 
 @dataclass(frozen=True)
 class NBestRecord:
-    """One n-best row: a line of an n-best file, a cross-scored or rescored
-    hypothesis, and tuning input. `length` is the alignment length in rows
-    from the decoder and the label count elsewhere; the fused scores take
-    |y| from `labels`."""
+    """One n-best row: a hypothesis from the search, a line of an n-best
+    file, a cross-scored or rescored hypothesis, and tuning input. `length`
+    is the alignment length in rows from the decoder (the search, the greedy
+    fallback and the exhaustive oracle) and the label count in cross-scored
+    rows; the fused scores take |y| from `labels`."""
 
     labels: tuple[int, ...]
     length: int

@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from transducer_workbench import experiment, fusion, lattice, model, networks, scoring, training
-from transducer_workbench.decoding import Hypothesis
 from transducer_workbench.model import TransducerModel
 from transducer_workbench.networks import CharLMConfig, init_char_lm_params
 from transducer_workbench.numerics import RandomStream
@@ -118,7 +117,8 @@ def test_attach_lm_components_scores_inside_one_pass(monkeypatch):
            for s in (1, 2)]
     seqs = [(), (0,), (0, 1), (0, 1, 2), (2,), (0, 1)]
     records = _CountedRecords(
-        (f"u{i}", [Hypothesis(seqs[j], 3, -1.0, -1.0) for j in (i, (i + 1) % len(seqs))])
+        (f"u{i}", [fusion.NBestRecord(seqs[j], 3 + len(seqs[j]), -1.0, 0.0, 0.0)
+                   for j in (i, (i + 1) % len(seqs))])
         for i in range(len(seqs))
     )
     calls = []

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     FixedLatticeModel,
+    ReferenceHypothesis,
     alsd_beam_reference,
     blank_dominant_model,
     random_fixed_model,
@@ -16,8 +17,6 @@ from helpers import (
 )
 from transducer_workbench import decoding, networks
 from transducer_workbench.decoding import (
-    GreedyResult,
-    NBestList,
     alsd_beam,
     exhaustive_decode,
     exhaustive_search_cost,
@@ -28,7 +27,7 @@ from transducer_workbench.errors import (
     DecodeError,
     SearchBudgetExceeded,
 )
-from transducer_workbench.fusion import FusionScorer, FusionWeights
+from transducer_workbench.fusion import FusionScorer, FusionWeights, density_ratio_score
 from transducer_workbench.model import ModelConfig, init_model
 from transducer_workbench.networks import (
     CharLMConfig,
@@ -99,9 +98,8 @@ class TestALSD:
         model = blank_dominant_model(5, 3, 3)
         nbest = alsd_beam(model, np.zeros(5), beam_width=4, n_best=4,
                           debug_invariants=True)
-        assert nbest.best.labels == ()
-        assert nbest.best.alignment_length == 5
-        assert nbest.best.t_progress == 5
+        assert nbest[0].labels == ()
+        assert nbest[0].length == 5
 
     def test_equal_alignment_length_invariant(self):
         rng = RandomStream(11)
@@ -123,12 +121,12 @@ class TestALSD:
                 expansion_cap=T + max_u,
                 debug_invariants=True,
             )
-            assert nbest.best.labels == exact[0].labels
+            assert nbest[0].labels == exact[0].labels
             # With a saturating beam and log-sum-exp merging, completed
             # scores equal the exact marginals.
-            exact_by_labels = {s.labels: s.log_prob for s in exact}
-            for hyp in nbest:
-                assert hyp.score == pytest.approx(exact_by_labels[hyp.labels], abs=1e-10)
+            exact_by_labels = {row.labels: row.transducer_a for row in exact}
+            for row in nbest:
+                assert row.transducer_a == pytest.approx(exact_by_labels[row.labels], abs=1e-10)
 
     def test_real_model_matches_exhaustive(self):
         model = tiny_real_model(seed=3)
@@ -139,8 +137,8 @@ class TestALSD:
             nbest = alsd_beam(
                 model, features, beam_width=512, n_best=3, expansion_cap=3 + 2
             )
-            assert nbest.best.labels == exact[0].labels
-            assert nbest.best.score == pytest.approx(exact[0].log_prob, abs=1e-10)
+            assert nbest[0].labels == exact[0].labels
+            assert nbest[0].transducer_a == pytest.approx(exact[0].transducer_a, abs=1e-10)
 
     def test_beam_monotonicity(self):
         rng = RandomStream(17)
@@ -152,24 +150,23 @@ class TestALSD:
                     nbest = alsd_beam(model, np.zeros(4), beam_width=width, n_best=1)
                 except DecodeError:
                     continue  # a too-narrow beam may never complete
-                assert nbest.best.score >= prev - 1e-12
-                prev = nbest.best.score
+                assert nbest[0].transducer_a >= prev - 1e-12
+                prev = nbest[0].transducer_a
 
     def test_determinism(self):
         rng = RandomStream(19)
         model = random_fixed_model(4, 4, 3, rng)
         a = alsd_beam(model, np.zeros(4), beam_width=4, n_best=4)
         b = alsd_beam(model, np.zeros(4), beam_width=4, n_best=4)
-        assert [h.labels for h in a] == [h.labels for h in b]
-        assert [h.score for h in a] == [h.score for h in b]
+        assert a == b
 
     def test_nbest_unique_and_sorted(self):
         rng = RandomStream(23)
         model = random_fixed_model(4, 4, 3, rng)
         nbest = alsd_beam(model, np.zeros(4), beam_width=16, n_best=8)
-        labels = [h.labels for h in nbest]
+        labels = [row.labels for row in nbest]
         assert len(set(labels)) == len(labels)
-        scores = [h.score for h in nbest]
+        scores = [row.transducer_a for row in nbest]
         assert scores == sorted(scores, reverse=True)
 
     def test_no_completion_raises_with_best_partial(self):
@@ -178,8 +175,11 @@ class TestALSD:
         model = FixedLatticeModel(log_softmax(logits))
         with pytest.raises(DecodeError) as exc:
             alsd_beam(model, np.zeros(3), beam_width=1, expansion_cap=6)
-        assert exc.value.best_partial is not None
-        assert len(exc.value.best_partial.labels) > 0
+        partial = exc.value.best_partial
+        assert partial is not None
+        assert len(partial.labels) > 0
+        # Width 1 keeps the all-label path, which never consumed a frame.
+        assert partial.length == len(partial.labels) == 6
 
     def test_max_merge_selects_viterbi(self):
         rng = RandomStream(29)
@@ -188,11 +188,11 @@ class TestALSD:
         # Viterbi score of y is the max over its alignments; compute directly.
         from transducer_workbench.lattice import alignment_log_prob, enumerate_alignments
 
-        for hyp in nbest:
-            aligns = enumerate_alignments(3, len(hyp.labels), list(hyp.labels))
-            lat = model.logprob_lattice(None, list(hyp.labels))
+        for row in nbest:
+            aligns = enumerate_alignments(3, len(row.labels), list(row.labels))
+            lat = model.logprob_lattice(None, list(row.labels))
             best = max(alignment_log_prob(lat, a) for a in aligns)
-            assert hyp.score == pytest.approx(best, abs=1e-10)
+            assert row.transducer_a == pytest.approx(best, abs=1e-10)
 
     def test_parameter_validation(self):
         model = blank_dominant_model(3, 2, 2)
@@ -206,15 +206,28 @@ class TestALSD:
             alsd_beam(model, np.zeros(3), beam_width=2, n_best=0)
 
 
+def _fused(row, fusion):
+    """The fused score of a search's row, recomputed from its fields."""
+    if fusion is None:
+        return row.transducer_a
+    return density_ratio_score(
+        (row.transducer_a, row.source_lm, row.external_lm, len(row.labels)), fusion.weights
+    )
+
+
 def _alsd_outcome(search, model, features, **kwargs):
-    """Every score field of a search's n-best list, or of the best partial
-    hypothesis it raised."""
+    """Every field of a search's n-best rows, or of the best partial
+    hypothesis it raised, with the fused score recomputed from them; the
+    reference's hypotheses in the same layout, with their own score."""
     try:
         hyps, raised = list(search(model, features, **kwargs)), False
     except DecodeError as exc:
         hyps, raised = [exc.best_partial], True
+    fusion = kwargs.get("fusion")
     return raised, [
-        (h.labels, h.t_progress, h.transducer, h.score, h.source_lm, h.external_lm)
+        dict(labels=h.labels, length=h.alignment_length, transducer_a=h.transducer,
+             source_lm=h.source_lm, external_lm=h.external_lm, transducer_b=None, fused=h.score)
+        if isinstance(h, ReferenceHypothesis) else {**vars(h), "fused": _fused(h, fusion)}
         for h in hyps
     ]
 
@@ -310,7 +323,10 @@ class TestFusedLMState:
             plain = _alsd_outcome(alsd_beam, model, features, **kwargs)
             fused = _alsd_outcome(alsd_beam, model, features, fusion=fusion, **kwargs)
             assert plain[0] == fused[0]
-            assert [h[:4] for h in plain[1]] == [h[:4] for h in fused[1]]
+            lm_fields = ("source_lm", "external_lm")
+            assert [{k: v for k, v in row.items() if k not in lm_fields} for row in plain[1]] == [
+                {k: v for k, v in row.items() if k not in lm_fields} for row in fused[1]
+            ]
 
     @pytest.mark.parametrize("layers", [1, 2])
     def test_one_cache_entry_per_scored_prefix_and_no_stepwise_calls(self, layers, monkeypatch):
@@ -410,10 +426,10 @@ def test_fused_lm_components_equal_lm_score(layers):
                               fusion=FusionScorer(FusionWeights(0.3, 0.5, 0.4), *lms))
         except DecodeError:
             continue
-        for hyp in nbest:
-            for component, lm in zip((hyp.source_lm, hyp.external_lm), lms):
-                assert component == lm_score(hyp.labels, lm)[0]
-                assert component == stepwise_lm_score(hyp.labels, lm)[0]
+        for row in nbest:
+            for component, lm in zip((row.source_lm, row.external_lm), lms):
+                assert component == lm_score(row.labels, lm)[0]
+                assert component == stepwise_lm_score(row.labels, lm)[0]
             checked += 1
     assert checked > 100
 
@@ -527,12 +543,10 @@ class TestEarlyStop:
         # the stop, so this run covers the whole expansion cap.
         full, full_nbest = _counted_alsd(model, np.zeros(T), beam_width=4, n_best=10**6)
         assert stopped.joint_calls < full.joint_calls
-        assert [(h.labels, h.score) for h in nbest] == [
-            (h.labels, h.score) for h in full_nbest.hypotheses[:n_best]
-        ]
-        assert [h.labels for h in nbest] == [s.labels for s in exact[:n_best]]
-        for hyp, ref in zip(nbest, exact):
-            assert hyp.score == pytest.approx(ref.log_prob, abs=1e-10)
+        assert nbest == full_nbest[:n_best]
+        assert [row.labels for row in nbest] == [row.labels for row in exact[:n_best]]
+        for row, ref in zip(nbest, exact):
+            assert row.transducer_a == pytest.approx(ref.transducer_a, abs=1e-10)
 
     @pytest.mark.parametrize("merge", ["logsumexp", "max"])
     @pytest.mark.parametrize("rho", [None, 1.0])
@@ -553,9 +567,7 @@ class TestEarlyStop:
             except DecodeError:
                 continue
             nbest = alsd_beam(model, np.zeros(T), n_best=n_best, **kwargs)
-            assert [(h.labels, h.score) for h in nbest] == [
-                (h.labels, h.score) for h in full.hypotheses[:n_best]
-            ]
+            assert nbest == full[:n_best]
 
 
 class TestExhaustive:
@@ -566,13 +578,14 @@ class TestExhaustive:
         assert len(out) == 1
         assert out[0].labels == ()
         blanks = model.lattice[:, 0, 0].sum()
-        assert out[0].log_prob == pytest.approx(blanks, abs=1e-12)
+        assert out[0].transducer_a == pytest.approx(blanks, abs=1e-12)
 
     def test_candidate_count_single_label(self):
         rng = RandomStream(37)
         model = random_fixed_model(2, 3, 2, rng)
         out = exhaustive_decode(model, np.zeros(2), max_symbols=2)
-        assert sorted(s.labels for s in out) == [(), (0,), (0, 0)]
+        assert sorted(row.labels for row in out) == [(), (0,), (0, 0)]
+        assert [row.length for row in out] == [2 + len(row.labels) for row in out]
 
     def test_mass_agrees_with_path_dp(self):
         # Independent oracle: summed per-sequence marginals must equal the
@@ -583,7 +596,7 @@ class TestExhaustive:
             max_u = int(rng.integers(0, 4))
             model = random_fixed_model(T, max_u + 1, int(rng.integers(2, 4)), rng)
             out = exhaustive_decode(model, np.zeros(T), max_symbols=max_u)
-            total = log_sum_exp([s.log_prob for s in out])
+            total = log_sum_exp([row.transducer_a for row in out])
             assert total == pytest.approx(
                 total_mass_over_lengths(model, max_u), abs=1e-10
             )
@@ -597,7 +610,7 @@ class TestExhaustive:
         lat[:, :, 0] = 0.0
         model = FixedLatticeModel(lat)
         out = exhaustive_decode(model, np.zeros(3), max_symbols=0)
-        assert out[0].log_prob == pytest.approx(0.0, abs=1e-12)
+        assert out[0].transducer_a == pytest.approx(0.0, abs=1e-12)
 
     def test_budget_refusal(self):
         rng = RandomStream(43)
@@ -611,17 +624,34 @@ class TestExhaustive:
         )
 
 
-def test_nbest_list_validation():
-    h1 = _hyp((0,), 1.0)
-    h2 = _hyp((1,), 2.0)
-    with pytest.raises(ContractViolation):
-        NBestList([h1, h2])
-    with pytest.raises(ContractViolation):
-        NBestList([h2, h2])
-    assert NBestList([h2, h1]).best.labels == (1,)
-
-
-def _hyp(labels, score):
-    from transducer_workbench.decoding import Hypothesis
-
-    return Hypothesis(labels=labels, t_progress=2, score=score, transducer=score)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 10**6),
+    T=st.integers(1, 5),
+    num_labels=st.integers(1, 4),
+    beam_width=st.integers(1, 8),
+    n_best=st.integers(1, 40),
+    fusion=st.sampled_from([None, "reward", "lms"]),
+)
+def test_nbest_rows_unique_ranked_with_alignment_lengths(seed, T, num_labels, beam_width, n_best,
+                                                         fusion):
+    # The contract of the search's output: one row per label sequence,
+    # ranked by (-fused score, labels), each of alignment length T' + |y|.
+    rng = RandomStream(seed)
+    model = random_fixed_model(T, 2 * T + 1, num_labels + 1, rng)
+    scorer = None
+    if fusion == "reward":
+        scorer = FusionScorer(FusionWeights(0.0, 0.0, 0.7))
+    elif fusion == "lms":
+        scorer = FusionScorer(FusionWeights(0.3, 0.5, 0.4), *_char_lms(num_labels, 1, rng))
+    try:
+        rows = alsd_beam(model, np.zeros(T), beam_width=beam_width, n_best=n_best, fusion=scorer)
+    except DecodeError:
+        return
+    T_prime = model.encode_features(np.zeros(T)).shape[0]
+    labels = [row.labels for row in rows]
+    assert 1 <= len(rows) <= n_best
+    assert len(set(labels)) == len(labels)
+    keys = [(-_fused(row, scorer), row.labels) for row in rows]
+    assert keys == sorted(keys)
+    assert [row.length for row in rows] == [T_prime + len(y) for y in labels]

@@ -2,6 +2,7 @@ import collections
 import io
 import json
 import logging
+import math
 import shutil
 from pathlib import Path
 
@@ -12,18 +13,23 @@ from transducer_workbench import experiment
 from transducer_workbench.cli import main as cli_main
 from transducer_workbench.data import (
     Alphabet,
+    generate_synthetic_task,
     read_features,
     read_transcripts,
     write_features,
     write_transcripts,
 )
+from transducer_workbench.decoding import greedy_decode
 from transducer_workbench.errors import ConfigError, ContractViolation, IngestError
 from transducer_workbench.experiment import (
     ExperimentReport,
     CONDITIONS,
+    build_model_config,
     build_recipe,
+    build_task_config,
     condition_grid,
     config_fingerprint,
+    decode_dataset,
     default_config,
     format_config,
     load_report,
@@ -38,12 +44,20 @@ from transducer_workbench.experiment import (
 from transducer_workbench.fusion import (
     CombinationWeights,
     FusionWeights,
+    NBestRecord,
     cached_nbests,
     read_nbest,
     top1_wer,
 )
-from transducer_workbench.model import load_char_lm, load_checkpoint, save_char_lm, save_checkpoint
+from transducer_workbench.model import (
+    init_model,
+    load_char_lm,
+    load_checkpoint,
+    save_char_lm,
+    save_checkpoint,
+)
 from transducer_workbench.networks import CharLMConfig, lm_score
+from transducer_workbench.numerics import RandomStream
 
 
 def tiny_config(**overrides):
@@ -197,6 +211,27 @@ class TestRunExperiment:
         report = run_experiment(cfg, tmp_path / "run")
         assert report.failure_stage == "train"
         assert (tmp_path / "run" / "report.json").exists()
+
+    def test_greedy_fallback_row(self, caplog):
+        # A width-1 beam capped at T' steps can complete only the all-blank
+        # path, so an utterance whose beam takes a label falls back to the
+        # greedy labels: one row, of alignment length T' + |labels|, scored
+        # by the exact marginal, with zero LM components.
+        cfg = tiny_config(decoding={"beam_width": 1, "expansion_factor": 1})
+        task = generate_synthetic_task(build_task_config(cfg), RandomStream(1))
+        model = init_model(build_model_config(cfg, "additive"), RandomStream(10))
+        with caplog.at_level("WARNING"):
+            records = decode_dataset(model, task.test, cfg)
+        assert [utt_id for utt_id, _ in records] == sorted(u.utt_id for u in task.test)
+        fell_back = [u for u in task.test if f"beam failed on {u.utt_id};" in caplog.text]
+        assert fell_back
+        for utt in fell_back:
+            features = utt.frames.astype(np.float64)
+            labels = greedy_decode(model, features, aux=utt.aux).labels
+            H = model.encode_features(features, utt.aux)
+            assert dict(records)[utt.utt_id] == [NBestRecord(
+                labels, H.shape[0] + len(labels), -model.lattice_nll(H, list(labels)), 0.0, 0.0
+            )]
 
     def test_sweep_rows(self, tmp_path):
         cfg = tiny_config(experiment={"sweep": True, "sweep_epochs": 1,
@@ -419,6 +454,23 @@ class TestVerify:
         (run_copy / "report.json").write_text(json.dumps(report, indent=2))
         problems = verify_report(run_copy)
         assert [p.split(":")[0] for p in problems] == [label]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "0.5", None, True],
+                             ids=["nan", "inf", "string", "null", "bool"])
+    def test_non_finite_or_non_numeric_wer_caught(self, run_copy, capsys, value):
+        # NaN compares false with everything, so a tolerance test alone
+        # would pass it; a string would raise TypeError inside `verify`.
+        report = load_report(run_copy)
+        report["conditions"]["no_lm"]["additive"]["test_wer"] = value
+        report["ablations"][ABLATION]["no_lm_test_wer"] = value
+        (run_copy / "report.json").write_text(json.dumps(report, indent=2))
+        problems = verify_report(run_copy)
+        assert [p.split(":")[0] for p in problems] == [
+            "no_lm/additive/test", f"ablations/{ABLATION}/no_lm_test"
+        ]
+        base = ["--config", str(run_copy / "config.ini"), "--run-dir", str(run_copy)]
+        assert cli_main(base + ["verify"]) == 2
+        assert capsys.readouterr().out.startswith("MISMATCH no_lm/additive/test: ")
 
     def test_tampered_combination_float_caught(self, run_copy):
         # Raise transducer_a on the first row of combination_test.tsv whose

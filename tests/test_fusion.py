@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import random_fixed_model
 from transducer_workbench.data import Alphabet
-from transducer_workbench.decoding import alsd_beam, exhaustive_decode
+from transducer_workbench.decoding import alsd_beam
 from transducer_workbench.errors import ContractViolation
 from transducer_workbench.experiment import attach_lm_components
 from transducer_workbench import fusion
@@ -168,24 +168,28 @@ class TestFusionScorer:
         nbest = alsd_beam(
             model, features, beam_width=64, n_best=5, expansion_cap=5, fusion=scorer
         )
-        rescored = {r.labels: fused(r, weights) for r in rescore_nbest(nbest, weights, src, ext)}
-        for hyp in nbest:
-            assert hyp.score == pytest.approx(rescored[hyp.labels], abs=1e-10)
+        rows = rescore_nbest(nbest, weights, src, ext)
+        assert rows == sorted(rows, key=lambda r: (-fused(r, weights), r.labels))
+        assert {r.labels: r.length for r in rows} == {h.labels: h.length for h in nbest}
+        rescored = {r.labels: fused(r, weights) for r in rows}
+        for row in nbest:
+            assert fused(row, weights) == pytest.approx(rescored[row.labels], abs=1e-10)
 
     def test_fused_search_reranks(self):
         # A strong external LM preferring one label changes the argmax.
         model = random_fixed_model(3, 4, 3, RandomStream(9))
         ext = tiny_lm(10)
         plain = alsd_beam(model, np.zeros(3), beam_width=64, n_best=8)
-        scorer = FusionScorer(FusionWeights(0.0, 3.0, 0.0), external_lm=ext)
-        fused = alsd_beam(model, np.zeros(3), beam_width=64, n_best=8, fusion=scorer)
-        plain_scores = {h.labels: h.score for h in plain}
-        common = [h for h in fused if h.labels in plain_scores]
+        weights = FusionWeights(0.0, 3.0, 0.0)
+        scorer = FusionScorer(weights, external_lm=ext)
+        reranked = alsd_beam(model, np.zeros(3), beam_width=64, n_best=8, fusion=scorer)
+        plain_scores = {row.labels: row.transducer_a for row in plain}
+        common = [row for row in reranked if row.labels in plain_scores]
         assert common, "searches should share some hypotheses"
-        for hyp in common:
-            ext_total = lm_score(hyp.labels, ext)[0]
-            assert hyp.score == pytest.approx(
-                plain_scores[hyp.labels] + 3.0 * ext_total, abs=1e-9
+        for row in common:
+            ext_total = lm_score(row.labels, ext)[0]
+            assert fused(row, weights) == pytest.approx(
+                plain_scores[row.labels] + 3.0 * ext_total, abs=1e-9
             )
 
 
@@ -483,6 +487,27 @@ class TestTuning:
             tune_weights(nbests, alpha_beta_grid=((0.5, 0.5),))
         assert top1_wer(nbests, FusionWeights(0.0, 0.0, 0.0)) == 1.0
 
+    def test_zero_weight_drops_a_minus_inf_score(self):
+        # `read_nbest` accepts -inf, a log-probability of zero. Under a zero
+        # weight its term adds nothing: 0 * -inf would be a NaN, which wins
+        # `np.argmax`, and its RuntimeWarning is an error in this suite.
+        inf = math.inf
+        assert density_ratio_score((-50.0, -inf, -1.0, 1), FusionWeights()) == -50.0
+        assert combination_score((-inf, -2.0, -1.0, -1.0, 1),
+                                 CombinationWeights(0.0, 1.0)) == -2.0
+        nbests = [cached("u", ("a",), (("a",), -1.0, -1.0, -1.0, 1),
+                         (("b",), -50.0, -inf, -1.0, 1))]
+        assert top1_wer(nbests, FusionWeights()) == 0.0
+        result = tune_weights(nbests)
+        assert (result.weights, result.wer) == (FusionWeights(), 0.0)
+        for weights, b_row in [
+            (CombinationWeights(1.0, 0.0), (("b",), -50.0, -1.0, -1.0, 1, -inf)),
+            (CombinationWeights(0.0, 1.0), (("b",), -inf, -1.0, -1.0, 1, -50.0)),
+        ]:
+            nbests = [cached("u", ("a",), (("a",), -1.0, -1.0, -1.0, 1, -1.0), b_row)]
+            assert top1_wer(nbests, weights) == 0.0
+            assert tune_weights(nbests, alpha_beta_grid=((weights.alpha, weights.beta),)).wer == 0.0
+
     def test_empty_nbest_rejected(self):
         with pytest.raises(ContractViolation, match="empty"):
             top1_wer([CachedNBest("u", ("a",), [], [])], FusionWeights())
@@ -507,8 +532,8 @@ class TestNBestIO:
             assert len(back[utt_id]) == len(hyps)
             for orig, loaded in zip(hyps, back[utt_id]):
                 assert loaded.labels == orig.labels
-                assert loaded.length == orig.alignment_length
-                assert loaded.transducer_a == orig.transducer
+                assert loaded.length == orig.length
+                assert loaded.transducer_a == orig.transducer_a
                 assert loaded.transducer_b is None
                 assert loaded.source_lm == lm_score(orig.labels, src)[0]
                 assert loaded.external_lm == lm_score(orig.labels, ext)[0]

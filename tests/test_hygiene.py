@@ -1,6 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every module-level `_private` function or class is referenced somewhere in
-the package.
+"""Source hygiene: every name a module of the package or of its tests
+imports is used in that module, and every module-level `_private` function
+or class is referenced somewhere in the package.
 
 The package's `__init__.py` re-exports its imports, and `from __future__`
 imports are directives, so both are exempt from the import check.
@@ -13,6 +13,7 @@ import pytest
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "transducer_workbench"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _imported_names(tree):
@@ -46,9 +47,11 @@ def _used_names(tree):
 
 def test_modules_found():
     assert len(MODULES) >= 10
+    assert len(TESTS) >= 10
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=lambda p: p.name if p in MODULES else f"tests/{p.name}")
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _used_names(tree)

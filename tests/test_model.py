@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from transducer_workbench.errors import ContractViolation, DimensionError
 from transducer_workbench.joint import ADDITIVE, MULTIPLICATIVE, joint_forward
 from transducer_workbench.model import (
-    DropConnectMasks,
     ModelConfig,
     init_model,
     load_char_lm,

@@ -5,7 +5,6 @@ import pytest
 
 from transducer_workbench.augment import SwitchoutConfig
 from transducer_workbench.data import (
-    Alphabet,
     SyntheticTaskConfig,
     generate_synthetic_task,
 )
