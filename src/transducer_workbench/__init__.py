@@ -29,7 +29,6 @@ from .data import (
 from .decoding import alsd_beam, exhaustive_decode, greedy_decode
 from .fusion import (
     CombinationWeights,
-    FusionScorer,
     FusionWeights,
     NBestRecord,
     combination_score,

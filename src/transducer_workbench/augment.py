@@ -26,7 +26,6 @@ class SwitchoutConfig:
 
     temperature: float = 10.0
     vocab: int = 0
-    enabled: bool = True
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -168,7 +167,7 @@ def switchout(labels, config: SwitchoutConfig, rng: RandomStream) -> tuple[int, 
     """Replace a sampled number of positions with uniform draws over Y."""
     labels = tuple(labels)
     U = len(labels)
-    if not config.enabled or U == 0:
+    if U == 0:
         return labels
     if config.vocab < 1:
         raise ContractViolation("switchout needs the replacement vocabulary size")

@@ -25,9 +25,12 @@ frame min(t, T-1), and a hypothesis is complete once it has consumed all T
 frames, after which it may still extend by labels.
 
 The search holds its beam as parallel arrays and scores, merges and prunes
-all candidates of a step as one (beam, K) array. It returns
-`fusion.NBestRecord` rows, the one row type of the n-best files, tuning and
-combination; so does the exhaustive oracle.
+all candidates of a step as one (beam, K) array. It ranks by
+(-transducer score, labels), and always stops as soon as no live
+hypothesis can enter the n-best list. LM fusion rescores its n-best
+lists afterwards (`fusion`). It returns `fusion.NBestRecord` rows, the one
+row type of the n-best files, tuning and combination; so does the
+exhaustive oracle.
 """
 
 from __future__ import annotations
@@ -39,9 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DecodeError, SearchBudgetExceeded
-from .fusion import NBestRecord, density_ratio_score
+from .fusion import NBestRecord
 from .lattice import BLANK_ID, rnnt_forward
-from .networks import PrefixStates, lm_next_logprobs
 from .numerics import log_add
 
 EXHAUSTIVE_BUDGET = 500_000
@@ -84,7 +86,6 @@ def alsd_beam(
     beam_width: int,
     n_best: int = 1,
     expansion_cap: int | None = None,
-    fusion=None,
     merge: str = "logsumexp",
     debug_invariants: bool = False,
     aux=None,
@@ -95,45 +96,35 @@ def alsd_beam(
     symbol, so the whole beam always shares one alignment length. Label
     sequences arriving at the same length are merged (log-sum-exp of their
     transducer mass by default; "max" selects Viterbi semantics). Completed
-    hypotheses (all T frames consumed) are set aside with their language
-    model end-of-sequence increments applied, and may keep growing by
-    trailing labels up to the expansion cap.
+    hypotheses (all T frames consumed) are set aside, and may keep growing
+    by trailing labels up to the expansion cap.
 
-    The beam is held as parallel arrays (labels, t, transducer and LM
-    components). Each step's joint call returns the beam's (B, K) block of
-    log-probabilities, and every candidate is scored at once as
-    transducer[:, None] + log-probs.
+    The beam is held as parallel arrays (labels, t, transducer score). Each
+    step's joint call returns the beam's (B, K) block of log-probabilities,
+    and every candidate is scored at once as transducer[:, None] + log-probs.
     Live label sequences are distinct, so a candidate's label sequence L
     can arise at most twice in one step: as the blank extension of live L
     and as the label extension of live L[:-1] by L[-1]. Those pairs are
     merged in place; log_add and max are symmetric, so the result does not
     depend on their order. The beam is the `beam_width` best candidates by
-    (-score, labels): `np.partition` finds the beam_width-th score, and
-    only the candidates at or above it are sorted, so ties stay exact.
-    Only the `n_best` best completed hypotheses are kept, which is exact
-    both for the result and for the early stop below.
+    (-transducer score, labels): `np.partition` finds the beam_width-th
+    score, and only the candidates at or above it are sorted, so ties stay
+    exact. Only the `n_best` best completed hypotheses are kept, which is
+    exact both for the result and for the early stop below.
 
     Each step scores the whole beam with one `extend_decode_state` call,
     which gives a prediction row to the prefixes new to the beam, and one
     `joint_log_probs` call over the beam's rows. Every extension is scored
     from its parent's row; only the hypotheses that survive pruning get a
-    row of their own, shared by label prefix. Without fusion, the search
-    stops as soon as no live hypothesis can enter the n-best list.
+    row of their own, shared by label prefix. The search always stops as
+    soon as no live hypothesis can enter the n-best list.
 
-    Under fusion, an LM state is a function of the label prefix too: each
-    LM keeps one `PrefixStates` table per call, read once a step
-    (`lm_next_logprobs`) for the beam and the completed candidates together.
-    A label extension adds its label's column, and a completed hypothesis
-    the end-of-sequence column of its own prefix.
-
-    Returns the n-best rows, ranked by (-fused score, labels), one per label
-    sequence: `length` is the alignment length T + |labels|, `transducer_a`
-    the transducer score, and `source_lm`/`external_lm` the LM components
-    (0.0 without fusion). The fused score is `density_ratio_score` of those
-    fields with |y| = len(labels), bit for bit as the search ranked them;
-    without fusion it is `transducer_a`. A search that completes nothing
-    raises DecodeError with the best live hypothesis as a row of length
-    t + |labels|.
+    Returns the n-best rows, ranked by (-transducer_a, labels), one per
+    label sequence: `length` is the alignment length T + |labels|,
+    `transducer_a` the transducer score, and the LM components are 0.0
+    (`experiment.attach_lm_components` fills them). A search that completes
+    nothing raises DecodeError with the best live hypothesis as a row of
+    length t + |labels|.
     """
     if beam_width < 1:
         raise ContractViolation("beam_width must be >= 1")
@@ -151,18 +142,11 @@ def alsd_beam(
     K = model.num_labels + 1
     is_blank = np.arange(K) == BLANK_ID
     state = model.init_decode_state()
-    if fusion is not None:
-        lms = [fusion.source_lm, fusion.external_lm]
-        if any(lm is not None and lm.num_labels < model.num_labels for lm in lms):
-            raise ContractViolation("a fusion LM lacks some of the decoder's labels")
-        tables = [None if lm is None else PrefixStates(lm) for lm in lms]
-    # The beam, ranked by (-score, labels); src and ext change only under fusion.
+    # The beam, ranked by (-score, labels).
     labels: list[tuple[int, ...]] = [()]
     t = np.zeros(1, dtype=np.int64)
     trans = np.zeros(1)
-    src = np.zeros(1)
-    ext = np.zeros(1)
-    completed: list[tuple] = []  # the n_best best (-score, labels, trans, src, ext), ranked
+    completed: list[tuple] = []  # the n_best best (-score, labels), ranked
 
     for step in range(1, expansion_cap + 1):
         ts = t.tolist()
@@ -190,37 +174,14 @@ def alsd_beam(
             return labels[i] if k == BLANK_ID else labels[i] + (k - 1,)
 
         done = np.flatnonzero(valid & (cand_t == T))
-        if fusion is None:
-            score = cand
-        else:
-            B = len(labels)  # the beam's rows, then the completed candidates'
-            (src_inc, src_end), (ext_inc, ext_end) = _lm_columns(
-                tables, labels + [labels_of(c) for c in done.tolist()], K
-            )
-            src_c = src[:, None] + src_inc[:B]
-            ext_c = ext[:, None] + ext_inc[:B]
-            n_labels = np.array([len(prefix) for prefix in labels])[:, None] + ~is_blank
-            score = density_ratio_score((cand, src_c, ext_c, n_labels), fusion.weights)
-
         if len(done):
-            if fusion is None:
-                final = score.ravel()[done]
-                f_src = f_ext = np.zeros(len(done))
-            else:
-                f_src = src_c.ravel()[done] + src_end[B:]
-                f_ext = ext_c.ravel()[done] + ext_end[B:]
-                final = density_ratio_score(
-                    (cand.ravel()[done], f_src, f_ext, n_labels.ravel()[done]), fusion.weights
-                )
+            final = cand.ravel()[done]
             floor = -completed[-1][0] if len(completed) == n_best else -np.inf
             kept = _best(final, n_best, lambda e: labels_of(int(done[e])), floor)
-            completed = sorted(completed + [
-                (-float(final[e]), key, float(cand.flat[done[e]]), float(f_src[e]), float(f_ext[e]))
-                for e, key in kept
-            ])[:n_best]
+            completed = sorted(completed + [(-float(final[e]), key) for e, key in kept])[:n_best]
 
         flat = np.flatnonzero(valid)
-        best = _best(score.ravel()[flat], beam_width, lambda e: labels_of(int(flat[e])))
+        best = _best(cand.ravel()[flat], beam_width, lambda e: labels_of(int(flat[e])))
         if not best:
             labels = []
             break
@@ -228,35 +189,25 @@ def alsd_beam(
         labels = [key for _, key in best]
         t = cand_t.ravel()[chosen]
         trans = cand.ravel()[chosen]
-        if fusion is not None:
-            src = src_c.ravel()[chosen]
-            ext = ext_c.ravel()[chosen]
         # Exact early stop. Once every live hypothesis is complete, all share
         # one t and one label count with distinct labels, so no later merge
         # can add mass, and each extension adds a log-probability <= 0: no
         # descendant can beat the best live one. Later completions have more
         # labels than any held now, so they never replace one. Strict `<`
-        # keeps the (-score, labels) tie-break exact. LM increments may be
-        # positive, so the stop needs fusion off.
-        if (
-            fusion is None
-            and len(completed) == n_best
-            and (t == T).all()
-            and score.flat[chosen[0]] < -completed[-1][0]
-        ):
+        # keeps the (-score, labels) tie-break exact.
+        if len(completed) == n_best and (t == T).all() and trans[0] < -completed[-1][0]:
             break
 
     if not completed:
         best_partial = None
         if labels:
             best_partial = NBestRecord(labels[0], int(t[0]) + len(labels[0]), float(trans[0]),
-                                       float(src[0]), float(ext[0]))
+                                       0.0, 0.0)
         raise DecodeError(
             f"no completed hypothesis within expansion cap {expansion_cap}",
             best_partial=best_partial,
         )
-    return [NBestRecord(key, T + len(key), c_trans, c_src, c_ext)
-            for _, key, c_trans, c_src, c_ext in completed]
+    return [NBestRecord(key, T + len(key), -neg_score, 0.0, 0.0) for neg_score, key in completed]
 
 
 def _best(scores: np.ndarray, n: int, labels_of, floor: float = -np.inf) -> list:
@@ -270,19 +221,6 @@ def _best(scores: np.ndarray, n: int, labels_of, floor: float = -np.inf) -> list
     idx = np.flatnonzero(pick).tolist()
     ranked = sorted(zip((-scores[idx]).tolist(), map(labels_of, idx), idx))
     return [(e, key) for _, key, e in ranked[:n]]
-
-
-def _lm_columns(tables, prefixes, K):
-    """For each LM table (or None) of `tables`: the LM's next-symbol
-    log-probabilities after each of `prefixes`, as label increments (n, K)
-    with 0 in the blank column, and the end-of-sequence column (n,). An
-    absent LM gives zeros."""
-    for table in tables:
-        inc, end = np.zeros((len(prefixes), K)), np.zeros(len(prefixes))
-        if table is not None:
-            logprobs = lm_next_logprobs(prefixes, table)
-            inc[:, 1:], end = logprobs[:, : K - 1], logprobs[:, table.params.eos]
-        yield inc, end
 
 
 def exhaustive_search_cost(T: int, num_labels: int, max_symbols: int) -> int:

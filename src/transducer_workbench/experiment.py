@@ -659,7 +659,7 @@ def attach_lm_components(records, source_lm, external_lm):
         for row in decoded:
             if row.labels not in cache:
                 cache[row.labels] = tuple(
-                    lm_score(row.labels, lm, table)[0] if lm is not None else 0.0
+                    lm_score(row.labels, lm, table) if lm is not None else 0.0
                     for lm, table in lms
                 )
             src, ext = cache[row.labels]

@@ -7,10 +7,9 @@ Scoring forms (all over complete label sequences y):
 - combination:         alpha*log p(y|x; A) + beta*log p(y|x; B)
                        - mu*log p_src(y) + lam*log p_ext(y) + rho*|y|
 
-|y| counts emitted labels (sentence markers excluded). During beam search
-the same objective is applied per emitted symbol through FusionScorer, from
-each LM's `networks.PrefixStates` table, whose columns `lm_score` reads
-too: a completed hypothesis's LM components equal `lm_score` bit for bit.
+|y| counts emitted labels (sentence markers excluded). Fusion rescores
+n-best lists: the search ranks by the transducer score alone, and each
+row's LM components are full-sequence `lm_score` values.
 
 Combination cross-scores each utterance's n-best union on the prefix trie of
 its label sequences (`TransducerModel.prefix_trie_nlls`, one fresh table per
@@ -91,28 +90,6 @@ def combination_score(components, w: CombinationWeights) -> float:
             + _weighted(w.lam, ext) + _weighted(w.rho, length))
 
 
-class FusionScorer:
-    """Weights and LMs of fusion inside beam search (`alsd_beam`), which
-    reads each LM's rows by label prefix from a `PrefixStates` table
-    (`networks.lm_next_logprobs`). LMs may be omitted when their weight is
-    zero.
-    """
-
-    def __init__(
-        self,
-        weights: FusionWeights,
-        source_lm: CharLMParams | None = None,
-        external_lm: CharLMParams | None = None,
-    ):
-        if weights.mu != 0.0 and source_lm is None:
-            raise ContractViolation("mu != 0 needs a source language model")
-        if weights.lam != 0.0 and external_lm is None:
-            raise ContractViolation("lam != 0 needs an external language model")
-        self.weights = weights
-        self.source_lm = source_lm
-        self.external_lm = external_lm
-
-
 # ---------------------------------------------------------------------------
 # Rescoring
 
@@ -128,8 +105,8 @@ def rescore_nbest(
     score, labels)."""
     rows = []
     for row in hypotheses:
-        src = lm_score(row.labels, source_lm)[0] if source_lm is not None else 0.0
-        ext = lm_score(row.labels, external_lm)[0] if external_lm is not None else 0.0
+        src = lm_score(row.labels, source_lm) if source_lm is not None else 0.0
+        ext = lm_score(row.labels, external_lm) if external_lm is not None else 0.0
         rows.append(NBestRecord(row.labels, row.length, row.transducer_a, src, ext))
     rows.sort(key=lambda r: (-density_ratio_score(
         (r.transducer_a, r.source_lm, r.external_lm, len(r.labels)), weights), r.labels))
@@ -152,8 +129,8 @@ def combine_rescore(
     counts differ. The LM components are not recomputed: they are the
     `source_lm`/`external_lm` fields of the n-best rows, which the decoding
     stage fills with full-sequence `lm_score` values. Both lists must carry
-    the same LM scores for a shared label sequence; rows straight from an
-    unfused search carry 0.0. A sequence longer than 2 * max(T_a, T_b) labels, over
+    the same LM scores for a shared label sequence; rows straight from the
+    search carry 0.0. A sequence longer than 2 * max(T_a, T_b) labels, over
     the longer encoder output, is excluded with a logged warning: ALSD
     emits at most that many, so only an n-best file from outside the
     program can hold one.
@@ -374,11 +351,13 @@ def write_nbest(path, records, alphabet):
 def read_nbest(path, alphabet) -> dict[str, list[NBestRecord]]:
     """Rows by utterance id, in file order. Every line must have 6 fields
     (decoder file) or every line 7 (combination file), with text in the
-    alphabet and numbers where the format has them. A score may be -inf (a
-    log-probability of zero) but not NaN or +inf, which would win every
-    argmax in tuning. Anything else, a byte that is not UTF-8 too, raises
-    ContractViolation naming the line, since the files may come from
-    outside the program."""
+    alphabet and numbers where the format has them. A transducer score may
+    be -inf (a log-probability of zero) but not NaN or +inf, which would win
+    every argmax in tuning. An LM score must be finite: the LMs give every
+    sequence a finite log-probability, and a -inf one under a positive mu
+    would make the density ratio +inf. Anything else, a byte that is not
+    UTF-8 too, raises ContractViolation naming the line, since the files may
+    come from outside the program."""
     out: dict[str, list[NBestRecord]] = {}
     width = None
     try:
@@ -412,6 +391,10 @@ def read_nbest(path, alphabet) -> dict[str, list[NBestRecord]]:
                         raise ContractViolation(
                             f"n-best line {lineno}: score {score} is NaN or +inf"
                         )
+                if -math.inf in (record.source_lm, record.external_lm):
+                    raise ContractViolation(
+                        f"n-best line {lineno}: LM score -inf, expected a finite one"
+                    )
                 out.setdefault(utt_id, []).append(record)
     except UnicodeDecodeError as exc:
         raise ContractViolation(f"n-best {not_utf8(path)}") from exc

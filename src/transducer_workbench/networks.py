@@ -18,13 +18,13 @@ inference-only. The prediction network (one layer) and both character LMs
 `_label_forward` and one backward `_label_backward`; the LMs add only their
 output head. `PrefixStates` holds the label-network states of a growing set
 of label prefixes, keyed by prefix, and steps each depth of new prefixes as
-one block: the decoder's prediction rows, trie cross-scoring and both LM
-readers (`lm_score`, `lm_next_logprobs`) step prefixes only through it. An
-LM table also keeps each row's next-symbol log-probabilities and
-cumulative prefix score as columns, filled once per row by the one LM
-scoring head, a stacked per-row product, so both readers equal the
-stepwise LM API (`lm_init_state`, `lm_score_next`, `lm_end_increment`) bit
-for bit. That API is only their oracle, which the package does not call.
+one block: the decoder's prediction rows, trie cross-scoring and the LM
+reader `lm_score` step prefixes only through it. An LM table also keeps
+each row's next-symbol log-probabilities and cumulative prefix score as
+columns, filled once per row by the one LM scoring head, a stacked per-row
+product, so its columns equal the stepwise LM API (`lm_init_state`,
+`lm_score_next`, `lm_end_increment`) bit for bit. That API is only their
+oracle, which the package does not call.
 
 Each forward pass has a closed-form backward implemented alongside it; every
 backward in this module is checked against central finite differences in the
@@ -557,17 +557,16 @@ def _lm_forward(inputs, params: CharLMParams):
     return hs, log_softmax(hs @ params.W_out.T + params.b_out), caches
 
 
-def lm_score(sequence, params: CharLMParams, table: PrefixStates | None = None):
-    """Total log-probability of a label sequence including the end marker,
-    plus the per-symbol increments (length |sequence|+1).
+def lm_score(sequence, params: CharLMParams, table: PrefixStates | None = None) -> float:
+    """Total log-probability of a label sequence including the end marker.
 
-    Both come from the columns of `table`, the LM's `PrefixStates`, which
-    steps only the prefixes it lacks and runs the head once per row. The
-    total is the sequence row's cumulative prefix score plus its
-    end-of-sequence log-probability, summed left to right as the stepwise
-    oracle sums, so it equals the oracle bit for bit whatever the table
-    holds. A caller that scores many sequences of one LM passes one table
-    to all of them; without one, a fresh table is used."""
+    It comes from the columns of `table`, the LM's `PrefixStates`, which
+    steps only the prefixes it lacks and runs the head once per row: the
+    sequence row's cumulative prefix score plus its end-of-sequence
+    log-probability, summed left to right as the stepwise oracle sums, so it
+    equals the oracle bit for bit whatever the table holds. A caller that
+    scores many sequences of one LM passes one table to all of them;
+    without one, a fresh table is used."""
     if table is None:
         table = PrefixStates(params)
     elif table.params is not params:
@@ -577,22 +576,7 @@ def lm_score(sequence, params: CharLMParams, table: PrefixStates | None = None):
     if row is None:
         row = int(table.rows([sequence])[0])
     logprobs, scores = table.columns()
-    # Flat indices of the increments, from the end marker's up the prefix chain.
-    V, parents, r, u = logprobs.shape[1], table.parents, row, len(sequence)
-    flat = [r * V + params.eos]
-    while r:
-        r, u = parents[r], u - 1
-        flat.append(r * V + sequence[u])
-    increments = logprobs.ravel().take(flat[::-1])
-    return float(scores[row] + increments[-1]), increments
-
-
-def lm_next_logprobs(sequences, table: PrefixStates) -> np.ndarray:
-    """Next-symbol log-probabilities (n, V) after each label tuple of
-    `sequences`: rows of the LM table's logprobs column (filled where
-    missing), bitwise the stepwise `LMState.logprobs`."""
-    rows = table.rows(sequences)
-    return table.columns()[0][rows]
+    return float(scores[row] + logprobs[row, params.eos])
 
 
 def lm_loss_and_grads(sequence, params: CharLMParams):

@@ -383,7 +383,7 @@ def _augment_batch_member(utt, utterances, lengths, idx, recipe: TrainingRecipe,
         features = sequence_noise_inject(features, donor, recipe.sequence_noise, rng.child(1))
     if recipe.specaugment is not None:
         features = spec_augment(features, recipe.specaugment, rng.child(2))
-    if recipe.switchout is not None and recipe.switchout.enabled:
+    if recipe.switchout is not None:
         labels = switchout(labels, recipe.switchout, rng.child(3))
     return features, labels
 

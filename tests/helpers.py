@@ -2,9 +2,8 @@
 independent path-mass oracle for it, loop references for the vectorised
 network kernels (frame stacking, the LSTM forward and its BPTT), and the
 object-per-candidate ALSD loop that the array beam of `alsd_beam` replaced,
-with its LM terms from the stepwise LM oracle (`lm_init_state`,
-`lm_score_next`, `lm_end_increment`), and that oracle's score of a whole
-label sequence."""
+and the stepwise LM oracle's (`lm_init_state`, `lm_score_next`,
+`lm_end_increment`) score of a whole label sequence."""
 
 import heapq
 from dataclasses import dataclass, replace
@@ -13,7 +12,6 @@ from typing import Any
 import numpy as np
 
 from transducer_workbench.errors import ContractViolation, DecodeError
-from transducer_workbench.fusion import density_ratio_score
 from transducer_workbench.lattice import BLANK_ID
 from transducer_workbench.networks import lm_end_increment, lm_init_state, lm_score_next
 from transducer_workbench.numerics import NEG_INF, log_add, log_softmax, log_sum_exp
@@ -197,12 +195,8 @@ def lstm_backward_reference(d_outs, steps, params, hh_mask=None):
 class ReferenceHypothesis:
     labels: tuple[int, ...]
     t_progress: int
-    score: float
     transducer: float
-    source_lm: float = 0.0
-    external_lm: float = 0.0
     pred_state: Any = None
-    fusion_state: Any = None
 
     @property
     def alignment_length(self) -> int:
@@ -210,16 +204,10 @@ class ReferenceHypothesis:
 
 
 def _rank_key(hyp):
-    return (-hyp.score, hyp.labels)
+    return (-hyp.transducer, hyp.labels)
 
 
-def _fused_score(hyp_trans, src, ext, n_labels, fusion) -> float:
-    if fusion is None:
-        return hyp_trans
-    return density_ratio_score((hyp_trans, src, ext, n_labels), fusion.weights)
-
-
-def _merge(pool: dict, hyp, merge: str, fusion) -> None:
+def _merge(pool: dict, hyp, merge: str) -> None:
     old = pool.get(hyp.labels)
     if old is None:
         pool[hyp.labels] = hyp
@@ -230,11 +218,7 @@ def _merge(pool: dict, hyp, merge: str, fusion) -> None:
         trans = hyp.transducer
     else:
         trans = log_add(old.transducer, hyp.transducer)
-    pool[hyp.labels] = replace(
-        old,
-        transducer=trans,
-        score=_fused_score(trans, old.source_lm, old.external_lm, len(old.labels), fusion),
-    )
+    pool[hyp.labels] = replace(old, transducer=trans)
 
 
 def _prefix_state(model, states: dict, labels):
@@ -242,41 +226,6 @@ def _prefix_state(model, states: dict, labels):
     if labels not in states:
         states[labels] = model.extend_decode_state(states[labels[:-1]], [labels])
     return states[labels]
-
-
-def _fusion_lms(fusion):
-    return (fusion.source_lm, fusion.external_lm)
-
-
-def _fusion_init(fusion):
-    """One stepwise LM state per LM of `fusion`; None for an absent LM."""
-    return tuple(None if lm is None else lm_init_state(lm) for lm in _fusion_lms(fusion))
-
-
-def _fusion_extend(fusion, fusion_state, label):
-    """The (source, external) increments of `label` and the advanced states."""
-    incs, states = [0.0, 0.0], list(fusion_state)
-    for i, lm in enumerate(_fusion_lms(fusion)):
-        if states[i] is not None:
-            incs[i], states[i] = lm_score_next(states[i], label, lm)
-    return incs[0], incs[1], tuple(states)
-
-
-def _finalize(hyp, fusion):
-    if fusion is None:
-        return hyp
-    src_end, ext_end = (
-        0.0 if state is None else lm_end_increment(state, lm)
-        for lm, state in zip(_fusion_lms(fusion), hyp.fusion_state)
-    )
-    src = hyp.source_lm + src_end
-    ext = hyp.external_lm + ext_end
-    return replace(
-        hyp,
-        source_lm=src,
-        external_lm=ext,
-        score=_fused_score(hyp.transducer, src, ext, len(hyp.labels), fusion),
-    )
 
 
 def stepwise_lm_score(labels, lm):
@@ -304,7 +253,6 @@ def alsd_beam_reference(
     beam_width: int,
     n_best: int = 1,
     expansion_cap: int | None = None,
-    fusion=None,
     merge: str = "logsumexp",
     debug_invariants: bool = False,
     aux=None,
@@ -327,16 +275,7 @@ def alsd_beam_reference(
         raise ContractViolation("expansion_cap must be at least T")
 
     states = {(): model.init_decode_state()}
-    live = [
-        ReferenceHypothesis(
-            labels=(),
-            t_progress=0,
-            score=0.0,
-            transducer=0.0,
-            pred_state=states[()],
-            fusion_state=_fusion_init(fusion) if fusion is not None else None,
-        )
-    ]
+    live = [ReferenceHypothesis(labels=(), t_progress=0, transducer=0.0, pred_state=states[()])]
     completed: dict = {}
     num_labels = model.num_labels
 
@@ -351,53 +290,32 @@ def alsd_beam_reference(
             frame = min(hyp.t_progress, T - 1)
             logp = model.joint_log_probs(H[[frame]], hyp.pred_state)[0]
             if hyp.t_progress < T:
-                trans = hyp.transducer + float(logp[BLANK_ID])
                 _merge(
                     expansions,
-                    replace(
-                        hyp,
-                        t_progress=hyp.t_progress + 1,
-                        transducer=trans,
-                        score=_fused_score(
-                            trans, hyp.source_lm, hyp.external_lm, len(hyp.labels), fusion
-                        ),
-                    ),
+                    replace(hyp, t_progress=hyp.t_progress + 1,
+                            transducer=hyp.transducer + float(logp[BLANK_ID])),
                     merge,
-                    fusion,
                 )
             for k in range(1, num_labels + 1):
-                label = k - 1
-                trans = hyp.transducer + float(logp[k])
-                src, ext, fstate = hyp.source_lm, hyp.external_lm, hyp.fusion_state
-                if fusion is not None:
-                    src_inc, ext_inc, fstate = _fusion_extend(fusion, hyp.fusion_state, label)
-                    src += src_inc
-                    ext += ext_inc
                 _merge(
                     expansions,
                     ReferenceHypothesis(
-                        labels=hyp.labels + (label,),
+                        labels=hyp.labels + (k - 1,),
                         t_progress=hyp.t_progress,
-                        transducer=trans,
-                        source_lm=src,
-                        external_lm=ext,
-                        score=_fused_score(trans, src, ext, len(hyp.labels) + 1, fusion),
-                        fusion_state=fstate,
+                        transducer=hyp.transducer + float(logp[k]),
                     ),
                     merge,
-                    fusion,
                 )
         for hyp in expansions.values():
             if hyp.t_progress == T:
-                completed[hyp.labels] = _finalize(hyp, fusion)
+                completed[hyp.labels] = hyp
         live = sorted(expansions.values(), key=_rank_key)[:beam_width]
         if not live:
             break
         if (
-            fusion is None
-            and len(completed) >= n_best
+            len(completed) >= n_best
             and all(hyp.t_progress == T for hyp in live)
-            and live[0].score < _nth_best(completed, n_best).score
+            and live[0].transducer < _nth_best(completed, n_best).transducer
         ):
             break
 

@@ -16,7 +16,9 @@ from transducer_workbench.augment import (
 )
 from transducer_workbench.data import Utterance
 from transducer_workbench.errors import ContractViolation
+from transducer_workbench.experiment import build_recipe, default_config
 from transducer_workbench.numerics import RandomStream
+from transducer_workbench.training import _augment_batch_member
 
 
 class TestSpeedTempo:
@@ -202,9 +204,26 @@ class TestSwitchout:
         assert switchout((), config, RandomStream(15)) == ()
 
     def test_disabled_identity(self):
-        config = SwitchoutConfig(vocab=4, enabled=False)
-        labels = (1, 2, 3)
-        assert switchout(labels, config, RandomStream(16)) == labels
+        # A recipe turns switchout off with `switchout = None`: the batch
+        # member then keeps its labels, which the default recipe replaces
+        # for some draws.
+        cfg = default_config()
+        rng = RandomStream(16)
+        utts = [Utterance(f"u{i}", rng.normal(size=(12, 3)).astype(np.float32),
+                          tuple(int(x) for x in rng.integers(0, 8, size=6))) for i in range(4)]
+        lengths = np.array([u.num_frames for u in utts])
+        recipe = build_recipe(cfg, "no_switchout")
+        assert recipe.switchout is None
+        changed = 0
+        for seed in range(50):
+            for idx, utt in enumerate(utts):
+                _, labels = _augment_batch_member(utt, utts, lengths, idx, recipe,
+                                                  RandomStream(seed))
+                assert labels == utt.labels
+                _, labels = _augment_batch_member(utt, utts, lengths, idx, build_recipe(cfg),
+                                                  RandomStream(seed))
+                changed += labels != utt.labels
+        assert changed > 0
 
     def test_tiny_temperature_mostly_identity(self):
         # tau -> 0+ puts all mass at n_hat = 0.

@@ -15,7 +15,7 @@ from helpers import (
     stepwise_lm_score,
     total_mass_over_lengths,
 )
-from transducer_workbench import decoding, networks
+from transducer_workbench import experiment, fusion, networks
 from transducer_workbench.decoding import (
     alsd_beam,
     exhaustive_decode,
@@ -27,10 +27,12 @@ from transducer_workbench.errors import (
     DecodeError,
     SearchBudgetExceeded,
 )
-from transducer_workbench.fusion import FusionScorer, FusionWeights, density_ratio_score
+from transducer_workbench.experiment import attach_lm_components
+from transducer_workbench.fusion import FusionWeights, NBestRecord
 from transducer_workbench.model import ModelConfig, init_model
 from transducer_workbench.networks import (
     CharLMConfig,
+    CharLMParams,
     EncoderConfig,
     PredictionConfig,
     init_char_lm_params,
@@ -206,28 +208,18 @@ class TestALSD:
             alsd_beam(model, np.zeros(3), beam_width=2, n_best=0)
 
 
-def _fused(row, fusion):
-    """The fused score of a search's row, recomputed from its fields."""
-    if fusion is None:
-        return row.transducer_a
-    return density_ratio_score(
-        (row.transducer_a, row.source_lm, row.external_lm, len(row.labels)), fusion.weights
-    )
-
-
 def _alsd_outcome(search, model, features, **kwargs):
     """Every field of a search's n-best rows, or of the best partial
-    hypothesis it raised, with the fused score recomputed from them; the
-    reference's hypotheses in the same layout, with their own score."""
+    hypothesis it raised; the reference's hypotheses in the same layout,
+    with zero LM components."""
     try:
         hyps, raised = list(search(model, features, **kwargs)), False
     except DecodeError as exc:
         hyps, raised = [exc.best_partial], True
-    fusion = kwargs.get("fusion")
     return raised, [
         dict(labels=h.labels, length=h.alignment_length, transducer_a=h.transducer,
-             source_lm=h.source_lm, external_lm=h.external_lm, transducer_b=None, fused=h.score)
-        if isinstance(h, ReferenceHypothesis) else {**vars(h), "fused": _fused(h, fusion)}
+             source_lm=0.0, external_lm=0.0, transducer_b=None)
+        if isinstance(h, ReferenceHypothesis) else vars(h)
         for h in hyps
     ]
 
@@ -235,10 +227,7 @@ def _alsd_outcome(search, model, features, **kwargs):
 class TestArrayBeamOracle:
     """The array beam of `alsd_beam` against the object-per-candidate loop
     it replaced (`helpers.alsd_beam_reference`): every returned field, and
-    the best partial hypothesis of a failed search, must be equal. The
-    reference scores its LM terms with the stepwise LM oracle, one
-    `lm_score_next` per candidate; the "lms" case draws 1- and 2-layer
-    LMs."""
+    the best partial hypothesis of a failed search, must be equal."""
 
     @settings(max_examples=250, deadline=None, derandomize=True, database=None)
     @given(
@@ -249,12 +238,10 @@ class TestArrayBeamOracle:
         beam_width=st.integers(1, 8),
         n_best=st.integers(1, 40),
         merge=st.sampled_from(["logsumexp", "max"]),
-        fusion=st.sampled_from([None, "reward", "lms"]),
-        lm_layers=st.integers(1, 2),
         cap_extra=st.integers(0, 10),
     )
     def test_matches_object_per_candidate_reference(
-        self, kind, seed, T, num_labels, beam_width, n_best, merge, fusion, lm_layers, cap_extra
+        self, kind, seed, T, num_labels, beam_width, n_best, merge, cap_extra
     ):
         rng = RandomStream(seed)
         shape = (T, 2 * T + 1, num_labels + 1)
@@ -270,17 +257,7 @@ class TestArrayBeamOracle:
         else:
             model = tiny_real_model(seed=seed, num_labels=num_labels, joint_mode=kind)
             features = rng.normal(size=(T, 3))
-        scorer = None
-        if fusion == "reward":
-            scorer = FusionScorer(FusionWeights(0.0, 0.0, 0.7))
-        elif fusion == "lms":
-            lm_config = CharLMConfig(layers=lm_layers, cells=3, embed_dim=2)
-            scorer = FusionScorer(
-                FusionWeights(0.3, 0.5, 0.4),
-                init_char_lm_params(num_labels, lm_config, rng.child(1)),
-                init_char_lm_params(num_labels, lm_config, rng.child(2)),
-            )
-        kwargs = dict(beam_width=beam_width, n_best=n_best, merge=merge, fusion=scorer,
+        kwargs = dict(beam_width=beam_width, n_best=n_best, merge=merge,
                       expansion_cap=T + cap_extra, debug_invariants=True)
         assert _alsd_outcome(alsd_beam, model, features, **kwargs) == _alsd_outcome(
             alsd_beam_reference, model, features, **kwargs
@@ -303,46 +280,63 @@ def _char_lms(num_labels, layers, rng):
     return tuple(init_char_lm_params(num_labels, config, rng.child(i)) for i in (1, 2))
 
 
+def _decoded(model, rng, utterances=3, T=4):
+    """(utt_id, rows) records of `utterances` ALSD searches."""
+    return [(f"u{i}", alsd_beam(model, rng.normal(size=(T, 3)), beam_width=4, n_best=8))
+            for i in range(utterances)]
+
+
 class TestFusedLMState:
-    """In-search fusion keys each LM's state by label prefix: one
-    `PrefixStates` table per LM per `alsd_beam` call, the table `lm_score`
-    reads."""
+    """Fusion's LM state is a function of the label prefix: the decoding
+    stage's `attach_lm_components` keeps one `PrefixStates` table per LM,
+    the table `lm_score` reads, and fills it with each utterance's n-best
+    label sequences before scoring them."""
 
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("merge", ["logsumexp", "max"])
     def test_zero_weights_return_the_unfused_nbest_bitwise(self, layers, merge):
+        # The LM components are the only fields scoring changes, and under
+        # zero weights every fused score is the transducer score, so the
+        # search's ranking stands.
+        zero = fusion._grid_columns([FusionWeights()])
+        checked = 0
         for seed in range(25):
             rng = RandomStream(seed)
             num_labels, T = int(rng.integers(1, 5)), int(rng.integers(1, 6))
             model = tiny_real_model(seed, num_labels, ("additive", "multiplicative")[seed % 2])
             features = rng.normal(size=(T, 3))
-            fusion = FusionScorer(FusionWeights(), *_char_lms(num_labels, layers, rng))
-            kwargs = dict(beam_width=int(rng.integers(1, 8)), n_best=int(rng.integers(1, 30)),
-                          merge=merge)
-            # The LM fields are filled only under fusion; every other field matches.
-            plain = _alsd_outcome(alsd_beam, model, features, **kwargs)
-            fused = _alsd_outcome(alsd_beam, model, features, fusion=fusion, **kwargs)
-            assert plain[0] == fused[0]
-            lm_fields = ("source_lm", "external_lm")
-            assert [{k: v for k, v in row.items() if k not in lm_fields} for row in plain[1]] == [
-                {k: v for k, v in row.items() if k not in lm_fields} for row in fused[1]
-            ]
+            lms = _char_lms(num_labels, layers, rng)
+            try:
+                plain = alsd_beam(model, features, beam_width=int(rng.integers(1, 8)),
+                                  n_best=int(rng.integers(1, 30)), merge=merge)
+            except DecodeError:
+                continue
+            [(_, scored)] = attach_lm_components([("u", plain)], *lms)
+            assert [NBestRecord(r.labels, r.length, r.transducer_a, 0.0, 0.0)
+                    for r in scored] == plain
+            fused = fusion._utterance_scores(scored, zero)[0].tolist()
+            assert fused == [row.transducer_a for row in plain]
+            ranked = sorted(range(len(scored)), key=lambda i: (-fused[i], scored[i].labels))
+            assert ranked == list(range(len(scored)))
+            checked += 1
+        assert checked > 10
 
     @pytest.mark.parametrize("layers", [1, 2])
     def test_one_cache_entry_per_scored_prefix_and_no_stepwise_calls(self, layers, monkeypatch):
         def refuse(*args):
-            raise AssertionError("fused search called the stepwise LM oracle")
+            raise AssertionError("n-best scoring called the stepwise LM oracle")
 
         for name in ("_lm_step", "lm_init_state", "lm_score_next", "lm_end_increment"):
             monkeypatch.setattr(networks, name, refuse)
         rng = RandomStream(31 + layers)
         lms = _char_lms(3, layers, rng)
-        scored = {}  # id of a table -> (LM, the table, the prefixes read from it)
-        read = decoding.lm_next_logprobs
+        records = _decoded(tiny_real_model(7, 3, "additive"), rng)
+        scored = {}  # id of a table -> (LM, the table, the sequences scored on it)
+        read = experiment.lm_score
 
-        def recording(sequences, table):
-            scored.setdefault(id(table), (table.params, table, set()))[2].update(sequences)
-            return read(sequences, table)
+        def recording(sequence, params, table):
+            scored.setdefault(id(table), (params, table, set()))[2].add(tuple(sequence))
+            return read(sequence, params, table)
 
         rows = {id(lm.embedding): 0 for lm in lms}
         label_forward = networks._label_forward
@@ -352,68 +346,63 @@ class TestFusedLMState:
                 rows[id(embedding)] += np.asarray(symbols).size
             return label_forward(symbols, embedding, *args)
 
-        monkeypatch.setattr(decoding, "lm_next_logprobs", recording)
+        monkeypatch.setattr(experiment, "lm_score", recording)
         monkeypatch.setattr(networks, "_label_forward", counted)
-        fusion = FusionScorer(FusionWeights(0.3, 0.5, 0.4), *lms)
-        model = tiny_real_model(7, 3, "additive")
-        nbest = alsd_beam(model, rng.normal(size=(4, 3)), beam_width=4, n_best=8, fusion=fusion)
-        assert len(nbest) == 8
+        attach_lm_components(records, *lms)
         assert sorted(id(lm) for lm, _, _ in scored.values()) == sorted(map(id, lms))
         for lm, table, sequences in scored.values():
+            assert sequences == {row.labels for _, decoded in records for row in decoded}
             distinct = {seq[:u] for seq in sequences for u in range(len(seq) + 1)}
             assert set(table.index) == distinct
             assert rows[id(lm.embedding)] == len(distinct)  # each entry computed once
 
     @pytest.mark.parametrize("layers", [1, 2])
-    def test_one_table_read_and_one_block_per_depth_each_step(self, layers, monkeypatch):
-        # Each step reads each LM's table once, for the beam and the
-        # completed candidates together. Its new prefixes extend rows made
-        # in earlier steps or in this one, so each LM steps them in at most
-        # two blocks, and in no more blocks than they have distinct depths.
+    def test_one_fill_and_one_block_per_depth_each_utterance(self, layers, monkeypatch):
+        # Each utterance fills each LM's table once, with all its label
+        # sequences. Its new prefixes extend rows of earlier utterances or
+        # its own, so each LM steps them in no more blocks than they have
+        # distinct depths, and each new prefix once.
         rng = RandomStream(41 + layers)
         lms = _char_lms(3, layers, rng)
-        reads, blocks = [], []
-        read, label_forward = decoding.lm_next_logprobs, networks._label_forward
+        records = _decoded(tiny_real_model(9, 3, "additive"), rng, utterances=4, T=5)
+        fills, blocks = [], []
+        fill, label_forward = networks.PrefixStates.rows, networks._label_forward
 
-        def recording(sequences, table):
-            known = set(table.index)
-            new = {seq[:u] for seq in sequences for u in range(len(seq) + 1)} - known
+        def recording(table, prefixes):
+            if not isinstance(table.params, CharLMParams):
+                return fill(table, prefixes)
+            new = {seq[:u] for seq in prefixes for u in range(len(seq) + 1)} - set(table.index)
             blocks.clear()
-            result = read(sequences, table)
-            reads.append((table.params, new, list(blocks)))
+            result = fill(table, prefixes)
+            fills.append((table.params, new, list(blocks)))
             return result
 
         def counted(symbols, embedding, *args):
             blocks.append((embedding, np.asarray(symbols).size))
             return label_forward(symbols, embedding, *args)
 
-        monkeypatch.setattr(decoding, "lm_next_logprobs", recording)
+        monkeypatch.setattr(networks.PrefixStates, "rows", recording)
         monkeypatch.setattr(networks, "_label_forward", counted)
-        fusion = FusionScorer(FusionWeights(0.3, 0.5, 0.4), *lms)
-        counting, nbest = _counted_alsd(tiny_real_model(9, 3, "additive"), rng.normal(size=(5, 3)),
-                                        beam_width=4, n_best=8, fusion=fusion)
-        assert nbest is not None and len(nbest) == 8
-        assert len(reads) == 2 * counting.joint_calls  # one read per LM per step
-        assert [id(params) for params, _, _ in reads] == [*map(id, lms)] * counting.joint_calls
-        assert max(len(new) for _, new, _ in reads) > 2
-        for params, new, steps in reads:
+        attach_lm_components(records, *lms)
+        assert [id(params) for params, _, _ in fills] == [*map(id, lms)] * len(records)
+        assert max(len(new) for _, new, _ in fills) > 2
+        for params, new, steps in fills:
             assert all(embedding is params.embedding for embedding, _ in steps)
             assert sum(rows for _, rows in steps) == len(new)  # each new prefix once
-            assert len(steps) <= min(2, len({len(prefix) for prefix in new}))
+            assert len(steps) <= len({len(prefix) for prefix in new})
 
     def test_lm_without_every_decoder_label_refused(self):
-        model = tiny_real_model(3, num_labels=3)
         small = init_char_lm_params(2, CharLMConfig(layers=1, cells=3, embed_dim=2), RandomStream(4))
-        fusion = FusionScorer(FusionWeights(0.0, 0.5, 0.0), external_lm=small)
-        with pytest.raises(ContractViolation):
-            alsd_beam(model, np.zeros((2, 3)), beam_width=2, fusion=fusion)
+        rows = [NBestRecord((0, 2), 5, -1.0, 0.0, 0.0)]  # label 2 is outside the LM
+        with pytest.raises(ContractViolation, match="outside vocabulary"):
+            attach_lm_components([("u", rows)], None, small)
 
 
 @pytest.mark.parametrize("layers", [1, 2])
 def test_fused_lm_components_equal_lm_score(layers):
-    # Fused search adds each hypothesis's LM increments left to right, as
-    # `lm_score` and the stepwise oracle sum them, so its LM components
-    # equal both bit for bit.
+    # The decoding stage scores every n-best row on one table per LM; its
+    # LM components equal `lm_score` on a fresh table and the stepwise
+    # oracle's left-to-right sum bit for bit.
     checked = 0
     for seed in range(20):
         rng = RandomStream(60 + seed)
@@ -422,13 +411,13 @@ def test_fused_lm_components_equal_lm_score(layers):
         model = tiny_real_model(seed, num_labels, ("additive", "multiplicative")[seed % 2])
         try:
             nbest = alsd_beam(model, rng.normal(size=(T, 3)), beam_width=int(rng.integers(1, 8)),
-                              n_best=int(rng.integers(1, 30)),
-                              fusion=FusionScorer(FusionWeights(0.3, 0.5, 0.4), *lms))
+                              n_best=int(rng.integers(1, 30)))
         except DecodeError:
             continue
-        for row in nbest:
+        [(_, scored)] = attach_lm_components([("u", nbest)], *lms)
+        for row in scored:
             for component, lm in zip((row.source_lm, row.external_lm), lms):
-                assert component == lm_score(row.labels, lm)[0]
+                assert component == lm_score(row.labels, lm)
                 assert component == stepwise_lm_score(row.labels, lm)[0]
             checked += 1
     assert checked > 100
@@ -549,18 +538,16 @@ class TestEarlyStop:
             assert row.transducer_a == pytest.approx(ref.transducer_a, abs=1e-10)
 
     @pytest.mark.parametrize("merge", ["logsumexp", "max"])
-    @pytest.mark.parametrize("rho", [None, 1.0])
-    def test_nbest_prefix_of_unstopped_search(self, merge, rho):
+    def test_nbest_prefix_of_unstopped_search(self, merge):
         # An n-best list longer than any reachable completed set disables
         # the stop. Log-sum-exp merges of incomplete hypotheses can raise a
-        # score, and a length reward makes extensions gain score, so a stop
-        # that ignored either would cut off better hypotheses.
-        fusion = None if rho is None else FusionScorer(FusionWeights(0.0, 0.0, rho))
+        # score, so a stop that ignored them would cut off better
+        # hypotheses.
         for trial in range(300):
             rng = RandomStream(trial)
             T = int(rng.integers(1, 6))
             model = random_fixed_model(T, 2 * T + 1, int(rng.integers(2, 5)), rng)
-            kwargs = dict(beam_width=int(rng.integers(1, 8)), merge=merge, fusion=fusion)
+            kwargs = dict(beam_width=int(rng.integers(1, 8)), merge=merge)
             n_best = int(rng.integers(1, 5))
             try:
                 full = alsd_beam(model, np.zeros(T), n_best=10**6, **kwargs)
@@ -631,27 +618,22 @@ class TestExhaustive:
     num_labels=st.integers(1, 4),
     beam_width=st.integers(1, 8),
     n_best=st.integers(1, 40),
-    fusion=st.sampled_from([None, "reward", "lms"]),
 )
-def test_nbest_rows_unique_ranked_with_alignment_lengths(seed, T, num_labels, beam_width, n_best,
-                                                         fusion):
+def test_nbest_rows_unique_ranked_with_alignment_lengths(seed, T, num_labels, beam_width, n_best):
     # The contract of the search's output: one row per label sequence,
-    # ranked by (-fused score, labels), each of alignment length T' + |y|.
+    # ranked by (-transducer score, labels), each of alignment length
+    # T' + |y|, with zero LM components.
     rng = RandomStream(seed)
     model = random_fixed_model(T, 2 * T + 1, num_labels + 1, rng)
-    scorer = None
-    if fusion == "reward":
-        scorer = FusionScorer(FusionWeights(0.0, 0.0, 0.7))
-    elif fusion == "lms":
-        scorer = FusionScorer(FusionWeights(0.3, 0.5, 0.4), *_char_lms(num_labels, 1, rng))
     try:
-        rows = alsd_beam(model, np.zeros(T), beam_width=beam_width, n_best=n_best, fusion=scorer)
+        rows = alsd_beam(model, np.zeros(T), beam_width=beam_width, n_best=n_best)
     except DecodeError:
         return
     T_prime = model.encode_features(np.zeros(T)).shape[0]
     labels = [row.labels for row in rows]
     assert 1 <= len(rows) <= n_best
     assert len(set(labels)) == len(labels)
-    keys = [(-_fused(row, scorer), row.labels) for row in rows]
+    keys = [(-row.transducer_a, row.labels) for row in rows]
     assert keys == sorted(keys)
+    assert all(row.source_lm == row.external_lm == 0.0 for row in rows)
     assert [row.length for row in rows] == [T_prime + len(y) for y in labels]

@@ -194,8 +194,8 @@ class TestRunExperiment:
                 for line in f:
                     _, text, _, _, _, src, ext = line.rstrip("\n").split("\t")
                     labels = alphabet.to_labels(text)
-                    assert float(src) == lm_score(labels, source_lm)[0]
-                    assert float(ext) == lm_score(labels, external_lm)[0]
+                    assert float(src) == lm_score(labels, source_lm)
+                    assert float(ext) == lm_score(labels, external_lm)
                     rows += 1
         assert rows > 0
 
@@ -510,6 +510,23 @@ class TestVerify:
         base = ["--config", str(ablation_run / "config.ini"), "--run-dir", str(ablation_run)]
         assert cli_main(base + ["score", "--nbest", str(bad)]) == 1
         assert capsys.readouterr().err == "error: n-best line 1: byte 0xff is not UTF-8\n"
+
+    def test_cli_score_refuses_a_negative_infinite_lm_score(self, ablation_run, tmp_path, capsys):
+        # The reference words, then a row whose source-LM score is -inf,
+        # which the weights' mu > 0 would otherwise turn into the top-1.
+        alphabet, _ = load_run_data(parse_config(ablation_run / "config.ini"), ablation_run)
+        refs = read_transcripts(ablation_run / "transcripts_test.tsv", alphabet)
+        utt_id, labels = min(refs.items())
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(f"{utt_id}\t{alphabet.to_text(labels)}\t9\t-1\t-1\t-1\n"
+                       f"{utt_id}\t{alphabet.to_text(labels[:1])}\t9\t-50\t-inf\t-1\n")
+        (tmp_path / "w.json").write_text('{"mu": 0.3, "lam": 0.0, "rho": 0.0}')
+        base = ["--config", str(ablation_run / "config.ini"), "--run-dir", str(ablation_run)]
+        assert cli_main(base + ["score", "--nbest", str(bad),
+                                "--weights", str(tmp_path / "w.json")]) == 1
+        assert capsys.readouterr().err == (
+            "error: n-best line 2: LM score -inf, expected a finite one\n"
+        )
 
     def test_cli_report_rebuilds_same_text(self, run_copy, capsys):
         before = (run_copy / "report.txt").read_bytes()

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_fixed_model
 from transducer_workbench.data import Alphabet
 from transducer_workbench.decoding import alsd_beam
 from transducer_workbench.errors import ContractViolation
@@ -16,7 +15,6 @@ from transducer_workbench import fusion
 from transducer_workbench.fusion import (
     CachedNBest,
     CombinationWeights,
-    FusionScorer,
     FusionWeights,
     NBestRecord,
     combination_score,
@@ -37,7 +35,6 @@ from transducer_workbench.networks import (
     PredictionConfig,
     PrefixStates,
     init_char_lm_params,
-    lm_next_logprobs,
     lm_score,
 )
 from transducer_workbench.numerics import RandomStream
@@ -135,62 +132,19 @@ class TestScoreArithmetic:
         assert np.argsort(base).tolist() == np.argsort(shifted).tolist()
 
 
-class TestFusionScorer:
-    def test_requires_lms_for_nonzero_weights(self):
-        with pytest.raises(ContractViolation):
-            FusionScorer(FusionWeights(mu=0.5))
-        with pytest.raises(ContractViolation):
-            FusionScorer(FusionWeights(lam=0.5))
-
+class TestLMComponents:
     def test_incremental_matches_full_scores(self):
-        src = tiny_lm(3)
-        ext = tiny_lm(4)
-        # In-search fusion reads each LM's next-symbol rows by label prefix:
-        # each prefix's label column, then the end column of the whole sequence.
+        # An LM table's next-symbol column, read along a sequence's prefix
+        # chain (each prefix's label, then the end marker), sums left to
+        # right to the sequence's `lm_score`, bit for bit.
         labels = (0, 1, 1, 0)
-        for lm in (src, ext):
-            rows = lm_next_logprobs([labels[:u] for u in range(len(labels) + 1)], PrefixStates(lm))
+        for lm in (tiny_lm(3), tiny_lm(4)):
+            table = PrefixStates(lm)
+            rows = table.rows([labels[:u] for u in range(len(labels) + 1)])
             total = 0.0
-            for increment in rows[np.arange(len(labels) + 1), labels + (lm.eos,)].tolist():
+            for increment in table.columns()[0][rows, labels + (lm.eos,)].tolist():
                 total += increment
-            assert total == lm_score(labels, lm)[0]
-
-    def test_search_fusion_agrees_with_rescoring(self):
-        # Completed-hypothesis scores from fused search must equal
-        # full-sequence density-ratio rescoring of the same hypotheses.
-        model = tiny_model(5)
-        src = tiny_lm(6)
-        ext = tiny_lm(7)
-        weights = FusionWeights(0.5, 0.7, 0.2)
-        scorer = FusionScorer(weights, src, ext)
-        rng = RandomStream(8)
-        features = rng.normal(size=(3, 3))
-        nbest = alsd_beam(
-            model, features, beam_width=64, n_best=5, expansion_cap=5, fusion=scorer
-        )
-        rows = rescore_nbest(nbest, weights, src, ext)
-        assert rows == sorted(rows, key=lambda r: (-fused(r, weights), r.labels))
-        assert {r.labels: r.length for r in rows} == {h.labels: h.length for h in nbest}
-        rescored = {r.labels: fused(r, weights) for r in rows}
-        for row in nbest:
-            assert fused(row, weights) == pytest.approx(rescored[row.labels], abs=1e-10)
-
-    def test_fused_search_reranks(self):
-        # A strong external LM preferring one label changes the argmax.
-        model = random_fixed_model(3, 4, 3, RandomStream(9))
-        ext = tiny_lm(10)
-        plain = alsd_beam(model, np.zeros(3), beam_width=64, n_best=8)
-        weights = FusionWeights(0.0, 3.0, 0.0)
-        scorer = FusionScorer(weights, external_lm=ext)
-        reranked = alsd_beam(model, np.zeros(3), beam_width=64, n_best=8, fusion=scorer)
-        plain_scores = {row.labels: row.transducer_a for row in plain}
-        common = [row for row in reranked if row.labels in plain_scores]
-        assert common, "searches should share some hypotheses"
-        for row in common:
-            ext_total = lm_score(row.labels, ext)[0]
-            assert fused(row, weights) == pytest.approx(
-                plain_scores[row.labels] + 3.0 * ext_total, abs=1e-9
-            )
+            assert total == lm_score(labels, lm)
 
 
 class TestCombineRescore:
@@ -207,6 +161,11 @@ class TestCombineRescore:
         combined.sort(key=lambda c: (-fused(c, w), c.labels))
         w_single = FusionWeights(0.5, 0.7, 0.2)
         single = rescore_nbest(nbest, w_single, src, ext)
+        assert single == sorted(single, key=lambda r: (-fused(r, w_single), r.labels))
+        assert {r.labels: r.length for r in single} == {h.labels: h.length for h in nbest}
+        assert [(r.source_lm, r.external_lm) for r in single] == [
+            (lm_score(r.labels, src), lm_score(r.labels, ext)) for r in single
+        ]
         assert [c.labels for c in combined] == [c.labels for c in single]
         for c, s in zip(combined, single):
             assert fused(c, w) == pytest.approx(fused(s, w_single), abs=1e-10)
@@ -324,8 +283,8 @@ class TestCombineRescore:
         combined = combine_rescore(features, nb_a, nb_b, model_a, model_b)
         assert combined
         for c in combined:
-            assert c.source_lm == lm_score(c.labels, src)[0]
-            assert c.external_lm == lm_score(c.labels, ext)[0]
+            assert c.source_lm == lm_score(c.labels, src)
+            assert c.external_lm == lm_score(c.labels, ext)
 
     def test_disagreeing_lm_scores_rejected(self):
         # The same label sequence scored by two different source LMs.
@@ -535,8 +494,8 @@ class TestNBestIO:
                 assert loaded.length == orig.length
                 assert loaded.transducer_a == orig.transducer_a
                 assert loaded.transducer_b is None
-                assert loaded.source_lm == lm_score(orig.labels, src)[0]
-                assert loaded.external_lm == lm_score(orig.labels, ext)[0]
+                assert loaded.source_lm == lm_score(orig.labels, src)
+                assert loaded.external_lm == lm_score(orig.labels, ext)
 
     @staticmethod
     def _records(rng, combination):
@@ -641,11 +600,31 @@ class TestNBestIO:
             read_nbest(path, Alphabet(3, separator=2))
 
     def test_negative_infinite_scores_kept(self, tmp_path):
-        # -inf is the log-probability of an impossible event, so it stays legal.
+        # -inf is the log-probability of an impossible event, so it stays
+        # legal for either transducer.
         path = tmp_path / "nbest.tsv"
-        path.write_text("u\ta\t1\t-inf\t-inf\t-inf\n")
+        path.write_text("u\ta\t1\t-inf\t-inf\t-2\t-3\n")
         [row] = read_nbest(path, Alphabet(3, separator=2))["u"]
-        assert row == NBestRecord((0,), 1, -math.inf, -math.inf, -math.inf)
+        assert row == NBestRecord((0,), 1, -math.inf, -2.0, -3.0, transducer_b=-math.inf)
+
+    @pytest.mark.parametrize("transducer", [-50.0, -math.inf])
+    @pytest.mark.parametrize("combination", [False, True])
+    @pytest.mark.parametrize("lm", ["source_lm", "external_lm"])
+    def test_negative_infinite_lm_score_rejected(self, tmp_path, transducer, combination, lm):
+        # The reference row, then a row with a -inf LM score. Under mu > 0 a
+        # -inf source-LM score makes the density ratio +inf, the top-1 of
+        # every such cell, or NaN next to a -inf transducer score. The LMs
+        # never write -inf, so both LM columns refuse it.
+        alphabet = Alphabet(3, separator=2)
+        b = {"transducer_b": -1.0} if combination else {}
+        bad = dict(source_lm=-1.0, external_lm=-1.0, **b)
+        bad[lm] = -math.inf
+        rows = [NBestRecord((0,), 4, -1.0, -1.0, -1.0, **b),
+                NBestRecord((1,), 4, transducer, **bad)]
+        path = tmp_path / "nbest.tsv"
+        write_nbest(path, [("u", rows)], alphabet)
+        with pytest.raises(ContractViolation, match="^n-best line 2: LM score -inf"):
+            read_nbest(path, alphabet)
 
     def test_byte_outside_utf8_names_the_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -654,8 +633,10 @@ class TestNBestIO:
             read_nbest(path, Alphabet(3, separator=2))
 
 
-# Scores as the format allows them: any float but NaN and +inf.
-scores = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(-math.inf))
+# Scores as the format allows them: any float but NaN and +inf for a
+# transducer, any finite float for an LM.
+lm_scores = st.floats(allow_nan=False, allow_infinity=False)
+scores = st.one_of(lm_scores, st.just(-math.inf))
 
 
 @st.composite
@@ -667,8 +648,8 @@ def nbest_records(draw):
         labels=st.lists(st.integers(0, 3), max_size=6).map(tuple),
         length=st.integers(0, 2**40),
         transducer_a=scores,
-        source_lm=scores,
-        external_lm=scores,
+        source_lm=lm_scores,
+        external_lm=lm_scores,
         transducer_b=scores if width_b else st.none(),
     )
     utt_ids = draw(st.lists(st.text("uv0-_", min_size=1, max_size=4), unique=True, max_size=4))

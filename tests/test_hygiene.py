@@ -1,6 +1,7 @@
 """Source hygiene: every name a module of the package or of its tests
-imports is used in that module, and every module-level `_private` function
-or class is referenced somewhere in the package.
+imports is used in that module, every module-level `_private` function or
+class is referenced somewhere in the package, and every public one there or
+in the benchmark, unless an allowlist names it.
 
 The package's `__init__.py` re-exports its imports, and `from __future__`
 imports are directives, so both are exempt from the import check.
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "transducer_workbench"
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
@@ -92,14 +94,52 @@ def test_no_unreferenced_private_definitions():
     assert unreferenced == [], f"private definitions nothing references: {unreferenced}"
 
 
+# Public definitions that neither the package nor the benchmark uses, each
+# with the reason it stays.
+UNREFERENCED_PUBLIC = {
+    "fusion.py: rescore_nbest": "a second density-ratio path; its deletion waits on the "
+                                "benchmark revision",
+    "lattice.py: rnnt_loss_from_logits": "test oracle: the lattice loss from raw joint logits",
+    "lattice.py: collapse_alignment": "test helper: the label sequence of an alignment",
+    "lattice.py: random_logprob_lattice": "test helper: random normalized lattices",
+    "networks.py: zero_state": "test helper: an LSTM's zero (h, c)",
+    "numerics.py: relative_error": "test helper of the finite-difference checks",
+    "numerics.py: pack_arrays": "test helper of the finite-difference checks",
+    "numerics.py: unpack_arrays": "test helper of the finite-difference checks",
+}
+
+
+def test_no_unreferenced_public_definitions():
+    """Every public module-level function or class of the package is
+    referenced outside its own definition, in the package (its own module
+    included, `__init__`'s exports too) or in a file under `benchmark/`, or
+    is on `UNREFERENCED_PUBLIC`, which names nothing that is referenced."""
+    nodes = {p.name: ast.parse(p.read_text(encoding="utf-8")).body for p in SOURCE.glob("*.py")}
+    names = {module: [_referenced_names(node) for node in body] for module, body in nodes.items()}
+    benchmark = set().union(*(_referenced_names(ast.parse(p.read_text(encoding="utf-8")))
+                              for p in BENCHMARK.rglob("*.py")))
+    unreferenced = set()
+    for module, body in nodes.items():
+        outside = benchmark.union(*(n for m, module_names in names.items() if m != module
+                                    for n in module_names))
+        for i, node in enumerate(body):
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+                and node.name not in outside
+                and not any(node.name in n for j, n in enumerate(names[module]) if j != i)
+            ):
+                unreferenced.add(f"{module}: {node.name}")
+    assert sorted(unreferenced) == sorted(UNREFERENCED_PUBLIC)
+
+
 STEPWISE_LM_ORACLE = {"LMState", "_lm_step", "lm_init_state", "lm_score_next", "lm_end_increment"}
 
 
 def test_stepwise_lm_oracle_has_no_package_caller():
     """The stepwise LM API stays in `networks` only as the oracle of the
-    prefix-table path (`lm_score` and `lm_next_logprobs` reading a
-    `PrefixStates` table): outside its own definitions, nothing in the
-    package reads it."""
+    prefix-table path (`lm_score` reading a `PrefixStates` table): outside
+    its own definitions, nothing in the package reads it."""
     readers = []
     for path in SOURCE.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -164,8 +204,7 @@ LM_HEAD_READERS = {
 
 def test_lm_head_has_one_scoring_reader():
     """An LM's output head `W_out` scores label prefixes in one place, the
-    column fill of its `PrefixStates` table, which `lm_score` and
-    `lm_next_logprobs` read. Apart from its declaration and parameter
-    container, training and the stepwise oracle are its only other
-    readers. joint.py's `W_out` is the joint network's own."""
+    column fill of its `PrefixStates` table, which `lm_score` reads. Apart
+    from its declaration and parameter container, training and the stepwise
+    oracle are its only other readers. joint.py's `W_out` is the joint network's own."""
     assert _package_readers("W_out", skip={"joint.py"}) == LM_HEAD_READERS

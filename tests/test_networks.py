@@ -32,7 +32,6 @@ from transducer_workbench.networks import (
     lm_end_increment,
     lm_init_state,
     lm_loss_and_grads,
-    lm_next_logprobs,
     lm_score,
     lm_score_next,
     lstm_backward,
@@ -529,9 +528,24 @@ class TestPrediction:
             assert relative_error(grads[name], numeric[name]) <= 1e-4, name
 
 
+def next_logprobs(sequences, table):
+    """An LM table's next-symbol log-probabilities (n, V) after each label
+    tuple of `sequences`, adding the rows it lacks."""
+    rows = table.rows(sequences)
+    return table.columns()[0][rows]
+
+
+def chain_increments(sequence, table):
+    """An LM table's entries along `sequence`'s prefix chain: each prefix's
+    log-probability of its next label, then the end marker's."""
+    sequence = tuple(sequence)
+    logprobs = next_logprobs([sequence[:u] for u in range(len(sequence) + 1)], table)
+    return logprobs[np.arange(len(sequence) + 1), [*sequence, table.params.eos]]
+
+
 class TestPrefixStates:
     """One table of label-prefix states serves the decoder, trie
-    cross-scoring and both LM paths. However prefixes arrive (in any order,
+    cross-scoring and LM scoring. However prefixes arrive (in any order,
     split across calls, with or without their ancestors), every row must be
     bitwise the row of a one-call computation of its prefix."""
 
@@ -567,11 +581,12 @@ class TestPrefixStates:
     @table_settings
     @given(sequence_sets, st.integers(0, 2**16))
     def test_lm_scores_equal_the_stepwise_oracle(self, layers, sequences, seed):
-        # lm_score reads the table's columns: its increments are the oracle's
-        # next-symbol rows and its total the oracle's left-to-right sum, bit
-        # for bit, on a shared and on a fresh table. The one-call
-        # `_lm_forward` runs its head as one GEMM, which may round
-        # differently from one-row products, so it is bounded within 1e-12.
+        # The table's columns along each prefix chain are the oracle's
+        # next-symbol rows and increments, and lm_score's total the oracle's
+        # left-to-right sum, bit for bit, on a shared and on a fresh table.
+        # The one-call `_lm_forward` runs its head as one GEMM, which may
+        # round differently from one-row products, so it is bounded within
+        # 1e-12.
         config = CharLMConfig(layers=layers, cells=5, embed_dim=3)
         params = init_char_lm_params(4, config, RandomStream(seed))
         table = PrefixStates(params)
@@ -580,10 +595,10 @@ class TestPrefixStates:
         for seq in sequences:
             oracle_total, oracle, expected = stepwise_lm_score(seq, params)
             prefixes = [seq[:u] for u in range(len(seq) + 1)]
-            np.testing.assert_array_equal(lm_next_logprobs(prefixes, table), np.stack(expected))
-            total, increments = lm_score(seq, params, table)
-            fresh_total, fresh_increments = lm_score(seq, params)
-            assert total == fresh_total == oracle_total
+            np.testing.assert_array_equal(next_logprobs(prefixes, table), np.stack(expected))
+            increments = chain_increments(seq, table)
+            fresh_increments = chain_increments(seq, PrefixStates(params))
+            assert lm_score(seq, params, table) == lm_score(seq, params) == oracle_total
             np.testing.assert_array_equal(increments, oracle)
             np.testing.assert_array_equal(fresh_increments, oracle)
             _, logprobs, _ = networks._lm_forward([params.bos, *seq], params)
@@ -619,7 +634,7 @@ class TestPrefixStates:
     @pytest.mark.parametrize("layers", [1, 2])
     def test_no_row_head_computed_twice(self, layers, monkeypatch):
         # Every head row goes through the one log_softmax of the column fill;
-        # rows read again, by either reader, are never recomputed.
+        # rows read again, as rows or through lm_score, are never recomputed.
         params = init_char_lm_params(4, CharLMConfig(layers=layers, cells=5, embed_dim=3),
                                      RandomStream(9))
         heads = []
@@ -634,7 +649,7 @@ class TestPrefixStates:
         for _ in range(30):
             seqs = [tuple(int(x) for x in rng.integers(0, 4, size=int(rng.integers(0, 6))))
                     for _ in range(int(rng.integers(1, 4)))]
-            lm_next_logprobs(seqs, table)
+            next_logprobs(seqs, table)
             for seq in seqs:
                 lm_score(seq, params, table)
         assert len(heads) > 1 and sum(heads) == len(table.parents)
@@ -664,23 +679,24 @@ class TestCharLM:
         for arr in params.arrays().values():
             arr[:] = 0.0
         V = params.vocab
-        total, incs = lm_score([0, 1, 2], params)
-        assert total == pytest.approx(-4 * math.log(V), abs=1e-12)
-        assert len(incs) == 4
+        assert lm_score([0, 1, 2], params) == pytest.approx(-4 * math.log(V), abs=1e-12)
+        incs = chain_increments([0, 1, 2], PrefixStates(params))
+        np.testing.assert_allclose(incs, np.full(4, -math.log(V)), rtol=0, atol=1e-12)
 
     def test_empty_sequence(self):
         params = self._params()
-        total, incs = lm_score([], params)
         state = lm_init_state(params)
-        assert total == lm_end_increment(state, params)
-        assert len(incs) == 1
+        assert lm_score([], params) == lm_end_increment(state, params)
+        assert chain_increments([], PrefixStates(params)).tolist() == [
+            lm_end_increment(state, params)
+        ]
 
     def test_incremental_matches_batch(self):
         params = self._params(num_labels=4, layers=2)
         rng = RandomStream(21)
         for _ in range(10):
             seq = [int(v) for v in rng.integers(0, 4, size=rng.integers(0, 7))]
-            total, incs = lm_score(seq, params)
+            total, incs = lm_score(seq, params), chain_increments(seq, PrefixStates(params))
             state = lm_init_state(params)
             inc_sum = 0.0
             for i, lab in enumerate(seq):
@@ -712,8 +728,9 @@ class TestCharLM:
         rng = RandomStream(22 + layers)
         table = PrefixStates(params)
         for seq in self._shared_prefix_sequences(rng, 4):
-            total, incs = lm_score(seq, params, table)
-            fresh_total, fresh_incs = lm_score(seq, params)
+            total, incs = lm_score(seq, params, table), chain_increments(seq, table)
+            fresh_total = lm_score(seq, params)
+            fresh_incs = chain_increments(seq, PrefixStates(params))
             oracle_total, oracle, _ = stepwise_lm_score(seq, params)
             assert total == fresh_total == oracle_total
             np.testing.assert_array_equal(incs, fresh_incs)
@@ -770,9 +787,9 @@ class TestCharLM:
                 expected.append(state.logprobs)
             prefixes = [seq[:u] for u in range(len(seq) + 1)]
             monkeypatch.setattr(networks, "lstm_forward", counted)
-            np.testing.assert_array_equal(lm_next_logprobs(prefixes, shared), np.stack(expected))
+            np.testing.assert_array_equal(next_logprobs(prefixes, shared), np.stack(expected))
             np.testing.assert_array_equal(
-                lm_next_logprobs([seq], PrefixStates(params))[0], expected[-1]
+                next_logprobs([seq], PrefixStates(params))[0], expected[-1]
             )
             monkeypatch.undo()
             fresh_rows += len(seq) + 1
