@@ -41,6 +41,7 @@ from .experiment import (
     stage_train_mode,
     verify_report,
     weights_from_dict,
+    with_settings,
     ExperimentReport,
     config_fingerprint,
 )
@@ -100,7 +101,7 @@ def _load_config(args) -> dict:
     else:
         config = default_config()
     if args.seed is not None:
-        config["experiment"]["seed"] = args.seed
+        config = with_settings(config, "experiment", seed=args.seed)
     return config
 
 
@@ -194,11 +195,9 @@ def _dispatch(args) -> int:
             config_fingerprint=config_fingerprint(config), seed=seed,
             modes=list(models),
         )
-        sub_config = dict(config)
-        sub_config["experiment"] = dict(config["experiment"])
-        sub_config["experiment"]["conditions"] = (args.condition,)
         # The LM columns come from the n-best files; the LMs are not read.
-        stage_fusion_conditions(sub_config, run_dir, models, datasets, alphabet, None, None, report)
+        stage_fusion_conditions(with_settings(config, "experiment", conditions=(args.condition,)),
+                                run_dir, models, datasets, alphabet, None, None, report)
         for name, entry in report.conditions[args.condition].items():
             print(
                 f"{args.condition} [{name}]: dev WER {100 * entry['dev_wer']:.2f}%, "

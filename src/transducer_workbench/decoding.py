@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,16 +48,11 @@ from .numerics import log_add
 EXHAUSTIVE_BUDGET = 500_000
 
 
-@dataclass
-class GreedyResult:
-    labels: tuple[int, ...]
-    truncated: bool = False
-
-
-def greedy_decode(model, features, max_symbols: int | None = None, aux=None) -> GreedyResult:
+def greedy_decode(model, features, max_symbols: int | None = None, aux=None) -> tuple[int, ...]:
     """Frame-by-frame argmax: emit labels until blank wins, then advance.
 
-    Stops at t = T or after max_symbols emissions (sets the truncation flag).
+    Returns the labels. Stops at t = T or after max_symbols emissions (2T
+    by default), so a result of max_symbols labels was truncated.
     """
     H = model.encode_features(features, aux)
     T = H.shape[0]
@@ -76,8 +70,8 @@ def greedy_decode(model, features, max_symbols: int | None = None, aux=None) -> 
         labels.append(k - 1)
         state = model.extend_decode_state(state, [tuple(labels)])
         if len(labels) >= max_symbols:
-            return GreedyResult(tuple(labels), truncated=True)
-    return GreedyResult(tuple(labels))
+            break
+    return tuple(labels)
 
 
 def alsd_beam(

@@ -202,13 +202,15 @@ CONFIG_SCHEMA = {
     },
 }
 
-ABLATION_KEYS = (
-    "no_switchout",
-    "no_sequence_noise",
-    "no_specaugment",
-    "no_dropconnect",
-    "no_speed_tempo",
-)
+# Each ablation trains from a copy of the config with one [training] key set
+# to the value that turns its recipe part off.
+ABLATIONS = {
+    "no_switchout": ("switchout", False),
+    "no_sequence_noise": ("sequence_noise", False),
+    "no_specaugment": ("specaugment", False),
+    "no_dropconnect": ("dropconnect_rate", 0.0),
+    "no_speed_tempo": ("speed_tempo_replicas", False),
+}
 
 
 def default_config() -> dict:
@@ -216,6 +218,14 @@ def default_config() -> dict:
         section: {key: spec[1] for key, spec in keys.items()}
         for section, keys in CONFIG_SCHEMA.items()
     }
+
+
+def with_settings(config: dict, section: str, **values) -> dict:
+    """A copy of `config` with `values` set in `section`; `config` is left
+    untouched."""
+    copy = {name: dict(keys) for name, keys in config.items()}
+    copy[section].update(values)
+    return copy
 
 
 def _parse_value(kind, raw, where):
@@ -261,6 +271,9 @@ def parse_config(path) -> dict:
 
 
 def _validate(config: dict):
+    """Refuse, at parse time, every setting a later stage would refuse."""
+    if not config["model"]["modes"]:
+        raise ConfigError("[model] modes: at least one joint mode is needed")
     for mode in config["model"]["modes"]:
         if mode not in ("additive", "multiplicative"):
             raise ConfigError(f"unknown joint mode {mode!r}")
@@ -268,12 +281,22 @@ def _validate(config: dict):
         if cond not in CONDITIONS:
             raise ConfigError(f"unknown decode condition {cond!r}")
     for ablation in config["experiment"]["ablations"]:
-        if ablation not in ABLATION_KEYS:
+        if ablation not in ABLATIONS:
             raise ConfigError(f"unknown ablation {ablation!r}")
     if config["experiment"]["conditions"].count("combination") and len(
         config["model"]["modes"]
     ) < 2:
         raise ConfigError("combination condition needs two joint modes")
+    d = config["decoding"]
+    if d["merge"] not in ("logsumexp", "max"):
+        raise ConfigError(f"[decoding] merge: unknown merge mode {d['merge']!r}")
+    for key in ("beam_width", "n_best", "expansion_factor"):
+        if d[key] < 1:
+            raise ConfigError(f"[decoding] {key}: must be >= 1, got {d[key]}")
+    try:
+        build_recipe(config)
+    except ContractViolation as exc:
+        raise ConfigError(f"[training]: {exc}") from exc
 
 
 def format_config(config: dict) -> str:
@@ -342,58 +365,39 @@ def build_model_config(config: dict, mode: str) -> ModelConfig:
     )
 
 
-def build_schedule(config: dict, kind: str | None = None, epochs: int | None = None) -> ScheduleConfig:
+def build_recipe(config: dict) -> TrainingRecipe:
+    """The recipe of `config`'s [training] section. The sweep and the
+    ablations train from config copies (`with_settings`)."""
     tr = config["training"]
-    total = tr["total_epochs"] or float(epochs if epochs is not None else tr["epochs"])
+    total = tr["total_epochs"] or float(tr["epochs"])
     total = max(1.0, total)  # degenerate zero-epoch runs still need a valid shape
-    return ScheduleConfig(
-        kind=kind or tr["schedule"],
-        base_lr=tr["base_lr"],
-        decay_factor=tr["decay_factor"],
-        decay_start_epoch=tr["decay_start_epoch"],
-        start_lr=tr["start_lr"],
-        peak_lr=tr["peak_lr"],
-        warmup_epochs=min(tr["warmup_epochs"], total / 2),
-        total_epochs=total,
-    )
-
-
-def build_optimizer(config: dict, kind: str | None = None) -> OptimizerConfig:
-    tr = config["training"]
-    return OptimizerConfig(
-        kind=kind or tr["optimizer"],
-        momentum=tr["momentum"],
-        beta1=tr["beta1"],
-        beta2=tr["beta2"],
-        eps=tr["eps"],
-        weight_decay=tr["weight_decay"],
-        clip_norm=tr["clip_norm"],
-    )
-
-
-def build_recipe(config: dict, ablation: str | None = None, epochs: int | None = None,
-                 optimizer_kind: str | None = None, schedule_kind: str | None = None) -> TrainingRecipe:
-    tr = config["training"]
-    t = config["task"]
-    switchout = tr["switchout"] and ablation != "no_switchout"
-    seq_noise = tr["sequence_noise"] and ablation != "no_sequence_noise"
-    specaug = tr["specaugment"] and ablation != "no_specaugment"
-    dropconnect = tr["dropconnect_rate"] if ablation != "no_dropconnect" else 0.0
-    replicas = (
-        (("speed", 0.9), ("speed", 1.1), ("tempo", 0.9), ("tempo", 1.1))
-        if tr["speed_tempo_replicas"] and ablation != "no_speed_tempo"
-        else ()
-    )
-    n_epochs = epochs if epochs is not None else tr["epochs"]
     return TrainingRecipe(
-        epochs=n_epochs,
+        epochs=tr["epochs"],
         batch_size=tr["batch_size"],
-        optimizer=build_optimizer(config, optimizer_kind),
-        schedule=build_schedule(config, schedule_kind, n_epochs),
-        dropconnect_rate=dropconnect,
+        optimizer=OptimizerConfig(
+            kind=tr["optimizer"],
+            momentum=tr["momentum"],
+            beta1=tr["beta1"],
+            beta2=tr["beta2"],
+            eps=tr["eps"],
+            weight_decay=tr["weight_decay"],
+            clip_norm=tr["clip_norm"],
+        ),
+        schedule=ScheduleConfig(
+            kind=tr["schedule"],
+            base_lr=tr["base_lr"],
+            decay_factor=tr["decay_factor"],
+            decay_start_epoch=tr["decay_start_epoch"],
+            start_lr=tr["start_lr"],
+            peak_lr=tr["peak_lr"],
+            warmup_epochs=min(tr["warmup_epochs"], total / 2),
+            total_epochs=total,
+        ),
+        dropconnect_rate=tr["dropconnect_rate"],
         switchout=(
-            SwitchoutConfig(temperature=tr["switchout_temperature"], vocab=t["num_labels"])
-            if switchout
+            SwitchoutConfig(temperature=tr["switchout_temperature"],
+                            vocab=config["task"]["num_labels"])
+            if tr["switchout"]
             else None
         ),
         sequence_noise=(
@@ -402,7 +406,7 @@ def build_recipe(config: dict, ablation: str | None = None, epochs: int | None =
                 scale=tr["noise_scale"],
                 length_tolerance=tr["noise_length_tolerance"],
             )
-            if seq_noise
+            if tr["sequence_noise"]
             else None
         ),
         specaugment=(
@@ -413,10 +417,14 @@ def build_recipe(config: dict, ablation: str | None = None, epochs: int | None =
                 time_max_width=tr["time_max_width"],
                 max_time_ratio=tr["max_time_ratio"],
             )
-            if specaug
+            if tr["specaugment"]
             else None
         ),
-        replicas=replicas,
+        replicas=(
+            (("speed", 0.9), ("speed", 1.1), ("tempo", 0.9), ("tempo", 1.1))
+            if tr["speed_tempo_replicas"]
+            else ()
+        ),
     )
 
 
@@ -552,24 +560,18 @@ def load_run_data(config: dict, run_dir: Path):
     return alphabet, datasets
 
 
-def stage_train_mode(config, run_dir, rng, datasets, alphabet, mode, ablation=None,
-                     epochs=None, optimizer_kind=None, schedule_kind=None, tag=None):
+def stage_train_mode(config, run_dir, rng, datasets, alphabet, mode, tag=None):
     tag = tag or mode
-    n_epochs = epochs if epochs is not None else config["training"]["epochs"]
+    recipe = build_recipe(config)
     checkpoint = Path(run_dir) / f"model_{tag}.npz"
-    if n_epochs == 0 and checkpoint.exists():
+    if recipe.epochs == 0 and checkpoint.exists():
         # Decode-only runs: reuse the existing checkpoint untouched.
         model, _ = load_checkpoint(checkpoint)
-        return model, train(
-            model, datasets["train"],
-            build_recipe(config, ablation, 0, optimizer_kind, schedule_kind),
-            rng.child(11),
-        )
+        return model, train(model, datasets["train"], recipe, rng.child(11))
     model_config = build_model_config(config, mode)
     model = init_model(model_config, rng.child(10))
     if config["model"]["encoder_init"]:
         load_encoder_init(model, config["model"]["encoder_init"])
-    recipe = build_recipe(config, ablation, epochs, optimizer_kind, schedule_kind)
     result = train(
         model, datasets["train"], recipe, rng.child(11), dev_set=datasets["dev"],
         alphabet=alphabet,
@@ -632,7 +634,7 @@ def decode_dataset(model, dataset: Dataset, config: dict) -> list:
             )
         except DecodeError:
             logger.warning("beam failed on %s; falling back to greedy", utt.utt_id)
-            labels = greedy_decode(model, features, aux=utt.aux).labels
+            labels = greedy_decode(model, features, aux=utt.aux)
             H = model.encode_features(features, utt.aux)
             rows = [NBestRecord(labels, H.shape[0] + len(labels),
                                 -model.lattice_nll(H, list(labels)), 0.0, 0.0)]
@@ -786,9 +788,10 @@ def stage_sweep(config, run_dir, rng, datasets, alphabet, report: ExperimentRepo
     for opt_kind in ("momentum_sgd", "adamw"):
         for sched_kind in ("const_decay", "one_cycle"):
             tag = f"sweep_{opt_kind}_{sched_kind}"
+            settings = with_settings(config, "training", epochs=epochs, optimizer=opt_kind,
+                                     schedule=sched_kind)
             model, result = stage_train_mode(
-                config, run_dir, rng.child(hash_tag(tag)), datasets, alphabet, mode,
-                epochs=epochs, optimizer_kind=opt_kind, schedule_kind=sched_kind, tag=tag,
+                settings, run_dir, rng.child(hash_tag(tag)), datasets, alphabet, mode, tag=tag,
             )
             test_wer = _greedy_wer(model, datasets["test"], alphabet)
             report.sweep.append(
@@ -809,10 +812,8 @@ def _greedy_wer(model, dataset, alphabet) -> float:
     errors = 0
     words = 0
     for utt in sorted(dataset, key=lambda u: u.utt_id):
-        result = greedy_decode(model, utt.frames.astype(np.float64), aux=utt.aux)
-        _, s, d, i = compute_wer(
-            alphabet.words(utt.labels), alphabet.words(result.labels)
-        )
+        labels = greedy_decode(model, utt.frames.astype(np.float64), aux=utt.aux)
+        _, s, d, i = compute_wer(alphabet.words(utt.labels), alphabet.words(labels))
         errors += s + d + i
         words += len(alphabet.words(utt.labels))
     return errors / max(1, words)
@@ -823,9 +824,10 @@ def stage_ablations(config, run_dir, rng, datasets, alphabet, source_lm, externa
     mode = config["model"]["modes"][0]
     for ablation in config["experiment"]["ablations"]:
         tag = f"ablation_{ablation}"
+        key, value = ABLATIONS[ablation]
         model, _ = stage_train_mode(
-            config, run_dir, rng.child(hash_tag(tag)), datasets, alphabet, mode,
-            ablation=ablation, tag=tag,
+            with_settings(config, "training", **{key: value}), run_dir,
+            rng.child(hash_tag(tag)), datasets, alphabet, mode, tag=tag,
         )
         cached = {}
         for split in ("dev", "test"):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DimensionError, EnumerationCapExceeded
-from .numerics import NEG_INF, log_softmax, log_softmax_backward, log_sum_exp
+from .numerics import NEG_INF, log_sum_exp
 
 BLANK_ID = 0
 
@@ -217,14 +217,6 @@ def rnnt_loss(lattice: np.ndarray, y) -> LatticeResult:
     return LatticeResult(nll=nll, alpha=alpha, beta=beta, grad=grad)
 
 
-def rnnt_loss_from_logits(logits: np.ndarray, y) -> tuple[float, np.ndarray]:
-    """NLL and its gradient w.r.t. pre-softmax logits of shape T x (U+1) x K."""
-    logprob = log_softmax(logits)
-    result = rnnt_loss(logprob, y)
-    grad_logits = log_softmax_backward(result.grad, logprob)
-    return result.nll, grad_logits
-
-
 def enumerate_alignments(T: int, U: int, y, cap: int = ENUMERATION_CAP) -> list[tuple[int, ...]]:
     """All C(T+U, U) alignments of y, as tuples over the augmented vocabulary
     (blank = 0), ordered lexicographically by label positions (so the
@@ -246,11 +238,6 @@ def enumerate_alignments(T: int, U: int, y, cap: int = ENUMERATION_CAP) -> list[
             symbols[pos] = labels[li]
         out.append(tuple(symbols))
     return out
-
-
-def collapse_alignment(alignment) -> tuple[int, ...]:
-    """Remove blanks and map back to label ids in Y."""
-    return tuple(k - 1 for k in alignment if k != BLANK_ID)
 
 
 def alignment_log_prob(lattice: np.ndarray, alignment) -> float:
@@ -283,9 +270,3 @@ def brute_force_nll(lattice: np.ndarray, y, cap: int = ENUMERATION_CAP) -> float
     if total == NEG_INF:
         return np.inf
     return -total
-
-
-def random_logprob_lattice(T: int, U: int, K: int, rng) -> np.ndarray:
-    """Random normalized log-probability lattice for tests and oracles."""
-    logits = rng.normal(0.0, 1.0, size=(T, U + 1, K))
-    return log_softmax(logits)

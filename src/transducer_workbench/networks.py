@@ -85,10 +85,6 @@ def init_lstm_params(input_dim: int, hidden: int, rng: RandomStream) -> LSTMPara
     )
 
 
-def zero_state(hidden: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.zeros(hidden), np.zeros(hidden)
-
-
 @functools.cache
 def _gate_affine(hidden: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (scale, offset) over the stacked (i, f, g, o)

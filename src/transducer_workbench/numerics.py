@@ -94,21 +94,6 @@ def finite_difference_gradient(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarra
     return grad
 
 
-def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-5) -> float:
-    """max |a-b| / max(floor, |a|, |b|), elementwise; scalar summary.
-
-    The floor reflects the noise level of central differences at eps = 1e-5:
-    entries larger than the floor must agree to the stated relative error,
-    smaller ones to floor * tolerance in absolute terms.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    denom = np.maximum(floor, np.maximum(np.abs(a), np.abs(b)))
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - b) / denom))
-
-
 _MIX_CONST_1 = 0x9E3779B97F4A7C15
 _MIX_CONST_2 = 0xBF58476D1CE4E5B9
 _MIX_CONST_3 = 0x94D049BB133111EB
@@ -174,21 +159,3 @@ class RandomStream:
             raise ContractViolation("choice_weighted needs positive finite weights")
         u = self.gen.random() * total
         return int(np.searchsorted(np.cumsum(w), u, side="right").clip(0, w.size - 1))
-
-
-def pack_arrays(arrays: dict[str, np.ndarray]) -> np.ndarray:
-    """Concatenate named arrays (sorted by name) into one flat vector."""
-    return np.concatenate([arrays[k].ravel() for k in sorted(arrays)]) if arrays else np.zeros(0)
-
-
-def unpack_arrays(vector: np.ndarray, template: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Inverse of pack_arrays against a shape template."""
-    out = {}
-    pos = 0
-    for k in sorted(template):
-        n = template[k].size
-        out[k] = vector[pos : pos + n].reshape(template[k].shape).copy()
-        pos += n
-    if pos != vector.size:
-        raise ContractViolation(f"vector length {vector.size} != template size {pos}")
-    return out

@@ -195,7 +195,6 @@ class TrainingRecipe:
     sequence_noise: NoiseInjectConfig | None = None
     specaugment: SpecAugmentConfig | None = None
     replicas: tuple = ()  # (tag, factor) pairs expanded before training
-    shuffle: bool = True
 
 
 @dataclass
@@ -274,9 +273,8 @@ def dev_wer(model: TransducerModel, dev: Dataset, alphabet) -> float:
     """Corpus WER of greedy decoding over `dev`."""
 
     def word_pair(utt):
-        features = utt.frames.astype(np.float64)
-        result = greedy_decode(model, features, aux=utt.aux)
-        return alphabet.words(utt.labels), alphabet.words(result.labels)
+        labels = greedy_decode(model, utt.frames.astype(np.float64), aux=utt.aux)
+        return alphabet.words(utt.labels), alphabet.words(labels)
 
     return corpus_wer(map(word_pair, dev))
 
@@ -308,9 +306,7 @@ def train(
     lr = lr_at(recipe.schedule, 0.0)
 
     for epoch in range(recipe.epochs):
-        order = (
-            rng.child(1, epoch).permutation(n) if recipe.shuffle else np.arange(n)
-        )
+        order = rng.child(1, epoch).permutation(n)
         epoch_nll = 0.0
         epoch_labels = 0
         epoch_utts = 0
@@ -398,16 +394,15 @@ def train_char_lm(
     rng: RandomStream,
     epochs: int = 5,
     batch_size: int = 8,
-    optimizer: OptimizerConfig | None = None,
     lr: float = 2e-3,
 ) -> list[float]:
     """Fit a character LM on label sequences; returns per-epoch mean NLL
-    per symbol. Uses a constant learning rate; LM fitting is not the object
-    of study, it just has to give the fusion experiments usable models."""
+    per symbol. Uses AdamW without weight decay at a constant learning
+    rate; LM fitting is not the object of study, it just has to give the
+    fusion experiments usable models."""
     from .networks import lm_loss_and_grads
 
-    if optimizer is None:
-        optimizer = OptimizerConfig(kind=ADAMW, weight_decay=0.0)
+    optimizer = OptimizerConfig(kind=ADAMW, weight_decay=0.0)
     params = lm_params.arrays()
     state = init_optimizer(params, optimizer)
     history = []

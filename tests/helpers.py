@@ -3,7 +3,9 @@ independent path-mass oracle for it, loop references for the vectorised
 network kernels (frame stacking, the LSTM forward and its BPTT), and the
 object-per-candidate ALSD loop that the array beam of `alsd_beam` replaced,
 and the stepwise LM oracle's (`lm_init_state`, `lm_score_next`,
-`lm_end_increment`) score of a whole label sequence."""
+`lm_end_increment`) score of a whole label sequence; then the lattice loss
+from raw logits, alignment and lattice helpers, an LSTM's zero state, and
+the flattening and error measure of the finite-difference checks."""
 
 import heapq
 from dataclasses import dataclass, replace
@@ -12,9 +14,15 @@ from typing import Any
 import numpy as np
 
 from transducer_workbench.errors import ContractViolation, DecodeError
-from transducer_workbench.lattice import BLANK_ID
+from transducer_workbench.lattice import BLANK_ID, rnnt_loss
 from transducer_workbench.networks import lm_end_increment, lm_init_state, lm_score_next
-from transducer_workbench.numerics import NEG_INF, log_add, log_softmax, log_sum_exp
+from transducer_workbench.numerics import (
+    NEG_INF,
+    log_add,
+    log_softmax,
+    log_softmax_backward,
+    log_sum_exp,
+)
 
 
 class FixedLatticeModel:
@@ -327,3 +335,60 @@ def alsd_beam_reference(
         )
     ranked = sorted(completed.values(), key=_rank_key)
     return ranked[:n_best]
+
+
+def rnnt_loss_from_logits(logits: np.ndarray, y) -> tuple[float, np.ndarray]:
+    """NLL and its gradient w.r.t. pre-softmax logits of shape T x (U+1) x K."""
+    logprob = log_softmax(logits)
+    result = rnnt_loss(logprob, y)
+    grad_logits = log_softmax_backward(result.grad, logprob)
+    return result.nll, grad_logits
+
+
+def collapse_alignment(alignment) -> tuple[int, ...]:
+    """Remove blanks and map back to label ids in Y."""
+    return tuple(k - 1 for k in alignment if k != BLANK_ID)
+
+
+def random_logprob_lattice(T: int, U: int, K: int, rng) -> np.ndarray:
+    """Random normalized log-probability lattice for tests and oracles."""
+    logits = rng.normal(0.0, 1.0, size=(T, U + 1, K))
+    return log_softmax(logits)
+
+
+def zero_state(hidden: int) -> tuple[np.ndarray, np.ndarray]:
+    """An LSTM's zero (h, c)."""
+    return np.zeros(hidden), np.zeros(hidden)
+
+
+def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-5) -> float:
+    """max |a-b| / max(floor, |a|, |b|), elementwise; scalar summary.
+
+    The floor reflects the noise level of central differences at eps = 1e-5:
+    entries larger than the floor must agree to the stated relative error,
+    smaller ones to floor * tolerance in absolute terms.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    denom = np.maximum(floor, np.maximum(np.abs(a), np.abs(b)))
+    if a.size == 0:
+        return 0.0
+    return float(np.max(np.abs(a - b) / denom))
+
+
+def pack_arrays(arrays: dict[str, np.ndarray]) -> np.ndarray:
+    """Concatenate named arrays (sorted by name) into one flat vector."""
+    return np.concatenate([arrays[k].ravel() for k in sorted(arrays)]) if arrays else np.zeros(0)
+
+
+def unpack_arrays(vector: np.ndarray, template: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Inverse of pack_arrays against a shape template."""
+    out = {}
+    pos = 0
+    for k in sorted(template):
+        n = template[k].size
+        out[k] = vector[pos : pos + n].reshape(template[k].shape).copy()
+        pos += n
+    if pos != vector.size:
+        raise ContractViolation(f"vector length {vector.size} != template size {pos}")
+    return out

@@ -16,7 +16,7 @@ from transducer_workbench.augment import (
 )
 from transducer_workbench.data import Utterance
 from transducer_workbench.errors import ContractViolation
-from transducer_workbench.experiment import build_recipe, default_config
+from transducer_workbench.experiment import build_recipe, default_config, with_settings
 from transducer_workbench.numerics import RandomStream
 from transducer_workbench.training import _augment_batch_member
 
@@ -204,15 +204,15 @@ class TestSwitchout:
         assert switchout((), config, RandomStream(15)) == ()
 
     def test_disabled_identity(self):
-        # A recipe turns switchout off with `switchout = None`: the batch
-        # member then keeps its labels, which the default recipe replaces
-        # for some draws.
+        # `switchout = false` gives a recipe with `switchout = None`: the
+        # batch member then keeps its labels, which the default recipe
+        # replaces for some draws.
         cfg = default_config()
         rng = RandomStream(16)
         utts = [Utterance(f"u{i}", rng.normal(size=(12, 3)).astype(np.float32),
                           tuple(int(x) for x in rng.integers(0, 8, size=6))) for i in range(4)]
         lengths = np.array([u.num_frames for u in utts])
-        recipe = build_recipe(cfg, "no_switchout")
+        recipe = build_recipe(with_settings(cfg, "training", switchout=False))
         assert recipe.switchout is None
         changed = 0
         for seed in range(50):

@@ -55,9 +55,7 @@ def tiny_real_model(seed=1, num_labels=2, joint_mode="multiplicative"):
 class TestGreedy:
     def test_blank_dominant_empty_output(self):
         model = blank_dominant_model(4, 3, 3)
-        result = greedy_decode(model, np.zeros(4))
-        assert result.labels == ()
-        assert not result.truncated
+        assert greedy_decode(model, np.zeros(4)) == ()
 
     def test_forced_single_label(self):
         # T=1: label 0 beats blank at u=0, then blank wins at u=1.
@@ -65,16 +63,15 @@ class TestGreedy:
         logits[0, 0] = [0.0, 3.0]
         logits[0, 1] = [3.0, 0.0]
         model = FixedLatticeModel(log_softmax(logits))
-        result = greedy_decode(model, np.zeros(1))
-        assert result.labels == (0,)
+        assert greedy_decode(model, np.zeros(1)) == (0,)
 
-    def test_truncation_flag(self):
+    def test_truncation_at_the_symbol_cap(self):
+        # Truncation is a result of max_symbols labels: the search stops as
+        # soon as it reaches the cap.
         logits = np.zeros((2, 4, 2))
         logits[:, :, 1] = 5.0  # label always wins: can never advance t
         model = FixedLatticeModel(log_softmax(logits))
-        result = greedy_decode(model, np.zeros(2), max_symbols=3)
-        assert result.truncated
-        assert len(result.labels) == 3
+        assert greedy_decode(model, np.zeros(2), max_symbols=3) == (0, 0, 0)
 
     def test_matches_exhaustive_on_peaked_model(self):
         # With near-deterministic output distributions the greedy path is
@@ -92,7 +89,7 @@ class TestGreedy:
             model = FixedLatticeModel(log_softmax(logits))
             greedy = greedy_decode(model, np.zeros(T), max_symbols=U_rows - 1)
             exact = exhaustive_decode(model, np.zeros(T), max_symbols=U_rows - 1)
-            assert greedy.labels == exact[0].labels
+            assert greedy == exact[0].labels
 
 
 class TestALSD:

@@ -1,4 +1,6 @@
 import collections
+import copy
+import dataclasses
 import io
 import json
 import logging
@@ -22,6 +24,8 @@ from transducer_workbench.data import (
 from transducer_workbench.decoding import greedy_decode
 from transducer_workbench.errors import ConfigError, ContractViolation, IngestError
 from transducer_workbench.experiment import (
+    ABLATIONS,
+    CONFIG_SCHEMA,
     ExperimentReport,
     CONDITIONS,
     build_model_config,
@@ -39,6 +43,7 @@ from transducer_workbench.experiment import (
     stage_fusion_conditions,
     verify_report,
     weights_from_dict,
+    with_settings,
     write_config,
 )
 from transducer_workbench.fusion import (
@@ -129,22 +134,65 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/config.ini")
 
+    @pytest.mark.parametrize("section, key, raw, match", [
+        ("model", "modes", "", r"\[model\] modes"),
+        ("decoding", "merge", "maxx", r"\[decoding\] merge"),
+        ("decoding", "beam_width", "0", r"\[decoding\] beam_width"),
+        ("decoding", "n_best", "0", r"\[decoding\] n_best"),
+        ("decoding", "expansion_factor", "0", r"\[decoding\] expansion_factor"),
+        ("training", "optimizer", "adam", "optimizer kind 'adam'"),
+        ("training", "schedule", "cosine", "schedule kind 'cosine'"),
+        ("training", "switchout_temperature", "0", "switchout temperature"),
+        ("training", "noise_probability", "1.5", "noise probability"),
+        ("training", "noise_scale", "-1", "noise scale"),
+        ("training", "warmup_epochs", "-1", "warmup"),
+    ])
+    def test_setting_a_later_stage_refuses_is_rejected(self, tmp_path, section, key, raw, match):
+        path = tmp_path / "config.ini"
+        path.write_text(f"[{section}]\n{key} = {raw}\n"
+                        "[experiment]\nconditions = no_lm\nablations = no_switchout\n")
+        with pytest.raises(ConfigError, match=match):
+            parse_config(path)
+
 
 class TestRecipeBuilder:
+    # The recipe field each ablation turns off.
+    PARTS = {
+        "no_switchout": "switchout",
+        "no_sequence_noise": "sequence_noise",
+        "no_specaugment": "specaugment",
+        "no_dropconnect": "dropconnect_rate",
+        "no_speed_tempo": "replicas",
+    }
+
     def test_ablation_toggles(self):
-        cfg = tiny_config()
-        cfg["training"]["speed_tempo_replicas"] = True
+        # Each ablation's config copy gives the base recipe with exactly
+        # its own part turned off.
+        cfg = tiny_config(training={"speed_tempo_replicas": True})
         base = build_recipe(cfg)
-        assert base.switchout is not None
-        assert base.sequence_noise is not None
-        assert base.specaugment is not None
-        assert base.dropconnect_rate > 0
-        assert base.replicas
-        assert build_recipe(cfg, "no_switchout").switchout is None
-        assert build_recipe(cfg, "no_sequence_noise").sequence_noise is None
-        assert build_recipe(cfg, "no_specaugment").specaugment is None
-        assert build_recipe(cfg, "no_dropconnect").dropconnect_rate == 0.0
-        assert build_recipe(cfg, "no_speed_tempo").replicas == ()
+        assert set(ABLATIONS) == set(self.PARTS)
+        for ablation, (key, value) in ABLATIONS.items():
+            part = self.PARTS[ablation]
+            ablated = build_recipe(with_settings(cfg, "training", **{key: value}))
+            assert getattr(base, part), ablation
+            assert not getattr(ablated, part), ablation
+            assert dataclasses.replace(ablated, **{part: getattr(base, part)}) == base, ablation
+
+    def test_every_ablation_sets_one_training_key_of_its_type(self):
+        kinds = {"bool": bool, "int": int, "float": float, "str": str}
+        for ablation, (key, value) in ABLATIONS.items():
+            assert key in CONFIG_SCHEMA["training"], ablation
+            assert type(value) is kinds[CONFIG_SCHEMA["training"][key][0]], ablation
+
+    def test_with_settings_leaves_its_input_unchanged(self):
+        cfg = tiny_config()
+        before = copy.deepcopy(cfg)
+        changed = with_settings(cfg, "training", epochs=7, optimizer="momentum_sgd")
+        assert cfg == before
+        assert changed["training"]["epochs"] == 7
+        assert changed["training"]["optimizer"] == "momentum_sgd"
+        changed["task"]["num_labels"] = 99  # the copy shares no section with its input
+        assert cfg == before
 
 
 class TestConditionGrid:
@@ -227,7 +275,7 @@ class TestRunExperiment:
         assert fell_back
         for utt in fell_back:
             features = utt.frames.astype(np.float64)
-            labels = greedy_decode(model, features, aux=utt.aux).labels
+            labels = greedy_decode(model, features, aux=utt.aux)
             H = model.encode_features(features, utt.aux)
             assert dict(records)[utt.utt_id] == [NBestRecord(
                 labels, H.shape[0] + len(labels), -model.lattice_nll(H, list(labels)), 0.0, 0.0
@@ -237,8 +285,10 @@ class TestRunExperiment:
         cfg = tiny_config(experiment={"sweep": True, "sweep_epochs": 1,
                                       "conditions": ("no_lm",)})
         cfg["model"]["modes"] = ("additive",)
+        before = copy.deepcopy(cfg)
         report = run_experiment(cfg, tmp_path / "run")
         assert report.failure_stage is None
+        assert cfg == before
         assert len(report.sweep) == 4
         combos = {(r["optimizer"], r["schedule"]) for r in report.sweep}
         assert combos == {
@@ -255,8 +305,10 @@ class TestRunExperiment:
             experiment={"ablations": ("no_sequence_noise",), "conditions": ("no_lm",)}
         )
         cfg["model"]["modes"] = ("additive",)
+        before = copy.deepcopy(cfg)
         report = run_experiment(cfg, tmp_path / "run")
         assert report.failure_stage is None
+        assert cfg == before
         assert "no_sequence_noise" in report.ablations
         entry = report.ablations["no_sequence_noise"]
         assert "no_lm_test_wer" in entry and "density_ratio_test_wer" in entry
@@ -329,6 +381,20 @@ class TestCLI:
         bad = tmp_path / "bad.ini"
         bad.write_text("[task]\nbogus = 1\n")
         assert cli_main(["--config", str(bad), "--run-dir", str(tmp_path / "r"), "run"]) == 1
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("decoding", "merge", "maxx"),
+        ("model", "modes", ()),
+    ])
+    def test_setting_a_later_stage_refuses_exits_before_training(self, tmp_path, capsys,
+                                                                  section, key, value):
+        cfg = tiny_config(experiment={"conditions": ("no_lm",), "ablations": ("no_switchout",)},
+                          **{section: {key: value}})
+        run = tmp_path / "run"
+        base = ["--config", str(self._write_config(tmp_path, cfg)), "--run-dir", str(run)]
+        assert cli_main(base + ["run"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: [{section}] {key}")
+        assert not list(run.glob("model_*.npz"))
 
     def test_default_config_prints(self, tmp_path, capsys):
         assert cli_main(["default-config"]) == 0

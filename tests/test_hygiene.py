@@ -99,13 +99,6 @@ def test_no_unreferenced_private_definitions():
 UNREFERENCED_PUBLIC = {
     "fusion.py: rescore_nbest": "a second density-ratio path; its deletion waits on the "
                                 "benchmark revision",
-    "lattice.py: rnnt_loss_from_logits": "test oracle: the lattice loss from raw joint logits",
-    "lattice.py: collapse_alignment": "test helper: the label sequence of an alignment",
-    "lattice.py: random_logprob_lattice": "test helper: random normalized lattices",
-    "networks.py: zero_state": "test helper: an LSTM's zero (h, c)",
-    "numerics.py: relative_error": "test helper of the finite-difference checks",
-    "numerics.py: pack_arrays": "test helper of the finite-difference checks",
-    "numerics.py: unpack_arrays": "test helper of the finite-difference checks",
 }
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import pack_arrays, relative_error, unpack_arrays
 from transducer_workbench.errors import ContractViolation, DimensionError
 from transducer_workbench.joint import (
     ADDITIVE,
@@ -15,13 +16,7 @@ from transducer_workbench.joint import (
     joint_forward_cached,
     joint_forward_lattice,
 )
-from transducer_workbench.numerics import (
-    RandomStream,
-    finite_difference_gradient,
-    pack_arrays,
-    relative_error,
-    unpack_arrays,
-)
+from transducer_workbench.numerics import RandomStream, finite_difference_gradient
 
 
 def make_params(mode, rng, E=5, P=4, J=8, K=3, branch_biases=False):

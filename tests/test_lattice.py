@@ -3,6 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from helpers import (
+    collapse_alignment,
+    random_logprob_lattice,
+    relative_error,
+    rnnt_loss_from_logits,
+)
 from transducer_workbench.errors import (
     ContractViolation,
     DimensionError,
@@ -12,20 +18,12 @@ from transducer_workbench.lattice import (
     BLANK_ID,
     alignment_log_prob,
     brute_force_nll,
-    collapse_alignment,
     enumerate_alignments,
-    random_logprob_lattice,
     rnnt_backward,
     rnnt_forward,
     rnnt_loss,
-    rnnt_loss_from_logits,
 )
-from transducer_workbench.numerics import (
-    finite_difference_gradient,
-    log_softmax,
-    log_sum_exp,
-    relative_error,
-)
+from transducer_workbench.numerics import finite_difference_gradient, log_softmax, log_sum_exp
 
 
 def uniform_lattice(T, U, K):

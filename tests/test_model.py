@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import pack_arrays, relative_error, unpack_arrays
 from transducer_workbench.errors import ContractViolation, DimensionError
 from transducer_workbench.joint import ADDITIVE, MULTIPLICATIVE, joint_forward
 from transducer_workbench.model import (
@@ -22,13 +23,7 @@ from transducer_workbench.networks import (
     init_char_lm_params,
     predict_embed,
 )
-from transducer_workbench.numerics import (
-    RandomStream,
-    finite_difference_gradient,
-    pack_arrays,
-    relative_error,
-    unpack_arrays,
-)
+from transducer_workbench.numerics import RandomStream, finite_difference_gradient
 
 
 def tiny_config(mode=ADDITIVE, bidirectional=True, aux_dim=0):

@@ -9,9 +9,13 @@ from hypothesis import strategies as st
 from helpers import (
     lstm_backward_reference,
     lstm_forward_reference,
+    pack_arrays,
+    relative_error,
     stack_and_skip_backward_loop,
     stack_and_skip_loop,
     stepwise_lm_score,
+    unpack_arrays,
+    zero_state,
 )
 
 from transducer_workbench import networks
@@ -42,15 +46,8 @@ from transducer_workbench.networks import (
     sample_dropconnect_mask,
     stack_and_skip,
     stack_and_skip_backward,
-    zero_state,
 )
-from transducer_workbench.numerics import (
-    RandomStream,
-    finite_difference_gradient,
-    pack_arrays,
-    relative_error,
-    unpack_arrays,
-)
+from transducer_workbench.numerics import RandomStream, finite_difference_gradient
 
 
 def one_row_step(x, state, params, hh_mask=None):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import pack_arrays, relative_error, unpack_arrays
 from transducer_workbench.errors import ContractViolation, OracleFailure
 from transducer_workbench.numerics import (
     NEG_INF,
@@ -10,10 +11,7 @@ from transducer_workbench.numerics import (
     finite_difference_gradient,
     log_softmax,
     log_sum_exp,
-    pack_arrays,
-    relative_error,
     softmax,
-    unpack_arrays,
 )
 
 

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import random_logprob_lattice
 from transducer_workbench.errors import ContractViolation, DimensionError
 from transducer_workbench import model as model_module
 from transducer_workbench.joint import ADDITIVE, MULTIPLICATIVE
@@ -25,7 +26,6 @@ from transducer_workbench.lattice import (
     ENUMERATION_CAP,
     brute_force_nll,
     prefix_trie_forward,
-    random_logprob_lattice,
     rnnt_forward,
 )
 from transducer_workbench.model import ModelConfig, init_model

@@ -339,16 +339,18 @@ class TestGradientTelemetry:
             assert record.clip_rate == 1.0
 
     def test_max_is_the_pre_clip_global_norm(self):
-        # One step per epoch over the whole unshuffled training set, so the
-        # first epoch's norm is that of the initial model's batch gradient.
+        # One step per epoch over the whole training set, so the first
+        # epoch's norm is that of the initial model's batch gradient, summed
+        # in the epoch's order.
         task = small_task()
         recipe = plain_recipe(
             epochs=1,
             batch_size=len(task.train),
-            shuffle=False,
             optimizer=OptimizerConfig(kind=ADAMW, clip_norm=1e-9),
         )
-        items = [(utt.frames.astype(np.float64), utt.labels, utt.aux) for utt in task.train]
+        utts = task.train.utterances
+        order = RandomStream(9).child(1, 0).permutation(len(utts))
+        items = [(utts[i].frames.astype(np.float64), utts[i].labels, utts[i].aux) for i in order]
         _, grads = batch_loss_and_grads(small_model(task), items)
         expected = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
         [record] = train(small_model(task), task.train, recipe, RandomStream(9)).metrics
