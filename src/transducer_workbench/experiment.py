@@ -287,12 +287,16 @@ def _validate(config: dict):
         config["model"]["modes"]
     ) < 2:
         raise ConfigError("combination condition needs two joint modes")
-    d = config["decoding"]
+    d, t = config["decoding"], config["task"]
     if d["merge"] not in ("logsumexp", "max"):
         raise ConfigError(f"[decoding] merge: unknown merge mode {d['merge']!r}")
-    for key in ("beam_width", "n_best", "expansion_factor"):
-        if d[key] < 1:
-            raise ConfigError(f"[decoding] {key}: must be >= 1, got {d[key]}")
+    for section, key in (("task", "length_min"), ("training", "batch_size"), ("lm", "batch_size"),
+                         ("decoding", "beam_width"), ("decoding", "n_best"),
+                         ("decoding", "expansion_factor")):
+        if config[section][key] < 1:
+            raise ConfigError(f"[{section}] {key}: must be >= 1, got {config[section][key]}")
+    if t["length_max"] < t["length_min"]:
+        raise ConfigError(f"[task] length_max: {t['length_max']} is below length_min {t['length_min']}")
     try:
         build_recipe(config)
     except ContractViolation as exc:
@@ -590,25 +594,20 @@ def stage_train_lms(config, run_dir, rng, datasets, alphabet):
     if ext_path.exists():
         extra = read_transcripts(ext_path, alphabet)
         external_texts.extend(extra[k] for k in sorted(extra))
-    num_labels = config["task"]["num_labels"]
     lm_cfg = config["lm"]
     from .networks import init_char_lm_params
 
-    source = init_char_lm_params(num_labels, build_lm_config(config, "source"), rng.child(20))
-    train_char_lm(
-        source, train_texts, rng.child(21), epochs=lm_cfg["epochs"],
-        batch_size=lm_cfg["batch_size"], lr=lm_cfg["lr"],
-    )
-    external = init_char_lm_params(num_labels, build_lm_config(config, "external"), rng.child(22))
-    train_char_lm(
-        external, external_texts, rng.child(23), epochs=lm_cfg["epochs"],
-        batch_size=lm_cfg["batch_size"], lr=lm_cfg["lr"],
-    )
-    save_char_lm(run_dir / "lm_source.npz", source, build_lm_config(config, "source"),
-                 {"corpus_sequences": len(train_texts)})
-    save_char_lm(run_dir / "lm_external.npz", external, build_lm_config(config, "external"),
-                 {"corpus_sequences": len(external_texts)})
-    return source, external
+    corpora = {"source": train_texts, "external": external_texts}
+    lms = {}
+    for i, (which, texts) in enumerate(corpora.items()):
+        lms[which] = init_char_lm_params(config["task"]["num_labels"],
+                                         build_lm_config(config, which), rng.child(20 + 2 * i))
+        train_char_lm(lms[which], texts, rng.child(21 + 2 * i), epochs=lm_cfg["epochs"],
+                      batch_size=lm_cfg["batch_size"], lr=lm_cfg["lr"])
+    for which, texts in corpora.items():
+        save_char_lm(run_dir / f"lm_{which}.npz", lms[which], build_lm_config(config, which),
+                     {"corpus_sequences": len(texts)})
+    return lms["source"], lms["external"]
 
 
 def decode_dataset(model, dataset: Dataset, config: dict) -> list:

@@ -36,7 +36,7 @@ import numpy as np
 from . import scoring
 from .data import atomic_write, not_utf8
 from .errors import ContractViolation
-from .networks import CharLMParams, lm_score
+from .networks import LabelNetParams, lm_score
 
 logger = logging.getLogger(__name__)
 
@@ -97,8 +97,8 @@ def combination_score(components, w: CombinationWeights) -> float:
 def rescore_nbest(
     hypotheses,
     weights: FusionWeights,
-    source_lm: CharLMParams | None = None,
-    external_lm: CharLMParams | None = None,
+    source_lm: LabelNetParams | None = None,
+    external_lm: LabelNetParams | None = None,
 ) -> list[NBestRecord]:
     """Density-ratio rescoring of decoder rows with full-sequence LM scores.
     Returns the rows with their LM components replaced, ranked by (-fused

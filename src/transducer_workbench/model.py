@@ -1,13 +1,15 @@
 """Full transducer model: encoder + prediction network + joint network,
-with end-to-end loss gradients and checkpoint serialization.
+with end-to-end loss gradients and checkpoint serialization. The prediction
+network is a `networks.LabelNetParams` without a head: every lattice row
+starts from the step of its learned begin symbol.
 
 Label prefixes reach the prediction network through `PrefixStates`: a
 decoder state is a table plus row indices, and `prefix_trie_nlls` scores a
 set of sequences on the prefix trie of a fresh table.
 
 Parameter tensors live in a flat name -> array mapping ("encoder.layers.0.
-fwd.W_x", "prediction.embedding", "joint.W_out", ...) used by the optimizer,
-the checkpoint format, and the encoder-initialization hook.
+fwd.W_x", "prediction.layers.0.W_h", "joint.W_out", ...) used by the
+optimizer, the checkpoint format, and the encoder-initialization hook.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .networks import (
     CharLMConfig,
     EncoderConfig,
     EncoderParams,
+    LabelNetParams,
     PredictionConfig,
-    PredictionParams,
     PrefixStates,
     encode,
     encode_backward,
@@ -85,14 +87,14 @@ class ModelConfig:
 @dataclass
 class DropConnectMasks:
     encoder: list | None = None  # per layer: (fwd_mask, bwd_mask | None)
-    prediction: np.ndarray | None = None
+    prediction: list | None = None  # per label-network layer
 
 
 @dataclass
 class TransducerModel:
     config: ModelConfig
     encoder: EncoderParams
-    prediction: PredictionParams
+    prediction: LabelNetParams
     joint: JointParams
 
     # -- parameter bookkeeping ------------------------------------------
@@ -115,10 +117,9 @@ class TransducerModel:
         Raises TrainingDiverged when the forward loss is non-finite, so the
         training loop can abort with its last good checkpoint.
         """
-        enc_masks = masks.encoder if masks is not None else None
-        pred_mask = masks.prediction if masks is not None else None
-        H, enc_cache = encode(features, self.config.encoder, self.encoder, enc_masks, aux)
-        G, pred_cache = predict_embed(labels, self.prediction, pred_mask)
+        masks = masks or DropConnectMasks()
+        H, enc_cache = encode(features, self.config.encoder, self.encoder, masks.encoder, aux)
+        G, pred_cache = predict_embed(labels, self.prediction, masks.prediction)
         logprob, joint_cache = joint_forward_lattice(H, G, self.joint)
         nll, alpha = rnnt_forward(logprob, labels)
         if not np.isfinite(nll):
@@ -228,10 +229,9 @@ def sample_model_masks(model: TransducerModel, rate: float, rng: RandomStream) -
             else None
         )
         enc_masks.append((fwd, bwd))
-    pred_mask = sample_dropconnect_mask(
-        model.prediction.lstm.W_h.shape, rate, rng.child(100)
-    )
-    return DropConnectMasks(encoder=enc_masks, prediction=pred_mask)
+    pred_masks = [sample_dropconnect_mask(layer.W_h.shape, rate, rng.child(100 + i))
+                  for i, layer in enumerate(model.prediction.layers)]
+    return DropConnectMasks(encoder=enc_masks, prediction=pred_masks)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""LSTM building blocks: encoder stacks, the prediction network, and the
-character-level language models used for fusion.
+"""LSTM building blocks: encoder stacks and the label network, which is
+both the prediction network and the character-level language models used
+for fusion.
 
 `lstm_forward` is the one LSTM recursion (a decoder beam step and a
 prefix-trie depth are each a one-step call over a block of rows) and
@@ -14,17 +15,19 @@ over all steps; the backward forms the gate-local derivatives of every step
 at once, runs only the d_h/d_c recursion step by step, and builds each
 weight gradient as one product over the whole sequence. Block calls are
 inference-only. The prediction network (one layer) and both character LMs
-(N layers) are one label network, embedding + LSTM layers, with one forward
-`_label_forward` and one backward `_label_backward`; the LMs add only their
-output head. `PrefixStates` holds the label-network states of a growing set
-of label prefixes, keyed by prefix, and steps each depth of new prefixes as
-one block: the decoder's prediction rows, trie cross-scoring and the LM
-reader `lm_score` step prefixes only through it. An LM table also keeps
-each row's next-symbol log-probabilities and cumulative prefix score as
-columns, filled once per row by the one LM scoring head, a stacked per-row
-product, so its columns equal the stepwise LM API (`lm_init_state`,
-`lm_score_next`, `lm_end_increment`) bit for bit. That API is only their
-oracle, which the package does not call.
+(N layers) are one label network, `LabelNetParams` (embedding + LSTM
+layers), with one forward `_label_forward` and one backward
+`_label_backward`. Every label sequence starts with the step of the learned
+begin symbol; the LMs add only their output head and end marker.
+`PrefixStates` holds the label-network states of a growing set of label
+prefixes, keyed by prefix, with the begin step at its root, and steps each
+depth of new prefixes as one block: the decoder's prediction rows, trie
+cross-scoring and the LM reader `lm_score` step prefixes only through it.
+An LM table also keeps each row's next-symbol log-probabilities and
+cumulative prefix score as columns, filled once per row by the one LM
+scoring head, a stacked per-row product, so its columns equal the stepwise
+LM API (`lm_init_state`, `lm_score_next`, `lm_end_increment`) bit for bit.
+That API is only their oracle, which the package does not call.
 
 Each forward pass has a closed-form backward implemented alongside it; every
 backward in this module is checked against central finite differences in the
@@ -400,18 +403,53 @@ def encode_backward(
 
 
 # ---------------------------------------------------------------------------
-# Label network (embedding + LSTM layers) and the prediction network
+# Label network: the prediction network and the character LMs
 
 
-def _label_forward(symbols, embedding, layers, states=None, hh_masks=None):
-    """Embed `symbols` and run them through `layers`, each from its entry of
-    `states` (zero states when None) under its entry of `hh_masks`. Returns
-    (top-layer outputs (n, H), per-layer final (h, c) tuple, per-layer caches).
-    Symbols of shape (n, B) run B label rows as one block (`lstm_forward`).
-    Labels index the embedding unchecked: callers check the vocabulary."""
-    xs = embedding.take(symbols, axis=0)
+@dataclass
+class LabelNetParams:
+    """An embedding plus LSTM layers over the label ids 0..num_labels-1 and
+    the begin symbol `bos` = num_labels, whose step starts every sequence.
+    The prediction network has no head. A character LM has the output head
+    (W_out (V, H), b_out (V,)) over the labels, `bos` and the end marker
+    `eos` = num_labels + 1, and one embedding row per output id, V in all."""
+
+    embedding: np.ndarray  # (num_labels + 1, E); (V, E) with a head
+    layers: list[LSTMParams]
+    head: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def num_labels(self) -> int:
+        return self.embedding.shape[0] - (1 if self.head is None else 2)
+
+    @property
+    def bos(self) -> int:
+        return self.num_labels
+
+    @property
+    def eos(self) -> int:
+        return self.num_labels + 1
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        out = {"embedding": self.embedding}
+        if self.head is not None:
+            out["W_out"], out["b_out"] = self.head
+        for i, layer in enumerate(self.layers):
+            for name, arr in layer.arrays().items():
+                out[f"layers.{i}.{name}"] = arr
+        return out
+
+
+def _label_forward(symbols, params: LabelNetParams, states=None, hh_masks=None):
+    """Embed `symbols` and run them through the layers, each from its entry
+    of `states` (zero states when None) under its entry of `hh_masks`.
+    Returns (top-layer outputs (n, H), per-layer final (h, c) tuple,
+    per-layer caches). Symbols of shape (n, B) run B label rows as one block
+    (`lstm_forward`). Labels index the embedding unchecked: callers check
+    the vocabulary."""
+    xs = params.embedding.take(symbols, axis=0)
     final_states, caches = [], []
-    for i, layer in enumerate(layers):
+    for i, layer in enumerate(params.layers):
         mask = hh_masks[i] if hh_masks is not None else None
         xs, state, cache = lstm_forward(xs, layer, mask, states[i] if states is not None else None)
         final_states.append(state)
@@ -419,15 +457,16 @@ def _label_forward(symbols, embedding, layers, states=None, hh_masks=None):
     return xs, tuple(final_states), caches
 
 
-def _label_backward(d_xs, symbols, caches, embedding, layers):
+def _label_backward(d_xs, symbols, caches, params: LabelNetParams):
     """Backward through _label_forward from the top-layer output gradients.
-    Returns (embedding gradient, per-layer LSTM gradient dicts)."""
-    layer_grads = [None] * len(layers)
-    for i in reversed(range(len(layers))):
-        d_xs, layer_grads[i], _, _ = lstm_backward(d_xs, caches[i], layers[i])
-    g_embedding = np.zeros_like(embedding)
-    np.add.at(g_embedding, np.asarray(symbols, dtype=int), d_xs)
-    return g_embedding, layer_grads
+    Returns the layer and embedding gradients, named as in params.arrays()."""
+    grads = {}
+    for i in reversed(range(len(params.layers))):
+        d_xs, layer_grads, _, _ = lstm_backward(d_xs, caches[i], params.layers[i])
+        grads.update((f"layers.{i}.{name}", arr) for name, arr in layer_grads.items())
+    grads["embedding"] = np.zeros_like(params.embedding)
+    np.add.at(grads["embedding"], np.asarray(symbols, dtype=int), d_xs)
+    return grads
 
 
 @dataclass
@@ -436,54 +475,35 @@ class PredictionConfig:
     embed_dim: int = 16
 
 
-@dataclass
-class PredictionParams:
-    embedding: np.ndarray  # (|Y|, embed_dim)
-    lstm: LSTMParams
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        out = {"embedding": self.embedding}
-        for name, arr in self.lstm.arrays().items():
-            out[f"lstm.{name}"] = arr
-        return out
-
-    @property
-    def vocab(self) -> int:
-        return self.embedding.shape[0]
-
-
 def init_prediction_params(
-    vocab: int, config: PredictionConfig, rng: RandomStream
-) -> PredictionParams:
+    num_labels: int, config: PredictionConfig, rng: RandomStream
+) -> LabelNetParams:
+    """One LSTM layer over the labels and the begin row, no head."""
     lim = 1.0 / np.sqrt(config.embed_dim)
-    return PredictionParams(
-        embedding=rng.child(0).uniform(-lim, lim, size=(vocab, config.embed_dim)),
-        lstm=init_lstm_params(config.embed_dim, config.cells, rng.child(1)),
+    return LabelNetParams(
+        embedding=rng.child(0).uniform(-lim, lim, size=(num_labels + 1, config.embed_dim)),
+        layers=[init_lstm_params(config.embed_dim, config.cells, rng.child(1))],
     )
 
 
-def predict_embed(prefix, params: PredictionParams, hh_mask=None):
+def predict_embed(prefix, params: LabelNetParams, hh_masks=None):
     """Label-prefix embeddings for every lattice row: |prefix|+1 vectors.
 
-    Row 0 is the all-zero vector; row u is the LSTM output after consuming
-    the first u labels from the zero state. Returns (G, cache).
+    Row u is the top-layer output after the begin symbol and the first u
+    labels; row 0 is the begin step's. `hh_masks` holds one DropConnect mask
+    per layer. Returns (G, caches).
     """
     for lab in prefix:
-        if not 0 <= lab < params.vocab:
-            raise ContractViolation(f"label {lab} outside vocabulary of {params.vocab}")
-    outs, _, caches = _label_forward(prefix, params.embedding, [params.lstm], hh_masks=[hh_mask])
-    G = np.zeros((len(prefix) + 1, params.lstm.hidden))
-    G[1:] = outs
+        if not 0 <= lab < params.num_labels:
+            raise ContractViolation(f"label {lab} outside vocabulary of {params.num_labels}")
+    G, _, caches = _label_forward([params.bos, *prefix], params, hh_masks=hh_masks)
     return G, caches
 
 
-def predict_backward(d_G: np.ndarray, prefix, cache, params: PredictionParams):
-    """Backward through predict_embed; row 0 of d_G is ignored (g0 is
-    constant zero). Returns a grads dict matching params.arrays()."""
-    g_embedding, (lstm_grads,) = _label_backward(
-        d_G[1:], prefix, cache, params.embedding, [params.lstm]
-    )
-    return {"embedding": g_embedding, **{f"lstm.{k}": v for k, v in lstm_grads.items()}}
+def predict_backward(d_G: np.ndarray, prefix, cache, params: LabelNetParams):
+    """Backward through predict_embed, every row of d_G included. Returns a
+    grads dict matching params.arrays()."""
+    return _label_backward(d_G, [params.bos, *prefix], cache, params)
 
 
 # ---------------------------------------------------------------------------
@@ -497,40 +517,9 @@ class CharLMConfig:
     embed_dim: int = 16
 
 
-@dataclass
-class CharLMParams:
-    """LM over Y plus sentence-begin/end markers (ids |Y| and |Y|+1)."""
-
-    embedding: np.ndarray  # (V, embed_dim), V = |Y| + 2
-    layers: list[LSTMParams]
-    W_out: np.ndarray  # (V, H)
-    b_out: np.ndarray  # (V,)
-
-    @property
-    def vocab(self) -> int:
-        return self.embedding.shape[0]
-
-    @property
-    def num_labels(self) -> int:
-        return self.vocab - 2
-
-    @property
-    def bos(self) -> int:
-        return self.vocab - 2
-
-    @property
-    def eos(self) -> int:
-        return self.vocab - 1
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        out = {"embedding": self.embedding, "W_out": self.W_out, "b_out": self.b_out}
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.arrays().items():
-                out[f"layers.{i}.{name}"] = arr
-        return out
-
-
-def init_char_lm_params(num_labels: int, config: CharLMConfig, rng: RandomStream) -> CharLMParams:
+def init_char_lm_params(
+    num_labels: int, config: CharLMConfig, rng: RandomStream
+) -> LabelNetParams:
     V = num_labels + 2
     lim_e = 1.0 / np.sqrt(config.embed_dim)
     lim_o = 1.0 / np.sqrt(config.cells)
@@ -539,21 +528,14 @@ def init_char_lm_params(num_labels: int, config: CharLMConfig, rng: RandomStream
     for i in range(config.layers):
         layers.append(init_lstm_params(in_dim, config.cells, rng.child(10 + i)))
         in_dim = config.cells
-    return CharLMParams(
+    return LabelNetParams(
         embedding=rng.child(0).uniform(-lim_e, lim_e, size=(V, config.embed_dim)),
         layers=layers,
-        W_out=rng.child(1).uniform(-lim_o, lim_o, size=(V, config.cells)),
-        b_out=np.zeros(V),
+        head=(rng.child(1).uniform(-lim_o, lim_o, size=(V, config.cells)), np.zeros(V)),
     )
 
 
-def _lm_forward(inputs, params: CharLMParams):
-    """The label network over a whole input sequence, then the output head."""
-    hs, _, caches = _label_forward(inputs, params.embedding, params.layers)
-    return hs, log_softmax(hs @ params.W_out.T + params.b_out), caches
-
-
-def lm_score(sequence, params: CharLMParams, table: PrefixStates | None = None) -> float:
+def lm_score(sequence, params: LabelNetParams, table: PrefixStates | None = None) -> float:
     """Total log-probability of a label sequence including the end marker.
 
     It comes from the columns of `table`, the LM's `PrefixStates`, which
@@ -575,22 +557,20 @@ def lm_score(sequence, params: CharLMParams, table: PrefixStates | None = None) 
     return float(scores[row] + logprobs[row, params.eos])
 
 
-def lm_loss_and_grads(sequence, params: CharLMParams):
-    """NLL of one sequence and gradients for every LM parameter."""
-    inputs = [params.bos] + list(sequence)
-    targets = np.asarray(list(sequence) + [params.eos], dtype=int)
-    hs, logprobs, caches = _lm_forward(inputs, params)
-    nll = -float(logprobs[np.arange(len(targets)), targets].sum())
+def lm_loss_and_grads(sequence, params: LabelNetParams):
+    """NLL of one sequence and gradients for every LM parameter: the output
+    head over the label network's sequence forward and backward, which are
+    the prediction network's (`predict_embed`, `predict_backward`)."""
+    hs, caches = predict_embed(sequence, params)
+    W_out, b_out = params.head
+    logprobs = log_softmax(hs @ W_out.T + b_out)
+    rows, targets = np.arange(len(hs)), [*sequence, params.eos]
+    nll = -float(logprobs[rows, targets].sum())
     d_lp = np.zeros_like(logprobs)
-    d_lp[np.arange(len(targets)), targets] = -1.0
+    d_lp[rows, targets] = -1.0
     d_logits = log_softmax_backward(d_lp, logprobs)
     grads = {"W_out": d_logits.T @ hs, "b_out": d_logits.sum(axis=0)}
-    g_embedding, layer_grads = _label_backward(
-        d_logits @ params.W_out, inputs, caches, params.embedding, params.layers
-    )
-    for i in reversed(range(len(layer_grads))):
-        grads.update((f"layers.{i}.{name}", arr) for name, arr in layer_grads[i].items())
-    grads["embedding"] = g_embedding
+    grads.update(predict_backward(d_logits @ W_out, sequence, caches, params))
     return nll, grads
 
 
@@ -603,18 +583,19 @@ class LMState:
     logprobs: np.ndarray
 
 
-def _lm_step(symbol: int, states, params: CharLMParams) -> LMState:
+def _lm_step(symbol: int, states, params: LabelNetParams) -> LMState:
     """One label-network step from `states` (zeros when None), then the
     output head on its single output vector."""
-    hs, states, _ = _label_forward([symbol], params.embedding, params.layers, states)
-    return LMState(states=states, logprobs=log_softmax(params.W_out @ hs[0] + params.b_out))
+    hs, states, _ = _label_forward([symbol], params, states)
+    W_out, b_out = params.head
+    return LMState(states=states, logprobs=log_softmax(W_out @ hs[0] + b_out))
 
 
-def lm_init_state(params: CharLMParams) -> LMState:
+def lm_init_state(params: LabelNetParams) -> LMState:
     return _lm_step(params.bos, None, params)
 
 
-def lm_score_next(state: LMState, symbol: int, params: CharLMParams):
+def lm_score_next(state: LMState, symbol: int, params: LabelNetParams):
     """Incremental scoring: log p(symbol | history) and the advanced state."""
     if not 0 <= symbol < params.num_labels:
         raise ContractViolation(f"symbol {symbol} outside LM vocabulary")
@@ -622,7 +603,7 @@ def lm_score_next(state: LMState, symbol: int, params: CharLMParams):
     return inc, _lm_step(symbol, state.states, params)
 
 
-def lm_end_increment(state: LMState, params: CharLMParams) -> float:
+def lm_end_increment(state: LMState, params: LabelNetParams) -> float:
     """log p(end-of-sequence | history)."""
     return float(state.logprobs[params.eos])
 
@@ -635,31 +616,29 @@ class PrefixStates:
     """Label-network states of a growing set of label prefixes: per layer,
     the LSTM (h, c) row of each prefix, keyed by prefix in `index`, with
     each row's parent row in `parents` and last label in `labels`. Row 0,
-    the empty prefix (parent and label -1), is the zero state for the
-    prediction network and the state after the begin marker for an LM.
-    Rows are never rewritten; storage grows by doubling. New prefixes are
-    stepped from their parents' rows, one `_label_forward` block per depth
-    below the nearest ancestor with a row, in first-seen order, so on a
-    fresh table `rows(sequences)` lays out their prefix trie in depth order.
-    A block step equals one-row steps bit for bit, so no row depends on when
-    or with what it was added.
+    the empty prefix (parent and label -1), is the state after the begin
+    symbol, stepped from the zero state when the table is made. Rows are
+    never rewritten; storage grows by doubling. New prefixes are stepped
+    from their parents' rows, one `_label_forward` block per depth below the
+    nearest ancestor with a row, in first-seen order, so on a fresh table
+    `rows(sequences)` lays out their prefix trie in depth order. A block
+    step equals one-row steps bit for bit, so no row depends on when or with
+    what it was added.
 
-    An LM table has two columns more, each row's next-symbol
-    log-probabilities and cumulative prefix score (`columns`), computed for
-    the rows added since the last read as one block."""
+    The table of an LM (a network with a head) has two columns more, each
+    row's next-symbol log-probabilities and cumulative prefix score
+    (`columns`), computed for the rows added since the last read as one
+    block."""
 
-    def __init__(self, params: PredictionParams | CharLMParams):
+    def __init__(self, params: LabelNetParams):
         self.params = params
-        lm = isinstance(params, CharLMParams)
-        self._layers = params.layers if lm else [params.lstm]
-        self._vocab = params.num_labels if lm else params.vocab
         self.index = {(): 0}
         self.parents = [-1]
         self.labels = [-1]
-        self._states = [np.zeros((2, 1, layer.hidden)) for layer in self._layers]  # (h, c) rows
-        if lm:
-            self._step([0], [params.bos], 0)
-            self._logprobs = np.empty((1, params.vocab))
+        self._states = [np.zeros((2, 1, layer.hidden)) for layer in params.layers]  # (h, c) rows
+        self._step([0], [params.bos], 0)
+        if params.head is not None:
+            self._logprobs = np.empty((1, params.eos + 1))
             self._scores = [0.0]  # the root's
             self._filled = 0  # rows whose columns are filled
 
@@ -685,7 +664,7 @@ class PrefixStates:
                 grown = np.empty((self._states[0].shape[1], self._logprobs.shape[1]))
                 grown[:done] = self._logprobs[:done]
                 self._logprobs = grown
-            W_out, b_out = self.params.W_out, self.params.b_out
+            W_out, b_out = self.params.head
             R = self.outputs[done:n]
             self._logprobs[done:n] = log_softmax(np.matmul(W_out, R[..., None])[..., 0] + b_out)
             start = len(self._scores)
@@ -703,18 +682,19 @@ class PrefixStates:
         index = self.index
         new: dict[tuple, int] = {}  # new prefix -> depth below its nearest ancestor with a row
         for prefix in prefixes:
-            u, head = len(prefix), prefix
-            while head not in index and head not in new:
+            u, stem = len(prefix), prefix
+            while stem not in index and stem not in new:
                 u -= 1
-                head = prefix[:u]
-            depth = new.get(head, 0)
+                stem = prefix[:u]
+            depth = new.get(stem, 0)
             for d in range(u + 1, len(prefix) + 1):
                 depth += 1
                 new[prefix[:d]] = depth
         blocks: dict[int, list] = {}  # depth -> prefixes; a depth comes after its parent's
+        vocab = self.params.num_labels
         for prefix, depth in new.items():
-            if not 0 <= prefix[-1] < self._vocab:
-                raise ContractViolation(f"label {prefix[-1]} outside vocabulary of {self._vocab}")
+            if not 0 <= prefix[-1] < vocab:
+                raise ContractViolation(f"label {prefix[-1]} outside vocabulary of {vocab}")
             blocks.setdefault(depth, []).append(prefix)
         size, capacity = len(self.parents), self._states[0].shape[1]
         if size + len(new) > capacity:
@@ -733,7 +713,7 @@ class PrefixStates:
     def _step(self, up, labels, start):
         """Step rows `up` by `labels` as one block into the rows from `start`."""
         states = [(s[0, up], s[1, up]) for s in self._states]
-        _, final, _ = _label_forward([labels], self.params.embedding, self._layers, states)
+        _, final, _ = _label_forward([labels], self.params, states)
         for s, (h, c) in zip(self._states, final):
             s[0, start : start + len(labels)] = h
             s[1, start : start + len(labels)] = c

@@ -50,13 +50,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """log(softmax(z)) computed without leaving the log domain."""
+    """log(softmax(z)) computed without leaving the log domain. A row with a
+    NaN has a NaN maximum, so the NaN check reads the row maxima only."""
     z = np.asarray(logits, dtype=np.float64)
-    if np.isnan(z).any():
+    m = np.maximum.reduce(z, axis=-1, keepdims=True)
+    if np.isnan(m).any():
         raise ContractViolation("log_softmax input contains NaN")
-    m = np.max(z, axis=-1, keepdims=True)
     shifted = z - m
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def log_softmax_backward(grad_logprob: np.ndarray, logprob: np.ndarray) -> np.ndarray:

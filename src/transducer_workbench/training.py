@@ -167,6 +167,16 @@ def optimizer_step(params, grads, state: OptimizerState, lr: float):
         adamw_step(params, grads, state, lr)
 
 
+def group_norms(grads: dict[str, np.ndarray]) -> dict[str, float]:
+    """The L2 norm of the gradients of "encoder", "prediction" and of each
+    joint tensor ("joint.W_enc", ...), which the global norm hides."""
+    squares: dict[str, float] = {}
+    for name, g in grads.items():
+        group = name if name.startswith("joint.") else name.split(".", 1)[0]
+        squares[group] = squares.get(group, 0.0) + float((g * g).sum())
+    return {group: math.sqrt(total) for group, total in squares.items()}
+
+
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients so the global L2 norm is at most max_norm.
     Returns the pre-clip norm."""
@@ -200,8 +210,9 @@ class TrainingRecipe:
 @dataclass
 class EpochRecord:
     """One epoch's figures. The gradient telemetry is the mean and max of
-    the steps' pre-clip global gradient norms and the fraction of steps
-    whose gradients were clipped."""
+    the steps' pre-clip global gradient norms, the fraction of steps whose
+    gradients were clipped, and the pre-clip `group_norms` of the epoch's
+    first step."""
 
     epoch: int
     lr: float
@@ -211,6 +222,7 @@ class EpochRecord:
     grad_norm_mean: float
     grad_norm_max: float
     clip_rate: float
+    first_step_group_norms: dict[str, float]
 
     def to_dict(self) -> dict:
         """Every field: one line of metrics_{mode}.jsonl."""
@@ -222,7 +234,7 @@ class EpochRecord:
         return {k: v for k, v in self.to_dict().items() if k not in _TELEMETRY_FIELDS}
 
 
-_TELEMETRY_FIELDS = ("grad_norm_mean", "grad_norm_max", "clip_rate")
+_TELEMETRY_FIELDS = ("grad_norm_mean", "grad_norm_max", "clip_rate", "first_step_group_norms")
 
 
 @dataclass
@@ -340,6 +352,8 @@ def train(
                     f"utterances {[utterances[int(i)].utt_id for i in batch_idx]}: {exc}",
                     last_good_checkpoint=last_good,
                 ) from exc
+            if b_start == 0:
+                first_step_group_norms = group_norms(grads)
             clip_norm = recipe.optimizer.clip_norm
             grad_norms.append(clip_gradients(grads, clip_norm))
             clipped += grad_norms[-1] > clip_norm > 0
@@ -364,6 +378,7 @@ def train(
             grad_norm_mean=sum(grad_norms) / len(grad_norms),
             grad_norm_max=max(grad_norms),
             clip_rate=clipped / len(grad_norms),
+            first_step_group_norms=first_step_group_norms,
         )
         metrics.append(record)
         last_good = {k: v.copy() for k, v in params.items()}

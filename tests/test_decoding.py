@@ -32,7 +32,6 @@ from transducer_workbench.fusion import FusionWeights, NBestRecord
 from transducer_workbench.model import ModelConfig, init_model
 from transducer_workbench.networks import (
     CharLMConfig,
-    CharLMParams,
     EncoderConfig,
     PredictionConfig,
     init_char_lm_params,
@@ -41,13 +40,14 @@ from transducer_workbench.networks import (
 from transducer_workbench.numerics import NEG_INF, RandomStream, log_softmax, log_sum_exp
 
 
-def tiny_real_model(seed=1, num_labels=2, joint_mode="multiplicative"):
+def tiny_real_model(seed=1, num_labels=2, joint_mode="multiplicative", branch_biases=False):
     config = ModelConfig(
         num_labels=num_labels,
         encoder=EncoderConfig(layers=1, cells=4, stacking=1, skip=1, input_dim=3),
         prediction=PredictionConfig(cells=4, embed_dim=3),
         joint_dim=5,
         joint_mode=joint_mode,
+        joint_branch_biases=branch_biases,
     )
     return init_model(config, RandomStream(seed))
 
@@ -138,6 +138,30 @@ class TestALSD:
             )
             assert nbest[0].labels == exact[0].labels
             assert nbest[0].transducer_a == pytest.approx(exact[0].transducer_a, abs=1e-10)
+
+    @pytest.mark.parametrize("joint_mode, branch_biases", [
+        ("additive", False), ("multiplicative", False), ("multiplicative", True)
+    ], ids=["additive", "multiplicative", "multiplicative-branch-biases"])
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 10**6), T=st.integers(1, 4), num_labels=st.integers(1, 3),
+           max_u=st.integers(0, 3), n_best=st.integers(1, 40))
+    def test_real_models_match_exhaustive_nbest(
+        self, joint_mode, branch_biases, seed, T, num_labels, max_u, n_best
+    ):
+        # A saturating beam (as wide as the number of label sequences the
+        # cap allows) with log-sum-exp merging scores every sequence of at
+        # most max_u labels by its exact marginal, so the whole n-best list
+        # is the head of exhaustive search's ranking.
+        model = tiny_real_model(seed, num_labels, joint_mode, branch_biases)
+        features = RandomStream(seed).normal(size=(T, 3))
+        cap = T + max_u
+        head = exhaustive_decode(model, features, max_symbols=max_u)[:n_best]
+        nbest = alsd_beam(model, features, beam_width=sum(num_labels**u for u in range(cap + 1)),
+                          n_best=n_best, expansion_cap=cap, debug_invariants=True)
+        assert [row.labels for row in nbest] == [row.labels for row in head]
+        assert [row.length for row in nbest] == [row.length for row in head]
+        for row, exact in zip(nbest, head):
+            assert row.transducer_a == pytest.approx(exact.transducer_a, abs=1e-10)
 
     def test_beam_monotonicity(self):
         rng = RandomStream(17)
@@ -335,13 +359,13 @@ class TestFusedLMState:
             scored.setdefault(id(table), (params, table, set()))[2].add(tuple(sequence))
             return read(sequence, params, table)
 
-        rows = {id(lm.embedding): 0 for lm in lms}
+        rows = {id(lm): 0 for lm in lms}
         label_forward = networks._label_forward
 
-        def counted(symbols, embedding, *args):
-            if id(embedding) in rows:
-                rows[id(embedding)] += np.asarray(symbols).size
-            return label_forward(symbols, embedding, *args)
+        def counted(symbols, params, *args):
+            if id(params) in rows:
+                rows[id(params)] += np.asarray(symbols).size
+            return label_forward(symbols, params, *args)
 
         monkeypatch.setattr(experiment, "lm_score", recording)
         monkeypatch.setattr(networks, "_label_forward", counted)
@@ -351,7 +375,7 @@ class TestFusedLMState:
             assert sequences == {row.labels for _, decoded in records for row in decoded}
             distinct = {seq[:u] for seq in sequences for u in range(len(seq) + 1)}
             assert set(table.index) == distinct
-            assert rows[id(lm.embedding)] == len(distinct)  # each entry computed once
+            assert rows[id(lm)] == len(distinct)  # each entry computed once
 
     @pytest.mark.parametrize("layers", [1, 2])
     def test_one_fill_and_one_block_per_depth_each_utterance(self, layers, monkeypatch):
@@ -366,7 +390,7 @@ class TestFusedLMState:
         fill, label_forward = networks.PrefixStates.rows, networks._label_forward
 
         def recording(table, prefixes):
-            if not isinstance(table.params, CharLMParams):
+            if table.params.head is None:
                 return fill(table, prefixes)
             new = {seq[:u] for seq in prefixes for u in range(len(seq) + 1)} - set(table.index)
             blocks.clear()
@@ -374,9 +398,9 @@ class TestFusedLMState:
             fills.append((table.params, new, list(blocks)))
             return result
 
-        def counted(symbols, embedding, *args):
-            blocks.append((embedding, np.asarray(symbols).size))
-            return label_forward(symbols, embedding, *args)
+        def counted(symbols, params, *args):
+            blocks.append((params, np.asarray(symbols).size))
+            return label_forward(symbols, params, *args)
 
         monkeypatch.setattr(networks.PrefixStates, "rows", recording)
         monkeypatch.setattr(networks, "_label_forward", counted)
@@ -384,7 +408,7 @@ class TestFusedLMState:
         assert [id(params) for params, _, _ in fills] == [*map(id, lms)] * len(records)
         assert max(len(new) for _, new, _ in fills) > 2
         for params, new, steps in fills:
-            assert all(embedding is params.embedding for embedding, _ in steps)
+            assert all(stepped is params for stepped, _ in steps)
             assert sum(rows for _, rows in steps) == len(new)  # each new prefix once
             assert len(steps) <= len({len(prefix) for prefix in new})
 

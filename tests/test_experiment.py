@@ -55,6 +55,7 @@ from transducer_workbench.fusion import (
     top1_wer,
 )
 from transducer_workbench.model import (
+    _write_container,
     init_model,
     load_char_lm,
     load_checkpoint,
@@ -395,6 +396,39 @@ class TestCLI:
         assert cli_main(base + ["run"]) == 1
         assert capsys.readouterr().err.startswith(f"error: [{section}] {key}")
         assert not list(run.glob("model_*.npz"))
+
+    @pytest.mark.parametrize("section, key, settings", [
+        ("training", "batch_size", {"training": {"batch_size": 0}}),
+        ("lm", "batch_size", {"lm": {"batch_size": 0}}),
+        ("task", "length_min", {"task": {"length_min": 0}}),
+        ("task", "length_max", {"task": {"length_min": 5, "length_max": 3}}),
+    ], ids=["training-batch_size", "lm-batch_size", "length_min", "length_min-above-max"])
+    def test_setting_that_crashed_a_stage_exits_before_writing(self, tmp_path, capsys,
+                                                               section, key, settings):
+        run = tmp_path / "run"
+        config = self._write_config(tmp_path, tiny_config(**settings))
+        assert cli_main(["--config", str(config), "--run-dir", str(run), "run"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: [{section}] {key}")
+        assert not run.exists() or list(run.iterdir()) == []
+
+    def test_decode_refuses_a_zero_start_checkpoint(self, tmp_path, capsys):
+        # The checkpoint layout from before the prediction network had a
+        # begin row: its LSTM under `prediction.lstm.*`, one embedding row
+        # per label.
+        cfg = tiny_config()
+        run = tmp_path / "run"
+        base = ["--config", str(self._write_config(tmp_path, cfg)), "--run-dir", str(run)]
+        assert cli_main(base + ["generate"]) == 0
+        model = init_model(build_model_config(cfg, "additive"), RandomStream(0))
+        arrays = {name.replace("prediction.layers.0.", "prediction.lstm."): arr
+                  for name, arr in model.arrays().items()}
+        arrays["prediction.embedding"] = arrays["prediction.embedding"][:-1]
+        _write_container(run / "model_additive.npz", arrays, {"config": model.config.to_dict()})
+        capsys.readouterr()
+        assert cli_main(base + ["decode", "--mode", "additive"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "prediction.lstm.W_h" in err
+        assert not (run / "nbest_additive_test.tsv").exists()
 
     def test_default_config_prints(self, tmp_path, capsys):
         assert cli_main(["default-config"]) == 0

@@ -331,16 +331,17 @@ class TestCombineRescore:
         assert lattice_nll_calls == []
         blocks, joints = calls["_label_forward"], calls["joint_forward_lattice"]
         for model in (model_a, model_b):
-            own = [args for args in blocks if args[1] is model.prediction.embedding]
-            assert len(own) == depth
-            # One step (symbols (1, n_d)) over the n_d prefixes of depth d.
+            own = [args for args in blocks if args[1] is model.prediction]
+            assert len(own) == depth + 1
+            # The root's begin step, then one step (symbols (1, n_d)) over
+            # the n_d prefixes of depth d.
             shapes = [np.shape(args[0]) for args in own]
-            assert shapes == [
+            assert shapes == [(1, 1)] + [
                 (1, sum(len(p) == d for p in prefixes)) for d in range(1, depth + 1)
             ]
-            assert sum(n for _, n in shapes) == len(prefixes)
+            assert sum(n for _, n in shapes) == len(prefixes) + 1
             assert sum(args[2] is model.joint for args in joints) == 1
-        assert len(blocks) == 2 * depth and len(joints) == 2
+        assert len(blocks) == 2 * (depth + 1) and len(joints) == 2
 
     def test_one_prefix_table_per_model_per_utterance(self, monkeypatch):
         model_a = tiny_model(54)
@@ -373,9 +374,10 @@ class TestCombineRescore:
         depth = max(map(len, union))
         for table in tables:
             assert set(table.index) == prefixes
-            own = [args for args in blocks if args[1] is table.params.embedding]
+            own = [args for args in blocks if args[1] is table.params]
+            # The root (depth 0) is stepped by the begin symbol.
             assert [np.shape(args[0]) for args in own] == [
-                (1, sum(len(p) == d for p in prefixes)) for d in range(1, depth + 1)
+                (1, sum(len(p) == d for p in prefixes)) for d in range(depth + 1)
             ]
 
     def test_out_of_vocabulary_label_rejected(self):

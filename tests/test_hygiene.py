@@ -145,7 +145,6 @@ def test_stepwise_lm_oracle_has_no_package_caller():
 LABEL_FORWARD_CALLERS = {
     "networks.py: PrefixStates._step",
     "networks.py: predict_embed",
-    "networks.py: _lm_forward",
     "networks.py: _lm_step",
 }
 
@@ -180,24 +179,26 @@ def _package_readers(name, skip=()):
 def test_label_network_forward_has_one_prefix_state_caller():
     """Label prefixes are stepped only through the `PrefixStates` table: the
     label-network forward is called by its block step, by the sequence
-    forwards `predict_embed` and `_lm_forward`, and by the stepwise LM
-    oracle, and by nothing else in the package."""
+    forward `predict_embed` (of the prediction network and of LM training),
+    and by the stepwise LM oracle, and by nothing else in the package."""
     assert _package_readers("_label_forward") == LABEL_FORWARD_CALLERS
 
 
 LM_HEAD_READERS = {
-    "networks.py: CharLMParams",  # the field
-    "networks.py: CharLMParams.arrays",  # checkpoints and the optimizer
+    "networks.py: LabelNetParams",  # the field
+    "networks.py: LabelNetParams.num_labels",  # the end marker's embedding row
+    "networks.py: LabelNetParams.arrays",  # checkpoints and the optimizer
+    "networks.py: PrefixStates.__init__",  # an LM table's columns
     "networks.py: PrefixStates.columns",  # scoring
-    "networks.py: _lm_forward",  # training, forward
-    "networks.py: lm_loss_and_grads",  # training, backward
+    "networks.py: lm_loss_and_grads",  # training
     "networks.py: _lm_step",  # the stepwise oracle
 }
 
 
 def test_lm_head_has_one_scoring_reader():
-    """An LM's output head `W_out` scores label prefixes in one place, the
-    column fill of its `PrefixStates` table, which `lm_score` reads. Apart
-    from its declaration and parameter container, training and the stepwise
-    oracle are its only other readers. joint.py's `W_out` is the joint network's own."""
-    assert _package_readers("W_out", skip={"joint.py"}) == LM_HEAD_READERS
+    """An LM's output head `(W_out, b_out)` scores label prefixes in one
+    place, the column fill of its `PrefixStates` table, which `lm_score`
+    reads; the table keys those columns on the head. Apart from its
+    declaration and parameter container, training and the stepwise oracle
+    are its only other readers. data.py's `head` is a byte-string prefix."""
+    assert _package_readers("head", skip={"data.py"}) == LM_HEAD_READERS

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from transducer_workbench.networks import (
     EncoderConfig,
     PredictionConfig,
     init_char_lm_params,
+    lm_loss_and_grads,
     predict_embed,
 )
 from transducer_workbench.numerics import RandomStream, finite_difference_gradient
@@ -73,7 +76,26 @@ class TestLossAndGrads:
         model = init_model(tiny_config(), RandomStream(3))
         nll, grads = model.loss_and_grads(RandomStream(4).normal(size=(5, 3)), [])
         assert np.isfinite(nll)
-        assert np.all(grads["prediction.embedding"] == 0)
+        g_embedding, bos = grads["prediction.embedding"], model.prediction.bos
+        assert np.all(g_embedding[:bos] == 0)  # no label row is read
+        assert np.abs(g_embedding[bos]).max() > 0  # the begin row is
+
+    @pytest.mark.parametrize("mode, branch_biases", [
+        (ADDITIVE, False), (MULTIPLICATIVE, False), (MULTIPLICATIVE, True)
+    ], ids=["additive", "multiplicative", "multiplicative-branch-biases"])
+    @pytest.mark.parametrize("rate", [0.0, 0.5], ids=["unmasked", "masked"])
+    def test_gradient_keys_are_the_parameter_keys(self, mode, branch_biases, rate):
+        # Every tensor gets a gradient of its own shape, and nothing else
+        # does: the optimizer and the checkpoint read the same names.
+        config = dataclasses.replace(tiny_config(mode), joint_branch_biases=branch_biases)
+        model = init_model(config, RandomStream(40))
+        masks = sample_model_masks(model, rate, RandomStream(41))
+        assert (masks.prediction is None) == (rate == 0.0)
+        _, grads = model.loss_and_grads(RandomStream(42).normal(size=(6, 3)), [1, 0], masks=masks)
+        params = model.arrays()
+        assert sorted(grads) == sorted(params)
+        assert all(grads[name].shape == arr.shape for name, arr in params.items())
+        assert {"prediction.embedding", "prediction.layers.0.W_h"} <= set(params)
 
     def test_masked_loss_differs_but_is_deterministic(self):
         model = init_model(tiny_config(), RandomStream(5))
@@ -308,6 +330,15 @@ def _edit_container(path, edit):
         arrays = {k: data[k] for k in data.files}
     edit(arrays)
     np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_lm_gradient_keys_are_the_parameter_keys(layers):
+    lm = init_char_lm_params(4, CharLMConfig(layers=layers, cells=5, embed_dim=3), RandomStream(31))
+    _, grads = lm_loss_and_grads([0, 3, 1], lm)
+    params = lm.arrays()
+    assert sorted(grads) == sorted(params)
+    assert all(grads[name].shape == arr.shape for name, arr in params.items())
 
 
 class TestCharLMCheckpoint:

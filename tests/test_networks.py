@@ -47,7 +47,7 @@ from transducer_workbench.networks import (
     stack_and_skip,
     stack_and_skip_backward,
 )
-from transducer_workbench.numerics import RandomStream, finite_difference_gradient
+from transducer_workbench.numerics import RandomStream, finite_difference_gradient, log_softmax
 
 
 def one_row_step(x, state, params, hh_mask=None):
@@ -458,10 +458,36 @@ class TestEncoder:
 
 
 class TestPrediction:
-    def test_empty_prefix_is_zero_vector(self):
+    def test_empty_prefix_is_the_begin_step(self):
+        # Row 0 is one LSTM step of the begin row (id num_labels) from the
+        # zero state, so it moves with that row.
         params = init_prediction_params(4, PredictionConfig(cells=6, embed_dim=3), RandomStream(15))
+        assert params.bos == 4 and params.embedding.shape == (5, 3)
         G, _ = predict_embed([], params)
-        np.testing.assert_array_equal(G, np.zeros((1, 6)))
+        step, _, _ = lstm_forward(params.embedding[[params.bos]], params.layers[0])
+        np.testing.assert_array_equal(G, step)
+        assert np.abs(G).max() > 0
+        params.embedding[params.bos] += 1.0
+        assert not np.array_equal(predict_embed([], params)[0], G)
+
+    def test_begin_row_gradient_finite_differences(self):
+        # The empty prefix reads the begin row only; the begin row under a
+        # longer prefix is covered by test_backward_finite_differences.
+        params = init_prediction_params(3, PredictionConfig(cells=4, embed_dim=3), RandomStream(20))
+        w = RandomStream(21).normal(size=(1, 4))
+        begin = params.embedding[params.bos]
+
+        def loss(vec):
+            begin[:] = vec
+            return float((w * predict_embed([], params)[0]).sum())
+
+        x0 = begin.copy()
+        numeric = finite_difference_gradient(loss, x0.copy())
+        loss(x0)
+        _, cache = predict_embed([], params)
+        grads = predict_backward(w.copy(), [], cache, params)["embedding"]
+        assert np.abs(grads[params.bos]).max() > 0 and not grads[: params.bos].any()
+        assert relative_error(grads[params.bos], numeric) <= 1e-4
 
     @staticmethod
     def decoder_model(seed):
@@ -532,6 +558,15 @@ def next_logprobs(sequences, table):
     return table.columns()[0][rows]
 
 
+def sequence_increments(sequence, params):
+    """LM training's computation of `sequence`'s increments: one label-network
+    call (`predict_embed`), then the head as one GEMM."""
+    hs, _ = predict_embed(sequence, params)
+    W_out, b_out = params.head
+    logprobs = log_softmax(hs @ W_out.T + b_out)
+    return logprobs[np.arange(len(sequence) + 1), [*sequence, params.eos]]
+
+
 def chain_increments(sequence, table):
     """An LM table's entries along `sequence`'s prefix chain: each prefix's
     log-probability of its next label, then the end marker's."""
@@ -581,7 +616,7 @@ class TestPrefixStates:
         # The table's columns along each prefix chain are the oracle's
         # next-symbol rows and increments, and lm_score's total the oracle's
         # left-to-right sum, bit for bit, on a shared and on a fresh table.
-        # The one-call `_lm_forward` runs its head as one GEMM, which may
+        # LM training's one-call forward runs its head as one GEMM, which may
         # round differently from one-row products, so it is bounded within
         # 1e-12.
         config = CharLMConfig(layers=layers, cells=5, embed_dim=3)
@@ -598,8 +633,7 @@ class TestPrefixStates:
             assert lm_score(seq, params, table) == lm_score(seq, params) == oracle_total
             np.testing.assert_array_equal(increments, oracle)
             np.testing.assert_array_equal(fresh_increments, oracle)
-            _, logprobs, _ = networks._lm_forward([params.bos, *seq], params)
-            reference = logprobs[np.arange(len(seq) + 1), list(seq) + [params.eos]]
+            reference = sequence_increments(seq, params)
             np.testing.assert_allclose(increments, reference, rtol=0, atol=1e-12)
         assert len(table.parents) == made  # scoring filled prefixes adds no row
 
@@ -675,7 +709,7 @@ class TestCharLM:
         params = self._params(num_labels=3)
         for arr in params.arrays().values():
             arr[:] = 0.0
-        V = params.vocab
+        V = params.eos + 1  # the head's outputs
         assert lm_score([0, 1, 2], params) == pytest.approx(-4 * math.log(V), abs=1e-12)
         incs = chain_increments([0, 1, 2], PrefixStates(params))
         np.testing.assert_allclose(incs, np.full(4, -math.log(V)), rtol=0, atol=1e-12)
@@ -734,8 +768,7 @@ class TestCharLM:
             np.testing.assert_array_equal(incs, oracle)
             # The full-sequence computation, as one label-network call whose
             # head is one GEMM.
-            _, logprobs, _ = networks._lm_forward([params.bos, *seq], params)
-            reference = logprobs[np.arange(len(seq) + 1), list(seq) + [params.eos]]
+            reference = sequence_increments(seq, params)
             np.testing.assert_allclose(incs, reference, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("layers", [1, 2])

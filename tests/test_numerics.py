@@ -88,6 +88,29 @@ class TestSoftmax:
         assert np.isfinite(out[0]).all() and np.isneginf(out[1, 0])
         assert np.array_equal(out, np.stack([log_softmax(row) for row in block]))
 
+    @pytest.mark.parametrize("shape", [(9,), (8, 9), (8, 17, 9)])
+    def test_log_softmax_equals_the_np_max_sum_formula_bitwise(self, shape):
+        def formula(z):
+            shifted = z - np.max(z, axis=-1, keepdims=True)
+            return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+
+        for seed in range(20):
+            rng = RandomStream(seed)
+            z = rng.normal(0, 10 ** rng.uniform(-2, 3), size=shape)
+            z[rng.random(shape) < 0.2] = NEG_INF
+            z.reshape(-1, shape[-1])[0, 0] = max(z.max(), 0.0)  # one finite row at least
+            assert np.array_equal(log_softmax(z), formula(z))
+
+    @pytest.mark.parametrize("where", [(0, 0), (3, 8), (7, 4)])
+    def test_log_softmax_nan_anywhere_rejected(self, where):
+        z = RandomStream(1).normal(size=(8, 9))
+        z[3, :8] = NEG_INF
+        z[where] = np.nan
+        with pytest.raises(ContractViolation, match="NaN"):
+            log_softmax(z)
+        with pytest.raises(ContractViolation, match="NaN"):
+            log_softmax(z[where[0]])
+
 
 class TestFiniteDifference:
     def test_quadratic(self):

@@ -191,7 +191,7 @@ class TestPrefixTrieNlls:
             model.prefix_trie_nlls(H, sequences)
         [G] = captured
         parents, _, ends = build_prefix_trie(sequences, model.prediction)
-        assert G.shape == (len(parents), model.prediction.lstm.hidden)
+        assert G.shape == (len(parents), model.prediction.layers[-1].hidden)
         for seq, end in zip(sequences, ends):
             rows, _ = predict_embed(seq, model.prediction)
             assert np.array_equal(G[path_nodes(parents, end)], rows), seq

@@ -358,10 +358,33 @@ class TestGradientTelemetry:
         assert record.grad_norm_mean == expected
         assert record.clip_rate == 1.0
 
+    @pytest.mark.parametrize("mode, branch_biases", [
+        ("additive", False), ("multiplicative", False), ("multiplicative", True)
+    ], ids=["additive", "multiplicative", "multiplicative-branch-biases"])
+    def test_first_step_group_norms_split_the_global_norm(self, mode, branch_biases):
+        # One step per epoch, so each epoch's first step is the step whose
+        # pre-clip global norm grad_norm_max records.
+        task = small_task()
+        recipe = plain_recipe(
+            epochs=2,
+            batch_size=len(task.train),
+            optimizer=OptimizerConfig(kind=ADAMW, clip_norm=1e-9),
+        )
+        config = small_model(task, mode=mode).config
+        config.joint_branch_biases = branch_biases
+        model = init_model(config, RandomStream(7))
+        joint = [name for name in model.arrays() if name.startswith("joint.")]
+        assert len(joint) == (6 if branch_biases else 4)
+        for record in train(model, task.train, recipe, RandomStream(9)).metrics:
+            groups = record.first_step_group_norms
+            assert sorted(groups) == sorted([*joint, "encoder", "prediction"])
+            squared = record.grad_norm_max**2
+            assert abs(sum(norm**2 for norm in groups.values()) - squared) <= 1e-12 * squared
+
     def test_telemetry_stays_out_of_the_report_fields(self):
         [record] = self._train(clip_norm=1.0, epochs=1)
         full = record.to_dict()
-        assert {"grad_norm_mean", "grad_norm_max", "clip_rate"} <= set(full)
+        assert {"grad_norm_mean", "grad_norm_max", "clip_rate", "first_step_group_norms"} <= set(full)
         assert record.report_dict() == {
             k: full[k] for k in ("epoch", "lr", "train_nll", "train_nll_per_label", "dev_wer")
         }
@@ -379,6 +402,6 @@ class TestCharLMTraining:
         lm = init_char_lm_params(4, CharLMConfig(layers=1, cells=12, embed_dim=6), rng.child(1))
         history = train_char_lm(lm, sequences, rng.child(2), epochs=8, lr=5e-3)
         assert history[-1] < history[0]
-        uniform_nll = math.log(lm.vocab)
+        uniform_nll = math.log(lm.eos + 1)
         assert history[-1] < uniform_nll
         assert np.isfinite(lm_score((0, 1, 0), lm))
