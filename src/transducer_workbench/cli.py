@@ -1,12 +1,17 @@
 """Command-line entry point.
 
-Subcommands mirror the pipeline stages so each is independently re-runnable
-against the same run directory:
+The stagewise subcommands each run one entry of `experiment.STAGES`
+against a run directory, in the order of the table, and load what the
+earlier entries left there:
 
-    generate   synthesize the dataset files
+    generate   write config.ini and the dataset files
     train      train one transducer (--mode)
-    decode     write an n-best file for one model and split
+    train-lms  train the source and external character LMs
+    decode     write an n-best file for one model and split (needs the LMs)
     rescore    tune fusion weights on dev and report WERs (--condition)
+
+The others read a run directory or run the whole experiment:
+
     score      WER of a decoded n-best file against the references
     verify     recompute every reported WER from stored artifacts
     report     re-render report.txt from report.json
@@ -24,11 +29,14 @@ import logging
 import sys
 from pathlib import Path
 
-from .data import atomic_write, read_transcripts
-from .errors import ConfigError, ContractViolation, IngestError, WorkbenchError
+from .data import atomic_write
+from .errors import ConfigError, ContractViolation, DimensionError, IngestError, WorkbenchError
 from .experiment import (
     CONDITIONS,
-    decode_to_nbest,
+    STAGES,
+    ExperimentReport,
+    Run,
+    artifact,
     default_config,
     format_config,
     load_report,
@@ -36,25 +44,20 @@ from .experiment import (
     parse_config,
     render_report,
     run_experiment,
-    stage_fusion_conditions,
-    stage_generate,
-    stage_train_mode,
     verify_report,
     weights_from_dict,
     with_settings,
-    ExperimentReport,
-    config_fingerprint,
 )
 from .fusion import FusionWeights, cached_nbests, read_nbest, top1_wer
-from .model import load_char_lm, load_checkpoint
-from .numerics import RandomStream
+
+# The stagewise subcommands, by the `STAGES` entry each runs.
+STAGE_COMMANDS = {"generate": "generate", "train": "train", "train-lms": "train_lms",
+                  "decode": "decode", "rescore": "fuse_score"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="transducer-workbench",
-        description="Desk-scale neural transducer workbench",
-    )
+    parser = argparse.ArgumentParser(prog="transducer-workbench",
+                                     description="Desk-scale neural transducer workbench")
     parser.add_argument("--config", type=Path, help="experiment config file (.ini)")
     parser.add_argument("--run-dir", type=Path, default=Path("run"), help="artifact directory")
     parser.add_argument("--seed", type=int, help="override [experiment] seed")
@@ -67,21 +70,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("generate", help="synthesize dataset files")
+    sub.add_parser("generate", help="write config.ini and synthesize dataset files")
 
     p_train = sub.add_parser("train", help="train one transducer")
     p_train.add_argument("--mode", default=None, help="joint mode (default: first configured)")
 
-    p_decode = sub.add_parser("decode", help="decode one split with one model")
+    sub.add_parser("train-lms", help="train the source and external character LMs")
+
+    p_decode = sub.add_parser("decode", help="decode one split with one model (needs the LMs)")
     p_decode.add_argument("--mode", default=None)
     p_decode.add_argument("--split", default="test", choices=("dev", "test"))
 
     p_rescore = sub.add_parser("rescore", help="tune fusion weights and report WER")
-    p_rescore.add_argument(
-        "--condition",
-        default="density_ratio",
-        choices=CONDITIONS,
-    )
+    p_rescore.add_argument("--condition", default="density_ratio", choices=CONDITIONS)
 
     p_score = sub.add_parser("score", help="score an n-best file (top-1 by stored weights)")
     p_score.add_argument("--nbest", type=Path, required=True)
@@ -115,19 +116,9 @@ def _mode(args, config) -> str:
 def _dispatch(args) -> int:
     config = _load_config(args)
     run_dir = args.run_dir
-    seed = config["experiment"]["seed"]
-    rng = RandomStream(seed)
 
     if args.command == "default-config":
         print(format_config(config), end="")
-        return 0
-
-    # Only `generate` and `run` may start a run directory; every other
-    # command reads files that must already be in it.
-    if args.command == "generate":
-        run_dir.mkdir(parents=True, exist_ok=True)
-        stage_generate(config, run_dir, rng.child(100))
-        print(f"wrote dataset under {run_dir} (config {config_fingerprint(config)})")
         return 0
 
     if args.command == "run":
@@ -146,77 +137,37 @@ def _dispatch(args) -> int:
 
     if args.command == "report":
         text = render_report(ExperimentReport.from_dict(load_report(run_dir)))
-        with atomic_write(run_dir / "report.txt") as f:
+        with atomic_write(run_dir / artifact("report", "txt")) as f:
             f.write(text)
         print(text, end="")
         return 0
 
-    # Remaining commands operate on generated data files.
-    alphabet, datasets = load_run_data(config, run_dir)
-
-    if args.command == "train":
-        mode = _mode(args, config)
-        idx = config["model"]["modes"].index(mode)
-        _, result = stage_train_mode(
-            config, run_dir, rng.child(200 + idx), datasets, alphabet, mode
-        )
-        last = result.metrics[-1] if result.metrics else None
-        if last is not None:
-            print(
-                f"trained {mode}: final train NLL {last.train_nll:.4f}, "
-                f"dev WER {100 * (last.dev_wer or 0):.2f}%"
-            )
-        else:
-            print(f"loaded existing checkpoint for {mode} (epochs=0)")
-        return 0
-
-    if args.command == "decode":
-        mode = _mode(args, config)
-        model, _ = load_checkpoint(run_dir / f"model_{mode}.npz")
-        try:
-            source_lm, _ = load_char_lm(run_dir / "lm_source.npz")
-            external_lm, _ = load_char_lm(run_dir / "lm_external.npz")
-        except FileNotFoundError:
-            # No LMs trained yet: the LM columns are written as 0.0, and
-            # only decoding again once the LMs exist fills them.
-            source_lm = external_lm = None
-        out = run_dir / f"nbest_{mode}_{args.split}.tsv"
-        decode_to_nbest(out, model, datasets[args.split], config, alphabet, source_lm, external_lm)
-        print(f"wrote {out}")
-        return 0
-
-    if args.command == "rescore":
-        if args.condition == "combination" and len(config["model"]["modes"]) < 2:
-            raise ConfigError("combination rescoring needs two trained modes")
-        models = {}
-        for mode in config["model"]["modes"]:
-            models[mode], _ = load_checkpoint(run_dir / f"model_{mode}.npz")
-        report = ExperimentReport(
-            config_fingerprint=config_fingerprint(config), seed=seed,
-            modes=list(models),
-        )
-        # The LM columns come from the n-best files; the LMs are not read.
-        stage_fusion_conditions(with_settings(config, "experiment", conditions=(args.condition,)),
-                                run_dir, models, datasets, alphabet, None, None, report)
-        for name, entry in report.conditions[args.condition].items():
-            print(
-                f"{args.condition} [{name}]: dev WER {100 * entry['dev_wer']:.2f}%, "
-                f"test WER {100 * entry['test_wer']:.2f}%, weights {entry['weights']}"
-            )
-        return 0
-
     if args.command == "score":
-        refs = read_transcripts(run_dir / f"transcripts_{args.split}.tsv", alphabet)
+        alphabet, datasets = load_run_data(config, run_dir, (args.split,))
+        refs = {u.utt_id: u.labels for u in datasets[args.split]}
         cached = cached_nbests(read_nbest(args.nbest, alphabet), alphabet, refs)
-        if args.weights is not None:
-            weights = weights_from_dict(json.loads(args.weights.read_text()))
-        else:
-            weights = FusionWeights()
+        weights = FusionWeights() if args.weights is None else weights_from_dict(
+            json.loads(args.weights.read_text()))
         wer = top1_wer(cached, weights)
         print(f"{args.split} WER {100 * wer:.2f}% ({args.nbest})")
         return 0
 
-    raise ConfigError(f"unknown command {args.command}")
+    # One stage; only generate may start a run directory.
+    if args.command == "rescore":
+        config = with_settings(config, "experiment", conditions=(args.condition,))
+    run = Run(config, run_dir, modes=(_mode(args, config),) if "mode" in args else None,
+              splits=(args.split,) if "split" in args else None)
+    STAGES[STAGE_COMMANDS[args.command]](run)
+    for mode, records in run.report.epochs.items():
+        print(f"trained {mode}: final train NLL {records[-1]['train_nll']:.4f}, "
+              f"dev WER {100 * (records[-1]['dev_wer'] or 0):.2f}%" if records
+              else f"loaded existing checkpoint for {mode} (epochs=0)")
+    for condition, entries in run.report.conditions.items():
+        for name, entry in entries.items():
+            print(f"{condition} [{name}]: dev WER {100 * entry['dev_wer']:.2f}%, "
+                  f"test WER {100 * entry['test_wer']:.2f}%, weights {entry['weights']}")
+    print(f"{args.command}: done under {run_dir}")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -224,7 +175,8 @@ def main(argv=None) -> int:
     logging.getLogger(__package__).setLevel(args.log_level)
     try:
         return _dispatch(args)
-    except (ConfigError, IngestError, ContractViolation, FileNotFoundError) as exc:
+    except (ConfigError, IngestError, ContractViolation, DimensionError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except WorkbenchError as exc:

@@ -1,24 +1,10 @@
-"""Experiment orchestration: a typed config file drives generate -> train ->
-LM training -> decode -> fusion/scoring -> report, with every intermediate
-artifact written under a run directory so reported numbers can be re-derived
-(`verify`) from files alone.
-
-Artifacts per run directory:
-
-    config.ini                     normalized copy of the config
-    features_{split}.bin           feature container per split
-    transcripts_{split}.tsv        references per split
-    external_text.tsv              extra LM training text
-    model_{mode}.npz               transducer checkpoints
-    metrics_{mode}.jsonl           one record per training epoch, with
-                                   gradient-norm telemetry
-    lm_source.npz / lm_external.npz
-    nbest_{mode}_{split}.tsv       decoder output with LM components filled
-    combination_{split}.tsv        cross-scored union of the modes' n-bests
-                                   (one format with the n-best files, see
-                                   `fusion.write_nbest`)
-    weights_{condition}[_{mode}].json
-    report.json / report.txt
+"""Experiment orchestration: a typed config file drives the stages of
+`STAGES` (generate -> train -> LM training -> decode -> fusion/scoring ->
+sweep -> ablations -> report), with every intermediate artifact written
+under a run directory so reported numbers can be re-derived (`verify`) from
+files alone. `run_experiment` walks the table; the stagewise CLI runs one
+entry against a run directory and loads what the earlier entries left
+there. `ARTIFACTS` lists the files of a run directory.
 """
 
 from __future__ import annotations
@@ -31,6 +17,7 @@ import json
 import logging
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -69,12 +56,14 @@ from .fusion import (
 from .model import (
     ModelConfig,
     init_model,
+    load_char_lm,
     load_checkpoint,
     load_encoder_init,
     save_char_lm,
     save_checkpoint,
 )
-from .networks import CharLMConfig, EncoderConfig, PredictionConfig, PrefixStates, lm_score
+from .networks import (CharLMConfig, EncoderConfig, PredictionConfig, PrefixStates,
+                       init_char_lm_params, lm_score)
 from .numerics import RandomStream
 from .scoring import compute_wer
 from .training import (
@@ -96,6 +85,10 @@ _STRS = "str_list"
 
 # The scoring conditions, in report order.
 CONDITIONS = ("no_lm", "shallow", "density_ratio", "combination")
+
+# The character LMs: one on the training transcripts, one on those plus
+# the external text.
+LM_NAMES = ("source", "external")
 
 # One entry per recognized key: (type, default). Unknown sections or keys in
 # a config file are errors (typo safety in ablation sweeps).
@@ -221,10 +214,11 @@ def default_config() -> dict:
 
 
 def with_settings(config: dict, section: str, **values) -> dict:
-    """A copy of `config` with `values` set in `section`; `config` is left
-    untouched."""
+    """A copy of `config` with `values` set in `section`, checked as
+    `parse_config` checks a file; `config` is left untouched."""
     copy = {name: dict(keys) for name, keys in config.items()}
     copy[section].update(values)
+    _validate(copy)
     return copy
 
 
@@ -290,13 +284,23 @@ def _validate(config: dict):
     d, t = config["decoding"], config["task"]
     if d["merge"] not in ("logsumexp", "max"):
         raise ConfigError(f"[decoding] merge: unknown merge mode {d['merge']!r}")
-    for section, key in (("task", "length_min"), ("training", "batch_size"), ("lm", "batch_size"),
-                         ("decoding", "beam_width"), ("decoding", "n_best"),
-                         ("decoding", "expansion_factor")):
-        if config[section][key] < 1:
-            raise ConfigError(f"[{section}] {key}: must be >= 1, got {config[section][key]}")
-    if t["length_max"] < t["length_min"]:
-        raise ConfigError(f"[task] length_max: {t['length_max']} is below length_min {t['length_min']}")
+    lm_sizes = tuple(f"{which}_{key}" for which in LM_NAMES for key in ("layers", "cells", "embed_dim"))
+    for section, keys in (
+        ("task", ("length_min", "feature_dim", "train_size", "dev_size", "test_size")),
+        ("model", ("encoder_layers", "encoder_cells", "stacking", "skip", "prediction_cells",
+                   "embed_dim", "joint_dim")),
+        ("training", ("batch_size",)), ("lm", ("batch_size", *lm_sizes)),
+        ("decoding", ("beam_width", "n_best", "expansion_factor")),
+    ):
+        for key in keys:
+            if config[section][key] < 1:
+                raise ConfigError(f"[{section}] {key}: must be >= 1, got {config[section][key]}")
+    for low, high in (("length_min", "length_max"), ("frames_per_symbol_min", "frames_per_symbol_max")):
+        if t[high] < t[low]:
+            raise ConfigError(f"[task] {high}: {t[high]} is below {low} {t[low]}")
+    for key in ("mu_grid", "lam_grid", "rho_grid"):
+        if not config["fusion"][key]:
+            raise ConfigError(f"[fusion] {key}: at least one value is needed")
     try:
         build_recipe(config)
     except ContractViolation as exc:
@@ -536,68 +540,129 @@ def _pct(value) -> str:
 # ---------------------------------------------------------------------------
 # Stages
 
+# The files of a run directory, by kind; `artifact` fills the slot with its
+# parts joined by "_": a split; a mode or a tag (`sweep_adamw_one_cycle`,
+# `ablation_no_switchout`), with the split in n-best files; an LM name; or a
+# condition with its mode.
+ARTIFACTS = {
+    "config": "config.ini",  # normalized copy of the config
+    "features": "features_{}.bin",  # feature container per split
+    "transcripts": "transcripts_{}.tsv",  # references per split
+    "external_text": "external_text.tsv",  # extra LM training text
+    "model": "model_{}.npz",  # transducer checkpoint
+    "metrics": "metrics_{}.jsonl",  # one record per training epoch, with gradient-norm telemetry
+    "lm": "lm_{}.npz",  # character LM checkpoint
+    "nbest": "nbest_{}.tsv",  # decoder output with LM components filled
+    "combination": "combination_{}.tsv",  # cross-scored union of two modes' n-bests, same format
+    "weights": "weights_{}.json",  # tuned fusion weights
+    "report": "report.{}",  # json or txt
+}
 
-def stage_generate(config: dict, run_dir: Path, rng: RandomStream):
+
+def artifact(kind: str, *parts: str) -> str:
+    """The file name of the `kind` artifact of `parts` in a run directory."""
+    return ARTIFACTS[kind].format("_".join(parts))
+
+
+class Run:
+    """A run directory and what its stages share: the data, each model and
+    the LMs are read from the directory on first use unless a stage set
+    them. `modes` and `splits` select what train and decode work on."""
+
+    def __init__(self, config: dict, run_dir, modes=None, splits=None):
+        self.config, self.run_dir = config, Path(run_dir)
+        self.modes = tuple(modes or config["model"]["modes"])
+        self.splits = splits or ("dev", "test")
+        self.rng = RandomStream(config["experiment"]["seed"])
+        self.report = ExperimentReport(config_fingerprint(config), config["experiment"]["seed"],
+                                       list(config["model"]["modes"]))
+
+    @functools.cached_property
+    def data(self):
+        return load_run_data(self.config, self.run_dir)
+
+    @functools.cached_property
+    def models(self):
+        return {mode: load_checkpoint(self.run_dir / artifact("model", mode))[0]
+                for mode in self.modes}
+
+    @functools.cached_property
+    def lms(self):
+        # A missing checkpoint raises FileNotFoundError naming it.
+        return tuple(load_char_lm(self.run_dir / artifact("lm", which))[0] for which in LM_NAMES)
+
+
+def stage_generate(run: Run, stream: int):
+    """Start the run directory: the config and the dataset files."""
+    config, run_dir, rng = run.config, run.run_dir, run.rng.child(stream)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    write_config(run_dir / artifact("config"), config)
     task = generate_synthetic_task(build_task_config(config), rng.child(1))
     datasets = {"train": task.train, "dev": task.dev, "test": task.test}
     if config["task"]["delta_features"]:
         datasets = {k: _apply_deltas(v) for k, v in datasets.items()}
     for split, ds in datasets.items():
-        write_features(run_dir / f"features_{split}.bin", ds)
-        write_transcripts(run_dir / f"transcripts_{split}.tsv", ds, task.alphabet)
+        write_features(run_dir / artifact("features", split), ds)
+        write_transcripts(run_dir / artifact("transcripts", split), ds, task.alphabet)
     factor = config["task"]["external_text_factor"]
     extra = sample_text_corpus(task, max(0, (factor - 1)) * len(task.train), rng.child(2))
-    write_transcripts(run_dir / "external_text.tsv",
+    write_transcripts(run_dir / artifact("external_text"),
                       {f"ext-{i:05d}": seq for i, seq in enumerate(extra)}, task.alphabet)
-    return task, datasets
+    run.data = task.alphabet, datasets
 
 
-def load_run_data(config: dict, run_dir: Path):
-    alphabet = Alphabet(
-        config["task"]["num_labels"], separator=config["task"]["num_labels"] - 1
-    )
+def load_run_data(config: dict, run_dir: Path, splits=("train", "dev", "test")):
+    """The alphabet and the datasets of `splits`, transcripts attached."""
+    alphabet = Alphabet(config["task"]["num_labels"], separator=config["task"]["num_labels"] - 1)
     datasets = {}
-    for split in ("train", "dev", "test"):
-        ds = read_features(run_dir / f"features_{split}.bin")
-        attach_transcripts(ds, read_transcripts(run_dir / f"transcripts_{split}.tsv", alphabet))
+    for split in splits:
+        ds = read_features(run_dir / artifact("features", split))
+        attach_transcripts(ds, read_transcripts(run_dir / artifact("transcripts", split), alphabet))
         datasets[split] = ds
     return alphabet, datasets
+
+
+def stage_train(run: Run, stream: int):
+    """Train each selected mode, from stream `stream` + its configured index."""
+    alphabet, datasets = run.data
+    run.models = {}
+    for mode in run.modes:
+        rng = run.rng.child(stream + run.config["model"]["modes"].index(mode))
+        run.models[mode], result = stage_train_mode(run.config, run.run_dir, rng, datasets,
+                                                    alphabet, mode)
+        run.report.epochs[mode] = [r.report_dict() for r in result.metrics]
 
 
 def stage_train_mode(config, run_dir, rng, datasets, alphabet, mode, tag=None):
     tag = tag or mode
     recipe = build_recipe(config)
-    checkpoint = Path(run_dir) / f"model_{tag}.npz"
+    checkpoint = Path(run_dir) / artifact("model", tag)
     if recipe.epochs == 0 and checkpoint.exists():
         # Decode-only runs: reuse the existing checkpoint untouched.
         model, _ = load_checkpoint(checkpoint)
         return model, train(model, datasets["train"], recipe, rng.child(11))
-    model_config = build_model_config(config, mode)
-    model = init_model(model_config, rng.child(10))
+    model = init_model(build_model_config(config, mode), rng.child(10))
     if config["model"]["encoder_init"]:
         load_encoder_init(model, config["model"]["encoder_init"])
-    result = train(
-        model, datasets["train"], recipe, rng.child(11), dev_set=datasets["dev"],
-        alphabet=alphabet,
-    )
-    save_checkpoint(run_dir / f"model_{tag}.npz", model, {"mode": mode, "tag": tag})
-    with atomic_write(run_dir / f"metrics_{tag}.jsonl") as f:
+    result = train(model, datasets["train"], recipe, rng.child(11), dev_set=datasets["dev"],
+                   alphabet=alphabet)
+    save_checkpoint(checkpoint, model, {"mode": mode, "tag": tag})
+    with atomic_write(run_dir / artifact("metrics", tag)) as f:
         for record in result.metrics:
             f.write(json.dumps(record.to_dict()) + "\n")
     return model, result
 
 
+def _train_lms(run: Run, stream: int):
+    alphabet, datasets = run.data
+    run.lms = stage_train_lms(run.config, run.run_dir, run.rng.child(stream), datasets, alphabet)
+
+
 def stage_train_lms(config, run_dir, rng, datasets, alphabet):
     train_texts = [utt.labels for utt in datasets["train"]]
-    external_texts = list(train_texts)
-    ext_path = run_dir / "external_text.tsv"
-    if ext_path.exists():
-        extra = read_transcripts(ext_path, alphabet)
-        external_texts.extend(extra[k] for k in sorted(extra))
+    extra = read_transcripts(run_dir / artifact("external_text"), alphabet)
+    corpora = dict(zip(LM_NAMES, (train_texts, train_texts + [extra[k] for k in sorted(extra)])))
     lm_cfg = config["lm"]
-    from .networks import init_char_lm_params
-
-    corpora = {"source": train_texts, "external": external_texts}
     lms = {}
     for i, (which, texts) in enumerate(corpora.items()):
         lms[which] = init_char_lm_params(config["task"]["num_labels"],
@@ -605,7 +670,7 @@ def stage_train_lms(config, run_dir, rng, datasets, alphabet):
         train_char_lm(lms[which], texts, rng.child(21 + 2 * i), epochs=lm_cfg["epochs"],
                       batch_size=lm_cfg["batch_size"], lr=lm_cfg["lr"])
     for which, texts in corpora.items():
-        save_char_lm(run_dir / f"lm_{which}.npz", lms[which], build_lm_config(config, which),
+        save_char_lm(run_dir / artifact("lm", which), lms[which], build_lm_config(config, which),
                      {"corpus_sequences": len(texts)})
     return lms["source"], lms["external"]
 
@@ -622,15 +687,8 @@ def decode_dataset(model, dataset: Dataset, config: dict) -> list:
         t_stacked = (utt.num_frames + skip - 1) // skip
         cap = d["expansion_factor"] * max(1, t_stacked)
         try:
-            rows = alsd_beam(
-                model,
-                features,
-                beam_width=d["beam_width"],
-                n_best=d["n_best"],
-                expansion_cap=cap,
-                merge=d["merge"],
-                aux=utt.aux,
-            )
+            rows = alsd_beam(model, features, beam_width=d["beam_width"], n_best=d["n_best"],
+                             expansion_cap=cap, merge=d["merge"], aux=utt.aux)
         except DecodeError:
             logger.warning("beam failed on %s; falling back to greedy", utt.utt_id)
             labels = greedy_decode(model, features, aux=utt.aux)
@@ -643,47 +701,44 @@ def decode_dataset(model, dataset: Dataset, config: dict) -> list:
 
 def attach_lm_components(records, source_lm, external_lm):
     """The n-best file rows of decoder records: each row with its LM
-    components replaced by full-sequence LM scores. An LM given as None
-    scores 0.0. Each distinct label sequence is scored once per LM, and
-    each LM keeps one `PrefixStates` table for the call, so a prefix
-    shared by many hypotheses runs through the label network once.
-    Scoring happens inside the one pass over `records`: each utterance's
-    sequences fill the tables (a block step per depth), then are scored."""
+    components replaced by full-sequence LM scores. Each distinct label
+    sequence is scored once per LM, and each LM keeps one `PrefixStates`
+    table for the call, so a prefix shared by many hypotheses runs through
+    the label network once. Scoring happens inside the one pass over
+    `records`: each utterance's sequences fill the tables (a block step per
+    depth), then are scored."""
     out = []
     cache: dict[tuple, tuple] = {}
-    lms = [(lm, None if lm is None else PrefixStates(lm)) for lm in (source_lm, external_lm)]
+    lms = [(lm, PrefixStates(lm)) for lm in (source_lm, external_lm)]
     for utt_id, decoded in records:
-        for lm, table in lms:
-            if lm is not None:
-                table.rows(dict.fromkeys(row.labels for row in decoded))
+        for _, table in lms:
+            table.rows(dict.fromkeys(row.labels for row in decoded))
         rows = []
         for row in decoded:
             if row.labels not in cache:
-                cache[row.labels] = tuple(
-                    lm_score(row.labels, lm, table) if lm is not None else 0.0
-                    for lm, table in lms
-                )
+                cache[row.labels] = tuple(lm_score(row.labels, lm, table) for lm, table in lms)
             src, ext = cache[row.labels]
             rows.append(NBestRecord(row.labels, row.length, row.transducer_a, src, ext))
         out.append((utt_id, rows))
     return out
 
 
-def decode_to_nbest(path, model, dataset: Dataset, config: dict, alphabet, source_lm,
-                    external_lm) -> list:
-    """Decode `dataset` (`decode_dataset`), fill the LM columns
-    (`attach_lm_components`) and write the n-best file at `path`; returns
-    the file's (utt_id, rows) records."""
-    records = attach_lm_components(decode_dataset(model, dataset, config), source_lm, external_lm)
-    write_nbest(path, records, alphabet)
-    return records
-
-
 def stage_decode(config, run_dir, models, datasets, alphabet, source_lm, external_lm):
+    """Decode every split of `datasets` but train with every model in
+    `models` (`decode_dataset`), fill the LM columns
+    (`attach_lm_components`) and write the n-best files."""
     for mode, model in models.items():
-        for split in ("dev", "test"):
-            decode_to_nbest(run_dir / f"nbest_{mode}_{split}.tsv", model, datasets[split],
-                            config, alphabet, source_lm, external_lm)
+        for split in [s for s in datasets if s != "train"]:
+            records = decode_dataset(model, datasets[split], config)
+            write_nbest(run_dir / artifact("nbest", mode, split),
+                        attach_lm_components(records, source_lm, external_lm), alphabet)
+
+
+def _decode(run: Run, stream=None):
+    # The models and both LMs are loaded before the first n-best file is written.
+    alphabet, datasets = run.data
+    stage_decode(run.config, run.run_dir, run.models,
+                 {split: datasets[split] for split in run.splits}, alphabet, *run.lms)
 
 
 def weights_from_dict(d: dict) -> FusionWeights | CombinationWeights:
@@ -714,13 +769,13 @@ def condition_grid(config: dict, condition: str) -> dict:
     return grid
 
 
-def condition_entry(run_dir, tag: str, dev, test, grid: dict) -> dict:
+def condition_entry(path, dev, test, grid: dict) -> dict:
     """Tune on the `dev` CachedNBests over `grid`, write the weights to
-    `weights_{tag}.json` and return the report entry. The dev WER is the
-    tuned cell's, which equals `top1_wer(dev, weights)` bit for bit."""
+    `path` and return the report entry. The dev WER is the tuned cell's,
+    which equals `top1_wer(dev, weights)` bit for bit."""
     tuned = tune_weights(dev, **grid)
     weights = asdict(tuned.weights)
-    with atomic_write(run_dir / f"weights_{tag}.json") as fh:
+    with atomic_write(path) as fh:
         json.dump(weights, fh)
     return {"dev_wer": tuned.wer, "test_wer": top1_wer(test, tuned.weights), "weights": weights}
 
@@ -729,36 +784,37 @@ def stage_fusion_conditions(config, run_dir, models, datasets, alphabet,
                             source_lm, external_lm, report: ExperimentReport):
     """Tune and score every configured condition from the n-best files,
     each read once and shared by all conditions; combination comes last.
-    The LM components come from those files, which `stage_decode` filled;
-    `source_lm` and `external_lm` are not read."""
-    refs = {
-        split: {u.utt_id: u.labels for u in datasets[split]} for split in ("dev", "test")
-    }
-    rows = {
-        (mode, split): read_nbest(run_dir / f"nbest_{mode}_{split}.tsv", alphabet)
-        for mode in models for split in ("dev", "test")
-    }
+    The LM components come from those files, which the decode stage
+    filled; `source_lm` and `external_lm` are not read."""
+    refs = {split: {u.utt_id: u.labels for u in datasets[split]} for split in ("dev", "test")}
+    rows = {(mode, split): read_nbest(run_dir / artifact("nbest", mode, split), alphabet)
+            for mode in models for split in ("dev", "test")}
     cached = {key: cached_nbests(r, alphabet, refs[key[1]]) for key, r in rows.items()}
     for condition in sorted(config["experiment"]["conditions"], key=lambda c: c == "combination"):
         if condition != "combination":
-            scored = {mode: (f"{condition}_{mode}", cached[mode, "dev"], cached[mode, "test"])
+            scored = {mode: ((condition, mode), cached[mode, "dev"], cached[mode, "test"])
                       for mode in models}
-        elif len(models) >= 2:
+        else:  # a validated config has two modes
             union = stage_combination(run_dir, models, datasets, alphabet, refs, rows)
-            scored = {"+".join(list(models)[:2]): ("combination", union["dev"], union["test"])}
-        else:
-            continue
+            scored = {"+".join(list(models)[:2]): ((condition,), union["dev"], union["test"])}
         grid = condition_grid(config, condition)
         report.conditions[condition] = {
-            name: condition_entry(run_dir, tag, dev, test, grid)
+            name: condition_entry(run_dir / artifact("weights", *tag), dev, test, grid)
             for name, (tag, dev, test) in scored.items()
         }
+
+
+def _fuse_score(run: Run, stream=None):
+    alphabet, datasets = run.data
+    # The LM columns come from the n-best files; the LMs are not read.
+    stage_fusion_conditions(run.config, run.run_dir, run.models, datasets, alphabet, None, None,
+                            run.report)
 
 
 def stage_combination(run_dir, models, datasets, alphabet, refs, rows) -> dict:
     """Cross-score the union of the first two modes' n-best lists, given as
     `rows[mode, split]` (`read_nbest` output), write the `combine_rescore`
-    rows, ranked by the first mode's score, to `combination_{split}.tsv`
+    rows, ranked by the first mode's score, to the split's combination file
     and return their CachedNBests by split. The LM columns are the n-best
     files' own."""
     mode_a, mode_b = list(models)[:2]
@@ -768,39 +824,39 @@ def stage_combination(run_dir, models, datasets, alphabet, refs, rows) -> dict:
         unions = {}
         for utt in sorted(datasets[split], key=lambda u: u.utt_id):
             unions[utt.utt_id] = combine_rescore(
-                utt.frames.astype(np.float64),
-                nb_a.get(utt.utt_id, []),
-                nb_b.get(utt.utt_id, []),
-                models[mode_a],
-                models[mode_b],
-                aux=utt.aux,
-            )
-        write_nbest(run_dir / f"combination_{split}.tsv", unions.items(), alphabet)
+                utt.frames.astype(np.float64), nb_a.get(utt.utt_id, []), nb_b.get(utt.utt_id, []),
+                models[mode_a], models[mode_b], aux=utt.aux)
+        write_nbest(run_dir / artifact("combination", split), unions.items(), alphabet)
         cached[split] = cached_nbests(unions, alphabet, refs[split])
     return cached
 
 
-def stage_sweep(config, run_dir, rng, datasets, alphabet, report: ExperimentReport):
-    """Optimizer x schedule grid in the style of the production study."""
+# The optimizer x schedule grid of the sweep, by training tag.
+SWEEP = {
+    f"sweep_{optimizer}_{schedule}": (optimizer, schedule)
+    for optimizer in ("momentum_sgd", "adamw") for schedule in ("const_decay", "one_cycle")
+}
+
+
+def stage_sweep(run: Run, stream: int):
+    """Optimizer x schedule grid in the style of the production study, when
+    the config asks for it."""
+    config, rng = run.config, run.rng.child(stream)
+    if not config["experiment"]["sweep"]:
+        return
+    alphabet, datasets = run.data
     mode = config["model"]["modes"][0]
     epochs = config["experiment"]["sweep_epochs"] or config["training"]["epochs"]
-    for opt_kind in ("momentum_sgd", "adamw"):
-        for sched_kind in ("const_decay", "one_cycle"):
-            tag = f"sweep_{opt_kind}_{sched_kind}"
-            settings = with_settings(config, "training", epochs=epochs, optimizer=opt_kind,
-                                     schedule=sched_kind)
-            model, result = stage_train_mode(
-                settings, run_dir, rng.child(hash_tag(tag)), datasets, alphabet, mode, tag=tag,
-            )
-            test_wer = _greedy_wer(model, datasets["test"], alphabet)
-            report.sweep.append(
-                {
-                    "optimizer": opt_kind,
-                    "schedule": sched_kind,
-                    "dev_wer": result.metrics[-1].dev_wer if result.metrics else None,
-                    "test_wer": test_wer,
-                }
-            )
+    for tag, (opt_kind, sched_kind) in SWEEP.items():
+        settings = with_settings(config, "training", epochs=epochs, optimizer=opt_kind,
+                                 schedule=sched_kind)
+        model, result = stage_train_mode(settings, run.run_dir, rng.child(hash_tag(tag)), datasets,
+                                         alphabet, mode, tag=tag)
+        run.report.sweep.append({
+            "optimizer": opt_kind, "schedule": sched_kind,
+            "dev_wer": result.metrics[-1].dev_wer if result.metrics else None,
+            "test_wer": _greedy_wer(model, datasets["test"], alphabet),
+        })
 
 
 def hash_tag(tag: str) -> int:
@@ -818,24 +874,23 @@ def _greedy_wer(model, dataset, alphabet) -> float:
     return errors / max(1, words)
 
 
-def stage_ablations(config, run_dir, rng, datasets, alphabet, source_lm, external_lm,
-                    report: ExperimentReport):
+def stage_ablations(run: Run, stream: int):
+    """Train, decode and tune each configured ablation of the first mode."""
+    config, rng = run.config, run.rng.child(stream)
     mode = config["model"]["modes"][0]
     for ablation in config["experiment"]["ablations"]:
+        alphabet, datasets = run.data
         tag = f"ablation_{ablation}"
         key, value = ABLATIONS[ablation]
-        model, _ = stage_train_mode(
-            with_settings(config, "training", **{key: value}), run_dir,
-            rng.child(hash_tag(tag)), datasets, alphabet, mode, tag=tag,
-        )
+        model, _ = stage_train_mode(with_settings(config, "training", **{key: value}), run.run_dir,
+                                    rng.child(hash_tag(tag)), datasets, alphabet, mode, tag=tag)
+        stage_decode(config, run.run_dir, {tag: model}, datasets, alphabet, *run.lms)
         cached = {}
         for split in ("dev", "test"):
-            records = decode_to_nbest(run_dir / f"nbest_{tag}_{split}.tsv", model,
-                                      datasets[split], config, alphabet, source_lm, external_lm)
-            refs = {u.utt_id: u.labels for u in datasets[split]}
-            cached[split] = cached_nbests(dict(records), alphabet, refs)
+            rows = read_nbest(run.run_dir / artifact("nbest", tag, split), alphabet)
+            cached[split] = cached_nbests(rows, alphabet, {u.utt_id: u.labels for u in datasets[split]})
         tuned = tune_weights(cached["dev"], **condition_grid(config, "density_ratio")).weights
-        report.ablations[ablation] = {
+        run.report.ablations[ablation] = {
             "no_lm_test_wer": top1_wer(cached["test"], FusionWeights()),
             "density_ratio_test_wer": top1_wer(cached["test"], tuned),
             "weights": asdict(tuned),
@@ -846,77 +901,84 @@ def stage_ablations(config, run_dir, rng, datasets, alphabet, source_lm, externa
 # Orchestration
 
 
+class Stage(NamedTuple):
+    """`fn(run, stream)` runs the stage on a `Run`, drawing from the seed's
+    child `stream` (train adds each mode's index); `writes(config)` names
+    every file it writes."""
+
+    stream: int | None
+    fn: Callable
+    writes: Callable
+
+    def __call__(self, run: Run):
+        self.fn(run, self.stream)
+
+
+def _training_files(tags) -> list:
+    return [artifact(kind, tag) for tag in tags for kind in ("model", "metrics")]
+
+
+def _fusion_writes(config: dict) -> list:
+    conditions = config["experiment"]["conditions"]
+    names = [artifact("weights", condition, mode) for condition in conditions
+             if condition != "combination" for mode in config["model"]["modes"]]
+    if "combination" in conditions:
+        names += [artifact("combination", "dev"), artifact("combination", "test"),
+                  artifact("weights", "combination")]
+    return names
+
+
+def _ablation_writes(config: dict) -> list:
+    tags = [f"ablation_{ablation}" for ablation in config["experiment"]["ablations"]]
+    nbests = [artifact("nbest", tag, split) for tag in tags for split in ("dev", "test")]
+    return _training_files(tags) + nbests
+
+
+# The stages in run order, by name: a failed run's `failure_stage`.
+STAGES = {
+    "generate": Stage(100, stage_generate, lambda c: [
+        artifact("config"), artifact("external_text"),
+        *(artifact(kind, split) for kind in ("features", "transcripts")
+          for split in ("train", "dev", "test"))]),
+    "train": Stage(200, stage_train, lambda c: _training_files(c["model"]["modes"])),
+    "train_lms": Stage(300, _train_lms, lambda c: [artifact("lm", which) for which in LM_NAMES]),
+    "decode": Stage(None, _decode, lambda c: [
+        artifact("nbest", mode, split) for mode in c["model"]["modes"] for split in ("dev", "test")]),
+    "fuse_score": Stage(None, _fuse_score, _fusion_writes),
+    "sweep": Stage(400, stage_sweep,
+                   lambda c: _training_files(SWEEP) if c["experiment"]["sweep"] else []),
+    "ablations": Stage(500, stage_ablations, _ablation_writes),
+    "report": Stage(None, lambda run, stream: _write_report(run.run_dir, run.report),
+                    lambda c: [artifact("report", "json"), artifact("report", "txt")]),
+}
+
+
 def run_experiment(config: dict, run_dir) -> ExperimentReport:
-    """Execute every stage; on failure, return a partial report naming the
-    failed stage. Fully deterministic under the configured seed."""
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    seed = config["experiment"]["seed"]
-    rng = RandomStream(seed)
-    report = ExperimentReport(
-        config_fingerprint=config_fingerprint(config),
-        seed=seed,
-        modes=list(config["model"]["modes"]),
-    )
-    write_config(run_dir / "config.ini", config)
-    stage = "generate"
-    try:
-        task, datasets = stage_generate(config, run_dir, rng.child(100))
-        alphabet = task.alphabet
-
-        stage = "train"
-        models = {}
-        for i, mode in enumerate(config["model"]["modes"]):
-            model, result = stage_train_mode(
-                config, run_dir, rng.child(200 + i), datasets, alphabet, mode
-            )
-            models[mode] = model
-            report.epochs[mode] = [r.report_dict() for r in result.metrics]
-
-        stage = "train_lms"
-        source_lm, external_lm = stage_train_lms(
-            config, run_dir, rng.child(300), datasets, alphabet
-        )
-
-        stage = "decode"
-        stage_decode(config, run_dir, models, datasets, alphabet, source_lm, external_lm)
-
-        stage = "fuse_score"
-        stage_fusion_conditions(
-            config, run_dir, models, datasets, alphabet, source_lm, external_lm, report
-        )
-
-        if config["experiment"]["sweep"]:
-            stage = "sweep"
-            stage_sweep(config, run_dir, rng.child(400), datasets, alphabet, report)
-
-        if config["experiment"]["ablations"]:
-            stage = "ablations"
-            stage_ablations(
-                config, run_dir, rng.child(500), datasets, alphabet,
-                source_lm, external_lm, report,
-            )
-
-        stage = "report"
-        _write_report(run_dir, report)
-    except (WorkbenchError, OSError) as exc:
-        report.failure_stage = stage
-        report.failure_message = str(exc)
-        _write_report(run_dir, report)
-    return report
+    """Run every stage of `STAGES` in order; on failure, write and return a
+    partial report naming the failed stage. Fully deterministic under the
+    configured seed."""
+    run = Run(config, run_dir)
+    for name, stage in STAGES.items():
+        try:
+            stage(run)
+        except (WorkbenchError, OSError) as exc:
+            run.report.failure_stage, run.report.failure_message = name, str(exc)
+            _write_report(run.run_dir, run.report)
+            break
+    return run.report
 
 
 def _write_report(run_dir: Path, report: ExperimentReport):
-    with atomic_write(run_dir / "report.json") as f:
+    with atomic_write(run_dir / artifact("report", "json")) as f:
         json.dump(report.to_dict(), f, indent=2)
-    with atomic_write(run_dir / "report.txt") as f:
+    with atomic_write(run_dir / artifact("report", "txt")) as f:
         f.write(render_report(report))
 
 
 def load_report(run_dir) -> dict:
     """The parsed `report.json`. ContractViolation ("malformed report")
     unless it is JSON holding exactly the fields of an ExperimentReport."""
-    with open(Path(run_dir) / "report.json", encoding="utf-8") as f:
+    with open(Path(run_dir) / artifact("report", "json"), encoding="utf-8") as f:
         try:
             data = json.load(f)
         except json.JSONDecodeError as exc:
@@ -927,30 +989,18 @@ def load_report(run_dir) -> dict:
 
 def verify_report(run_dir) -> list[str]:
     """Recompute every reported condition, ablation and sweep WER from the
-    stored n-best, combination, weight, checkpoint and reference files,
+    stored n-best, combination, weight, checkpoint and dataset files,
     reading each file once; returns a list of discrepancies (empty =
     verified)."""
     run_dir = Path(run_dir)
     report = load_report(run_dir)
-    config = parse_config(run_dir / "config.ini")
-    alphabet = Alphabet(
-        config["task"]["num_labels"], separator=config["task"]["num_labels"] - 1
-    )
-    refs = {
-        split: read_transcripts(run_dir / f"transcripts_{split}.tsv", alphabet)
-        for split in ("dev", "test")
-    }
+    config = parse_config(run_dir / artifact("config"))
+    alphabet, datasets = load_run_data(config, run_dir, ("dev", "test"))
 
     @functools.cache
-    def load(stem, split):
-        rows = read_nbest(run_dir / f"{stem}_{split}.tsv", alphabet)
-        return cached_nbests(rows, alphabet, refs[split])
-
-    @functools.cache
-    def utterances(split):
-        dataset = read_features(run_dir / f"features_{split}.bin")
-        attach_transcripts(dataset, refs[split])
-        return dataset
+    def load(kind, *parts):
+        refs = {u.utt_id: u.labels for u in datasets[parts[-1]]}
+        return cached_nbests(read_nbest(run_dir / artifact(kind, *parts), alphabet), alphabet, refs)
 
     problems = []
 
@@ -962,22 +1012,22 @@ def verify_report(run_dir) -> list[str]:
 
     for condition, entries in report["conditions"].items():
         for name, entry in entries.items():
-            stem = "combination" if condition == "combination" else f"nbest_{name}"
+            stem = ("combination",) if condition == "combination" else ("nbest", name)
             weights = weights_from_dict(entry["weights"])
             for split in ("dev", "test"):
                 check(f"{condition}/{name}/{split}", entry[f"{split}_wer"],
-                      top1_wer(load(stem, split), weights))
+                      top1_wer(load(*stem, split), weights))
     for name, entry in report["ablations"].items():
-        rows = load(f"nbest_ablation_{name}", "test")
+        rows = load("nbest", "ablation", name, "test")
         check(f"ablations/{name}/no_lm_test", entry["no_lm_test_wer"],
               top1_wer(rows, FusionWeights()))
         check(f"ablations/{name}/density_ratio_test", entry["density_ratio_test_wer"],
               top1_wer(rows, weights_from_dict(entry["weights"])))
     for row in report["sweep"]:
         optimizer, schedule = row["optimizer"], row["schedule"]
-        model, _ = load_checkpoint(run_dir / f"model_sweep_{optimizer}_{schedule}.npz")
+        model, _ = load_checkpoint(run_dir / artifact("model", "sweep", optimizer, schedule))
         for split in ("dev", "test"):
             if row[f"{split}_wer"] is not None:  # None: no epoch was trained
                 check(f"sweep/{optimizer}/{schedule}/{split}", row[f"{split}_wer"],
-                      _greedy_wer(model, utterances(split), alphabet))
+                      _greedy_wer(model, datasets[split], alphabet))
     return problems

@@ -97,17 +97,14 @@ def combination_score(components, w: CombinationWeights) -> float:
 def rescore_nbest(
     hypotheses,
     weights: FusionWeights,
-    source_lm: LabelNetParams | None = None,
-    external_lm: LabelNetParams | None = None,
+    source_lm: LabelNetParams,
+    external_lm: LabelNetParams,
 ) -> list[NBestRecord]:
     """Density-ratio rescoring of decoder rows with full-sequence LM scores.
     Returns the rows with their LM components replaced, ranked by (-fused
     score, labels)."""
-    rows = []
-    for row in hypotheses:
-        src = lm_score(row.labels, source_lm) if source_lm is not None else 0.0
-        ext = lm_score(row.labels, external_lm) if external_lm is not None else 0.0
-        rows.append(NBestRecord(row.labels, row.length, row.transducer_a, src, ext))
+    rows = [NBestRecord(row.labels, row.length, row.transducer_a, lm_score(row.labels, source_lm),
+                        lm_score(row.labels, external_lm)) for row in hypotheses]
     rows.sort(key=lambda r: (-density_ratio_score(
         (r.transducer_a, r.source_lm, r.external_lm, len(r.labels)), weights), r.labels))
     return rows

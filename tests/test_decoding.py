@@ -413,10 +413,11 @@ class TestFusedLMState:
             assert len(steps) <= len({len(prefix) for prefix in new})
 
     def test_lm_without_every_decoder_label_refused(self):
-        small = init_char_lm_params(2, CharLMConfig(layers=1, cells=3, embed_dim=2), RandomStream(4))
-        rows = [NBestRecord((0, 2), 5, -1.0, 0.0, 0.0)]  # label 2 is outside the LM
+        source, external = (init_char_lm_params(2, CharLMConfig(layers=1, cells=3, embed_dim=2),
+                                                RandomStream(seed)) for seed in (4, 5))
+        rows = [NBestRecord((0, 2), 5, -1.0, 0.0, 0.0)]  # label 2 is outside both LMs
         with pytest.raises(ContractViolation, match="outside vocabulary"):
-            attach_lm_components([("u", rows)], None, small)
+            attach_lm_components([("u", rows)], source, external)
 
 
 @pytest.mark.parametrize("layers", [1, 2])

@@ -1,6 +1,8 @@
 import collections
 import copy
 import dataclasses
+import hashlib
+import importlib
 import io
 import json
 import logging
@@ -322,6 +324,17 @@ class TestRunExperiment:
         assert report.failure_stage is None
 
 
+# Settings of zero that crashed a stage, or scored no words, before the
+# parse-time check.
+ZERO_CRASHED = [
+    *(("task", key) for key in ("feature_dim", "train_size", "dev_size", "test_size")),
+    *(("model", key) for key in ("encoder_layers", "encoder_cells", "stacking", "skip",
+                                 "prediction_cells", "embed_dim", "joint_dim")),
+    *(("lm", f"{which}_{key}") for which in ("source", "external")
+      for key in ("layers", "cells", "embed_dim")),
+]
+
+
 class TestCLI:
     def _write_config(self, tmp_path, cfg=None):
         path = tmp_path / "config.ini"
@@ -337,20 +350,76 @@ class TestCLI:
         assert cli_main(base + ["generate"]) == 0
         assert cli_main(base + ["train", "--mode", "additive"]) == 0
         assert cli_main(base + ["train", "--mode", "multiplicative"]) == 0
-        # decode before LMs exist: components stay zero
-        assert cli_main(base + ["decode", "--mode", "additive", "--split", "dev"]) == 0
-        # full run fills in LMs and the report; then verify and score
-        assert cli_main(base + ["run"]) == 0
-        assert cli_main(base + ["verify"]) == 0
+        assert cli_main(base + ["train-lms"]) == 0
+        for mode in cfg["model"]["modes"]:
+            for split in ("dev", "test"):
+                assert cli_main(base + ["decode", "--mode", mode, "--split", split]) == 0
         assert (
             cli_main(base + ["score", "--nbest", str(run / "nbest_additive_test.tsv"),
                              "--split", "test"])
             == 0
         )
         assert cli_main(base + ["rescore", "--condition", "shallow"]) == 0
+        # report.json is run's alone; verify and report read it.
+        assert cli_main(base + ["run"]) == 0
+        assert cli_main(base + ["verify"]) == 0
         assert cli_main(base + ["report"]) == 0
         out = capsys.readouterr().out
         assert "WER" in out
+
+    def test_stagewise_equals_run(self, tmp_path):
+        # One CLI command per stage writes every file byte for byte as `run`
+        # does; report.json and report.txt are `run`'s alone.
+        cfg = tiny_config()
+        config = self._write_config(tmp_path, cfg)
+        assert cli_main(["--config", str(config), "--run-dir", str(tmp_path / "run"), "run"]) == 0
+        stagewise = tmp_path / "stagewise"
+        base = ["--config", str(config), "--run-dir", str(stagewise)]
+        commands = [["generate"], *(["train", "--mode", m] for m in cfg["model"]["modes"]),
+                    ["train-lms"],
+                    *(["decode", "--mode", m, "--split", s]
+                      for m in cfg["model"]["modes"] for s in ("dev", "test")),
+                    *(["rescore", "--condition", c] for c in CONDITIONS)]
+        for command in commands:
+            assert cli_main(base + command) == 0, command
+        written = sorted(p.name for p in stagewise.iterdir())
+        assert len(written) == 27 and not any(name.startswith("report.") for name in written)
+        for name in written:
+            digest = hashlib.sha256((stagewise / name).read_bytes()).hexdigest()
+            assert digest == hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest(), name
+
+    def test_every_written_path_has_one_stage(self, tmp_path, monkeypatch):
+        cfg = tiny_config(experiment={"sweep": True, "sweep_epochs": 1, "ablations": (ABLATION,)})
+        written = []
+        for name in ("data", "experiment", "fusion", "model"):
+            module = importlib.import_module(f"transducer_workbench.{name}")
+            original = module.atomic_write
+
+            def recording(path, *args, original=original, **kwargs):
+                written.append(Path(path).name)
+                return original(path, *args, **kwargs)
+
+            monkeypatch.setattr(module, "atomic_write", recording)
+        report = run_experiment(cfg, tmp_path / "run")
+        assert report.failure_stage is None and report.sweep and report.ablations
+        declared = collections.Counter(
+            name for stage in experiment.STAGES.values() for name in set(stage.writes(cfg))
+        )
+        assert len(written) == len(set(written)) == 41
+        assert {name: declared[name] for name in written} == {name: 1 for name in written}
+
+    @pytest.mark.parametrize("which", ["source", "external"])
+    def test_decode_refuses_a_run_dir_without_lms(self, tmp_path, capsys, which):
+        run = tmp_path / "run"
+        base = ["--config", str(self._write_config(tmp_path)), "--run-dir", str(run)]
+        for command in (["generate"], ["train", "--mode", "additive"], ["train-lms"]):
+            assert cli_main(base + command) == 0
+        (run / f"lm_{which}.npz").unlink()
+        capsys.readouterr()
+        assert cli_main(base + ["decode", "--mode", "additive"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"lm_{which}.npz" in err
+        assert not list(run.glob("nbest_*"))
 
     def test_decode_only_run_reuses_checkpoint(self, tmp_path):
         cfg = tiny_config()
@@ -402,7 +471,13 @@ class TestCLI:
         ("lm", "batch_size", {"lm": {"batch_size": 0}}),
         ("task", "length_min", {"task": {"length_min": 0}}),
         ("task", "length_max", {"task": {"length_min": 5, "length_max": 3}}),
-    ], ids=["training-batch_size", "lm-batch_size", "length_min", "length_min-above-max"])
+        *((section, key, {section: {key: 0}}) for section, key in ZERO_CRASHED),
+        ("task", "frames_per_symbol_max",
+         {"task": {"frames_per_symbol_min": 5, "frames_per_symbol_max": 4}}),
+        *(("fusion", key, {"fusion": {key: ()}}) for key in ("mu_grid", "lam_grid", "rho_grid")),
+    ], ids=["training-batch_size", "lm-batch_size", "length_min", "length_min-above-max",
+            *(f"{section}-{key}" for section, key in ZERO_CRASHED),
+            "frames_per_symbol_min-above-max", "empty-mu_grid", "empty-lam_grid", "empty-rho_grid"])
     def test_setting_that_crashed_a_stage_exits_before_writing(self, tmp_path, capsys,
                                                                section, key, settings):
         run = tmp_path / "run"
@@ -430,6 +505,31 @@ class TestCLI:
         assert err.startswith("error: ") and "prediction.lstm.W_h" in err
         assert not (run / "nbest_additive_test.tsv").exists()
 
+    def test_decode_refuses_a_mis_shaped_checkpoint(self, tmp_path, capsys):
+        # Every tensor name is right; the begin row of the embedding is gone.
+        cfg = tiny_config()
+        run = tmp_path / "run"
+        base = ["--config", str(self._write_config(tmp_path, cfg)), "--run-dir", str(run)]
+        assert cli_main(base + ["generate"]) == 0
+        model = init_model(build_model_config(cfg, "additive"), RandomStream(0))
+        arrays = model.arrays()
+        arrays["prediction.embedding"] = arrays["prediction.embedding"][:-1]
+        _write_container(run / "model_additive.npz", arrays, {"config": model.config.to_dict()})
+        capsys.readouterr()
+        assert cli_main(base + ["decode", "--mode", "additive"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "prediction.embedding has shape (5, 6)" in err
+        assert not (run / "nbest_additive_test.tsv").exists()
+
+    def test_rescore_combination_needs_two_modes(self, tmp_path, capsys):
+        cfg = tiny_config(experiment={"conditions": ("no_lm",)})
+        cfg["model"]["modes"] = ("additive",)
+        run = tmp_path / "run"
+        base = ["--config", str(self._write_config(tmp_path, cfg)), "--run-dir", str(run)]
+        assert cli_main(base + ["rescore", "--condition", "combination"]) == 1
+        assert capsys.readouterr().err == "error: combination condition needs two joint modes\n"
+        assert not run.exists()
+
     def test_default_config_prints(self, tmp_path, capsys):
         assert cli_main(["default-config"]) == 0
         out = capsys.readouterr().out
@@ -450,9 +550,8 @@ class TestCLI:
         run = tmp_path / "run"
         assert cli_main(["--config", str(config), "--run-dir", str(run),
                          "--seed", "7", "generate"]) == 0
-        saved = parse_config(run / "config.ini") if (run / "config.ini").exists() else None
-        # generate does not write config.ini; the seed override is live only.
-        assert saved is None or saved["experiment"]["seed"] == 7
+        # generate writes config.ini, as run does, with the override in it.
+        assert parse_config(run / "config.ini")["experiment"]["seed"] == 7
 
 
 ABLATION = "no_sequence_noise"

@@ -8,6 +8,7 @@ imports are directives, so both are exempt from the import check.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -202,3 +203,43 @@ def test_lm_head_has_one_scoring_reader():
     declaration and parameter container, training and the stepwise oracle
     are its only other readers. data.py's `head` is a byte-string prefix."""
     assert _package_readers("head", skip={"data.py"}) == LM_HEAD_READERS
+
+
+ARTIFACT_PREFIXES = ("model_", "nbest_", "lm_", "weights_", "combination_", "metrics_",
+                     "features_", "transcripts_", "external_text", "config.ini", "report.")
+
+
+def artifact_literals(path, naming_site="ARTIFACTS"):
+    """The line and text of every artifact-name literal in the module at
+    `path`, outside a module-level assignment to `naming_site`: an f-string
+    that starts with an artifact prefix, or a string constant that does
+    and reads as a file name (no whitespace, a dot suffix). Config keys
+    such as `external_text_factor` and checkpoint metadata such as
+    `lm_config` share the prefixes but name no file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    skipped = {id(node) for top in tree.body
+               if isinstance(top, ast.Assign)
+               and any(getattr(t, "id", None) == naming_site for t in top.targets)
+               for node in ast.walk(top)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.JoinedStr) and node.values:
+            head = node.values[0]
+            text = head.value if isinstance(head, ast.Constant) else ""
+            if text.startswith(ARTIFACT_PREFIXES):
+                found.append((node.lineno, ast.unparse(node)))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.startswith(ARTIFACT_PREFIXES)
+              and re.fullmatch(r"\S+\.[a-z]+", node.value)):
+            found.append((node.lineno, node.value))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_artifact_names_come_from_one_helper(path):
+    """Every file name of a run directory is spelled once, in
+    `experiment.ARTIFACTS`, which `experiment.artifact` fills; the stages,
+    the CLI and `verify_report` call the helper."""
+    assert artifact_literals(path) == []
