@@ -46,6 +46,7 @@ from .lattice import BLANK_ID, rnnt_forward
 from .numerics import log_add
 
 EXHAUSTIVE_BUDGET = 500_000
+MERGES = ("logsumexp", "max")  # how ALSD merges two paths to one label sequence
 
 
 def greedy_decode(model, features, max_symbols: int | None = None, aux=None) -> tuple[int, ...]:
@@ -80,7 +81,7 @@ def alsd_beam(
     beam_width: int,
     n_best: int = 1,
     expansion_cap: int | None = None,
-    merge: str = "logsumexp",
+    merge: str = MERGES[0],
     debug_invariants: bool = False,
     aux=None,
 ) -> list[NBestRecord]:
@@ -124,7 +125,7 @@ def alsd_beam(
         raise ContractViolation("beam_width must be >= 1")
     if n_best < 1:
         raise ContractViolation("n_best must be >= 1")
-    if merge not in ("logsumexp", "max"):
+    if merge not in MERGES:
         raise ContractViolation(f"unknown merge mode {merge!r}")
     H = model.encode_features(features, aux)
     T = H.shape[0]

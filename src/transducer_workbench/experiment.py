@@ -37,7 +37,7 @@ from .data import (
     write_features,
     write_transcripts,
 )
-from .decoding import DecodeError, alsd_beam, greedy_decode
+from .decoding import MERGES, DecodeError, alsd_beam, greedy_decode
 from .errors import ConfigError, ContractViolation, WorkbenchError
 from .fusion import (
     DEFAULT_LAM_GRID,
@@ -53,6 +53,7 @@ from .fusion import (
     tune_weights,
     write_nbest,
 )
+from .joint import JOINT_MODES
 from .model import (
     ModelConfig,
     init_model,
@@ -67,6 +68,8 @@ from .networks import (CharLMConfig, EncoderConfig, PredictionConfig, PrefixStat
 from .numerics import RandomStream
 from .scoring import compute_wer
 from .training import (
+    OPTIMIZERS,
+    SCHEDULES,
     OptimizerConfig,
     ScheduleConfig,
     TrainingRecipe,
@@ -90,111 +93,6 @@ CONDITIONS = ("no_lm", "shallow", "density_ratio", "combination")
 # the external text.
 LM_NAMES = ("source", "external")
 
-# One entry per recognized key: (type, default). Unknown sections or keys in
-# a config file are errors (typo safety in ablation sweeps).
-CONFIG_SCHEMA = {
-    "task": {
-        "num_labels": (_INT, 8),
-        "feature_dim": (_INT, 10),
-        "frames_per_symbol_min": (_INT, 2),
-        "frames_per_symbol_max": (_INT, 4),
-        "noise_level": (_FLOAT, 0.3),
-        "length_min": (_INT, 3),
-        "length_max": (_INT, 8),
-        "train_size": (_INT, 500),
-        "dev_size": (_INT, 50),
-        "test_size": (_INT, 50),
-        "aux_dim": (_INT, 0),
-        "markov_transcripts": (_BOOL, True),
-        "markov_concentration": (_FLOAT, 0.3),
-        "external_text_factor": (_INT, 10),
-        "delta_features": (_BOOL, False),
-    },
-    "model": {
-        "encoder_layers": (_INT, 2),
-        "encoder_cells": (_INT, 64),
-        "bidirectional": (_BOOL, True),
-        "lookahead": (_INT, 0),
-        "stacking": (_INT, 2),
-        "skip": (_INT, 2),
-        "prediction_cells": (_INT, 48),
-        "embed_dim": (_INT, 16),
-        "joint_dim": (_INT, 16),
-        "modes": (_STRS, ("additive", "multiplicative")),
-        "encoder_init": (_STR, ""),
-    },
-    "training": {
-        "epochs": (_INT, 20),
-        "batch_size": (_INT, 8),
-        "optimizer": (_STR, "adamw"),
-        "momentum": (_FLOAT, 0.9),
-        "beta1": (_FLOAT, 0.9),
-        "beta2": (_FLOAT, 0.98),
-        "eps": (_FLOAT, 1e-9),
-        "weight_decay": (_FLOAT, 0.01),
-        "clip_norm": (_FLOAT, 10.0),
-        "schedule": (_STR, "one_cycle"),
-        "base_lr": (_FLOAT, 0.01),
-        "decay_factor": (_FLOAT, 0.7),
-        "decay_start_epoch": (_INT, 10),
-        # Desk-scale peak; the paper-scale OneCycle endpoints (5e-5 -> 5e-4
-        # -> 0 over 6/20 epochs) are the ScheduleConfig class defaults.
-        "start_lr": (_FLOAT, 5e-4),
-        "peak_lr": (_FLOAT, 5e-3),
-        "warmup_epochs": (_FLOAT, 6.0),
-        "total_epochs": (_FLOAT, 0.0),  # 0 = follow epochs
-        "dropconnect_rate": (_FLOAT, 0.25),
-        # Switchout replacement draws are uniform over the full vocabulary
-        # and may redraw the original symbol.
-        "switchout": (_BOOL, True),
-        "switchout_temperature": (_FLOAT, 10.0),
-        "sequence_noise": (_BOOL, True),
-        "noise_probability": (_FLOAT, 0.8),
-        "noise_scale": (_FLOAT, 0.4),
-        "noise_length_tolerance": (_FLOAT, 0.2),
-        "specaugment": (_BOOL, True),
-        "freq_masks": (_INT, 2),
-        "freq_max_width": (_INT, 3),
-        "time_masks": (_INT, 2),
-        "time_max_width": (_INT, 5),
-        "max_time_ratio": (_FLOAT, 0.2),
-        "speed_tempo_replicas": (_BOOL, False),
-    },
-    "lm": {
-        "source_layers": (_INT, 1),
-        "source_cells": (_INT, 64),
-        "source_embed_dim": (_INT, 16),
-        "external_layers": (_INT, 1),
-        "external_cells": (_INT, 64),
-        "external_embed_dim": (_INT, 16),
-        "epochs": (_INT, 3),
-        "batch_size": (_INT, 16),
-        "lr": (_FLOAT, 2e-3),
-    },
-    "decoding": {
-        "beam_width": (_INT, 8),
-        "n_best": (_INT, 32),
-        "expansion_factor": (_INT, 3),
-        "merge": (_STR, "logsumexp"),
-    },
-    "fusion": {
-        # Grids bracket the production-recipe values (0.5, 0.7, 0.2). A
-        # single shared source LM serves both transducers in combination.
-        "mu_grid": (_FLOATS, DEFAULT_MU_GRID),
-        "lam_grid": (_FLOATS, DEFAULT_LAM_GRID),
-        "rho_grid": (_FLOATS, DEFAULT_RHO_GRID),
-        "combination_alpha": (_FLOAT, 0.5),
-        "combination_beta": (_FLOAT, 0.5),
-    },
-    "experiment": {
-        "seed": (_INT, 0),
-        "conditions": (_STRS, CONDITIONS),
-        "sweep": (_BOOL, False),
-        "sweep_epochs": (_INT, 0),  # 0 = same as training epochs
-        "ablations": (_STRS, ()),
-    },
-}
-
 # Each ablation trains from a copy of the config with one [training] key set
 # to the value that turns its recipe part off.
 ABLATIONS = {
@@ -205,6 +103,115 @@ ABLATIONS = {
     "no_speed_tempo": ("speed_tempo_replicas", False),
 }
 
+# One entry per recognized key: (type, default, domain). A key's domain is
+# the set of values the stages run with: for a number, an interval, where
+# "(" and ")" exclude their bound; for a string, the tuple of its allowed
+# values; for a list, `Items`: each element's domain, and whether the list
+# may be empty. None allows any value of the type, and every float must be
+# finite. Unknown sections or keys in a config file are errors.
+Items = NamedTuple("Items", [("each", object), ("empty", bool)])
+CONFIG_SCHEMA = {
+    "task": {
+        "num_labels": (_INT, 8, "[1, 26]"),
+        "feature_dim": (_INT, 10, "[1, inf)"),
+        "frames_per_symbol_min": (_INT, 2, "[1, inf)"),
+        "frames_per_symbol_max": (_INT, 4, "[1, inf)"),
+        "noise_level": (_FLOAT, 0.3, "[0, inf)"),
+        "length_min": (_INT, 3, "[1, inf)"),
+        "length_max": (_INT, 8, "[1, inf)"),
+        "train_size": (_INT, 500, "[1, inf)"),
+        "dev_size": (_INT, 50, "[1, inf)"),
+        "test_size": (_INT, 50, "[1, inf)"),
+        "aux_dim": (_INT, 0, "[0, inf)"),
+        "markov_transcripts": (_BOOL, True, None),
+        "markov_concentration": (_FLOAT, 0.3, "[0, inf)"),
+        "external_text_factor": (_INT, 10, "[1, inf)"),
+        "delta_features": (_BOOL, False, None),
+    },
+    "model": {
+        "encoder_layers": (_INT, 2, "[1, inf)"),
+        "encoder_cells": (_INT, 64, "[1, inf)"),
+        "bidirectional": (_BOOL, True, None),
+        "lookahead": (_INT, 0, "[0, inf)"),
+        "stacking": (_INT, 2, "[1, inf)"),
+        "skip": (_INT, 2, "[1, inf)"),
+        "prediction_cells": (_INT, 48, "[1, inf)"),
+        "embed_dim": (_INT, 16, "[1, inf)"),
+        "joint_dim": (_INT, 16, "[1, inf)"),
+        "modes": (_STRS, JOINT_MODES, Items(JOINT_MODES, empty=False)),
+        "encoder_init": (_STR, "", None),
+    },
+    "training": {
+        "epochs": (_INT, 20, "[0, inf)"),  # 0 = reuse the checkpoint
+        "batch_size": (_INT, 8, "[1, inf)"),
+        "optimizer": (_STR, OPTIMIZERS[1], OPTIMIZERS),
+        "momentum": (_FLOAT, 0.9, "[0, 1]"),
+        "beta1": (_FLOAT, 0.9, "[0, 1)"),
+        "beta2": (_FLOAT, 0.98, "[0, 1)"),
+        "eps": (_FLOAT, 1e-9, "(0, inf)"),
+        "weight_decay": (_FLOAT, 0.01, "[0, inf)"),
+        "clip_norm": (_FLOAT, 10.0, None),  # <= 0 = no clipping
+        "schedule": (_STR, SCHEDULES[1], SCHEDULES),
+        "base_lr": (_FLOAT, 0.01, "[0, inf)"),
+        "decay_factor": (_FLOAT, 0.7, "[0, 1]"),
+        "decay_start_epoch": (_INT, 10, "[0, inf)"),
+        # Desk-scale peak; the paper-scale OneCycle endpoints (5e-5 -> 5e-4
+        # -> 0 over 6/20 epochs) are the ScheduleConfig class defaults.
+        "start_lr": (_FLOAT, 5e-4, "[0, inf)"),
+        "peak_lr": (_FLOAT, 5e-3, "[0, inf)"),
+        "warmup_epochs": (_FLOAT, 6.0, "[0, inf)"),
+        "total_epochs": (_FLOAT, 0.0, "[0, inf)"),  # 0 = follow epochs
+        "dropconnect_rate": (_FLOAT, 0.25, "[0, 1]"),
+        # Switchout replacement draws are uniform over the full vocabulary
+        # and may redraw the original symbol.
+        "switchout": (_BOOL, True, None),
+        "switchout_temperature": (_FLOAT, 10.0, "(0, inf)"),
+        "sequence_noise": (_BOOL, True, None),
+        "noise_probability": (_FLOAT, 0.8, "[0, 1]"),
+        "noise_scale": (_FLOAT, 0.4, "[0, inf)"),
+        "noise_length_tolerance": (_FLOAT, 0.2, "[0, inf)"),
+        "specaugment": (_BOOL, True, None),
+        "freq_masks": (_INT, 2, "[0, inf)"),
+        "freq_max_width": (_INT, 3, "[0, inf)"),
+        "time_masks": (_INT, 2, "[0, inf)"),
+        "time_max_width": (_INT, 5, "[0, inf)"),
+        "max_time_ratio": (_FLOAT, 0.2, "[0, 1]"),
+        "speed_tempo_replicas": (_BOOL, False, None),
+    },
+    "lm": {
+        "source_layers": (_INT, 1, "[1, inf)"),
+        "source_cells": (_INT, 64, "[1, inf)"),
+        "source_embed_dim": (_INT, 16, "[1, inf)"),
+        "external_layers": (_INT, 1, "[1, inf)"),
+        "external_cells": (_INT, 64, "[1, inf)"),
+        "external_embed_dim": (_INT, 16, "[1, inf)"),
+        "epochs": (_INT, 3, "[0, inf)"),
+        "batch_size": (_INT, 16, "[1, inf)"),
+        "lr": (_FLOAT, 2e-3, "[0, inf)"),
+    },
+    "decoding": {
+        "beam_width": (_INT, 8, "[1, inf)"),
+        "n_best": (_INT, 32, "[1, inf)"),
+        "expansion_factor": (_INT, 3, "[1, inf)"),
+        "merge": (_STR, MERGES[0], MERGES),
+    },
+    "fusion": {
+        # Grids bracket the production-recipe values (0.5, 0.7, 0.2). A
+        # single shared source LM serves both transducers in combination.
+        "mu_grid": (_FLOATS, DEFAULT_MU_GRID, Items(None, empty=False)),
+        "lam_grid": (_FLOATS, DEFAULT_LAM_GRID, Items(None, empty=False)),
+        "rho_grid": (_FLOATS, DEFAULT_RHO_GRID, Items(None, empty=False)),
+        "combination_alpha": (_FLOAT, 0.5, None),
+        "combination_beta": (_FLOAT, 0.5, None),
+    },
+    "experiment": {
+        "seed": (_INT, 0, None),
+        "conditions": (_STRS, CONDITIONS, Items(CONDITIONS, empty=True)),
+        "sweep": (_BOOL, False, None),
+        "sweep_epochs": (_INT, 0, "[0, inf)"),  # 0 = same as training epochs
+        "ablations": (_STRS, (), Items(tuple(ABLATIONS), empty=True)),
+    },
+}
 
 def default_config() -> dict:
     return {
@@ -265,46 +272,35 @@ def parse_config(path) -> dict:
 
 
 def _validate(config: dict):
-    """Refuse, at parse time, every setting a later stage would refuse."""
-    if not config["model"]["modes"]:
-        raise ConfigError("[model] modes: at least one joint mode is needed")
-    for mode in config["model"]["modes"]:
-        if mode not in ("additive", "multiplicative"):
-            raise ConfigError(f"unknown joint mode {mode!r}")
-    for cond in config["experiment"]["conditions"]:
-        if cond not in CONDITIONS:
-            raise ConfigError(f"unknown decode condition {cond!r}")
-    for ablation in config["experiment"]["ablations"]:
-        if ablation not in ABLATIONS:
-            raise ConfigError(f"unknown ablation {ablation!r}")
-    if config["experiment"]["conditions"].count("combination") and len(
-        config["model"]["modes"]
-    ) < 2:
-        raise ConfigError("combination condition needs two joint modes")
-    d, t = config["decoding"], config["task"]
-    if d["merge"] not in ("logsumexp", "max"):
-        raise ConfigError(f"[decoding] merge: unknown merge mode {d['merge']!r}")
-    lm_sizes = tuple(f"{which}_{key}" for which in LM_NAMES for key in ("layers", "cells", "embed_dim"))
-    for section, keys in (
-        ("task", ("length_min", "feature_dim", "train_size", "dev_size", "test_size")),
-        ("model", ("encoder_layers", "encoder_cells", "stacking", "skip", "prediction_cells",
-                   "embed_dim", "joint_dim")),
-        ("training", ("batch_size",)), ("lm", ("batch_size", *lm_sizes)),
-        ("decoding", ("beam_width", "n_best", "expansion_factor")),
-    ):
-        for key in keys:
-            if config[section][key] < 1:
-                raise ConfigError(f"[{section}] {key}: must be >= 1, got {config[section][key]}")
+    """Refuse, at parse time, every value outside its key's domain, and every
+    setting that breaks a rule involving two keys."""
+    for section, keys in CONFIG_SCHEMA.items():
+        for key, (kind, _, domain) in keys.items():
+            value, where = config[section][key], f"[{section}] {key}"
+            items = (value,)
+            if isinstance(domain, Items):
+                if not (value or domain.empty):
+                    raise ConfigError(f"{where}: at least one value is needed")
+                items, domain = value, domain.each
+            for item in items:
+                if kind in (_FLOAT, _FLOATS) and not np.isfinite(item) or not _in_domain(item, domain):
+                    raise ConfigError(f"{where}: {item!r} is outside {domain or 'the finite numbers'}")
+    t, tr, e, m = config["task"], config["training"], config["experiment"], config["model"]
     for low, high in (("length_min", "length_max"), ("frames_per_symbol_min", "frames_per_symbol_max")):
         if t[high] < t[low]:
             raise ConfigError(f"[task] {high}: {t[high]} is below {low} {t[low]}")
-    for key in ("mu_grid", "lam_grid", "rho_grid"):
-        if not config["fusion"][key]:
-            raise ConfigError(f"[fusion] {key}: at least one value is needed")
-    try:
-        build_recipe(config)
-    except ContractViolation as exc:
-        raise ConfigError(f"[training]: {exc}") from exc
+    if "combination" in e["conditions"] and len(m["modes"]) < 2:
+        raise ConfigError(f"[experiment] conditions: combination needs two modes, got {m['modes']}")
+    if 0 < tr["total_epochs"] < max(tr["epochs"], e["sweep_epochs"]):  # one-cycle ends too early
+        raise ConfigError(f"[training] total_epochs: {tr['total_epochs']} ends before the last epoch")
+
+
+def _in_domain(value, domain) -> bool:
+    if isinstance(domain, str):  # an interval
+        low, high = (float(bound) for bound in domain[1:-1].split(","))
+        return (low < value if domain[0] == "(" else low <= value) and (
+            value < high if domain[-1] == ")" else value <= high)
+    return domain is None or value in domain
 
 
 def format_config(config: dict) -> str:
@@ -605,7 +601,7 @@ def stage_generate(run: Run, stream: int):
         write_features(run_dir / artifact("features", split), ds)
         write_transcripts(run_dir / artifact("transcripts", split), ds, task.alphabet)
     factor = config["task"]["external_text_factor"]
-    extra = sample_text_corpus(task, max(0, (factor - 1)) * len(task.train), rng.child(2))
+    extra = sample_text_corpus(task, (factor - 1) * len(task.train), rng.child(2))
     write_transcripts(run_dir / artifact("external_text"),
                       {f"ext-{i:05d}": seq for i, seq in enumerate(extra)}, task.alphabet)
     run.data = task.alphabet, datasets
@@ -834,7 +830,7 @@ def stage_combination(run_dir, models, datasets, alphabet, refs, rows) -> dict:
 # The optimizer x schedule grid of the sweep, by training tag.
 SWEEP = {
     f"sweep_{optimizer}_{schedule}": (optimizer, schedule)
-    for optimizer in ("momentum_sgd", "adamw") for schedule in ("const_decay", "one_cycle")
+    for optimizer in OPTIMIZERS for schedule in SCHEDULES
 }
 
 

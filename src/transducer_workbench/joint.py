@@ -24,6 +24,7 @@ from .numerics import RandomStream, log_softmax, log_softmax_backward
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
+JOINT_MODES = (ADDITIVE, MULTIPLICATIVE)
 
 
 @dataclass
@@ -37,7 +38,7 @@ class JointParams:
     b_pred: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.mode not in (ADDITIVE, MULTIPLICATIVE):
+        if self.mode not in JOINT_MODES:
             raise ContractViolation(f"unknown joint mode {self.mode!r}")
         J = self.W_enc.shape[0]
         if self.W_pred.shape[0] != J:

@@ -33,6 +33,7 @@ from .scoring import corpus_wer
 
 CONST_DECAY = "const_decay"
 ONE_CYCLE = "one_cycle"
+SCHEDULES = (CONST_DECAY, ONE_CYCLE)
 
 
 @dataclass
@@ -49,7 +50,7 @@ class ScheduleConfig:
     total_epochs: float = 20.0
 
     def __post_init__(self):
-        if self.kind not in (CONST_DECAY, ONE_CYCLE):
+        if self.kind not in SCHEDULES:
             raise ContractViolation(f"unknown schedule kind {self.kind!r}")
         if self.kind == ONE_CYCLE and not 0 <= self.warmup_epochs < self.total_epochs:
             raise ContractViolation(
@@ -85,6 +86,7 @@ def lr_at(schedule: ScheduleConfig, epoch_fraction: float) -> float:
 
 MOMENTUM_SGD = "momentum_sgd"
 ADAMW = "adamw"
+OPTIMIZERS = (MOMENTUM_SGD, ADAMW)
 
 
 @dataclass
@@ -98,7 +100,7 @@ class OptimizerConfig:
     clip_norm: float = 10.0  # global gradient-norm clip; <= 0 disables
 
     def __post_init__(self):
-        if self.kind not in (MOMENTUM_SGD, ADAMW):
+        if self.kind not in OPTIMIZERS:
             raise ContractViolation(f"unknown optimizer kind {self.kind!r}")
 
 

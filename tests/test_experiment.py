@@ -143,12 +143,12 @@ class TestConfigParsing:
         ("decoding", "beam_width", "0", r"\[decoding\] beam_width"),
         ("decoding", "n_best", "0", r"\[decoding\] n_best"),
         ("decoding", "expansion_factor", "0", r"\[decoding\] expansion_factor"),
-        ("training", "optimizer", "adam", "optimizer kind 'adam'"),
-        ("training", "schedule", "cosine", "schedule kind 'cosine'"),
-        ("training", "switchout_temperature", "0", "switchout temperature"),
-        ("training", "noise_probability", "1.5", "noise probability"),
-        ("training", "noise_scale", "-1", "noise scale"),
-        ("training", "warmup_epochs", "-1", "warmup"),
+        ("training", "optimizer", "adam", r"\[training\] optimizer"),
+        ("training", "schedule", "cosine", r"\[training\] schedule"),
+        ("training", "switchout_temperature", "0", r"\[training\] switchout_temperature"),
+        ("training", "noise_probability", "1.5", r"\[training\] noise_probability"),
+        ("training", "noise_scale", "-1", r"\[training\] noise_scale"),
+        ("training", "warmup_epochs", "-1", r"\[training\] warmup_epochs"),
     ])
     def test_setting_a_later_stage_refuses_is_rejected(self, tmp_path, section, key, raw, match):
         path = tmp_path / "config.ini"
@@ -182,10 +182,16 @@ class TestRecipeBuilder:
             assert dataclasses.replace(ablated, **{part: getattr(base, part)}) == base, ablation
 
     def test_every_ablation_sets_one_training_key_of_its_type(self):
+        # Each ablation value, each sweep cell and every default lies in its
+        # key's domain: `with_settings` raises otherwise.
         kinds = {"bool": bool, "int": int, "float": float, "str": str}
         for ablation, (key, value) in ABLATIONS.items():
             assert key in CONFIG_SCHEMA["training"], ablation
             assert type(value) is kinds[CONFIG_SCHEMA["training"][key][0]], ablation
+            with_settings(default_config(), "training", **{key: value})
+        for optimizer, schedule in experiment.SWEEP.values():
+            with_settings(default_config(), "training", optimizer=optimizer, schedule=schedule)
+        with_settings(default_config(), "task")
 
     def test_with_settings_leaves_its_input_unchanged(self):
         cfg = tiny_config()
@@ -334,6 +340,89 @@ ZERO_CRASHED = [
       for key in ("layers", "cells", "embed_dim")),
 ]
 
+# Settings that parsed, then gave a traceback, exited 2 after writing, or ran
+# to a clean report with a meaningless value: (id, section, key, settings).
+OUT_OF_DOMAIN = [
+    ("markov_concentration-negative", "task", "markov_concentration",
+     {"task": {"markov_concentration": -1.0}}),
+    ("max_time_ratio-negative", "training", "max_time_ratio", {"training": {"max_time_ratio": -1.0}}),
+    ("time_max_width-negative", "training", "time_max_width", {"training": {"time_max_width": -1}}),
+    ("num_labels-zero", "task", "num_labels", {"task": {"num_labels": 0}}),
+    ("num_labels-27", "task", "num_labels", {"task": {"num_labels": 27}}),
+    ("noise_level-negative", "task", "noise_level", {"task": {"noise_level": -1.0}}),
+    ("aux_dim-negative", "task", "aux_dim", {"task": {"aux_dim": -1}}),
+    ("frames_per_symbol-zero", "task", "frames_per_symbol_min",
+     {"task": {"frames_per_symbol_min": 0, "frames_per_symbol_max": 0}}),
+    ("dropconnect_rate-1.5", "training", "dropconnect_rate", {"training": {"dropconnect_rate": 1.5}}),
+    ("eps-zero", "training", "eps", {"training": {"eps": 0.0}}),
+    ("beta2-one", "training", "beta2", {"training": {"beta2": 1.0}}),
+    ("lm-lr-nan", "lm", "lr", {"lm": {"lr": math.nan}}),
+    ("noise_level-nan", "task", "noise_level", {"task": {"noise_level": math.nan}}),
+    ("external_text_factor-zero", "task", "external_text_factor",
+     {"task": {"external_text_factor": 0}}),
+    ("epochs-negative", "training", "epochs", {"training": {"epochs": -1}}),
+    ("freq_masks-negative", "training", "freq_masks", {"training": {"freq_masks": -1}}),
+    ("noise_length_tolerance-negative", "training", "noise_length_tolerance",
+     {"training": {"noise_length_tolerance": -1.0}}),
+    ("decay_factor-negative", "training", "decay_factor",
+     {"training": {"schedule": "const_decay", "decay_factor": -1.0}}),
+    ("lookahead-negative", "model", "lookahead", {"model": {"bidirectional": False, "lookahead": -1}}),
+    ("sweep_epochs-negative", "experiment", "sweep_epochs",
+     {"experiment": {"sweep": True, "sweep_epochs": -1}}),
+    ("lm-lr-negative", "lm", "lr", {"lm": {"lr": -1.0}}),
+    ("total_epochs-below-epochs", "training", "total_epochs", {"training": {"total_epochs": 1.0}}),
+]
+
+
+def bound_cases():
+    """Per finite bound of each number key's interval: (section, key, a value
+    just outside it, a value at it). "At" an open bound is just inside it."""
+    for section, keys in CONFIG_SCHEMA.items():
+        for key, (kind, _, domain) in keys.items():
+            if not isinstance(domain, str):
+                continue
+            low, high = (float(bound) for bound in domain[1:-1].split(","))
+            for side, bound, closed in ((-1, low, domain[0] == "["), (1, high, domain[-1] == "]")):
+                if math.isinf(bound):
+                    continue
+                if kind == "int":
+                    outside, at = (int(bound) + side, int(bound)) if closed else (
+                        int(bound), int(bound) - side)
+                else:
+                    outside, at = (math.nextafter(bound, side * math.inf), bound) if closed else (
+                        bound, bound - side * 1e-6)
+                yield pytest.param(section, key, outside, at,
+                                   id=f"{section}-{key}-{'low' if side < 0 else 'high'}")
+
+
+# At its lower bound, a maximum takes its minimum with it, as `_validate`
+# refuses a maximum below its minimum.
+MINIMUM_OF = {"length_max": "length_min", "frames_per_symbol_max": "frames_per_symbol_min"}
+
+
+class TestConfigDomains:
+    @pytest.mark.parametrize("section, key, outside, at", bound_cases())
+    def test_just_outside_a_bound_is_refused(self, tmp_path, capsys, section, key, outside, at):
+        config = tmp_path / "config.ini"
+        write_config(config, tiny_config(**{section: {key: outside}}))
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: "):
+            parse_config(config)
+        run = tmp_path / "run"
+        assert cli_main(["--config", str(config), "--run-dir", str(run), "run"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: [{section}] {key}: ")
+        assert not run.exists() or list(run.iterdir()) == []
+
+    @pytest.mark.parametrize("section, key, outside, at", bound_cases())
+    def test_at_a_bound_runs_and_verifies(self, tmp_path, capsys, section, key, outside, at):
+        cfg = tiny_config(**{section: {key: at}})
+        if key in MINIMUM_OF:
+            cfg[section][MINIMUM_OF[key]] = min(at, cfg[section][MINIMUM_OF[key]])
+        config = tmp_path / "config.ini"
+        write_config(config, cfg)
+        base = ["--config", str(config), "--run-dir", str(tmp_path / "run")]
+        assert cli_main(base + ["run"]) == 0, capsys.readouterr().out
+        assert cli_main(base + ["verify"]) == 0
+
 
 class TestCLI:
     def _write_config(self, tmp_path, cfg=None):
@@ -475,9 +564,11 @@ class TestCLI:
         ("task", "frames_per_symbol_max",
          {"task": {"frames_per_symbol_min": 5, "frames_per_symbol_max": 4}}),
         *(("fusion", key, {"fusion": {key: ()}}) for key in ("mu_grid", "lam_grid", "rho_grid")),
+        *(row[1:] for row in OUT_OF_DOMAIN),
     ], ids=["training-batch_size", "lm-batch_size", "length_min", "length_min-above-max",
             *(f"{section}-{key}" for section, key in ZERO_CRASHED),
-            "frames_per_symbol_min-above-max", "empty-mu_grid", "empty-lam_grid", "empty-rho_grid"])
+            "frames_per_symbol_min-above-max", "empty-mu_grid", "empty-lam_grid", "empty-rho_grid",
+            *(row[0] for row in OUT_OF_DOMAIN)])
     def test_setting_that_crashed_a_stage_exits_before_writing(self, tmp_path, capsys,
                                                                section, key, settings):
         run = tmp_path / "run"
@@ -527,7 +618,8 @@ class TestCLI:
         run = tmp_path / "run"
         base = ["--config", str(self._write_config(tmp_path, cfg)), "--run-dir", str(run)]
         assert cli_main(base + ["rescore", "--condition", "combination"]) == 1
-        assert capsys.readouterr().err == "error: combination condition needs two joint modes\n"
+        assert capsys.readouterr().err == ("error: [experiment] conditions: combination needs two "
+                                           "modes, got ('additive',)\n")
         assert not run.exists()
 
     def test_default_config_prints(self, tmp_path, capsys):
