@@ -12,11 +12,16 @@ A decoder model is anything with:
     num_labels -> int
 
 A state is a block of label-prefix rows. `extend_decode_state` takes label
-tuples and returns their rows in order, adding the ones its utterance lacks
-(`TransducerModel` keeps them in a `networks.PrefixStates` table); row i of
-`joint_log_probs` reads H_rows[i] and prefix i. State handles are never
-mutated, so they can be shared. A state depends only on its label prefix,
-so `alsd_beam` steps the prediction network lazily: a label extension is
+tuples and returns their rows in order, adding the ones its table lacks
+(`TransducerModel` keeps them in a `networks.PrefixStates` table, one per
+`init_decode_state` call); row i of `joint_log_probs` reads H_rows[i] and
+prefix i. State handles are never mutated, so they can be shared, and a
+state depends only on its label prefix. So both decoders take an optional
+`start` state: a stage passes one start state per model to all its
+utterances, which then share their prefix rows, and each utterance steps
+only the prefixes no earlier one reached. The results do not depend on
+what the start state's table holds. The searches treat states as opaque;
+`alsd_beam` steps the prediction network lazily: a label extension is
 scored from its parent's row, and gets a row of its own only if it survives
 pruning. Each step makes one extend call for the whole beam and one joint
 call over it; `greedy_decode` uses one-row blocks. The frame-index
@@ -49,17 +54,20 @@ EXHAUSTIVE_BUDGET = 500_000
 MERGES = ("logsumexp", "max")  # how ALSD merges two paths to one label sequence
 
 
-def greedy_decode(model, features, max_symbols: int | None = None, aux=None) -> tuple[int, ...]:
+def greedy_decode(
+    model, features, max_symbols: int | None = None, aux=None, start=None
+) -> tuple[int, ...]:
     """Frame-by-frame argmax: emit labels until blank wins, then advance.
 
     Returns the labels. Stops at t = T or after max_symbols emissions (2T
-    by default), so a result of max_symbols labels was truncated.
+    by default), so a result of max_symbols labels was truncated. `start`
+    is the empty prefix's state, `model.init_decode_state()` when None.
     """
     H = model.encode_features(features, aux)
     T = H.shape[0]
     if max_symbols is None:
         max_symbols = 2 * T
-    state = model.init_decode_state()
+    state = model.init_decode_state() if start is None else start
     labels: list[int] = []
     t = 0
     while t < T:
@@ -84,6 +92,7 @@ def alsd_beam(
     merge: str = MERGES[0],
     debug_invariants: bool = False,
     aux=None,
+    start=None,
 ) -> list[NBestRecord]:
     """Alignment-length synchronous beam search.
 
@@ -112,7 +121,9 @@ def alsd_beam(
     `joint_log_probs` call over the beam's rows. Every extension is scored
     from its parent's row; only the hypotheses that survive pruning get a
     row of their own, shared by label prefix. The search always stops as
-    soon as no live hypothesis can enter the n-best list.
+    soon as no live hypothesis can enter the n-best list. The search starts
+    from `start`, the empty prefix's state, or from a new
+    `model.init_decode_state()` when None.
 
     Returns the n-best rows, ranked by (-transducer_a, labels), one per
     label sequence: `length` is the alignment length T + |labels|,
@@ -136,7 +147,7 @@ def alsd_beam(
 
     K = model.num_labels + 1
     is_blank = np.arange(K) == BLANK_ID
-    state = model.init_decode_state()
+    state = model.init_decode_state() if start is None else start
     # The beam, ranked by (-score, labels).
     labels: list[tuple[int, ...]] = [()]
     t = np.zeros(1, dtype=np.int64)

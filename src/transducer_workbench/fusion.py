@@ -12,10 +12,11 @@ n-best lists: the search ranks by the transducer score alone, and each
 row's LM components are full-sequence `lm_score` values.
 
 Combination cross-scores each utterance's n-best union on the prefix trie of
-its label sequences (`TransducerModel.prefix_trie_nlls`, one fresh table per
-model), so a prefix that many hypotheses share is scored once per model. The
-result agrees with `lattice_nll`, the per-sequence oracle, within
-1e-12 * max(1, |nll|).
+its label sequences (`networks.prefix_trie`, laid out once per union), and
+each model steps the trie's nodes in a fresh table of its own
+(`TransducerModel.prefix_trie_nlls`), so a prefix that many hypotheses
+share is scored once per model. The result agrees with `lattice_nll`, the
+per-sequence oracle, within 1e-12 * max(1, |nll|).
 
 From the search on, every n-best row is an `NBestRecord`: what `alsd_beam`
 and the exhaustive oracle return, the rows of decoder and combination
@@ -36,7 +37,7 @@ import numpy as np
 from . import scoring
 from .data import atomic_write, not_utf8
 from .errors import ContractViolation
-from .networks import LabelNetParams, lm_score
+from .networks import LabelNetParams, lm_score, prefix_trie
 
 logger = logging.getLogger(__name__)
 
@@ -118,12 +119,13 @@ def combine_rescore(
     ranked by (-transducer_a, labels).
 
     Every sequence is scored by both transducers with exact lattice
-    marginals. Each model scores the union in one `prefix_trie_nlls` call,
-    on the prefix trie of a fresh table: one prediction-LSTM block step per
-    trie depth (a row per distinct label prefix), one joint column and one
-    alpha column per prefix. The scores agree with the per-sequence oracle
-    `lattice_nll` within 1e-12 * max(1, |nll|); only the joint matmuls' row
-    counts differ. The LM components are not recomputed: they are the
+    marginals. The union's prefix trie is laid out once (`prefix_trie`),
+    and each model scores it in one `prefix_trie_nlls` call, on a fresh
+    table: one prediction-LSTM block step per trie depth (a row per
+    distinct label prefix), one joint column and one alpha column per
+    prefix. The scores agree with the per-sequence oracle `lattice_nll`
+    within 1e-12 * max(1, |nll|); only the joint matmuls' row counts
+    differ. The LM components are not recomputed: they are the
     `source_lm`/`external_lm` fields of the n-best rows, which the decoding
     stage fills with full-sequence `lm_score` values. Both lists must carry
     the same LM scores for a shared label sequence; rows straight from the
@@ -154,8 +156,9 @@ def combine_rescore(
             )
             continue
         kept.append(labels)
-    scores_a = (-model_a.prefix_trie_nlls(H_a, kept)).tolist()
-    scores_b = (-model_b.prefix_trie_nlls(H_b, kept)).tolist()
+    trie = prefix_trie(kept)
+    scores_a = (-model_a.prefix_trie_nlls(H_a, trie)).tolist()
+    scores_b = (-model_b.prefix_trie_nlls(H_b, trie)).tolist()
     rows = [
         NBestRecord(labels, len(labels), trans_a, *union[labels], transducer_b=trans_b)
         for labels, trans_a, trans_b in zip(kept, scores_a, scores_b)

@@ -16,9 +16,10 @@ oracle for `rnnt_forward`; both implement the same convention.
 
 Prefix tries: lattice row u and alpha column u of a sequence depend only on
 its first u labels. `prefix_trie_forward` therefore scores a whole set of
-sequences on their prefix trie (the rows of a fresh `networks.PrefixStates`
-table, nodes in depth order), one lattice column and one alpha column per
-distinct prefix. Given the same lattice columns it reproduces
+sequences on their prefix trie (`networks.prefix_trie`, laid out as a fresh
+`PrefixStates` table lays out its rows, nodes in depth order), one lattice
+column and one alpha column per distinct prefix. Given the same lattice
+columns it reproduces
 `rnnt_forward`'s alpha bit for bit, since every entry comes from the same
 operands through the same `+` and `np.logaddexp`.
 """

@@ -5,7 +5,8 @@ starts from the step of its learned begin symbol.
 
 Label prefixes reach the prediction network through `PrefixStates`: a
 decoder state is a table plus row indices, and `prefix_trie_nlls` scores a
-set of sequences on the prefix trie of a fresh table.
+set of sequences on their prefix trie with the rows of a fresh table. The
+decoding stage makes one table per model and passes it to every utterance.
 
 Parameter tensors live in a flat name -> array mapping ("encoder.layers.0.
 fwd.W_x", "prediction.layers.0.W_h", "joint.W_out", ...) used by the
@@ -37,6 +38,7 @@ from .networks import (
     LabelNetParams,
     PredictionConfig,
     PrefixStates,
+    PrefixTrie,
     encode,
     encode_backward,
     init_char_lm_params,
@@ -141,12 +143,12 @@ class TransducerModel:
         nll, _ = rnnt_forward(self.logprob_lattice(H, labels), labels)
         return nll
 
-    def prefix_trie_nlls(self, H, sequences) -> np.ndarray:
-        """NLL of each label sequence of `sequences`, all scored together on
-        their prefix trie: the rows of a fresh `PrefixStates` table, one
-        prediction-LSTM block step per trie depth, one joint call over every
-        trie node, and one alpha column per node. Returns the NLLs in the
-        order of `sequences`.
+    def prefix_trie_nlls(self, H, trie: PrefixTrie) -> np.ndarray:
+        """NLL of each label sequence of `trie` (`networks.prefix_trie`),
+        all scored together on the trie: the trie's nodes are the rows of a
+        fresh `PrefixStates` table, one prediction-LSTM block step per trie
+        depth, one joint call over every node, and one alpha column per
+        node. Returns the NLLs in the order of the trie's sequences.
 
         Agrees with `lattice_nll` per sequence within 1e-12 * max(1, |nll|).
         The prediction rows and the alpha recursion are bitwise those of
@@ -155,10 +157,10 @@ class TransducerModel:
         change the BLAS kernel and so the last bits.
         """
         table = PrefixStates(self.prediction)
-        ends = table.rows(sequences)
+        table.add(trie.blocks)  # node n is row n
         columns, _ = joint_forward_lattice(H, table.outputs, self.joint)
-        alpha = prefix_trie_forward(columns, table.parents, table.labels)
-        return -alpha[-1, ends]
+        alpha = prefix_trie_forward(columns, trie.parents, trie.labels)
+        return -alpha[-1, trie.ends]
 
     # -- decoding interface ----------------------------------------------
 
@@ -167,7 +169,9 @@ class TransducerModel:
         return H
 
     def init_decode_state(self) -> DecodeState:
-        """The empty prefix as row 0 of a new utterance's prefix table."""
+        """The empty prefix as row 0 of a new prefix table. Every state
+        extended from it shares the table, so the searches of a stage that
+        start from one such state step each label prefix once."""
         return DecodeState(PrefixStates(self.prediction), np.zeros(1, dtype=np.intp))
 
     def extend_decode_state(self, state: DecodeState, prefixes) -> DecodeState:
@@ -193,8 +197,9 @@ class TransducerModel:
 
 @dataclass(frozen=True)
 class DecodeState:
-    """A decoder handle: row indices into one utterance's prefix table, one
-    row per label prefix of a beam step. Handles are never mutated."""
+    """A decoder handle: row indices into a prefix table, one row per label
+    prefix of a beam step. Handles are never mutated; the table only grows,
+    so a handle stays valid while later searches add rows."""
 
     table: PrefixStates
     rows: np.ndarray

@@ -22,7 +22,8 @@ begin symbol; the LMs add only their output head and end marker.
 `PrefixStates` holds the label-network states of a growing set of label
 prefixes, keyed by prefix, with the begin step at its root, and steps each
 depth of new prefixes as one block: the decoder's prediction rows, trie
-cross-scoring and the LM reader `lm_score` step prefixes only through it.
+cross-scoring and the LM reader `lm_score` step prefixes only through it,
+each on one table per network shared by many utterances.
 An LM table also keeps each row's next-symbol log-probabilities and
 cumulative prefix score as columns, filled once per row by the one LM
 scoring head, a stacked per-row product, so its columns equal the stepwise
@@ -39,7 +40,9 @@ matrix * mask for the whole pass, and gradients are chained through the mask.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -621,9 +624,16 @@ class PrefixStates:
     never rewritten; storage grows by doubling. New prefixes are stepped
     from their parents' rows, one `_label_forward` block per depth below the
     nearest ancestor with a row, in first-seen order, so on a fresh table
-    `rows(sequences)` lays out their prefix trie in depth order. A block
-    step equals one-row steps bit for bit, so no row depends on when or with
-    what it was added.
+    `rows(sequences)` lays out their prefix trie in depth order
+    (`prefix_trie`). A block step equals one-row steps bit for bit, so no
+    row depends on when or with what it was added.
+
+    So one table serves every utterance that a fixed network scores: the
+    decoding stage makes one per model for all its utterances, and
+    `attach_lm_components` one per LM for its n-best file, and each
+    utterance steps only the prefixes that no earlier one needed. A table
+    holds the states of the parameters it was made with, so it lives only
+    as long as the call that made it; nothing caches one.
 
     The table of an LM (a network with a head) has two columns more, each
     row's next-symbol log-probabilities and cumulative prefix score
@@ -679,36 +689,32 @@ class PrefixStates:
         """The row of each label tuple of `prefixes`, in order, adding every
         missing prefix and ancestor. A new label out of the vocabulary raises
         ContractViolation before any row is added."""
+        self.add(_new_prefixes(prefixes, self.index))
+        return np.array([self.index[prefix] for prefix in prefixes], dtype=np.intp)
+
+    def add(self, blocks):
+        """Give rows to `blocks` of new prefixes, in order, one block step
+        each: every prefix's parent has a row or is in an earlier block, as
+        in the blocks of `rows` and of a `PrefixTrie`. A new label out of
+        the vocabulary raises ContractViolation before any row is added."""
         index = self.index
-        new: dict[tuple, int] = {}  # new prefix -> depth below its nearest ancestor with a row
-        for prefix in prefixes:
-            u, stem = len(prefix), prefix
-            while stem not in index and stem not in new:
-                u -= 1
-                stem = prefix[:u]
-            depth = new.get(stem, 0)
-            for d in range(u + 1, len(prefix) + 1):
-                depth += 1
-                new[prefix[:d]] = depth
-        blocks: dict[int, list] = {}  # depth -> prefixes; a depth comes after its parent's
         vocab = self.params.num_labels
-        for prefix, depth in new.items():
+        for prefix in itertools.chain.from_iterable(blocks):
             if not 0 <= prefix[-1] < vocab:
                 raise ContractViolation(f"label {prefix[-1]} outside vocabulary of {vocab}")
-            blocks.setdefault(depth, []).append(prefix)
         size, capacity = len(self.parents), self._states[0].shape[1]
-        if size + len(new) > capacity:
+        added = sum(map(len, blocks))
+        if size + added > capacity:
             for i, s in enumerate(self._states):
-                self._states[i] = np.empty((2, max(size + len(new), 2 * capacity), s.shape[2]))
+                self._states[i] = np.empty((2, max(size + added, 2 * capacity), s.shape[2]))
                 self._states[i][:, :size] = s[:, :size]
-        for block in blocks.values():
+        for block in blocks:
             start = len(self.parents)
             up, labels = [index[prefix[:-1]] for prefix in block], [prefix[-1] for prefix in block]
             self._step(up, labels, start)
             index.update(zip(block, range(start, start + len(block))))
             self.parents += up
             self.labels += labels
-        return np.array([index[prefix] for prefix in prefixes], dtype=np.intp)
 
     def _step(self, up, labels, start):
         """Step rows `up` by `labels` as one block into the rows from `start`."""
@@ -717,6 +723,60 @@ class PrefixStates:
         for s, (h, c) in zip(self._states, final):
             s[0, start : start + len(labels)] = h
             s[1, start : start + len(labels)] = c
+
+
+def _new_prefixes(prefixes, index) -> list[list[tuple]]:
+    """The prefixes of `prefixes`, ancestors included, that `index` lacks,
+    as blocks by depth below their nearest ancestor in `index` (which must
+    hold the empty prefix), each block in first-seen order. Every prefix's
+    parent is in `index` or in an earlier block."""
+    new: dict[tuple, int] = {}  # new prefix -> its depth
+    for prefix in prefixes:
+        u, stem = len(prefix), prefix
+        while stem not in index and stem not in new:
+            u -= 1
+            stem = prefix[:u]
+        depth = new.get(stem, 0)
+        for d in range(u + 1, len(prefix) + 1):
+            depth += 1
+            new[prefix[:d]] = depth
+    blocks: dict[int, list] = {}  # a depth first appears after its parent's
+    for prefix, depth in new.items():
+        blocks.setdefault(depth, []).append(prefix)
+    return list(blocks.values())
+
+
+class PrefixTrie(NamedTuple):
+    """The prefix trie of a set of label sequences, laid out as a fresh
+    `PrefixStates` table lays out its rows: node 0 is the empty prefix
+    (parent and label -1), then each depth's new prefixes in first-seen
+    order, so no node is deeper than a later one. `blocks` holds the
+    prefixes of each depth; node n > 0 extends node `parents[n]` by
+    `labels[n]`; `ends[i]` is the node of sequence i. A fresh table that
+    adds the blocks (`PrefixStates.add`) gives node n row n."""
+
+    blocks: list
+    parents: list
+    labels: list
+    ends: list
+
+    @property
+    def prefixes(self) -> list:
+        """The label prefix of each node."""
+        return [(), *itertools.chain.from_iterable(self.blocks)]
+
+
+def prefix_trie(sequences) -> PrefixTrie:
+    """The `PrefixTrie` of `sequences` (label tuples), by the walk that
+    finds a table's new prefixes. Labels are not checked: the table that
+    gives the nodes rows checks its vocabulary."""
+    sequences = list(sequences)
+    blocks = _new_prefixes(sequences, {(): 0})
+    prefixes = [(), *itertools.chain.from_iterable(blocks)]
+    node = {prefix: n for n, prefix in enumerate(prefixes)}
+    parents = [-1] + [node[prefix[:-1]] for prefix in prefixes[1:]]
+    labels = [-1] + [prefix[-1] for prefix in prefixes[1:]]
+    return PrefixTrie(blocks, parents, labels, [node[seq] for seq in sequences])
 
 
 # ---------------------------------------------------------------------------

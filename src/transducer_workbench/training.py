@@ -284,10 +284,12 @@ def batch_loss_and_grads(model: TransducerModel, items, masks=None):
 
 
 def dev_wer(model: TransducerModel, dev: Dataset, alphabet) -> float:
-    """Corpus WER of greedy decoding over `dev`."""
+    """Corpus WER of greedy decoding over `dev`, every utterance from one
+    start state, so they share one prefix table."""
+    start = model.init_decode_state()
 
     def word_pair(utt):
-        labels = greedy_decode(model, utt.frames.astype(np.float64), aux=utt.aux)
+        labels = greedy_decode(model, utt.frames.astype(np.float64), aux=utt.aux, start=start)
         return alphabet.words(utt.labels), alphabet.words(labels)
 
     return corpus_wer(map(word_pair, dev))

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from helpers import (
 )
 from transducer_workbench import experiment, fusion, networks
 from transducer_workbench.decoding import (
+    MERGES,
     alsd_beam,
     exhaustive_decode,
     exhaustive_search_cost,
@@ -29,13 +31,16 @@ from transducer_workbench.errors import (
 )
 from transducer_workbench.experiment import attach_lm_components
 from transducer_workbench.fusion import FusionWeights, NBestRecord
+from transducer_workbench.joint import JOINT_MODES
 from transducer_workbench.model import ModelConfig, init_model
 from transducer_workbench.networks import (
     CharLMConfig,
     EncoderConfig,
     PredictionConfig,
+    PrefixStates,
     init_char_lm_params,
     lm_score,
+    prefix_trie,
 )
 from transducer_workbench.numerics import NEG_INF, RandomStream, log_softmax, log_sum_exp
 
@@ -443,6 +448,100 @@ def test_fused_lm_components_equal_lm_score(layers):
                 assert component == stepwise_lm_score(row.labels, lm)[0]
             checked += 1
     assert checked > 100
+
+
+def _search(model, features, beam_width, n_best, merge, start=None):
+    """ALSD's n-best rows, or its DecodeError's best partial row, and the
+    greedy labels, both searches from `start`."""
+    try:
+        rows = alsd_beam(model, features, beam_width=beam_width, n_best=n_best, merge=merge,
+                         start=start)
+    except DecodeError as exc:
+        rows = exc.best_partial
+    return rows, greedy_decode(model, features, start=start)
+
+
+def _shared_case(seed, joint_mode):
+    """A tiny real model of `joint_mode`, the other mode's model, both
+    character LMs, search settings and a few utterances, all from `seed`."""
+    rng = RandomStream(seed)
+    num_labels = int(rng.integers(1, 5))
+    other = JOINT_MODES[1 - JOINT_MODES.index(joint_mode)]
+    models = (tiny_real_model(seed, num_labels, joint_mode),
+              tiny_real_model(seed + 1, num_labels, other))
+    lms = _char_lms(num_labels, int(rng.integers(1, 3)), rng)
+    search = {"beam_width": int(rng.integers(1, 6)), "n_best": int(rng.integers(1, 10))}
+    utterances = [rng.normal(size=(int(rng.integers(1, 6)), 3)) for _ in range(4)]
+    return models, lms, search, utterances
+
+
+ORDERS = {"given": lambda n: range(n), "reversed": lambda n: reversed(range(n))}
+shared_settings = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+@pytest.mark.parametrize("merge", MERGES)
+@pytest.mark.parametrize("joint_mode", JOINT_MODES)
+class TestSharedPrefixTables:
+    """The decoding stage shares one prefix table per model across its
+    utterances, and `attach_lm_components` one per LM across its records.
+    A row does not depend on when or with what it was added, so every
+    result through a shared table equals, bit for bit, the result through a
+    fresh table per utterance, in the given utterance order and in reverse."""
+
+    @shared_settings
+    @given(st.integers(0, 2**16))
+    def test_decoding_through_one_start_state(self, joint_mode, merge, seed):
+        (model, _), _, search, utterances = _shared_case(seed, joint_mode)
+        fresh = [_search(model, features, merge=merge, **search) for features in utterances]
+        for order in ORDERS.values():
+            start = model.init_decode_state()
+            shared = {i: _search(model, utterances[i], merge=merge, start=start, **search)
+                      for i in order(len(utterances))}
+            assert [shared[i] for i in range(len(utterances))] == fresh
+            assert len(start.table.parents) > 1
+
+    @shared_settings
+    @given(st.integers(0, 2**16))
+    def test_lm_components_through_shared_tables(self, joint_mode, merge, seed):
+        # `attach_lm_components` shares one table per LM across its records.
+        (model, _), lms, search, utterances = _shared_case(seed, joint_mode)
+        records = [(f"u{i}", rows) for i, features in enumerate(utterances)
+                   if isinstance(rows := _search(model, features, merge=merge, **search)[0], list)]
+        fresh = [scored for record in records for scored in attach_lm_components([record], *lms)]
+        for order in ORDERS.values():
+            ordered = [records[i] for i in order(len(records))]
+            assert sorted(attach_lm_components(ordered, *lms)) == fresh
+
+    @shared_settings
+    @given(st.integers(0, 2**16))
+    def test_combination_lays_out_each_union_once(self, joint_mode, merge, seed):
+        # Both models score a union on one layout, which is the layout of a
+        # fresh table, and the scores do not depend on the utterance order.
+        models, _, search, utterances = _shared_case(seed, joint_mode)
+        nbests = [[_search(model, features, merge=merge, **search)[0] for model in models]
+                  for features in utterances]
+        nbests = [[rows if isinstance(rows, list) else [rows] for rows in pair] for pair in nbests]
+        layouts = []
+
+        def recorded(sequences):
+            layouts.append(prefix_trie(sequences))
+            return layouts[-1]
+
+        with mock.patch.object(fusion, "prefix_trie", recorded):
+            scored = [fusion.combine_rescore(features, *pair, *models)
+                      for features, pair in zip(utterances, nbests)]
+        assert len(layouts) == len(utterances)
+        for trie, combined in zip(layouts, scored):
+            union = [trie.prefixes[end] for end in trie.ends]
+            assert sorted(union) == sorted(row.labels for row in combined)
+            for model in models:
+                fresh = PrefixStates(model.prediction)
+                assert fresh.rows(union).tolist() == trie.ends
+                assert (fresh.parents, fresh.labels) == (trie.parents, trie.labels)
+        for order in ORDERS.values():
+            again = {i: fusion.combine_rescore(utterances[i], *nbests[i], *models)
+                     for i in order(len(utterances))}
+            assert [again[i] for i in range(len(utterances))] == scored
 
 
 class _Handle:

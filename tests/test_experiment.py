@@ -1,6 +1,7 @@
 import collections
 import copy
 import dataclasses
+import gc
 import hashlib
 import importlib
 import io
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from transducer_workbench import experiment
+from transducer_workbench import experiment, networks
 from transducer_workbench.cli import main as cli_main
 from transducer_workbench.data import (
     Alphabet,
@@ -30,6 +31,9 @@ from transducer_workbench.experiment import (
     CONFIG_SCHEMA,
     ExperimentReport,
     CONDITIONS,
+    LM_NAMES,
+    artifact,
+    build_lm_config,
     build_model_config,
     build_recipe,
     build_task_config,
@@ -42,6 +46,8 @@ from transducer_workbench.experiment import (
     load_run_data,
     parse_config,
     run_experiment,
+    stage_combination,
+    stage_decode,
     stage_fusion_conditions,
     verify_report,
     weights_from_dict,
@@ -64,7 +70,8 @@ from transducer_workbench.model import (
     save_char_lm,
     save_checkpoint,
 )
-from transducer_workbench.networks import CharLMConfig, lm_score
+from transducer_workbench.networks import (CharLMConfig, PrefixStates, init_char_lm_params,
+                                           lm_score)
 from transducer_workbench.numerics import RandomStream
 
 
@@ -367,11 +374,56 @@ OUT_OF_DOMAIN = [
     ("decay_factor-negative", "training", "decay_factor",
      {"training": {"schedule": "const_decay", "decay_factor": -1.0}}),
     ("lookahead-negative", "model", "lookahead", {"model": {"bidirectional": False, "lookahead": -1}}),
+    ("lookahead-bidirectional", "model", "lookahead",
+     {"model": {"bidirectional": True, "lookahead": 3}}),
     ("sweep_epochs-negative", "experiment", "sweep_epochs",
      {"experiment": {"sweep": True, "sweep_epochs": -1}}),
     ("lm-lr-negative", "lm", "lr", {"lm": {"lr": -1.0}}),
     ("total_epochs-below-epochs", "training", "total_epochs", {"training": {"total_epochs": 1.0}}),
 ]
+
+
+class TestPrefixTableScope:
+    """A stage makes one prefix table per network and drops it when it
+    returns: no model, label network or module keeps one. Otherwise a later
+    call, such as a later benchmark round, would find its prefixes already
+    stepped."""
+
+    def test_stage_calls_step_the_same_rows_and_keep_no_table(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        task = generate_synthetic_task(build_task_config(cfg), RandomStream(1))
+        datasets = {"dev": task.dev, "test": task.test}
+        models = {mode: init_model(build_model_config(cfg, mode), RandomStream(10 + i))
+                  for i, mode in enumerate(cfg["model"]["modes"])}
+        lms = [init_char_lm_params(cfg["task"]["num_labels"], build_lm_config(cfg, which),
+                                   RandomStream(20 + i)) for i, which in enumerate(LM_NAMES)]
+        label_networks = [model.prediction for model in models.values()] + lms
+        stepped = []  # label-network rows per stage call
+        label_forward = networks._label_forward
+
+        def counted(symbols, params, *args, **kwargs):
+            stepped[-1] += np.asarray(symbols).size
+            return label_forward(symbols, params, *args, **kwargs)
+
+        def call(stage, *args):
+            stepped.append(0)
+            stage(*args)
+            gc.collect()
+            assert not [table for table in gc.get_objects() if isinstance(table, PrefixStates)
+                        and any(table.params is params for params in label_networks)]
+            for owner in [*models.values(), *label_networks]:
+                assert not any(isinstance(value, PrefixStates) for value in vars(owner).values())
+
+        monkeypatch.setattr(networks, "_label_forward", counted)
+        for _ in range(2):
+            call(stage_decode, cfg, tmp_path, models, datasets, task.alphabet, *lms)
+        refs = {split: {u.utt_id: u.labels for u in ds} for split, ds in datasets.items()}
+        rows = {(mode, split): read_nbest(tmp_path / artifact("nbest", mode, split), task.alphabet)
+                for mode in models for split in datasets}
+        for _ in range(2):
+            call(stage_combination, tmp_path, models, datasets, task.alphabet, refs, rows)
+        assert stepped[0] == stepped[1] > 0
+        assert stepped[2] == stepped[3] > 0
 
 
 def bound_cases():

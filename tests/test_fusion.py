@@ -234,7 +234,7 @@ class TestCombineRescore:
         nb_b = alsd_beam(model_b, features, beam_width=16, n_best=8, expansion_cap=6)
         if tied:
             monkeypatch.setattr(model_a, "prefix_trie_nlls",
-                                lambda H, sequences: np.full(len(sequences), 2.5))
+                                lambda H, trie: np.full(len(trie.ends), 2.5))
         combined = combine_rescore(features, nb_a, nb_b, model_a, model_b)
         union = {h.labels for h in nb_a} | {h.labels for h in nb_b}
         assert len(combined) == len(union) > 2
@@ -356,21 +356,23 @@ class TestCombineRescore:
                 super().__init__(params)
                 tables.append(self)
 
-            def rows(self, prefixes):
-                filled.append((self, list(prefixes)))
-                return super().rows(prefixes)
+            def add(self, blocks):
+                filled.append((self, [prefix for block in blocks for prefix in block]))
+                return super().add(blocks)
 
         blocks = []
         monkeypatch.setattr(model_module, "PrefixStates", Recorded)
         monkeypatch.setattr(networks, "_label_forward",
                             counting(networks._label_forward, blocks))
         combined = combine_rescore(features, nb_a, nb_b, model_a, model_b)
-        # Each model fills its own table once, with every sequence of the
-        # union, one block step per depth.
+        # Each model fills its own table once, with every node of the
+        # union's one trie layout, one block step per depth.
         union = sorted(c.labels for c in combined)
         assert [id(t.params) for t in tables] == [id(model_a.prediction), id(model_b.prediction)]
-        assert [(t, sorted(seqs)) for t, seqs in filled] == [(t, union) for t in tables]
         prefixes = {labels[:u] for labels in union for u in range(len(labels) + 1)}
+        layout = filled[0][1]
+        assert sorted(layout) == sorted(prefixes - {()})
+        assert [(t, seqs) for t, seqs in filled] == [(t, layout) for t in tables]
         depth = max(map(len, union))
         for table in tables:
             assert set(table.index) == prefixes

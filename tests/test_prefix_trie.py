@@ -1,7 +1,8 @@
 """Scoring a set of label sequences on their prefix trie.
 
 The prefix trie of a set of sequences is the rows of a fresh
-`PrefixStates` table, nodes in depth order and first-seen within a depth.
+`PrefixStates` table, nodes in depth order and first-seen within a depth;
+`networks.prefix_trie` lays it out by the same walk, without a table.
 `prefix_trie_forward` must reproduce `rnnt_forward`'s alpha bit for bit
 when given the same lattice columns. `TransducerModel.prefix_trie_nlls`
 must agree with the per-sequence oracles: `lattice_nll` within
@@ -35,6 +36,7 @@ from transducer_workbench.networks import (
     PrefixStates,
     init_prediction_params,
     predict_embed,
+    prefix_trie,
 )
 from transducer_workbench.numerics import RandomStream, log_softmax
 
@@ -48,13 +50,15 @@ label_seqs = st.lists(st.integers(0, NUM_LABELS - 1), max_size=6).map(tuple)
 unions = st.lists(label_seqs, min_size=1, max_size=8, unique=True)
 
 
+def tiny_prediction():
+    return init_prediction_params(NUM_LABELS, PredictionConfig(cells=2, embed_dim=2),
+                                  RandomStream(0))
+
+
 def build_prefix_trie(sequences, params=None):
     """(parents, labels, ends) of the prefix trie of `sequences`, read from
     a fresh table of `params` (any prediction network over NUM_LABELS)."""
-    if params is None:
-        params = init_prediction_params(NUM_LABELS, PredictionConfig(cells=2, embed_dim=2),
-                                        RandomStream(0))
-    table = PrefixStates(params)
+    table = PrefixStates(tiny_prediction() if params is None else params)
     ends = table.rows(sequences)
     return table.parents, table.labels, ends.tolist()
 
@@ -91,7 +95,7 @@ def encoder_output(model, seed, T):
 
 
 def assert_agrees_with_lattice_nll(model, H, sequences):
-    nlls = model.prefix_trie_nlls(H, sequences)
+    nlls = model.prefix_trie_nlls(H, prefix_trie(sequences))
     assert nlls.shape == (len(sequences),)
     for seq, nll in zip(sequences, nlls):
         oracle = model.lattice_nll(H, list(seq))
@@ -112,6 +116,18 @@ class TestBuildPrefixTrie:
 
     def test_no_sequences(self):
         assert build_prefix_trie([]) == ([-1], [-1], [])
+        assert prefix_trie([]) == ([], [-1], [-1], [])
+
+    @property_settings
+    @given(unions)
+    def test_layout_equals_a_fresh_table(self, sequences):
+        trie = prefix_trie(sequences)
+        assert (trie.parents, trie.labels, trie.ends) == build_prefix_trie(sequences)
+        table = PrefixStates(tiny_prediction())
+        table.add(trie.blocks)
+        assert (table.parents, table.labels) == (trie.parents, trie.labels)
+        assert table.rows(trie.prefixes).tolist() == list(range(len(trie.prefixes)))
+        assert table.rows(sequences).tolist() == trie.ends
 
     @property_settings
     @given(unions)
@@ -188,7 +204,7 @@ class TestPrefixTrieNlls:
             return joint(H, G, params)
 
         with mock.patch.object(model_module, "joint_forward_lattice", capture):
-            model.prefix_trie_nlls(H, sequences)
+            model.prefix_trie_nlls(H, prefix_trie(sequences))
         [G] = captured
         parents, _, ends = build_prefix_trie(sequences, model.prediction)
         assert G.shape == (len(parents), model.prediction.layers[-1].hidden)
@@ -203,7 +219,7 @@ class TestPrefixTrieNlls:
     def test_agrees_with_enumeration(self, mode, branch_biases, T, sequences, seed):
         model = trie_model(seed, mode, branch_biases)
         H = encoder_output(model, seed, T)
-        nlls = model.prefix_trie_nlls(H, sequences)
+        nlls = model.prefix_trie_nlls(H, prefix_trie(sequences))
         for seq, nll in zip(sequences, nlls):
             assert T + len(seq) <= ENUMERATION_CAP
             oracle = brute_force_nll(model.logprob_lattice(H, list(seq)), list(seq))
@@ -223,10 +239,10 @@ class TestPrefixTrieNlls:
     def test_no_sequences(self):
         model = trie_model(8, ADDITIVE, False)
         H = encoder_output(model, 8, 3)
-        assert model.prefix_trie_nlls(H, []).shape == (0,)
+        assert model.prefix_trie_nlls(H, prefix_trie([])).shape == (0,)
 
     def test_out_of_vocabulary_label_rejected(self):
         model = trie_model(9, ADDITIVE, False)
         H = encoder_output(model, 9, 3)
         with pytest.raises(ContractViolation, match="outside vocabulary"):
-            model.prefix_trie_nlls(H, [(0, NUM_LABELS)])
+            model.prefix_trie_nlls(H, prefix_trie([(0, NUM_LABELS)]))
