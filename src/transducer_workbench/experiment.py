@@ -823,16 +823,18 @@ def stage_combination(run_dir, models, datasets, alphabet, refs, rows) -> dict:
     `rows[mode, split]` (`read_nbest` output), write the `combine_rescore`
     rows, ranked by the first mode's score, to the split's combination file
     and return their CachedNBests by split. The LM columns are the n-best
-    files' own."""
+    files' own. Each model has one prefix table per split, made from its
+    `prediction` network and shared by the split's unions."""
     mode_a, mode_b = list(models)[:2]
     cached = {}
     for split in ("dev", "test"):
         nb_a, nb_b = rows[mode_a, split], rows[mode_b, split]
+        tables = [PrefixStates(models[mode].prediction) for mode in (mode_a, mode_b)]
         unions = {}
         for utt in sorted(datasets[split], key=lambda u: u.utt_id):
             unions[utt.utt_id] = combine_rescore(
                 utt.frames.astype(np.float64), nb_a.get(utt.utt_id, []), nb_b.get(utt.utt_id, []),
-                models[mode_a], models[mode_b], aux=utt.aux)
+                models[mode_a], models[mode_b], aux=utt.aux, tables=tables)
         write_nbest(run_dir / artifact("combination", split), unions.items(), alphabet)
         cached[split] = cached_nbests(unions, alphabet, refs[split])
     return cached

@@ -12,11 +12,14 @@ n-best lists: the search ranks by the transducer score alone, and each
 row's LM components are full-sequence `lm_score` values.
 
 Combination cross-scores each utterance's n-best union on the prefix trie of
-its label sequences (`networks.prefix_trie`, laid out once per union), and
-each model steps the trie's nodes in a fresh table of its own
-(`TransducerModel.prefix_trie_nlls`), so a prefix that many hypotheses
-share is scored once per model. The result agrees with `lattice_nll`, the
-per-sequence oracle, within 1e-12 * max(1, |nll|).
+its label sequences (`networks.prefix_trie`, laid out once per union). Each
+model reads the trie's nodes from one `PrefixStates` table per model per
+split, which every union of the split shares, so a prefix that many
+hypotheses or utterances share is stepped once per model
+(`TransducerModel.prefix_trie_steps`); one alpha recursion then scores the
+trie for both models at once (`lattice.prefix_trie_forward`). The result
+agrees with `lattice_nll`, the per-sequence oracle, within
+1e-12 * max(1, |nll|).
 
 From the search on, every n-best row is an `NBestRecord`: what `alsd_beam`
 and the exhaustive oracle return, the rows of decoder and combination
@@ -37,7 +40,8 @@ import numpy as np
 from . import scoring
 from .data import atomic_write, not_utf8
 from .errors import ContractViolation
-from .networks import LabelNetParams, lm_score, prefix_trie
+from .lattice import prefix_trie_forward
+from .networks import LabelNetParams, PrefixStates, lm_score, prefix_trie
 
 logger = logging.getLogger(__name__)
 
@@ -112,34 +116,45 @@ def rescore_nbest(
 
 
 def combine_rescore(
-    features, nbest_a, nbest_b, model_a, model_b, *, aux=None
+    features, nbest_a, nbest_b, model_a, model_b, *, aux=None, tables=None
 ) -> list[NBestRecord]:
     """Cross-score the union of two n-best lists: one row per unique label
     sequence, `length` its label count, with both transducers' scores,
     ranked by (-transducer_a, labels).
 
     Every sequence is scored by both transducers with exact lattice
-    marginals. The union's prefix trie is laid out once (`prefix_trie`),
-    and each model scores it in one `prefix_trie_nlls` call, on a fresh
-    table: one prediction-LSTM block step per trie depth (a row per
-    distinct label prefix), one joint column and one alpha column per
-    prefix. The scores agree with the per-sequence oracle `lattice_nll`
+    marginals. The union's prefix trie is laid out once (`prefix_trie`);
+    each model reads the trie's nodes from its prefix table and makes its
+    blank and label steps in one `prefix_trie_steps` call (one joint call
+    over a row per distinct label prefix), and one `prefix_trie_forward`
+    runs the alpha recursion for both models at once. `tables` holds one
+    `PrefixStates` per model, made from its `prediction` network:
+    `stage_combination` passes one pair per split, so each union steps only
+    the prefixes that no earlier union of the split reached; without it,
+    each model gets a fresh table. The scores do not depend on the tables,
+    bit for bit, and agree with the per-sequence oracle `lattice_nll`
     within 1e-12 * max(1, |nll|); only the joint matmuls' row counts
     differ. The LM components are not recomputed: they are the
     `source_lm`/`external_lm` fields of the n-best rows, which the decoding
     stage fills with full-sequence `lm_score` values. Both lists must carry
     the same LM scores for a shared label sequence; rows straight from the
-    search carry 0.0. A sequence longer than 2 * max(T_a, T_b) labels, over
-    the longer encoder output, is excluded with a logged warning: ALSD
-    emits at most that many, so only an n-best file from outside the
-    program can hold one.
+    search carry 0.0. A sequence longer than 2 * T' labels, over the
+    encoder output, is excluded with a logged warning: ALSD emits at most
+    that many, so only an n-best file from outside the program can hold one.
 
-    Raises ContractViolation when the two lists disagree on the LM scores of
-    a label sequence, since they were then scored by different LMs.
+    Raises ContractViolation when the two models' encoder outputs differ in
+    length (the modes of a run share `[model] stacking` and `skip`), and
+    when the two lists disagree on the LM scores of a label sequence, since
+    they were then scored by different LMs.
     """
     H_a = model_a.encode_features(features, aux)
     H_b = model_b.encode_features(features, aux)
-    cap = 2 * max(H_a.shape[0], H_b.shape[0])
+    if H_a.shape[0] != H_b.shape[0]:
+        raise ContractViolation(
+            f"combine_rescore: encoder outputs of {H_a.shape[0]} and {H_b.shape[0]} frames; "
+            "both models must stack and skip frames alike"
+        )
+    cap = 2 * H_a.shape[0]
     union: dict[tuple[int, ...], tuple[float, float]] = {}
     for row in itertools.chain(nbest_a, nbest_b):
         lm = (row.source_lm, row.external_lm)
@@ -157,8 +172,12 @@ def combine_rescore(
             continue
         kept.append(labels)
     trie = prefix_trie(kept)
-    scores_a = (-model_a.prefix_trie_nlls(H_a, trie)).tolist()
-    scores_b = (-model_b.prefix_trie_nlls(H_b, trie)).tolist()
+    if tables is None:
+        tables = [PrefixStates(model.prediction) for model in (model_a, model_b)]
+    steps = [model.prefix_trie_steps(H, trie, table) for model, H, table
+             in zip((model_a, model_b), (H_a, H_b), tables, strict=True)]
+    blank, label = (np.stack(arrays) for arrays in zip(*steps))
+    scores_a, scores_b = prefix_trie_forward(blank, label, trie.parents)[:, -1, trie.ends].tolist()
     rows = [
         NBestRecord(labels, len(labels), trans_a, *union[labels], transducer_b=trans_b)
         for labels, trans_a, trans_b in zip(kept, scores_a, scores_b)

@@ -15,13 +15,15 @@ Conventions (shared with the decoder):
 oracle for `rnnt_forward`; both implement the same convention.
 
 Prefix tries: lattice row u and alpha column u of a sequence depend only on
-its first u labels. `prefix_trie_forward` therefore scores a whole set of
-sequences on their prefix trie (`networks.prefix_trie`, laid out as a fresh
-`PrefixStates` table lays out its rows, nodes in depth order), one lattice
-column and one alpha column per distinct prefix. Given the same lattice
-columns it reproduces
-`rnnt_forward`'s alpha bit for bit, since every entry comes from the same
-operands through the same `+` and `np.logaddexp`.
+its first u labels. A whole set of sequences is therefore scored on their
+prefix trie (`networks.prefix_trie`, nodes in depth order), one lattice
+column and one alpha column per distinct prefix: `prefix_trie_steps` reads
+each node's blank and label steps from the trie's lattice columns, and
+`prefix_trie_forward` runs the recursion over them, for one model or, with
+a leading axis, for several models on the same trie at once. Given the same
+lattice columns it reproduces `rnnt_forward`'s alpha bit for bit, since
+every entry comes from the same operands through the same `+` and
+`np.logaddexp`.
 """
 
 from __future__ import annotations
@@ -103,60 +105,85 @@ def rnnt_forward(lattice: np.ndarray, y) -> tuple[float, np.ndarray]:
     return float(nll), alpha
 
 
-def prefix_trie_forward(columns: np.ndarray, parents, labels) -> np.ndarray:
-    """Forward columns of every node of a prefix trie: node 0 is the empty
-    prefix, node n > 0 extends node `parents[n]` (< n) by label `labels[n]`,
-    and no node is deeper than a later one (the root's parent and label are
-    -1).
+def prefix_trie_steps(columns: np.ndarray, parents, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The step log-probabilities of a prefix trie's nodes, as
+    `rnnt_forward` reads them from a sequence's lattice: node 0 is the empty
+    prefix, node n > 0 extends node `parents[n]` by label `labels[n]` (the
+    root's parent and label are -1).
 
-    `columns` is (T, N, K). For node n at depth u, columns[:, n] is row u of
+    `columns` is (T, N, K); for node n at depth u, columns[:, n] is row u of
     the lattice of any sequence whose first u labels are node n's prefix.
-    Returns alpha (T+1, N), where alpha[:, n] is column u of
-    `rnnt_forward`'s alpha for such a sequence, bit for bit, and
-    -alpha[T, n] is the NLL of the sequence ending at n. The loop runs
-    depth x T times; each step covers every node of one depth.
-    """
+    Returns (blank, label), each (T, N): blank[t, n] is the blank step at
+    node n, label[t, n] the step of node n's label, read on its parent's
+    column (0.0 at the root, which no label enters)."""
     columns = np.asarray(columns, dtype=np.float64)
     if columns.ndim != 3:
         raise DimensionError(f"columns must be T x N x K, got shape {columns.shape}")
     T, N, K = columns.shape
+    parents = np.asarray(parents, dtype=int)
+    labels = np.asarray(labels, dtype=int)
+    if parents.shape != (N,) or labels.shape != (N,):
+        raise DimensionError(f"{N} columns need one parent and one label per node")
+    if np.any(labels[1:] < 0) or np.any(labels[1:] >= K - 1):
+        raise DimensionError(f"label ids out of range for {K - 1} labels")
+    label = np.zeros((T, N))
+    label[:, 1:] = columns[:, parents[1:], labels[1:] + 1]
+    # A copy, so the steps do not keep `columns` alive.
+    return columns[:, :, BLANK_ID].copy(), label
+
+
+def prefix_trie_forward(blank: np.ndarray, label: np.ndarray, parents) -> np.ndarray:
+    """Forward columns of every node of a prefix trie, no node deeper than a
+    later one, from its step arrays (`prefix_trie_steps`): blank and label
+    are (..., T, N), any leading axes, such as one per model, indexing
+    independent tries of the same shape.
+
+    Returns alpha (..., T+1, N), where alpha[..., :, n] is column u of
+    `rnnt_forward`'s alpha for a sequence through node n at depth u, bit for
+    bit, and -alpha[..., T, n] is the NLL of the sequence ending at n. The
+    recursion is elementwise over the leading axes, so one call over a stack
+    of step arrays equals one call per entry, bit for bit. The trie is
+    checked once per call; the loop runs depth x T times, each step covering
+    every node of one depth.
+    """
+    blank = np.asarray(blank, dtype=np.float64)
+    label = np.asarray(label, dtype=np.float64)
+    if blank.ndim < 2 or label.shape != blank.shape:
+        raise DimensionError(
+            f"blank and label steps must be ... x T x N of one shape, got {blank.shape} "
+            f"and {label.shape}"
+        )
+    *lead, T, N = blank.shape
     if T < 1:
         raise DimensionError("lattice needs T >= 1")
     parents = np.asarray(parents, dtype=int)
-    labels = np.asarray(labels, dtype=int)
-    if N < 1 or parents.shape != (N,) or labels.shape != (N,):
-        raise DimensionError(f"{N} columns need one parent and one label per node")
+    if N < 1 or parents.shape != (N,):
+        raise DimensionError(f"{N} columns need one parent per node")
     if parents[0] != -1 or np.any(parents[1:] < 0) or np.any(parents[1:] >= np.arange(1, N)):
         raise ContractViolation("node 0 must be the root and every parent must precede its child")
-    if np.any(labels[1:] < 0) or np.any(labels[1:] >= K - 1):
-        raise DimensionError(f"label ids out of range for {K - 1} labels")
     depth = [0] * N
     for n in range(1, N):
         depth[n] = depth[parents[n]] + 1
     if any(a > b for a, b in zip(depth, depth[1:])):
         raise ContractViolation("trie nodes must come in depth order")
 
-    blank = columns[:, :, BLANK_ID]  # (T, N)
-    # label[row, n]: step prob of node n's label, read on its parent's row.
-    label = np.zeros((T, N))
-    label[:, 1:] = columns[:, parents[1:], labels[1:] + 1]
+    # The recursion runs time-major, so that each step indexes one row.
+    blank, label = np.moveaxis(blank, -2, 0), np.moveaxis(label, -2, 0)
     rows = np.minimum(np.arange(T + 1), T - 1)
-
-    alpha = np.full((T + 1, N), NEG_INF)
-    alpha[0, 0] = 0.0
+    alpha = np.full((T + 1, *lead, N), NEG_INF)
+    alpha[0, ..., 0] = 0.0
     for t in range(1, T + 1):
-        alpha[t, 0] = alpha[t - 1, 0] + blank[t - 1, 0]
+        alpha[t, ..., 0] = alpha[t - 1, ..., 0] + blank[t - 1, ..., 0]
     starts = np.flatnonzero(np.diff(depth)) + 1
     for lo, hi in zip(starts, [*starts[1:], N]):
         # Label moves into these nodes, for every t at once: their parents'
         # columns are complete.
-        via_label = alpha[:, parents[lo:hi]] + label[rows, lo:hi]
-        alpha[0, lo:hi] = via_label[0]
+        via_label = alpha[..., parents[lo:hi]] + label[rows, ..., lo:hi]
+        nodes, nodes_blank = alpha[..., lo:hi], blank[..., lo:hi]
+        nodes[0] = via_label[0]
         for t in range(1, T + 1):
-            alpha[t, lo:hi] = np.logaddexp(
-                alpha[t - 1, lo:hi] + blank[t - 1, lo:hi], via_label[t]
-            )
-    return alpha
+            np.logaddexp(nodes[t - 1] + nodes_blank[t - 1], via_label[t], out=nodes[t])
+    return np.moveaxis(alpha, 0, -2)
 
 
 def rnnt_backward(lattice: np.ndarray, y, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

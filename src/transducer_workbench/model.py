@@ -4,9 +4,11 @@ network is a `networks.LabelNetParams` without a head: every lattice row
 starts from the step of its learned begin symbol.
 
 Label prefixes reach the prediction network through `PrefixStates`: a
-decoder state is a table plus row indices, and `prefix_trie_nlls` scores a
-set of sequences on their prefix trie with the rows of a fresh table. The
-decoding stage makes one table per model and passes it to every utterance.
+decoder state is a table plus row indices, and `prefix_trie_steps` reads the
+nodes of a prefix trie from a table. Tables are shared, never cached: the
+decoding stage makes one per model for the stage and passes it to every
+utterance (the decoders' `start` state), and cross-scoring one per model per
+split, which every union of the split reads.
 
 Parameter tensors live in a flat name -> array mapping ("encoder.layers.0.
 fwd.W_x", "prediction.layers.0.W_h", "joint.W_out", ...) used by the
@@ -30,7 +32,7 @@ from .joint import (
     joint_forward,
     joint_forward_lattice,
 )
-from .lattice import prefix_trie_forward, rnnt_backward, rnnt_forward
+from .lattice import prefix_trie_steps, rnnt_backward, rnnt_forward
 from .networks import (
     CharLMConfig,
     EncoderConfig,
@@ -143,24 +145,30 @@ class TransducerModel:
         nll, _ = rnnt_forward(self.logprob_lattice(H, labels), labels)
         return nll
 
-    def prefix_trie_nlls(self, H, trie: PrefixTrie) -> np.ndarray:
-        """NLL of each label sequence of `trie` (`networks.prefix_trie`),
-        all scored together on the trie: the trie's nodes are the rows of a
-        fresh `PrefixStates` table, one prediction-LSTM block step per trie
-        depth, one joint call over every node, and one alpha column per
-        node. Returns the NLLs in the order of the trie's sequences.
+    def prefix_trie_steps(self, H, trie: PrefixTrie, table: PrefixStates):
+        """The (T, N) blank and label steps of the nodes of `trie`
+        (`networks.prefix_trie`), the per-model input of
+        `lattice.prefix_trie_forward`: one joint call over the trie's
+        prediction rows, node n's row at position n. The rows come from
+        `table`, a `PrefixStates` of this model's prediction network, which
+        steps only the trie's prefixes it lacks, one block per depth.
+        Cross-scoring passes one table per model per split, so each
+        utterance steps only the prefixes that are new to its split.
 
-        Agrees with `lattice_nll` per sequence within 1e-12 * max(1, |nll|).
-        The prediction rows and the alpha recursion are bitwise those of
-        `lattice_nll` (a block step equals one-row steps bit for bit); only
-        the joint matmuls run over a different number of rows, which may
-        change the BLAS kernel and so the last bits.
+        A row does not depend on when or with what it was added, so the
+        joint gets the same rows, in the same order, from any table, and the
+        steps are the same bit for bit. Through `prefix_trie_forward`, the
+        NLLs agree with `lattice_nll` per sequence within
+        1e-12 * max(1, |nll|): the prediction rows and the alpha recursion
+        are bitwise those of `lattice_nll`, and only the joint matmuls run
+        over a different number of rows, which may change the BLAS kernel
+        and so the last bits.
         """
-        table = PrefixStates(self.prediction)
-        table.add(trie.blocks)  # node n is row n
-        columns, _ = joint_forward_lattice(H, table.outputs, self.joint)
-        alpha = prefix_trie_forward(columns, trie.parents, trie.labels)
-        return -alpha[-1, trie.ends]
+        if table.params is not self.prediction:
+            raise ContractViolation("prefix_trie_steps: the prefix table is another network's")
+        rows = table.rows(trie.prefixes)  # before the gather: rows() may grow the storage
+        columns, _ = joint_forward_lattice(H, table.outputs[rows], self.joint)
+        return prefix_trie_steps(columns, trie.parents, trie.labels)
 
     # -- decoding interface ----------------------------------------------
 

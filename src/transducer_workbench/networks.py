@@ -23,7 +23,8 @@ begin symbol; the LMs add only their output head and end marker.
 prefixes, keyed by prefix, with the begin step at its root, and steps each
 depth of new prefixes as one block: the decoder's prediction rows, trie
 cross-scoring and the LM reader `lm_score` step prefixes only through it,
-each on one table per network shared by many utterances.
+each on one table per network shared by many utterances (per stage,
+split or n-best file; see `PrefixStates`).
 An LM table also keeps each row's next-symbol log-probabilities and
 cumulative prefix score as columns, filled once per row by the one LM
 scoring head, a stacked per-row product, so its columns equal the stepwise
@@ -628,12 +629,17 @@ class PrefixStates:
     (`prefix_trie`). A block step equals one-row steps bit for bit, so no
     row depends on when or with what it was added.
 
-    So one table serves every utterance that a fixed network scores: the
-    decoding stage makes one per model for all its utterances, and
-    `attach_lm_components` one per LM for its n-best file, and each
-    utterance steps only the prefixes that no earlier one needed. A table
-    holds the states of the parameters it was made with, so it lives only
-    as long as the call that made it; nothing caches one.
+    So one table serves every utterance that a fixed network scores, and
+    each utterance steps only the prefixes that no earlier one needed:
+    - decoding: one table per model for the stage, shared by dev and test
+      (the decoders' `start` state);
+    - cross-scoring: one per model per split (`stage_combination`), shared
+      by the split's n-best unions;
+    - LMs: one per LM per `attach_lm_components` call, that is per n-best
+      file, since LM tables shared by all of `stage_decode` raised the
+      `decode` benchmark's peak RSS by up to 5.6 %.
+    A table holds the states of the parameters it was made with, so it
+    lives only as long as the call that made it; nothing caches one.
 
     The table of an LM (a network with a head) has two columns more, each
     row's next-symbol log-probabilities and cumulative prefix score

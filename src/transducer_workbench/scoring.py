@@ -43,11 +43,13 @@ def compute_wer(reference, hypothesis):
 
 
 def corpus_wer(pairs) -> float:
-    """Aggregate WER over (reference, hypothesis) word-sequence pairs."""
+    """Aggregate WER over (reference, hypothesis) word-sequence pairs; each
+    sequence may be any iterable, read once."""
     errors = 0
     words = 0
     for ref, hyp in pairs:
+        ref = list(ref)
         _, s, d, i = compute_wer(ref, hyp)
         errors += s + d + i
-        words += len(list(ref))
+        words += len(ref)
     return errors / max(1, words)

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from transducer_workbench import experiment, fusion, lattice, model, networks, scoring, training
+from transducer_workbench.data import generate_synthetic_task
 from transducer_workbench.model import TransducerModel
 from transducer_workbench.networks import CharLMConfig, init_char_lm_params
 from transducer_workbench.numerics import RandomStream
@@ -133,3 +134,45 @@ def test_attach_lm_components_scores_inside_one_pass(monkeypatch):
     assert records.iterations == 1
     assert sorted(calls) == sorted({(seq, id(lm)) for seq in seqs for lm in lms})
     assert [utt_id for utt_id, _ in rows] == [utt_id for utt_id, _ in records]
+
+
+def test_stage_combination_through_traced_proxies(tracing, tmp_path):
+    # Traced `rescore` rounds hand `stage_combination` the tracer's decoder
+    # proxies, which forward attribute access but wrap the states of
+    # `init_decode_state`. Cross-scoring may ask a model only for what the
+    # proxy forwards, and must write the bare models' file byte for byte.
+    cfg = experiment.default_config()
+    cfg["task"].update(num_labels=4, feature_dim=6, train_size=4, dev_size=5, test_size=5,
+                       length_min=2, length_max=4)
+    cfg["model"].update(encoder_layers=1, encoder_cells=8, prediction_cells=6, joint_dim=6,
+                        embed_dim=4)
+    cfg["decoding"].update(beam_width=4, n_best=4)
+    task = generate_synthetic_task(experiment.build_task_config(cfg), RandomStream(1))
+    datasets = {"dev": task.dev, "test": task.test}
+    models = {mode: experiment.init_model(experiment.build_model_config(cfg, mode),
+                                          RandomStream(10 + i))
+              for i, mode in enumerate(cfg["model"]["modes"])}
+    lms = [init_char_lm_params(4, CharLMConfig(layers=1, cells=4, embed_dim=2), RandomStream(s))
+           for s in (20, 21)]
+    experiment.stage_decode(cfg, tmp_path, models, datasets, task.alphabet, *lms)
+    refs = {split: {u.utt_id: u.labels for u in ds} for split, ds in datasets.items()}
+    rows = {(mode, split): fusion.read_nbest(tmp_path / experiment.artifact("nbest", mode, split),
+                                             task.alphabet)
+            for mode in models for split in datasets}
+    combined = {}
+    for name in ("bare", "traced"):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        with tracing.install(tracing.Tracer()) as tracer:
+            proxies = {mode: tracing.TracedDecoderModel(model, tracer)
+                       for mode, model in models.items()}
+            experiment.stage_combination(run_dir, models if name == "bare" else proxies,
+                                         datasets, task.alphabet, refs, rows)
+        combined[name] = [(run_dir / experiment.artifact("combination", split)).read_bytes()
+                          for split in datasets]
+    assert combined["traced"] == combined["bare"]
+    assert all(combined["bare"])
+    spans = tracer.summary()
+    assert spans["fusion.combine_rescore"]["calls"] == len(task.dev) + len(task.test)
+    assert spans["model.encode_features"]["calls"] == 2 * (len(task.dev) + len(task.test))
+    assert all(proxy.states_made == 0 for proxy in proxies.values())

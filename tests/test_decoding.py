@@ -483,10 +483,11 @@ shared_settings = settings(max_examples=30, deadline=None, derandomize=True, dat
 @pytest.mark.parametrize("joint_mode", JOINT_MODES)
 class TestSharedPrefixTables:
     """The decoding stage shares one prefix table per model across its
-    utterances, and `attach_lm_components` one per LM across its records.
-    A row does not depend on when or with what it was added, so every
-    result through a shared table equals, bit for bit, the result through a
-    fresh table per utterance, in the given utterance order and in reverse."""
+    utterances, `attach_lm_components` one per LM across its records, and
+    cross-scoring one per model across the unions of a split. A row does
+    not depend on when or with what it was added, so every result through a
+    shared table equals, bit for bit, the result through a fresh table per
+    utterance, in the given utterance order and in reverse."""
 
     @shared_settings
     @given(st.integers(0, 2**16))
@@ -516,7 +517,9 @@ class TestSharedPrefixTables:
     @given(st.integers(0, 2**16))
     def test_combination_lays_out_each_union_once(self, joint_mode, merge, seed):
         # Both models score a union on one layout, which is the layout of a
-        # fresh table, and the scores do not depend on the utterance order.
+        # fresh table. Through one table per model shared by every union,
+        # as `stage_combination` passes them for a split, the rows equal
+        # the fresh-table calls' in every utterance order.
         models, _, search, utterances = _shared_case(seed, joint_mode)
         nbests = [[_search(model, features, merge=merge, **search)[0] for model in models]
                   for features in utterances]
@@ -539,9 +542,13 @@ class TestSharedPrefixTables:
                 assert fresh.rows(union).tolist() == trie.ends
                 assert (fresh.parents, fresh.labels) == (trie.parents, trie.labels)
         for order in ORDERS.values():
-            again = {i: fusion.combine_rescore(utterances[i], *nbests[i], *models)
+            tables = [PrefixStates(model.prediction) for model in models]
+            again = {i: fusion.combine_rescore(utterances[i], *nbests[i], *models, tables=tables)
                      for i in order(len(utterances))}
             assert [again[i] for i in range(len(utterances))] == scored
+            prefixes = {row.labels[:u] for rows in scored for row in rows
+                        for u in range(len(row.labels) + 1)}
+            assert all(set(table.index) == prefixes | {()} for table in tables)
 
 
 class _Handle:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from transducer_workbench import experiment, networks
+from transducer_workbench import experiment, fusion, networks
 from transducer_workbench.cli import main as cli_main
 from transducer_workbench.data import (
     Alphabet,
@@ -424,6 +424,54 @@ class TestPrefixTableScope:
             call(stage_combination, tmp_path, models, datasets, task.alphabet, refs, rows)
         assert stepped[0] == stepped[1] > 0
         assert stepped[2] == stepped[3] > 0
+
+    def test_combination_steps_each_prefix_once_per_model_per_split(self, tmp_path, monkeypatch):
+        # `stage_combination` makes one table per model per split, which
+        # every union of the split reads, so the label network steps each
+        # distinct prefix of a split's unions (the root included) once per
+        # model, and no union makes a table of its own.
+        cfg = tiny_config()
+        task = generate_synthetic_task(build_task_config(cfg), RandomStream(1))
+        datasets = {"dev": task.dev, "test": task.test}
+        models = {mode: init_model(build_model_config(cfg, mode), RandomStream(10 + i))
+                  for i, mode in enumerate(cfg["model"]["modes"])}
+        lms = [init_char_lm_params(cfg["task"]["num_labels"], build_lm_config(cfg, which),
+                                   RandomStream(20 + i)) for i, which in enumerate(LM_NAMES)]
+        stage_decode(cfg, tmp_path, models, datasets, task.alphabet, *lms)
+        refs = {split: {u.utt_id: u.labels for u in ds} for split, ds in datasets.items()}
+        rows = {(mode, split): read_nbest(tmp_path / artifact("nbest", mode, split), task.alphabet)
+                for mode in models for split in datasets}
+        tables = []
+
+        class Recorded(PrefixStates):
+            def __init__(self, params):
+                super().__init__(params)
+                tables.append(self)
+
+        stepped = collections.Counter()  # label-network rows by network
+        label_forward = networks._label_forward
+
+        def counted(symbols, params, *args, **kwargs):
+            stepped[id(params)] += np.asarray(symbols).size
+            return label_forward(symbols, params, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "PrefixStates", Recorded)
+        monkeypatch.setattr(fusion, "PrefixStates", Recorded)
+        monkeypatch.setattr(networks, "_label_forward", counted)
+        stage_combination(tmp_path, models, datasets, task.alphabet, refs, rows)
+        predictions = [model.prediction for model in models.values()]
+        assert [id(table.params) for table in tables] == [id(p) for p in predictions] * 2
+        expected = collections.Counter()
+        for split, pair in zip(("dev", "test"), (tables[:2], tables[2:])):
+            combined = read_nbest(tmp_path / artifact("combination", split), task.alphabet)
+            prefixes = {(), *(row.labels[:u] for utt_rows in combined.values()
+                              for row in utt_rows for u in range(1, len(row.labels) + 1))}
+            assert len(prefixes) > 1
+            for table in pair:
+                assert set(table.index) == prefixes
+                assert len(table.parents) == len(prefixes)
+                expected[id(table.params)] += len(prefixes)
+        assert stepped == expected
 
 
 def bound_cases():

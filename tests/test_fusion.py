@@ -233,8 +233,14 @@ class TestCombineRescore:
         nb_a = alsd_beam(model_a, features, beam_width=16, n_best=8, expansion_cap=6)
         nb_b = alsd_beam(model_b, features, beam_width=16, n_best=8, expansion_cap=6)
         if tied:
-            monkeypatch.setattr(model_a, "prefix_trie_nlls",
-                                lambda H, trie: np.full(len(trie.ends), 2.5))
+            forward = fusion.prefix_trie_forward
+
+            def tied_a(blank, label, parents):
+                alpha = forward(blank, label, parents)
+                alpha[0, -1] = -2.5  # every sequence's transducer_a
+                return alpha
+
+            monkeypatch.setattr(fusion, "prefix_trie_forward", tied_a)
         combined = combine_rescore(features, nb_a, nb_b, model_a, model_b)
         union = {h.labels for h in nb_a} | {h.labels for h in nb_b}
         assert len(combined) == len(union) > 2
@@ -344,11 +350,19 @@ class TestCombineRescore:
         assert len(blocks) == 2 * (depth + 1) and len(joints) == 2
 
     def test_one_prefix_table_per_model_per_utterance(self, monkeypatch):
+        # Without `tables`, each call fills one fresh table per model with
+        # the union's one trie layout, one block step per depth. With
+        # `tables`, one per model as `stage_combination` passes them for a
+        # split, the calls make no table, and each table steps only the
+        # prefixes that no earlier utterance reached.
         model_a = tiny_model(54)
         model_b = tiny_model(55, mode="multiplicative")
-        features = RandomStream(56).normal(size=(4, 3))
-        nb_a = alsd_beam(model_a, features, beam_width=16, n_best=8, expansion_cap=6)
-        nb_b = alsd_beam(model_b, features, beam_width=16, n_best=8, expansion_cap=6)
+        sizes = [(4, 6), (2, 6), (6, 18)]  # (frames, expansion cap)
+        utterances = [RandomStream(56 + i).normal(size=(T, 3)) for i, (T, _) in enumerate(sizes)]
+        nbests = [[alsd_beam(model, features, beam_width=16, n_best=8, expansion_cap=cap)
+                   for model in (model_a, model_b)]
+                  for features, (_, cap) in zip(utterances, sizes)]
+        features, (nb_a, nb_b) = utterances[0], nbests[0]
         tables, filled = [], []
 
         class Recorded(PrefixStates):
@@ -361,7 +375,7 @@ class TestCombineRescore:
                 return super().add(blocks)
 
         blocks = []
-        monkeypatch.setattr(model_module, "PrefixStates", Recorded)
+        monkeypatch.setattr(fusion, "PrefixStates", Recorded)
         monkeypatch.setattr(networks, "_label_forward",
                             counting(networks._label_forward, blocks))
         combined = combine_rescore(features, nb_a, nb_b, model_a, model_b)
@@ -381,6 +395,45 @@ class TestCombineRescore:
             assert [np.shape(args[0]) for args in own] == [
                 (1, sum(len(p) == d for p in prefixes)) for d in range(depth + 1)
             ]
+
+        shared = [Recorded(model_a.prediction), Recorded(model_b.prediction)]
+        del tables[:], blocks[:]
+        seen, nodes = {()}, 0
+        for features, (nb_a, nb_b) in zip(utterances, nbests):
+            del filled[:]
+            combined = combine_rescore(features, nb_a, nb_b, model_a, model_b, tables=shared)
+            prefixes = {c.labels[:u] for c in combined for u in range(len(c.labels) + 1)}
+            assert tables == []
+            assert [t for t, _ in filled] == shared
+            for table, seqs in filled:
+                assert sorted(seqs) == sorted(prefixes - seen)
+            seen |= prefixes
+            nodes += len(prefixes) - 1
+            for table in shared:
+                assert set(table.index) == seen
+        assert len(seen) - 1 < nodes  # later utterances reuse earlier prefixes
+        for table in shared:
+            # Every distinct prefix of the utterances is stepped once.
+            assert sum(np.size(args[0]) for args in blocks if args[1] is table.params) == \
+                len(seen) - 1
+
+    def test_models_of_different_frame_rates_rejected(self):
+        # Both modes of a run share `[model] stacking` and `skip`; a pair
+        # whose encoder outputs differ in length is refused, not scored.
+        model_a = tiny_model(62)
+        config = ModelConfig(
+            num_labels=2,
+            encoder=EncoderConfig(layers=1, cells=4, stacking=2, skip=2, input_dim=3),
+            prediction=PredictionConfig(cells=4, embed_dim=3),
+            joint_dim=5,
+        )
+        model_b = init_model(config, RandomStream(63))
+        features = RandomStream(64).normal(size=(4, 3))
+        nbest = alsd_beam(model_a, features, beam_width=16, n_best=4, expansion_cap=6)
+        with pytest.raises(ContractViolation, match="4 and 2 frames"):
+            combine_rescore(features, nbest, [], model_a, model_b)
+        with pytest.raises(ContractViolation, match="2 and 4 frames"):
+            combine_rescore(features, [], nbest, model_b, model_a)
 
     def test_out_of_vocabulary_label_rejected(self):
         model = tiny_model(57)

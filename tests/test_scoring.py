@@ -66,3 +66,13 @@ class TestComputeWer:
 def test_corpus_wer_aggregates_by_reference_length():
     pairs = [("a b".split(), "a b".split()), ("c d".split(), ["c"])]
     assert corpus_wer(pairs) == pytest.approx(1 / 4)
+
+
+def test_corpus_wer_reads_iterator_sequences_once():
+    # A generator reference counts its words, although computing the edits
+    # consumes it; the result equals the list call.
+    pairs = [("a b c".split(), "a x c".split()), (["d"], [])]
+    expected = corpus_wer(pairs)
+    assert expected == pytest.approx(2 / 4)
+    assert corpus_wer((iter(ref), iter(hyp)) for ref, hyp in pairs) == expected
+    assert corpus_wer(((word for word in ref), hyp) for ref, hyp in pairs) == expected
