@@ -8,6 +8,7 @@ identical outputs.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -114,20 +115,36 @@ def sequence_noise_inject(
     return out
 
 
-def pick_donor(lengths, target_index: int, tolerance: float, rng: RandomStream) -> int:
+def _within(lengths, length: int, tolerance: float) -> list[int]:
+    """Indices, in order, of the lengths within the relative tolerance of
+    `length`."""
+    return [i for i, n in enumerate(lengths) if abs(n - length) <= tolerance * length]
+
+
+def donor_pools(lengths, tolerance: float) -> dict[int, list[int]]:
+    """For each distinct length, the indices of the lengths within the
+    relative tolerance of it, in index order: `pick_donor`'s candidates,
+    for callers that draw donors for many targets of one set of lengths."""
+    return {length: _within(lengths, length, tolerance) for length in dict.fromkeys(lengths)}
+
+
+def pick_donor(lengths, target_index: int, tolerance: float, rng: RandomStream, pools=None) -> int:
     """Uniform pick among other utterances whose length is within the
-    relative tolerance of the target; falls back to any other utterance."""
+    relative tolerance of the target; falls back to any other utterance.
+    `pools`, `donor_pools(lengths, tolerance)`, saves the scan over all
+    lengths: the candidates are the target's pool without the target, in
+    the same order, so one integer draw picks the same donor either way."""
     t_len = lengths[target_index]
-    candidates = [
-        i
-        for i, n in enumerate(lengths)
-        if i != target_index and abs(n - t_len) <= tolerance * t_len
-    ]
-    if not candidates:
-        candidates = [i for i in range(len(lengths)) if i != target_index]
-    if not candidates:
+    pool = pools[t_len] if pools is not None else _within(lengths, t_len, tolerance)
+    k = bisect.bisect_left(pool, target_index)
+    own = k < len(pool) and pool[k] == target_index
+    if len(pool) > own:
+        j = int(rng.integers(0, len(pool) - own))
+        return pool[j + 1 if own and j >= k else j]
+    if len(lengths) < 2:
         return target_index
-    return candidates[int(rng.integers(0, len(candidates)))]
+    j = int(rng.integers(0, len(lengths) - 1))
+    return j + 1 if j >= target_index else j
 
 
 def spec_augment(features: np.ndarray, config: SpecAugmentConfig, rng: RandomStream) -> np.ndarray:

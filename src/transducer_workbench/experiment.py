@@ -107,7 +107,8 @@ ABLATIONS = {
 # the set of values the stages run with: for a number, an interval, where
 # "(" and ")" exclude their bound; for a string, the tuple of its allowed
 # values; for a list, `Items`: each element's domain, and whether the list
-# may be empty. None allows any value of the type, and every float must be
+# may be empty. A list of names (modes, conditions, ablations) names each
+# entry once. None allows any value of the type, and every float must be
 # finite. Unknown sections or keys in a config file are errors.
 Items = NamedTuple("Items", [("each", object), ("empty", bool)])
 CONFIG_SCHEMA = {
@@ -281,6 +282,9 @@ def _validate(config: dict):
             if isinstance(domain, Items):
                 if not (value or domain.empty):
                     raise ConfigError(f"{where}: at least one value is needed")
+                repeated = [item for i, item in enumerate(value) if item in value[:i]]
+                if repeated and kind == _STRS:  # a name list names each entry once
+                    raise ConfigError(f"{where}: {repeated[0]!r} is named more than once")
                 items, domain = value, domain.each
             for item in items:
                 if kind in (_FLOAT, _FLOATS) and not np.isfinite(item) or not _in_domain(item, domain):

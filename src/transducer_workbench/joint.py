@@ -226,20 +226,25 @@ def joint_forward_lattice(H: np.ndarray, G: np.ndarray, params: JointParams):
 
 
 def joint_backward_lattice(
-    grad_logprob: np.ndarray, cache: JointLatticeCache, params: JointParams
+    grad_logprob: np.ndarray, cache: JointLatticeCache, params: JointParams, out=None
 ):
     """Vectorized backward over the whole lattice.
 
     Returns (param_grads, d_H, d_G); param_grads keys mirror
-    JointParams.arrays().
+    JointParams.arrays(), in the order W_out, b, the branch biases if any,
+    W_enc, W_pred. The gradients are written into the arrays of `out`, which
+    is then param_grads, or into new ones: the same bits either way.
     """
     d_logits = log_softmax_backward(grad_logprob, cache.logprob)  # (T, U+1, K)
     d_act = d_logits @ params.W_out  # (T, U+1, J)
     d_pre = (1.0 - cache.act**2) * d_act
-    grads = {
-        "W_out": np.einsum("tuk,tuj->kj", d_logits, cache.act),
-        "b": d_pre.sum(axis=(0, 1)),
-    }
+    if out is None:
+        arrays = params.arrays()
+        names = ["W_out", "b", *(["b_enc", "b_pred"] if params.b_enc is not None else []),
+                 "W_enc", "W_pred"]
+        out = {name: np.empty_like(arrays[name]) for name in names}
+    np.einsum("tuk,tuj->kj", d_logits, cache.act, out=out["W_out"])
+    d_pre.sum(axis=(0, 1), out=out["b"])
     if params.mode == ADDITIVE:
         d_ht = d_pre.sum(axis=1)  # (T, J)
         d_gt = d_pre.sum(axis=0)  # (U+1, J)
@@ -249,10 +254,10 @@ def joint_backward_lattice(
         d_ht = np.einsum("tuj,uj->tj", d_pre, gt)
         d_gt = np.einsum("tuj,tj->uj", d_pre, ht)
         if params.b_enc is not None:
-            grads["b_enc"] = d_ht.sum(axis=0)
-            grads["b_pred"] = d_gt.sum(axis=0)
-    grads["W_enc"] = d_ht.T @ cache.H
-    grads["W_pred"] = d_gt.T @ cache.G
+            d_ht.sum(axis=0, out=out["b_enc"])
+            d_gt.sum(axis=0, out=out["b_pred"])
+    np.matmul(d_ht.T, cache.H, out=out["W_enc"])
+    np.matmul(d_gt.T, cache.G, out=out["W_pred"])
     d_H = d_ht @ params.W_enc
     d_G = d_gt @ params.W_pred
-    return grads, d_H, d_G
+    return out, d_H, d_G

@@ -14,6 +14,11 @@ Conventions (shared with the decoder):
 `brute_force_nll` enumerates alignments directly and is the independent
 oracle for `rnnt_forward`; both implement the same convention.
 
+`rnnt_forward` and `rnnt_backward` run their alpha and beta recursions over
+Python floats, one private `_logaddexp` per cell, which equals np.logaddexp
+bit for bit; the gradient is two array expressions, the label edges'
+scattered to their entries at once.
+
 Prefix tries: lattice row u and alpha column u of a sequence depend only on
 its first u labels. A whole set of sequences is therefore scored on their
 prefix trie (`networks.prefix_trie`, nodes in depth order), one lattice
@@ -23,12 +28,13 @@ each node's blank and label steps from the trie's lattice columns, and
 a leading axis, for several models on the same trie at once. Given the same
 lattice columns it reproduces `rnnt_forward`'s alpha bit for bit, since
 every entry comes from the same operands through the same `+` and
-`np.logaddexp`.
+np.logaddexp, which `_logaddexp` equals.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,37 +78,58 @@ def _check_shapes(lattice: np.ndarray, y) -> tuple[int, int, int]:
     return T, U, K
 
 
+_LOG2 = math.log(2.0)
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """np.logaddexp of two Python floats, bit for bit: numpy's scalar
+    `npy_logaddexp`, branch for branch, on the C library's exp and log1p,
+    which `math` calls as well. It saves the numpy-scalar call of each
+    lattice cell. (`numerics.log_add` runs numpy's exp and log1p ufuncs,
+    which round differently on a few per cent of inputs.)"""
+    if x == y:  # infinities of one sign included
+        return x + _LOG2
+    diff = x - y
+    if diff > 0:
+        return x + math.log1p(math.exp(-diff))
+    if diff <= 0:
+        return y + math.log1p(math.exp(diff))
+    return diff  # NaN
+
+
+def _steps(lattice: np.ndarray, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The blank steps (T, U+1), the label steps (T, U), label[t][u] the
+    step of y[u] at row t, and each label's output index (U,)."""
+    T, U1, _ = lattice.shape
+    yk = np.array([label_to_output_index(lab) for lab in y], dtype=int)
+    return lattice[:, :, BLANK_ID], lattice[:, np.arange(U1 - 1), yk], yk
+
+
 def rnnt_forward(lattice: np.ndarray, y) -> tuple[float, np.ndarray]:
     """Negative log-likelihood of y and the forward grid alpha.
 
     alpha[t][u] is the log-probability mass of all alignment prefixes with
-    t blanks and u labels; the full loss is -alpha[T][U].
+    t blanks and u labels; the full loss is -alpha[T][U]. The recursion runs
+    over Python floats, row by row, with `_logaddexp`, so every entry equals
+    the numpy-scalar recursion bit for bit.
     """
     lattice = np.asarray(lattice, dtype=np.float64)
     T, U, _ = _check_shapes(lattice, y)
+    blank, label, _ = _steps(lattice, y)
+    blank, label = blank.tolist(), label.tolist()
 
-    blank = lattice[:, :, BLANK_ID]  # (T, U+1)
-    if U > 0:
-        yk = np.array([label_to_output_index(lab) for lab in y])
-        label = lattice[:, np.arange(U), yk]  # (T, U): label[t][u] = step prob of y[u] at row t
-    else:
-        label = np.zeros((T, 0))
-
-    alpha = np.full((T + 1, U + 1), NEG_INF)
-    alpha[0, 0] = 0.0
+    row = [0.0]
+    for step in label[0]:
+        row.append(row[-1] + step)
+    alpha = [row]
     for t in range(1, T + 1):
-        alpha[t, 0] = alpha[t - 1, 0] + blank[t - 1, 0]
-    for u in range(1, U + 1):
-        alpha[0, u] = alpha[0, u - 1] + label[0, u - 1]
-    for t in range(1, T + 1):
-        row = min(t, T - 1)
+        up, b, lab = row, blank[t - 1], label[min(t, T - 1)]
+        row = [up[0] + b[0]]
         for u in range(1, U + 1):
-            alpha[t, u] = np.logaddexp(
-                alpha[t - 1, u] + blank[t - 1, u],
-                alpha[t, u - 1] + label[row, u - 1],
-            )
-    nll = -alpha[T, U]
-    return float(nll), alpha
+            row.append(_logaddexp(up[u] + b[u], row[u - 1] + lab[u - 1]))
+        alpha.append(row)
+    alpha = np.array(alpha)
+    return float(-alpha[T, U]), alpha
 
 
 def prefix_trie_steps(columns: np.ndarray, parents, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -191,7 +218,10 @@ def rnnt_backward(lattice: np.ndarray, y, alpha: np.ndarray) -> tuple[np.ndarray
     log-probability entry of the lattice.
 
     grad[t][u][k] = -exp(occupancy of the edges reading that entry, minus
-    log p(y|x)); computed fully in the log domain until the final exp.
+    log p(y|x)); computed fully in the log domain until the final exp. The
+    beta recursion runs over Python floats as `rnnt_forward`'s does; the
+    occupancies are array expressions, one for the blank edges and one,
+    scattered to the label entries, for the label edges.
     """
     lattice = np.asarray(lattice, dtype=np.float64)
     T, U, _ = _check_shapes(lattice, y)
@@ -200,27 +230,21 @@ def rnnt_backward(lattice: np.ndarray, y, alpha: np.ndarray) -> tuple[np.ndarray
     log_p = alpha[T, U]
     if not np.isfinite(log_p):
         raise ContractViolation("gradient undefined: p(y|x) is zero for this lattice")
+    blank, label, yk = _steps(lattice, y)
+    blank_rows, label_rows = blank.tolist(), label.tolist()
 
-    blank = lattice[:, :, BLANK_ID]
-    if U > 0:
-        yk = np.array([label_to_output_index(lab) for lab in y])
-        label = lattice[:, np.arange(U), yk]
-    else:
-        yk = np.zeros(0, dtype=int)
-        label = np.zeros((T, 0))
-
-    beta = np.full((T + 1, U + 1), NEG_INF)
-    beta[T, U] = 0.0
-    for t in range(T - 1, -1, -1):
-        beta[t, U] = blank[t, U] + beta[t + 1, U]
+    row = [0.0] * (U + 1)
     for u in range(U - 1, -1, -1):
-        beta[T, u] = label[T - 1, u] + beta[T, u + 1]
+        row[u] = label_rows[T - 1][u] + row[u + 1]
+    beta = [row]
     for t in range(T - 1, -1, -1):
+        down, b, lab = row, blank_rows[t], label_rows[t]
+        row = [0.0] * (U + 1)
+        row[U] = b[U] + down[U]
         for u in range(U - 1, -1, -1):
-            beta[t, u] = np.logaddexp(
-                blank[t, u] + beta[t + 1, u],
-                label[t, u] + beta[t, u + 1],
-            )
+            row[u] = _logaddexp(b[u] + down[u], lab[u] + row[u + 1])
+        beta.append(row)
+    beta = np.array(beta[::-1])
 
     grad = np.zeros_like(lattice)
     with np.errstate(invalid="ignore"):
@@ -229,12 +253,9 @@ def rnnt_backward(lattice: np.ndarray, y, alpha: np.ndarray) -> tuple[np.ndarray
         grad[:, :, BLANK_ID] = -np.exp(occ_blank)
         # Label edges: node (t, u) -> (t, u+1) reads row min(t, T-1); the
         # t = T node folds onto row T-1, so that entry collects two edges.
-        for u in range(U):
-            k = yk[u]
-            occ = alpha[:T, u] + lattice[:, u, k] + beta[:T, u + 1] - log_p
-            grad[:, u, k] = -np.exp(occ)
-            extra = alpha[T, u] + lattice[T - 1, u, k] + beta[T, u + 1] - log_p
-            grad[T - 1, u, k] -= np.exp(extra)
+        d_label = -np.exp(alpha[:T, :U] + label + beta[:T, 1:] - log_p)
+        d_label[T - 1] -= np.exp(alpha[T, :U] + label[T - 1] + beta[T, 1:] - log_p)
+        grad[:, np.arange(U), yk] = d_label
     return beta, grad
 
 

@@ -41,6 +41,7 @@ from .networks import (
     PredictionConfig,
     PrefixStates,
     PrefixTrie,
+    drop_connect,
     encode,
     encode_backward,
     init_char_lm_params,
@@ -50,7 +51,7 @@ from .networks import (
     predict_embed,
     sample_dropconnect_mask,
 )
-from .numerics import RandomStream
+from .numerics import RandomStream, sub_grads
 
 
 @dataclass
@@ -93,6 +94,24 @@ class DropConnectMasks:
     encoder: list | None = None  # per layer: (fwd_mask, bwd_mask | None)
     prediction: list | None = None  # per label-network layer
 
+    def formed(self, model: TransducerModel) -> DropConnectMasks:
+        """These draws as `networks.DropConnect` pairs, each holding W_h *
+        mask of the current parameters, formed once for all the passes that
+        read them while the parameters stay fixed: the training loop's
+        minibatch. A pass under plain masks forms its own products, so it
+        follows parameter changes, as finite differences need."""
+        if self.encoder is None:
+            return self
+        encoder = [
+            (drop_connect(layer.fwd, fwd), None if bwd is None else drop_connect(layer.bwd, bwd))
+            for layer, (fwd, bwd) in zip(model.encoder.layers, self.encoder)
+        ]
+        prediction = [
+            drop_connect(layer, mask)
+            for layer, mask in zip(model.prediction.layers, self.prediction)
+        ]
+        return DropConnectMasks(encoder, prediction)
+
 
 @dataclass
 class TransducerModel:
@@ -115,8 +134,15 @@ class TransducerModel:
 
     # -- training path ---------------------------------------------------
 
-    def loss_and_grads(self, features, labels, aux=None, masks: DropConnectMasks | None = None):
-        """NLL of one utterance and gradients for every parameter.
+    def loss_and_grads(
+        self, features, labels, aux=None, masks: DropConnectMasks | None = None, out=None
+    ):
+        """NLL of one utterance and gradients for every parameter: joint,
+        then encoder layers from the top (a layer's reverse direction before
+        its forward one), then prediction. With `out`, a gradient dict of an
+        earlier call (the training loop's workspace), each backward pass
+        writes into its arrays and `out` is returned; without, the arrays
+        are new. The values are the same bit for bit.
 
         Raises TrainingDiverged when the forward loss is non-finite, so the
         training loop can abort with its last good checkpoint.
@@ -129,9 +155,17 @@ class TransducerModel:
         if not np.isfinite(nll):
             raise TrainingDiverged(f"non-finite loss {nll}")
         _, grad = rnnt_backward(logprob, labels, alpha)
-        joint_grads, d_H, d_G = joint_backward_lattice(grad, joint_cache, self.joint)
-        enc_grads, _ = encode_backward(d_H, self.config.encoder, self.encoder, enc_cache)
-        pred_grads = predict_backward(d_G, labels, pred_cache, self.prediction)
+        joint_grads, d_H, d_G = joint_backward_lattice(
+            grad, joint_cache, self.joint, sub_grads(out, "joint.")
+        )
+        enc_grads, _ = encode_backward(
+            d_H, self.config.encoder, self.encoder, enc_cache, sub_grads(out, "encoder.")
+        )
+        pred_grads = predict_backward(
+            d_G, labels, pred_cache, self.prediction, sub_grads(out, "prediction.")
+        )
+        if out is not None:
+            return nll, out
         grads = {f"joint.{k}": v for k, v in joint_grads.items()}
         grads.update({f"encoder.{k}": v for k, v in enc_grads.items()})
         grads.update({f"prediction.{k}": v for k, v in pred_grads.items()})

@@ -33,9 +33,14 @@ That API is only their oracle, which the package does not call.
 
 Each forward pass has a closed-form backward implemented alongside it; every
 backward in this module is checked against central finite differences in the
-test suite. The hidden-to-hidden matrix of each LSTM is the DropConnect
-target: when a mask is supplied, the matrix is replaced elementwise by
-matrix * mask for the whole pass, and gradients are chained through the mask.
+test suite. A backward pass given `out`, a gradient dict of an earlier call,
+writes each weight gradient into its arrays (`sub_grads` hands each layer
+its part) instead of new ones, with the same bits: the training loops reuse
+one such workspace for every item. The hidden-to-hidden matrix of each LSTM
+is the DropConnect target: when a mask is supplied, the matrix is replaced
+elementwise by matrix * mask for the whole pass, and gradients are chained
+through the mask. A `DropConnect` draw holds that product, formed once for
+all the passes of a minibatch.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolation, DimensionError
-from .numerics import RandomStream, log_softmax, log_softmax_backward
+from .numerics import RandomStream, empty_like_all, log_softmax, log_softmax_backward, sub_grads
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +133,9 @@ def lstm_forward(xs: np.ndarray, params: LSTMParams, hh_mask=None, state=None):
     """Run the rows of xs (T, D) from `state` (zeros when None); returns
     (outputs (T, H), final (h, c), cache). xs may also be a block (T, B, D)
     of B independent rows stepped together, with `state` as (B, H) pairs;
-    outputs and states then carry the B axis. hh_mask, when present,
-    replaces the hidden-to-hidden matrix by W_h * mask for the whole call.
+    outputs and states then carry the B axis. hh_mask, when present, is a
+    DropConnect mask or a `DropConnect` draw that already holds W_h * mask;
+    the masked matrix replaces the hidden-to-hidden one for the whole call.
 
     The gates take one tanh per step over the stacked 4H pre-activation,
     using sigmoid(x) = (1 + tanh(x / 2)) / 2; the halving is exact, and tanh
@@ -146,9 +152,9 @@ def lstm_forward(xs: np.ndarray, params: LSTMParams, hh_mask=None, state=None):
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim not in (2, 3) or xs.shape[-1] != params.input_dim:
         raise DimensionError(f"LSTM expects rows of dim {params.input_dim}, got {xs.shape}")
-    if hh_mask is not None and hh_mask.shape != params.W_h.shape:
-        raise DimensionError("hh_mask shape must match the hidden-to-hidden matrix")
-    W_h_eff = params.W_h if hh_mask is None else params.W_h * hh_mask
+    if hh_mask is not None and not isinstance(hh_mask, DropConnect):
+        hh_mask = drop_connect(params, hh_mask)
+    W_h_eff, mask = (params.W_h, None) if hh_mask is None else (hh_mask.W_h, hh_mask.mask)
     T, rows, H = xs.shape[0], xs.shape[1:-1], params.hidden
     scale, offset = _gate_affine(H)
     xw = np.matmul(params.W_x, xs[..., None])[..., 0]
@@ -170,17 +176,20 @@ def lstm_forward(xs: np.ndarray, params: LSTMParams, hh_mask=None, state=None):
         c += act[..., :H] * act[..., 2 * H : 3 * H]
         np.tanh(c, out=tcs[t])
         np.multiply(act[..., 3 * H :], tcs[t], out=hs[t + 1])
-    cache = LSTMSeqCache(xs, hs, cs, gates, tcs, W_h_eff, hh_mask)
+    cache = LSTMSeqCache(xs, hs, cs, gates, tcs, W_h_eff, mask)
     return hs[1:], (hs[T], cs[T]), cache
 
 
-def lstm_backward(d_outs: np.ndarray, cache: LSTMSeqCache, params: LSTMParams):
+def lstm_backward(d_outs: np.ndarray, cache: LSTMSeqCache, params: LSTMParams, out=None):
     """BPTT through lstm_forward. Returns (d_xs, grads, d_h0, d_c0).
 
     The gate-local derivatives of all T steps are formed before the loop,
     which then carries only d_h and d_c and writes the pre-activation
-    gradient dZ (T, 4H); every weight gradient is one product over dZ.
-    Block calls are inference-only: their caches raise DimensionError."""
+    gradient dZ (T, 4H); every weight gradient is one product over dZ,
+    written into the arrays of `out` (a dict named as params.arrays()),
+    which is then `grads`, or into new arrays when `out` is None: the same
+    products either way, so the same bits. Block calls are inference-only:
+    their caches raise DimensionError."""
     if cache.xs.ndim != 2:
         raise DimensionError(f"lstm_backward takes (T, D) caches, got inputs {cache.xs.shape}")
     T, H = cache.tcs.shape
@@ -205,10 +214,12 @@ def lstm_backward(d_outs: np.ndarray, cache: LSTMSeqCache, params: LSTMParams):
         np.multiply(local[t, 3], d_h, out=dZ_gates[t, 3])
         d_c_next = d_c * f[t]
         d_h_next = dZ[t] @ W_h_eff
-    gW_h = dZ.T @ cache.hs[:-1]
+    grads = out if out is not None else empty_like_all(params.arrays())
+    np.matmul(dZ.T, cache.xs, out=grads["W_x"])
+    np.matmul(dZ.T, cache.hs[:-1], out=grads["W_h"])
     if cache.hh_mask is not None:
-        gW_h *= cache.hh_mask
-    grads = {"W_x": dZ.T @ cache.xs, "W_h": gW_h, "b": dZ.sum(axis=0)}
+        grads["W_h"] *= cache.hh_mask
+    dZ.sum(axis=0, out=grads["b"])
     return dZ @ params.W_x, grads, d_h_next, d_c_next
 
 
@@ -374,31 +385,35 @@ def encode_backward(
     config: EncoderConfig,
     params: EncoderParams,
     cache: EncoderCache,
+    out=None,
 ):
-    """Backward through encode. Returns (grads, d_features_with_aux)."""
+    """Backward through encode. Returns (grads, d_features_with_aux). The
+    gradients go into the arrays of `out` (named as params.arrays()), which
+    is then `grads`, or into new arrays in a new dict: layers from the top,
+    a layer's reverse direction before its forward one."""
     if not config.bidirectional and config.lookahead > 0:
         padded = np.zeros((cache.stacked_T + config.lookahead, d_h.shape[1]))
         padded[config.lookahead :] = d_h
         d_x = padded
     else:
         d_x = d_h
-    grads: dict[str, np.ndarray] = {}
+    grads = {} if out is None else out
     H = config.cells
     for i in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[i]
         fcache, bcache = cache.layer_caches[i]
+        fwd_out = sub_grads(out, f"layers.{i}.fwd.")
         if layer.bwd is not None:
             d_fo = d_x[:, :H]
             d_bo = d_x[:, H:][::-1]
-            d_in_f, gf, _, _ = lstm_backward(d_fo, fcache, layer.fwd)
-            d_in_b, gb, _, _ = lstm_backward(d_bo, bcache, layer.bwd)
+            d_in_f, gf, _, _ = lstm_backward(d_fo, fcache, layer.fwd, fwd_out)
+            bwd_out = sub_grads(out, f"layers.{i}.bwd.")
+            d_in_b, gb, _, _ = lstm_backward(d_bo, bcache, layer.bwd, bwd_out)
             d_x = d_in_f + d_in_b[::-1]
-            for name, arr in gb.items():
-                grads[f"layers.{i}.bwd.{name}"] = arr
+            grads.update((f"layers.{i}.bwd.{name}", arr) for name, arr in gb.items())
         else:
-            d_x, gf, _, _ = lstm_backward(d_x, fcache, layer.fwd)
-        for name, arr in gf.items():
-            grads[f"layers.{i}.fwd.{name}"] = arr
+            d_x, gf, _, _ = lstm_backward(d_x, fcache, layer.fwd, fwd_out)
+        grads.update((f"layers.{i}.fwd.{name}", arr) for name, arr in gf.items())
     # Rows past stacked_T belong to the zero lookahead frames, not to features.
     d_features = stack_and_skip_backward(
         d_x[: cache.stacked_T], cache.raw_T, cache.raw_D, config.stacking, config.skip
@@ -461,14 +476,22 @@ def _label_forward(symbols, params: LabelNetParams, states=None, hh_masks=None):
     return xs, tuple(final_states), caches
 
 
-def _label_backward(d_xs, symbols, caches, params: LabelNetParams):
+def _label_backward(d_xs, symbols, caches, params: LabelNetParams, out=None):
     """Backward through _label_forward from the top-layer output gradients.
-    Returns the layer and embedding gradients, named as in params.arrays()."""
-    grads = {}
+    Returns the layer and embedding gradients, named as in params.arrays():
+    the arrays of `out` under those names, written in place (its other
+    entries, such as an LM head's, are left alone), or new arrays in a new
+    dict, layers from the top, then the embedding."""
+    grads = {} if out is None else out
     for i in reversed(range(len(params.layers))):
-        d_xs, layer_grads, _, _ = lstm_backward(d_xs, caches[i], params.layers[i])
+        d_xs, layer_grads, _, _ = lstm_backward(
+            d_xs, caches[i], params.layers[i], sub_grads(out, f"layers.{i}.")
+        )
         grads.update((f"layers.{i}.{name}", arr) for name, arr in layer_grads.items())
-    grads["embedding"] = np.zeros_like(params.embedding)
+    if out is None:
+        grads["embedding"] = np.zeros_like(params.embedding)
+    else:
+        grads["embedding"].fill(0.0)
     np.add.at(grads["embedding"], np.asarray(symbols, dtype=int), d_xs)
     return grads
 
@@ -504,10 +527,10 @@ def predict_embed(prefix, params: LabelNetParams, hh_masks=None):
     return G, caches
 
 
-def predict_backward(d_G: np.ndarray, prefix, cache, params: LabelNetParams):
+def predict_backward(d_G: np.ndarray, prefix, cache, params: LabelNetParams, out=None):
     """Backward through predict_embed, every row of d_G included. Returns a
-    grads dict matching params.arrays()."""
-    return _label_backward(d_G, [params.bos, *prefix], cache, params)
+    grads dict matching params.arrays(), `out` when given (`_label_backward`)."""
+    return _label_backward(d_G, [params.bos, *prefix], cache, params, out)
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +584,12 @@ def lm_score(sequence, params: LabelNetParams, table: PrefixStates | None = None
     return float(scores[row] + logprobs[row, params.eos])
 
 
-def lm_loss_and_grads(sequence, params: LabelNetParams):
+def lm_loss_and_grads(sequence, params: LabelNetParams, out=None):
     """NLL of one sequence and gradients for every LM parameter: the output
     head over the label network's sequence forward and backward, which are
-    the prediction network's (`predict_embed`, `predict_backward`)."""
+    the prediction network's (`predict_embed`, `predict_backward`). With
+    `out`, a gradient dict of an earlier call, the gradients are written
+    into its arrays and `out` is returned; the bits are the same."""
     hs, caches = predict_embed(sequence, params)
     W_out, b_out = params.head
     logprobs = log_softmax(hs @ W_out.T + b_out)
@@ -573,8 +598,10 @@ def lm_loss_and_grads(sequence, params: LabelNetParams):
     d_lp = np.zeros_like(logprobs)
     d_lp[rows, targets] = -1.0
     d_logits = log_softmax_backward(d_lp, logprobs)
-    grads = {"W_out": d_logits.T @ hs, "b_out": d_logits.sum(axis=0)}
-    grads.update(predict_backward(d_logits @ W_out, sequence, caches, params))
+    grads = {"W_out": np.empty_like(W_out), "b_out": np.empty_like(b_out)} if out is None else out
+    np.matmul(d_logits.T, hs, out=grads["W_out"])
+    d_logits.sum(axis=0, out=grads["b_out"])
+    grads.update(predict_backward(d_logits @ W_out, sequence, caches, params, out))
     return nll, grads
 
 
@@ -798,5 +825,23 @@ def sample_dropconnect_mask(shape, rate: float, rng: RandomStream) -> np.ndarray
         return np.ones(shape)
     if rate == 1.0:
         return np.zeros(shape)
-    keep = (rng.random(shape) >= rate).astype(np.float64)
-    return keep / (1.0 - rate)
+    keep = rng.random(shape)
+    np.greater_equal(keep, rate, out=keep)  # 1.0 where kept, in place
+    keep /= 1.0 - rate
+    return keep
+
+
+class DropConnect(NamedTuple):
+    """One DropConnect draw of an LSTM's hidden-to-hidden matrix: the mask
+    and the masked matrix W_h * mask, formed once for every pass that shares
+    the draw (the training loop's minibatch), not once per pass."""
+
+    mask: np.ndarray
+    W_h: np.ndarray
+
+
+def drop_connect(params: LSTMParams, mask: np.ndarray) -> DropConnect:
+    """The draw of `mask` on the hidden-to-hidden matrix of `params`."""
+    if mask.shape != params.W_h.shape:
+        raise DimensionError("hh_mask shape must match the hidden-to-hidden matrix")
+    return DropConnect(mask, params.W_h * mask)

@@ -7,6 +7,9 @@ exact zero probability; NaN is never legal.
 
 from __future__ import annotations
 
+import math
+import mmap
+
 import numpy as np
 
 from .errors import ContractViolation, OracleFailure
@@ -29,7 +32,14 @@ def log_sum_exp(values) -> float:
 
 
 def log_add(a: float, b: float) -> float:
-    """log(exp(a) + exp(b)); scalar fast path of log_sum_exp."""
+    """log(exp(a) + exp(b)); scalar fast path of log_sum_exp.
+
+    It is not np.logaddexp bit for bit: it runs numpy's exp and log1p
+    ufuncs, which round differently from the C library's exp and log1p
+    (that np.logaddexp calls) on a few per cent of arguments, so the two
+    differ in the last bit on about 0.25 % of random pairs. ALSD's
+    logsumexp merge adds hypothesis scores with it, so the n-best files'
+    bytes depend on it too; changing it changes them."""
     if a == NEG_INF:
         return b
     if b == NEG_INF:
@@ -37,6 +47,47 @@ def log_add(a: float, b: float) -> float:
     if a < b:
         a, b = b, a
     return a + np.log1p(np.exp(b - a))
+
+
+def empty_like_all(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """A new uninitialized array of each entry's shape, in the same order."""
+    return {name: np.empty_like(arr) for name, arr in arrays.items()}
+
+
+def mapped_zeros(shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Zero-filled float64 arrays of the given shapes, in the same order:
+    views, each 64-byte aligned, of one anonymous memory mapping, which goes
+    back to the OS when its last view is freed, however the C heap is laid
+    out then. Training keeps what lives for a whole call in such mappings
+    (see `training`)."""
+    starts, total = [], 0
+    for shape in shapes.values():
+        starts.append(total)
+        total += -(-math.prod(shape) // 8) * 8
+    mapping = mmap.mmap(-1, 8 * max(total, 1), flags=mmap.MAP_PRIVATE)
+    buffer = np.frombuffer(mapping, dtype=np.float64)
+    return {
+        name: buffer[start : start + math.prod(shape)].reshape(shape)
+        for (name, shape), start in zip(shapes.items(), starts)
+    }
+
+
+def mapped_copy(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """`mapped_zeros` of the arrays' shapes, holding a copy of each."""
+    views = mapped_zeros({name: arr.shape for name, arr in arrays.items()})
+    for name, arr in arrays.items():
+        np.copyto(views[name], arr)
+    return views
+
+
+def sub_grads(out: dict[str, np.ndarray] | None, prefix: str):
+    """The entries of gradient dict `out` whose names start with `prefix`,
+    the prefix stripped, holding the same arrays; None for None. A backward
+    pass hands each part of a network's workspace to the pass of the part."""
+    if out is None:
+        return None
+    cut = len(prefix)
+    return {name[cut:]: arr for name, arr in out.items() if name.startswith(prefix)}
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -5,6 +5,23 @@ loop that applies the augmentation recipe.
 The training loop is deterministic under a fixed stream: data order,
 DropConnect masks, and every augmentation draw come from child streams keyed
 by (epoch, batch, utterance), and gradients accumulate in a fixed order.
+
+A step allocates no gradient-sized array once the first step is done. Each
+training call owns one `GradientWorkspace`: every utterance's backward
+passes write into its `item` arrays, which `_mean_gradients` sums into its
+`mean` arrays; the clip norm, AdamW and momentum SGD form their elementwise
+temporaries in two buffers of the optimizer state (`temps`); and the
+DropConnect draws hold their masked matrices for the whole minibatch. Every
+array operation is the one it replaces, in the same order, so the results
+are the same bit for bit.
+
+What lives for the whole call (the workspace, the optimizer state and the
+epoch-end checkpoint) lives in anonymous memory mappings
+(`numerics.mapped_zeros`), which go back to the OS when the call returns.
+Freed into the C heap instead, those megabytes leave a hole that the heap
+can return only if nothing a later stage allocated sits above it; where
+something does, the hole stays resident beneath the later stages' objects,
+and peak RSS moves by megabytes with the process layout.
 """
 
 from __future__ import annotations
@@ -18,6 +35,7 @@ from .augment import (
     NoiseInjectConfig,
     SpecAugmentConfig,
     SwitchoutConfig,
+    donor_pools,
     pick_donor,
     replica_expand,
     sequence_noise_inject,
@@ -28,7 +46,7 @@ from .data import Dataset
 from .decoding import greedy_decode
 from .errors import ContractViolation, TrainingDiverged
 from .model import TransducerModel, sample_model_masks
-from .numerics import RandomStream
+from .numerics import RandomStream, mapped_copy, mapped_zeros
 from .scoring import corpus_wer
 
 CONST_DECAY = "const_decay"
@@ -106,21 +124,31 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState:
+    """Moments plus `temps`: for each parameter, two arrays of its shape,
+    views of two buffers that all parameters share, which hold a step's
+    elementwise temporaries (and `clip_gradients`' squares). All of them are
+    views of memory mappings (`numerics.mapped_zeros`)."""
+
     config: OptimizerConfig
     step: int = 0
     velocity: dict = field(default_factory=dict)
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    temps: dict = field(default_factory=dict)
 
 
 def init_optimizer(params: dict[str, np.ndarray], config: OptimizerConfig) -> OptimizerState:
     state = OptimizerState(config=config)
+    shapes = {name: arr.shape for name, arr in params.items()}
+    size = max((arr.size for arr in params.values()), default=0)
+    buffers = mapped_zeros({"temps": (2, size)})["temps"]
     for name, arr in params.items():
-        if config.kind == MOMENTUM_SGD:
-            state.velocity[name] = np.zeros_like(arr)
-        else:
-            state.m[name] = np.zeros_like(arr)
-            state.v[name] = np.zeros_like(arr)
+        state.temps[name] = tuple(buf[: arr.size].reshape(arr.shape) for buf in buffers)
+    if config.kind == MOMENTUM_SGD:
+        state.velocity = mapped_zeros(shapes)
+    else:
+        state.m = mapped_zeros(shapes)
+        state.v = mapped_zeros(shapes)
     return state
 
 
@@ -139,27 +167,32 @@ def momentum_sgd_step(params, grads, state: OptimizerState, lr: float):
         vel = state.velocity[name]
         vel *= m
         vel += grads[name]
-        p -= lr * vel
+        p -= np.multiply(lr, vel, out=state.temps[name][0])
 
 
 def adamw_step(params, grads, state: OptimizerState, lr: float):
-    """Decoupled weight decay applied before the bias-corrected moment update."""
+    """Decoupled weight decay applied before the bias-corrected moment update:
+    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), each operation in that
+    order, its temporaries in the state's `temps` arrays."""
     _check_finite(grads)
     state.step += 1
     c = state.config
     bc1 = 1.0 - c.beta1**state.step
     bc2 = 1.0 - c.beta2**state.step
     for name, p in params.items():
+        a, b = state.temps[name]
         if c.weight_decay:
-            p -= lr * c.weight_decay * p
+            p -= np.multiply(lr * c.weight_decay, p, out=a)
         m = state.m[name]
         v = state.v[name]
         g = grads[name]
         m *= c.beta1
-        m += (1.0 - c.beta1) * g
+        m += np.multiply(1.0 - c.beta1, g, out=a)
         v *= c.beta2
-        v += (1.0 - c.beta2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
+        v += np.multiply(np.multiply(1.0 - c.beta2, g, out=b), g, out=b)
+        np.multiply(lr, np.divide(m, bc1, out=a), out=a)
+        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), c.eps, out=b)
+        p -= np.divide(a, b, out=a)
 
 
 def optimizer_step(params, grads, state: OptimizerState, lr: float):
@@ -169,20 +202,29 @@ def optimizer_step(params, grads, state: OptimizerState, lr: float):
         adamw_step(params, grads, state, lr)
 
 
-def group_norms(grads: dict[str, np.ndarray]) -> dict[str, float]:
+def _square_sum(g: np.ndarray, temps, name: str) -> float:
+    """(g * g).sum(), the squares formed in the first `temps` array of
+    `name` when an optimizer state's `temps` dict is given."""
+    squares = g * g if temps is None else np.multiply(g, g, out=temps[name][0])
+    return float(squares.sum())
+
+
+def group_norms(grads: dict[str, np.ndarray], temps=None) -> dict[str, float]:
     """The L2 norm of the gradients of "encoder", "prediction" and of each
-    joint tensor ("joint.W_enc", ...), which the global norm hides."""
+    joint tensor ("joint.W_enc", ...), which the global norm hides, summed
+    in dict order."""
     squares: dict[str, float] = {}
     for name, g in grads.items():
         group = name if name.startswith("joint.") else name.split(".", 1)[0]
-        squares[group] = squares.get(group, 0.0) + float((g * g).sum())
+        squares[group] = squares.get(group, 0.0) + _square_sum(g, temps, name)
     return {group: math.sqrt(total) for group, total in squares.items()}
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so the global L2 norm is at most max_norm.
-    Returns the pre-clip norm."""
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+def clip_gradients(grads: dict[str, np.ndarray], max_norm: float, temps=None) -> float:
+    """Scale all gradients so the global L2 norm, summed in dict order, is
+    at most max_norm. Returns the pre-clip norm. `temps`, an optimizer
+    state's, holds the squares instead of one new array per tensor."""
+    total = math.sqrt(sum(_square_sum(g, temps, name) for name, g in grads.items()))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
         for g in grads.values():
@@ -245,31 +287,51 @@ class TrainResult:
     metrics: list[EpochRecord]
 
 
-def _mean_gradients(per_item_grads, n: int) -> dict[str, np.ndarray]:
-    """Sum the gradient dicts in the order given, then divide by n. Callers
-    pass a generator, so one item's gradients are alive at a time."""
-    acc: dict[str, np.ndarray] = {}
-    for grads in per_item_grads:
+@dataclass
+class GradientWorkspace:
+    """The gradient arrays one training call reuses at every step: `item`
+    receives each item's gradients (the `out` of its loss), and `mean` their
+    minibatch mean (`_mean_gradients`). Both come from the call's first
+    gradients, so they keep their names, shapes and order, and both are
+    views of memory mappings (`numerics.mapped_zeros`)."""
+
+    item: dict | None = None
+    mean: dict | None = None
+
+
+def _mean_gradients(per_item_grads, n: int, out=None) -> dict[str, np.ndarray]:
+    """Sum the gradient dicts in the order given, then divide by n, into
+    the arrays of `out` or of a new mapped dict in the first item's order. Callers
+    pass a generator, so one item's gradients are alive at a time, and the
+    generator may refill one dict for every item."""
+    acc = out
+    for k, grads in enumerate(per_item_grads):
+        if acc is None:
+            acc = mapped_zeros({name: g.shape for name, g in grads.items()})
         for name, g in grads.items():
-            if name in acc:
+            if k:
                 acc[name] += g
             else:
-                acc[name] = g.copy()
+                np.copyto(acc[name], g)
     for g in acc.values():
         g /= n
     return acc
 
 
-def batch_loss_and_grads(model: TransducerModel, items, masks=None):
+def batch_loss_and_grads(model: TransducerModel, items, masks=None, workspace=None):
     """Mean NLL over (features, labels, aux) triples and the mean gradient,
-    accumulated in the given order."""
+    accumulated in the given order, in the arrays of `workspace` (a
+    `GradientWorkspace`), or of a new one."""
+    ws = workspace if workspace is not None else GradientWorkspace()
     total_nll = 0.0
 
     def utterance_grads():
         nonlocal total_nll
         for features, labels, aux in items:
             try:
-                nll, grads = model.loss_and_grads(features, labels, aux=aux, masks=masks)
+                nll, grads = model.loss_and_grads(
+                    features, labels, aux=aux, masks=masks, out=ws.item
+                )
             except ContractViolation as exc:
                 # NaNs inside the forward pass trip the numeric contracts;
                 # from the trainer's view that is a divergence.
@@ -277,10 +339,12 @@ def batch_loss_and_grads(model: TransducerModel, items, masks=None):
             if not np.isfinite(nll):
                 raise TrainingDiverged(f"non-finite loss {nll}")
             total_nll += nll
-            yield grads
+            if ws.item is None:
+                ws.item = mapped_copy(grads)
+            yield ws.item
 
-    acc = _mean_gradients(utterance_grads(), len(items))
-    return total_nll / len(items), acc
+    ws.mean = _mean_gradients(utterance_grads(), len(items), ws.mean)
+    return total_nll / len(items), ws.mean
 
 
 def dev_wer(model: TransducerModel, dev: Dataset, alphabet) -> float:
@@ -313,8 +377,14 @@ def train(
     n = len(utterances)
     if n == 0:
         raise ContractViolation("empty training set")
+    pools = (
+        donor_pools(lengths, recipe.sequence_noise.length_tolerance)
+        if recipe.sequence_noise is not None
+        else None
+    )
     params = model.arrays()
     opt_state = init_optimizer(params, recipe.optimizer)
+    workspace = GradientWorkspace()
     steps_per_epoch = max(1, math.ceil(n / recipe.batch_size))
     metrics: list[EpochRecord] = []
     last_good: dict[str, np.ndarray] | None = None
@@ -334,7 +404,7 @@ def train(
             masks = (
                 sample_model_masks(
                     model, recipe.dropconnect_rate, rng.child(2, epoch, global_step)
-                )
+                ).formed(model)
                 if recipe.dropconnect_rate > 0
                 else None
             )
@@ -344,12 +414,12 @@ def train(
                 utt = utterances[int(idx)]
                 aug_rng = rng.child(3, epoch, int(idx))
                 features, labels = _augment_batch_member(
-                    utt, utterances, lengths, int(idx), recipe, aug_rng
+                    utt, utterances, lengths, int(idx), recipe, aug_rng, pools
                 )
                 items.append((features, labels, utt.aux))
                 n_labels += max(1, len(labels))
             try:
-                nll, grads = batch_loss_and_grads(model, items, masks)
+                nll, grads = batch_loss_and_grads(model, items, masks, workspace)
             except TrainingDiverged as exc:
                 raise TrainingDiverged(
                     f"epoch {epoch}, step {global_step}, "
@@ -357,9 +427,9 @@ def train(
                     last_good_checkpoint=last_good,
                 ) from exc
             if b_start == 0:
-                first_step_group_norms = group_norms(grads)
+                first_step_group_norms = group_norms(grads, opt_state.temps)
             clip_norm = recipe.optimizer.clip_norm
-            grad_norms.append(clip_gradients(grads, clip_norm))
+            grad_norms.append(clip_gradients(grads, clip_norm, opt_state.temps))
             clipped += grad_norms[-1] > clip_norm > 0
             try:
                 optimizer_step(params, grads, opt_state, lr)
@@ -385,15 +455,20 @@ def train(
             first_step_group_norms=first_step_group_norms,
         )
         metrics.append(record)
-        last_good = {k: v.copy() for k, v in params.items()}
+        if last_good is None:
+            last_good = mapped_copy(params)
+        else:
+            for k, v in params.items():
+                np.copyto(last_good[k], v)
     return TrainResult(model=model, metrics=metrics)
 
 
-def _augment_batch_member(utt, utterances, lengths, idx, recipe: TrainingRecipe, rng):
+def _augment_batch_member(utt, utterances, lengths, idx, recipe: TrainingRecipe, rng, pools=None):
     features = utt.frames.astype(np.float64)
     labels = utt.labels
     if recipe.sequence_noise is not None:
-        donor_idx = pick_donor(lengths, idx, recipe.sequence_noise.length_tolerance, rng.child(0))
+        tolerance = recipe.sequence_noise.length_tolerance
+        donor_idx = pick_donor(lengths, idx, tolerance, rng.child(0), pools)
         donor = utterances[donor_idx].frames.astype(np.float64)
         features = sequence_noise_inject(features, donor, recipe.sequence_noise, rng.child(1))
     if recipe.specaugment is not None:
@@ -424,6 +499,7 @@ def train_char_lm(
     optimizer = OptimizerConfig(kind=ADAMW, weight_decay=0.0)
     params = lm_params.arrays()
     state = init_optimizer(params, optimizer)
+    ws = GradientWorkspace()
     history = []
     n = len(sequences)
 
@@ -431,12 +507,14 @@ def train_char_lm(
         nonlocal total_nll, total_symbols
         for idx in batch:
             seq = sequences[int(idx)]
-            nll, grads = lm_loss_and_grads(seq, lm_params)
+            nll, grads = lm_loss_and_grads(seq, lm_params, out=ws.item)
             if not np.isfinite(nll):
                 raise TrainingDiverged(f"non-finite LM loss on sequence {int(idx)}")
             total_nll += nll
             total_symbols += len(seq) + 1
-            yield grads
+            if ws.item is None:
+                ws.item = mapped_copy(grads)
+            yield ws.item
 
     for epoch in range(epochs):
         order = rng.child(1, epoch).permutation(n)
@@ -444,8 +522,8 @@ def train_char_lm(
         total_symbols = 0
         for b_start in range(0, n, batch_size):
             batch = order[b_start : b_start + batch_size]
-            acc = _mean_gradients(sequence_grads(batch), len(batch))
-            clip_gradients(acc, optimizer.clip_norm)
-            optimizer_step(params, acc, state, lr)
+            ws.mean = _mean_gradients(sequence_grads(batch), len(batch), ws.mean)
+            clip_gradients(ws.mean, optimizer.clip_norm, state.temps)
+            optimizer_step(params, ws.mean, state, lr)
         history.append(total_nll / max(1, total_symbols))
     return history

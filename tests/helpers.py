@@ -1,11 +1,13 @@
 """Shared test fixtures: a history-independent lattice-backed model and an
 independent path-mass oracle for it, loop references for the vectorised
-network kernels (frame stacking, the LSTM forward and its BPTT), and the
+network kernels (frame stacking, the LSTM forward and its BPTT) and the
+numpy-scalar lattice recursions that the float ones replaced, and the
 object-per-candidate ALSD loop that the array beam of `alsd_beam` replaced,
 and the stepwise LM oracle's (`lm_init_state`, `lm_score_next`,
 `lm_end_increment`) score of a whole label sequence; then the lattice loss
-from raw logits, alignment and lattice helpers, an LSTM's zero state, and
-the flattening and error measure of the finite-difference checks."""
+from raw logits, alignment and lattice helpers, an LSTM's zero state, the
+flattening and error measure of the finite-difference checks, and the memory
+mapping under a mapped array."""
 
 import heapq
 from dataclasses import dataclass, replace
@@ -193,6 +195,64 @@ def lstm_backward_reference(d_outs, steps, params, hh_mask=None):
     if hh_mask is not None:
         gW_h = gW_h * hh_mask
     return d_xs, {"W_x": gW_x, "W_h": gW_h, "b": gb}, d_h_next, d_c_next
+
+
+def rnnt_forward_reference(lattice, y):
+    """The lattice forward as a numpy-scalar recursion, one np.logaddexp
+    call per cell: what `rnnt_forward` ran before its recursion moved to
+    Python floats, kept as its bitwise reference. Returns (nll, alpha)."""
+    T, U = lattice.shape[0], len(y)
+    blank = lattice[:, :, BLANK_ID]
+    yk = np.array([lab + 1 for lab in y], dtype=int)
+    label = lattice[:, np.arange(U), yk] if U > 0 else np.zeros((T, 0))
+    alpha = np.full((T + 1, U + 1), NEG_INF)
+    alpha[0, 0] = 0.0
+    for t in range(1, T + 1):
+        alpha[t, 0] = alpha[t - 1, 0] + blank[t - 1, 0]
+    for u in range(1, U + 1):
+        alpha[0, u] = alpha[0, u - 1] + label[0, u - 1]
+    for t in range(1, T + 1):
+        row = min(t, T - 1)
+        for u in range(1, U + 1):
+            alpha[t, u] = np.logaddexp(
+                alpha[t - 1, u] + blank[t - 1, u],
+                alpha[t, u - 1] + label[row, u - 1],
+            )
+    return float(-alpha[T, U]), alpha
+
+
+def rnnt_backward_reference(lattice, y, alpha):
+    """`rnnt_backward`'s numpy-scalar beta recursion and its per-label
+    gradient loop, as `rnnt_forward_reference` keeps the forward. Returns
+    (beta, grad); p(y|x) must be nonzero."""
+    T, U = lattice.shape[0], len(y)
+    log_p = alpha[T, U]
+    blank = lattice[:, :, BLANK_ID]
+    yk = np.array([lab + 1 for lab in y], dtype=int)
+    label = lattice[:, np.arange(U), yk] if U > 0 else np.zeros((T, 0))
+    beta = np.full((T + 1, U + 1), NEG_INF)
+    beta[T, U] = 0.0
+    for t in range(T - 1, -1, -1):
+        beta[t, U] = blank[t, U] + beta[t + 1, U]
+    for u in range(U - 1, -1, -1):
+        beta[T, u] = label[T - 1, u] + beta[T, u + 1]
+    for t in range(T - 1, -1, -1):
+        for u in range(U - 1, -1, -1):
+            beta[t, u] = np.logaddexp(
+                blank[t, u] + beta[t + 1, u],
+                label[t, u] + beta[t, u + 1],
+            )
+    grad = np.zeros_like(lattice)
+    with np.errstate(invalid="ignore"):
+        occ_blank = alpha[:T, :] + blank + beta[1:, :] - log_p
+        grad[:, :, BLANK_ID] = -np.exp(occ_blank)
+        for u in range(U):
+            k = yk[u]
+            occ = alpha[:T, u] + lattice[:, u, k] + beta[:T, u + 1] - log_p
+            grad[:, u, k] = -np.exp(occ)
+            extra = alpha[T, u] + lattice[T - 1, u, k] + beta[T, u + 1] - log_p
+            grad[T - 1, u, k] -= np.exp(extra)
+    return beta, grad
 
 
 # ---------------------------------------------------------------------------
@@ -392,3 +452,12 @@ def unpack_arrays(vector: np.ndarray, template: dict[str, np.ndarray]) -> dict[s
     if pos != vector.size:
         raise ContractViolation(f"vector length {vector.size} != template size {pos}")
     return out
+
+
+def mapping_of(arr: np.ndarray):
+    """The object whose buffer holds `arr`'s data, past every view and
+    memoryview: an `mmap.mmap` for the arrays of `numerics.mapped_zeros`."""
+    base = arr
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base.obj if isinstance(base, memoryview) else base

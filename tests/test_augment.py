@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from transducer_workbench.augment import (
     NoiseInjectConfig,
     SpecAugmentConfig,
     SwitchoutConfig,
+    donor_pools,
     pick_donor,
     replica_expand,
     sequence_noise_inject,
@@ -136,6 +139,36 @@ class TestSequenceNoise:
 
     def test_pick_donor_falls_back_when_no_match(self):
         assert pick_donor([10, 500], 0, 0.2, RandomStream(9)) == 1
+
+    @staticmethod
+    def full_scan_pick(lengths, target_index, tolerance, rng):
+        """The donor draw as a scan over every length per call."""
+        t_len = lengths[target_index]
+        candidates = [
+            i
+            for i, n in enumerate(lengths)
+            if i != target_index and abs(n - t_len) <= tolerance * t_len
+        ]
+        if not candidates:
+            candidates = [i for i in range(len(lengths)) if i != target_index]
+        if not candidates:
+            return target_index
+        return candidates[int(rng.integers(0, len(candidates)))]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 40), min_size=1, max_size=30),
+        st.one_of(st.sampled_from([0.0, 0.05, 0.2]), st.floats(0.0, 3.0)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_pick_donor_pools_equal_the_full_scan(self, lengths, tolerance, seed):
+        # The same candidates in the same order, so the same integer draw
+        # picks the same donor, with and without the pools.
+        pools = donor_pools(lengths, tolerance)
+        for target in range(len(lengths)):
+            want = self.full_scan_pick(lengths, target, tolerance, RandomStream(seed, target))
+            assert pick_donor(lengths, target, tolerance, RandomStream(seed, target), pools) == want
+            assert pick_donor(lengths, target, tolerance, RandomStream(seed, target)) == want
 
 
 class TestSpecAugment:

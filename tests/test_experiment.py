@@ -677,6 +677,22 @@ class TestCLI:
         assert capsys.readouterr().err.startswith(f"error: [{section}] {key}")
         assert not run.exists() or list(run.iterdir()) == []
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "modes", ("additive", "additive")),
+        ("experiment", "conditions", ("no_lm", "shallow", "no_lm")),
+        ("experiment", "ablations", ("no_switchout", "no_switchout")),
+    ], ids=["modes", "conditions", "ablations"])
+    def test_repeated_list_entry_exits_before_writing(self, tmp_path, capsys, section, key, value):
+        # A repeated mode passed the two-mode rule of combination and then
+        # crashed in stage_combination; a repeated condition or ablation
+        # ran twice under one report key.
+        run = tmp_path / "run"
+        config = self._write_config(tmp_path, tiny_config(**{section: {key: value}}))
+        assert cli_main(["--config", str(config), "--run-dir", str(run), "run"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [{section}] {key}: {value[0]!r} is named more than once")
+        assert not run.exists() or list(run.iterdir()) == []
+
     def test_decode_refuses_a_zero_start_checkpoint(self, tmp_path, capsys):
         # The checkpoint layout from before the prediction network had a
         # begin row: its LSTM under `prediction.lstm.*`, one embedding row

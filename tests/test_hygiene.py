@@ -205,6 +205,26 @@ def test_lm_head_has_one_scoring_reader():
     assert _package_readers("head", skip={"data.py"}) == LM_HEAD_READERS
 
 
+ALL_MODULES = sorted(SOURCE.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_allocator_settings(path):
+    """The training step keeps its page faults down through its own
+    allocation pattern, not through the C allocator: no module imports
+    ctypes (the way to `mallopt` or `malloc_trim`), and none reads or sets
+    a `MALLOC_*` environment variable, which are per-process settings."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [m for m in modules if m.split(".")[0] == "ctypes"] == []
+    texts = [node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    texts += [node.id for node in ast.walk(tree) if isinstance(node, ast.Name)]
+    assert [t for t in texts if "MALLOC_" in t] == []
+
+
 ARTIFACT_PREFIXES = ("model_", "nbest_", "lm_", "weights_", "combination_", "metrics_",
                      "features_", "transcripts_", "external_text", "config.ini", "report.")
 

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     collapse_alignment,
     random_logprob_lattice,
     relative_error,
+    rnnt_backward_reference,
+    rnnt_forward_reference,
     rnnt_loss_from_logits,
 )
 from transducer_workbench.errors import (
@@ -16,6 +20,7 @@ from transducer_workbench.errors import (
 )
 from transducer_workbench.lattice import (
     BLANK_ID,
+    _logaddexp,
     alignment_log_prob,
     brute_force_nll,
     enumerate_alignments,
@@ -213,3 +218,74 @@ def test_alignment_log_prob_requires_all_blanks():
     lat = uniform_lattice(2, 1, 2)
     with pytest.raises(ContractViolation):
         alignment_log_prob(lat, (0, 1))  # only one blank for T=2
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bytes: -0.0 and 0.0 differ."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def lattices(draw):
+    """(lattice, y) with T in 1..6 and U in 0..5: log-softmax rows or a
+    uniform lattice (whose cells add equal terms), with -inf entries, a -inf
+    time step or a -inf label row drawn on top."""
+    T, U, K = draw(st.integers(1, 6)), draw(st.integers(0, 5)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = [int(v) for v in rng.integers(0, K - 1, size=U)]
+    if draw(st.booleans()):
+        lat = log_softmax(rng.normal(0, 2, size=(T, U + 1, K)))
+    else:
+        lat = uniform_lattice(T, U, K)
+    lat[rng.random(lat.shape) < draw(st.sampled_from([0.0, 0.1, 0.4]))] = -np.inf
+    if draw(st.booleans()):
+        lat[rng.integers(T)] = -np.inf
+    if draw(st.booleans()):
+        lat[:, rng.integers(U + 1)] = -np.inf
+    return lat, y
+
+
+class TestFloatRecursions:
+    """The alpha and beta recursions run over Python floats with the private
+    `_logaddexp`; they must equal the numpy-scalar recursions they replaced
+    (kept in helpers) bit for bit, and so must the gradient."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lattices())
+    def test_equal_the_numpy_scalar_recursions(self, case):
+        lat, y = case
+        nll, alpha = rnnt_forward(lat, y)
+        ref_nll, ref_alpha = rnnt_forward_reference(lat, y)
+        assert same_bits(nll, ref_nll) and same_bits(alpha, ref_alpha)
+        if not np.isfinite(ref_alpha[-1, -1]):
+            with pytest.raises(ContractViolation):
+                rnnt_backward(lat, y, alpha)
+            return
+        beta, grad = rnnt_backward(lat, y, alpha)
+        ref_beta, ref_grad = rnnt_backward_reference(lat, y, ref_alpha)
+        assert same_bits(beta, ref_beta) and same_bits(grad, ref_grad)
+
+    @staticmethod
+    def numpy_logaddexp(x, y):
+        with np.errstate(all="ignore"):  # x - y may overflow to inf
+            return np.logaddexp(x, y)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.floats(allow_nan=False), st.floats(allow_nan=False))
+    def test_logaddexp_equals_numpy_bitwise(self, x, y):
+        for a, b in ((x, y), (y, x), (x, x), (x, -x)):
+            assert same_bits(_logaddexp(a, b), self.numpy_logaddexp(a, b)), (a, b)
+
+    def test_logaddexp_edge_cases_and_bulk(self):
+        specials = [0.0, -0.0, np.inf, -np.inf, 1e-300, -1e-300, 5e-324, -745.2, 709.8]
+        pairs = [(a, b) for a in specials for b in specials]
+        rng = np.random.default_rng(7)
+        for scale in (1e-8, 1.0, 30.0, 1e3):
+            x, y = rng.normal(0, scale, size=(2, 25_000))
+            pairs += zip(x.tolist(), (x + rng.normal(0, 1e-3, size=x.size)).tolist())
+            pairs += zip(x.tolist(), y.tolist())
+        xs, ys = np.array(pairs).T
+        want = self.numpy_logaddexp(xs, ys)
+        got = np.array([_logaddexp(a, b) for a, b in pairs])
+        assert same_bits(got, want)

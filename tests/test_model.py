@@ -162,6 +162,80 @@ def with_rows(model, prefixes):
     return model.extend_decode_state(state, prefixes)
 
 
+def same_grads(got: dict, want: dict) -> bool:
+    """The same names in the same order, each array equal bit for bit."""
+    return list(got) == list(want) and all(
+        got[k].shape == want[k].shape and got[k].tobytes() == want[k].tobytes() for k in want
+    )
+
+
+class TestGradientWorkspace:
+    """`loss_and_grads(..., out=ws)` writes every gradient into the arrays
+    of an earlier call's dict; the values and their order are those of a
+    call with new arrays, bit for bit, whatever the workspace held."""
+
+    @staticmethod
+    def two_layer_model(mode, bidirectional):
+        config = tiny_config(mode, bidirectional)
+        encoder = dataclasses.replace(config.encoder, layers=2)
+        return init_model(dataclasses.replace(config, encoder=encoder), RandomStream(50))
+
+    @pytest.mark.parametrize("mode", [ADDITIVE, MULTIPLICATIVE])
+    @pytest.mark.parametrize("rate", [0.0, 0.25], ids=["unmasked", "dropconnect"])
+    @pytest.mark.parametrize("bidirectional", [True, False], ids=["bidirectional", "lookahead"])
+    def test_workspace_equals_new_arrays(self, mode, rate, bidirectional):
+        model = self.two_layer_model(mode, bidirectional)
+        masks = sample_model_masks(model, rate, RandomStream(51))
+        rng = RandomStream(52)
+        utterances = [(rng.child(0).normal(size=(7, 3)), [0, 2, 1]),
+                      (rng.child(1).normal(size=(4, 3)), [1])]
+        _, workspace = model.loss_and_grads(*utterances[1], masks=masks)
+        for features, labels in utterances:  # one workspace, two utterances
+            nll, fresh = model.loss_and_grads(features, labels, masks=masks)
+            # Plain masks, and the draws with their masked matrices formed.
+            for draw in (masks, masks.formed(model)):
+                got_nll, grads = model.loss_and_grads(features, labels, masks=draw, out=workspace)
+                assert grads is workspace and got_nll == nll
+                assert same_grads(grads, fresh)
+
+    def test_gradient_order(self):
+        # Joint, then encoder layers from the top with the reverse
+        # direction first, then prediction: the clip norm sums in this order.
+        model = self.two_layer_model(MULTIPLICATIVE, True)
+        _, grads = model.loss_and_grads(RandomStream(53).normal(size=(5, 3)), [2])
+        groups = list(dict.fromkeys(name.rsplit(".", 1)[0] for name in grads))
+        assert groups == ["joint", "encoder.layers.1.bwd", "encoder.layers.1.fwd",
+                          "encoder.layers.0.bwd", "encoder.layers.0.fwd",
+                          "prediction.layers.0", "prediction"]
+        assert list(grads)[:4] == ["joint.W_out", "joint.b", "joint.W_enc", "joint.W_pred"]
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_lm_workspace_equals_new_arrays(self, layers):
+        lm = init_char_lm_params(4, CharLMConfig(layers=layers, cells=5, embed_dim=3),
+                                 RandomStream(54))
+        _, workspace = lm_loss_and_grads([2, 2], lm)
+        for sequence in ([0, 3, 1], [], [1, 1, 0, 2]):
+            _, fresh = lm_loss_and_grads(sequence, lm)
+            _, grads = lm_loss_and_grads(sequence, lm, out=workspace)
+            assert grads is workspace and same_grads(grads, fresh)
+
+    def test_formed_masks_hold_the_draw_of_their_parameters(self):
+        # A formed draw keeps W_h * mask of the parameters it was formed
+        # with; plain masks follow later parameter changes.
+        model = self.two_layer_model(ADDITIVE, True)
+        masks = sample_model_masks(model, 0.5, RandomStream(55))
+        formed = masks.formed(model)
+        fwd_mask, _ = masks.encoder[0]
+        assert formed.encoder[0][0].mask is fwd_mask
+        assert np.array_equal(formed.encoder[0][0].W_h, model.encoder.layers[0].fwd.W_h * fwd_mask)
+        features = RandomStream(56).normal(size=(6, 3))
+        before = model.loss_and_grads(features, [0, 1], masks=formed)[0]
+        model.encoder.layers[0].fwd.W_h *= 2.0
+        assert model.loss_and_grads(features, [0, 1], masks=formed)[0] == before
+        assert model.loss_and_grads(features, [0, 1], masks=masks)[0] != before
+        assert sample_model_masks(model, 0.0, RandomStream(55)).formed(model).encoder is None
+
+
 class TestDecodeState:
     """The decoder protocol: a state is a block of label-prefix rows in an
     append-only per-utterance table, and the joint scores a block."""

@@ -1,9 +1,10 @@
 import math
+import mmap
 
 import numpy as np
 import pytest
 
-from helpers import pack_arrays, relative_error, unpack_arrays
+from helpers import mapping_of, pack_arrays, relative_error, unpack_arrays
 from transducer_workbench.errors import ContractViolation, OracleFailure
 from transducer_workbench.numerics import (
     NEG_INF,
@@ -11,6 +12,8 @@ from transducer_workbench.numerics import (
     finite_difference_gradient,
     log_softmax,
     log_sum_exp,
+    mapped_copy,
+    mapped_zeros,
     softmax,
 )
 
@@ -167,3 +170,41 @@ def test_pack_unpack_roundtrip():
 def test_relative_error_scalarizes():
     assert relative_error(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
     assert relative_error(np.array([1.0]), np.array([1.1])) == pytest.approx(0.1 / 1.1)
+
+
+
+class TestMappedArrays:
+    SHAPES = {"W": (3, 5), "b": (7,), "scalar": (), "empty": (0, 4), "v": (9,)}
+
+    def test_zeros_of_each_shape_in_order_aligned_and_disjoint(self):
+        arrays = mapped_zeros(self.SHAPES)
+        assert list(arrays) == list(self.SHAPES)
+        for name, shape in self.SHAPES.items():
+            arr = arrays[name]
+            assert arr.shape == shape and arr.dtype == np.float64 and arr.flags.writeable
+            assert arr.flags.c_contiguous and arr.ctypes.data % 64 == 0
+            assert not arr.any()
+        for k, arr in enumerate(arrays.values()):
+            arr[...] = k + 1.0
+        for k, arr in enumerate(arrays.values()):
+            assert (arr == k + 1.0).all()
+
+    def test_all_views_of_one_anonymous_mapping(self):
+        arrays = mapped_zeros(self.SHAPES)
+        mappings = {id(mapping_of(arr)) for arr in arrays.values()}
+        assert len(mappings) == 1
+        assert isinstance(mapping_of(arrays["W"]), mmap.mmap)
+
+    def test_no_shapes_and_zero_sizes_still_map(self):
+        assert mapped_zeros({}) == {}
+        assert mapped_zeros({"e": (0,)})["e"].shape == (0,)
+
+    def test_copy_holds_every_bit(self):
+        source = {"a": np.arange(6.0).reshape(2, 3),
+                  "b": np.array([-0.0, np.inf, -np.inf, 5e-324])}
+        copy = mapped_copy(source)
+        assert list(copy) == list(source)
+        for name, arr in source.items():
+            assert copy[name].tobytes() == arr.tobytes()
+            assert not np.shares_memory(copy[name], arr)
+            assert isinstance(mapping_of(copy[name]), mmap.mmap)

@@ -1,15 +1,19 @@
 import math
+import mmap
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from transducer_workbench.augment import SwitchoutConfig
+from helpers import mapping_of
+from transducer_workbench.augment import NoiseInjectConfig, SwitchoutConfig
 from transducer_workbench.data import (
     SyntheticTaskConfig,
     generate_synthetic_task,
 )
 from transducer_workbench.errors import ContractViolation, TrainingDiverged
-from transducer_workbench.model import ModelConfig, init_model
+from transducer_workbench.experiment import build_model_config, default_config
+from transducer_workbench.model import ModelConfig, init_model, sample_model_masks
 from transducer_workbench.networks import (
     CharLMConfig,
     EncoderConfig,
@@ -23,9 +27,11 @@ from transducer_workbench.training import (
     CONST_DECAY,
     MOMENTUM_SGD,
     ONE_CYCLE,
+    GradientWorkspace,
     OptimizerConfig,
     ScheduleConfig,
     TrainingRecipe,
+    _augment_batch_member,
     adamw_step,
     batch_loss_and_grads,
     clip_gradients,
@@ -305,11 +311,11 @@ class TestTrainLoop:
         calls = {"n": 0}
         steps_in_epoch = math.ceil(len(task.train) / 4)
 
-        def flaky(model_, items, masks=None):
+        def flaky(model_, items, *args):
             calls["n"] += 1
             if calls["n"] > steps_in_epoch:
                 raise TrainingDiverged("non-finite loss nan")
-            return real(model_, items, masks)
+            return real(model_, items, *args)
 
         monkeypatch.setattr(training_mod, "batch_loss_and_grads", flaky)
         with pytest.raises(TrainingDiverged) as exc:
@@ -319,6 +325,128 @@ class TestTrainLoop:
         assert set(ckpt) == set(model.arrays())
         for arr in ckpt.values():
             assert np.isfinite(arr).all()
+            assert isinstance(mapping_of(arr), mmap.mmap)
+
+
+def reference_train(model, train_set, recipe, rng):
+    """`train`'s steps with new arrays everywhere: plain DropConnect masks,
+    donors by a scan of all lengths, a new gradient dict per utterance, a
+    copied accumulator, and the optimizer formulas with their temporaries.
+    Returns the per-step pre-clip norms and mean NLLs."""
+    utterances = list(train_set.utterances)
+    lengths = [u.num_frames for u in utterances]
+    n, c = len(utterances), recipe.optimizer
+    params = model.arrays()
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v2 = {k: np.zeros_like(v) for k, v in params.items()}
+    steps_per_epoch = max(1, math.ceil(n / recipe.batch_size))
+    norms, nlls, step = [], [], 0
+    for epoch in range(recipe.epochs):
+        order = rng.child(1, epoch).permutation(n)
+        for b_start in range(0, n, recipe.batch_size):
+            batch = [int(i) for i in order[b_start : b_start + recipe.batch_size]]
+            lr = lr_at(recipe.schedule, step / steps_per_epoch)
+            masks = sample_model_masks(model, recipe.dropconnect_rate, rng.child(2, epoch, step))
+            acc, total = None, 0.0
+            for idx in batch:
+                utt = utterances[idx]
+                features, labels = _augment_batch_member(
+                    utt, utterances, lengths, idx, recipe, rng.child(3, epoch, idx)
+                )
+                nll, grads = model.loss_and_grads(features, labels, aux=utt.aux, masks=masks)
+                total += nll
+                if acc is None:
+                    acc = {k: g.copy() for k, g in grads.items()}
+                else:
+                    for k, g in grads.items():
+                        acc[k] += g
+            for g in acc.values():
+                g /= len(batch)
+            norm = math.sqrt(sum(float((g * g).sum()) for g in acc.values()))
+            if c.clip_norm > 0 and norm > c.clip_norm:
+                for g in acc.values():
+                    g *= c.clip_norm / norm
+            step += 1
+            bc1, bc2 = 1.0 - c.beta1**step, 1.0 - c.beta2**step
+            for k, p in params.items():
+                if c.kind == MOMENTUM_SGD:
+                    m[k] *= c.momentum
+                    m[k] += acc[k]
+                    p -= lr * m[k]
+                    continue
+                p -= lr * c.weight_decay * p
+                m[k] *= c.beta1
+                m[k] += (1.0 - c.beta1) * acc[k]
+                v2[k] *= c.beta2
+                v2[k] += (1.0 - c.beta2) * acc[k] * acc[k]
+                p -= lr * (m[k] / bc1) / (np.sqrt(v2[k] / bc2) + c.eps)
+            norms.append(norm)
+            nlls.append(total / len(batch))
+    return norms, nlls
+
+
+class TestAllocationStableStep:
+    """The trainer reuses one gradient workspace, one accumulator, the
+    optimizer's temporary buffers and one masked matrix per draw; none of it
+    may change a bit of the result."""
+
+    @pytest.mark.parametrize("kind", [ADAMW, MOMENTUM_SGD])
+    def test_every_step_clipped_equals_the_new_array_loop(self, kind):
+        task = small_task(train_size=10)
+        recipe = plain_recipe(
+            epochs=2, batch_size=4, dropconnect_rate=0.25,
+            optimizer=OptimizerConfig(kind=kind, clip_norm=1e-3),
+            sequence_noise=NoiseInjectConfig(probability=0.8, scale=0.4, length_tolerance=0.2),
+            switchout=SwitchoutConfig(temperature=10.0, vocab=task.config.num_labels),
+        )
+        model, reference = small_model(task), small_model(task)
+        metrics = train(model, task.train, recipe, RandomStream(60)).metrics
+        norms, nlls = reference_train(reference, task.train, recipe, RandomStream(60))
+        assert min(norms) > 1e-3  # every step clipped
+        per_epoch = len(norms) // recipe.epochs
+        for epoch, record in enumerate(metrics):
+            steps = slice(epoch * per_epoch, (epoch + 1) * per_epoch)
+            assert record.grad_norm_max == max(norms[steps]) and record.clip_rate == 1.0
+        for name, arr in model.arrays().items():
+            assert arr.tobytes() == reference.arrays()[name].tobytes(), name
+
+    @pytest.mark.parametrize("kind", [ADAMW, MOMENTUM_SGD])
+    def test_call_state_lives_in_memory_mappings(self, kind):
+        # Optimizer state and the gradient workspace are views of anonymous
+        # mappings, which go back to the OS when a training call ends, so
+        # no training-sized free hole is left in the C heap.
+        task = small_task(train_size=4)
+        model = small_model(task)
+        state = init_optimizer(model.arrays(), OptimizerConfig(kind=kind))
+        moments = [state.velocity] if kind == MOMENTUM_SGD else [state.m, state.v]
+        arrays = [arr for moment in moments for arr in moment.values()]
+        arrays += [buf for pair in state.temps.values() for buf in pair]
+        workspace = GradientWorkspace()
+        items = [(u.frames.astype(np.float64), u.labels, u.aux) for u in task.train]
+        batch_loss_and_grads(model, items, None, workspace)
+        arrays += [*workspace.item.values(), *workspace.mean.values()]
+        assert arrays and all(isinstance(mapping_of(arr), mmap.mmap) for arr in arrays)
+        assert all(not np.shares_memory(arr, p) for arr in arrays for p in model.arrays().values())
+
+    def test_warm_step_allocates_less_than_half_the_parameters(self):
+        # The default model on default-sized utterances: a step after the
+        # first allocates only per-utterance activations, no gradient set.
+        task_config = SyntheticTaskConfig(train_size=8, dev_size=1, test_size=1)
+        task = generate_synthetic_task(task_config, RandomStream(61))
+        model = init_model(build_model_config(default_config(), "additive"), RandomStream(62))
+        items = [(u.frames.astype(np.float64), u.labels, u.aux) for u in task.train]
+        masks = sample_model_masks(model, 0.25, RandomStream(63)).formed(model)
+        workspace = GradientWorkspace()
+        batch_loss_and_grads(model, items, masks, workspace)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            batch_loss_and_grads(model, items, masks, workspace)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        param_bytes = sum(arr.nbytes for arr in model.arrays().values())
+        assert peak < param_bytes / 2, (peak, param_bytes)
 
 
 class TestGradientTelemetry:
