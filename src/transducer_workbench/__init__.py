@@ -37,14 +37,13 @@ from .fusion import (
     top1_wer,
     tune_weights,
 )
-from .joint import JointParams, count_parameters, joint_backward, joint_forward
+from .joint import JointParams, joint_backward, joint_forward
 from .lattice import (
     BLANK_ID,
     brute_force_nll,
     enumerate_alignments,
     rnnt_backward,
     rnnt_forward,
-    rnnt_loss,
 )
 from .model import ModelConfig, TransducerModel, init_model, load_checkpoint, save_checkpoint
 from .networks import (
@@ -59,7 +58,7 @@ from .networks import (
     sample_dropconnect_mask,
     stack_and_skip,
 )
-from .numerics import RandomStream, finite_difference_gradient, log_softmax, log_sum_exp, softmax
+from .numerics import RandomStream, finite_difference_gradient, log_softmax, log_sum_exp
 from .scoring import compute_wer
 from .training import (
     OptimizerConfig,

@@ -8,9 +8,7 @@ Two integration modes share every parameter shape:
 - additive:        log_softmax(W_out @ tanh(W_enc h + W_pred g + b))
 - multiplicative:  log_softmax(W_out @ tanh((W_enc h) * (W_pred g) + b))
 
-Multiplicative mode optionally adds per-branch biases before the product,
-(W_enc h + b_enc) * (W_pred g + b_pred) + b, which expands into the additive
-terms plus the second-order product. There is no bias after W_out.
+There is no bias after W_out.
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ class JointParams:
     b: np.ndarray  # (J,)
     W_out: np.ndarray  # (K, J), K = |Y| + 1 with blank at index 0
     mode: str = ADDITIVE
-    b_enc: np.ndarray | None = None
-    b_pred: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mode not in JOINT_MODES:
@@ -47,10 +43,6 @@ class JointParams:
             raise DimensionError("b must have shape (J,)")
         if self.W_out.shape[1] != J:
             raise DimensionError("W_out columns must match joint dim J")
-        if self.mode == ADDITIVE and (self.b_enc is not None or self.b_pred is not None):
-            raise ContractViolation("per-branch biases are multiplicative-only")
-        if (self.b_enc is None) != (self.b_pred is None):
-            raise ContractViolation("b_enc and b_pred must be set together")
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
@@ -62,11 +54,7 @@ class JointParams:
         )
 
     def arrays(self) -> dict[str, np.ndarray]:
-        out = {"W_enc": self.W_enc, "W_pred": self.W_pred, "b": self.b, "W_out": self.W_out}
-        if self.b_enc is not None:
-            out["b_enc"] = self.b_enc
-            out["b_pred"] = self.b_pred
-        return out
+        return {"W_enc": self.W_enc, "W_pred": self.W_pred, "b": self.b, "W_out": self.W_out}
 
 
 @dataclass
@@ -88,7 +76,6 @@ def init_joint_params(
     vocab_size: int,
     mode: str,
     rng: RandomStream,
-    branch_biases: bool = False,
 ) -> JointParams:
     """Uniform(-1/sqrt(fan_in)) init; biases start at zero."""
 
@@ -102,13 +89,7 @@ def init_joint_params(
         b=np.zeros(joint_dim),
         W_out=mat(vocab_size, joint_dim),
         mode=mode,
-        b_enc=np.zeros(joint_dim) if branch_biases else None,
-        b_pred=np.zeros(joint_dim) if branch_biases else None,
     )
-
-
-def count_parameters(params: JointParams) -> int:
-    return sum(a.size for a in params.arrays().values())
 
 
 def hadamard_backward(d_product, a, b):
@@ -120,8 +101,6 @@ def hadamard_backward(d_product, a, b):
 def _pre_activation(params: JointParams, h_tilde, g_tilde):
     if params.mode == ADDITIVE:
         return h_tilde + g_tilde + params.b
-    if params.b_enc is not None:
-        return (h_tilde + params.b_enc) * (g_tilde + params.b_pred) + params.b
     return h_tilde * g_tilde + params.b
 
 
@@ -182,12 +161,6 @@ def joint_backward(grad_logprob: np.ndarray, cache: JointCache | None, params: J
     }
     if params.mode == ADDITIVE:
         d_ht, d_gt = d_pre, d_pre
-    elif params.b_enc is not None:
-        d_ht, d_gt = hadamard_backward(
-            d_pre, cache.h_tilde + params.b_enc, cache.g_tilde + params.b_pred
-        )
-        grads["b_enc"] = d_ht.copy()
-        grads["b_pred"] = d_gt.copy()
     else:
         d_ht, d_gt = hadamard_backward(d_pre, cache.h_tilde, cache.g_tilde)
     grads["W_enc"] = np.outer(d_ht, cache.h)
@@ -231,31 +204,24 @@ def joint_backward_lattice(
     """Vectorized backward over the whole lattice.
 
     Returns (param_grads, d_H, d_G); param_grads keys mirror
-    JointParams.arrays(), in the order W_out, b, the branch biases if any,
-    W_enc, W_pred. The gradients are written into the arrays of `out`, which
-    is then param_grads, or into new ones: the same bits either way.
+    JointParams.arrays(), in the order W_out, b, W_enc, W_pred. The
+    gradients are written into the arrays of `out`, which is then
+    param_grads, or into new ones: the same bits either way.
     """
     d_logits = log_softmax_backward(grad_logprob, cache.logprob)  # (T, U+1, K)
     d_act = d_logits @ params.W_out  # (T, U+1, J)
     d_pre = (1.0 - cache.act**2) * d_act
     if out is None:
         arrays = params.arrays()
-        names = ["W_out", "b", *(["b_enc", "b_pred"] if params.b_enc is not None else []),
-                 "W_enc", "W_pred"]
-        out = {name: np.empty_like(arrays[name]) for name in names}
+        out = {name: np.empty_like(arrays[name]) for name in ("W_out", "b", "W_enc", "W_pred")}
     np.einsum("tuk,tuj->kj", d_logits, cache.act, out=out["W_out"])
     d_pre.sum(axis=(0, 1), out=out["b"])
     if params.mode == ADDITIVE:
         d_ht = d_pre.sum(axis=1)  # (T, J)
         d_gt = d_pre.sum(axis=0)  # (U+1, J)
     else:
-        ht = cache.h_tilde + (params.b_enc if params.b_enc is not None else 0.0)
-        gt = cache.g_tilde + (params.b_pred if params.b_pred is not None else 0.0)
-        d_ht = np.einsum("tuj,uj->tj", d_pre, gt)
-        d_gt = np.einsum("tuj,tj->uj", d_pre, ht)
-        if params.b_enc is not None:
-            d_ht.sum(axis=0, out=out["b_enc"])
-            d_gt.sum(axis=0, out=out["b_pred"])
+        d_ht = np.einsum("tuj,uj->tj", d_pre, cache.g_tilde)
+        d_gt = np.einsum("tuj,tj->uj", d_pre, cache.h_tilde)
     np.matmul(d_ht.T, cache.H, out=out["W_enc"])
     np.matmul(d_gt.T, cache.G, out=out["W_pred"])
     d_H = d_ht @ params.W_enc

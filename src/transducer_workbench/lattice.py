@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,16 +49,6 @@ ENUMERATION_CAP = 22  # max T+U for alignment enumeration; C(22,11) ~ 7e5 paths
 def label_to_output_index(label: int) -> int:
     """Map a label id in Y to its slice index in the augmented vocabulary."""
     return label + 1
-
-
-@dataclass
-class LatticeResult:
-    """Loss, forward/backward grids, and the log-probability-entry gradient."""
-
-    nll: float
-    alpha: np.ndarray  # (T+1, U+1)
-    beta: np.ndarray  # (T+1, U+1)
-    grad: np.ndarray  # same shape as the lattice
 
 
 def _check_shapes(lattice: np.ndarray, y) -> tuple[int, int, int]:
@@ -257,13 +246,6 @@ def rnnt_backward(lattice: np.ndarray, y, alpha: np.ndarray) -> tuple[np.ndarray
         d_label[T - 1] -= np.exp(alpha[T, :U] + label[T - 1] + beta[T, 1:] - log_p)
         grad[:, np.arange(U), yk] = d_label
     return beta, grad
-
-
-def rnnt_loss(lattice: np.ndarray, y) -> LatticeResult:
-    """Forward and backward in one call."""
-    nll, alpha = rnnt_forward(lattice, y)
-    beta, grad = rnnt_backward(lattice, y, alpha)
-    return LatticeResult(nll=nll, alpha=alpha, beta=beta, grad=grad)
 
 
 def enumerate_alignments(T: int, U: int, y, cap: int = ENUMERATION_CAP) -> list[tuple[int, ...]]:

@@ -61,7 +61,6 @@ class ModelConfig:
     prediction: PredictionConfig = field(default_factory=PredictionConfig)
     joint_dim: int = 16
     joint_mode: str = ADDITIVE
-    joint_branch_biases: bool = False
 
     @property
     def vocab_size(self) -> int:
@@ -74,7 +73,6 @@ class ModelConfig:
             "prediction": vars(self.prediction).copy(),
             "joint_dim": self.joint_dim,
             "joint_mode": self.joint_mode,
-            "joint_branch_biases": self.joint_branch_biases,
         }
 
     @staticmethod
@@ -85,32 +83,15 @@ class ModelConfig:
             prediction=PredictionConfig(**d["prediction"]),
             joint_dim=d["joint_dim"],
             joint_mode=d["joint_mode"],
-            joint_branch_biases=d["joint_branch_biases"],
         )
 
 
 @dataclass
 class DropConnectMasks:
-    encoder: list | None = None  # per layer: (fwd_mask, bwd_mask | None)
-    prediction: list | None = None  # per label-network layer
+    """`networks.DropConnect` draws, one per hidden-to-hidden matrix."""
 
-    def formed(self, model: TransducerModel) -> DropConnectMasks:
-        """These draws as `networks.DropConnect` pairs, each holding W_h *
-        mask of the current parameters, formed once for all the passes that
-        read them while the parameters stay fixed: the training loop's
-        minibatch. A pass under plain masks forms its own products, so it
-        follows parameter changes, as finite differences need."""
-        if self.encoder is None:
-            return self
-        encoder = [
-            (drop_connect(layer.fwd, fwd), None if bwd is None else drop_connect(layer.bwd, bwd))
-            for layer, (fwd, bwd) in zip(model.encoder.layers, self.encoder)
-        ]
-        prediction = [
-            drop_connect(layer, mask)
-            for layer, mask in zip(model.prediction.layers, self.prediction)
-        ]
-        return DropConnectMasks(encoder, prediction)
+    encoder: list | None = None  # per layer: (fwd draw, bwd draw | None)
+    prediction: list | None = None  # per label-network layer
 
 
 @dataclass
@@ -257,28 +238,29 @@ def init_model(config: ModelConfig, rng: RandomStream) -> TransducerModel:
         vocab_size=config.vocab_size,
         mode=config.joint_mode,
         rng=rng.child(3),
-        branch_biases=config.joint_branch_biases,
     )
     return TransducerModel(config, enc, pred, joint)
 
 
 def sample_model_masks(model: TransducerModel, rate: float, rng: RandomStream) -> DropConnectMasks:
-    """One DropConnect mask per hidden-to-hidden matrix; resampled by the
-    training loop once per minibatch."""
+    """One DropConnect draw per hidden-to-hidden matrix, holding W_h * mask
+    of the current parameters for every pass that reads it while they stay
+    fixed; the training loop draws once per minibatch. A pass after the
+    parameters change needs a new draw (the same stream gives the same
+    masks)."""
     if rate <= 0.0:
         return DropConnectMasks()
-    enc_masks = []
-    for i, layer in enumerate(model.encoder.layers):
-        fwd = sample_dropconnect_mask(layer.fwd.W_h.shape, rate, rng.child(i, 0))
-        bwd = (
-            sample_dropconnect_mask(layer.bwd.W_h.shape, rate, rng.child(i, 1))
-            if layer.bwd is not None
-            else None
-        )
-        enc_masks.append((fwd, bwd))
-    pred_masks = [sample_dropconnect_mask(layer.W_h.shape, rate, rng.child(100 + i))
-                  for i, layer in enumerate(model.prediction.layers)]
-    return DropConnectMasks(encoder=enc_masks, prediction=pred_masks)
+
+    def draw(params, *key):
+        mask = sample_dropconnect_mask(params.W_h.shape, rate, rng.child(*key))
+        return drop_connect(params, mask)
+
+    encoder = [
+        (draw(layer.fwd, i, 0), None if layer.bwd is None else draw(layer.bwd, i, 1))
+        for i, layer in enumerate(model.encoder.layers)
+    ]
+    prediction = [draw(layer, 100 + i) for i, layer in enumerate(model.prediction.layers)]
+    return DropConnectMasks(encoder, prediction)
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,10 @@ test suite. A backward pass given `out`, a gradient dict of an earlier call,
 writes each weight gradient into its arrays (`sub_grads` hands each layer
 its part) instead of new ones, with the same bits: the training loops reuse
 one such workspace for every item. The hidden-to-hidden matrix of each LSTM
-is the DropConnect target: when a mask is supplied, the matrix is replaced
-elementwise by matrix * mask for the whole pass, and gradients are chained
-through the mask. A `DropConnect` draw holds that product, formed once for
-all the passes of a minibatch.
+is the DropConnect target: a `DropConnect` draw holds the mask and the
+product matrix * mask, formed once for all the passes of a minibatch; the
+product replaces the matrix for the whole pass, and gradients are chained
+through the mask.
 """
 
 from __future__ import annotations
@@ -129,13 +129,14 @@ class LSTMSeqCache:
     hh_mask: np.ndarray | None
 
 
-def lstm_forward(xs: np.ndarray, params: LSTMParams, hh_mask=None, state=None):
+def lstm_forward(xs: np.ndarray, params: LSTMParams, hh_mask: DropConnect | None = None,
+                 state=None):
     """Run the rows of xs (T, D) from `state` (zeros when None); returns
     (outputs (T, H), final (h, c), cache). xs may also be a block (T, B, D)
     of B independent rows stepped together, with `state` as (B, H) pairs;
     outputs and states then carry the B axis. hh_mask, when present, is a
-    DropConnect mask or a `DropConnect` draw that already holds W_h * mask;
-    the masked matrix replaces the hidden-to-hidden one for the whole call.
+    `DropConnect` draw of `params`; its masked matrix replaces the
+    hidden-to-hidden one for the whole call.
 
     The gates take one tanh per step over the stacked 4H pre-activation,
     using sigmoid(x) = (1 + tanh(x / 2)) / 2; the halving is exact, and tanh
@@ -152,8 +153,6 @@ def lstm_forward(xs: np.ndarray, params: LSTMParams, hh_mask=None, state=None):
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim not in (2, 3) or xs.shape[-1] != params.input_dim:
         raise DimensionError(f"LSTM expects rows of dim {params.input_dim}, got {xs.shape}")
-    if hh_mask is not None and not isinstance(hh_mask, DropConnect):
-        hh_mask = drop_connect(params, hh_mask)
     W_h_eff, mask = (params.W_h, None) if hh_mask is None else (hh_mask.W_h, hh_mask.mask)
     T, rows, H = xs.shape[0], xs.shape[1:-1], params.hidden
     scale, offset = _gate_affine(H)
@@ -348,7 +347,7 @@ def encode(
     Bidirectional layers concatenate forward and reverse passes per frame.
     A unidirectional encoder with lookahead L buffers L extra (zero) frames
     and emits the state from L steps ahead, so output t sees inputs <= t+L.
-    `masks` is an optional per-layer list of (fwd_mask, bwd_mask) pairs.
+    `masks` is an optional per-layer list of (fwd, bwd) `DropConnect` draws.
     """
     with_aux = append_aux(np.asarray(features, dtype=np.float64), aux)
     expected = config.input_dim + config.aux_dim
@@ -517,8 +516,8 @@ def predict_embed(prefix, params: LabelNetParams, hh_masks=None):
     """Label-prefix embeddings for every lattice row: |prefix|+1 vectors.
 
     Row u is the top-layer output after the begin symbol and the first u
-    labels; row 0 is the begin step's. `hh_masks` holds one DropConnect mask
-    per layer. Returns (G, caches).
+    labels; row 0 is the begin step's. `hh_masks` holds one `DropConnect`
+    draw per layer. Returns (G, caches).
     """
     for lab in prefix:
         if not 0 <= lab < params.num_labels:

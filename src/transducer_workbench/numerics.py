@@ -90,16 +90,6 @@ def sub_grads(out: dict[str, np.ndarray] | None, prefix: str):
     return {name[cut:]: arr for name, arr in out.items() if name.startswith(prefix)}
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Probability vector exp(z)/sum(exp(z)), shift-invariant and stable."""
-    z = np.asarray(logits, dtype=np.float64)
-    if np.isnan(z).any():
-        raise ContractViolation("softmax input contains NaN")
-    z = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
-
-
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """log(softmax(z)) computed without leaving the log domain. A row with a
     NaN has a NaN maximum, so the NaN check reads the row maxima only."""

@@ -370,7 +370,8 @@ def train(
     """Run the full recipe; the model is updated in place.
 
     Aborts with the last epoch-end checkpoint attached when the loss or a
-    gradient goes non-finite.
+    gradient goes non-finite, or a step overflows: a gradient whose squares
+    overflow would otherwise be clipped to zero.
     """
     utterances = replica_expand(list(train_set.utterances), recipe.replicas)
     lengths = [u.num_frames for u in utterances]
@@ -401,12 +402,8 @@ def train(
         for b_start in range(0, n, recipe.batch_size):
             batch_idx = order[b_start : b_start + recipe.batch_size]
             lr = lr_at(recipe.schedule, global_step / steps_per_epoch)
-            masks = (
-                sample_model_masks(
-                    model, recipe.dropconnect_rate, rng.child(2, epoch, global_step)
-                ).formed(model)
-                if recipe.dropconnect_rate > 0
-                else None
+            masks = sample_model_masks(
+                model, recipe.dropconnect_rate, rng.child(2, epoch, global_step)
             )
             items = []
             n_labels = 0
@@ -418,23 +415,21 @@ def train(
                 )
                 items.append((features, labels, utt.aux))
                 n_labels += max(1, len(labels))
+            clip_norm = recipe.optimizer.clip_norm
             try:
-                nll, grads = batch_loss_and_grads(model, items, masks, workspace)
-            except TrainingDiverged as exc:
+                with np.errstate(over="raise", invalid="raise"):
+                    nll, grads = batch_loss_and_grads(model, items, masks, workspace)
+                    if b_start == 0:
+                        first_step_group_norms = group_norms(grads, opt_state.temps)
+                    grad_norms.append(clip_gradients(grads, clip_norm, opt_state.temps))
+                    optimizer_step(params, grads, opt_state, lr)
+            except (TrainingDiverged, FloatingPointError) as exc:
                 raise TrainingDiverged(
                     f"epoch {epoch}, step {global_step}, "
                     f"utterances {[utterances[int(i)].utt_id for i in batch_idx]}: {exc}",
                     last_good_checkpoint=last_good,
                 ) from exc
-            if b_start == 0:
-                first_step_group_norms = group_norms(grads, opt_state.temps)
-            clip_norm = recipe.optimizer.clip_norm
-            grad_norms.append(clip_gradients(grads, clip_norm, opt_state.temps))
             clipped += grad_norms[-1] > clip_norm > 0
-            try:
-                optimizer_step(params, grads, opt_state, lr)
-            except TrainingDiverged as exc:
-                raise TrainingDiverged(str(exc), last_good_checkpoint=last_good) from exc
             epoch_nll += nll * len(items)
             epoch_labels += n_labels
             epoch_utts += len(items)

@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from transducer_workbench.errors import ContractViolation, DecodeError
-from transducer_workbench.lattice import BLANK_ID, rnnt_loss
+from transducer_workbench.lattice import BLANK_ID, rnnt_backward, rnnt_forward
 from transducer_workbench.networks import lm_end_increment, lm_init_state, lm_score_next
 from transducer_workbench.numerics import (
     NEG_INF,
@@ -400,9 +400,9 @@ def alsd_beam_reference(
 def rnnt_loss_from_logits(logits: np.ndarray, y) -> tuple[float, np.ndarray]:
     """NLL and its gradient w.r.t. pre-softmax logits of shape T x (U+1) x K."""
     logprob = log_softmax(logits)
-    result = rnnt_loss(logprob, y)
-    grad_logits = log_softmax_backward(result.grad, logprob)
-    return result.nll, grad_logits
+    nll, alpha = rnnt_forward(logprob, y)
+    _, grad = rnnt_backward(logprob, y, alpha)
+    return nll, log_softmax_backward(grad, logprob)
 
 
 def collapse_alignment(alignment) -> tuple[int, ...]:

@@ -45,14 +45,13 @@ from transducer_workbench.networks import (
 from transducer_workbench.numerics import NEG_INF, RandomStream, log_softmax, log_sum_exp
 
 
-def tiny_real_model(seed=1, num_labels=2, joint_mode="multiplicative", branch_biases=False):
+def tiny_real_model(seed=1, num_labels=2, joint_mode="multiplicative"):
     config = ModelConfig(
         num_labels=num_labels,
         encoder=EncoderConfig(layers=1, cells=4, stacking=1, skip=1, input_dim=3),
         prediction=PredictionConfig(cells=4, embed_dim=3),
         joint_dim=5,
         joint_mode=joint_mode,
-        joint_branch_biases=branch_biases,
     )
     return init_model(config, RandomStream(seed))
 
@@ -144,20 +143,18 @@ class TestALSD:
             assert nbest[0].labels == exact[0].labels
             assert nbest[0].transducer_a == pytest.approx(exact[0].transducer_a, abs=1e-10)
 
-    @pytest.mark.parametrize("joint_mode, branch_biases", [
-        ("additive", False), ("multiplicative", False), ("multiplicative", True)
-    ], ids=["additive", "multiplicative", "multiplicative-branch-biases"])
+    @pytest.mark.parametrize("joint_mode", ["additive", "multiplicative"])
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 10**6), T=st.integers(1, 4), num_labels=st.integers(1, 3),
            max_u=st.integers(0, 3), n_best=st.integers(1, 40))
     def test_real_models_match_exhaustive_nbest(
-        self, joint_mode, branch_biases, seed, T, num_labels, max_u, n_best
+        self, joint_mode, seed, T, num_labels, max_u, n_best
     ):
         # A saturating beam (as wide as the number of label sequences the
         # cap allows) with log-sum-exp merging scores every sequence of at
         # most max_u labels by its exact marginal, so the whole n-best list
         # is the head of exhaustive search's ranking.
-        model = tiny_real_model(seed, num_labels, joint_mode, branch_biases)
+        model = tiny_real_model(seed, num_labels, joint_mode)
         features = RandomStream(seed).normal(size=(T, 3))
         cap = T + max_u
         head = exhaustive_decode(model, features, max_symbols=max_u)[:n_best]

@@ -1,3 +1,4 @@
+import ast
 import collections
 import copy
 import dataclasses
@@ -8,11 +9,15 @@ import io
 import json
 import logging
 import math
+import re
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from transducer_workbench import experiment, fusion, networks
 from transducer_workbench.cli import main as cli_main
@@ -199,6 +204,31 @@ class TestRecipeBuilder:
         for optimizer, schedule in experiment.SWEEP.values():
             with_settings(default_config(), "training", optimizer=optimizer, schedule=schedule)
         with_settings(default_config(), "task")
+
+    def test_builders_set_every_field_of_what_they_build(self):
+        # Each dataclass that an `experiment.build_*` function constructs
+        # gets every field by keyword, so every task, model, recipe and LM
+        # field follows a config key: a field left at its class default
+        # would be a setting that no run can change.
+        tree = ast.parse(Path(experiment.__file__).read_text(encoding="utf-8"))
+        built = set()
+        for function in tree.body:
+            if not (isinstance(function, ast.FunctionDef) and function.name.startswith("build_")):
+                continue
+            for node in ast.walk(function):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                    continue
+                cls = getattr(experiment, node.func.id, None)
+                if not dataclasses.is_dataclass(cls):
+                    continue
+                fields = {field.name for field in dataclasses.fields(cls) if field.init}
+                passed = {keyword.arg for keyword in node.keywords}
+                assert not node.args and passed == fields, (
+                    f"{function.name}: {cls.__name__} misses {sorted(fields - passed)}")
+                built.add(cls.__name__)
+        assert built == {"SyntheticTaskConfig", "ModelConfig", "EncoderConfig", "PredictionConfig",
+                         "TrainingRecipe", "OptimizerConfig", "ScheduleConfig", "SwitchoutConfig",
+                         "NoiseInjectConfig", "SpecAugmentConfig", "CharLMConfig"}
 
     def test_with_settings_leaves_its_input_unchanged(self):
         cfg = tiny_config()
@@ -522,6 +552,87 @@ class TestConfigDomains:
         base = ["--config", str(config), "--run-dir", str(tmp_path / "run")]
         assert cli_main(base + ["run"]) == 0, capsys.readouterr().out
         assert cli_main(base + ["verify"]) == 0
+
+
+# The joint draw's upper end for a number whose domain has none, or a wider
+# one: at most this far above the lower end, so that a run stays small.
+DRAW_SPAN = {"int": 4, "float": 10.0}
+
+
+def key_values(kind, domain):
+    """Values of one config key from its `CONFIG_SCHEMA` domain, sizes capped
+    by `DRAW_SPAN`, bounds included: a list of names names each entry once,
+    and a list is empty only where its domain allows it. The one free
+    string key, `encoder_init`, names a checkpoint file, so it stays empty."""
+    if kind == "bool":
+        return st.booleans()
+    if kind == "str":
+        return st.sampled_from(domain) if domain else st.just("")
+    if kind in ("str_list", "float_list"):
+        names = kind == "str_list"
+        each = st.sampled_from(domain.each) if names else key_values("float", domain.each)
+        return st.lists(each, min_size=not domain.empty, max_size=3 if names else 2,
+                        unique=names).map(tuple)
+    if domain is None:  # any finite number
+        return st.integers(-(2**40), 2**40) if kind == "int" else st.floats(-10.0, 10.0)
+    low, high = (float(bound) for bound in domain[1:-1].split(","))
+    high = min(high, low + DRAW_SPAN[kind])
+    open_low, open_high = domain[0] == "(", domain[-1] == ")"
+    if kind == "int":
+        return st.integers(int(low) + open_low, int(high) - open_high)
+    return st.floats(low, high, exclude_min=open_low, exclude_max=open_high)
+
+
+@st.composite
+def drawn_configs(draw):
+    """One value for every key of every section, drawn jointly. Drawn
+    independently, most configs break a rule between two keys, so half the
+    draws are then moved, within the domains, to obey those rules and reach
+    the stages."""
+    config = draw(st.fixed_dictionaries({
+        section: st.fixed_dictionaries({key: key_values(kind, domain)
+                                        for key, (kind, _, domain) in keys.items()})
+        for section, keys in CONFIG_SCHEMA.items()
+    }))
+    if draw(st.booleans()):
+        t, m, tr, e = (config[s] for s in ("task", "model", "training", "experiment"))
+        for low, high in (("length_min", "length_max"),
+                          ("frames_per_symbol_min", "frames_per_symbol_max")):
+            t[low], t[high] = sorted((t[low], t[high]))
+        m["lookahead"] *= not m["bidirectional"]
+        if len(m["modes"]) < 2:
+            e["conditions"] = tuple(c for c in e["conditions"] if c != "combination")
+        tr["total_epochs"] = max(tr["total_epochs"], tr["epochs"], e["sweep_epochs"])
+    return config
+
+
+# The stages whose training can diverge, and the words of a divergence.
+TRAINING_STAGES = {"train", "train_lms", "sweep", "ablations"}
+DIVERGED = re.compile(r"non-finite|loss computation failed|overflow|invalid value")
+
+
+class TestJointConfigDraws:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(drawn_configs())
+    def test_every_drawn_config_is_refused_or_runs_and_verifies(self, config):
+        # Every key at once, each from its own domain, at small sizes: the
+        # draw is refused at parse time, or the run verifies clean, or its
+        # training diverged and the report names the stage it stopped in.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.ini"
+            path.write_text(format_config(config), encoding="utf-8")
+            try:
+                parsed = parse_config(path)
+            except ConfigError:
+                event("refused")
+                return
+            report = run_experiment(parsed, Path(tmp) / "run")
+            event(f"stopped in {report.failure_stage}" if report.failure_stage else "verified")
+            if report.failure_stage is None:
+                assert verify_report(Path(tmp) / "run") == []
+            else:
+                assert report.failure_stage in TRAINING_STAGES, report.failure_message
+                assert DIVERGED.search(report.failure_message), report.failure_message
 
 
 class TestCLI:

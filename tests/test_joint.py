@@ -7,7 +7,6 @@ from transducer_workbench.joint import (
     ADDITIVE,
     MULTIPLICATIVE,
     JointParams,
-    count_parameters,
     hadamard_backward,
     init_joint_params,
     joint_backward,
@@ -19,8 +18,12 @@ from transducer_workbench.joint import (
 from transducer_workbench.numerics import RandomStream, finite_difference_gradient
 
 
-def make_params(mode, rng, E=5, P=4, J=8, K=3, branch_biases=False):
-    return init_joint_params(E, P, J, K, mode, rng, branch_biases=branch_biases)
+def make_params(mode, rng, E=5, P=4, J=8, K=3):
+    return init_joint_params(E, P, J, K, mode, rng)
+
+
+def count_parameters(params: JointParams) -> int:
+    return sum(a.size for a in params.arrays().values())
 
 
 class TestForward:
@@ -41,13 +44,6 @@ class TestForward:
         h = rng.normal(size=5)
         _, cache = joint_forward_cached(h, rng.normal(size=4), params)
         np.testing.assert_allclose(cache.act, np.tanh(params.W_enc @ h), atol=1e-15)
-
-    def test_scalar_bias_expansion_arithmetic(self):
-        # J=1: (2+1)*(3-1) = 6 = 2*3 + 1*3 + (-1)*2 + 1*(-1)
-        h_t, g_t, b_e, b_p = 2.0, 3.0, 1.0, -1.0
-        product = (h_t + b_e) * (g_t + b_p)
-        expansion = h_t * g_t + b_e * g_t + b_p * h_t + b_e * b_p
-        assert product == expansion == 6.0
 
     def test_forward_determinism_bitwise(self):
         rng = RandomStream(3)
@@ -121,10 +117,10 @@ class TestBackward:
         with pytest.raises(ContractViolation):
             joint_backward(np.zeros(3), None, params)
 
-    @pytest.mark.parametrize("mode,branch", [(ADDITIVE, False), (MULTIPLICATIVE, False), (MULTIPLICATIVE, True)])
-    def test_finite_differences(self, mode, branch):
+    @pytest.mark.parametrize("mode", [ADDITIVE, MULTIPLICATIVE])
+    def test_finite_differences(self, mode):
         rng = RandomStream(10)
-        params = make_params(mode, rng, J=8, branch_biases=branch)
+        params = make_params(mode, rng, J=8)
         h = rng.normal(size=5)
         g = rng.normal(size=4)
         w = rng.normal(size=3)  # fixed projection makes the loss scalar
@@ -135,10 +131,7 @@ class TestBackward:
 
         def loss(vec):
             a = unpack_arrays(vec, template)
-            p = JointParams(
-                W_enc=a["W_enc"], W_pred=a["W_pred"], b=a["b"], W_out=a["W_out"],
-                mode=mode, b_enc=a.get("b_enc"), b_pred=a.get("b_pred"),
-            )
+            p = JointParams(a["W_enc"], a["W_pred"], a["b"], a["W_out"], mode)
             return float(w @ joint_forward(a["h"], a["g"], p))
 
         x0 = pack_arrays(template)
@@ -165,25 +158,8 @@ class TestParameterCount:
             mul = make_params(MULTIPLICATIVE, rng, E=E, P=P, J=J, K=K)
             assert count_parameters(add) == count_parameters(mul)
 
-    def test_branch_biases_add_2j(self):
-        rng = RandomStream(13)
-        plain = make_params(MULTIPLICATIVE, rng, J=8)
-        biased = make_params(MULTIPLICATIVE, rng, J=8, branch_biases=True)
-        assert count_parameters(biased) == count_parameters(plain) + 16
-
 
 class TestAlgebraicIdentities:
-    def test_bias_expansion_identity(self):
-        rng = RandomStream(14)
-        J = 16
-        h = rng.normal(size=(10_000, J))
-        g = rng.normal(size=(10_000, J))
-        be = rng.normal(size=J)
-        bp = rng.normal(size=J)
-        lhs = (h + be) * (g + bp)
-        rhs = h * g + be * g + bp * h + be * bp
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
     def test_gating_identity_random(self):
         rng = RandomStream(15)
         for _ in range(100):
@@ -197,10 +173,10 @@ class TestAlgebraicIdentities:
 
 
 class TestLatticeVectorization:
-    @pytest.mark.parametrize("mode,branch", [(ADDITIVE, False), (MULTIPLICATIVE, False), (MULTIPLICATIVE, True)])
-    def test_matches_per_node(self, mode, branch):
+    @pytest.mark.parametrize("mode", [ADDITIVE, MULTIPLICATIVE])
+    def test_matches_per_node(self, mode):
         rng = RandomStream(16)
-        params = make_params(mode, rng, branch_biases=branch)
+        params = make_params(mode, rng)
         T, U1 = 4, 3
         H = rng.normal(size=(T, 5))
         G = rng.normal(size=(U1, 4))

@@ -26,7 +26,6 @@ from transducer_workbench.lattice import (
     enumerate_alignments,
     rnnt_backward,
     rnnt_forward,
-    rnnt_loss,
 )
 from transducer_workbench.numerics import finite_difference_gradient, log_softmax, log_sum_exp
 
@@ -161,10 +160,10 @@ class TestBackward:
     def test_u0_gradient_blank_only(self):
         rng = np.random.default_rng(9)
         lat = random_logprob_lattice(3, 0, 4, rng)
-        result = rnnt_loss(lat, [])
-        nonblank = np.delete(result.grad, BLANK_ID, axis=2)
+        _, grad = rnnt_backward(lat, [], rnnt_forward(lat, [])[1])
+        nonblank = np.delete(grad, BLANK_ID, axis=2)
         assert np.all(nonblank == 0)
-        assert np.all(result.grad[:, :, BLANK_ID] < 0)
+        assert np.all(grad[:, :, BLANK_ID] < 0)
 
     def test_node_occupancy_consistency(self):
         # Sum over outgoing-edge occupancies at a node equals
@@ -172,16 +171,16 @@ class TestBackward:
         rng = np.random.default_rng(31)
         lat = random_logprob_lattice(3, 2, 3, rng)
         y = [1, 0]
-        res = rnnt_loss(lat, y)
-        log_p = -res.nll
+        nll, alpha = rnnt_forward(lat, y)
+        beta, _ = rnnt_backward(lat, y, alpha)
         T, U = 3, 2
         for t in range(T):
             for u in range(U + 1):
-                occ = np.exp(lat[t, u, BLANK_ID] + res.beta[t + 1, u] - res.beta[t, u])
+                occ = np.exp(lat[t, u, BLANK_ID] + beta[t + 1, u] - beta[t, u])
                 if u < U:
-                    occ += np.exp(lat[t, u, y[u] + 1] + res.beta[t, u + 1] - res.beta[t, u])
+                    occ += np.exp(lat[t, u, y[u] + 1] + beta[t, u + 1] - beta[t, u])
                 assert occ == pytest.approx(1.0, abs=1e-9)
-                node = np.exp(res.alpha[t, u] + res.beta[t, u] - log_p)
+                node = np.exp(alpha[t, u] + beta[t, u] + nll)
                 assert node <= 1.0 + 1e-9
 
     def test_stale_alpha_rejected(self):
@@ -205,13 +204,14 @@ class TestGridConsistency:
             U = int(rng.integers(0, 5))
             y = [int(v) for v in rng.integers(0, 2, size=U)]
             lat = random_logprob_lattice(T, U, 3, rng)
-            res = rnnt_loss(lat, y)
+            nll, alpha = rnnt_forward(lat, y)
+            beta, _ = rnnt_backward(lat, y, alpha)
             for d in range(T + U + 1):
                 cells = [
-                    res.alpha[t, d - t] + res.beta[t, d - t]
+                    alpha[t, d - t] + beta[t, d - t]
                     for t in range(max(0, d - U), min(T, d) + 1)
                 ]
-                assert log_sum_exp(cells) == pytest.approx(-res.nll, abs=1e-9)
+                assert log_sum_exp(cells) == pytest.approx(-nll, abs=1e-9)
 
 
 def test_alignment_log_prob_requires_all_blanks():

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import re
 
 import numpy as np
 import pytest
@@ -80,15 +82,12 @@ class TestLossAndGrads:
         assert np.all(g_embedding[:bos] == 0)  # no label row is read
         assert np.abs(g_embedding[bos]).max() > 0  # the begin row is
 
-    @pytest.mark.parametrize("mode, branch_biases", [
-        (ADDITIVE, False), (MULTIPLICATIVE, False), (MULTIPLICATIVE, True)
-    ], ids=["additive", "multiplicative", "multiplicative-branch-biases"])
+    @pytest.mark.parametrize("mode", [ADDITIVE, MULTIPLICATIVE])
     @pytest.mark.parametrize("rate", [0.0, 0.5], ids=["unmasked", "masked"])
-    def test_gradient_keys_are_the_parameter_keys(self, mode, branch_biases, rate):
+    def test_gradient_keys_are_the_parameter_keys(self, mode, rate):
         # Every tensor gets a gradient of its own shape, and nothing else
         # does: the optimizer and the checkpoint read the same names.
-        config = dataclasses.replace(tiny_config(mode), joint_branch_biases=branch_biases)
-        model = init_model(config, RandomStream(40))
+        model = init_model(tiny_config(mode), RandomStream(40))
         masks = sample_model_masks(model, rate, RandomStream(41))
         assert (masks.prediction is None) == (rate == 0.0)
         _, grads = model.loss_and_grads(RandomStream(42).normal(size=(6, 3)), [1, 0], masks=masks)
@@ -116,19 +115,23 @@ class TestLossAndGrads:
         rng = RandomStream(9)
         features = rng.normal(size=(6, 3))
         labels = [2, 2]
-        masks = sample_model_masks(model, 0.25, RandomStream(10))
         template = model.arrays()
+
+        def masks():
+            # The same masks on every call, drawn after the weights are
+            # written, so the masked matrices follow the perturbation.
+            return sample_model_masks(model, 0.25, RandomStream(10))
 
         def loss(vec):
             a = unpack_arrays(vec, template)
             for name, arr in model.arrays().items():
                 arr[:] = a[name]
-            return model.loss_and_grads(features, labels, masks=masks)[0]
+            return model.loss_and_grads(features, labels, masks=masks())[0]
 
         x0 = pack_arrays(template)
         numeric = unpack_arrays(finite_difference_gradient(loss, x0), template)
         loss(x0)
-        _, grads = model.loss_and_grads(features, labels, masks=masks)
+        _, grads = model.loss_and_grads(features, labels, masks=masks())
         for name in template:
             assert relative_error(grads[name], numeric[name]) <= 1e-4, name
 
@@ -141,16 +144,10 @@ class TestLossAndGrads:
         assert np.isfinite(nll)
 
 
-def decoder_model(seed, mode=ADDITIVE, branch_biases=False):
-    config = tiny_config(mode)
-    config.joint_branch_biases = branch_biases
-    model = init_model(config, RandomStream(seed))
-    # Biases start at zero; random ones make every term of the joint count.
-    rng = RandomStream(seed + 1)
-    model.joint.b[:] = rng.normal(size=model.joint.b.shape)
-    if branch_biases:
-        model.joint.b_enc[:] = rng.normal(size=model.joint.b_enc.shape)
-        model.joint.b_pred[:] = rng.normal(size=model.joint.b_pred.shape)
+def decoder_model(seed, mode=ADDITIVE):
+    model = init_model(tiny_config(mode), RandomStream(seed))
+    # The bias starts at zero; a random one makes every term of the joint count.
+    model.joint.b[:] = RandomStream(seed + 1).normal(size=model.joint.b.shape)
     return model
 
 
@@ -192,11 +189,9 @@ class TestGradientWorkspace:
         _, workspace = model.loss_and_grads(*utterances[1], masks=masks)
         for features, labels in utterances:  # one workspace, two utterances
             nll, fresh = model.loss_and_grads(features, labels, masks=masks)
-            # Plain masks, and the draws with their masked matrices formed.
-            for draw in (masks, masks.formed(model)):
-                got_nll, grads = model.loss_and_grads(features, labels, masks=draw, out=workspace)
-                assert grads is workspace and got_nll == nll
-                assert same_grads(grads, fresh)
+            got_nll, grads = model.loss_and_grads(features, labels, masks=masks, out=workspace)
+            assert grads is workspace and got_nll == nll
+            assert same_grads(grads, fresh)
 
     def test_gradient_order(self):
         # Joint, then encoder layers from the top with the reverse
@@ -220,35 +215,32 @@ class TestGradientWorkspace:
             assert grads is workspace and same_grads(grads, fresh)
 
     def test_formed_masks_hold_the_draw_of_their_parameters(self):
-        # A formed draw keeps W_h * mask of the parameters it was formed
-        # with; plain masks follow later parameter changes.
+        # A draw keeps W_h * mask of the parameters it was drawn on; a new
+        # draw from the same stream follows later parameter changes.
         model = self.two_layer_model(ADDITIVE, True)
         masks = sample_model_masks(model, 0.5, RandomStream(55))
-        formed = masks.formed(model)
-        fwd_mask, _ = masks.encoder[0]
-        assert formed.encoder[0][0].mask is fwd_mask
-        assert np.array_equal(formed.encoder[0][0].W_h, model.encoder.layers[0].fwd.W_h * fwd_mask)
+        fwd = masks.encoder[0][0]
+        assert np.array_equal(fwd.W_h, model.encoder.layers[0].fwd.W_h * fwd.mask)
         features = RandomStream(56).normal(size=(6, 3))
-        before = model.loss_and_grads(features, [0, 1], masks=formed)[0]
+        before = model.loss_and_grads(features, [0, 1], masks=masks)[0]
         model.encoder.layers[0].fwd.W_h *= 2.0
-        assert model.loss_and_grads(features, [0, 1], masks=formed)[0] == before
-        assert model.loss_and_grads(features, [0, 1], masks=masks)[0] != before
-        assert sample_model_masks(model, 0.0, RandomStream(55)).formed(model).encoder is None
+        assert model.loss_and_grads(features, [0, 1], masks=masks)[0] == before
+        again = sample_model_masks(model, 0.5, RandomStream(55))
+        assert np.array_equal(again.encoder[0][0].mask, fwd.mask)
+        assert model.loss_and_grads(features, [0, 1], masks=again)[0] != before
+        assert sample_model_masks(model, 0.0, RandomStream(55)).encoder is None
 
 
 class TestDecodeState:
     """The decoder protocol: a state is a block of label-prefix rows in an
     append-only per-utterance table, and the joint scores a block."""
 
-    JOINTS = [(ADDITIVE, False), (MULTIPLICATIVE, False), (MULTIPLICATIVE, True)]
-
-    @pytest.mark.parametrize("mode, branch_biases", JOINTS,
-                             ids=["additive", "multiplicative", "multiplicative-branch-biases"])
+    @pytest.mark.parametrize("mode", [ADDITIVE, MULTIPLICATIVE])
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.lists(st.integers(0, 2), max_size=5).map(tuple), min_size=1, max_size=8),
            st.integers(0, 2**16))
-    def test_block_joint_equals_one_node_calls_bitwise(self, mode, branch_biases, prefixes, seed):
-        model = decoder_model(seed, mode, branch_biases)
+    def test_block_joint_equals_one_node_calls_bitwise(self, mode, prefixes, seed):
+        model = decoder_model(seed, mode)
         state = with_rows(model, prefixes)
         E = model.config.encoder.output_dim
         H_rows = RandomStream(seed + 2).normal(size=(len(prefixes), E))
@@ -397,6 +389,35 @@ class TestCheckpoint:
         back = ModelConfig.from_dict(config.to_dict())
         assert back == config
 
+    def test_loads_meta_with_the_removed_branch_bias_flag(self, tmp_path):
+        # Checkpoints from before the per-branch joint biases were removed
+        # name `joint_branch_biases` in their config; false, their tensors
+        # are today's.
+        model = init_model(tiny_config(MULTIPLICATIVE), RandomStream(13))
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, model)
+        _edit_container(path, lambda a: _edit_config(a, joint_branch_biases=False))
+        loaded, meta = load_checkpoint(path)
+        assert meta["config"]["joint_branch_biases"] is False
+        assert loaded.config == model.config
+        for name, arr in model.arrays().items():
+            assert np.array_equal(loaded.arrays()[name], arr), name
+
+    def test_refuses_branch_bias_tensors(self, tmp_path):
+        model = init_model(tiny_config(MULTIPLICATIVE), RandomStream(13))
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, model)
+        J = model.config.joint_dim
+
+        def old_biased(arrays):
+            _edit_config(arrays, joint_branch_biases=True)
+            arrays.update({"joint.b_enc": np.zeros(J), "joint.b_pred": np.zeros(J)})
+
+        _edit_container(path, old_biased)
+        with pytest.raises(ContractViolation,
+                           match=re.escape("unknown parameters ['joint.b_enc', 'joint.b_pred']")):
+            load_checkpoint(path)
+
 
 def _edit_container(path, edit):
     """Rewrite a saved .npz after applying `edit` to its name -> array dict."""
@@ -404,6 +425,13 @@ def _edit_container(path, edit):
         arrays = {k: data[k] for k in data.files}
     edit(arrays)
     np.savez(path, **arrays)
+
+
+def _edit_config(arrays, **values):
+    """Set `values` in the model config of a checkpoint's meta record."""
+    meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+    meta["config"].update(values)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), np.uint8)
 
 
 @pytest.mark.parametrize("layers", [1, 2])

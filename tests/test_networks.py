@@ -27,6 +27,7 @@ from transducer_workbench.networks import (
     LSTMParams,
     PrefixStates,
     append_aux,
+    drop_connect,
     encode,
     encode_backward,
     init_char_lm_params,
@@ -56,6 +57,17 @@ def one_row_step(x, state, params, hh_mask=None):
     return state, outs[0]
 
 
+def sample_mask(params, rng, use_mask):
+    """A rate-0.25 DropConnect mask of `params`' hidden-to-hidden matrix,
+    or None."""
+    return sample_dropconnect_mask(params.W_h.shape, 0.25, rng.child(9)) if use_mask else None
+
+
+def draw_of(params, mask):
+    """The `DropConnect` draw of `mask` on `params`, or None."""
+    return None if mask is None else drop_connect(params, mask)
+
+
 class TestLSTMStep:
     def test_all_zero_weights(self):
         params = LSTMParams(np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8))
@@ -69,7 +81,7 @@ class TestLSTMStep:
         x = rng.normal(size=3)
         state = (rng.normal(size=4), rng.normal(size=4))
         _, out_plain = one_row_step(x, state, params)
-        _, out_masked = one_row_step(x, state, params, hh_mask=np.ones((16, 4)))
+        _, out_masked = one_row_step(x, state, params, drop_connect(params, np.ones((16, 4))))
         np.testing.assert_array_equal(out_plain, out_masked)
 
     def test_shape_mismatch(self):
@@ -78,7 +90,7 @@ class TestLSTMStep:
         with pytest.raises(DimensionError):
             one_row_step(np.zeros(5), zero_state(4), params)
         with pytest.raises(DimensionError):
-            one_row_step(np.zeros(3), zero_state(4), params, hh_mask=np.ones((2, 2)))
+            one_row_step(np.zeros(3), zero_state(4), params, drop_connect(params, np.ones((2, 2))))
 
     @pytest.mark.parametrize("rows", [1, 4])
     def test_shape_mismatch_any_row_count(self, rows):
@@ -86,7 +98,7 @@ class TestLSTMStep:
         with pytest.raises(DimensionError):
             lstm_forward(np.zeros((rows, 5)), params)
         with pytest.raises(DimensionError):
-            lstm_forward(np.zeros((rows, 3)), params, hh_mask=np.ones((2, 2)))
+            lstm_forward(np.zeros((rows, 3)), params, drop_connect(params, np.ones((2, 2))))
         with pytest.raises(DimensionError):
             lstm_forward(np.zeros(3), params)
 
@@ -94,11 +106,7 @@ class TestLSTMStep:
     def test_sequence_equals_chained_one_row_calls(self, use_mask):
         rng = RandomStream(4)
         params = init_lstm_params(3, 4, rng)
-        mask = (
-            sample_dropconnect_mask(params.W_h.shape, 0.25, rng.child(9))
-            if use_mask
-            else None
-        )
+        mask = draw_of(params, sample_mask(params, rng, use_mask))
         xs = rng.normal(size=(6, 3))
         start = (rng.normal(size=4), rng.normal(size=4))
         outs, (h_seq, c_seq), _ = lstm_forward(xs, params, mask, start)
@@ -112,11 +120,7 @@ class TestLSTMStep:
     def test_backward_finite_differences(self, use_mask):
         rng = RandomStream(3)
         params = init_lstm_params(3, 4, rng)
-        mask = (
-            sample_dropconnect_mask(params.W_h.shape, 0.25, rng.child(9))
-            if use_mask
-            else None
-        )
+        mask = sample_mask(params, rng, use_mask)
         xs = rng.normal(size=(5, 3))
         w = rng.normal(size=(5, 4))
         template = params.arrays()
@@ -124,19 +128,19 @@ class TestLSTMStep:
         def loss(vec):
             a = unpack_arrays(vec, template)
             p = LSTMParams(a["W_x"], a["W_h"], a["b"])
-            outs, _, _ = lstm_forward(xs, p, mask)
+            outs, _, _ = lstm_forward(xs, p, draw_of(p, mask))  # the product follows W_h
             return float((w * outs).sum())
 
         numeric = unpack_arrays(
             finite_difference_gradient(loss, pack_arrays(template)), template
         )
-        outs, _, cache = lstm_forward(xs, params, mask)
+        outs, _, cache = lstm_forward(xs, params, draw_of(params, mask))
         d_xs, grads, _, _ = lstm_backward(w.copy(), cache, params)
         for name in template:
             assert relative_error(grads[name], numeric[name]) <= 1e-4, name
 
         def loss_x(vec):
-            outs, _, _ = lstm_forward(vec.reshape(5, 3), params, mask)
+            outs, _, _ = lstm_forward(vec.reshape(5, 3), params, draw_of(params, mask))
             return float((w * outs).sum())
 
         numeric_x = finite_difference_gradient(loss_x, xs.ravel().copy()).reshape(5, 3)
@@ -162,14 +166,10 @@ class TestLSTMKernelOracle:
         rng = RandomStream(31)
         params = init_lstm_params(D, H, rng)
         params.b[:] = rng.normal(size=4 * H)
-        mask = (
-            sample_dropconnect_mask(params.W_h.shape, 0.25, rng.child(9))
-            if use_mask
-            else None
-        )
+        mask = sample_mask(params, rng, use_mask)
         xs = 2.0 * rng.normal(size=(T, D))
         start = (rng.normal(size=H), rng.normal(size=H))
-        outs, (h, c), cache = lstm_forward(xs, params, mask, start)
+        outs, (h, c), cache = lstm_forward(xs, params, draw_of(params, mask), start)
         ref_outs, (ref_h, ref_c), steps = lstm_forward_reference(xs, params, mask, start)
         for got, want in [(outs, ref_outs), (h, ref_h), (c, ref_c)]:
             np.testing.assert_allclose(got, want, rtol=0, atol=self.ATOL)
@@ -256,11 +256,7 @@ class TestLSTMBlockRows:
         rng = RandomStream(43)
         params = init_lstm_params(D, H, rng)
         params.b[:] = rng.normal(size=4 * H)
-        mask = (
-            sample_dropconnect_mask(params.W_h.shape, 0.25, rng.child(9))
-            if use_mask
-            else None
-        )
+        mask = draw_of(params, sample_mask(params, rng, use_mask))
         xs = 2.0 * rng.normal(size=(T, B, D))
         state = (rng.normal(size=(B, H)), rng.normal(size=(B, H))) if start == "random" else None
         outs, (h, c), cache = lstm_forward(xs, params, mask, state)

@@ -46,8 +46,7 @@ from transducer_workbench.numerics import RandomStream, log_softmax
 property_settings = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 NUM_LABELS = 3
-JOINTS = [(ADDITIVE, False), (MULTIPLICATIVE, False), (MULTIPLICATIVE, True)]
-JOINT_IDS = ["additive", "multiplicative", "multiplicative-branch-biases"]
+JOINTS = [ADDITIVE, MULTIPLICATIVE]
 
 label_seqs = st.lists(st.integers(0, NUM_LABELS - 1), max_size=6).map(tuple)
 unions = st.lists(label_seqs, min_size=1, max_size=8, unique=True)
@@ -74,22 +73,17 @@ def path_nodes(parents, node):
     return path[::-1]
 
 
-def trie_model(seed, mode, branch_biases):
+def trie_model(seed, mode):
     config = ModelConfig(
         num_labels=NUM_LABELS,
         encoder=EncoderConfig(layers=1, cells=4, stacking=1, skip=1, input_dim=3),
         prediction=PredictionConfig(cells=4, embed_dim=3),
         joint_dim=5,
         joint_mode=mode,
-        joint_branch_biases=branch_biases,
     )
     model = init_model(config, RandomStream(seed))
-    # Biases start at zero; random ones make every term of the joint count.
-    rng = RandomStream(seed + 1)
-    model.joint.b[:] = rng.normal(size=model.joint.b.shape)
-    if branch_biases:
-        model.joint.b_enc[:] = rng.normal(size=model.joint.b_enc.shape)
-        model.joint.b_pred[:] = rng.normal(size=model.joint.b_pred.shape)
+    # The bias starts at zero; a random one makes every term of the joint count.
+    model.joint.b[:] = RandomStream(seed + 1).normal(size=model.joint.b.shape)
     return model
 
 
@@ -225,22 +219,22 @@ class TestPrefixTrieForward:
 
 
 class TestPrefixTrieNlls:
-    @pytest.mark.parametrize("mode, branch_biases", JOINTS, ids=JOINT_IDS)
+    @pytest.mark.parametrize("mode", JOINTS)
     @property_settings
     @given(st.integers(1, 6), unions, st.integers(0, 2**16))
-    def test_agrees_with_lattice_nll(self, mode, branch_biases, T, sequences, seed):
-        model = trie_model(seed, mode, branch_biases)
+    def test_agrees_with_lattice_nll(self, mode, T, sequences, seed):
+        model = trie_model(seed, mode)
         assert_agrees_with_lattice_nll(model, encoder_output(model, seed, T), sequences)
 
-    @pytest.mark.parametrize("mode, branch_biases", JOINTS, ids=JOINT_IDS)
+    @pytest.mark.parametrize("mode", JOINTS)
     @property_settings
     @given(st.integers(1, 6), unions, st.integers(0, 2**16))
     @example(1, [(), (2,), (2, 0), (2, 0, 1), (1,)], 5)  # T = 1, empty, nested prefixes
     @example(3, [()], 6)
     def test_prediction_rows_equal_predict_embed_bitwise(
-        self, mode, branch_biases, T, sequences, seed
+        self, mode, T, sequences, seed
     ):
-        model = trie_model(seed, mode, branch_biases)
+        model = trie_model(seed, mode)
         H = encoder_output(model, seed, T)
         captured, joint = [], model_module.joint_forward_lattice
 
@@ -257,16 +251,16 @@ class TestPrefixTrieNlls:
             rows, _ = predict_embed(seq, model.prediction)
             assert np.array_equal(G[path_nodes(parents, end)], rows), seq
 
-    @pytest.mark.parametrize("mode, branch_biases", JOINTS, ids=JOINT_IDS)
+    @pytest.mark.parametrize("mode", JOINTS)
     @property_settings
     @given(st.integers(1, 6), unions, unions, st.integers(0, 2**16))
     def test_shared_table_gives_fresh_table_steps_bitwise(
-        self, mode, branch_biases, T, earlier, sequences, seed
+        self, mode, T, earlier, sequences, seed
     ):
         # A table that earlier tries filled hands the joint the same rows
         # in the same order, so the steps equal a fresh table's with `==`;
         # it steps only the prefixes it lacks.
-        model = trie_model(seed, mode, branch_biases)
+        model = trie_model(seed, mode)
         H = encoder_output(model, seed, T)
         trie = prefix_trie(sequences)
         fresh = model.prefix_trie_steps(H, trie, PrefixStates(model.prediction))
@@ -279,17 +273,17 @@ class TestPrefixTrieNlls:
         assert len(table.parents) == len(table.index)
 
     def test_table_of_another_network_rejected(self):
-        model = trie_model(10, ADDITIVE, False)
-        other = PrefixStates(trie_model(11, ADDITIVE, False).prediction)
+        model = trie_model(10, ADDITIVE)
+        other = PrefixStates(trie_model(11, ADDITIVE).prediction)
         with pytest.raises(ContractViolation, match="another network"):
             model.prefix_trie_steps(encoder_output(model, 10, 3), prefix_trie([(0,)]), other)
 
-    @pytest.mark.parametrize("mode, branch_biases", JOINTS, ids=JOINT_IDS)
+    @pytest.mark.parametrize("mode", JOINTS)
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 5), st.lists(label_seqs.map(lambda s: s[:5]), min_size=1, max_size=4,
                                         unique=True), st.integers(0, 2**16))
-    def test_agrees_with_enumeration(self, mode, branch_biases, T, sequences, seed):
-        model = trie_model(seed, mode, branch_biases)
+    def test_agrees_with_enumeration(self, mode, T, sequences, seed):
+        model = trie_model(seed, mode)
         H = encoder_output(model, seed, T)
         nlls = trie_nlls(model, H, prefix_trie(sequences))
         for seq, nll in zip(sequences, nlls):
@@ -297,24 +291,24 @@ class TestPrefixTrieNlls:
             oracle = brute_force_nll(model.logprob_lattice(H, list(seq)), list(seq))
             assert abs(nll - oracle) <= 1e-10
 
-    @pytest.mark.parametrize("mode, branch_biases", JOINTS, ids=JOINT_IDS)
+    @pytest.mark.parametrize("mode", JOINTS)
     @pytest.mark.parametrize("T, sequences", [
         (3, [()]),
         (3, [(0, 1, 2)]),
         (4, [(0, 1), (0, 1, 1, 2), (0,), ()]),
         (1, [(2, 2, 0), (2,), (1,), ()]),
     ], ids=["empty", "one-hypothesis", "prefixes", "T=1"])
-    def test_edge_cases(self, mode, branch_biases, T, sequences):
-        model = trie_model(7, mode, branch_biases)
+    def test_edge_cases(self, mode, T, sequences):
+        model = trie_model(7, mode)
         assert_agrees_with_lattice_nll(model, encoder_output(model, 7, T), sequences)
 
     def test_no_sequences(self):
-        model = trie_model(8, ADDITIVE, False)
+        model = trie_model(8, ADDITIVE)
         H = encoder_output(model, 8, 3)
         assert trie_nlls(model, H, prefix_trie([])).shape == (0,)
 
     def test_out_of_vocabulary_label_rejected(self):
-        model = trie_model(9, ADDITIVE, False)
+        model = trie_model(9, ADDITIVE)
         H = encoder_output(model, 9, 3)
         with pytest.raises(ContractViolation, match="outside vocabulary"):
             model.prefix_trie_steps(H, prefix_trie([(0, NUM_LABELS)]),
