@@ -177,7 +177,8 @@ def spec_augment(features: np.ndarray, config: SpecAugmentConfig, rng: RandomStr
 
 def switchout_weights(U: int, temperature: float) -> np.ndarray:
     """Unnormalized p(n) ∝ exp(-n/tau) over n in {0..U}."""
-    return np.exp(-np.arange(U + 1) / temperature)
+    with np.errstate(over="ignore"):  # n/tau = inf for a tiny tau: weight 0, as meant
+        return np.exp(-np.arange(U + 1) / temperature)
 
 
 def switchout(labels, config: SwitchoutConfig, rng: RandomStream) -> tuple[int, ...]:

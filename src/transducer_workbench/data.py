@@ -306,7 +306,7 @@ def write_features(path, dataset: Dataset):
         f.write(struct.pack("<III", _VERSION, dataset.dim, dataset.aux_dim))
         f.write(struct.pack("<I", len(dataset.utterances)))
         for utt in dataset.utterances:
-            if not np.isfinite(utt.frames).all():
+            if not all(np.isfinite(a).all() for a in (utt.frames, utt.aux) if a is not None):
                 raise IngestError(f"utterance {utt.utt_id} has non-finite features")
             for text in (utt.utt_id, utt.speaker):
                 enc = text.encode("utf-8")
@@ -360,13 +360,13 @@ def read_features(path) -> Dataset:
             (T,) = struct.unpack("<I", r.read(4, f"frame count of {utt_id}"))
             raw = r.read(4 * T * dim, f"frames of {utt_id}")
             frames = np.frombuffer(raw, dtype="<f4").reshape(T, dim).copy()
-            if not np.isfinite(frames).all():
-                raise IngestError(f"utterance {utt_id} has non-finite features")
             aux = None
             if aux_dim:
                 aux = np.frombuffer(
                     r.read(4 * aux_dim, f"aux vector of {utt_id}"), dtype="<f4"
                 ).copy()
+            if not all(np.isfinite(a).all() for a in (frames, aux) if a is not None):
+                raise IngestError(f"utterance {utt_id} has non-finite features")
             utts.append(Utterance(utt_id, frames, (), speaker, aux))
         if f.read(1):
             raise IngestError(f"trailing bytes after byte {r.offset}")

@@ -38,7 +38,7 @@ from .data import (
     write_transcripts,
 )
 from .decoding import MERGES, DecodeError, alsd_beam, greedy_decode
-from .errors import ConfigError, ContractViolation, WorkbenchError
+from .errors import ConfigError, ContractViolation, TrainingDiverged, WorkbenchError
 from .fusion import (
     DEFAULT_LAM_GRID,
     DEFAULT_MU_GRID,
@@ -518,10 +518,9 @@ def render_report(report: ExperimentReport) -> str:
         lines.append("")
         lines.append(f"{'optimizer':<14} {'schedule':<12} {'dev WER':>8} {'test WER':>9}")
         for row in report.sweep:
-            lines.append(
-                f"{row['optimizer']:<14} {row['schedule']:<12} "
-                f"{_pct(row['dev_wer']):>8} {_pct(row['test_wer']):>9}"
-            )
+            wers = (f"diverged: {row['diverged']}" if "diverged" in row
+                    else f"{_pct(row['dev_wer']):>8} {_pct(row['test_wer']):>9}")
+            lines.append(f"{row['optimizer']:<14} {row['schedule']:<12} {wers}")
     if report.ablations:
         lines.append("")
         lines.append(f"{'ablation':<20} {'no ext LM':>10} {'density ratio':>14}")
@@ -853,7 +852,8 @@ SWEEP = {
 
 def stage_sweep(run: Run, stream: int):
     """Optimizer x schedule grid in the style of the production study, when
-    the config asks for it."""
+    the config asks for it. A cell that diverges is a row with its message
+    and no WER."""
     config, rng = run.config, run.rng.child(stream)
     if not config["experiment"]["sweep"]:
         return
@@ -863,13 +863,16 @@ def stage_sweep(run: Run, stream: int):
     for tag, (opt_kind, sched_kind) in SWEEP.items():
         settings = with_settings(config, "training", epochs=epochs, optimizer=opt_kind,
                                  schedule=sched_kind)
-        model, result = stage_train_mode(settings, run.run_dir, rng.child(hash_tag(tag)), datasets,
-                                         alphabet, mode, tag=tag)
-        run.report.sweep.append({
-            "optimizer": opt_kind, "schedule": sched_kind,
-            "dev_wer": result.metrics[-1].dev_wer if result.metrics else None,
-            "test_wer": _greedy_wer(model, datasets["test"], alphabet),
-        })
+        row = {"optimizer": opt_kind, "schedule": sched_kind}
+        try:
+            model, result = stage_train_mode(settings, run.run_dir, rng.child(hash_tag(tag)),
+                                             datasets, alphabet, mode, tag=tag)
+        except TrainingDiverged as exc:
+            row.update(dev_wer=None, test_wer=None, diverged=str(exc))
+        else:
+            row.update(dev_wer=result.metrics[-1].dev_wer if result.metrics else None,
+                       test_wer=_greedy_wer(model, datasets["test"], alphabet))
+        run.report.sweep.append(row)
 
 
 def hash_tag(tag: str) -> int:
@@ -1039,9 +1042,11 @@ def verify_report(run_dir) -> list[str]:
               top1_wer(rows, weights_from_dict(entry["weights"])))
     for row in report["sweep"]:
         optimizer, schedule = row["optimizer"], row["schedule"]
-        model, _ = load_checkpoint(run_dir / artifact("model", "sweep", optimizer, schedule))
+        diverged = "diverged" in row  # no checkpoint, so no WER to recompute
+        if not diverged:
+            model, _ = load_checkpoint(run_dir / artifact("model", "sweep", optimizer, schedule))
         for split in ("dev", "test"):
-            if row[f"{split}_wer"] is not None:  # None: no epoch was trained
+            if row[f"{split}_wer"] is not None:  # None: no epoch was trained, or diverged
                 check(f"sweep/{optimizer}/{schedule}/{split}", row[f"{split}_wer"],
-                      _greedy_wer(model, datasets[split], alphabet))
+                      np.nan if diverged else _greedy_wer(model, datasets[split], alphabet))
     return problems

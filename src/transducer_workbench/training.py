@@ -1,15 +1,17 @@
 """Optimization: momentum SGD and AdamW, constant+decay and one-cycle
-learning-rate schedules, batched gradient accumulation, and the training
-loop that applies the augmentation recipe.
+learning-rate schedules, batched gradient accumulation, and one minibatch
+loop, `_fit`, with one divergence handling, through which the transducer
+(`train`, with its augmentation recipe) and both character LMs
+(`train_char_lm`) train.
 
-The training loop is deterministic under a fixed stream: data order,
-DropConnect masks, and every augmentation draw come from child streams keyed
-by (epoch, batch, utterance), and gradients accumulate in a fixed order.
+Training is deterministic under a fixed stream: data order, DropConnect
+masks, and every augmentation draw come from child streams keyed by (epoch,
+batch, utterance), and gradients accumulate in a fixed order.
 
 A step allocates no gradient-sized array once the first step is done. Each
-training call owns one `GradientWorkspace`: every utterance's backward
-passes write into its `item` arrays, which `_mean_gradients` sums into its
-`mean` arrays; the clip norm, AdamW and momentum SGD form their elementwise
+training call owns one `GradientWorkspace`: every item's backward passes
+write into its `item` arrays, which `_batch_gradients` sums into its `mean`
+arrays; the clip norm, AdamW and momentum SGD form their elementwise
 temporaries in two buffers of the optimizer state (`temps`); and the
 DropConnect draws hold their masked matrices for the whole minibatch. Every
 array operation is the one it replaces, in the same order, so the results
@@ -31,6 +33,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import networks
 from .augment import (
     NoiseInjectConfig,
     SpecAugmentConfig,
@@ -204,12 +207,11 @@ def optimizer_step(params, grads, state: OptimizerState, lr: float):
 
 def _square_sum(g: np.ndarray, temps, name: str) -> float:
     """(g * g).sum(), the squares formed in the first `temps` array of
-    `name` when an optimizer state's `temps` dict is given."""
-    squares = g * g if temps is None else np.multiply(g, g, out=temps[name][0])
-    return float(squares.sum())
+    `name`, an optimizer state's."""
+    return float(np.multiply(g, g, out=temps[name][0]).sum())
 
 
-def group_norms(grads: dict[str, np.ndarray], temps=None) -> dict[str, float]:
+def group_norms(grads: dict[str, np.ndarray], temps) -> dict[str, float]:
     """The L2 norm of the gradients of "encoder", "prediction" and of each
     joint tensor ("joint.W_enc", ...), which the global norm hides, summed
     in dict order."""
@@ -220,10 +222,10 @@ def group_norms(grads: dict[str, np.ndarray], temps=None) -> dict[str, float]:
     return {group: math.sqrt(total) for group, total in squares.items()}
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float, temps=None) -> float:
+def clip_gradients(grads: dict[str, np.ndarray], max_norm: float, temps) -> float:
     """Scale all gradients so the global L2 norm, summed in dict order, is
     at most max_norm. Returns the pre-clip norm. `temps`, an optimizer
-    state's, holds the squares instead of one new array per tensor."""
+    state's, holds the squares."""
     total = math.sqrt(sum(_square_sum(g, temps, name) for name, g in grads.items()))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
@@ -283,7 +285,6 @@ _TELEMETRY_FIELDS = ("grad_norm_mean", "grad_norm_max", "clip_rate", "first_step
 
 @dataclass
 class TrainResult:
-    model: TransducerModel
     metrics: list[EpochRecord]
 
 
@@ -291,7 +292,7 @@ class TrainResult:
 class GradientWorkspace:
     """The gradient arrays one training call reuses at every step: `item`
     receives each item's gradients (the `out` of its loss), and `mean` their
-    minibatch mean (`_mean_gradients`). Both come from the call's first
+    minibatch mean (`_batch_gradients`). Both come from the call's first
     gradients, so they keep their names, shapes and order, and both are
     views of memory mappings (`numerics.mapped_zeros`)."""
 
@@ -299,23 +300,32 @@ class GradientWorkspace:
     mean: dict | None = None
 
 
-def _mean_gradients(per_item_grads, n: int, out=None) -> dict[str, np.ndarray]:
-    """Sum the gradient dicts in the order given, then divide by n, into
-    the arrays of `out` or of a new mapped dict in the first item's order. Callers
-    pass a generator, so one item's gradients are alive at a time, and the
-    generator may refill one dict for every item."""
-    acc = out
-    for k, grads in enumerate(per_item_grads):
-        if acc is None:
-            acc = mapped_zeros({name: g.shape for name, g in grads.items()})
-        for name, g in grads.items():
+def _batch_gradients(loss, items, ws: GradientWorkspace) -> list[float]:
+    """Each item's NLL, in order, and the mean of their gradients, summed in
+    that order, in `ws.mean`. `loss(item, out)` returns an item's NLL and
+    gradients, written into `out` (`ws.item`). A non-finite loss, or one
+    whose numeric contracts fail, is a divergence."""
+    nlls = []
+    for k, item in enumerate(items):
+        try:
+            nll, grads = loss(item, ws.item)
+        except ContractViolation as exc:
+            # NaNs inside the forward pass trip the numeric contracts;
+            # from the trainer's view that is a divergence.
+            raise TrainingDiverged(f"loss computation failed: {exc}") from exc
+        if not np.isfinite(nll):
+            raise TrainingDiverged(f"non-finite loss {nll}")
+        nlls.append(nll)
+        if ws.item is None:  # the first gradients of the call
+            ws.item, ws.mean = mapped_copy(grads), mapped_copy(grads)
+        for name, g in ws.item.items():
             if k:
-                acc[name] += g
+                ws.mean[name] += g
             else:
-                np.copyto(acc[name], g)
-    for g in acc.values():
-        g /= n
-    return acc
+                np.copyto(ws.mean[name], g)
+    for g in ws.mean.values():
+        g /= len(items)
+    return nlls
 
 
 def batch_loss_and_grads(model: TransducerModel, items, masks=None, workspace=None):
@@ -323,28 +333,50 @@ def batch_loss_and_grads(model: TransducerModel, items, masks=None, workspace=No
     accumulated in the given order, in the arrays of `workspace` (a
     `GradientWorkspace`), or of a new one."""
     ws = workspace if workspace is not None else GradientWorkspace()
+
+    def loss(item, out):
+        features, labels, aux = item
+        return model.loss_and_grads(features, labels, aux=aux, masks=masks, out=out)
+
     total_nll = 0.0
-
-    def utterance_grads():
-        nonlocal total_nll
-        for features, labels, aux in items:
-            try:
-                nll, grads = model.loss_and_grads(
-                    features, labels, aux=aux, masks=masks, out=ws.item
-                )
-            except ContractViolation as exc:
-                # NaNs inside the forward pass trip the numeric contracts;
-                # from the trainer's view that is a divergence.
-                raise TrainingDiverged(f"loss computation failed: {exc}") from exc
-            if not np.isfinite(nll):
-                raise TrainingDiverged(f"non-finite loss {nll}")
-            total_nll += nll
-            if ws.item is None:
-                ws.item = mapped_copy(grads)
-            yield ws.item
-
-    ws.mean = _mean_gradients(utterance_grads(), len(items), ws.mean)
+    for nll in _batch_gradients(loss, items, ws):
+        total_nll += nll
     return total_nll / len(items), ws.mean
+
+
+def _fit(params, state: OptimizerState, rng: RandomStream, epochs: int, n: int,
+         batch_size: int, batch_grads, describe):
+    """Yields each epoch's pre-clip gradient norms. Epoch e takes items
+    0..n-1 in the order of `rng.child(1, e).permutation(n)`, `batch_size` at
+    a time, and applies the gradient and rate `batch_grads(epoch, step,
+    batch)` returns. A step's overflow (which would clip a gradient to
+    zero) or non-finite loss or gradient raises TrainingDiverged naming the
+    epoch, step and `describe(batch)`, with the last epoch-end checkpoint,
+    taken when the caller resumes the generator."""
+    last_good: dict[str, np.ndarray] | None = None
+    step = 0
+    for epoch in range(epochs):
+        order = rng.child(1, epoch).permutation(n)
+        norms = []
+        for start in range(0, n, batch_size):
+            batch = order[start : start + batch_size]
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    grads, lr = batch_grads(epoch, step, batch)
+                    norms.append(clip_gradients(grads, state.config.clip_norm, state.temps))
+                    optimizer_step(params, grads, state, lr)
+            except (TrainingDiverged, FloatingPointError) as exc:
+                raise TrainingDiverged(
+                    f"epoch {epoch}, step {step}, {describe(batch)}: {exc}",
+                    last_good_checkpoint=last_good,
+                ) from exc
+            step += 1
+        yield norms
+        if last_good is None:
+            last_good = mapped_copy(params)
+        else:
+            for name, value in params.items():
+                np.copyto(last_good[name], value)
 
 
 def dev_wer(model: TransducerModel, dev: Dataset, alphabet) -> float:
@@ -367,12 +399,7 @@ def train(
     dev_set: Dataset | None = None,
     alphabet=None,
 ) -> TrainResult:
-    """Run the full recipe; the model is updated in place.
-
-    Aborts with the last epoch-end checkpoint attached when the loss or a
-    gradient goes non-finite, or a step overflows: a gradient whose squares
-    overflow would otherwise be clipped to zero.
-    """
+    """Run the full recipe through `_fit`; the model is updated in place."""
     utterances = replica_expand(list(train_set.utterances), recipe.replicas)
     lengths = [u.num_frames for u in utterances]
     n = len(utterances)
@@ -387,54 +414,33 @@ def train(
     opt_state = init_optimizer(params, recipe.optimizer)
     workspace = GradientWorkspace()
     steps_per_epoch = max(1, math.ceil(n / recipe.batch_size))
-    metrics: list[EpochRecord] = []
-    last_good: dict[str, np.ndarray] | None = None
-    global_step = 0
-    lr = lr_at(recipe.schedule, 0.0)
+    clip_norm = recipe.optimizer.clip_norm
+    lr, epoch_nll, epoch_labels, epoch_utts, first_step_group_norms = None, 0.0, 0, 0, None
 
-    for epoch in range(recipe.epochs):
-        order = rng.child(1, epoch).permutation(n)
-        epoch_nll = 0.0
-        epoch_labels = 0
-        epoch_utts = 0
-        grad_norms = []
-        clipped = 0
-        for b_start in range(0, n, recipe.batch_size):
-            batch_idx = order[b_start : b_start + recipe.batch_size]
-            lr = lr_at(recipe.schedule, global_step / steps_per_epoch)
-            masks = sample_model_masks(
-                model, recipe.dropconnect_rate, rng.child(2, epoch, global_step)
+    def batch_grads(epoch, step, batch):
+        nonlocal lr, epoch_nll, epoch_labels, epoch_utts, first_step_group_norms
+        lr = lr_at(recipe.schedule, step / steps_per_epoch)
+        masks = sample_model_masks(model, recipe.dropconnect_rate, rng.child(2, epoch, step))
+        items = []
+        for idx in map(int, batch):
+            utt = utterances[idx]
+            features, labels = _augment_batch_member(
+                utt, utterances, lengths, idx, recipe, rng.child(3, epoch, idx), pools
             )
-            items = []
-            n_labels = 0
-            for j, idx in enumerate(batch_idx):
-                utt = utterances[int(idx)]
-                aug_rng = rng.child(3, epoch, int(idx))
-                features, labels = _augment_batch_member(
-                    utt, utterances, lengths, int(idx), recipe, aug_rng, pools
-                )
-                items.append((features, labels, utt.aux))
-                n_labels += max(1, len(labels))
-            clip_norm = recipe.optimizer.clip_norm
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    nll, grads = batch_loss_and_grads(model, items, masks, workspace)
-                    if b_start == 0:
-                        first_step_group_norms = group_norms(grads, opt_state.temps)
-                    grad_norms.append(clip_gradients(grads, clip_norm, opt_state.temps))
-                    optimizer_step(params, grads, opt_state, lr)
-            except (TrainingDiverged, FloatingPointError) as exc:
-                raise TrainingDiverged(
-                    f"epoch {epoch}, step {global_step}, "
-                    f"utterances {[utterances[int(i)].utt_id for i in batch_idx]}: {exc}",
-                    last_good_checkpoint=last_good,
-                ) from exc
-            clipped += grad_norms[-1] > clip_norm > 0
-            epoch_nll += nll * len(items)
-            epoch_labels += n_labels
-            epoch_utts += len(items)
-            global_step += 1
-        record = EpochRecord(
+            items.append((features, labels, utt.aux))
+            epoch_labels += max(1, len(labels))
+        nll, grads = batch_loss_and_grads(model, items, masks, workspace)
+        if not epoch_utts:
+            first_step_group_norms = group_norms(grads, opt_state.temps)
+        epoch_nll += nll * len(items)
+        epoch_utts += len(items)
+        return grads, lr
+
+    metrics: list[EpochRecord] = []
+    epochs = _fit(params, opt_state, rng, recipe.epochs, n, recipe.batch_size, batch_grads,
+                  lambda batch: f"utterances {[utterances[int(i)].utt_id for i in batch]}")
+    for epoch, grad_norms in enumerate(epochs):
+        metrics.append(EpochRecord(
             epoch=epoch,
             lr=lr,
             train_nll=epoch_nll / max(1, epoch_utts),
@@ -446,16 +452,11 @@ def train(
             ),
             grad_norm_mean=sum(grad_norms) / len(grad_norms),
             grad_norm_max=max(grad_norms),
-            clip_rate=clipped / len(grad_norms),
+            clip_rate=sum(norm > clip_norm > 0 for norm in grad_norms) / len(grad_norms),
             first_step_group_norms=first_step_group_norms,
-        )
-        metrics.append(record)
-        if last_good is None:
-            last_good = mapped_copy(params)
-        else:
-            for k, v in params.items():
-                np.copyto(last_good[k], v)
-    return TrainResult(model=model, metrics=metrics)
+        ))
+        epoch_nll, epoch_labels, epoch_utts = 0.0, 0, 0
+    return TrainResult(metrics=metrics)
 
 
 def _augment_batch_member(utt, utterances, lengths, idx, recipe: TrainingRecipe, rng, pools=None):
@@ -485,40 +486,29 @@ def train_char_lm(
     batch_size: int = 8,
     lr: float = 2e-3,
 ) -> list[float]:
-    """Fit a character LM on label sequences; returns per-epoch mean NLL
-    per symbol. Uses AdamW without weight decay at a constant learning
-    rate; LM fitting is not the object of study, it just has to give the
-    fusion experiments usable models."""
-    from .networks import lm_loss_and_grads
-
-    optimizer = OptimizerConfig(kind=ADAMW, weight_decay=0.0)
+    """Fit a character LM on label sequences through `_fit`; returns
+    per-epoch mean NLL per symbol. Uses AdamW without weight decay at a
+    constant learning rate; LM fitting is not the object of study, it just
+    has to give the fusion experiments usable models."""
     params = lm_params.arrays()
-    state = init_optimizer(params, optimizer)
+    state = init_optimizer(params, OptimizerConfig(kind=ADAMW, weight_decay=0.0))
     ws = GradientWorkspace()
-    history = []
-    n = len(sequences)
+    symbols = sum(len(seq) + 1 for seq in sequences)  # every epoch reads each sequence once
+    total_nll = 0.0
 
-    def sequence_grads(batch):
-        nonlocal total_nll, total_symbols
-        for idx in batch:
-            seq = sequences[int(idx)]
-            nll, grads = lm_loss_and_grads(seq, lm_params, out=ws.item)
-            if not np.isfinite(nll):
-                raise TrainingDiverged(f"non-finite LM loss on sequence {int(idx)}")
+    def loss(seq, out):
+        # Read from `networks` at call time, where tests and the tracer wrap it.
+        return networks.lm_loss_and_grads(seq, lm_params, out=out)
+
+    def batch_grads(epoch, step, batch):
+        nonlocal total_nll
+        for nll in _batch_gradients(loss, [sequences[int(i)] for i in batch], ws):
             total_nll += nll
-            total_symbols += len(seq) + 1
-            if ws.item is None:
-                ws.item = mapped_copy(grads)
-            yield ws.item
+        return ws.mean, lr
 
-    for epoch in range(epochs):
-        order = rng.child(1, epoch).permutation(n)
+    history = []
+    for _ in _fit(params, state, rng, epochs, len(sequences), batch_size, batch_grads,
+                  lambda batch: f"sequences {batch.tolist()}"):
+        history.append(total_nll / max(1, symbols))
         total_nll = 0.0
-        total_symbols = 0
-        for b_start in range(0, n, batch_size):
-            batch = order[b_start : b_start + batch_size]
-            ws.mean = _mean_gradients(sequence_grads(batch), len(batch), ws.mean)
-            clip_gradients(ws.mean, optimizer.clip_norm, state.temps)
-            optimizer_step(params, ws.mean, state, lr)
-        history.append(total_nll / max(1, total_symbols))
     return history

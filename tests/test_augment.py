@@ -266,6 +266,13 @@ class TestSwitchout:
         for _ in range(100):
             assert switchout(labels, config, rng) == labels
 
+    def test_weights_at_an_overflowing_temperature_are_their_limit(self):
+        # n / tau overflows for a subnormal tau; the weights are exp(-inf)
+        # = 0, with nothing raised inside a training step's errstate.
+        with np.errstate(over="raise", invalid="raise"):
+            w = switchout_weights(3, 5e-324)
+        assert w.tolist() == [1.0, 0.0, 0.0, 0.0]
+
     def test_u2_tau10_weights(self):
         w = switchout_weights(2, 10.0)
         z = w.sum()

@@ -100,6 +100,21 @@ def test_traced_notes_read_existing_parameters(function, parameters):
     assert set(parameters) <= set(inspect.signature(function).parameters)
 
 
+def test_lm_training_spans_only_its_per_sequence_loss(tracing):
+    # The LMs share the transducer's minibatch loop, but not its spans:
+    # `networks.lm_loss_ms_per_seq` reads one span per sequence and epoch,
+    # and `augment.ms_per_utt` and the `training.*_per_step` metrics read
+    # spans of transducer training only. The loss must stay looked up on
+    # `networks` at call time, where the tracer wraps it.
+    lm = init_char_lm_params(3, CharLMConfig(layers=1, cells=4, embed_dim=2), RandomStream(1))
+    sequences, epochs = [(0, 1), (2,), (), (1, 2, 0), (0,)], 3
+    with tracing.install(tracing.Tracer()) as tracer:
+        training.train_char_lm(lm, sequences, RandomStream(2), epochs=epochs, batch_size=2)
+    spans = tracer.summary()
+    assert spans["networks.lm_loss_and_grads"]["calls"] == len(sequences) * epochs
+    assert "training.train" not in spans and "training.batch_loss_and_grads" not in spans
+
+
 class _CountedRecords(list):
     """Decoder records that count how often they are iterated, like the
     benchmark's per-utterance LM latency hook, which times each loop body."""

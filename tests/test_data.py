@@ -1,7 +1,12 @@
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from transducer_workbench.data import (
     Alphabet,
@@ -196,7 +201,72 @@ class TestDeltas:
         np.testing.assert_allclose(out[0, 1], 0.5)  # clamped edge
 
 
+F32_MAX = float(np.finfo(np.float32).max)
+F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+container_values = st.floats(width=32, allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, F32_TINY, -F32_TINY, float(np.finfo(np.float32).tiny), F32_MAX, -F32_MAX])
+text_chars = st.characters(exclude_categories=("Cs",))
+
+
+@st.composite
+def container_texts(draw):
+    """Text the container holds: any non-surrogate characters, at most
+    65,535 UTF-8 bytes, sometimes filled up to that limit."""
+    text = draw(st.text(text_chars, max_size=6))
+    if draw(st.booleans()):
+        fill = draw(text_chars)
+        text += fill * ((65535 - len(text.encode("utf-8"))) // len(fill.encode("utf-8")))
+    return text
+
+
+@st.composite
+def feature_datasets(draw):
+    dim, aux_dim = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    utts = []
+    for _ in range(draw(st.integers(0, 3))):
+        frames = draw(arrays(np.float32, (draw(st.integers(0, 5)), dim), elements=container_values))
+        aux = draw(arrays(np.float32, aux_dim, elements=container_values)) if aux_dim else None
+        utts.append(Utterance(draw(container_texts()), frames, (), draw(container_texts()), aux))
+    return Dataset(utts, dim, aux_dim)
+
+
 class TestContainer:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(feature_datasets(), st.data())
+    def test_any_dataset_round_trips_bitwise(self, ds, data):
+        # Then one value made non-finite: the write is refused and the file
+        # written before stays as it was.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "feats.bin"
+            write_features(path, ds)
+            back = read_features(path)
+            assert (back.dim, back.aux_dim, len(back)) == (ds.dim, ds.aux_dim, len(ds))
+            for orig, loaded in zip(ds, back):
+                assert (loaded.utt_id, loaded.speaker) == (orig.utt_id, orig.speaker)
+                for name in ("frames", "aux") if ds.aux_dim else ("frames",):
+                    a, b = getattr(orig, name), getattr(loaded, name)
+                    assert (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes())
+            cells = [(utt, arr) for utt in ds for arr in (utt.frames, utt.aux)
+                     if arr is not None and arr.size]
+            if not cells:
+                return
+            utt, arr = data.draw(st.sampled_from(cells))
+            arr.flat[data.draw(st.integers(0, arr.size - 1))] = data.draw(
+                st.sampled_from([np.inf, -np.inf, np.nan]))
+            earlier = path.read_bytes()
+            with pytest.raises(IngestError,
+                               match=f"^utterance {re.escape(utt.utt_id)} has non-finite features$"):
+                write_features(path, ds)
+            assert path.read_bytes() == earlier
+
+    def test_nonfinite_aux_rejected_on_read(self, tmp_path):
+        path = tmp_path / "feats.bin"
+        write_features(path, self._dataset(aux_dim=3))
+        data = path.read_bytes()
+        path.write_bytes(data[:-4] + np.array([np.inf], dtype="<f4").tobytes())
+        with pytest.raises(IngestError, match="^utterance utt-3 has non-finite features$"):
+            read_features(path)
+
     def _dataset(self, aux_dim=0):
         rng = RandomStream(12)
         utts = []

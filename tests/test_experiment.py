@@ -30,7 +30,8 @@ from transducer_workbench.data import (
     write_transcripts,
 )
 from transducer_workbench.decoding import greedy_decode
-from transducer_workbench.errors import ConfigError, ContractViolation, IngestError
+from transducer_workbench.errors import (ConfigError, ContractViolation, IngestError,
+                                         TrainingDiverged)
 from transducer_workbench.experiment import (
     ABLATIONS,
     CONFIG_SCHEMA,
@@ -346,6 +347,14 @@ class TestRunExperiment:
         for row in report.sweep:
             assert row["test_wer"] is not None
 
+    def test_lm_divergence_names_epoch_and_step(self, tmp_path):
+        # The LMs train through the transducer's loop and report a
+        # divergence the same way.
+        report = run_experiment(tiny_config(lm={"lr": 1e300}), tmp_path / "run")
+        assert report.failure_stage == "train_lms"
+        assert re.match(r"epoch \d+, step \d+, sequences \[", report.failure_message)
+        assert DIVERGED.search(report.failure_message), report.failure_message
+
     def test_ablation_rows(self, tmp_path):
         cfg = tiny_config(
             experiment={"ablations": ("no_sequence_noise",), "conditions": ("no_lm",)}
@@ -607,7 +616,7 @@ def drawn_configs(draw):
 
 
 # The stages whose training can diverge, and the words of a divergence.
-TRAINING_STAGES = {"train", "train_lms", "sweep", "ablations"}
+TRAINING_STAGES = {"train", "train_lms", "ablations"}
 DIVERGED = re.compile(r"non-finite|loss computation failed|overflow|invalid value")
 
 
@@ -1231,6 +1240,37 @@ class TestVerifySweep:
         label = f"sweep/{row['optimizer']}/{row['schedule']}/{split}"
         assert [p.split(":")[0] for p in problems] == [label]
 
+
+    def test_diverged_cell_is_a_row_of_the_grid(self, sweep_run, tmp_path, monkeypatch):
+        # One cell diverges: the run goes on, the cell's row holds the
+        # message and no WER, verify reads no checkpoint for it, and every
+        # other row is the one of the run where no cell diverged.
+        real = experiment.train
+        message = "epoch 0, step 0, utterances ['train-0000']: overflow encountered in multiply"
+
+        def diverging(model, train_set, recipe, *args, **kwargs):
+            if (recipe.optimizer.kind, recipe.schedule.kind) == ("momentum_sgd", "const_decay"):
+                raise TrainingDiverged(message)
+            return real(model, train_set, recipe, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "train", diverging)
+        cfg = parse_config(sweep_run / "config.ini")
+        report = run_experiment(cfg, tmp_path / "run")
+        assert report.failure_stage is None
+        expected = load_report(sweep_run)["sweep"]
+        rows = json.loads(json.dumps(report.sweep))
+        assert rows[0] == {"optimizer": "momentum_sgd", "schedule": "const_decay",
+                           "dev_wer": None, "test_wer": None, "diverged": message}
+        assert rows[1:] == expected[1:]
+        assert not (tmp_path / "run" / "model_sweep_momentum_sgd_const_decay.npz").exists()
+        assert verify_report(tmp_path / "run") == []
+        text = (tmp_path / "run" / "report.txt").read_text(encoding="utf-8")
+        assert f"momentum_sgd   const_decay  diverged: {message}\n" in text
+        tampered = load_report(tmp_path / "run")
+        tampered["sweep"][0]["test_wer"] = 0.5
+        (tmp_path / "run" / "report.json").write_text(json.dumps(tampered, indent=2))
+        assert verify_report(tmp_path / "run") == [
+            "sweep/momentum_sgd/const_decay/test: reported 0.5, recomputed nan"]
 
     def test_missing_transcript_is_an_error_line(self, sweep_run, tmp_path, capsys):
         run = Path(shutil.copytree(sweep_run, tmp_path / "run"))

@@ -191,6 +191,14 @@ def test_label_network_forward_has_one_prefix_state_caller():
     assert _package_readers("_label_forward") == LABEL_FORWARD_CALLERS
 
 
+def test_one_minibatch_loop_clips_and_steps():
+    """The transducer and both character LMs train through one minibatch
+    loop, `training._fit`: it is the only package caller of the clip and of
+    the optimizer step, so divergence handling cannot drift between them."""
+    for name in ("clip_gradients", "optimizer_step"):
+        assert _package_readers(name) == {"training.py: _fit"}, name
+
+
 LM_HEAD_READERS = {
     "networks.py: LabelNetParams",  # the field
     "networks.py: LabelNetParams.num_labels",  # the end marker's embedding row

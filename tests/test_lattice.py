@@ -246,6 +246,20 @@ def lattices(draw):
     return lat, y
 
 
+class TestForwardAgainstEnumeration:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(lattices())
+    def test_nll_equals_the_enumeration_oracle(self, case):
+        # The NLL is infinite exactly when no alignment has probability;
+        # otherwise the recursion and the sum over every alignment differ
+        # only by rounding.
+        lat, y = case
+        nll, oracle = rnnt_forward(lat, y)[0], brute_force_nll(lat, y)
+        assert math.isinf(nll) == math.isinf(oracle), (nll, oracle)
+        if math.isfinite(oracle):
+            assert abs(nll - oracle) <= 1e-12 * max(1.0, abs(oracle)), (nll, oracle)
+
+
 class TestFloatRecursions:
     """The alpha and beta recursions run over Python floats with the private
     `_logaddexp`; they must equal the numpy-scalar recursions they replaced

@@ -155,11 +155,11 @@ class TestOptimizers:
 
     def test_clip_gradients(self):
         grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-        norm = clip_gradients(grads, 1.0)
+        norm = clip_gradients(grads, 1.0, init_optimizer(grads, OptimizerConfig()).temps)
         assert norm == pytest.approx(5.0)
         assert math.sqrt(sum(float((g**2).sum()) for g in grads.values())) == pytest.approx(1.0)
         grads2 = {"a": np.array([0.3])}
-        clip_gradients(grads2, 1.0)
+        clip_gradients(grads2, 1.0, init_optimizer(grads2, OptimizerConfig()).temps)
         np.testing.assert_array_equal(grads2["a"], [0.3])
 
 
@@ -549,3 +549,55 @@ class TestCharLMTraining:
         uniform_nll = math.log(lm.eos + 1)
         assert history[-1] < uniform_nll
         assert np.isfinite(lm_score((0, 1, 0), lm))
+
+    @staticmethod
+    def _lm_and_sequences():
+        rng = RandomStream(8)
+        sequences = [tuple(int(v) for v in rng.child(9, i).integers(0, 3, size=1 + i % 4))
+                     for i in range(10)]
+        lm = init_char_lm_params(4, CharLMConfig(layers=1, cells=6, embed_dim=4), rng.child(1))
+        return lm, sequences
+
+    def test_gradient_whose_norm_overflows_aborts(self, monkeypatch):
+        # The LM steps through the transducer's loop, so a gradient whose
+        # squares overflow aborts here too, rather than being clipped to 0.
+        import transducer_workbench.networks as networks_mod
+
+        lm, sequences = self._lm_and_sequences()
+        real = networks_mod.lm_loss_and_grads
+
+        def huge(*args, **kwargs):
+            nll, grads = real(*args, **kwargs)
+            grads["W_out"][0, 0] = 1e200
+            return nll, grads
+
+        monkeypatch.setattr(networks_mod, "lm_loss_and_grads", huge)
+        before = {k: v.copy() for k, v in lm.arrays().items()}
+        with pytest.raises(TrainingDiverged, match=r"epoch 0, step 0, sequences \[.*overflow"):
+            train_char_lm(lm, sequences, RandomStream(2), epochs=1, batch_size=4)
+        assert all(np.array_equal(v, before[k]) for k, v in lm.arrays().items())
+
+    def test_divergence_carries_last_checkpoint(self, monkeypatch):
+        # A NaN loss in epoch 2 must carry the parameters as they stood at
+        # the end of epoch 1, in a memory mapping.
+        import transducer_workbench.networks as networks_mod
+
+        lm, sequences = self._lm_and_sequences()
+        reference, _ = self._lm_and_sequences()
+        train_char_lm(reference, sequences, RandomStream(2), epochs=1, batch_size=4)
+        real = networks_mod.lm_loss_and_grads
+        calls = {"n": 0}
+
+        def flaky(*args, **kwargs):
+            calls["n"] += 1
+            nll, grads = real(*args, **kwargs)
+            return (math.nan if calls["n"] > len(sequences) else nll), grads
+
+        monkeypatch.setattr(networks_mod, "lm_loss_and_grads", flaky)
+        with pytest.raises(TrainingDiverged, match="epoch 1, step 3, .*non-finite loss") as exc:
+            train_char_lm(lm, sequences, RandomStream(2), epochs=2, batch_size=4)
+        ckpt = exc.value.last_good_checkpoint
+        assert ckpt is not None and list(ckpt) == list(lm.arrays())
+        for name, arr in ckpt.items():
+            assert arr.tobytes() == reference.arrays()[name].tobytes(), name
+            assert isinstance(mapping_of(arr), mmap.mmap)
