@@ -10,23 +10,28 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Utterance
 from .errors import ContractViolation
-from .numerics import RandomStream
+from .numerics import CumulativeTable, RandomStream
 
 
 @dataclass
 class SwitchoutConfig:
     """tau controls how many labels get replaced: n_hat ~ p(n) ∝ exp(-n/tau)
     over {0..U}, then each position flips with probability n_hat/U to a
-    uniform draw over Y (which may repeat the original symbol)."""
+    uniform draw over Y (which may repeat the original symbol). `tables`
+    holds the n_hat distribution of each (U, temperature) drawn from, built
+    on first use."""
 
     temperature: float = 10.0
     vocab: int = 0
+    tables: dict[tuple[int, float], CumulativeTable] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -189,7 +194,10 @@ def switchout(labels, config: SwitchoutConfig, rng: RandomStream) -> tuple[int, 
         return labels
     if config.vocab < 1:
         raise ContractViolation("switchout needs the replacement vocabulary size")
-    n_hat = rng.choice_weighted(switchout_weights(U, config.temperature))
+    key = (U, config.temperature)
+    if key not in config.tables:
+        config.tables[key] = CumulativeTable(switchout_weights(*key))
+    n_hat = rng.draw(config.tables[key])
     if n_hat == 0:
         return labels
     p = n_hat / U

@@ -6,6 +6,14 @@ Features are stored as 32-bit floats (both on disk and in memory) so that
 write -> read round-trips are bitwise; the model promotes to 64-bit at its
 input. Transcripts are label-id sequences over Y; a designated separator
 symbol marks word boundaries and is rendered as a space in text files.
+
+Transcripts (and extra LM text) are sampled one symbol at a time from a
+first-order chain. Each row of the chain is a `numerics.CumulativeTable`,
+built and checked once per transcript model; a symbol is one uniform draw,
+scaled by the row's total and bisected into its running sums. That is the
+index `RandomStream.choice_weighted` would draw from the same row and the
+same uniform, bit for bit, so the sampled text does not depend on whether
+the table is kept.
 """
 
 from __future__ import annotations
@@ -13,13 +21,13 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractViolation, IngestError
-from .numerics import RandomStream
+from .numerics import CumulativeTable, RandomStream
 
 _MAGIC = b"TWBF"
 _VERSION = 1
@@ -163,12 +171,22 @@ class TranscriptModel:
 
     initial: np.ndarray
     transition: np.ndarray
+    tables: list[CumulativeTable] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.tables = [CumulativeTable(row) for row in (self.initial, *self.transition)]
 
     def sample(self, length: int, rng: RandomStream) -> tuple[int, ...]:
+        """`length` symbols: the first drawn from `initial`, each later one
+        from the transition row of the one before, each by one
+        `RandomStream.draw` from that row's table (`tables[0]` for
+        `initial`, `tables[1 + a]` for the row of symbol a)."""
         out = []
-        for i in range(length):
-            probs = self.initial if i == 0 else self.transition[out[-1]]
-            out.append(rng.choice_weighted(probs))
+        table = self.tables[0]
+        for _ in range(length):
+            label = rng.draw(table)
+            out.append(label)
+            table = self.tables[1 + label]
         return tuple(out)
 
 
@@ -212,15 +230,19 @@ def _make_transcript_model(config: SyntheticTaskConfig, rng: RandomStream) -> Tr
 def _render_utterance(
     labels, templates, config: SyntheticTaskConfig, rng: RandomStream
 ) -> np.ndarray:
+    """Each symbol's template row repeated for a drawn duration, plus
+    `noise_level` times a normal block of that shape: per symbol, one
+    duration draw and then one normal block, in label order."""
     lo, hi = config.frames_per_symbol
+    dim = templates.shape[1]
     pieces = []
     for lab in labels:
-        dur = int(rng.integers(lo, hi + 1))
-        block = np.tile(templates[lab], (dur, 1))
+        shape = (int(rng.integers(lo, hi + 1)), dim)
         if config.noise_level > 0:
-            block = block + config.noise_level * rng.normal(size=block.shape)
-        pieces.append(block)
-    return np.concatenate(pieces, axis=0).astype(np.float32)
+            pieces.append(templates[lab] + config.noise_level * rng.normal(size=shape))
+        else:
+            pieces.append(np.broadcast_to(templates[lab], shape))
+    return np.concatenate(pieces, axis=0, dtype=np.float32)
 
 
 def generate_synthetic_task(config: SyntheticTaskConfig, rng: RandomStream) -> SyntheticTask:

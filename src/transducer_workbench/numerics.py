@@ -1,5 +1,6 @@
-"""Numerical foundation: log-domain arithmetic, seeded random streams,
-and the finite-difference gradient oracle.
+"""Numerical foundation: log-domain arithmetic, seeded random streams and
+the cumulative tables they draw categorical indices from, and the
+finite-difference gradient oracle.
 
 Everything runs in 64-bit floats. -inf is a legal log-domain value meaning
 exact zero probability; NaN is never legal.
@@ -7,6 +8,7 @@ exact zero probability; NaN is never legal.
 
 from __future__ import annotations
 
+import bisect
 import math
 import mmap
 
@@ -193,11 +195,53 @@ class RandomStream:
     def permutation(self, n):
         return self.gen.permutation(n)
 
+    def draw(self, table: CumulativeTable) -> int:
+        """Index drawn from a `CumulativeTable`: one uniform u in [0, 1),
+        scaled by the table's total, is placed among the cumulative weights
+        by `bisect_right` (the first index whose cumulative weight exceeds
+        it), clipped to the last entry."""
+        return min(bisect.bisect_right(table.cumulative, self.gen.random() * table.total),
+                   table.last)
+
     def choice_weighted(self, weights) -> int:
-        """Index drawn from unnormalized nonnegative weights."""
+        """Index drawn from unnormalized nonnegative weights: a one-off
+        `CumulativeTable` and one `draw`, so one uniform u picks the first
+        index whose running sum exceeds u * sum(weights) (see
+        `CumulativeTable` for why that is the `np.searchsorted` index, bit
+        for bit). A caller that draws from the same weights again builds the
+        table once and calls `draw`, which gives the same index for the same
+        uniform. A negative or non-finite weight raises ContractViolation
+        naming its index."""
+        return self.draw(CumulativeTable(weights))
+
+
+class CumulativeTable:
+    """A categorical distribution ready for `RandomStream.draw`: the running
+    sums of unnormalized weights (`np.cumsum`, as a list of floats) and
+    their total (`w.sum()`, numpy's pairwise sum, which may differ from the
+    last running sum in the last bits). The weights are checked once, here:
+    every entry finite and nonnegative, the total positive and finite.
+
+    A draw scales one uniform by `total` and bisects `cumulative`, so it
+    returns exactly the index of
+    `np.searchsorted(np.cumsum(w), u * w.sum(), side="right").clip(0, n - 1)`:
+    the same product of the same two doubles, compared with the same
+    doubles, and the same first index whose running sum exceeds it."""
+
+    __slots__ = ("cumulative", "total", "last")
+
+    def __init__(self, weights):
         w = np.asarray(weights, dtype=np.float64)
-        total = w.sum()
+        bad = np.flatnonzero(~((w >= 0) & (w < np.inf)))
+        if bad.size:
+            i = int(bad[0])
+            raise ContractViolation(
+                f"weight {i} is {float(w[i])}: choice_weighted needs nonnegative finite weights"
+            )
+        with np.errstate(over="ignore"):  # an overflowing total is refused below
+            total = w.sum()
         if not np.isfinite(total) or total <= 0:
             raise ContractViolation("choice_weighted needs positive finite weights")
-        u = self.gen.random() * total
-        return int(np.searchsorted(np.cumsum(w), u, side="right").clip(0, w.size - 1))
+        self.cumulative = np.cumsum(w).tolist()
+        self.total = float(total)
+        self.last = w.size - 1

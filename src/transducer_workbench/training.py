@@ -9,13 +9,13 @@ masks, and every augmentation draw come from child streams keyed by (epoch,
 batch, utterance), and gradients accumulate in a fixed order.
 
 A step allocates no gradient-sized array once the first step is done. Each
-training call owns one `GradientWorkspace`: every item's backward passes
-write into its `item` arrays, which `_batch_gradients` sums into its `mean`
-arrays; the clip norm, AdamW and momentum SGD form their elementwise
-temporaries in two buffers of the optimizer state (`temps`); and the
-DropConnect draws hold their masked matrices for the whole minibatch. Every
-array operation is the one it replaces, in the same order, so the results
-are the same bit for bit.
+training call owns one `GradientWorkspace`: a minibatch's first item's
+backward passes write into its `mean` arrays, and every later item's into
+its `item` arrays, which `_batch_gradients` adds to `mean`; the clip norm,
+AdamW and momentum SGD form their elementwise temporaries in two buffers
+of the optimizer state (`temps`); and the DropConnect draws hold their
+masked matrices for the whole minibatch. Every array operation is the one
+it replaces, in the same order, so the results are the same bit for bit.
 
 What lives for the whole call (the workspace, the optimizer state and the
 epoch-end checkpoint) lives in anonymous memory mappings
@@ -290,10 +290,12 @@ class TrainResult:
 
 @dataclass
 class GradientWorkspace:
-    """The gradient arrays one training call reuses at every step: `item`
-    receives each item's gradients (the `out` of its loss), and `mean` their
-    minibatch mean (`_batch_gradients`). Both come from the call's first
-    gradients, so they keep their names, shapes and order, and both are
+    """The gradient arrays one training call reuses at every step: `mean`
+    receives a minibatch's first item's gradients (the `out` of its loss)
+    and then their minibatch mean (`_batch_gradients`), and `item` each
+    later item's gradients; a call whose minibatches all hold one item
+    never makes `item`. Each is a copy of the first gradients written in
+    its role, so they keep their names, shapes and order, and both are
     views of memory mappings (`numerics.mapped_zeros`)."""
 
     item: dict | None = None
@@ -303,12 +305,15 @@ class GradientWorkspace:
 def _batch_gradients(loss, items, ws: GradientWorkspace) -> list[float]:
     """Each item's NLL, in order, and the mean of their gradients, summed in
     that order, in `ws.mean`. `loss(item, out)` returns an item's NLL and
-    gradients, written into `out` (`ws.item`). A non-finite loss, or one
-    whose numeric contracts fail, is a divergence."""
+    gradients, written into `out`: `ws.mean` for the first item, `ws.item`
+    for each later one, which is then added to `ws.mean`. A one-item batch
+    skips the division, as x / 1 is x for every float. A non-finite loss, or
+    one whose numeric contracts fail, is a divergence."""
     nlls = []
     for k, item in enumerate(items):
+        out = ws.item if k else ws.mean
         try:
-            nll, grads = loss(item, ws.item)
+            nll, grads = loss(item, out)
         except ContractViolation as exc:
             # NaNs inside the forward pass trip the numeric contracts;
             # from the trainer's view that is a divergence.
@@ -316,15 +321,18 @@ def _batch_gradients(loss, items, ws: GradientWorkspace) -> list[float]:
         if not np.isfinite(nll):
             raise TrainingDiverged(f"non-finite loss {nll}")
         nlls.append(nll)
-        if ws.item is None:  # the first gradients of the call
-            ws.item, ws.mean = mapped_copy(grads), mapped_copy(grads)
-        for name, g in ws.item.items():
+        if out is None:  # the first gradients of the call in this role
+            out = mapped_copy(grads)
             if k:
-                ws.mean[name] += g
+                ws.item = out
             else:
-                np.copyto(ws.mean[name], g)
-    for g in ws.mean.values():
-        g /= len(items)
+                ws.mean = out
+        if k:
+            for name, g in out.items():
+                ws.mean[name] += g
+    if len(items) > 1:
+        for g in ws.mean.values():
+            g /= len(items)
     return nlls
 
 

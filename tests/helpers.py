@@ -7,7 +7,9 @@ and the stepwise LM oracle's (`lm_init_state`, `lm_score_next`,
 `lm_end_increment`) score of a whole label sequence; then the lattice loss
 from raw logits, alignment and lattice helpers, an LSTM's zero state, the
 flattening and error measure of the finite-difference checks, and the memory
-mapping under a mapped array."""
+mapping under a mapped array. Last, the per-draw categorical sampler and the
+tiling renderer that the cumulative tables and the broadcast renderer of
+`data` replaced, with the transcript sampler and switchout built on them."""
 
 import heapq
 from dataclasses import dataclass, replace
@@ -15,6 +17,7 @@ from typing import Any
 
 import numpy as np
 
+from transducer_workbench.augment import switchout_weights
 from transducer_workbench.errors import ContractViolation, DecodeError
 from transducer_workbench.lattice import BLANK_ID, rnnt_backward, rnnt_forward
 from transducer_workbench.networks import lm_end_increment, lm_init_state, lm_score_next
@@ -461,3 +464,63 @@ def mapping_of(arr: np.ndarray):
     while isinstance(base, np.ndarray):
         base = base.base
     return base.obj if isinstance(base, memoryview) else base
+
+
+# ---------------------------------------------------------------------------
+# Per-draw sampling and per-symbol tiling: the references of the tables
+
+
+def choice_weighted_reference(rng, weights) -> int:
+    """`RandomStream.choice_weighted` as it was before draws read a
+    `CumulativeTable`: it sums and cumsums the weights at every draw and
+    places the scaled uniform with `np.searchsorted`. It checks only the
+    total, so it draws from negative entries. Kept as the bitwise reference
+    of `RandomStream.draw`."""
+    w = np.asarray(weights, dtype=np.float64)
+    total = w.sum()
+    if not np.isfinite(total) or total <= 0:
+        raise ContractViolation("choice_weighted needs positive finite weights")
+    u = rng.gen.random() * total
+    return int(np.searchsorted(np.cumsum(w), u, side="right").clip(0, w.size - 1))
+
+
+def sample_transcript_reference(model, length, rng) -> tuple[int, ...]:
+    """`TranscriptModel.sample` with one `choice_weighted_reference` per
+    symbol over the model's rows."""
+    out = []
+    for i in range(length):
+        probs = model.initial if i == 0 else model.transition[out[-1]]
+        out.append(choice_weighted_reference(rng, probs))
+    return tuple(out)
+
+
+def render_utterance_reference(labels, templates, config, rng) -> np.ndarray:
+    """`data._render_utterance` with each symbol's template tiled to its
+    duration before the noise is added."""
+    lo, hi = config.frames_per_symbol
+    pieces = []
+    for lab in labels:
+        dur = int(rng.integers(lo, hi + 1))
+        block = np.tile(templates[lab], (dur, 1))
+        if config.noise_level > 0:
+            block = block + config.noise_level * rng.normal(size=block.shape)
+        pieces.append(block)
+    return np.concatenate(pieces, axis=0).astype(np.float32)
+
+
+def switchout_reference(labels, config, rng) -> tuple[int, ...]:
+    """`augment.switchout` with its n_hat drawn by
+    `choice_weighted_reference` from the weights of each call."""
+    labels = tuple(labels)
+    U = len(labels)
+    if U == 0:
+        return labels
+    n_hat = choice_weighted_reference(rng, switchout_weights(U, config.temperature))
+    if n_hat == 0:
+        return labels
+    p = n_hat / U
+    out = list(labels)
+    for i in range(U):
+        if rng.random() < p:
+            out[i] = int(rng.integers(0, config.vocab))
+    return tuple(out)

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from helpers import switchout_reference
+from transducer_workbench import augment
 from transducer_workbench.augment import (
     NoiseInjectConfig,
     SpecAugmentConfig,
@@ -20,7 +22,7 @@ from transducer_workbench.augment import (
 from transducer_workbench.data import Utterance
 from transducer_workbench.errors import ContractViolation
 from transducer_workbench.experiment import build_recipe, default_config, with_settings
-from transducer_workbench.numerics import RandomStream
+from transducer_workbench.numerics import CumulativeTable, RandomStream
 from transducer_workbench.training import _augment_batch_member
 
 
@@ -305,3 +307,41 @@ class TestSwitchout:
     def test_bad_temperature(self):
         with pytest.raises(ContractViolation):
             SwitchoutConfig(temperature=0.0, vocab=3)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(st.integers(0, 6), max_size=12), min_size=1, max_size=5),
+           st.sampled_from([5e-324, 1e-9, 0.5, 10.0]) | st.floats(0.01, 100.0),
+           st.integers(0, 2**63))
+    def test_equals_the_per_draw_reference(self, transcripts, temperature, seed):
+        # Several transcripts through one stream: the same labels, and the
+        # same draws consumed, as n_hat drawn from each call's weights.
+        config = SwitchoutConfig(temperature=temperature, vocab=7)
+        new, old = RandomStream(seed), RandomStream(seed)
+        for labels in transcripts:
+            assert switchout(labels, config, new) == switchout_reference(labels, config, old)
+        assert new.random() == old.random()
+
+    def test_one_table_per_length_and_temperature(self, monkeypatch):
+        built, choices = [], []
+
+        class Counted(CumulativeTable):
+            __slots__ = ()
+
+            def __init__(self, weights):
+                built.append(tuple(weights))
+                super().__init__(weights)
+
+        monkeypatch.setattr(augment, "CumulativeTable", Counted)
+        monkeypatch.setattr(RandomStream, "choice_weighted",
+                            lambda self, weights: choices.append(weights))
+        # One config, its temperature changed between calls.
+        config = SwitchoutConfig(vocab=6)
+        pairs = [(U, tau) for U in (1, 2, 3, 5) for tau in (10.0, 0.5)]
+        rng = RandomStream(20)
+        for _ in range(3):
+            for U, tau in pairs:
+                config.temperature = tau
+                switchout(tuple(range(U)), config, rng)
+        assert sorted(built) == sorted(tuple(switchout_weights(U, tau)) for U, tau in pairs)
+        assert choices == []
+

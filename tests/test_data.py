@@ -1,6 +1,7 @@
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import render_utterance_reference, sample_transcript_reference
+from transducer_workbench import data
 from transducer_workbench.data import (
     Alphabet,
     Dataset,
     SyntheticTaskConfig,
+    TranscriptModel,
     Utterance,
     append_deltas,
     attach_transcripts,
@@ -23,7 +27,7 @@ from transducer_workbench.data import (
     write_transcripts,
 )
 from transducer_workbench.errors import ContractViolation, IngestError
-from transducer_workbench.numerics import RandomStream
+from transducer_workbench.numerics import CumulativeTable, RandomStream
 
 
 class PerCharacterAlphabet:
@@ -187,6 +191,84 @@ class TestSyntheticTask:
         b = sample_text_corpus(task, 5, RandomStream(11))
         assert a == b
         assert all(2 <= len(seq) <= 4 for seq in a)
+
+
+@st.composite
+def task_configs(draw):
+    """Small tasks over every alphabet size, with Markov transcripts on and
+    off, zero and positive concentration and noise, fixed and variable
+    symbol durations, and speaker vectors or none."""
+    shortest, fewest_frames = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return SyntheticTaskConfig(
+        num_labels=draw(st.integers(1, 26)),
+        feature_dim=draw(st.integers(1, 4)),
+        frames_per_symbol=(fewest_frames, fewest_frames + draw(st.integers(0, 2))),
+        noise_level=draw(st.just(0.0) | st.floats(1e-3, 2.0)),
+        length_range=(shortest, shortest + draw(st.integers(0, 4))),
+        train_size=draw(st.integers(0, 6)),
+        dev_size=draw(st.integers(0, 3)),
+        test_size=draw(st.integers(0, 3)),
+        aux_dim=draw(st.sampled_from([0, 0, 2])),
+        markov_transcripts=draw(st.booleans()),
+        markov_concentration=draw(st.just(0.0) | st.floats(0.01, 5.0)),
+    )
+
+
+class TestSamplingTables:
+    """Transcripts and extra text drawn from tables built once per row, and
+    frames rendered by broadcasting, equal the per-draw sampler and the
+    tiling renderer they replaced (`helpers`), byte for byte."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(task_configs(), st.integers(0, 2**63))
+    def test_task_and_text_equal_the_per_draw_reference(self, config, seed):
+        new = generate_synthetic_task(config, RandomStream(seed))
+        new_text = sample_text_corpus(new, 6, RandomStream(seed).child(3))
+        with mock.patch.object(data, "_render_utterance", render_utterance_reference), \
+                mock.patch.object(TranscriptModel, "sample", sample_transcript_reference):
+            old = generate_synthetic_task(config, RandomStream(seed))
+            old_text = sample_text_corpus(old, 6, RandomStream(seed).child(3))
+        assert new_text == old_text
+        assert new.templates.tobytes() == old.templates.tobytes()
+        for split in ("train", "dev", "test"):
+            pairs = list(zip(getattr(new, split), getattr(old, split), strict=True))
+            for a, b in pairs:
+                assert (a.utt_id, a.labels, a.speaker) == (b.utt_id, b.labels, b.speaker)
+                assert a.frames.dtype == b.frames.dtype == np.float32
+                assert a.frames.shape == b.frames.shape
+                assert a.frames.tobytes() == b.frames.tobytes()
+                assert (a.aux is None) == (b.aux is None)
+                assert a.aux is None or a.aux.tobytes() == b.aux.tobytes()
+
+    def test_one_table_per_row_and_no_per_symbol_choice(self, monkeypatch):
+        # One task builds its initial row's table and one per transition
+        # row, and draws every symbol of its splits and of extra text from
+        # them without a `choice_weighted` call.
+        built, choices = [], []
+
+        class Counted(CumulativeTable):
+            __slots__ = ()
+
+            def __init__(self, weights):
+                built.append(len(weights))
+                super().__init__(weights)
+
+        real_choice = RandomStream.choice_weighted
+
+        def counted_choice(self, weights):
+            choices.append(weights)
+            return real_choice(self, weights)
+
+        monkeypatch.setattr(data, "CumulativeTable", Counted)
+        monkeypatch.setattr(RandomStream, "choice_weighted", counted_choice)
+        config = SyntheticTaskConfig(num_labels=6, feature_dim=3, train_size=20, dev_size=5,
+                                     test_size=5)
+        task = generate_synthetic_task(config, RandomStream(12))
+        text = sample_text_corpus(task, 10, RandomStream(13))
+        symbols = sum(len(u.labels) for split in (task.train, task.dev, task.test) for u in split)
+        assert symbols + sum(map(len, text)) > 100
+        assert built == [6] * 7
+        assert choices == []
 
 
 class TestDeltas:

@@ -3,11 +3,20 @@ import mmap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import mapping_of, pack_arrays, relative_error, unpack_arrays
+from helpers import (
+    choice_weighted_reference,
+    mapping_of,
+    pack_arrays,
+    relative_error,
+    unpack_arrays,
+)
 from transducer_workbench.errors import ContractViolation, OracleFailure
 from transducer_workbench.numerics import (
     NEG_INF,
+    CumulativeTable,
     RandomStream,
     finite_difference_gradient,
     log_softmax,
@@ -163,6 +172,105 @@ class TestRandomStream:
         for _ in range(30_000):
             counts[rs.choice_weighted([1.0, 2.0, 1.0])] += 1
         np.testing.assert_allclose(counts / counts.sum(), [0.25, 0.5, 0.25], atol=0.01)
+
+    @pytest.mark.parametrize("weights, entry", [
+        ([2.0, -1.0, 0.5], 1),
+        ([-1.0, 3.0], 0),
+        ([1.0, -0.0, -1e-300], 2),
+        ([1.0, math.nan], 1),
+        ([math.inf, 1.0], 0),
+        ([1.0, 2.0, -math.inf], 2),
+    ])
+    def test_negative_or_non_finite_entry_refused(self, weights, entry):
+        # The total alone would pass [2, -1, 0.5] and [-1, 3], whose draws
+        # land on the entries next to the negative one.
+        with pytest.raises(ContractViolation, match=f"^weight {entry} is "):
+            RandomStream(3).choice_weighted(weights)
+
+    @pytest.mark.parametrize("weights", [[], [0.0], [0.0, 0.0, -0.0], [1e308, 1e308]])
+    def test_total_must_be_positive_and_finite(self, weights):
+        with pytest.raises(ContractViolation, match="positive finite weights"):
+            RandomStream(3).choice_weighted(weights)
+
+
+def fixed_uniform(u: float) -> RandomStream:
+    """A stream whose `gen.random()` returns `u` at every call."""
+    stream = RandomStream(0)
+    stream._gen = type("FixedUniform", (), {"random": staticmethod(lambda: u)})()
+    return stream
+
+
+@st.composite
+def weight_rows(draw):
+    """Nonnegative rows with a positive total, with runs of zero weights at
+    either end, and single-entry rows."""
+    middle = draw(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=10).filter(any))
+    return [0.0] * draw(st.integers(0, 3)) + middle + [0.0] * draw(st.integers(0, 3))
+
+
+@st.composite
+def dyadic_hits(draw):
+    """A row of dyadic weights whose total is a power of two, and a uniform
+    u for which u * total is exactly one of the row's running sums."""
+    counts = draw(st.lists(st.integers(0, 16), min_size=1, max_size=10).filter(any))
+    total = 1 << (sum(counts) - 1).bit_length()
+    counts.append(total - sum(counts))  # 0 when the sum is a power of two
+    scale = 2.0 ** draw(st.integers(-20, 20))
+    running = np.cumsum(counts)
+    k = draw(st.sampled_from([i for i, c in enumerate(running) if c < total] or [0]))
+    u = float(running[k]) / total if running[k] < total else 0.0
+    return [c * scale for c in counts], u
+
+
+@st.composite
+def overshooting_rows(draw):
+    """One weight and 8 or more below half its last bit: every running sum
+    after the first rounds back to it, but numpy's pairwise total (eight
+    accumulators from 8 entries on) does not, so a uniform close enough to
+    1 lands past the last running sum and the draw is clipped."""
+    head = 2.0 ** draw(st.integers(-20, 20))
+    row = [head] + [head * 2.0**-53] * draw(st.integers(8, 40))
+    return row, draw(st.sampled_from([1.0 - 2.0**-53, 1.0 - 2.0**-51, 0.5]))
+
+
+class TestCumulativeTable:
+    """A draw from a table built once equals the per-draw sum, cumsum and
+    searchsorted of `choice_weighted_reference`, index for index."""
+
+    draw_settings = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+
+    @draw_settings
+    @given(weight_rows() | st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=1),
+           st.integers(0, 2**63))
+    def test_stream_draws_equal_the_reference(self, weights, seed):
+        table = CumulativeTable(weights)
+        new, old = RandomStream(seed), RandomStream(seed)
+        assert [new.draw(table) for _ in range(20)] == [
+            choice_weighted_reference(old, weights) for _ in range(20)
+        ]
+        assert RandomStream(seed).choice_weighted(weights) == choice_weighted_reference(
+            RandomStream(seed), weights)
+
+    @draw_settings
+    @given(dyadic_hits() | overshooting_rows()
+           | st.tuples(weight_rows(), st.sampled_from([0.0, 1.0 - 2.0**-53])))
+    def test_uniforms_on_a_running_sum_equal_the_reference(self, row):
+        # u * total equals a running sum exactly, so the draw rests on the
+        # comparison at the boundary; or u * total passes the last running
+        # sum, and the draw is clipped to the last entry.
+        weights, u = row
+        expected = choice_weighted_reference(fixed_uniform(u), weights)
+        assert fixed_uniform(u).draw(CumulativeTable(weights)) == expected
+        assert fixed_uniform(u).choice_weighted(weights) == expected
+
+    def test_a_uniform_past_the_last_running_sum_draws_the_last_entry(self):
+        weights = [1.0] + [2.0**-53] * 15
+        table = CumulativeTable(weights)
+        assert table.cumulative[-1] == 1.0 < table.total
+        u = 1.0 - 2.0**-53
+        assert u * table.total > table.cumulative[-1]
+        assert fixed_uniform(u).draw(table) == 15
+        assert choice_weighted_reference(fixed_uniform(u), weights) == 15
 
 
 def test_pack_unpack_roundtrip():

@@ -227,6 +227,24 @@ class TestTrainLoop:
             mean = np.mean([s[1][name] for s in singles], axis=0)
             assert np.max(np.abs(grads_batch[name] - mean)) <= 1e-10
 
+    def test_batch_gradient_is_the_item_order_sum_bit_for_bit(self):
+        # Item 0's gradients land in the mean's arrays and the later items'
+        # are added in item order, then divided by the count. A one-item
+        # batch is its item's gradients, undivided, and makes no `item`.
+        task = small_task()
+        model = small_model(task)
+        items = [(u.frames.astype(np.float64), u.labels, None) for u in list(task.train)[:3]]
+        fresh = [model.loss_and_grads(f, y, aux=a)[1] for f, y, a in items]
+        expected = {name: (fresh[0][name] + fresh[1][name] + fresh[2][name]) / 3 for name in fresh[0]}
+        workspace = GradientWorkspace()
+        for batch, want, makes_item in ((items[:1], fresh[0], False), (items, expected, True),
+                                        (items[1:2], fresh[1], True)):
+            _, mean = batch_loss_and_grads(model, batch, None, workspace)
+            assert mean is workspace.mean and (workspace.item is not None) == makes_item
+            assert list(mean) == list(want)
+            for name, arr in mean.items():
+                assert arr.tobytes() == want[name].tobytes(), name
+
     def test_seed_determinism(self):
         task = small_task()
         recipe = plain_recipe(epochs=1, dropconnect_rate=0.1)
