@@ -39,6 +39,7 @@ from .experiment import (
     artifact,
     default_config,
     format_config,
+    load_cached_nbests,
     load_report,
     load_run_data,
     parse_config,
@@ -48,7 +49,7 @@ from .experiment import (
     weights_from_dict,
     with_settings,
 )
-from .fusion import FusionWeights, cached_nbests, read_nbest, top1_wer
+from .fusion import FusionWeights, top1_wer
 
 # The stagewise subcommands, by the `STAGES` entry each runs.
 STAGE_COMMANDS = {"generate": "generate", "train": "train", "train-lms": "train_lms",
@@ -144,8 +145,7 @@ def _dispatch(args) -> int:
 
     if args.command == "score":
         alphabet, datasets = load_run_data(config, run_dir, (args.split,))
-        refs = {u.utt_id: u.labels for u in datasets[args.split]}
-        cached = cached_nbests(read_nbest(args.nbest, alphabet), alphabet, refs)
+        cached = load_cached_nbests(args.nbest, alphabet, datasets[args.split])
         weights = FusionWeights() if args.weights is None else weights_from_dict(
             json.loads(args.weights.read_text()))
         wer = top1_wer(cached, weights)

@@ -47,11 +47,4 @@ class ConfigError(WorkbenchError):
 
 
 class TrainingDiverged(WorkbenchError):
-    """Training aborted on a non-finite loss or gradient.
-
-    Carries the last good checkpoint (parameter dict) when one exists.
-    """
-
-    def __init__(self, message, last_good_checkpoint=None):
-        super().__init__(message)
-        self.last_good_checkpoint = last_good_checkpoint
+    """Training aborted on a non-finite loss or gradient."""

@@ -594,9 +594,12 @@ class Run:
 
 
 def stage_generate(run: Run, stream: int):
-    """Start the run directory: the config and the dataset files."""
+    """Start the run directory: the config and the dataset files. An older
+    run's report goes first, so a rerun that stops early leaves none."""
     config, run_dir, rng = run.config, run.run_dir, run.rng.child(stream)
     run_dir.mkdir(parents=True, exist_ok=True)
+    for suffix in ("json", "txt"):
+        (run_dir / artifact("report", suffix)).unlink(missing_ok=True)
     write_config(run_dir / artifact("config"), config)
     task = generate_synthetic_task(build_task_config(config), rng.child(1))
     datasets = {"train": task.train, "dev": task.dev, "test": task.test}
@@ -621,6 +624,12 @@ def load_run_data(config: dict, run_dir: Path, splits=("train", "dev", "test")):
         attach_transcripts(ds, read_transcripts(run_dir / artifact("transcripts", split), alphabet))
         datasets[split] = ds
     return alphabet, datasets
+
+
+def load_cached_nbests(path, alphabet, dataset):
+    """The n-best file at `path`, cached against the references of `dataset`."""
+    refs = {u.utt_id: u.labels for u in dataset}
+    return cached_nbests(read_nbest(path, alphabet), alphabet, refs)
 
 
 def stage_train(run: Run, stream: int):
@@ -892,7 +901,8 @@ def _greedy_wer(model, dataset, alphabet) -> float:
 
 
 def stage_ablations(run: Run, stream: int):
-    """Train, decode and tune each configured ablation of the first mode."""
+    """Train, decode and tune each configured ablation of the first mode;
+    its tuned weights go to a weights file of its own."""
     config, rng = run.config, run.rng.child(stream)
     mode = config["model"]["modes"][0]
     for ablation in config["experiment"]["ablations"]:
@@ -902,15 +912,14 @@ def stage_ablations(run: Run, stream: int):
         model, _ = stage_train_mode(with_settings(config, "training", **{key: value}), run.run_dir,
                                     rng.child(hash_tag(tag)), datasets, alphabet, mode, tag=tag)
         stage_decode(config, run.run_dir, {tag: model}, datasets, alphabet, *run.lms)
-        cached = {}
-        for split in ("dev", "test"):
-            rows = read_nbest(run.run_dir / artifact("nbest", tag, split), alphabet)
-            cached[split] = cached_nbests(rows, alphabet, {u.utt_id: u.labels for u in datasets[split]})
-        tuned = tune_weights(cached["dev"], **condition_grid(config, "density_ratio")).weights
+        dev, test = (load_cached_nbests(run.run_dir / artifact("nbest", tag, split), alphabet,
+                                        datasets[split]) for split in ("dev", "test"))
+        entry = condition_entry(run.run_dir / artifact("weights", tag), dev, test,
+                                condition_grid(config, "density_ratio"))
         run.report.ablations[ablation] = {
-            "no_lm_test_wer": top1_wer(cached["test"], FusionWeights()),
-            "density_ratio_test_wer": top1_wer(cached["test"], tuned),
-            "weights": asdict(tuned),
+            "no_lm_test_wer": top1_wer(test, FusionWeights()),
+            "density_ratio_test_wer": entry["test_wer"],
+            "weights": entry["weights"],
         }
 
 
@@ -948,7 +957,7 @@ def _fusion_writes(config: dict) -> list:
 def _ablation_writes(config: dict) -> list:
     tags = [f"ablation_{ablation}" for ablation in config["experiment"]["ablations"]]
     nbests = [artifact("nbest", tag, split) for tag in tags for split in ("dev", "test")]
-    return _training_files(tags) + nbests
+    return _training_files(tags) + nbests + [artifact("weights", tag) for tag in tags]
 
 
 # The stages in run order, by name: a failed run's `failure_stage`.
@@ -1005,10 +1014,10 @@ def load_report(run_dir) -> dict:
 
 
 def verify_report(run_dir) -> list[str]:
-    """Recompute every reported condition, ablation and sweep WER from the
-    stored n-best, combination, weight, checkpoint and dataset files,
-    reading each file once; returns a list of discrepancies (empty =
-    verified)."""
+    """Check that the report belongs to the run's config.ini and recompute
+    every reported condition, ablation and sweep WER from the stored
+    n-best, combination, weight, checkpoint and dataset files, reading each
+    file once; returns a list of discrepancies (empty = verified)."""
     run_dir = Path(run_dir)
     report = load_report(run_dir)
     config = parse_config(run_dir / artifact("config"))
@@ -1016,10 +1025,13 @@ def verify_report(run_dir) -> list[str]:
 
     @functools.cache
     def load(kind, *parts):
-        refs = {u.utt_id: u.labels for u in datasets[parts[-1]]}
-        return cached_nbests(read_nbest(run_dir / artifact(kind, *parts), alphabet), alphabet, refs)
+        return load_cached_nbests(run_dir / artifact(kind, *parts), alphabet, datasets[parts[-1]])
 
     problems = []
+    fingerprint = config_fingerprint(config)
+    if report["config_fingerprint"] != fingerprint:
+        problems.append(f"config_fingerprint: reported {report['config_fingerprint']}, "
+                        f"config.ini has {fingerprint}")
 
     def check(label, reported, recomputed):
         # NaN fails `<=`, so a non-finite or non-numeric WER is a mismatch.

@@ -126,7 +126,7 @@ class TransducerModel:
         are new. The values are the same bit for bit.
 
         Raises TrainingDiverged when the forward loss is non-finite, so the
-        training loop can abort with its last good checkpoint.
+        training loop aborts.
         """
         masks = masks or DropConnectMasks()
         H, enc_cache = encode(features, self.config.encoder, self.encoder, masks.encoder, aux)
@@ -139,7 +139,7 @@ class TransducerModel:
         joint_grads, d_H, d_G = joint_backward_lattice(
             grad, joint_cache, self.joint, sub_grads(out, "joint.")
         )
-        enc_grads, _ = encode_backward(
+        enc_grads = encode_backward(
             d_H, self.config.encoder, self.encoder, enc_cache, sub_grads(out, "encoder.")
         )
         pred_grads = predict_backward(

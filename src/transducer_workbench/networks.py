@@ -31,16 +31,16 @@ scoring head, a stacked per-row product, so its columns equal the stepwise
 LM API (`lm_init_state`, `lm_score_next`, `lm_end_increment`) bit for bit.
 That API is only their oracle, which the package does not call.
 
-Each forward pass has a closed-form backward implemented alongside it; every
-backward in this module is checked against central finite differences in the
-test suite. A backward pass given `out`, a gradient dict of an earlier call,
-writes each weight gradient into its arrays (`sub_grads` hands each layer
-its part) instead of new ones, with the same bits: the training loops reuse
-one such workspace for every item. The hidden-to-hidden matrix of each LSTM
-is the DropConnect target: a `DropConnect` draw holds the mask and the
-product matrix * mask, formed once for all the passes of a minibatch; the
-product replaces the matrix for the whole pass, and gradients are chained
-through the mask.
+Each network has a closed-form backward to its weights alongside it (nothing
+learns the input frames or a start state, so no gradient reaches them); each
+is checked against central finite differences. A backward pass given `out`,
+a gradient dict of an earlier call, writes each weight gradient into its
+arrays (`sub_grads` hands each layer its part) instead of new ones, with the
+same bits: the training loops reuse one such workspace for every item. The
+hidden-to-hidden matrix of each LSTM is the DropConnect target: a
+`DropConnect` draw holds the mask and the product matrix * mask, formed once
+for all the passes of a minibatch; the product replaces the matrix for the
+whole pass, and gradients are chained through the mask.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ def lstm_forward(xs: np.ndarray, params: LSTMParams, hh_mask: DropConnect | None
 
 
 def lstm_backward(d_outs: np.ndarray, cache: LSTMSeqCache, params: LSTMParams, out=None):
-    """BPTT through lstm_forward. Returns (d_xs, grads, d_h0, d_c0).
+    """BPTT through lstm_forward to its inputs and weights: (d_xs, grads).
 
     The gate-local derivatives of all T steps are formed before the loop,
     which then carries only d_h and d_c and writes the pre-activation
@@ -219,17 +219,11 @@ def lstm_backward(d_outs: np.ndarray, cache: LSTMSeqCache, params: LSTMParams, o
     if cache.hh_mask is not None:
         grads["W_h"] *= cache.hh_mask
     dZ.sum(axis=0, out=grads["b"])
-    return dZ @ params.W_x, grads, d_h_next, d_c_next
+    return dZ @ params.W_x, grads
 
 
 # ---------------------------------------------------------------------------
 # Frame stacking and auxiliary-vector append
-
-
-def _stack_sources(T: int, stacking: int, skip: int) -> np.ndarray:
-    """Source frame of each (output position, stacked slot): (T_out, stacking)."""
-    starts = np.arange(0, T, skip)[:, None]
-    return np.minimum(starts + np.arange(stacking), T - 1)
 
 
 def stack_and_skip(features: np.ndarray, stacking: int = 2, skip: int = 2) -> np.ndarray:
@@ -240,17 +234,9 @@ def stack_and_skip(features: np.ndarray, stacking: int = 2, skip: int = 2) -> np
     T, D = features.shape
     if stacking == 1 and skip == 1:
         return features.copy()
-    src = _stack_sources(T, stacking, skip)
+    # The source frame of each (output position, stacked slot).
+    src = np.minimum(np.arange(0, T, skip)[:, None] + np.arange(stacking), T - 1)
     return features[src].reshape(src.shape[0], stacking * D)
-
-
-def stack_and_skip_backward(d_out: np.ndarray, T: int, D: int, stacking: int = 2, skip: int = 2):
-    if stacking == 1 and skip == 1:
-        return d_out.copy()
-    d_features = np.zeros((T, D))
-    # add.at accumulates in index order: output position, then stacked slot.
-    np.add.at(d_features, _stack_sources(T, stacking, skip).ravel(), d_out.reshape(-1, D))
-    return d_features
 
 
 def append_aux(features: np.ndarray, aux: np.ndarray | None) -> np.ndarray:
@@ -329,9 +315,6 @@ def init_encoder_params(config: EncoderConfig, rng: RandomStream) -> EncoderPara
 @dataclass
 class EncoderCache:
     stacked_T: int
-    raw_T: int
-    raw_D: int
-    layer_inputs: list
     layer_caches: list
 
 
@@ -360,11 +343,9 @@ def encode(
     if not config.bidirectional and config.lookahead > 0:
         x = np.concatenate([x, np.zeros((config.lookahead, x.shape[1]))], axis=0)
 
-    layer_inputs = []
     layer_caches = []
     for i, layer in enumerate(params.layers):
         fwd_mask, bwd_mask = (masks[i] if masks is not None else (None, None))
-        layer_inputs.append(x)
         fo, _, fcache = lstm_forward(x, layer.fwd, fwd_mask)
         if layer.bwd is not None:
             bo, _, bcache = lstm_forward(x[::-1], layer.bwd, bwd_mask)
@@ -375,8 +356,7 @@ def encode(
         layer_caches.append((fcache, bcache))
     if not config.bidirectional and config.lookahead > 0:
         x = x[config.lookahead :]
-    cache = EncoderCache(T, features.shape[0], with_aux.shape[1], layer_inputs, layer_caches)
-    return x, cache
+    return x, EncoderCache(T, layer_caches)
 
 
 def encode_backward(
@@ -386,16 +366,14 @@ def encode_backward(
     cache: EncoderCache,
     out=None,
 ):
-    """Backward through encode. Returns (grads, d_features_with_aux). The
-    gradients go into the arrays of `out` (named as params.arrays()), which
-    is then `grads`, or into new arrays in a new dict: layers from the top,
-    a layer's reverse direction before its forward one."""
+    """Backward through encode to the parameters; returns their gradients,
+    in the arrays of `out` (named as params.arrays()) or in new arrays in a
+    new dict: layers from the top, a layer's reverse direction before its
+    forward one. No gradient reaches the features, which nothing learns."""
+    d_x = d_h
     if not config.bidirectional and config.lookahead > 0:
-        padded = np.zeros((cache.stacked_T + config.lookahead, d_h.shape[1]))
-        padded[config.lookahead :] = d_h
-        d_x = padded
-    else:
-        d_x = d_h
+        d_x = np.zeros((cache.stacked_T + config.lookahead, d_h.shape[1]))
+        d_x[config.lookahead :] = d_h
     grads = {} if out is None else out
     H = config.cells
     for i in range(len(params.layers) - 1, -1, -1):
@@ -405,19 +383,15 @@ def encode_backward(
         if layer.bwd is not None:
             d_fo = d_x[:, :H]
             d_bo = d_x[:, H:][::-1]
-            d_in_f, gf, _, _ = lstm_backward(d_fo, fcache, layer.fwd, fwd_out)
+            d_in_f, gf = lstm_backward(d_fo, fcache, layer.fwd, fwd_out)
             bwd_out = sub_grads(out, f"layers.{i}.bwd.")
-            d_in_b, gb, _, _ = lstm_backward(d_bo, bcache, layer.bwd, bwd_out)
+            d_in_b, gb = lstm_backward(d_bo, bcache, layer.bwd, bwd_out)
             d_x = d_in_f + d_in_b[::-1]
             grads.update((f"layers.{i}.bwd.{name}", arr) for name, arr in gb.items())
         else:
-            d_x, gf, _, _ = lstm_backward(d_x, fcache, layer.fwd, fwd_out)
+            d_x, gf = lstm_backward(d_x, fcache, layer.fwd, fwd_out)
         grads.update((f"layers.{i}.fwd.{name}", arr) for name, arr in gf.items())
-    # Rows past stacked_T belong to the zero lookahead frames, not to features.
-    d_features = stack_and_skip_backward(
-        d_x[: cache.stacked_T], cache.raw_T, cache.raw_D, config.stacking, config.skip
-    )
-    return grads, d_features
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +457,7 @@ def _label_backward(d_xs, symbols, caches, params: LabelNetParams, out=None):
     dict, layers from the top, then the embedding."""
     grads = {} if out is None else out
     for i in reversed(range(len(params.layers))):
-        d_xs, layer_grads, _, _ = lstm_backward(
+        d_xs, layer_grads = lstm_backward(
             d_xs, caches[i], params.layers[i], sub_grads(out, f"layers.{i}.")
         )
         grads.update((f"layers.{i}.{name}", arr) for name, arr in layer_grads.items())

@@ -17,13 +17,13 @@ of the optimizer state (`temps`); and the DropConnect draws hold their
 masked matrices for the whole minibatch. Every array operation is the one
 it replaces, in the same order, so the results are the same bit for bit.
 
-What lives for the whole call (the workspace, the optimizer state and the
-epoch-end checkpoint) lives in anonymous memory mappings
-(`numerics.mapped_zeros`), which go back to the OS when the call returns.
-Freed into the C heap instead, those megabytes leave a hole that the heap
-can return only if nothing a later stage allocated sits above it; where
-something does, the hole stays resident beneath the later stages' objects,
-and peak RSS moves by megabytes with the process layout.
+What lives for the whole call (the workspace and the optimizer state) lives
+in anonymous memory mappings (`numerics.mapped_zeros`), which go back to the
+OS when the call returns. Freed into the C heap instead, those megabytes
+leave a hole that the heap can return only if nothing a later stage
+allocated sits above it; where something does, the hole stays resident
+beneath the later stages' objects, and peak RSS moves by megabytes with the
+process layout.
 """
 
 from __future__ import annotations
@@ -359,9 +359,7 @@ def _fit(params, state: OptimizerState, rng: RandomStream, epochs: int, n: int,
     a time, and applies the gradient and rate `batch_grads(epoch, step,
     batch)` returns. A step's overflow (which would clip a gradient to
     zero) or non-finite loss or gradient raises TrainingDiverged naming the
-    epoch, step and `describe(batch)`, with the last epoch-end checkpoint,
-    taken when the caller resumes the generator."""
-    last_good: dict[str, np.ndarray] | None = None
+    epoch, step and `describe(batch)`."""
     step = 0
     for epoch in range(epochs):
         order = rng.child(1, epoch).permutation(n)
@@ -374,17 +372,10 @@ def _fit(params, state: OptimizerState, rng: RandomStream, epochs: int, n: int,
                     norms.append(clip_gradients(grads, state.config.clip_norm, state.temps))
                     optimizer_step(params, grads, state, lr)
             except (TrainingDiverged, FloatingPointError) as exc:
-                raise TrainingDiverged(
-                    f"epoch {epoch}, step {step}, {describe(batch)}: {exc}",
-                    last_good_checkpoint=last_good,
-                ) from exc
+                message = f"epoch {epoch}, step {step}, {describe(batch)}: {exc}"
+                raise TrainingDiverged(message) from exc
             step += 1
         yield norms
-        if last_good is None:
-            last_good = mapped_copy(params)
-        else:
-            for name, value in params.items():
-                np.copyto(last_good[name], value)
 
 
 def dev_wer(model: TransducerModel, dev: Dataset, alphabet) -> float:

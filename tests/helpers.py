@@ -123,14 +123,6 @@ def stack_and_skip_loop(features, stacking, skip):
     return out
 
 
-def stack_and_skip_backward_loop(d_out, T, D, stacking, skip):
-    d_features = np.zeros((T, D))
-    for j in range(d_out.shape[0]):
-        for r in range(stacking):
-            d_features[min(j * skip + r, T - 1)] += d_out[j, r * D : (r + 1) * D]
-    return d_features
-
-
 def _masked_sigmoid(x):
     """Sigmoid through exp of a non-positive argument only, so it never
     overflows."""
@@ -167,7 +159,7 @@ def lstm_forward_reference(xs, params, hh_mask=None, state=None):
 
 def lstm_backward_reference(d_outs, steps, params, hh_mask=None):
     """BPTT over lstm_forward_reference's records with per-step outer
-    products: (d_xs, grads, d_h0, d_c0)."""
+    products: (d_xs, grads)."""
     W_h = params.W_h if hh_mask is None else params.W_h * hh_mask
     H = params.hidden
     d_xs = np.zeros((len(steps), params.input_dim))
@@ -197,7 +189,7 @@ def lstm_backward_reference(d_outs, steps, params, hh_mask=None):
         d_h_next = W_h.T @ d_z
     if hh_mask is not None:
         gW_h = gW_h * hh_mask
-    return d_xs, {"W_x": gW_x, "W_h": gW_h, "b": gb}, d_h_next, d_c_next
+    return d_xs, {"W_x": gW_x, "W_h": gW_h, "b": gb}
 
 
 def rnnt_forward_reference(lattice, y):

@@ -714,7 +714,7 @@ class TestCLI:
         declared = collections.Counter(
             name for stage in experiment.STAGES.values() for name in set(stage.writes(cfg))
         )
-        assert len(written) == len(set(written)) == 41
+        assert len(written) == len(set(written)) == 42
         assert {name: declared[name] for name in written} == {name: 1 for name in written}
 
     @pytest.mark.parametrize("which", ["source", "external"])
@@ -1030,6 +1030,36 @@ class TestVerify:
         ]) == 0
         out = capsys.readouterr().out
         assert out.startswith(f"test WER {100 * entry['test_wer']:.2f}% ")
+
+    def test_cli_score_reproduces_the_ablation_wer(self, ablation_run, capsys):
+        entry = load_report(ablation_run)["ablations"][ABLATION]
+        weights = ablation_run / f"weights_ablation_{ABLATION}.json"
+        assert json.loads(weights.read_text()) == entry["weights"]
+        base = ["--config", str(ablation_run / "config.ini"), "--run-dir", str(ablation_run)]
+        assert cli_main(base + [
+            "score", "--nbest", str(ablation_run / f"nbest_ablation_{ABLATION}_test.tsv"),
+            "--weights", str(weights),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"test WER {100 * entry['density_ratio_test_wer']:.2f}% ")
+
+    def test_report_of_another_config_refused(self, run_copy):
+        config = parse_config(run_copy / "config.ini")
+        write_config(run_copy / "config.ini", with_settings(config, "training", epochs=3))
+        problems = verify_report(run_copy)
+        assert [p.split(":")[0] for p in problems] == ["config_fingerprint"]
+
+    def test_interrupted_rerun_leaves_no_report(self, run_copy, monkeypatch, capsys):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiment, "stage_train_mode", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(parse_config(run_copy / "config.ini"), run_copy)
+        assert not list(run_copy.glob("report.*"))
+        base = ["--config", str(run_copy / "config.ini"), "--run-dir", str(run_copy)]
+        assert cli_main(base + ["verify"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_cli_score_refuses_a_byte_outside_utf8(self, ablation_run, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"

@@ -277,3 +277,25 @@ def test_artifact_names_come_from_one_helper(path):
     `experiment.ARTIFACTS`, which `experiment.artifact` fills; the stages,
     the CLI and `verify_report` call the helper."""
     assert artifact_literals(path) == []
+
+
+CACHE_CLASSES = {"LSTMSeqCache", "EncoderCache", "JointCache", "JointLatticeCache"}
+
+
+def test_every_cache_field_is_read():
+    """A forward pass keeps in its cache only what a backward pass reads:
+    each field of a package `*Cache` dataclass is read as an attribute
+    somewhere in the package outside the class body."""
+    caches, reads = {}, set()
+    for path in SOURCE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Cache"):
+                caches[node.name] = [item.target.id for item in node.body
+                                     if isinstance(item, ast.AnnAssign)]
+                continue
+            reads |= {n.attr for n in ast.walk(node)
+                      if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    assert set(caches) == CACHE_CLASSES
+    unread = [f"{name}.{field}" for name, fields in sorted(caches.items())
+              for field in fields if field not in reads]
+    assert unread == []

@@ -11,7 +11,6 @@ from helpers import (
     lstm_forward_reference,
     pack_arrays,
     relative_error,
-    stack_and_skip_backward_loop,
     stack_and_skip_loop,
     stepwise_lm_score,
     unpack_arrays,
@@ -46,7 +45,6 @@ from transducer_workbench.networks import (
     PredictionConfig,
     sample_dropconnect_mask,
     stack_and_skip,
-    stack_and_skip_backward,
 )
 from transducer_workbench.numerics import RandomStream, finite_difference_gradient, log_softmax
 
@@ -135,7 +133,7 @@ class TestLSTMStep:
             finite_difference_gradient(loss, pack_arrays(template)), template
         )
         outs, _, cache = lstm_forward(xs, params, draw_of(params, mask))
-        d_xs, grads, _, _ = lstm_backward(w.copy(), cache, params)
+        d_xs, grads = lstm_backward(w.copy(), cache, params)
         for name in template:
             assert relative_error(grads[name], numeric[name]) <= 1e-4, name
 
@@ -175,9 +173,9 @@ class TestLSTMKernelOracle:
             np.testing.assert_allclose(got, want, rtol=0, atol=self.ATOL)
 
         d_outs = rng.normal(size=(T, H))
-        d_xs, grads, d_h0, d_c0 = lstm_backward(d_outs, cache, params)
-        ref_xs, ref_grads, ref_h0, ref_c0 = lstm_backward_reference(d_outs, steps, params, mask)
-        pairs = {"d_xs": (d_xs, ref_xs), "d_h0": (d_h0, ref_h0), "d_c0": (d_c0, ref_c0)}
+        d_xs, grads = lstm_backward(d_outs, cache, params)
+        ref_xs, ref_grads = lstm_backward_reference(d_outs, steps, params, mask)
+        pairs = {"d_xs": (d_xs, ref_xs)}
         pairs.update((name, (grads[name], ref_grads[name])) for name in ref_grads)
         for name, (got, want) in pairs.items():
             scale = np.abs(want).max()
@@ -193,12 +191,12 @@ class TestLSTMKernelOracle:
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             outs, (h, c), cache = lstm_forward(xs, params)
-            d_xs, grads, d_h0, d_c0 = lstm_backward(np.ones((T, H)), cache, params)
+            d_xs, grads = lstm_backward(np.ones((T, H)), cache, params)
         i, f, g, o = np.split(cache.gates, 4, axis=1)
         for sigmoid_gate in (i, f, o):
             assert set(np.unique(sigmoid_gate)) == {0.0, 1.0}
         assert set(np.unique(g)) == {-1.0, 1.0}
-        for arr in (outs, h, c, d_xs, d_h0, d_c0, *grads.values()):
+        for arr in (outs, h, c, d_xs, *grads.values()):
             assert np.isfinite(arr).all()
         ref_outs, (ref_h, ref_c), _ = lstm_forward_reference(xs, params)
         np.testing.assert_array_equal(outs, ref_outs)
@@ -303,18 +301,6 @@ class TestStackAndSkip:
         np.testing.assert_array_equal(out[0], [0, 1, 2, 3])
         np.testing.assert_array_equal(out[1], [4, 5, 6, 7])
 
-    def test_backward_scatter(self):
-        rng = RandomStream(4)
-        f = rng.normal(size=(5, 2))
-        d_out = rng.normal(size=(3, 4))
-
-        def loss(vec):
-            return float((d_out * stack_and_skip(vec.reshape(5, 2))).sum())
-
-        numeric = finite_difference_gradient(loss, f.ravel().copy()).reshape(5, 2)
-        analytic = stack_and_skip_backward(d_out, 5, 2)
-        assert relative_error(analytic, numeric) <= 1e-6
-
     def test_matches_loop_oracle_bitwise(self):
         rng = RandomStream(41)
         for T in range(1, 40):
@@ -324,11 +310,6 @@ class TestStackAndSkip:
                     out = stack_and_skip(features, stacking, skip)
                     np.testing.assert_array_equal(
                         out, stack_and_skip_loop(features, stacking, skip)
-                    )
-                    d_out = rng.normal(size=out.shape)
-                    np.testing.assert_array_equal(
-                        stack_and_skip_backward(d_out, T, 3, stacking, skip),
-                        stack_and_skip_backward_loop(d_out, T, 3, stacking, skip),
                     )
 
 
@@ -429,28 +410,9 @@ class TestEncoder:
         numeric = unpack_arrays(finite_difference_gradient(loss, x0), template)
         loss(x0)  # restore parameters
         h, cache = encode(x, config, params)
-        grads, _ = encode_backward(w.copy(), config, params, cache)
+        grads = encode_backward(w.copy(), config, params, cache)
         for name in template:
             assert relative_error(grads[name], numeric[name]) <= 1e-4, name
-
-    @pytest.mark.parametrize("bidirectional,lookahead", [(True, 0), (False, 0), (False, 2)])
-    def test_feature_gradient_finite_differences(self, bidirectional, lookahead):
-        config = self._config(
-            layers=2, cells=3, bidirectional=bidirectional, lookahead=lookahead
-        )
-        params = init_encoder_params(config, RandomStream(15))
-        rng = RandomStream(16)
-        x = rng.normal(size=(5, 3))
-        h0, cache = encode(x, config, params)
-        w = rng.normal(size=h0.shape)
-
-        def loss(vec):
-            h, _ = encode(vec.reshape(x.shape), config, params)
-            return float((w * h).sum())
-
-        numeric = finite_difference_gradient(loss, x.ravel().copy()).reshape(x.shape)
-        _, d_features = encode_backward(w.copy(), config, params, cache)
-        assert relative_error(d_features, numeric) <= 1e-4
 
 
 class TestPrediction:
