@@ -66,8 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--log-level",
         default="WARNING",
         choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"),
-        help="least severe workbench log message to emit, e.g. ERROR hides the greedy-fallback "
-        "and length-cap warnings (default: WARNING)",
+        help="least severe workbench log message to emit, e.g. ERROR hides combination's "
+        "length-cap warning (default: WARNING)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -31,11 +31,11 @@ frames, after which it may still extend by labels.
 
 The search holds its beam as parallel arrays and scores, merges and prunes
 all candidates of a step as one (beam, K) array. It ranks by
-(-transducer score, labels), and always stops as soon as no live
-hypothesis can enter the n-best list. LM fusion rescores its n-best
-lists afterwards (`fusion`). It returns `fusion.NBestRecord` rows, the one
-row type of the n-best files, tuning and combination; so does the
-exhaustive oracle.
+(-transducer score, labels), always completes within its expansion cap,
+and stops as soon as no live hypothesis can enter the n-best list. LM
+fusion rescores its n-best lists afterwards (`fusion`). It returns
+`fusion.NBestRecord` rows, the one row type of the n-best files, tuning
+and combination; so does the exhaustive oracle.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractViolation, DecodeError, SearchBudgetExceeded
+from .errors import ContractViolation, SearchBudgetExceeded
 from .fusion import NBestRecord
 from .lattice import BLANK_ID, rnnt_forward
 from .numerics import log_add
@@ -83,6 +83,12 @@ def greedy_decode(
     return tuple(labels)
 
 
+def alsd_cap(T: int, expansion_factor: int = 3) -> int:
+    """ALSD's expansion cap: `expansion_factor` steps per encoder frame over T
+    frames. Its label cap, cap - T, bounds decoding and combination alike."""
+    return expansion_factor * max(1, T)
+
+
 def alsd_beam(
     model,
     features,
@@ -101,7 +107,10 @@ def alsd_beam(
     sequences arriving at the same length are merged (log-sum-exp of their
     transducer mass by default; "max" selects Viterbi semantics). Completed
     hypotheses (all T frames consumed) are set aside, and may keep growing
-    by trailing labels up to the expansion cap.
+    by trailing labels up to the expansion cap (`alsd_cap(T)` when None).
+    In the last T steps, a candidate survives only if it can still consume
+    every frame by the cap (t + expansion_cap - step >= T); a merged pair
+    shares its t, so the rule drops both or neither.
 
     The beam is held as parallel arrays (labels, t, transducer score). Each
     step's joint call returns the beam's (B, K) block of log-probabilities,
@@ -125,12 +134,11 @@ def alsd_beam(
     from `start`, the empty prefix's state, or from a new
     `model.init_decode_state()` when None.
 
-    Returns the n-best rows, ranked by (-transducer_a, labels), one per
-    label sequence: `length` is the alignment length T + |labels|,
+    Returns at least one and at most `n_best` rows, ranked by
+    (-transducer_a, labels), one per label sequence of at most
+    expansion_cap - T labels: `length` is the alignment length T + |labels|,
     `transducer_a` the transducer score, and the LM components are 0.0
-    (`experiment.attach_lm_components` fills them). A search that completes
-    nothing raises DecodeError with the best live hypothesis as a row of
-    length t + |labels|.
+    (`experiment.attach_lm_components` fills them).
     """
     if beam_width < 1:
         raise ContractViolation("beam_width must be >= 1")
@@ -141,7 +149,7 @@ def alsd_beam(
     H = model.encode_features(features, aux)
     T = H.shape[0]
     if expansion_cap is None:
-        expansion_cap = 3 * T  # labels up to 2T
+        expansion_cap = alsd_cap(T)
     if expansion_cap < T:
         raise ContractViolation("expansion_cap must be at least T")
 
@@ -166,6 +174,8 @@ def alsd_beam(
         cand = trans[:, None] + logp
         cand_t = t[:, None] + is_blank
         valid = cand_t <= T  # a complete hypothesis has no blank extension
+        if step > expansion_cap - T:  # keep only what can still consume every frame
+            valid &= cand_t >= T - (expansion_cap - step)
         index = {prefix: i for i, prefix in enumerate(labels)}
         for i, prefix in enumerate(labels):
             j = index.get(prefix[:-1]) if prefix and ts[i] < T else None
@@ -188,9 +198,6 @@ def alsd_beam(
 
         flat = np.flatnonzero(valid)
         best = _best(cand.ravel()[flat], beam_width, lambda e: labels_of(int(flat[e])))
-        if not best:
-            labels = []
-            break
         chosen = flat[[e for e, _ in best]]
         labels = [key for _, key in best]
         t = cand_t.ravel()[chosen]
@@ -204,15 +211,6 @@ def alsd_beam(
         if len(completed) == n_best and (t == T).all() and trans[0] < -completed[-1][0]:
             break
 
-    if not completed:
-        best_partial = None
-        if labels:
-            best_partial = NBestRecord(labels[0], int(t[0]) + len(labels[0]), float(trans[0]),
-                                       0.0, 0.0)
-        raise DecodeError(
-            f"no completed hypothesis within expansion cap {expansion_cap}",
-            best_partial=best_partial,
-        )
     return [NBestRecord(key, T + len(key), -neg_score, 0.0, 0.0) for neg_score, key in completed]
 
 

@@ -25,19 +25,6 @@ class OracleFailure(WorkbenchError):
     """A verification oracle could not be evaluated."""
 
 
-class DecodeError(WorkbenchError):
-    """Beam search failed to complete any hypothesis within its cap.
-
-    Carries the best live hypothesis, for diagnostics, as an n-best row
-    (`fusion.NBestRecord`) whose `length` is its alignment length
-    t + |labels|.
-    """
-
-    def __init__(self, message, best_partial=None):
-        super().__init__(message)
-        self.best_partial = best_partial
-
-
 class IngestError(WorkbenchError):
     """A data file failed validation during ingestion."""
 

@@ -14,7 +14,6 @@ import functools
 import hashlib
 import io
 import json
-import logging
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -37,7 +36,7 @@ from .data import (
     write_features,
     write_transcripts,
 )
-from .decoding import MERGES, DecodeError, alsd_beam, greedy_decode
+from .decoding import MERGES, alsd_beam, alsd_cap, greedy_decode
 from .errors import ConfigError, ContractViolation, TrainingDiverged, WorkbenchError
 from .fusion import (
     DEFAULT_LAM_GRID,
@@ -76,8 +75,6 @@ from .training import (
     train,
     train_char_lm,
 )
-
-logger = logging.getLogger(__name__)
 
 _BOOL = "bool"
 _INT = "int"
@@ -686,30 +683,20 @@ def stage_train_lms(config, run_dir, rng, datasets, alphabet):
 
 
 def decode_dataset(model, dataset: Dataset, config: dict, start=None) -> list:
-    """ALSD n-best rows per utterance; falls back to the greedy path, as one
-    row scored by its exact marginal, when the beam cannot complete. Both
-    searches start from `start` (`model.init_decode_state()`, made once
-    here when None), so every utterance reads the prefix rows of the ones
-    before it. Returns (utt_id, rows) pairs ordered by id, with zero LM
-    components."""
+    """ALSD n-best rows per utterance, capped by `alsd_cap` at the configured
+    expansion factor, every search from `start` (made once here when None),
+    so each utterance reads the prefix rows of the ones before it. Returns
+    (utt_id, rows) pairs ordered by id, with zero LM components."""
     if start is None:
         start = model.init_decode_state()
     d = config["decoding"]
     skip = config["model"]["skip"]
     records = []
     for utt in sorted(dataset, key=lambda u: u.utt_id):
-        features = utt.frames.astype(np.float64)
-        t_stacked = (utt.num_frames + skip - 1) // skip
-        cap = d["expansion_factor"] * max(1, t_stacked)
-        try:
-            rows = alsd_beam(model, features, beam_width=d["beam_width"], n_best=d["n_best"],
-                             expansion_cap=cap, merge=d["merge"], aux=utt.aux, start=start)
-        except DecodeError:
-            logger.warning("beam failed on %s; falling back to greedy", utt.utt_id)
-            labels = greedy_decode(model, features, aux=utt.aux, start=start)
-            H = model.encode_features(features, utt.aux)
-            rows = [NBestRecord(labels, H.shape[0] + len(labels),
-                                -model.lattice_nll(H, list(labels)), 0.0, 0.0)]
+        cap = alsd_cap((utt.num_frames + skip - 1) // skip, d["expansion_factor"])
+        rows = alsd_beam(model, utt.frames.astype(np.float64), beam_width=d["beam_width"],
+                         n_best=d["n_best"], expansion_cap=cap, merge=d["merge"], aux=utt.aux,
+                         start=start)
         records.append((utt.utt_id, rows))
     return records
 
@@ -814,7 +801,7 @@ def stage_fusion_conditions(config, run_dir, models, datasets, alphabet,
             scored = {mode: ((condition, mode), cached[mode, "dev"], cached[mode, "test"])
                       for mode in models}
         else:  # a validated config has two modes
-            union = stage_combination(run_dir, models, datasets, alphabet, refs, rows)
+            union = stage_combination(config, run_dir, models, datasets, alphabet, refs, rows)
             scored = {"+".join(list(models)[:2]): ((condition,), union["dev"], union["test"])}
         grid = condition_grid(config, condition)
         report.conditions[condition] = {
@@ -830,13 +817,14 @@ def _fuse_score(run: Run, stream=None):
                             run.report)
 
 
-def stage_combination(run_dir, models, datasets, alphabet, refs, rows) -> dict:
+def stage_combination(config, run_dir, models, datasets, alphabet, refs, rows) -> dict:
     """Cross-score the union of the first two modes' n-best lists, given as
     `rows[mode, split]` (`read_nbest` output), write the `combine_rescore`
     rows, ranked by the first mode's score, to the split's combination file
     and return their CachedNBests by split. The LM columns are the n-best
-    files' own. Each model has one prefix table per split, made from its
-    `prediction` network and shared by the split's unions."""
+    files' own; the label cap is that of `[decoding] expansion_factor`. Each
+    model has one prefix table per split, made from its `prediction` network
+    and shared by the split's unions."""
     mode_a, mode_b = list(models)[:2]
     cached = {}
     for split in ("dev", "test"):
@@ -846,7 +834,8 @@ def stage_combination(run_dir, models, datasets, alphabet, refs, rows) -> dict:
         for utt in sorted(datasets[split], key=lambda u: u.utt_id):
             unions[utt.utt_id] = combine_rescore(
                 utt.frames.astype(np.float64), nb_a.get(utt.utt_id, []), nb_b.get(utt.utt_id, []),
-                models[mode_a], models[mode_b], aux=utt.aux, tables=tables)
+                models[mode_a], models[mode_b], aux=utt.aux, tables=tables,
+                expansion_factor=config["decoding"]["expansion_factor"])
         write_nbest(run_dir / artifact("combination", split), unions.items(), alphabet)
         cached[split] = cached_nbests(unions, alphabet, refs[split])
     return cached

@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import scoring
+from . import decoding, scoring
 from .data import atomic_write, not_utf8
 from .errors import ContractViolation
 from .lattice import prefix_trie_forward
@@ -116,7 +116,7 @@ def rescore_nbest(
 
 
 def combine_rescore(
-    features, nbest_a, nbest_b, model_a, model_b, *, aux=None, tables=None
+    features, nbest_a, nbest_b, model_a, model_b, *, aux=None, tables=None, expansion_factor=3
 ) -> list[NBestRecord]:
     """Cross-score the union of two n-best lists: one row per unique label
     sequence, `length` its label count, with both transducers' scores,
@@ -138,9 +138,10 @@ def combine_rescore(
     `source_lm`/`external_lm` fields of the n-best rows, which the decoding
     stage fills with full-sequence `lm_score` values. Both lists must carry
     the same LM scores for a shared label sequence; rows straight from the
-    search carry 0.0. A sequence longer than 2 * T' labels, over the
-    encoder output, is excluded with a logged warning: ALSD emits at most
-    that many, so only an n-best file from outside the program can hold one.
+    search carry 0.0. A sequence over ALSD's label cap at `expansion_factor`
+    (`decoding.alsd_cap` minus T') is excluded with a logged warning: ALSD
+    emits at most that many, so only an n-best file from outside the
+    program can hold one.
 
     Raises ContractViolation when the two models' encoder outputs differ in
     length (the modes of a run share `[model] stacking` and `skip`), and
@@ -154,7 +155,7 @@ def combine_rescore(
             f"combine_rescore: encoder outputs of {H_a.shape[0]} and {H_b.shape[0]} frames; "
             "both models must stack and skip frames alike"
         )
-    cap = 2 * H_a.shape[0]
+    cap = decoding.alsd_cap(H_a.shape[0], expansion_factor) - H_a.shape[0]
     union: dict[tuple[int, ...], tuple[float, float]] = {}
     for row in itertools.chain(nbest_a, nbest_b):
         lm = (row.source_lm, row.external_lm)
@@ -339,9 +340,9 @@ def tune_weights(
 class NBestRecord:
     """One n-best row: a hypothesis from the search, a line of an n-best
     file, a cross-scored or rescored hypothesis, and tuning input. `length`
-    is the alignment length in rows from the decoder (the search, the greedy
-    fallback and the exhaustive oracle) and the label count in cross-scored
-    rows; the fused scores take |y| from `labels`."""
+    is the alignment length in rows from the decoder (the search and the
+    exhaustive oracle) and the label count in cross-scored rows; the fused
+    scores take |y| from `labels`."""
 
     labels: tuple[int, ...]
     length: int

@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from transducer_workbench.augment import switchout_weights
-from transducer_workbench.errors import ContractViolation, DecodeError
+from transducer_workbench.errors import ContractViolation
 from transducer_workbench.lattice import BLANK_ID, rnnt_backward, rnnt_forward
 from transducer_workbench.networks import lm_end_increment, lm_init_state, lm_score_next
 from transducer_workbench.numerics import (
@@ -322,8 +322,9 @@ def alsd_beam_reference(
 ) -> list:
     """ALSD as one frozen hypothesis per candidate, merged through a dict
     and ranked by sorting the whole pool each step; each hypothesis reads
-    the decoder through one-row blocks. Returns the ranked n-best list;
-    raises DecodeError with the best live hypothesis."""
+    the decoder through one-row blocks, and a candidate that can no longer
+    consume every frame by the cap is dropped. Returns the ranked n-best
+    list."""
     if beam_width < 1:
         raise ContractViolation("beam_width must be >= 1")
     if n_best < 1:
@@ -343,7 +344,7 @@ def alsd_beam_reference(
     num_labels = model.num_labels
 
     for step in range(1, expansion_cap + 1):
-        if debug_invariants and live:
+        if debug_invariants:
             lengths = {hyp.alignment_length for hyp in live}
             assert len(lengths) == 1 and lengths == {step - 1}
         expansions: dict = {}
@@ -369,12 +370,12 @@ def alsd_beam_reference(
                     ),
                     merge,
                 )
-        for hyp in expansions.values():
+        reachable = [hyp for hyp in expansions.values()
+                     if hyp.t_progress + (expansion_cap - step) >= T]
+        for hyp in reachable:
             if hyp.t_progress == T:
                 completed[hyp.labels] = hyp
-        live = sorted(expansions.values(), key=_rank_key)[:beam_width]
-        if not live:
-            break
+        live = sorted(reachable, key=_rank_key)[:beam_width]
         if (
             len(completed) >= n_best
             and all(hyp.t_progress == T for hyp in live)
@@ -382,12 +383,6 @@ def alsd_beam_reference(
         ):
             break
 
-    if not completed:
-        best_partial = live[0] if live else None
-        raise DecodeError(
-            f"no completed hypothesis within expansion cap {expansion_cap}",
-            best_partial=best_partial,
-        )
     ranked = sorted(completed.values(), key=_rank_key)
     return ranked[:n_best]
 

@@ -181,7 +181,7 @@ def test_stage_combination_through_traced_proxies(tracing, tmp_path):
         with tracing.install(tracing.Tracer()) as tracer:
             proxies = {mode: tracing.TracedDecoderModel(model, tracer)
                        for mode, model in models.items()}
-            experiment.stage_combination(run_dir, models if name == "bare" else proxies,
+            experiment.stage_combination(cfg, run_dir, models if name == "bare" else proxies,
                                          datasets, task.alphabet, refs, rows)
         combined[name] = [(run_dir / experiment.artifact("combination", split)).read_bytes()
                           for split in datasets]

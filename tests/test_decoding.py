@@ -1,4 +1,3 @@
-import itertools
 import math
 from unittest import mock
 
@@ -24,11 +23,7 @@ from transducer_workbench.decoding import (
     exhaustive_search_cost,
     greedy_decode,
 )
-from transducer_workbench.errors import (
-    ContractViolation,
-    DecodeError,
-    SearchBudgetExceeded,
-)
+from transducer_workbench.errors import ContractViolation, SearchBudgetExceeded
 from transducer_workbench.experiment import attach_lm_components
 from transducer_workbench.fusion import FusionWeights, NBestRecord
 from transducer_workbench.joint import JOINT_MODES
@@ -171,10 +166,7 @@ class TestALSD:
         for model in models:
             prev = -np.inf
             for width in (1, 2, 4, 8, 64):
-                try:
-                    nbest = alsd_beam(model, np.zeros(4), beam_width=width, n_best=1)
-                except DecodeError:
-                    continue  # a too-narrow beam may never complete
+                nbest = alsd_beam(model, np.zeros(4), beam_width=width, n_best=1)
                 assert nbest[0].transducer_a >= prev - 1e-12
                 prev = nbest[0].transducer_a
 
@@ -194,17 +186,16 @@ class TestALSD:
         scores = [row.transducer_a for row in nbest]
         assert scores == sorted(scores, reverse=True)
 
-    def test_no_completion_raises_with_best_partial(self):
+    def test_label_dominant_beam_completes_at_the_label_cap(self):
         logits = np.zeros((3, 10, 2))
-        logits[:, :, 1] = 8.0  # labels dominate; width-1 beam never advances t
+        logits[:, :, 1] = 8.0  # labels dominate; width-1 beam takes labels first
         model = FixedLatticeModel(log_softmax(logits))
-        with pytest.raises(DecodeError) as exc:
-            alsd_beam(model, np.zeros(3), beam_width=1, expansion_cap=6)
-        partial = exc.value.best_partial
-        assert partial is not None
-        assert len(partial.labels) > 0
-        # Width 1 keeps the all-label path, which never consumed a frame.
-        assert partial.length == len(partial.labels) == 6
+        rows = alsd_beam(model, np.zeros(3), beam_width=1, expansion_cap=6)
+        # Once another label would strand it, the beam must consume the
+        # frames: it completes with cap - T' = 3 labels.
+        assert len(rows) == 1
+        assert rows[0].labels == (0, 0, 0)
+        assert rows[0].length == 6
 
     def test_max_merge_selects_viterbi(self):
         rng = RandomStream(29)
@@ -231,30 +222,48 @@ class TestALSD:
             alsd_beam(model, np.zeros(3), beam_width=2, n_best=0)
 
 
+MODEL_KINDS = ["fixed", "sparse", "ties", "additive", "multiplicative"]
+
+
+def _drawn_model(kind, seed, T, num_labels):
+    """A decoder model of `kind` over T frames (T' = T) and its features:
+    a fixed lattice of random, sparse (-inf labels) or tied scores, or a
+    tiny real model of a joint mode."""
+    rng = RandomStream(seed)
+    shape = (T, 2 * T + 1, num_labels + 1)
+    if kind == "ties":  # two logit values: many equal scores
+        return (FixedLatticeModel(log_softmax(rng.integers(0, 2, size=shape).astype(float))),
+                np.zeros(T))
+    if kind in ("fixed", "sparse"):
+        model = random_fixed_model(*shape, rng)
+        if kind == "sparse":  # unreachable labels score -inf
+            mask = rng.random(shape) < 0.3
+            mask[..., 0] = False
+            model.lattice[mask] = NEG_INF
+        return model, np.zeros(T)
+    model = tiny_real_model(seed=seed, num_labels=num_labels, joint_mode=kind)
+    return model, rng.normal(size=(T, 3))
+
+
 def _alsd_outcome(search, model, features, **kwargs):
-    """Every field of a search's n-best rows, or of the best partial
-    hypothesis it raised; the reference's hypotheses in the same layout,
-    with zero LM components."""
-    try:
-        hyps, raised = list(search(model, features, **kwargs)), False
-    except DecodeError as exc:
-        hyps, raised = [exc.best_partial], True
-    return raised, [
+    """Every field of a search's n-best rows; the reference's hypotheses in
+    the same layout, with zero LM components."""
+    return [
         dict(labels=h.labels, length=h.alignment_length, transducer_a=h.transducer,
              source_lm=0.0, external_lm=0.0, transducer_b=None)
         if isinstance(h, ReferenceHypothesis) else vars(h)
-        for h in hyps
+        for h in search(model, features, **kwargs)
     ]
 
 
 class TestArrayBeamOracle:
     """The array beam of `alsd_beam` against the object-per-candidate loop
-    it replaced (`helpers.alsd_beam_reference`): every returned field, and
-    the best partial hypothesis of a failed search, must be equal."""
+    it replaced (`helpers.alsd_beam_reference`): every returned field must
+    be equal."""
 
     @settings(max_examples=250, deadline=None, derandomize=True, database=None)
     @given(
-        kind=st.sampled_from(["fixed", "sparse", "ties", "additive", "multiplicative"]),
+        kind=st.sampled_from(MODEL_KINDS),
         seed=st.integers(0, 10**6),
         T=st.integers(1, 5),
         num_labels=st.integers(1, 4),
@@ -266,35 +275,24 @@ class TestArrayBeamOracle:
     def test_matches_object_per_candidate_reference(
         self, kind, seed, T, num_labels, beam_width, n_best, merge, cap_extra
     ):
-        rng = RandomStream(seed)
-        shape = (T, 2 * T + 1, num_labels + 1)
-        features = np.zeros(T)
-        if kind == "ties":  # two logit values: many equal scores
-            model = FixedLatticeModel(log_softmax(rng.integers(0, 2, size=shape).astype(float)))
-        elif kind in ("fixed", "sparse"):
-            model = random_fixed_model(*shape, rng)
-            if kind == "sparse":  # unreachable labels score -inf
-                mask = rng.random(shape) < 0.3
-                mask[..., 0] = False
-                model.lattice[mask] = NEG_INF
-        else:
-            model = tiny_real_model(seed=seed, num_labels=num_labels, joint_mode=kind)
-            features = rng.normal(size=(T, 3))
+        model, features = _drawn_model(kind, seed, T, num_labels)
         kwargs = dict(beam_width=beam_width, n_best=n_best, merge=merge,
                       expansion_cap=T + cap_extra, debug_invariants=True)
         assert _alsd_outcome(alsd_beam, model, features, **kwargs) == _alsd_outcome(
             alsd_beam_reference, model, features, **kwargs
         )
 
-    def test_tight_caps_raise_in_both(self):
-        # Labels dominate, so a narrow beam never consumes every frame.
+    def test_tight_caps_complete_in_both(self):
+        # Labels dominate, so a narrow beam consumes frames only when the
+        # cap forces it to.
         logits = np.zeros((3, 10, 3))
         logits[:, :, 1:] = 8.0
         model = FixedLatticeModel(log_softmax(logits))
         for cap in range(3, 9):
             kwargs = dict(beam_width=2, n_best=3, expansion_cap=cap)
             outcome = _alsd_outcome(alsd_beam, model, np.zeros(3), **kwargs)
-            assert outcome[0]
+            assert outcome
+            assert all(len(row["labels"]) <= cap - 3 for row in outcome)
             assert outcome == _alsd_outcome(alsd_beam_reference, model, np.zeros(3), **kwargs)
 
 
@@ -322,18 +320,14 @@ class TestFusedLMState:
         # zero weights every fused score is the transducer score, so the
         # search's ranking stands.
         zero = fusion._grid_columns([FusionWeights()])
-        checked = 0
         for seed in range(25):
             rng = RandomStream(seed)
             num_labels, T = int(rng.integers(1, 5)), int(rng.integers(1, 6))
             model = tiny_real_model(seed, num_labels, ("additive", "multiplicative")[seed % 2])
             features = rng.normal(size=(T, 3))
             lms = _char_lms(num_labels, layers, rng)
-            try:
-                plain = alsd_beam(model, features, beam_width=int(rng.integers(1, 8)),
-                                  n_best=int(rng.integers(1, 30)), merge=merge)
-            except DecodeError:
-                continue
+            plain = alsd_beam(model, features, beam_width=int(rng.integers(1, 8)),
+                              n_best=int(rng.integers(1, 30)), merge=merge)
             [(_, scored)] = attach_lm_components([("u", plain)], *lms)
             assert [NBestRecord(r.labels, r.length, r.transducer_a, 0.0, 0.0)
                     for r in scored] == plain
@@ -341,8 +335,6 @@ class TestFusedLMState:
             assert fused == [row.transducer_a for row in plain]
             ranked = sorted(range(len(scored)), key=lambda i: (-fused[i], scored[i].labels))
             assert ranked == list(range(len(scored)))
-            checked += 1
-        assert checked > 10
 
     @pytest.mark.parametrize("layers", [1, 2])
     def test_one_cache_entry_per_scored_prefix_and_no_stepwise_calls(self, layers, monkeypatch):
@@ -433,11 +425,8 @@ def test_fused_lm_components_equal_lm_score(layers):
         num_labels, T = int(rng.integers(1, 5)), int(rng.integers(1, 6))
         lms = _char_lms(num_labels, layers, rng)
         model = tiny_real_model(seed, num_labels, ("additive", "multiplicative")[seed % 2])
-        try:
-            nbest = alsd_beam(model, rng.normal(size=(T, 3)), beam_width=int(rng.integers(1, 8)),
-                              n_best=int(rng.integers(1, 30)))
-        except DecodeError:
-            continue
+        nbest = alsd_beam(model, rng.normal(size=(T, 3)), beam_width=int(rng.integers(1, 8)),
+                          n_best=int(rng.integers(1, 30)))
         [(_, scored)] = attach_lm_components([("u", nbest)], *lms)
         for row in scored:
             for component, lm in zip((row.source_lm, row.external_lm), lms):
@@ -448,13 +437,10 @@ def test_fused_lm_components_equal_lm_score(layers):
 
 
 def _search(model, features, beam_width, n_best, merge, start=None):
-    """ALSD's n-best rows, or its DecodeError's best partial row, and the
-    greedy labels, both searches from `start`."""
-    try:
-        rows = alsd_beam(model, features, beam_width=beam_width, n_best=n_best, merge=merge,
-                         start=start)
-    except DecodeError as exc:
-        rows = exc.best_partial
+    """ALSD's n-best rows and the greedy labels, both searches from
+    `start`."""
+    rows = alsd_beam(model, features, beam_width=beam_width, n_best=n_best, merge=merge,
+                     start=start)
     return rows, greedy_decode(model, features, start=start)
 
 
@@ -559,14 +545,15 @@ class _Handle:
 
 class CountingModel:
     """Decoder-model wrapper that records the block calls, the prefixes
-    given a prediction row (in the order of their first request), and the
-    prefixes whose rows the joint network reads."""
+    given a prediction row (in the order of their first request), how many
+    of them each extend call added, and the prefixes whose rows the joint
+    network reads."""
 
     def __init__(self, inner):
         self._inner = inner
         self.made: list[tuple[int, ...]] = []
         self.read: set[tuple[int, ...]] = set()
-        self.extend_calls = 0
+        self.new_rows: list[int] = []  # per extend call
         self.joint_calls = 0
         self.last_state = None
 
@@ -581,9 +568,10 @@ class CountingModel:
         return _Handle(self._inner.init_decode_state(), [()])
 
     def extend_decode_state(self, state, prefixes):
-        self.extend_calls += 1
         known = {(), *self.made}
-        self.made += [prefix for prefix in dict.fromkeys(prefixes) if prefix not in known]
+        new = [prefix for prefix in dict.fromkeys(prefixes) if prefix not in known]
+        self.made += new
+        self.new_rows.append(len(new))
         self.last_state = self._inner.extend_decode_state(state.inner, prefixes)
         return _Handle(self.last_state, list(prefixes))
 
@@ -599,11 +587,7 @@ class CountingModel:
 
 def _counted_alsd(model, features, **kwargs):
     counting = CountingModel(model)
-    try:
-        nbest = alsd_beam(counting, features, **kwargs)
-    except DecodeError:
-        nbest = None
-    return counting, nbest
+    return counting, alsd_beam(counting, features, **kwargs)
 
 
 class TestLazyPredictionStates:
@@ -623,7 +607,7 @@ class TestLazyPredictionStates:
         assert counting.made
         assert counting.read >= set(counting.made)
         # One extend and one joint call per step, each over the whole beam.
-        assert counting.extend_calls == counting.joint_calls
+        assert len(counting.new_rows) == counting.joint_calls
         table = getattr(counting.last_state, "table", None)
         if table is not None:  # the real model: one row per prefix per utterance
             assert list(table.index) == [(), *counting.made]
@@ -631,17 +615,16 @@ class TestLazyPredictionStates:
     @pytest.mark.parametrize("make_model,features", CASES)
     @pytest.mark.parametrize("beam_width", [1, 2, 4])
     def test_extensions_per_step_within_beam(self, make_model, features, beam_width):
-        # A cap of c runs steps 1..c (fewer if the search stops early), so
-        # the growth in states made from cap c-1 to cap c is the number
-        # made in step c.
+        # Each step's extend call gives a row only to the beam's new
+        # prefixes, so at most beam_width, whatever the cap.
         model = make_model()
         T = model.encode_features(features).shape[0]
-        made = [len(_counted_alsd(model, features, beam_width=beam_width,
-                                  expansion_cap=cap)[0].made)
-                for cap in range(T, 3 * T + 1)]
-        assert made[0] <= beam_width * T
-        for before, after in itertools.pairwise(made):
-            assert 0 <= after - before <= beam_width
+        for cap in range(T, 3 * T + 1):
+            counting, _ = _counted_alsd(model, features, beam_width=beam_width,
+                                        expansion_cap=cap)
+            assert counting.new_rows[0] == 0  # the empty prefix's row exists
+            assert all(0 <= n <= beam_width for n in counting.new_rows)
+            assert sum(counting.new_rows) == len(counting.made)
 
 
 class TestEarlyStop:
@@ -674,10 +657,7 @@ class TestEarlyStop:
             model = random_fixed_model(T, 2 * T + 1, int(rng.integers(2, 5)), rng)
             kwargs = dict(beam_width=int(rng.integers(1, 8)), merge=merge)
             n_best = int(rng.integers(1, 5))
-            try:
-                full = alsd_beam(model, np.zeros(T), n_best=10**6, **kwargs)
-            except DecodeError:
-                continue
+            full = alsd_beam(model, np.zeros(T), n_best=10**6, **kwargs)
             nbest = alsd_beam(model, np.zeros(T), n_best=n_best, **kwargs)
             assert nbest == full[:n_best]
 
@@ -738,25 +718,27 @@ class TestExhaustive:
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
+    kind=st.sampled_from(MODEL_KINDS),
     seed=st.integers(0, 10**6),
     T=st.integers(1, 5),
     num_labels=st.integers(1, 4),
     beam_width=st.integers(1, 8),
     n_best=st.integers(1, 40),
+    data=st.data(),
 )
-def test_nbest_rows_unique_ranked_with_alignment_lengths(seed, T, num_labels, beam_width, n_best):
-    # The contract of the search's output: one row per label sequence,
-    # ranked by (-transducer score, labels), each of alignment length
-    # T' + |y|, with zero LM components.
-    rng = RandomStream(seed)
-    model = random_fixed_model(T, 2 * T + 1, num_labels + 1, rng)
-    try:
-        rows = alsd_beam(model, np.zeros(T), beam_width=beam_width, n_best=n_best)
-    except DecodeError:
-        return
-    T_prime = model.encode_features(np.zeros(T)).shape[0]
+def test_nbest_rows_unique_ranked_with_alignment_lengths(
+    kind, seed, T, num_labels, beam_width, n_best, data
+):
+    # The contract of the search's output: at least one row and one row per
+    # label sequence, ranked by (-transducer score, labels), each of at most
+    # cap - T' labels and alignment length T' + |y|, with zero LM components.
+    model, features = _drawn_model(kind, seed, T, num_labels)
+    T_prime = model.encode_features(features).shape[0]
+    cap = data.draw(st.integers(T_prime, 3 * T_prime), label="expansion_cap")
+    rows = alsd_beam(model, features, beam_width=beam_width, n_best=n_best, expansion_cap=cap)
     labels = [row.labels for row in rows]
     assert 1 <= len(rows) <= n_best
+    assert all(len(y) <= cap - T_prime for y in labels)
     assert len(set(labels)) == len(labels)
     keys = [(-row.transducer_a, row.labels) for row in rows]
     assert keys == sorted(keys)

@@ -29,7 +29,6 @@ from transducer_workbench.data import (
     write_features,
     write_transcripts,
 )
-from transducer_workbench.decoding import greedy_decode
 from transducer_workbench.errors import (ConfigError, ContractViolation, IngestError,
                                          TrainingDiverged)
 from transducer_workbench.experiment import (
@@ -63,11 +62,11 @@ from transducer_workbench.experiment import (
 from transducer_workbench.fusion import (
     CombinationWeights,
     FusionWeights,
-    NBestRecord,
     cached_nbests,
     read_nbest,
     top1_wer,
 )
+from transducer_workbench.lattice import BLANK_ID
 from transducer_workbench.model import (
     _write_container,
     init_model,
@@ -307,26 +306,26 @@ class TestRunExperiment:
         assert report.failure_stage == "train"
         assert (tmp_path / "run" / "report.json").exists()
 
-    def test_greedy_fallback_row(self, caplog):
-        # A width-1 beam capped at T' steps can complete only the all-blank
-        # path, so an utterance whose beam takes a label falls back to the
-        # greedy labels: one row, of alignment length T' + |labels|, scored
-        # by the exact marginal, with zero LM components.
+    def test_cap_of_one_step_per_frame_gives_the_all_blank_row(self, caplog):
+        # A cap of T' steps (expansion_factor 1) leaves room for no label, so
+        # every utterance completes with the all-blank path alone: one row of
+        # alignment length T', scored by the sum of the blank log-probs, with
+        # zero LM components, and nothing logged.
         cfg = tiny_config(decoding={"beam_width": 1, "expansion_factor": 1})
         task = generate_synthetic_task(build_task_config(cfg), RandomStream(1))
         model = init_model(build_model_config(cfg, "additive"), RandomStream(10))
-        with caplog.at_level("WARNING"):
+        with caplog.at_level("DEBUG"):
             records = decode_dataset(model, task.test, cfg)
         assert [utt_id for utt_id, _ in records] == sorted(u.utt_id for u in task.test)
-        fell_back = [u for u in task.test if f"beam failed on {u.utt_id};" in caplog.text]
-        assert fell_back
-        for utt in fell_back:
-            features = utt.frames.astype(np.float64)
-            labels = greedy_decode(model, features, aux=utt.aux)
-            H = model.encode_features(features, utt.aux)
-            assert dict(records)[utt.utt_id] == [NBestRecord(
-                labels, H.shape[0] + len(labels), -model.lattice_nll(H, list(labels)), 0.0, 0.0
-            )]
+        assert caplog.records == []
+        for utt in task.test:
+            H = model.encode_features(utt.frames.astype(np.float64), utt.aux)
+            blanks = model.logprob_lattice(H, [])[:, 0, BLANK_ID].sum()
+            [row] = dict(records)[utt.utt_id]
+            assert row.labels == ()
+            assert row.length == H.shape[0]
+            assert row.transducer_a == pytest.approx(blanks, abs=1e-12)
+            assert (row.source_lm, row.external_lm) == (0.0, 0.0)
 
     def test_sweep_rows(self, tmp_path):
         cfg = tiny_config(experiment={"sweep": True, "sweep_epochs": 1,
@@ -460,7 +459,7 @@ class TestPrefixTableScope:
         rows = {(mode, split): read_nbest(tmp_path / artifact("nbest", mode, split), task.alphabet)
                 for mode in models for split in datasets}
         for _ in range(2):
-            call(stage_combination, tmp_path, models, datasets, task.alphabet, refs, rows)
+            call(stage_combination, cfg, tmp_path, models, datasets, task.alphabet, refs, rows)
         assert stepped[0] == stepped[1] > 0
         assert stepped[2] == stepped[3] > 0
 
@@ -497,7 +496,7 @@ class TestPrefixTableScope:
         monkeypatch.setattr(experiment, "PrefixStates", Recorded)
         monkeypatch.setattr(fusion, "PrefixStates", Recorded)
         monkeypatch.setattr(networks, "_label_forward", counted)
-        stage_combination(tmp_path, models, datasets, task.alphabet, refs, rows)
+        stage_combination(cfg, tmp_path, models, datasets, task.alphabet, refs, rows)
         predictions = [model.prediction for model in models.values()]
         assert [id(table.params) for table in tables] == [id(p) for p in predictions] * 2
         expected = collections.Counter()

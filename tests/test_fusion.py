@@ -207,21 +207,27 @@ class TestCombineRescore:
             )
 
     def test_length_cap_excludes_with_warning(self, caplog):
-        # The cap is 2 * max(T_a, T_b) labels; three frames give T = 3. Only
-        # a row from outside the program can be longer, as ALSD stops there.
+        # The cap is ALSD's label cap, (expansion_factor - 1) * T' labels: 2
+        # * T' at the default factor 3; three frames give T' = 3. Only a row
+        # from outside the program can be longer, as ALSD stops there.
         model_a = tiny_model(23)
         model_b = tiny_model(24)
         rng = RandomStream(25)
         features = rng.normal(size=(3, 3))
         nbest = alsd_beam(model_a, features, beam_width=32, n_best=4, expansion_cap=5)
-        at_cap = NBestRecord((1, 0) * 3, 6, -9.0, 0.0, 0.0)
-        over_cap = NBestRecord((0, 1) * 3 + (0,), 7, -9.0, 0.0, 0.0)
-        with caplog.at_level("WARNING"):
-            combined = combine_rescore(features, list(nbest) + [at_cap, over_cap], [],
-                                       model_a, model_b)
-        assert {c.labels for c in combined} == {h.labels for h in nbest} | {at_cap.labels}
-        dropped = [r.getMessage() for r in caplog.records if "dropping hypothesis" in r.message]
-        assert dropped == ["combine_rescore: dropping hypothesis of length 7 (cap 6)"]
+        for kwargs, cap in (({}, 6), ({"expansion_factor": 4}, 9)):
+            at_cap = NBestRecord(tuple((i + 1) % 2 for i in range(cap)), 3 + cap, -9.0, 0.0, 0.0)
+            over_cap = NBestRecord(tuple(i % 2 for i in range(cap + 1)), 4 + cap, -9.0, 0.0, 0.0)
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                combined = combine_rescore(features, list(nbest) + [at_cap, over_cap], [],
+                                           model_a, model_b, **kwargs)
+            assert {c.labels for c in combined} == {h.labels for h in nbest} | {at_cap.labels}
+            dropped = [r.getMessage() for r in caplog.records
+                       if "dropping hypothesis" in r.message]
+            assert dropped == [
+                f"combine_rescore: dropping hypothesis of length {cap + 1} (cap {cap})"
+            ]
 
     @pytest.mark.parametrize("tied", [False, True])
     def test_rows_ranked_by_first_model_score_then_labels(self, monkeypatch, tied):

@@ -133,6 +133,23 @@ def test_no_unreferenced_public_definitions():
     assert sorted(unreferenced) == sorted(UNREFERENCED_PUBLIC)
 
 
+def test_every_error_type_is_raised():
+    """Every exception class of `errors.py` but the base `WorkbenchError` is
+    raised somewhere in the package, so no handler waits on an error that
+    nothing raises."""
+    tree = ast.parse((SOURCE / "errors.py").read_text(encoding="utf-8"))
+    errors = [node.name for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name != "WorkbenchError"]
+    raised = set()
+    for path in SOURCE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert errors
+    assert [name for name in errors if name not in raised] == []
+
+
 STEPWISE_LM_ORACLE = {"LMState", "_lm_step", "lm_init_state", "lm_score_next", "lm_end_increment"}
 
 
