@@ -120,27 +120,22 @@ def sequence_noise_inject(
     return out
 
 
-def _within(lengths, length: int, tolerance: float) -> list[int]:
-    """Indices, in order, of the lengths within the relative tolerance of
-    `length`."""
-    return [i for i, n in enumerate(lengths) if abs(n - length) <= tolerance * length]
-
-
 def donor_pools(lengths, tolerance: float) -> dict[int, list[int]]:
     """For each distinct length, the indices of the lengths within the
-    relative tolerance of it, in index order: `pick_donor`'s candidates,
-    for callers that draw donors for many targets of one set of lengths."""
-    return {length: _within(lengths, length, tolerance) for length in dict.fromkeys(lengths)}
+    relative tolerance of it, in index order: `pick_donor`'s candidates.
+    Built once per set of lengths, for all the targets drawn from it."""
+    return {
+        length: [i for i, n in enumerate(lengths) if abs(n - length) <= tolerance * length]
+        for length in dict.fromkeys(lengths)
+    }
 
 
-def pick_donor(lengths, target_index: int, tolerance: float, rng: RandomStream, pools=None) -> int:
+def pick_donor(lengths, target_index: int, rng: RandomStream, pools) -> int:
     """Uniform pick among other utterances whose length is within the
-    relative tolerance of the target; falls back to any other utterance.
-    `pools`, `donor_pools(lengths, tolerance)`, saves the scan over all
-    lengths: the candidates are the target's pool without the target, in
-    the same order, so one integer draw picks the same donor either way."""
-    t_len = lengths[target_index]
-    pool = pools[t_len] if pools is not None else _within(lengths, t_len, tolerance)
+    relative tolerance of the target: its pool in `pools`,
+    `donor_pools(lengths, tolerance)`, without the target, in index order.
+    Falls back to any other utterance when the pool holds only the target."""
+    pool = pools[lengths[target_index]]
     k = bisect.bisect_left(pool, target_index)
     own = k < len(pool) and pool[k] == target_index
     if len(pool) > own:

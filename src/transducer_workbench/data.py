@@ -9,11 +9,9 @@ symbol marks word boundaries and is rendered as a space in text files.
 
 Transcripts (and extra LM text) are sampled one symbol at a time from a
 first-order chain. Each row of the chain is a `numerics.CumulativeTable`,
-built and checked once per transcript model; a symbol is one uniform draw,
-scaled by the row's total and bisected into its running sums. That is the
-index `RandomStream.choice_weighted` would draw from the same row and the
-same uniform, bit for bit, so the sampled text does not depend on whether
-the table is kept.
+built and checked once per transcript model; a symbol is one
+`RandomStream.draw`: one uniform, scaled by the row's total and bisected
+into its running sums.
 """
 
 from __future__ import annotations

@@ -27,7 +27,9 @@ pruning. Each step makes one extend call for the whole beam and one joint
 call over it; `greedy_decode` uses one-row blocks. The frame-index
 convention mirrors the lattice module: blanks read frame t, labels read
 frame min(t, T-1), and a hypothesis is complete once it has consumed all T
-frames, after which it may still extend by labels.
+frames, after which it may still extend by labels. `alsd_cap` is the one
+label cap of both decoders: ALSD emits at most cap - T labels, and greedy
+decoding stops at the default cap's 2T.
 
 The search holds its beam as parallel arrays and scores, merges and prunes
 all candidates of a step as one (beam, K) array. It ranks by
@@ -54,19 +56,16 @@ EXHAUSTIVE_BUDGET = 500_000
 MERGES = ("logsumexp", "max")  # how ALSD merges two paths to one label sequence
 
 
-def greedy_decode(
-    model, features, max_symbols: int | None = None, aux=None, start=None
-) -> tuple[int, ...]:
+def greedy_decode(model, features, aux=None, start=None) -> tuple[int, ...]:
     """Frame-by-frame argmax: emit labels until blank wins, then advance.
 
-    Returns the labels. Stops at t = T or after max_symbols emissions (2T
-    by default), so a result of max_symbols labels was truncated. `start`
-    is the empty prefix's state, `model.init_decode_state()` when None.
+    Returns the labels. Stops at t = T or at ALSD's label cap of 2T labels
+    (`alsd_cap(T) - T`), so a result of 2T labels was truncated. `start` is
+    the empty prefix's state, `model.init_decode_state()` when None.
     """
     H = model.encode_features(features, aux)
     T = H.shape[0]
-    if max_symbols is None:
-        max_symbols = 2 * T
+    max_symbols = alsd_cap(T) - T
     state = model.init_decode_state() if start is None else start
     labels: list[int] = []
     t = 0
@@ -85,7 +84,8 @@ def greedy_decode(
 
 def alsd_cap(T: int, expansion_factor: int = 3) -> int:
     """ALSD's expansion cap: `expansion_factor` steps per encoder frame over T
-    frames. Its label cap, cap - T, bounds decoding and combination alike."""
+    frames. Its label cap, cap - T, bounds every decoder (greedy at the
+    default factor) and combination alike."""
     return expansion_factor * max(1, T)
 
 

@@ -72,6 +72,7 @@ from .training import (
     OptimizerConfig,
     ScheduleConfig,
     TrainingRecipe,
+    TrainResult,
     train,
     train_char_lm,
 )
@@ -645,9 +646,9 @@ def stage_train_mode(config, run_dir, rng, datasets, alphabet, mode, tag=None):
     recipe = build_recipe(config)
     checkpoint = Path(run_dir) / artifact("model", tag)
     if recipe.epochs == 0 and checkpoint.exists():
-        # Decode-only runs: reuse the existing checkpoint untouched.
+        # Decode-only runs: reuse the existing checkpoint untouched; nothing trains.
         model, _ = load_checkpoint(checkpoint)
-        return model, train(model, datasets["train"], recipe, rng.child(11))
+        return model, TrainResult(metrics=[])
     model = init_model(build_model_config(config, mode), rng.child(10))
     if config["model"]["encoder_init"]:
         load_encoder_init(model, config["model"]["encoder_init"])
@@ -682,13 +683,12 @@ def stage_train_lms(config, run_dir, rng, datasets, alphabet):
     return lms["source"], lms["external"]
 
 
-def decode_dataset(model, dataset: Dataset, config: dict, start=None) -> list:
+def decode_dataset(model, dataset: Dataset, config: dict, start) -> list:
     """ALSD n-best rows per utterance, capped by `alsd_cap` at the configured
-    expansion factor, every search from `start` (made once here when None),
-    so each utterance reads the prefix rows of the ones before it. Returns
-    (utt_id, rows) pairs ordered by id, with zero LM components."""
-    if start is None:
-        start = model.init_decode_state()
+    expansion factor, every search from `start`, the model's empty-prefix
+    state that `stage_decode` makes once per model, so each utterance reads
+    the prefix rows of the ones before it. Returns (utt_id, rows) pairs
+    ordered by id, with zero LM components."""
     d = config["decoding"]
     skip = config["model"]["skip"]
     records = []

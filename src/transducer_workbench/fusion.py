@@ -41,7 +41,7 @@ from . import decoding, scoring
 from .data import atomic_write, not_utf8
 from .errors import ContractViolation
 from .lattice import prefix_trie_forward
-from .networks import LabelNetParams, PrefixStates, lm_score, prefix_trie
+from .networks import LabelNetParams, lm_score, prefix_trie
 
 logger = logging.getLogger(__name__)
 
@@ -116,7 +116,7 @@ def rescore_nbest(
 
 
 def combine_rescore(
-    features, nbest_a, nbest_b, model_a, model_b, *, aux=None, tables=None, expansion_factor=3
+    features, nbest_a, nbest_b, model_a, model_b, *, aux=None, tables, expansion_factor
 ) -> list[NBestRecord]:
     """Cross-score the union of two n-best lists: one row per unique label
     sequence, `length` its label count, with both transducers' scores,
@@ -130,18 +130,18 @@ def combine_rescore(
     runs the alpha recursion for both models at once. `tables` holds one
     `PrefixStates` per model, made from its `prediction` network:
     `stage_combination` passes one pair per split, so each union steps only
-    the prefixes that no earlier union of the split reached; without it,
-    each model gets a fresh table. The scores do not depend on the tables,
-    bit for bit, and agree with the per-sequence oracle `lattice_nll`
-    within 1e-12 * max(1, |nll|); only the joint matmuls' row counts
-    differ. The LM components are not recomputed: they are the
-    `source_lm`/`external_lm` fields of the n-best rows, which the decoding
-    stage fills with full-sequence `lm_score` values. Both lists must carry
-    the same LM scores for a shared label sequence; rows straight from the
-    search carry 0.0. A sequence over ALSD's label cap at `expansion_factor`
-    (`decoding.alsd_cap` minus T') is excluded with a logged warning: ALSD
-    emits at most that many, so only an n-best file from outside the
-    program can hold one.
+    the prefixes that no earlier union of the split reached. The scores do
+    not depend on what the tables hold, bit for bit, and agree with the
+    per-sequence oracle `lattice_nll` within 1e-12 * max(1, |nll|); only
+    the joint matmuls' row counts differ. The LM components are not
+    recomputed: they are the `source_lm`/`external_lm` fields of the n-best
+    rows, which the decoding stage fills with full-sequence `lm_score`
+    values. Both lists must carry the same LM scores for a shared label
+    sequence; rows straight from the search carry 0.0. A sequence over
+    ALSD's label cap at `expansion_factor` (`decoding.alsd_cap` minus T'),
+    which `stage_combination` reads from `[decoding]`, is excluded with a
+    logged warning: ALSD emits at most that many, so only an n-best file
+    from outside the program can hold one.
 
     Raises ContractViolation when the two models' encoder outputs differ in
     length (the modes of a run share `[model] stacking` and `skip`), and
@@ -173,8 +173,6 @@ def combine_rescore(
             continue
         kept.append(labels)
     trie = prefix_trie(kept)
-    if tables is None:
-        tables = [PrefixStates(model.prediction) for model in (model_a, model_b)]
     steps = [model.prefix_trie_steps(H, trie, table) for model, H, table
              in zip((model_a, model_b), (H_a, H_b), tables, strict=True)]
     blank, label = (np.stack(arrays) for arrays in zip(*steps))

@@ -180,15 +180,16 @@ def lstm_forward(xs: np.ndarray, params: LSTMParams, hh_mask: DropConnect | None
 
 
 def lstm_backward(d_outs: np.ndarray, cache: LSTMSeqCache, params: LSTMParams, out=None):
-    """BPTT through lstm_forward to its inputs and weights: (d_xs, grads).
+    """BPTT through lstm_forward to its weights: (dZ, grads).
 
     The gate-local derivatives of all T steps are formed before the loop,
     which then carries only d_h and d_c and writes the pre-activation
     gradient dZ (T, 4H); every weight gradient is one product over dZ,
     written into the arrays of `out` (a dict named as params.arrays()),
     which is then `grads`, or into new arrays when `out` is None: the same
-    products either way, so the same bits. Block calls are inference-only:
-    their caches raise DimensionError."""
+    products either way, so the same bits. The gradient of the inputs is
+    dZ @ params.W_x, which a caller forms only where a layer below reads
+    it. Block calls are inference-only: their caches raise DimensionError."""
     if cache.xs.ndim != 2:
         raise DimensionError(f"lstm_backward takes (T, D) caches, got inputs {cache.xs.shape}")
     T, H = cache.tcs.shape
@@ -219,7 +220,7 @@ def lstm_backward(d_outs: np.ndarray, cache: LSTMSeqCache, params: LSTMParams, o
     if cache.hh_mask is not None:
         grads["W_h"] *= cache.hh_mask
     dZ.sum(axis=0, out=grads["b"])
-    return dZ @ params.W_x, grads
+    return dZ, grads
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +233,6 @@ def stack_and_skip(features: np.ndarray, stacking: int = 2, skip: int = 2) -> np
     if stacking < 1 or skip < 1:
         raise ContractViolation("stacking and skip must be >= 1")
     T, D = features.shape
-    if stacking == 1 and skip == 1:
-        return features.copy()
     # The source frame of each (output position, stacked slot).
     src = np.minimum(np.arange(0, T, skip)[:, None] + np.arange(stacking), T - 1)
     return features[src].reshape(src.shape[0], stacking * D)
@@ -369,7 +368,9 @@ def encode_backward(
     """Backward through encode to the parameters; returns their gradients,
     in the arrays of `out` (named as params.arrays()) or in new arrays in a
     new dict: layers from the top, a layer's reverse direction before its
-    forward one. No gradient reaches the features, which nothing learns."""
+    forward one. Each upper layer forms its input gradient (dZ @ W_x per
+    direction) for the layer below; the bottom layer forms none, as no
+    gradient reaches the features, which nothing learns."""
     d_x = d_h
     if not config.bidirectional and config.lookahead > 0:
         d_x = np.zeros((cache.stacked_T + config.lookahead, d_h.shape[1]))
@@ -383,13 +384,16 @@ def encode_backward(
         if layer.bwd is not None:
             d_fo = d_x[:, :H]
             d_bo = d_x[:, H:][::-1]
-            d_in_f, gf = lstm_backward(d_fo, fcache, layer.fwd, fwd_out)
+            dZ_f, gf = lstm_backward(d_fo, fcache, layer.fwd, fwd_out)
             bwd_out = sub_grads(out, f"layers.{i}.bwd.")
-            d_in_b, gb = lstm_backward(d_bo, bcache, layer.bwd, bwd_out)
-            d_x = d_in_f + d_in_b[::-1]
+            dZ_b, gb = lstm_backward(d_bo, bcache, layer.bwd, bwd_out)
+            if i:
+                d_x = dZ_f @ layer.fwd.W_x + (dZ_b @ layer.bwd.W_x)[::-1]
             grads.update((f"layers.{i}.bwd.{name}", arr) for name, arr in gb.items())
         else:
-            d_x, gf = lstm_backward(d_x, fcache, layer.fwd, fwd_out)
+            dZ_f, gf = lstm_backward(d_x, fcache, layer.fwd, fwd_out)
+            if i:
+                d_x = dZ_f @ layer.fwd.W_x
         grads.update((f"layers.{i}.fwd.{name}", arr) for name, arr in gf.items())
     return grads
 
@@ -457,9 +461,10 @@ def _label_backward(d_xs, symbols, caches, params: LabelNetParams, out=None):
     dict, layers from the top, then the embedding."""
     grads = {} if out is None else out
     for i in reversed(range(len(params.layers))):
-        d_xs, layer_grads = lstm_backward(
+        dZ, layer_grads = lstm_backward(
             d_xs, caches[i], params.layers[i], sub_grads(out, f"layers.{i}.")
         )
+        d_xs = dZ @ params.layers[i].W_x
         grads.update((f"layers.{i}.{name}", arr) for name, arr in layer_grads.items())
     if out is None:
         grads["embedding"] = np.zeros_like(params.embedding)
@@ -794,8 +799,6 @@ def sample_dropconnect_mask(shape, rate: float, rng: RandomStream) -> np.ndarray
     `rate`, else 1/(1-rate), so evaluation can use unmasked weights."""
     if not 0.0 <= rate <= 1.0:
         raise ContractViolation(f"DropConnect rate {rate} outside [0, 1]")
-    if rate == 0.0:
-        return np.ones(shape)
     if rate == 1.0:
         return np.zeros(shape)
     keep = rng.random(shape)

@@ -203,24 +203,16 @@ class RandomStream:
         return min(bisect.bisect_right(table.cumulative, self.gen.random() * table.total),
                    table.last)
 
-    def choice_weighted(self, weights) -> int:
-        """Index drawn from unnormalized nonnegative weights: a one-off
-        `CumulativeTable` and one `draw`, so one uniform u picks the first
-        index whose running sum exceeds u * sum(weights) (see
-        `CumulativeTable` for why that is the `np.searchsorted` index, bit
-        for bit). A caller that draws from the same weights again builds the
-        table once and calls `draw`, which gives the same index for the same
-        uniform. A negative or non-finite weight raises ContractViolation
-        naming its index."""
-        return self.draw(CumulativeTable(weights))
-
 
 class CumulativeTable:
-    """A categorical distribution ready for `RandomStream.draw`: the running
-    sums of unnormalized weights (`np.cumsum`, as a list of floats) and
-    their total (`w.sum()`, numpy's pairwise sum, which may differ from the
-    last running sum in the last bits). The weights are checked once, here:
-    every entry finite and nonnegative, the total positive and finite.
+    """A categorical distribution ready for `RandomStream.draw`, the one
+    categorical draw of the package: the running sums of unnormalized
+    weights (`np.cumsum`, as a list of floats) and their total (`w.sum()`,
+    numpy's pairwise sum, which may differ from the last running sum in the
+    last bits). The weights are checked once, here: a negative or
+    non-finite entry raises ContractViolation naming its index, and a
+    total that is not positive and finite raises it too. A caller that
+    draws from the same weights again keeps the table.
 
     A draw scales one uniform by `total` and bisects `cumulative`, so it
     returns exactly the index of
@@ -236,12 +228,12 @@ class CumulativeTable:
         if bad.size:
             i = int(bad[0])
             raise ContractViolation(
-                f"weight {i} is {float(w[i])}: choice_weighted needs nonnegative finite weights"
+                f"weight {i} is {float(w[i])}: a CumulativeTable needs nonnegative finite weights"
             )
         with np.errstate(over="ignore"):  # an overflowing total is refused below
             total = w.sum()
         if not np.isfinite(total) or total <= 0:
-            raise ContractViolation("choice_weighted needs positive finite weights")
+            raise ContractViolation("a CumulativeTable needs a positive finite total weight")
         self.cumulative = np.cumsum(w).tolist()
         self.total = float(total)
         self.last = w.size - 1

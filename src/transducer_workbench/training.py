@@ -458,12 +458,11 @@ def train(
     return TrainResult(metrics=metrics)
 
 
-def _augment_batch_member(utt, utterances, lengths, idx, recipe: TrainingRecipe, rng, pools=None):
+def _augment_batch_member(utt, utterances, lengths, idx, recipe: TrainingRecipe, rng, pools):
     features = utt.frames.astype(np.float64)
     labels = utt.labels
     if recipe.sequence_noise is not None:
-        tolerance = recipe.sequence_noise.length_tolerance
-        donor_idx = pick_donor(lengths, idx, tolerance, rng.child(0), pools)
+        donor_idx = pick_donor(lengths, idx, rng.child(0), pools)
         donor = utterances[donor_idx].frames.astype(np.float64)
         features = sequence_noise_inject(features, donor, recipe.sequence_noise, rng.child(1))
     if recipe.specaugment is not None:
@@ -481,14 +480,15 @@ def train_char_lm(
     lm_params,
     sequences,
     rng: RandomStream,
-    epochs: int = 5,
-    batch_size: int = 8,
-    lr: float = 2e-3,
+    epochs: int,
+    batch_size: int,
+    lr: float,
 ) -> list[float]:
     """Fit a character LM on label sequences through `_fit`; returns
-    per-epoch mean NLL per symbol. Uses AdamW without weight decay at a
-    constant learning rate; LM fitting is not the object of study, it just
-    has to give the fusion experiments usable models."""
+    per-epoch mean NLL per symbol. Uses AdamW without weight decay at the
+    constant learning rate `lr`; `[lm]` sets all three settings. LM fitting
+    is not the object of study, it just has to give the fusion experiments
+    usable models."""
     params = lm_params.arrays()
     state = init_optimizer(params, OptimizerConfig(kind=ADAMW, weight_decay=0.0))
     ws = GradientWorkspace()

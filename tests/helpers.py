@@ -159,10 +159,10 @@ def lstm_forward_reference(xs, params, hh_mask=None, state=None):
 
 def lstm_backward_reference(d_outs, steps, params, hh_mask=None):
     """BPTT over lstm_forward_reference's records with per-step outer
-    products: (d_xs, grads)."""
+    products: (dZ, grads), dZ the (T, 4H) pre-activation gradients."""
     W_h = params.W_h if hh_mask is None else params.W_h * hh_mask
     H = params.hidden
-    d_xs = np.zeros((len(steps), params.input_dim))
+    d_zs = np.zeros((len(steps), 4 * H))
     gW_x = np.zeros_like(params.W_x)
     gW_h = np.zeros_like(params.W_h)
     gb = np.zeros_like(params.b)
@@ -185,11 +185,11 @@ def lstm_backward_reference(d_outs, steps, params, hh_mask=None):
         gW_x += np.outer(d_z, x)
         gW_h += np.outer(d_z, h_prev)
         gb += d_z
-        d_xs[t] = params.W_x.T @ d_z
+        d_zs[t] = d_z
         d_h_next = W_h.T @ d_z
     if hh_mask is not None:
         gW_h = gW_h * hh_mask
-    return d_xs, {"W_x": gW_x, "W_h": gW_h, "b": gb}
+    return d_zs, {"W_x": gW_x, "W_h": gW_h, "b": gb}
 
 
 def rnnt_forward_reference(lattice, y):
@@ -458,7 +458,7 @@ def mapping_of(arr: np.ndarray):
 
 
 def choice_weighted_reference(rng, weights) -> int:
-    """`RandomStream.choice_weighted` as it was before draws read a
+    """The per-draw categorical sampler the package used before draws read a
     `CumulativeTable`: it sums and cumsums the weights at every draw and
     places the scaled uniform with `np.searchsorted`. It checks only the
     total, so it draws from negative entries. Kept as the bitwise reference
@@ -466,7 +466,7 @@ def choice_weighted_reference(rng, weights) -> int:
     w = np.asarray(weights, dtype=np.float64)
     total = w.sum()
     if not np.isfinite(total) or total <= 0:
-        raise ContractViolation("choice_weighted needs positive finite weights")
+        raise ContractViolation("the weights need a positive finite total")
     u = rng.gen.random() * total
     return int(np.searchsorted(np.cumsum(w), u, side="right").clip(0, w.size - 1))
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from helpers import switchout_reference
-from transducer_workbench import augment
 from transducer_workbench.augment import (
     NoiseInjectConfig,
     SpecAugmentConfig,
@@ -132,15 +131,18 @@ class TestSequenceNoise:
     def test_pick_donor_respects_tolerance(self):
         lengths = [100, 119, 121, 79, 105]
         rng = RandomStream(8)
+        pools = donor_pools(lengths, 0.2)
         seen = set()
         for _ in range(100):
-            j = pick_donor(lengths, 0, 0.2, rng)
+            j = pick_donor(lengths, 0, rng, pools)
             assert j in (1, 4)
             seen.add(j)
         assert seen == {1, 4}
 
     def test_pick_donor_falls_back_when_no_match(self):
-        assert pick_donor([10, 500], 0, 0.2, RandomStream(9)) == 1
+        lengths = [10, 500]
+        assert pick_donor(lengths, 0, RandomStream(9), donor_pools(lengths, 0.2)) == 1
+        assert pick_donor([7], 0, RandomStream(9), donor_pools([7], 0.2)) == 0
 
     @staticmethod
     def full_scan_pick(lengths, target_index, tolerance, rng):
@@ -165,12 +167,11 @@ class TestSequenceNoise:
     )
     def test_pick_donor_pools_equal_the_full_scan(self, lengths, tolerance, seed):
         # The same candidates in the same order, so the same integer draw
-        # picks the same donor, with and without the pools.
+        # picks the same donor as a scan over every length.
         pools = donor_pools(lengths, tolerance)
         for target in range(len(lengths)):
             want = self.full_scan_pick(lengths, target, tolerance, RandomStream(seed, target))
-            assert pick_donor(lengths, target, tolerance, RandomStream(seed, target), pools) == want
-            assert pick_donor(lengths, target, tolerance, RandomStream(seed, target)) == want
+            assert pick_donor(lengths, target, RandomStream(seed, target), pools) == want
 
 
 class TestSpecAugment:
@@ -246,17 +247,18 @@ class TestSwitchout:
         rng = RandomStream(16)
         utts = [Utterance(f"u{i}", rng.normal(size=(12, 3)).astype(np.float32),
                           tuple(int(x) for x in rng.integers(0, 8, size=6))) for i in range(4)]
-        lengths = np.array([u.num_frames for u in utts])
+        lengths = [u.num_frames for u in utts]
         recipe = build_recipe(with_settings(cfg, "training", switchout=False))
         assert recipe.switchout is None
+        pools = donor_pools(lengths, recipe.sequence_noise.length_tolerance)
         changed = 0
         for seed in range(50):
             for idx, utt in enumerate(utts):
                 _, labels = _augment_batch_member(utt, utts, lengths, idx, recipe,
-                                                  RandomStream(seed))
+                                                  RandomStream(seed), pools)
                 assert labels == utt.labels
                 _, labels = _augment_batch_member(utt, utts, lengths, idx, build_recipe(cfg),
-                                                  RandomStream(seed))
+                                                  RandomStream(seed), pools)
                 changed += labels != utt.labels
         assert changed > 0
 
@@ -297,9 +299,10 @@ class TestSwitchout:
         weights = switchout_weights(U, tau)
         probs = weights / weights.sum()
         rng = RandomStream(19)
+        table = CumulativeTable(weights)
         counts = np.zeros(U + 1)
         for _ in range(100_000):
-            counts[rng.choice_weighted(weights)] += 1
+            counts[rng.draw(table)] += 1
         expected = probs * 100_000
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < stats.chi2.ppf(0.99, df=U)
@@ -322,18 +325,15 @@ class TestSwitchout:
         assert new.random() == old.random()
 
     def test_one_table_per_length_and_temperature(self, monkeypatch):
-        built, choices = [], []
+        # Every table built anywhere is counted, so a per-draw table shows.
+        built = []
+        real_init = CumulativeTable.__init__
 
-        class Counted(CumulativeTable):
-            __slots__ = ()
+        def counted_init(self, weights):
+            built.append(tuple(weights))
+            real_init(self, weights)
 
-            def __init__(self, weights):
-                built.append(tuple(weights))
-                super().__init__(weights)
-
-        monkeypatch.setattr(augment, "CumulativeTable", Counted)
-        monkeypatch.setattr(RandomStream, "choice_weighted",
-                            lambda self, weights: choices.append(weights))
+        monkeypatch.setattr(CumulativeTable, "__init__", counted_init)
         # One config, its temperature changed between calls.
         config = SwitchoutConfig(vocab=6)
         pairs = [(U, tau) for U in (1, 2, 3, 5) for tau in (10.0, 0.5)]
@@ -343,5 +343,4 @@ class TestSwitchout:
                 config.temperature = tau
                 switchout(tuple(range(U)), config, rng)
         assert sorted(built) == sorted(tuple(switchout_weights(U, tau)) for U, tau in pairs)
-        assert choices == []
 

@@ -109,7 +109,8 @@ def test_lm_training_spans_only_its_per_sequence_loss(tracing):
     lm = init_char_lm_params(3, CharLMConfig(layers=1, cells=4, embed_dim=2), RandomStream(1))
     sequences, epochs = [(0, 1), (2,), (), (1, 2, 0), (0,)], 3
     with tracing.install(tracing.Tracer()) as tracer:
-        training.train_char_lm(lm, sequences, RandomStream(2), epochs=epochs, batch_size=2)
+        training.train_char_lm(lm, sequences, RandomStream(2), epochs=epochs, batch_size=2,
+                               lr=2e-3)
     spans = tracer.summary()
     assert spans["networks.lm_loss_and_grads"]["calls"] == len(sequences) * epochs
     assert "training.train" not in spans and "training.batch_loss_and_grads" not in spans

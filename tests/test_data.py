@@ -243,24 +243,15 @@ class TestSamplingTables:
     def test_one_table_per_row_and_no_per_symbol_choice(self, monkeypatch):
         # One task builds its initial row's table and one per transition
         # row, and draws every symbol of its splits and of extra text from
-        # them without a `choice_weighted` call.
-        built, choices = [], []
+        # them: no other table is built anywhere.
+        built = []
+        real_init = CumulativeTable.__init__
 
-        class Counted(CumulativeTable):
-            __slots__ = ()
+        def counted_init(self, weights):
+            built.append(len(weights))
+            real_init(self, weights)
 
-            def __init__(self, weights):
-                built.append(len(weights))
-                super().__init__(weights)
-
-        real_choice = RandomStream.choice_weighted
-
-        def counted_choice(self, weights):
-            choices.append(weights)
-            return real_choice(self, weights)
-
-        monkeypatch.setattr(data, "CumulativeTable", Counted)
-        monkeypatch.setattr(RandomStream, "choice_weighted", counted_choice)
+        monkeypatch.setattr(CumulativeTable, "__init__", counted_init)
         config = SyntheticTaskConfig(num_labels=6, feature_dim=3, train_size=20, dev_size=5,
                                      test_size=5)
         task = generate_synthetic_task(config, RandomStream(12))
@@ -268,7 +259,6 @@ class TestSamplingTables:
         symbols = sum(len(u.labels) for split in (task.train, task.dev, task.test) for u in split)
         assert symbols + sum(map(len, text)) > 100
         assert built == [6] * 7
-        assert choices == []
 
 
 class TestDeltas:

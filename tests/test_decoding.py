@@ -19,6 +19,7 @@ from transducer_workbench import experiment, fusion, networks
 from transducer_workbench.decoding import (
     MERGES,
     alsd_beam,
+    alsd_cap,
     exhaustive_decode,
     exhaustive_search_cost,
     greedy_decode,
@@ -65,12 +66,23 @@ class TestGreedy:
         assert greedy_decode(model, np.zeros(1)) == (0,)
 
     def test_truncation_at_the_symbol_cap(self):
-        # Truncation is a result of max_symbols labels: the search stops as
-        # soon as it reaches the cap.
+        # Truncation is a result of ALSD's label cap, alsd_cap(T) - T = 2T
+        # labels: the search stops as soon as it reaches the cap.
         logits = np.zeros((2, 4, 2))
         logits[:, :, 1] = 5.0  # label always wins: can never advance t
         model = FixedLatticeModel(log_softmax(logits))
-        assert greedy_decode(model, np.zeros(2), max_symbols=3) == (0, 0, 0)
+        assert greedy_decode(model, np.zeros(2)) == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("T", [1, 3, 5, 8])
+    def test_stops_at_the_alsd_label_cap(self, T):
+        # As above for more T: a label-dominant model never advances t, so
+        # greedy runs to its cap, the label cap of ALSD at the default factor.
+        logits = np.zeros((T, 3, 3))
+        logits[:, :, 2] = 5.0
+        model = FixedLatticeModel(log_softmax(logits))
+        labels = greedy_decode(model, np.zeros(T))
+        assert len(labels) == alsd_cap(T) - T == 2 * T
+        assert set(labels) == {1}
 
     def test_matches_exhaustive_on_peaked_model(self):
         # With near-deterministic output distributions the greedy path is
@@ -86,7 +98,7 @@ class TestGreedy:
             logits[:, U_rows - 1, :] = 0.0
             logits[:, U_rows - 1, 0] = 12.0  # force blanks once u saturates
             model = FixedLatticeModel(log_softmax(logits))
-            greedy = greedy_decode(model, np.zeros(T), max_symbols=U_rows - 1)
+            greedy = greedy_decode(model, np.zeros(T))
             exact = exhaustive_decode(model, np.zeros(T), max_symbols=U_rows - 1)
             assert greedy == exact[0].labels
 
@@ -514,7 +526,9 @@ class TestSharedPrefixTables:
             return layouts[-1]
 
         with mock.patch.object(fusion, "prefix_trie", recorded):
-            scored = [fusion.combine_rescore(features, *pair, *models)
+            scored = [fusion.combine_rescore(features, *pair, *models,
+                                             tables=[PrefixStates(m.prediction) for m in models],
+                                             expansion_factor=3)
                       for features, pair in zip(utterances, nbests)]
         assert len(layouts) == len(utterances)
         for trie, combined in zip(layouts, scored):
@@ -526,7 +540,8 @@ class TestSharedPrefixTables:
                 assert (fresh.parents, fresh.labels) == (trie.parents, trie.labels)
         for order in ORDERS.values():
             tables = [PrefixStates(model.prediction) for model in models]
-            again = {i: fusion.combine_rescore(utterances[i], *nbests[i], *models, tables=tables)
+            again = {i: fusion.combine_rescore(utterances[i], *nbests[i], *models, tables=tables,
+                                               expansion_factor=3)
                      for i in order(len(utterances))}
             assert [again[i] for i in range(len(utterances))] == scored
             prefixes = {row.labels[:u] for rows in scored for row in rows

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from transducer_workbench import experiment, fusion, networks
+from transducer_workbench import experiment, networks
 from transducer_workbench.cli import main as cli_main
 from transducer_workbench.data import (
     Alphabet,
@@ -315,7 +315,7 @@ class TestRunExperiment:
         task = generate_synthetic_task(build_task_config(cfg), RandomStream(1))
         model = init_model(build_model_config(cfg, "additive"), RandomStream(10))
         with caplog.at_level("DEBUG"):
-            records = decode_dataset(model, task.test, cfg)
+            records = decode_dataset(model, task.test, cfg, model.init_decode_state())
         assert [utt_id for utt_id, _ in records] == sorted(u.utt_id for u in task.test)
         assert caplog.records == []
         for utt in task.test:
@@ -494,7 +494,6 @@ class TestPrefixTableScope:
             return label_forward(symbols, params, *args, **kwargs)
 
         monkeypatch.setattr(experiment, "PrefixStates", Recorded)
-        monkeypatch.setattr(fusion, "PrefixStates", Recorded)
         monkeypatch.setattr(networks, "_label_forward", counted)
         stage_combination(cfg, tmp_path, models, datasets, task.alphabet, refs, rows)
         predictions = [model.prediction for model in models.values()]
@@ -729,7 +728,7 @@ class TestCLI:
         assert err.startswith("error: ") and f"lm_{which}.npz" in err
         assert not list(run.glob("nbest_*"))
 
-    def test_decode_only_run_reuses_checkpoint(self, tmp_path):
+    def test_decode_only_run_reuses_checkpoint(self, tmp_path, monkeypatch):
         cfg = tiny_config()
         cfg["model"]["modes"] = ("additive", "multiplicative")
         run = tmp_path / "run"
@@ -738,8 +737,14 @@ class TestCLI:
         ckpt = np.load(run / "model_additive.npz")
         saved = {k: ckpt[k].copy() for k in ckpt.files if k != "__meta__"}
         cfg["training"]["epochs"] = 0
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a decode-only run trains nothing")
+
+        monkeypatch.setattr(experiment, "train", no_training)
         report2 = run_experiment(cfg, run)
         assert report2.failure_stage is None
+        assert report2.epochs == {"additive": [], "multiplicative": []}
         after = np.load(run / "model_additive.npz")
         for k, v in saved.items():
             np.testing.assert_array_equal(v, after[k])

@@ -65,6 +65,20 @@ def counting(original, sink):
     return wrapper
 
 
+def fresh_tables(*models):
+    """One new prefix table per model, as `stage_combination` makes for a
+    split."""
+    return [PrefixStates(model.prediction) for model in models]
+
+
+def combine(features, nbest_a, nbest_b, model_a, model_b, expansion_factor=3):
+    """`combine_rescore` with fresh prefix tables, at the default
+    `[decoding] expansion_factor`."""
+    return combine_rescore(features, nbest_a, nbest_b, model_a, model_b,
+                           tables=fresh_tables(model_a, model_b),
+                           expansion_factor=expansion_factor)
+
+
 def lm_scored(hyps, source_lm, external_lm):
     """Hypotheses with full-sequence LM components filled, as the decoding
     stage stores them in its n-best files."""
@@ -157,7 +171,7 @@ class TestCombineRescore:
         features = rng.normal(size=(3, 3))
         nbest = alsd_beam(model_a, features, beam_width=32, n_best=4, expansion_cap=5)
         w = CombinationWeights(alpha=1.0, beta=0.0, mu=0.5, lam=0.7, rho=0.2)
-        combined = combine_rescore(features, lm_scored(nbest, src, ext), [], model_a, model_b)
+        combined = combine(features, lm_scored(nbest, src, ext), [], model_a, model_b)
         combined.sort(key=lambda c: (-fused(c, w), c.labels))
         w_single = FusionWeights(0.5, 0.7, 0.2)
         single = rescore_nbest(nbest, w_single, src, ext)
@@ -179,7 +193,7 @@ class TestCombineRescore:
         nbest = alsd_beam(model, features, beam_width=32, n_best=4, expansion_cap=5)
         w_comb = CombinationWeights(0.5, 0.5, 0.5, 0.7, 0.2)
         scored = lm_scored(nbest, src, ext)
-        combined = combine_rescore(features, scored, scored, model, model)
+        combined = combine(features, scored, scored, model, model)
         w_single = FusionWeights(0.5, 0.7, 0.2)
         single = rescore_nbest(nbest, w_single, src, ext)
         by_labels = {c.labels: c for c in combined}
@@ -195,7 +209,7 @@ class TestCombineRescore:
         nb_a = alsd_beam(model_a, features, beam_width=32, n_best=4, expansion_cap=5)
         nb_b = alsd_beam(model_b, features, beam_width=32, n_best=4, expansion_cap=5)
         w = CombinationWeights(0.5, 0.5, 0.0, 0.0, 0.0)
-        combined = combine_rescore(features, nb_a, nb_b, model_a, model_b)
+        combined = combine(features, nb_a, nb_b, model_a, model_b)
         labels = [c.labels for c in combined]
         assert len(set(labels)) == len(labels)
         assert set(labels) == {h.labels for h in nb_a} | {h.labels for h in nb_b}
@@ -215,13 +229,13 @@ class TestCombineRescore:
         rng = RandomStream(25)
         features = rng.normal(size=(3, 3))
         nbest = alsd_beam(model_a, features, beam_width=32, n_best=4, expansion_cap=5)
-        for kwargs, cap in (({}, 6), ({"expansion_factor": 4}, 9)):
+        for factor, cap in ((3, 6), (4, 9)):
             at_cap = NBestRecord(tuple((i + 1) % 2 for i in range(cap)), 3 + cap, -9.0, 0.0, 0.0)
             over_cap = NBestRecord(tuple(i % 2 for i in range(cap + 1)), 4 + cap, -9.0, 0.0, 0.0)
             caplog.clear()
             with caplog.at_level("WARNING"):
-                combined = combine_rescore(features, list(nbest) + [at_cap, over_cap], [],
-                                           model_a, model_b, **kwargs)
+                combined = combine(features, list(nbest) + [at_cap, over_cap], [],
+                                   model_a, model_b, expansion_factor=factor)
             assert {c.labels for c in combined} == {h.labels for h in nbest} | {at_cap.labels}
             dropped = [r.getMessage() for r in caplog.records
                        if "dropping hypothesis" in r.message]
@@ -247,7 +261,7 @@ class TestCombineRescore:
                 return alpha
 
             monkeypatch.setattr(fusion, "prefix_trie_forward", tied_a)
-        combined = combine_rescore(features, nb_a, nb_b, model_a, model_b)
+        combined = combine(features, nb_a, nb_b, model_a, model_b)
         union = {h.labels for h in nb_a} | {h.labels for h in nb_b}
         assert len(combined) == len(union) > 2
         keys = [(-c.transducer_a, c.labels) for c in combined]
@@ -267,7 +281,7 @@ class TestCombineRescore:
         nbest = alsd_beam(model_a, features, beam_width=16, n_best=4, expansion_cap=5)
         w = CombinationWeights(0.3, 0.7, 0.2, 0.5, 0.1)
         scored = lm_scored(nbest, src, ext)
-        combined = combine_rescore(features, scored, [], model_a, model_b)
+        combined = combine(features, scored, [], model_a, model_b)
         # The one scoring path of tuning, reporting and verification.
         scores = fusion._utterance_scores(combined, fusion._grid_columns([w]))[0].tolist()
         for c, score in zip(combined, scores):
@@ -292,7 +306,7 @@ class TestCombineRescore:
         nb_b = lm_scored(
             alsd_beam(model_b, features, beam_width=16, n_best=4, expansion_cap=5), src, ext
         )
-        combined = combine_rescore(features, nb_a, nb_b, model_a, model_b)
+        combined = combine(features, nb_a, nb_b, model_a, model_b)
         assert combined
         for c in combined:
             assert c.source_lm == lm_score(c.labels, src)
@@ -307,18 +321,20 @@ class TestCombineRescore:
         nb_a = lm_scored(nbest, tiny_lm(48), ext)
         nb_b = lm_scored(nbest, tiny_lm(49), ext)
         with pytest.raises(ContractViolation, match="different LMs"):
-            combine_rescore(features, nb_a, nb_b, model, model)
+            combine(features, nb_a, nb_b, model, model)
 
     def test_lm_models_are_not_parameters(self):
         model = tiny_model(50)
         features = RandomStream(51).normal(size=(3, 3))
         nbest = alsd_beam(model, features, beam_width=16, n_best=4, expansion_cap=5)
         with pytest.raises(TypeError):
-            combine_rescore(features, nbest, [], model, model, tiny_lm(52), tiny_lm(53))
+            combine_rescore(features, nbest, [], model, model, tiny_lm(52), tiny_lm(53),
+                            tables=fresh_tables(model, model), expansion_factor=3)
         # Nor are weights: the rows carry every component, and only tuning
         # weighs them.
         with pytest.raises(TypeError):
-            combine_rescore(features, nbest, [], CombinationWeights(), model, model)
+            combine_rescore(features, nbest, [], CombinationWeights(), model, model,
+                            tables=fresh_tables(model, model), expansion_factor=3)
 
     def test_one_block_step_per_trie_depth_and_one_joint_call(self, monkeypatch):
         model_a = tiny_model(54)
@@ -332,7 +348,7 @@ class TestCombineRescore:
         lattice_nll_calls = []
         monkeypatch.setattr(TransducerModel, "lattice_nll",
                             counting(TransducerModel.lattice_nll, lattice_nll_calls))
-        combined = combine_rescore(features, nb_a, nb_b, model_a, model_b)
+        combined = combine(features, nb_a, nb_b, model_a, model_b)
 
         union = {h.labels for h in nb_a} | {h.labels for h in nb_b}
         assert {c.labels for c in combined} == union
@@ -356,10 +372,10 @@ class TestCombineRescore:
         assert len(blocks) == 2 * (depth + 1) and len(joints) == 2
 
     def test_one_prefix_table_per_model_per_utterance(self, monkeypatch):
-        # Without `tables`, each call fills one fresh table per model with
-        # the union's one trie layout, one block step per depth. With
-        # `tables`, one per model as `stage_combination` passes them for a
-        # split, the calls make no table, and each table steps only the
+        # Given fresh tables, a call fills each model's with the union's one
+        # trie layout, one block step per depth. Given tables shared by
+        # utterances, one per model as `stage_combination` passes them for
+        # a split, the calls make no table, and each table steps only the
         # prefixes that no earlier utterance reached.
         model_a = tiny_model(54)
         model_b = tiny_model(55, mode="multiplicative")
@@ -370,21 +386,22 @@ class TestCombineRescore:
                   for features, (_, cap) in zip(utterances, sizes)]
         features, (nb_a, nb_b) = utterances[0], nbests[0]
         tables, filled = [], []
+        real_init, real_add = PrefixStates.__init__, PrefixStates.add
 
-        class Recorded(PrefixStates):
-            def __init__(self, params):
-                super().__init__(params)
-                tables.append(self)
+        def recorded_init(self, params):
+            real_init(self, params)
+            tables.append(self)
 
-            def add(self, blocks):
-                filled.append((self, [prefix for block in blocks for prefix in block]))
-                return super().add(blocks)
+        def recorded_add(self, blocks):
+            filled.append((self, [prefix for block in blocks for prefix in block]))
+            return real_add(self, blocks)
 
         blocks = []
-        monkeypatch.setattr(fusion, "PrefixStates", Recorded)
+        monkeypatch.setattr(PrefixStates, "__init__", recorded_init)
+        monkeypatch.setattr(PrefixStates, "add", recorded_add)
         monkeypatch.setattr(networks, "_label_forward",
                             counting(networks._label_forward, blocks))
-        combined = combine_rescore(features, nb_a, nb_b, model_a, model_b)
+        combined = combine(features, nb_a, nb_b, model_a, model_b)
         # Each model fills its own table once, with every node of the
         # union's one trie layout, one block step per depth.
         union = sorted(c.labels for c in combined)
@@ -402,12 +419,13 @@ class TestCombineRescore:
                 (1, sum(len(p) == d for p in prefixes)) for d in range(depth + 1)
             ]
 
-        shared = [Recorded(model_a.prediction), Recorded(model_b.prediction)]
+        shared = fresh_tables(model_a, model_b)
         del tables[:], blocks[:]
         seen, nodes = {()}, 0
         for features, (nb_a, nb_b) in zip(utterances, nbests):
             del filled[:]
-            combined = combine_rescore(features, nb_a, nb_b, model_a, model_b, tables=shared)
+            combined = combine_rescore(features, nb_a, nb_b, model_a, model_b, tables=shared,
+                                       expansion_factor=3)
             prefixes = {c.labels[:u] for c in combined for u in range(len(c.labels) + 1)}
             assert tables == []
             assert [t for t, _ in filled] == shared
@@ -437,16 +455,16 @@ class TestCombineRescore:
         features = RandomStream(64).normal(size=(4, 3))
         nbest = alsd_beam(model_a, features, beam_width=16, n_best=4, expansion_cap=6)
         with pytest.raises(ContractViolation, match="4 and 2 frames"):
-            combine_rescore(features, nbest, [], model_a, model_b)
+            combine(features, nbest, [], model_a, model_b)
         with pytest.raises(ContractViolation, match="2 and 4 frames"):
-            combine_rescore(features, [], nbest, model_b, model_a)
+            combine(features, [], nbest, model_b, model_a)
 
     def test_out_of_vocabulary_label_rejected(self):
         model = tiny_model(57)
         features = RandomStream(58).normal(size=(3, 3))
         bad = [NBestRecord(labels=(0, 2), length=2, transducer_a=0.0, source_lm=0.0, external_lm=0.0)]
         with pytest.raises(ContractViolation, match="outside vocabulary"):
-            combine_rescore(features, bad, [], model, model)
+            combine(features, bad, [], model, model)
 
 
 class TestTuning:

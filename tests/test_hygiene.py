@@ -107,13 +107,28 @@ UNREFERENCED_PUBLIC = {
 }
 
 
+def _public_definitions(body):
+    """(top-level index, member node or None, name) of every public
+    module-level function or class in `body`, and of every public method or
+    property of its classes, named `Class.member`. Dunders are not public."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for i, node in enumerate(body):
+        if isinstance(node, (*functions, ast.ClassDef)) and not node.name.startswith("_"):
+            yield i, None, node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, functions) and not member.name.startswith("_"):
+                    yield i, member, f"{node.name}.{member.name}"
+
+
 def test_no_unreferenced_public_definitions():
-    """Every public module-level function or class of the package is
-    referenced outside its own definition, in the package (its own module
-    included) or in a file under `benchmark/`, or is on
-    `UNREFERENCED_PUBLIC`, which names nothing that is referenced. A
-    re-export in `__init__.py` is not a use: a name only tests read would
-    pass through it."""
+    """Every public module-level function or class of the package, and every
+    public method or property of its classes, is referenced outside its own
+    definition, in the package (its own module included) or in a file under
+    `benchmark/`, or is on `UNREFERENCED_PUBLIC`, which names nothing that
+    is referenced. A re-export in `__init__.py` is not a use: a name only
+    tests read would pass through it. A member counts as referenced when its
+    name is read anywhere else, as an attribute or a name."""
     nodes = {p.name: ast.parse(p.read_text(encoding="utf-8")).body for p in MODULES}
     names = {module: [_referenced_names(node) for node in body] for module, body in nodes.items()}
     benchmark = set().union(*(_referenced_names(ast.parse(p.read_text(encoding="utf-8")))
@@ -122,14 +137,13 @@ def test_no_unreferenced_public_definitions():
     for module, body in nodes.items():
         outside = benchmark.union(*(n for m, module_names in names.items() if m != module
                                     for n in module_names))
-        for i, node in enumerate(body):
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and not node.name.startswith("_")
-                and node.name not in outside
-                and not any(node.name in n for j, n in enumerate(names[module]) if j != i)
-            ):
-                unreferenced.add(f"{module}: {node.name}")
+        for i, member, name in _public_definitions(body):
+            elsewhere = outside.union(*(n for j, n in enumerate(names[module]) if j != i))
+            if member is not None:
+                elsewhere |= set().union(*(_referenced_names(node) for node in body[i].body
+                                           if node is not member))
+            if name.rpartition(".")[2] not in elsewhere:
+                unreferenced.add(f"{module}: {name}")
     assert sorted(unreferenced) == sorted(UNREFERENCED_PUBLIC)
 
 

@@ -133,7 +133,7 @@ class TestLSTMStep:
             finite_difference_gradient(loss, pack_arrays(template)), template
         )
         outs, _, cache = lstm_forward(xs, params, draw_of(params, mask))
-        d_xs, grads = lstm_backward(w.copy(), cache, params)
+        dZ, grads = lstm_backward(w.copy(), cache, params)
         for name in template:
             assert relative_error(grads[name], numeric[name]) <= 1e-4, name
 
@@ -142,7 +142,7 @@ class TestLSTMStep:
             return float((w * outs).sum())
 
         numeric_x = finite_difference_gradient(loss_x, xs.ravel().copy()).reshape(5, 3)
-        assert relative_error(d_xs, numeric_x) <= 1e-4
+        assert relative_error(dZ @ params.W_x, numeric_x) <= 1e-4
 
 
 class TestLSTMKernelOracle:
@@ -173,9 +173,10 @@ class TestLSTMKernelOracle:
             np.testing.assert_allclose(got, want, rtol=0, atol=self.ATOL)
 
         d_outs = rng.normal(size=(T, H))
-        d_xs, grads = lstm_backward(d_outs, cache, params)
-        ref_xs, ref_grads = lstm_backward_reference(d_outs, steps, params, mask)
-        pairs = {"d_xs": (d_xs, ref_xs)}
+        dZ, grads = lstm_backward(d_outs, cache, params)
+        ref_dZ, ref_grads = lstm_backward_reference(d_outs, steps, params, mask)
+        pairs = {"dZ": (dZ, ref_dZ),
+                 "dZ @ W_x": (dZ @ params.W_x, np.stack([params.W_x.T @ z for z in ref_dZ]))}
         pairs.update((name, (grads[name], ref_grads[name])) for name in ref_grads)
         for name, (got, want) in pairs.items():
             scale = np.abs(want).max()
@@ -191,12 +192,12 @@ class TestLSTMKernelOracle:
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             outs, (h, c), cache = lstm_forward(xs, params)
-            d_xs, grads = lstm_backward(np.ones((T, H)), cache, params)
+            dZ, grads = lstm_backward(np.ones((T, H)), cache, params)
         i, f, g, o = np.split(cache.gates, 4, axis=1)
         for sigmoid_gate in (i, f, o):
             assert set(np.unique(sigmoid_gate)) == {0.0, 1.0}
         assert set(np.unique(g)) == {-1.0, 1.0}
-        for arr in (outs, h, c, d_xs, *grads.values()):
+        for arr in (outs, h, c, dZ, dZ @ params.W_x, *grads.values()):
             assert np.isfinite(arr).all()
         ref_outs, (ref_h, ref_c), _ = lstm_forward_reference(xs, params)
         np.testing.assert_array_equal(outs, ref_outs)
@@ -293,7 +294,9 @@ class TestStackAndSkip:
 
     def test_identity(self):
         f = np.arange(12.0).reshape(4, 3)
-        np.testing.assert_array_equal(stack_and_skip(f, 1, 1), f)
+        out = stack_and_skip(f, 1, 1)
+        np.testing.assert_array_equal(out, f)
+        assert not np.shares_memory(out, f)
 
     def test_pairs_concatenated(self):
         f = np.arange(8.0).reshape(4, 2)
@@ -825,9 +828,10 @@ class TestCharLM:
 
 class TestDropConnect:
     def test_rate_zero_identity(self):
-        np.testing.assert_array_equal(
-            sample_dropconnect_mask((4, 4), 0.0, RandomStream(22)), np.ones((4, 4))
-        )
+        # The general path: every uniform is >= 0, and 1.0 / (1 - 0) is 1.0.
+        mask = sample_dropconnect_mask((4, 4), 0.0, RandomStream(22))
+        assert mask.dtype == np.float64
+        np.testing.assert_array_equal(mask, np.ones((4, 4)))
 
     def test_rate_one_zero(self):
         np.testing.assert_array_equal(

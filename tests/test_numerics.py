@@ -166,11 +166,12 @@ class TestRandomStream:
         np.testing.assert_array_equal(c1.random(5), again.random(5))
         assert not np.array_equal(RandomStream(9).child(4, 2).random(5), c2.random(5))
 
-    def test_choice_weighted_distribution(self):
+    def test_draw_distribution(self):
         rs = RandomStream(77)
+        table = CumulativeTable([1.0, 2.0, 1.0])
         counts = np.zeros(3)
         for _ in range(30_000):
-            counts[rs.choice_weighted([1.0, 2.0, 1.0])] += 1
+            counts[rs.draw(table)] += 1
         np.testing.assert_allclose(counts / counts.sum(), [0.25, 0.5, 0.25], atol=0.01)
 
     @pytest.mark.parametrize("weights, entry", [
@@ -185,12 +186,12 @@ class TestRandomStream:
         # The total alone would pass [2, -1, 0.5] and [-1, 3], whose draws
         # land on the entries next to the negative one.
         with pytest.raises(ContractViolation, match=f"^weight {entry} is "):
-            RandomStream(3).choice_weighted(weights)
+            CumulativeTable(weights)
 
     @pytest.mark.parametrize("weights", [[], [0.0], [0.0, 0.0, -0.0], [1e308, 1e308]])
     def test_total_must_be_positive_and_finite(self, weights):
-        with pytest.raises(ContractViolation, match="positive finite weights"):
-            RandomStream(3).choice_weighted(weights)
+        with pytest.raises(ContractViolation, match="positive finite total"):
+            CumulativeTable(weights)
 
 
 def fixed_uniform(u: float) -> RandomStream:
@@ -248,8 +249,6 @@ class TestCumulativeTable:
         assert [new.draw(table) for _ in range(20)] == [
             choice_weighted_reference(old, weights) for _ in range(20)
         ]
-        assert RandomStream(seed).choice_weighted(weights) == choice_weighted_reference(
-            RandomStream(seed), weights)
 
     @draw_settings
     @given(dyadic_hits() | overshooting_rows()
@@ -261,7 +260,6 @@ class TestCumulativeTable:
         weights, u = row
         expected = choice_weighted_reference(fixed_uniform(u), weights)
         assert fixed_uniform(u).draw(CumulativeTable(weights)) == expected
-        assert fixed_uniform(u).choice_weighted(weights) == expected
 
     def test_a_uniform_past_the_last_running_sum_draws_the_last_entry(self):
         weights = [1.0] + [2.0**-53] * 15

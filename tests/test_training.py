@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import mapping_of
-from transducer_workbench.augment import NoiseInjectConfig, SwitchoutConfig
+from transducer_workbench.augment import NoiseInjectConfig, SwitchoutConfig, donor_pools
 from transducer_workbench.data import (
     SyntheticTaskConfig,
     generate_synthetic_task,
@@ -368,6 +368,8 @@ def reference_train(model, train_set, recipe, rng):
     Returns the per-step pre-clip norms and mean NLLs."""
     utterances = list(train_set.utterances)
     lengths = [u.num_frames for u in utterances]
+    noise = recipe.sequence_noise
+    pools = donor_pools(lengths, noise.length_tolerance) if noise is not None else None
     n, c = len(utterances), recipe.optimizer
     params = model.arrays()
     m = {k: np.zeros_like(v) for k, v in params.items()}
@@ -384,7 +386,7 @@ def reference_train(model, train_set, recipe, rng):
             for idx in batch:
                 utt = utterances[idx]
                 features, labels = _augment_batch_member(
-                    utt, utterances, lengths, idx, recipe, rng.child(3, epoch, idx)
+                    utt, utterances, lengths, idx, recipe, rng.child(3, epoch, idx), pools
                 )
                 nll, grads = model.loss_and_grads(features, labels, aux=utt.aux, masks=masks)
                 total += nll
@@ -557,7 +559,7 @@ class TestCharLMTraining:
             )
         ]
         lm = init_char_lm_params(4, CharLMConfig(layers=1, cells=12, embed_dim=6), rng.child(1))
-        history = train_char_lm(lm, sequences, rng.child(2), epochs=8, lr=5e-3)
+        history = train_char_lm(lm, sequences, rng.child(2), epochs=8, batch_size=8, lr=5e-3)
         assert history[-1] < history[0]
         uniform_nll = math.log(lm.eos + 1)
         assert history[-1] < uniform_nll
@@ -587,7 +589,7 @@ class TestCharLMTraining:
         monkeypatch.setattr(networks_mod, "lm_loss_and_grads", huge)
         before = {k: v.copy() for k, v in lm.arrays().items()}
         with pytest.raises(TrainingDiverged, match=r"epoch 0, step 0, sequences \[.*overflow"):
-            train_char_lm(lm, sequences, RandomStream(2), epochs=1, batch_size=4)
+            train_char_lm(lm, sequences, RandomStream(2), epochs=1, batch_size=4, lr=2e-3)
         assert all(np.array_equal(v, before[k]) for k, v in lm.arrays().items())
 
     def test_divergence_carries_last_checkpoint(self, monkeypatch):
@@ -605,4 +607,4 @@ class TestCharLMTraining:
 
         monkeypatch.setattr(networks_mod, "lm_loss_and_grads", flaky)
         with pytest.raises(TrainingDiverged, match="epoch 1, step 3, .*non-finite loss"):
-            train_char_lm(lm, sequences, RandomStream(2), epochs=2, batch_size=4)
+            train_char_lm(lm, sequences, RandomStream(2), epochs=2, batch_size=4, lr=2e-3)
