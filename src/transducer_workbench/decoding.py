@@ -28,8 +28,8 @@ call over it; `greedy_decode` uses one-row blocks. The frame-index
 convention mirrors the lattice module: blanks read frame t, labels read
 frame min(t, T-1), and a hypothesis is complete once it has consumed all T
 frames, after which it may still extend by labels. `alsd_cap` is the one
-label cap of both decoders: ALSD emits at most cap - T labels, and greedy
-decoding stops at the default cap's 2T.
+label cap of both decoders: ALSD and greedy decoding emit at most cap - T
+labels at the configured expansion factor.
 
 The search holds its beam as parallel arrays and scores, merges and prunes
 all candidates of a step as one (beam, K) array. It ranks by
@@ -56,20 +56,22 @@ EXHAUSTIVE_BUDGET = 500_000
 MERGES = ("logsumexp", "max")  # how ALSD merges two paths to one label sequence
 
 
-def greedy_decode(model, features, aux=None, start=None) -> tuple[int, ...]:
+def greedy_decode(model, features, aux=None, start=None, expansion_factor=3) -> tuple[int, ...]:
     """Frame-by-frame argmax: emit labels until blank wins, then advance.
 
-    Returns the labels. Stops at t = T or at ALSD's label cap of 2T labels
-    (`alsd_cap(T) - T`), so a result of 2T labels was truncated. `start` is
-    the empty prefix's state, `model.init_decode_state()` when None.
+    Returns the labels. Stops at t = T or at ALSD's label cap at
+    `expansion_factor` (`alsd_cap(T, expansion_factor) - T` labels, 2T at
+    the default factor), so a result of that many labels was truncated.
+    `start` is the empty prefix's state, `model.init_decode_state()` when
+    None.
     """
     H = model.encode_features(features, aux)
     T = H.shape[0]
-    max_symbols = alsd_cap(T) - T
+    max_symbols = alsd_cap(T, expansion_factor) - T
     state = model.init_decode_state() if start is None else start
     labels: list[int] = []
     t = 0
-    while t < T:
+    while t < T and len(labels) < max_symbols:
         logp = model.joint_log_probs(H[t : t + 1], state)[0]
         k = int(np.argmax(logp))
         if k == BLANK_ID:
@@ -77,15 +79,13 @@ def greedy_decode(model, features, aux=None, start=None) -> tuple[int, ...]:
             continue
         labels.append(k - 1)
         state = model.extend_decode_state(state, [tuple(labels)])
-        if len(labels) >= max_symbols:
-            break
     return tuple(labels)
 
 
 def alsd_cap(T: int, expansion_factor: int = 3) -> int:
     """ALSD's expansion cap: `expansion_factor` steps per encoder frame over T
-    frames. Its label cap, cap - T, bounds every decoder (greedy at the
-    default factor) and combination alike."""
+    frames. Its label cap, cap - T, bounds every decoder and combination
+    alike."""
     return expansion_factor * max(1, T)
 
 

@@ -433,6 +433,7 @@ def build_recipe(config: dict) -> TrainingRecipe:
             if tr["speed_tempo_replicas"]
             else ()
         ),
+        expansion_factor=config["decoding"]["expansion_factor"],
     )
 
 
@@ -869,7 +870,8 @@ def stage_sweep(run: Run, stream: int):
             row.update(dev_wer=None, test_wer=None, diverged=str(exc))
         else:
             row.update(dev_wer=result.metrics[-1].dev_wer if result.metrics else None,
-                       test_wer=_greedy_wer(model, datasets["test"], alphabet))
+                       test_wer=_greedy_wer(model, datasets["test"], alphabet,
+                                            config["decoding"]["expansion_factor"]))
         run.report.sweep.append(row)
 
 
@@ -877,15 +879,18 @@ def hash_tag(tag: str) -> int:
     return int.from_bytes(hashlib.sha256(tag.encode()).digest()[:4], "little")
 
 
-def _greedy_wer(model, dataset, alphabet) -> float:
+def _greedy_wer(model, dataset, alphabet, expansion_factor) -> float:
+    """Corpus WER of greedy decoding over `dataset`, at the label cap of
+    `expansion_factor` (`[decoding] expansion_factor`)."""
     errors = 0
     words = 0
     start = model.init_decode_state()  # one prefix table for the call
     for utt in sorted(dataset, key=lambda u: u.utt_id):
-        labels = greedy_decode(model, utt.frames.astype(np.float64), aux=utt.aux, start=start)
-        _, s, d, i = compute_wer(alphabet.words(utt.labels), alphabet.words(labels))
-        errors += s + d + i
-        words += len(alphabet.words(utt.labels))
+        labels = greedy_decode(model, utt.frames.astype(np.float64), aux=utt.aux, start=start,
+                               expansion_factor=expansion_factor)
+        reference = alphabet.words(utt.labels)
+        errors += compute_wer(reference, alphabet.words(labels))
+        words += len(reference)
     return errors / max(1, words)
 
 
@@ -1041,6 +1046,7 @@ def verify_report(run_dir) -> list[str]:
               top1_wer(rows, FusionWeights()))
         check(f"ablations/{name}/density_ratio_test", entry["density_ratio_test_wer"],
               top1_wer(rows, weights_from_dict(entry["weights"])))
+    factor = config["decoding"]["expansion_factor"]
     for row in report["sweep"]:
         optimizer, schedule = row["optimizer"], row["schedule"]
         diverged = "diverged" in row  # no checkpoint, so no WER to recompute
@@ -1048,6 +1054,6 @@ def verify_report(run_dir) -> list[str]:
             model, _ = load_checkpoint(run_dir / artifact("model", "sweep", optimizer, schedule))
         for split in ("dev", "test"):
             if row[f"{split}_wer"] is not None:  # None: no epoch was trained, or diverged
-                check(f"sweep/{optimizer}/{schedule}/{split}", row[f"{split}_wer"],
-                      np.nan if diverged else _greedy_wer(model, datasets[split], alphabet))
+                wer = np.nan if diverged else _greedy_wer(model, datasets[split], alphabet, factor)
+                check(f"sweep/{optimizer}/{schedule}/{split}", row[f"{split}_wer"], wer)
     return problems

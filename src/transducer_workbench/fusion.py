@@ -21,11 +21,17 @@ trie for both models at once (`lattice.prefix_trie_forward`). The result
 agrees with `lattice_nll`, the per-sequence oracle, within
 1e-12 * max(1, |nll|).
 
-From the search on, every n-best row is an `NBestRecord`: what `alsd_beam`
-and the exhaustive oracle return, the rows of decoder and combination
-files, cross-scored and rescored rows, and the rows that weight tuning
-scores. Its one reader and writer, and the loader that turns rows into
-tuning input, also live here.
+From the search on, every n-best row is an `NBestRecord`, a named tuple:
+what `alsd_beam` and the exhaustive oracle return, the rows of decoder and
+combination files, cross-scored and rescored rows, and the rows that weight
+tuning scores. Its one reader and writer, and the loader that turns rows
+into tuning input, also live here.
+
+Tuning pays each per-row cost once. `CachedNBest` builds an utterance's
+score columns when it is made and memoizes each row's edit count; the
+grid is scored along its axes, one broadcast of the scorers per
+utterance, and `tune_weights`, `top1_wer` and `verify` all reach the
+fused-score formula through `_utterance_scores`.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,10 +85,11 @@ def _weighted(weight, score):
 def density_ratio_score(components, w: FusionWeights) -> float:
     """components = (log p(y|x), log p_src(y), log p_ext(y), |y|).
 
-    Elementwise on numpy arrays too: with weight fields of shape (cells, 1)
-    and components of shape (hyps,) it scores a whole grid at once, with
-    the same operations in the same order as the scalar call. A term whose
-    weight is zero adds nothing, whatever its score."""
+    Elementwise on numpy arrays too: with weight fields that each run
+    along an axis of their own (`_grid_axes`) and components of shape
+    (hyps,), it scores a whole grid at once by broadcasting, with the same
+    operations in the same order as the scalar call. A term whose weight is
+    zero adds nothing, whatever its score."""
     trans, src, ext, length = components
     return trans - _weighted(w.mu, src) + _weighted(w.lam, ext) + _weighted(w.rho, length)
 
@@ -194,17 +202,44 @@ class CachedNBest:
     """One utterance's tuning input: its n-best rows and the words of each,
     so tuning never re-runs a model or renders labels again. The rows are
     sorted once, stably, by their words, so the first maximum of a score
-    column is the top-1 under (-score, words)."""
+    column is the top-1 under (-score, words).
+
+    Construction also builds the score columns once, as float64 arrays over
+    the sorted rows: `transducer_a`, `source_lm`, `external_lm`, `length`
+    (|y|, the label count; a decoder row's `length` field is its alignment
+    length) and `transducer_b`, which is None unless every row carries one.
+    `top1_edits` memoizes each row's edit count against `reference`, since
+    it depends only on the reference and the row's words."""
 
     utt_id: str
     reference: tuple[str, ...]
     rows: list[NBestRecord]
     words: list[tuple[str, ...]]
+    columns: tuple = field(init=False, repr=False, compare=False)
+    _edits: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ranked = sorted(zip(self.words, self.rows, strict=True), key=lambda pair: pair[0])
         self.words = [words for words, _ in ranked]
         self.rows = [row for _, row in ranked]
+        labels, _, trans_a, src, ext, trans_b = zip(*self.rows) if self.rows else ((),) * 6
+        values = [trans_a, src, ext, tuple(map(len, labels))]
+        has_b = None not in trans_b
+        if has_b:
+            values.append(trans_b)
+        table = np.array(values, dtype=np.float64)  # one row per column
+        self.columns = (*table[:4], table[4] if has_b else None)
+        self._edits = np.full(len(self.rows), -1, dtype=np.int64)
+
+    def top1_edits(self, top1: np.ndarray) -> np.ndarray:
+        """The edit count of row `top1[c]` for each c. A row's count is
+        computed on its first request and kept for the object's lifetime."""
+        edits = self._edits[top1]
+        if (edits < 0).any():
+            for i in set(top1[edits < 0].tolist()):
+                self._edits[i] = scoring.compute_wer(self.reference, self.words[i])
+            edits = self._edits[top1]
+        return edits
 
 
 def cached_nbests(rows_by_utt, alphabet, references) -> list[CachedNBest]:
@@ -232,56 +267,69 @@ DEFAULT_LAM_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 DEFAULT_RHO_GRID = tuple(round(0.1 * i, 1) for i in range(6))
 
 
-def _grid_columns(cells):
-    """The weight objects `cells`, all of one type, as one weights object
-    whose fields are (cells, 1) columns."""
-    kind = type(cells[0])
-    names = [f.name for f in fields(kind)]
-    return kind(*(np.array([getattr(w, n) for w in cells], dtype=np.float64)[:, None]
-                  for n in names))
+def _grid_axes(pairs, mu_grid, lam_grid, rho_grid):
+    """The cells `itertools.product(pairs, mu_grid, lam_grid, rho_grid)` as
+    one weights object with one axis per grid: CombinationWeights when
+    `pairs` holds (alpha, beta) pairs, which share the first axis, and
+    FusionWeights when it is `[()]`. Each field is a float64 array that is
+    long on its own axis only, with a trailing axis of 1 for the rows, so
+    the scorers broadcast it against (rows,) columns to an array of shape
+    (pairs, mu, lam, rho, rows), or (mu, lam, rho, rows); in C order that
+    is (cells, rows) in product order."""
+    first = int(pairs != [()])  # the axis of mu: 1 after a pair axis, else 0
+
+    def along(values, axis):
+        shape = [1] * (first + 4)
+        shape[axis] = len(values)
+        return np.array(values, dtype=np.float64).reshape(shape)
+
+    weights = [along(column, 0) for column in zip(*pairs)]  # alpha and beta, if any
+    weights += [along(grid, first + i) for i, grid in enumerate((mu_grid, lam_grid, rho_grid))]
+    return (CombinationWeights if first else FusionWeights)(*weights)
 
 
-def _utterance_scores(rows, grid) -> np.ndarray:
-    """Fused score of every row under every cell of `grid` (from
-    `_grid_columns`), shape (cells, rows). The one scoring path of tuning,
-    reporting and verification. |y| is the label count: a decoder row's
-    `length` is its alignment length. Combination weights need transducer_b
-    on every row."""
-    trans_a = np.array([r.transducer_a for r in rows], dtype=np.float64)
-    src = np.array([r.source_lm for r in rows], dtype=np.float64)
-    ext = np.array([r.external_lm for r in rows], dtype=np.float64)
-    length = np.array([len(r.labels) for r in rows], dtype=np.float64)
+def _cell_axes(weights: FusionWeights | CombinationWeights):
+    """The one cell `weights` in the layout of `_grid_axes`."""
+    pairs = [(weights.alpha, weights.beta)] if isinstance(weights, CombinationWeights) else [()]
+    return _grid_axes(pairs, (weights.mu,), (weights.lam,), (weights.rho,))
+
+
+def _utterance_scores(nbest: CachedNBest, grid) -> np.ndarray:
+    """Fused score of every row of `nbest` under every cell of `grid` (from
+    `_grid_axes`), shape (cells, rows). The one scoring path of tuning,
+    reporting and verification: `density_ratio_score` /
+    `combination_score` broadcast the grid's axes against the
+    utterance's score columns, so every element sees the operations of the
+    scalar formula, in its order, and equals it bit for bit. Combination
+    weights need transducer_b on every row."""
+    trans_a, src, ext, length, trans_b = nbest.columns
     if isinstance(grid, CombinationWeights):
-        if any(r.transducer_b is None for r in rows):
+        if trans_b is None:
             raise ContractViolation("combination scoring needs transducer_b components")
-        trans_b = np.array([r.transducer_b for r in rows], dtype=np.float64)
-        return combination_score((trans_a, trans_b, src, ext, length), grid)
-    return density_ratio_score((trans_a, src, ext, length), grid)
+        scores = combination_score((trans_a, trans_b, src, ext, length), grid)
+    else:
+        scores = density_ratio_score((trans_a, src, ext, length), grid)
+    return scores.reshape(-1, len(nbest.rows))
 
 
-def _grid_errors(nbests: list[CachedNBest], cells) -> np.ndarray:
-    """Corpus edit count of the top-1 rows under each cell, shape (cells,).
-    Top-1 is the first row under (-score, words): a CachedNBest's rows are
-    sorted by words, and `np.argmax` returns the first maximum. Each chosen
-    row's edit count is computed once."""
-    grid = _grid_columns(cells)
-    errors = np.zeros(len(cells), dtype=np.int64)
+def _grid_errors(nbests: list[CachedNBest], grid) -> np.ndarray:
+    """Corpus edit count of the top-1 rows under each cell of `grid` (from
+    `_grid_axes`), shape (cells,). Top-1 is the first row under (-score,
+    words): a CachedNBest's rows are sorted by words, and `np.argmax`
+    returns the first maximum. Edit counts come from `top1_edits`."""
+    cells = np.broadcast(*vars(grid).values()).size  # the rows axis has length 1
+    errors = np.zeros(cells, dtype=np.int64)
     for nbest in nbests:
         if not nbest.rows:
             raise ContractViolation(f"{nbest.utt_id}: n-best list is empty")
-        top1 = np.argmax(_utterance_scores(nbest.rows, grid), axis=1)
-        edits = np.zeros(len(nbest.rows), dtype=np.int64)
-        for i in np.unique(top1):
-            _, subs, dels, ins = scoring.compute_wer(list(nbest.reference), list(nbest.words[i]))
-            edits[i] = subs + dels + ins
-        errors += edits[top1]
+        errors += nbest.top1_edits(np.argmax(_utterance_scores(nbest, grid), axis=1))
     return errors
 
 
 def top1_wer(nbests: list[CachedNBest], weights: FusionWeights | CombinationWeights) -> float:
     """Corpus WER of each utterance's top-1 hypothesis under `weights`, by
     the same scoring and tie-break as `tune_weights`."""
-    errors = int(_grid_errors(nbests, [weights])[0])
+    errors = int(_grid_errors(nbests, _cell_axes(weights))[0])
     return errors / max(1, sum(len(nbest.reference) for nbest in nbests))
 
 
@@ -294,11 +342,12 @@ def tune_weights(
 ) -> TuneResult:
     """Exhaustive grid search minimizing corpus WER on cached components.
 
-    All cells of one utterance are scored together, with the arithmetic of
-    `density_ratio_score` / `combination_score`, so every score equals the
-    scalar formula's bit for bit. Each utterance's top-1 row is the first
-    under (-score, words), and the edit count of a row is computed at most
-    once per call, as it does not depend on the weights.
+    The grid is scored along its axes (`_grid_axes`): for each utterance,
+    one broadcast of the scorers over the (alpha, beta), mu, lam and rho
+    axes scores every cell, and every score equals the scalar formula's
+    bit for bit. Each utterance's top-1 row is the first under (-score,
+    words), and a row's edit count is computed once per CachedNBest, as it
+    does not depend on the weights.
     Cells tie-break toward smaller total |weights|, then lexicographically
     on the weights' field tuple, so results are deterministic. When
     `alpha_beta_grid` is given, the search runs over CombinationWeights
@@ -315,11 +364,13 @@ def tune_weights(
     # Each cell's field tuple, as `astuple` gives it, in grid order.
     values = [(*pair, *rest) for pair, *rest in
               itertools.product(pairs, mu_grid, lam_grid, rho_grid)]
-    errors = _grid_errors(dev_nbests, [kind(*v) for v in values])
+    errors = _grid_errors(dev_nbests, _grid_axes(pairs, mu_grid, lam_grid, rho_grid)).tolist()
     ref_words = max(1, sum(len(nbest.reference) for nbest in dev_nbests))
-    wer, _, best = min((cell_errors / ref_words, sum(map(abs, v)), v)
-                       for cell_errors, v in zip(errors.tolist(), values))
-    return TuneResult(kind(*best), wer)
+    # Only the cells with the fewest errors can win: the WER rises with them.
+    fewest = min(errors)
+    _, best = min((sum(map(abs, v)), v)
+                  for cell_errors, v in zip(errors, values) if cell_errors == fewest)
+    return TuneResult(kind(*best), fewest / ref_words)
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +385,14 @@ def tune_weights(
 # Floats are written with 17 significant digits, so they read back exactly.
 
 
-@dataclass(frozen=True)
-class NBestRecord:
+class NBestRecord(NamedTuple):
     """One n-best row: a hypothesis from the search, a line of an n-best
     file, a cross-scored or rescored hypothesis, and tuning input. `length`
     is the alignment length in rows from the decoder (the search and the
     exhaustive oracle) and the label count in cross-scored rows; the fused
-    scores take |y| from `labels`."""
+    scores take |y| from `labels`. A named tuple: immutable, equal by its
+    fields, and cheap to build, which the readers and the search do once
+    per row."""
 
     labels: tuple[int, ...]
     length: int
@@ -352,18 +404,23 @@ class NBestRecord:
 
 def write_nbest(path, records, alphabet):
     """records: iterable of (utt_id, rows), one line per `NBestRecord`
-    row; the transducer_b column is written when the row carries one.
+    row, formatted by one %-format, whose `%.17g` writes the bytes of
+    `format(x, ".17g")`; the transducer_b column is written when the row
+    carries one.
 
     The file is written with `atomic_write`: `read_nbest` accepts a file
     cut at a line boundary, so a killed or failed write must never leave
     one at `path`."""
+    to_text = alphabet.to_text
     with atomic_write(path) as f:
         for utt_id, rows in records:
-            for row in rows:
-                scores = (row.transducer_a, row.transducer_b, row.source_lm, row.external_lm)
-                cols = [utt_id, alphabet.to_text(row.labels), str(row.length)]
-                cols += [f"{x:.17g}" for x in scores if x is not None]
-                f.write("\t".join(cols) + "\n")
+            for labels, length, trans_a, src, ext, trans_b in rows:
+                if trans_b is None:
+                    f.write("%s\t%s\t%s\t%.17g\t%.17g\t%.17g\n"
+                            % (utt_id, to_text(labels), length, trans_a, src, ext))
+                else:
+                    f.write("%s\t%s\t%s\t%.17g\t%.17g\t%.17g\t%.17g\n"
+                            % (utt_id, to_text(labels), length, trans_a, trans_b, src, ext))
 
 
 def read_nbest(path, alphabet) -> dict[str, list[NBestRecord]]:
@@ -375,45 +432,53 @@ def read_nbest(path, alphabet) -> dict[str, list[NBestRecord]]:
     sequence a finite log-probability, and a -inf one under a positive mu
     would make the density ratio +inf. Anything else, a byte that is not
     UTF-8 too, raises ContractViolation naming the line, since the files may
-    come from outside the program."""
+    come from outside the program.
+
+    One pass over the lines: each line is split, parsed field by field in
+    column order and range-checked in one comparison chain; only a line that
+    fails the chain runs the checks one by one, which name its first bad
+    score."""
     out: dict[str, list[NBestRecord]] = {}
-    width = None
+    width = utt = rows = None
+    to_labels, inf = alphabet.to_labels, math.inf
     try:
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) not in (6, 7) or width not in (None, len(parts)):
-                    expected = width or "6 or 7"
-                    raise ContractViolation(
-                        f"n-best line {lineno}: {len(parts)} fields, expected {expected}"
-                    )
-                width = len(parts)
-                utt_id, text, length, trans_a, *trans_b, src, ext = parts
+                parts = line.rstrip("\n").split("\t")
+                if len(parts) != width:
+                    if parts == [""]:
+                        continue
+                    if len(parts) not in (6, 7) or width is not None:
+                        expected = width or "6 or 7"
+                        raise ContractViolation(
+                            f"n-best line {lineno}: {len(parts)} fields, expected {expected}"
+                        )
+                    width = len(parts)
+                if width == 6:
+                    utt_id, text, length, trans_a, src, ext = parts
+                    trans_b = None
+                else:
+                    utt_id, text, length, trans_a, trans_b, src, ext = parts
                 try:
-                    record = NBestRecord(
-                        labels=alphabet.to_labels(text),
-                        length=int(length),
-                        transducer_a=float(trans_a),
-                        source_lm=float(src),
-                        external_lm=float(ext),
-                        transducer_b=float(trans_b[0]) if trans_b else None,
-                    )
+                    labels, length = to_labels(text), int(length)
+                    trans_a, src, ext = float(trans_a), float(src), float(ext)
+                    if trans_b is not None:
+                        trans_b = float(trans_b)
                 except (ValueError, ContractViolation) as exc:
                     raise ContractViolation(f"n-best line {lineno}: {exc}") from exc
-                for score in (record.transducer_a, record.transducer_b, record.source_lm,
-                              record.external_lm):
-                    if score is not None and not score < math.inf:
-                        raise ContractViolation(
-                            f"n-best line {lineno}: score {score} is NaN or +inf"
-                        )
-                if -math.inf in (record.source_lm, record.external_lm):
+                if not (trans_a < inf and -inf < src < inf and -inf < ext < inf
+                        and (trans_b is None or trans_b < inf)):
+                    for score in (trans_a, trans_b, src, ext):
+                        if score is not None and not score < inf:
+                            raise ContractViolation(
+                                f"n-best line {lineno}: score {score} is NaN or +inf"
+                            )
                     raise ContractViolation(
                         f"n-best line {lineno}: LM score -inf, expected a finite one"
                     )
-                out.setdefault(utt_id, []).append(record)
+                if utt_id != utt:
+                    utt, rows = utt_id, out.setdefault(utt_id, [])
+                rows.append(NBestRecord(labels, length, trans_a, src, ext, trans_b))
     except UnicodeDecodeError as exc:
         raise ContractViolation(f"n-best {not_utf8(path)}") from exc
     return out

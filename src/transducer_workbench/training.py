@@ -251,6 +251,7 @@ class TrainingRecipe:
     sequence_noise: NoiseInjectConfig | None = None
     specaugment: SpecAugmentConfig | None = None
     replicas: tuple = ()  # (tag, factor) pairs expanded before training
+    expansion_factor: int = 3  # the per-epoch dev WER's greedy label cap (`alsd_cap`)
 
 
 @dataclass
@@ -378,13 +379,15 @@ def _fit(params, state: OptimizerState, rng: RandomStream, epochs: int, n: int,
         yield norms
 
 
-def dev_wer(model: TransducerModel, dev: Dataset, alphabet) -> float:
-    """Corpus WER of greedy decoding over `dev`, every utterance from one
-    start state, so they share one prefix table."""
+def dev_wer(model: TransducerModel, dev: Dataset, alphabet, expansion_factor: int) -> float:
+    """Corpus WER of greedy decoding over `dev` at the label cap of
+    `expansion_factor`, every utterance from one start state, so they share
+    one prefix table."""
     start = model.init_decode_state()
 
     def word_pair(utt):
-        labels = greedy_decode(model, utt.frames.astype(np.float64), aux=utt.aux, start=start)
+        labels = greedy_decode(model, utt.frames.astype(np.float64), aux=utt.aux, start=start,
+                               expansion_factor=expansion_factor)
         return alphabet.words(utt.labels), alphabet.words(labels)
 
     return corpus_wer(map(word_pair, dev))
@@ -445,7 +448,7 @@ def train(
             train_nll=epoch_nll / max(1, epoch_utts),
             train_nll_per_label=epoch_nll / max(1, epoch_labels),
             dev_wer=(
-                dev_wer(model, dev_set, alphabet)
+                dev_wer(model, dev_set, alphabet, recipe.expansion_factor)
                 if dev_set is not None and alphabet is not None
                 else None
             ),

@@ -84,6 +84,18 @@ class TestGreedy:
         assert len(labels) == alsd_cap(T) - T == 2 * T
         assert set(labels) == {1}
 
+    @pytest.mark.parametrize("T", [1, 3, 5])
+    def test_follows_the_expansion_factor(self, T):
+        # At `[decoding] expansion_factor` 5, ALSD may emit 4T labels, and
+        # so may greedy decoding: the label-dominant model runs to that cap.
+        logits = np.zeros((T, 3, 3))
+        logits[:, :, 2] = 5.0
+        model = FixedLatticeModel(log_softmax(logits))
+        labels = greedy_decode(model, np.zeros(T), expansion_factor=5)
+        assert len(labels) == alsd_cap(T, 5) - T == 4 * T
+        # Factor 1 leaves ALSD no label, and greedy none either.
+        assert greedy_decode(model, np.zeros(T), expansion_factor=1) == ()
+
     def test_matches_exhaustive_on_peaked_model(self):
         # With near-deterministic output distributions the greedy path is
         # the unique maximizer, so greedy equals the exhaustive argmax.
@@ -263,7 +275,7 @@ def _alsd_outcome(search, model, features, **kwargs):
     return [
         dict(labels=h.labels, length=h.alignment_length, transducer_a=h.transducer,
              source_lm=0.0, external_lm=0.0, transducer_b=None)
-        if isinstance(h, ReferenceHypothesis) else vars(h)
+        if isinstance(h, ReferenceHypothesis) else h._asdict()
         for h in search(model, features, **kwargs)
     ]
 
@@ -308,6 +320,45 @@ class TestArrayBeamOracle:
             assert outcome == _alsd_outcome(alsd_beam_reference, model, np.zeros(3), **kwargs)
 
 
+class DyadicPrefixModel:
+    """A duck-typed decoder over T = 1 frame whose joint row depends on the
+    label prefix alone. Every log-probability is a small dyadic number, so
+    every path score is exact and ties are exact ties. A state is the
+    tuple of its rows' prefixes."""
+
+    num_labels = 2
+    # (blank, label 0, label 1) log-probabilities by prefix.
+    ROWS = {(): (0.0, -1.0, -1.0), (0,): (-64.0, 0.0, -64.0)}
+    OTHER = (-64.0, -64.0, -64.0)
+
+    def encode_features(self, features, aux=None):
+        return np.zeros((1, 1))
+
+    def init_decode_state(self):
+        return ((),)
+
+    def extend_decode_state(self, state, prefixes):
+        return tuple(prefixes)
+
+    def joint_log_probs(self, H_rows, state):
+        return np.array([self.ROWS.get(prefix, self.OTHER) for prefix in state])
+
+
+class TestEarlyStopTie:
+    def test_a_tie_with_the_worst_held_row_keeps_searching(self):
+        # The exact top three are () at 0, then, all at -1 and ranked by
+        # labels, (0,) and (0, 0) (blank, label 0, label 0); (1,) comes
+        # fourth. With a beam of one, step 1 keeps the complete () and
+        # step 2 completes (0,) and (1,) from it, so the n-best list is
+        # full and its worst row, (1,), ties the one live row, (0,). Step 3
+        # extends (0,) by label 0 at log-probability 0 to (0, 0), which
+        # displaces (1,). An early stop on the tie (`<=` for the strict
+        # `<`) would return (1,) in its place.
+        rows = alsd_beam(DyadicPrefixModel(), np.zeros(1), beam_width=1, n_best=3)
+        assert [(row.labels, row.transducer_a) for row in rows] == [
+            ((), 0.0), ((0,), -1.0), ((0, 0), -1.0)]
+
+
 def _char_lms(num_labels, layers, rng):
     config = CharLMConfig(layers=layers, cells=4, embed_dim=3)
     return tuple(init_char_lm_params(num_labels, config, rng.child(i)) for i in (1, 2))
@@ -331,7 +382,7 @@ class TestFusedLMState:
         # The LM components are the only fields scoring changes, and under
         # zero weights every fused score is the transducer score, so the
         # search's ranking stands.
-        zero = fusion._grid_columns([FusionWeights()])
+        zero = fusion._cell_axes(FusionWeights())
         for seed in range(25):
             rng = RandomStream(seed)
             num_labels, T = int(rng.integers(1, 5)), int(rng.integers(1, 6))
@@ -343,7 +394,9 @@ class TestFusedLMState:
             [(_, scored)] = attach_lm_components([("u", plain)], *lms)
             assert [NBestRecord(r.labels, r.length, r.transducer_a, 0.0, 0.0)
                     for r in scored] == plain
-            fused = fusion._utterance_scores(scored, zero)[0].tolist()
+            # Equal words keep the rows in the search's order.
+            nbest = fusion.CachedNBest("u", (), scored, [()] * len(scored))
+            fused = fusion._utterance_scores(nbest, zero)[0].tolist()
             assert fused == [row.transducer_a for row in plain]
             ranked = sorted(range(len(scored)), key=lambda i: (-fused[i], scored[i].labels))
             assert ranked == list(range(len(scored)))

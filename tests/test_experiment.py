@@ -180,6 +180,11 @@ class TestRecipeBuilder:
         "no_speed_tempo": "replicas",
     }
 
+    def test_recipe_carries_the_decoding_expansion_factor(self):
+        # The per-epoch dev WER's greedy label cap follows `[decoding]`.
+        assert build_recipe(tiny_config()).expansion_factor == 3
+        assert build_recipe(tiny_config(decoding={"expansion_factor": 5})).expansion_factor == 5
+
     def test_ablation_toggles(self):
         # Each ablation's config copy gives the base recipe with exactly
         # its own part turned off.
@@ -985,6 +990,34 @@ class TestVerify:
         (run_copy / "report.json").write_text(json.dumps(report, indent=2))
         problems = verify_report(run_copy)
         assert [p.split(":")[0] for p in problems] == [label]
+
+    def test_report_wer_moved_in_the_ninth_decimal_caught(self, run_copy):
+        # `verify` recomputes the same floats, so any tolerance wider than
+        # the last bits lets a fabricated WER through.
+        report = load_report(run_copy)
+        report["conditions"]["density_ratio"]["additive"]["test_wer"] += 1e-9
+        report["ablations"][ABLATION]["no_lm_test_wer"] -= 1e-9
+        (run_copy / "report.json").write_text(json.dumps(report, indent=2))
+        problems = verify_report(run_copy)
+        assert [p.split(":")[0] for p in problems] == [
+            "density_ratio/additive/test", f"ablations/{ABLATION}/no_lm_test"
+        ]
+
+    def test_greedy_wer_decodes_at_the_configured_factor(self, ablation_run, monkeypatch):
+        # The sweep's test WER and its recomputation in `verify` decode
+        # greedily at `[decoding] expansion_factor`, as ALSD does.
+        factors = []
+
+        def spy(*args, expansion_factor, **kwargs):
+            factors.append(expansion_factor)
+            return ()
+
+        monkeypatch.setattr(experiment, "greedy_decode", spy)
+        config = parse_config(ablation_run / "config.ini")
+        alphabet, datasets = load_run_data(config, ablation_run, ("test",))
+        model, _ = load_checkpoint(ablation_run / "model_additive.npz")
+        assert experiment._greedy_wer(model, datasets["test"], alphabet, 5) == 1.0
+        assert factors == [5] * len(datasets["test"])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, "0.5", None, True],
                              ids=["nan", "inf", "string", "null", "bool"])

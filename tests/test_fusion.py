@@ -283,7 +283,9 @@ class TestCombineRescore:
         scored = lm_scored(nbest, src, ext)
         combined = combine(features, scored, [], model_a, model_b)
         # The one scoring path of tuning, reporting and verification.
-        scores = fusion._utterance_scores(combined, fusion._grid_columns([w]))[0].tolist()
+        # Equal words keep the rows in their order.
+        nbest = CachedNBest("u", (), combined, [()] * len(combined))
+        scores = fusion._utterance_scores(nbest, fusion._cell_axes(w))[0].tolist()
         for c, score in zip(combined, scores):
             total = (
                 w.alpha * c.transducer_a
@@ -553,7 +555,50 @@ class TestTuning:
             top1_wer([CachedNBest("u", ("a",), [], [])], FusionWeights())
 
 
+class TestNBestRecord:
+    def test_keyword_construction_and_default(self):
+        row = NBestRecord(labels=(0, 2), length=5, transducer_a=-1.5, source_lm=-2.0,
+                          external_lm=-3.0)
+        assert row.transducer_b is None
+        assert row == NBestRecord((0, 2), 5, -1.5, -2.0, -3.0, None)
+        assert row._asdict() == dict(labels=(0, 2), length=5, transducer_a=-1.5, source_lm=-2.0,
+                                     external_lm=-3.0, transducer_b=None)
+
+    def test_immutable(self):
+        row = NBestRecord((0,), 4, -1.0, -2.0, -3.0, transducer_b=-4.0)
+        with pytest.raises(AttributeError):
+            row.transducer_a = 0.0
+        with pytest.raises(TypeError):
+            row[2] = 0.0
+        assert row == NBestRecord((0,), 4, -1.0, -2.0, -3.0, transducer_b=-4.0)
+
+    def test_equal_exactly_when_every_field_is(self):
+        fields = dict(labels=(0, 1), length=4, transducer_a=-1.0, source_lm=-2.0,
+                      external_lm=-3.0, transducer_b=-4.0)
+        row = NBestRecord(**fields)
+        assert row == NBestRecord(**fields) and hash(row) == hash(NBestRecord(**fields))
+        for name, other in dict(labels=(1, 0), length=5, transducer_a=-1.5, source_lm=-2.5,
+                                external_lm=-3.5, transducer_b=None).items():
+            assert row != NBestRecord(**{**fields, name: other}), name
+
+
 class TestNBestIO:
+    def test_file_bytes_round_trip(self, tmp_path):
+        # read then write gives back the file's bytes: 17 significant
+        # digits, -0, subnormals, -inf transducer scores and both widths.
+        alphabet = Alphabet(3, separator=2)
+        for text in (
+            "u1\ta b\t5\t-1.25\t-3\t-0.75\n"
+            "u1\t\t3\t-inf\t-0\t0.30000000000000004\n"
+            "u0\tbba\t6\t-12.345678901234567\t4.9406564584124654e-324\t-1.0000000000000001e+300\n",
+            "u\ta\t1\t-inf\t-2.5\t-0.33333333333333331\t-1.7976931348623157e+308\n"
+            "v\tb a\t3\t-1\t-inf\t-2\t-3\n",
+        ):
+            path, again = tmp_path / "rows.tsv", tmp_path / "again.tsv"
+            path.write_bytes(text.encode())
+            write_nbest(again, read_nbest(path, alphabet).items(), alphabet)
+            assert again.read_bytes() == text.encode()
+
     def test_roundtrip(self, tmp_path):
         model = tiny_model(31, num_labels=3)
         rng = RandomStream(32)
@@ -612,7 +657,7 @@ class TestNBestIO:
         fields = {len(line.split("\t")) for line in path.read_text().splitlines()}
         assert fields == {7 if combination else 6}
         back = read_nbest(path, alphabet)
-        assert list(back.items()) == records  # dataclass ==, so every float by ==
+        assert list(back.items()) == records  # field-wise ==, so every float by ==
         again = tmp_path / "again.tsv"
         write_nbest(again, back.items(), alphabet)
         assert again.read_bytes() == path.read_bytes()
@@ -746,7 +791,7 @@ class TestNBestRoundTrip:
             path = Path(tmp) / "rows.tsv"
             write_nbest(path, records, alphabet)
             back = read_nbest(path, alphabet)
-            assert list(back.items()) == records  # dataclass ==, so every float by ==
+            assert list(back.items()) == records  # field-wise ==, so every float by ==
             # The bytes again, so -0.0 stays -0.0 as well.
             again = Path(tmp) / "again.tsv"
             write_nbest(again, back.items(), alphabet)

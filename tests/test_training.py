@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import mapping_of
+from transducer_workbench import training
 from transducer_workbench.augment import NoiseInjectConfig, SwitchoutConfig, donor_pools
 from transducer_workbench.data import (
     SyntheticTaskConfig,
@@ -162,6 +163,14 @@ class TestOptimizers:
         clip_gradients(grads2, 1.0, init_optimizer(grads2, OptimizerConfig()).temps)
         np.testing.assert_array_equal(grads2["a"], [0.3])
 
+    def test_a_norm_just_above_the_bound_is_clipped(self):
+        # 1.005 x max_norm: any slack in the bound leaves it unclipped.
+        grads = {"a": np.array([3.015]), "b": np.array([4.02])}
+        norm = clip_gradients(grads, 5.0, init_optimizer(grads, OptimizerConfig()).temps)
+        assert norm == pytest.approx(5.025, rel=1e-12)
+        clipped = math.sqrt(sum(float((g**2).sum()) for g in grads.values()))
+        assert clipped == pytest.approx(5.0, rel=1e-12)
+
 
 def small_task(train_size=10, seed=5):
     config = SyntheticTaskConfig(
@@ -292,6 +301,22 @@ class TestTrainLoop:
         )
         assert result.metrics[0].dev_wer is not None
         assert 0.0 <= result.metrics[0].dev_wer
+
+    def test_dev_wer_decodes_at_the_recipe_expansion_factor(self, monkeypatch):
+        # The per-epoch dev WER caps greedy decoding at the configured
+        # factor's label cap, like the decoding stage caps ALSD.
+        factors = []
+        original = training.greedy_decode
+
+        def spy(*args, expansion_factor, **kwargs):
+            factors.append(expansion_factor)
+            return original(*args, expansion_factor=expansion_factor, **kwargs)
+
+        monkeypatch.setattr(training, "greedy_decode", spy)
+        task = small_task()
+        train(small_model(task), task.train, plain_recipe(epochs=1, expansion_factor=5),
+              RandomStream(5), dev_set=task.dev, alphabet=task.alphabet)
+        assert factors == [5] * len(task.dev)
 
     def test_augmented_recipe_runs(self):
         task = small_task()

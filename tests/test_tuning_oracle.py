@@ -8,6 +8,10 @@ vectorised search must return the same weights and the same WER, exactly.
 as it does for decoder rows (their alignment length).
 """
 
+import itertools
+import math
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +22,8 @@ from transducer_workbench.fusion import (
     FusionWeights,
     NBestRecord,
     TuneResult,
+    combination_score,
+    density_ratio_score,
     top1_wer,
     tune_weights,
 )
@@ -46,8 +52,7 @@ def oracle_cell_wer(nbests, w) -> float:
             key = (-oracle_score(row, w), words)
             if best is None or key < best_key:
                 best, best_key = words, key
-        _, subs, dels, ins = compute_wer(list(nbest.reference), list(best))
-        errors += subs + dels + ins
+        errors += compute_wer(list(nbest.reference), list(best))
         ref_words += len(nbest.reference)
     return errors / max(1, ref_words)
 
@@ -94,16 +99,20 @@ weight_values = st.one_of(
 words = st.lists(st.sampled_from(("a", "b", "ab")), max_size=3).map(tuple)
 
 
+# Components with -inf, the log-probability of an impossible event.
+infinite_components = st.one_of(components, st.just(-math.inf))
+
+
 @st.composite
-def hypotheses(draw, combination):
+def hypotheses(draw, combination, values=components):
     """(words, row) pairs; the row's `length` field is not its label count."""
     row = NBestRecord(
         labels=(0,) * draw(st.integers(0, 4)),
         length=draw(st.integers(5, 9)),
-        transducer_a=draw(components),
-        source_lm=draw(components),
-        external_lm=draw(components),
-        transducer_b=draw(components) if combination else None,
+        transducer_a=draw(values),
+        source_lm=draw(values),
+        external_lm=draw(values),
+        transducer_b=draw(values) if combination else None,
     )
     if draw(st.booleans()):
         # The same components under other words: a forced exact tie.
@@ -124,24 +133,59 @@ def nbest_lists(draw, combination):
 
 grids = st.lists(weight_values, min_size=1, max_size=3).map(tuple)
 alpha_beta_grids = st.lists(st.tuples(weight_values, weight_values), min_size=1, max_size=3)
-combination_cells = st.builds(CombinationWeights, *[weight_values] * 5)
 
 # Derandomized and without an example database, so every run draws the
 # same examples and writes nothing.
 property_settings = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
+def axis_grid_scores(rows, pairs, mu_grid, lam_grid, rho_grid):
+    """`_utterance_scores` of `rows`, in their order, over the axis grid,
+    and the grid's cells in `itertools.product` order."""
+    nbest = CachedNBest("u", (), rows, [()] * len(rows))  # equal words keep the order
+    scores = fusion._utterance_scores(nbest, fusion._grid_axes(pairs, mu_grid, lam_grid, rho_grid))
+    kind = CombinationWeights if pairs != [()] else FusionWeights
+    cells = [kind(*pair, *rest) for pair, *rest in
+             itertools.product(pairs, mu_grid, lam_grid, rho_grid)]
+    return scores, cells
+
+
+def scalar_score(row, w):
+    """The fused-score formula on one row and one cell, with Python floats."""
+    if isinstance(w, CombinationWeights):
+        return combination_score((row.transducer_a, row.transducer_b, row.source_lm,
+                                  row.external_lm, len(row.labels)), w)
+    return density_ratio_score((row.transducer_a, row.source_lm, row.external_lm,
+                                len(row.labels)), w)
+
+
 class TestTuneWeightsAgainstPerCellLoop:
     @property_settings
     @given(st.lists(hypotheses(True), min_size=1, max_size=4),
-           st.lists(combination_cells, min_size=1, max_size=4))
-    def test_grid_scores_equal_scalar_scores(self, groups, cells):
+           alpha_beta_grids, grids, grids, grids)
+    def test_grid_scores_equal_scalar_scores(self, groups, pairs, mu_grid, lam_grid, rho_grid):
         rows = [row for group in groups for _, row in group]
-        for grid_cells in (cells, [FusionWeights(w.mu, w.lam, w.rho) for w in cells]):
-            scores = fusion._utterance_scores(rows, fusion._grid_columns(grid_cells))
-            assert scores.shape == (len(grid_cells), len(rows))
-            for c, w in enumerate(grid_cells):
+        for grid_pairs in (pairs, [()]):
+            scores, cells = axis_grid_scores(rows, grid_pairs, mu_grid, lam_grid, rho_grid)
+            assert scores.shape == (len(cells), len(rows))
+            for c, w in enumerate(cells):
                 assert scores[c].tolist() == [oracle_score(row, w) for row in rows]
+
+    @property_settings
+    @given(st.lists(hypotheses(True, infinite_components), min_size=1, max_size=4),
+           alpha_beta_grids, grids, grids, grids)
+    def test_axis_grid_is_the_scalar_formula_bitwise(self, groups, pairs, mu_grid, lam_grid,
+                                                     rho_grid):
+        # -inf components under zero weights drop out, and under nonzero
+        # ones give +-inf or NaN: every element, NaN bits included, must be
+        # the scalar formula's.
+        rows = [row for group in groups for _, row in group]
+        for grid_pairs in (pairs, [()]):
+            with np.errstate(invalid="ignore"):  # inf - inf is NaN on both sides
+                scores, cells = axis_grid_scores(rows, grid_pairs, mu_grid, lam_grid, rho_grid)
+                expected = np.array([[scalar_score(row, w) for row in rows] for w in cells],
+                                    dtype=np.float64)
+            assert scores.tobytes() == expected.tobytes()
 
     @property_settings
     @given(nbest_lists(False), grids, grids, grids)
